@@ -225,13 +225,13 @@ func randomPartitionRMSE(b *testing.B, ds *dsgl.Dataset, dense *train.Params, te
 	unknown := ds.UnknownIndices()
 	observed := ds.ObservedMask()
 	for _, w := range test {
-		obs := make([]scalable.Observation, 0, len(w.Full))
+		obs := make([]engine.Observation, 0, len(w.Full))
 		for i, o := range observed {
 			if o {
-				obs = append(obs, scalable.Observation{Index: i, Value: w.Full[i]})
+				obs = append(obs, engine.Observation{Index: i, Value: w.Full[i]})
 			}
 		}
-		res, err := machine.Infer(obs)
+		res, err := machine.Engine().InferSeeded(obs, machine.BaseSeed())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,13 +314,13 @@ func BenchmarkAblationFineTune(b *testing.B) {
 		unknown := ds.UnknownIndices()
 		observed := ds.ObservedMask()
 		for _, w := range test {
-			obs := make([]scalable.Observation, 0, len(w.Full))
+			obs := make([]engine.Observation, 0, len(w.Full))
 			for i, o := range observed {
 				if o {
-					obs = append(obs, scalable.Observation{Index: i, Value: w.Full[i]})
+					obs = append(obs, engine.Observation{Index: i, Value: w.Full[i]})
 				}
 			}
-			res, err := machine.Infer(obs)
+			res, err := machine.Engine().InferSeeded(obs, machine.BaseSeed())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -400,7 +400,7 @@ func BenchmarkAblationIntegrator(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := d.Infer([]dspu.Observation{{Index: 0, Value: 0.5}}); err != nil {
+				if _, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -551,13 +551,13 @@ func BenchmarkAblationRedistribution(b *testing.B) {
 		unknown := ds.UnknownIndices()
 		observed := ds.ObservedMask()
 		for _, w := range test {
-			obs := make([]scalable.Observation, 0, len(w.Full))
+			obs := make([]engine.Observation, 0, len(w.Full))
 			for i, o := range observed {
 				if o {
-					obs = append(obs, scalable.Observation{Index: i, Value: w.Full[i]})
+					obs = append(obs, engine.Observation{Index: i, Value: w.Full[i]})
 				}
 			}
-			res, err := machine.Infer(obs)
+			res, err := machine.Engine().InferSeeded(obs, machine.BaseSeed())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -629,7 +629,7 @@ func BenchmarkAblationRedistribution(b *testing.B) {
 // lists for a batch of test windows. lanes=30 keeps the machine in pure
 // spatial mode; lanes=6 forces temporal+spatial co-annealing (held slices,
 // sample-and-hold refreshes).
-func benchBatchSetup(b testing.TB, lanes int) (*scalable.Machine, [][]scalable.Observation) {
+func benchBatchSetup(b testing.TB, lanes int) (*scalable.Machine, [][]engine.Observation) {
 	b.Helper()
 	ds := benchDataset()
 	model, err := dsgl.Train(ds, dsgl.Options{Seed: 7, Lanes: lanes, MaxInferNs: 3000})
@@ -641,11 +641,11 @@ func benchBatchSetup(b testing.TB, lanes int) (*scalable.Machine, [][]scalable.O
 		test = test[:32]
 	}
 	observed := ds.ObservedMask()
-	obs := make([][]scalable.Observation, len(test))
+	obs := make([][]engine.Observation, len(test))
 	for i, w := range test {
 		for j, o := range observed {
 			if o {
-				obs[i] = append(obs[i], scalable.Observation{Index: j, Value: w.Full[j]})
+				obs[i] = append(obs[i], engine.Observation{Index: j, Value: w.Full[j]})
 			}
 		}
 	}
@@ -668,7 +668,7 @@ func BenchmarkInferBatch(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := m.InferBatch(obs, workers); err != nil {
+					if _, err := m.Engine().InferBatch(obs, workers); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -679,25 +679,26 @@ func BenchmarkInferBatch(b *testing.B) {
 }
 
 // BenchmarkInferWith is the steady-state single inference through a reused
-// arena running the NAIVE reference loop (InferWithNaive) — every coupling
-// matrix re-evaluated in full every step, exactly what InferWith did before
-// clamp plans. It is the baseline BenchmarkInferPlan is measured against;
-// allocs/op must report 0 (enforced by TestInferNaiveZeroAlloc).
+// arena running the NAIVE reference loop (a Naive engine.Request) — every
+// coupling matrix re-evaluated in full every step, exactly what InferWith
+// did before clamp plans. It is the baseline BenchmarkInferPlan is
+// measured against; allocs/op must report 0 (enforced by
+// TestInferNaiveZeroAlloc).
 func BenchmarkInferWith(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
 		lanes int
 	}{{"spatial", 30}, {"temporal", 6}} {
 		m, obs := benchBatchSetup(b, mode.lanes)
-		st := m.NewInferState()
-		if _, err := m.InferWithNaive(st, obs[0], 1); err != nil { // warm-up
+		st := m.Engine().NewInferState()
+		if _, err := m.Engine().Run(st, engine.Request{Obs: obs[0], Seed: 1, Path: engine.Naive}); err != nil { // warm-up
 			b.Fatal(err)
 		}
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWithNaive(st, obs[0], uint64(i)); err != nil {
+				if _, err := m.Engine().Run(st, engine.Request{Obs: obs[0], Seed: uint64(i), Path: engine.Naive}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -717,21 +718,21 @@ func BenchmarkInferPlan(b *testing.B) {
 		lanes int
 	}{{"spatial", 30}, {"temporal", 6}} {
 		m, obs := benchBatchSetup(b, mode.lanes)
-		st := m.NewInferState()
-		if _, err := m.InferWith(st, obs[0], 1); err != nil { // warm-up compiles the plan
+		st := m.Engine().NewInferState()
+		if _, err := m.Engine().InferWith(st, obs[0], 1); err != nil { // warm-up compiles the plan
 			b.Fatal(err)
 		}
 		b.Run(mode.name, func(b *testing.B) {
-			h0, m0 := m.PlanCacheStats()
+			h0, m0 := m.Engine().PlanCacheStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWith(st, obs[0], uint64(i)); err != nil {
+				if _, err := m.Engine().InferWith(st, obs[0], uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			h1, m1 := m.PlanCacheStats()
+			h1, m1 := m.Engine().PlanCacheStats()
 			if lookups := (h1 - h0) + (m1 - m0); lookups > 0 {
 				b.ReportMetric(float64(h1-h0)/float64(lookups), "plan-hit-rate")
 			}
@@ -754,16 +755,16 @@ func BenchmarkInferPlanObs(b *testing.B) {
 		lanes int
 	}{{"spatial", 30}, {"temporal", 6}} {
 		m, obs := benchBatchSetup(b, mode.lanes)
-		st := m.NewInferState()
+		st := m.Engine().NewInferState()
 		// Warm-up compiles the plan and binds the instruments.
-		if _, err := m.InferWith(st, obs[0], 1); err != nil {
+		if _, err := m.Engine().InferWith(st, obs[0], 1); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWith(st, obs[0], uint64(i)); err != nil {
+				if _, err := m.Engine().InferWith(st, obs[0], uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -778,9 +779,9 @@ func BenchmarkInferPlanObs(b *testing.B) {
 // quantile estimators — recording never allocates).
 func TestInferPlanObsZeroAlloc(t *testing.T) {
 	m, obs := benchBatchSetup(t, 30)
-	st := m.NewInferState()
+	st := m.Engine().NewInferState()
 	run := func() {
-		if _, err := m.InferWith(st, obs[0], 7); err != nil {
+		if _, err := m.Engine().InferWith(st, obs[0], 7); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -805,22 +806,22 @@ func BenchmarkInferObserver(b *testing.B) {
 	m, obs := benchBatchSetup(b, 6)
 	for _, mode := range []struct {
 		name string
-		fn   scalable.StepObserver
+		fn   engine.StepObserver
 	}{
 		{"nil", nil},
-		{"lazy", func(scalable.StepInfo) {}},
-		{"eager", func(si scalable.StepInfo) { _ = si.EnergyFn() }},
+		{"lazy", func(engine.StepInfo) {}},
+		{"eager", func(si engine.StepInfo) { _ = si.EnergyFn() }},
 	} {
-		st := m.NewInferState()
+		st := m.Engine().NewInferState()
 		st.SetObserver(mode.fn)
-		if _, err := m.InferWith(st, obs[0], 1); err != nil { // warm-up
+		if _, err := m.Engine().InferWith(st, obs[0], 1); err != nil { // warm-up
 			b.Fatal(err)
 		}
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferWith(st, obs[0], uint64(i)); err != nil {
+				if _, err := m.Engine().InferWith(st, obs[0], uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -840,7 +841,7 @@ func BenchmarkInferFresh(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.InferSeeded(obs[0], uint64(i)); err != nil {
+				if _, err := m.Engine().InferSeeded(obs[0], uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -954,17 +955,17 @@ func BenchmarkInferSharded(b *testing.B) {
 		b.Fatalf("benchmark model should shard, ShardCount=%d", m.ShardCount())
 	}
 	_, test := ds.Split()
-	var obs []scalable.Observation
+	var obs []engine.Observation
 	for j, o := range ds.ObservedMask() {
 		if o {
-			obs = append(obs, scalable.Observation{Index: j, Value: test[0].Full[j]})
+			obs = append(obs, engine.Observation{Index: j, Value: test[0].Full[j]})
 		}
 	}
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.InferSeeded(obs, uint64(i)); err != nil {
+			if _, err := m.Engine().InferSeeded(obs, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -973,7 +974,7 @@ func BenchmarkInferSharded(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.InferShardedSeeded(obs, uint64(i)); err != nil {
+			if _, err := m.Engine().Run(m.Engine().NewInferState(), engine.Request{Obs: obs, Seed: uint64(i), Path: engine.Sharded}); err != nil {
 				b.Fatal(err)
 			}
 		}

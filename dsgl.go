@@ -515,24 +515,24 @@ func (m *Model) predictSeeded(w datasets.Window, seed uint64) (*Prediction, erro
 	if err != nil {
 		return nil, err
 	}
-	var res *engine.Result
-	if m.shardedInference() {
-		res, err = m.Engine().InferShardedSeeded(obs, seed)
-	} else {
-		res, err = m.Engine().InferSeeded(obs, seed)
-	}
+	eng := m.Engine()
+	res, err := eng.Run(eng.NewInferState(), engine.Request{Obs: obs, Seed: seed, Path: m.inferPath()})
 	if err != nil {
 		return nil, err
 	}
 	return m.predictionFrom(w, res), nil
 }
 
-// shardedInference reports whether this model routes window anneals through
-// the community-sharded parallel entry points. The engine falls back to the
-// exact path per call whenever the machine or the clamp pattern cannot
-// shard, so routing here only consults the user's knob and the backend.
-func (m *Model) shardedInference() bool {
-	return m.Machine != nil && m.Opts.ShardWorkers > 1
+// inferPath routes this model's window anneals: the community-sharded
+// anneal when the user asked for shard workers on a scalable model, the
+// planned path otherwise. The engine falls back to the exact path per call
+// whenever the machine or the clamp pattern cannot shard, so routing here
+// only consults the user's knob and the backend.
+func (m *Model) inferPath() engine.Path {
+	if m.Machine != nil && m.Opts.ShardWorkers > 1 {
+		return engine.Sharded
+	}
+	return engine.Planned
 }
 
 // WindowObservations builds the clamp list for one window: every observed
@@ -636,21 +636,16 @@ func (m *Model) EvaluateParallel(windows []datasets.Window, workers int) (*Repor
 	if err := m.ensurePlan(); err != nil {
 		return nil, err
 	}
-	obsList := make([][]engine.Observation, len(windows))
+	seed, path := m.Engine().BaseSeed(), m.inferPath()
+	reqs := make([]engine.Request, len(windows))
 	for i, w := range windows {
 		obs, err := m.windowObservations(w)
 		if err != nil {
 			return nil, err
 		}
-		obsList[i] = obs
+		reqs[i] = engine.Request{Obs: obs, Seed: seed + uint64(i), Path: path}
 	}
-	var results []*engine.Result
-	var err error
-	if m.shardedInference() {
-		results, err = m.Engine().InferShardedBatch(obsList, workers)
-	} else {
-		results, err = m.Engine().InferBatch(obsList, workers)
-	}
+	results, err := m.Engine().RunBatch(reqs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -853,13 +848,13 @@ func DenseInfer(ds *Dataset, params *train.Params, w datasets.Window, seed uint6
 		return nil, err
 	}
 	observed := ds.ObservedMask()
-	obs := make([]dspu.Observation, 0, len(w.Full))
+	obs := make([]engine.Observation, 0, len(w.Full))
 	for i, isObs := range observed {
 		if isObs {
-			obs = append(obs, dspu.Observation{Index: i, Value: w.Full[i]})
+			obs = append(obs, engine.Observation{Index: i, Value: w.Full[i]})
 		}
 	}
-	res, err := d.Infer(obs)
+	res, err := d.Engine().InferSeeded(obs, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -10,26 +10,17 @@ import (
 	"fmt"
 	"log"
 
-	"dsgl/internal/ising"
-	"dsgl/internal/mat"
-	"dsgl/internal/rng"
+	"dsgl"
 )
 
 func main() {
-	// A random weighted graph, small enough to brute-force for reference.
-	r := rng.New(99)
-	const n = 16
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < 0.4 {
-				v := r.Uniform(0.1, 1)
-				w.Set(i, j, v)
-				w.Set(j, i, v)
-			}
-		}
+	// A seeded random weighted graph, small enough to brute-force for
+	// reference.
+	g, err := dsgl.GsetInstance(16, 3, true, 99)
+	if err != nil {
+		log.Fatal(err)
 	}
-	model, err := ising.MaxCutModel(w)
+	model, err := g.ToIsing()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,17 +28,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	best := ising.CutValue(w, ground)
+	best := g.CutValue(ground)
 
-	brim, err := ising.NewBRIM(model, ising.DefaultAnnealSchedule(), rng.New(7))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%12s %12s %12s %10s\n", "anneal(ns)", "cut", "optimal", "ratio")
-	for _, dur := range []float64{10, 25, 50, 100, 200} {
-		res := brim.Anneal(dur)
-		cut := ising.CutValue(w, res.Spins)
-		fmt.Printf("%12.0f %12.3f %12.3f %9.1f%%\n", dur, cut, best, 100*cut/best)
+	// One BRIM anneal per row; each schedule step integrates 2 ns of
+	// circuit time before the next random-flip escape.
+	fmt.Printf("%12s %12s %12s %10s\n", "steps", "cut", "optimal", "ratio")
+	for _, steps := range []int{5, 12, 25, 50, 100} {
+		rep, err := dsgl.SolveMaxCut(g, dsgl.OptOptions{
+			Dynamics: dsgl.DynamicsBRIM,
+			Steps:    steps,
+			Restarts: 1,
+			Seed:     7,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%12d %12.3f %12.3f %9.1f%%\n", steps, rep.Cut, best, 100*rep.Cut/best)
 	}
 	fmt.Printf("\nground-state Ising energy: %.3f\n", bestE)
 }

@@ -74,7 +74,7 @@ func captureGoldenRuns(t *testing.T) []goldenRun {
 			if err != nil {
 				t.Fatalf("%s: window %d: %v", name, i, err)
 			}
-			res, err := model.Machine.InferSeeded(obs, seed+uint64(i))
+			res, err := model.Machine.Engine().InferSeeded(obs, seed+uint64(i))
 			if err != nil {
 				t.Fatalf("%s: infer %d: %v", name, i, err)
 			}

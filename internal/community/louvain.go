@@ -155,16 +155,27 @@ func louvainLocal(w *mat.Dense) ([]int, bool) {
 		return labels, false
 	}
 	commDeg := mat.CopyVec(deg) // total degree per community
+	// toComm[c] is the weight from node i to neighbouring community c;
+	// touched lists those communities in first-seen order. Candidates are
+	// scanned in that fixed order because the 1e-12 gain margin makes the
+	// pick order-dependent on near-ties: ranging over a map here made the
+	// partition differ from run to run.
+	toComm := make([]float64, n)
+	isTouched := make([]bool, n)
+	touched := make([]int, 0, n)
 	anyMoved := false
 	for iter := 0; iter < 50; iter++ {
 		movedThisIter := false
 		for i := 0; i < n; i++ {
-			// Weights from i to each neighboring community.
-			toComm := make(map[int]float64)
 			for j := 0; j < n; j++ {
 				if j != i {
 					if v := w.At(i, j); v != 0 {
-						toComm[labels[j]] += v
+						c := labels[j]
+						if !isTouched[c] {
+							isTouched[c] = true
+							touched = append(touched, c)
+						}
+						toComm[c] += v
 					}
 				}
 			}
@@ -172,13 +183,17 @@ func louvainLocal(w *mat.Dense) ([]int, bool) {
 			commDeg[old] -= deg[i]
 			bestComm, bestGain := old, 0.0
 			baseGain := toComm[old] - commDeg[old]*deg[i]/m2
-			for c, wic := range toComm {
-				gain := wic - commDeg[c]*deg[i]/m2
+			for _, c := range touched {
+				gain := toComm[c] - commDeg[c]*deg[i]/m2
 				if gain-baseGain > bestGain+1e-12 {
 					bestGain = gain - baseGain
 					bestComm = c
 				}
 			}
+			for _, c := range touched {
+				toComm[c], isTouched[c] = 0, false
+			}
+			touched = touched[:0]
 			labels[i] = bestComm
 			commDeg[bestComm] += deg[i]
 			if bestComm != old {

@@ -114,6 +114,29 @@ func TestLouvainDisconnectedComponents(t *testing.T) {
 	}
 }
 
+// TestLouvainDeterministicOnTies: on a uniform ring every node sees two
+// neighbouring communities with exactly equal gain, so the pick depends on
+// the order candidates are scanned. That order must be fixed — a random
+// one made training's PE placement, and with it the compiled machine's
+// floating-point accumulation order, differ between runs.
+func TestLouvainDeterministicOnTies(t *testing.T) {
+	const n = 24
+	w := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		w.Set(i, (i+1)%n, 1)
+		w.Set((i+1)%n, i, 1)
+	}
+	want := Louvain(w, 10).Labels
+	for run := 0; run < 20; run++ {
+		got := Louvain(w, 10).Labels
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: node %d in community %d, first run put it in %d", run, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCommunitiesPartitionNodes(t *testing.T) {
 	r := rng.New(3)
 	w, _ := plantedGraph(r, 3, 8)

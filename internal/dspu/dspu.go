@@ -24,7 +24,6 @@ import (
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/ode"
-	"dsgl/internal/rng"
 )
 
 // Config collects DSPU runtime parameters.
@@ -72,18 +71,16 @@ func (c *Config) fillDefaults() {
 // DSPU is a single real-valued dynamical-system processing unit holding a
 // trained parameter set (J, h).
 //
-// Concurrency: inference entry points taking an InferState are safe to call
-// from multiple goroutines with distinct states — each state carries its own
-// clamp mask, coupling scratch, and integrator clone, and the network is
-// only read. The exception is a configured noise model, whose RNG is shared:
-// noisy inference must stay single-threaded. Infer (which advances the
-// DSPU's internal RNG) and TraceRun (which sets the network clamp set) are
-// also single-threaded by design.
+// Concurrency: engine inferences on distinct InferStates are safe to run
+// from multiple goroutines — each state carries its own clamp mask,
+// coupling scratch, and integrator clone, and the network is only read.
+// The exception is a configured noise model, whose RNG is shared: noisy
+// inference must stay single-threaded. TraceRun (which sets the network
+// clamp set) is also single-threaded by design.
 type DSPU struct {
 	N   int
 	Net *circuit.Network
 	cfg Config
-	rng *rng.RNG
 
 	// The engine is created lazily on first use, mirroring
 	// scalable.Machine: tests may construct literals that never infer.
@@ -117,7 +114,7 @@ func New(j *mat.Dense, h []float64, cfg Config) (*DSPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg, rng: rng.New(cfg.Seed)}, nil
+	return &DSPU{N: j.Rows, Net: net, cfg: cfg}, nil
 }
 
 // NewCSR builds a DSPU from a sparse coupling matrix.
@@ -132,31 +129,8 @@ func NewCSR(j *mat.CSR, h []float64, cfg Config) (*DSPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg, rng: rng.New(cfg.Seed)}, nil
+	return &DSPU{N: j.Rows, Net: net, cfg: cfg}, nil
 }
-
-// Result is the outcome of one inference (annealing) run; Energy is H_RV at
-// the settled state.
-type Result = engine.Result
-
-// Observation fixes node Index at Value during inference.
-type Observation = engine.Observation
-
-// StepInfo is the per-step telemetry handed to a StepObserver; see
-// engine.StepInfo. The dense path populates Step, TimeNs, the lazy H_RV
-// EnergyFn, and X.
-type StepInfo = engine.StepInfo
-
-// StepObserver receives StepInfo after every integration step of an
-// inference; see engine.StepObserver.
-type StepObserver = engine.StepObserver
-
-// InferState is a reusable scratch arena for DSPU inference; see
-// engine.InferState. The dense-path buffers (derivative, folded bias,
-// coupling scratch, per-state ODE systems, integrator clone) hang off the
-// state's Scratch field, which is what makes concurrent inference on
-// distinct states of one DSPU race-free.
-type InferState = engine.InferState
 
 // dscratch is the DSPU's backend arena inside an engine.InferState.
 type dscratch struct {
@@ -188,7 +162,7 @@ func (s *naiveSys) Derivative(t float64, x, dst []float64) {
 
 // AttachState allocates the DSPU's scratch arena onto an engine state.
 // Called once per InferState by engine.NewInferState.
-func (d *DSPU) AttachState(st *InferState) {
+func (d *DSPU) AttachState(st *engine.InferState) {
 	sc := &dscratch{
 		deriv:    make([]float64, d.N),
 		bias:     make([]float64, d.N),
@@ -220,13 +194,13 @@ func (d *DSPU) CompilePlan(clamped []bool) any { return d.compilePlan(clamped) }
 var _ engine.DeltaBackend = (*DSPU)(nil)
 
 // RunPlanned runs the integration loop over the clamp-plan system.
-func (d *DSPU) RunPlanned(st *InferState, plan any) (*Result, error) {
+func (d *DSPU) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
 	sc := st.Scratch.(*dscratch)
 	return d.annealLoop(st, sc, d.planSystem(st, sc, plan.(*clampPlan)))
 }
 
 // RunNaive runs the integration loop over the raw network (per-state mask).
-func (d *DSPU) RunNaive(st *InferState) (*Result, error) {
+func (d *DSPU) RunNaive(st *engine.InferState) (*engine.Result, error) {
 	sc := st.Scratch.(*dscratch)
 	return d.annealLoop(st, sc, &sc.naive)
 }
@@ -297,76 +271,12 @@ func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
 // norm falls below SettleTol, at the reported state.
 func (d *DSPU) SettleResidualTol() float64 { return d.cfg.SettleTol }
 
-// NewInferState allocates a scratch arena sized for this DSPU.
-func (d *DSPU) NewInferState() *InferState { return d.Engine().NewInferState() }
-
-// Infer clamps the observations, randomly initializes the free nodes, and
-// anneals to equilibrium. It returns the settled state. Successive calls
-// advance the DSPU's internal RNG, so repeated inferences explore different
-// initializations; use InferWith / InferSeeded for explicit per-call
-// seeding.
-func (d *DSPU) Infer(obs []Observation) (*Result, error) {
-	x := make([]float64, d.N)
-	d.rng.FillUniform(x, -0.1, 0.1)
-	return d.InferFrom(x, obs)
-}
-
-// InferFrom is Infer with an explicit initial state for the free nodes.
-func (d *DSPU) InferFrom(x0 []float64, obs []Observation) (*Result, error) {
-	return d.Engine().InferFrom(x0, obs)
-}
-
-// InferSeeded anneals with an explicit seed for free-node initialization,
-// allocating a fresh state per call.
-func (d *DSPU) InferSeeded(obs []Observation, seed uint64) (*Result, error) {
-	return d.Engine().InferSeeded(obs, seed)
-}
-
-// InferWith runs one inference on a reusable scratch state, seeding the
-// free-node initialization from seed (independent of the DSPU's internal
-// RNG stream). After the state's first use the call performs zero heap
-// allocations; the returned Result aliases the state's buffers.
-func (d *DSPU) InferWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	return d.Engine().InferWith(st, obs, seed)
-}
-
-// InferWithNaive is InferWith running the naive reference anneal: the raw
-// network, no clamp plan. The plan path must match it bit for bit.
-func (d *DSPU) InferWithNaive(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	return d.Engine().InferWithNaive(st, obs, seed)
-}
-
-// InferSeededNaive is InferSeeded running the naive reference anneal.
-func (d *DSPU) InferSeededNaive(obs []Observation, seed uint64) (*Result, error) {
-	return d.Engine().InferSeededNaive(obs, seed)
-}
-
-// InferBatch anneals every observation set across a worker pool, one private
-// InferState per worker; window i is seeded Config.Seed + i, bit-identical
-// to a sequential loop for any worker count. Requires a noise-free
-// configuration (the noise RNG is shared across states).
-func (d *DSPU) InferBatch(obs [][]Observation, workers int) ([]*Result, error) {
-	return d.Engine().InferBatch(obs, workers)
-}
-
-// EnsurePlan validates the observation set and pre-compiles (or re-warms)
-// the clamp plan for its index pattern.
-func (d *DSPU) EnsurePlan(obs []Observation) error {
-	return d.Engine().EnsurePlan(obs)
-}
-
-// PlanCacheStats reports the cumulative clamp-plan cache hit and miss
-// counts.
-func (d *DSPU) PlanCacheStats() (hits, misses uint64) {
-	return d.Engine().PlanCacheStats()
-}
-
 // annealLoop is the integration loop proper, parameterized over the system
 // evaluated each step — the per-state naive network view (naive path) or
 // its clamp-plan compilation (planSys). Everything outside the Derivative
 // evaluation is shared, so the two paths can only differ through the
 // derivative values, which the plan construction makes bit-identical.
-func (d *DSPU) annealLoop(st *InferState, sc *dscratch, sys ode.System) (*Result, error) {
+func (d *DSPU) annealLoop(st *engine.InferState, sc *dscratch, sys ode.System) (*engine.Result, error) {
 	x := st.X
 	deriv := sc.deriv
 	steps := int(d.cfg.MaxTimeNs / d.cfg.Dt)
@@ -382,7 +292,7 @@ func (d *DSPU) annealLoop(st *InferState, sc *dscratch, sys ode.System) (*Result
 		d.Net.ClampRails(x)
 		taken = s + 1
 		if st.Observer != nil {
-			st.Observer(StepInfo{Step: s, TimeNs: t, EnergyFn: st.EnergyFn, X: x})
+			st.Observer(engine.StepInfo{Step: s, TimeNs: t, EnergyFn: st.EnergyFn, X: x})
 		}
 		// Convergence check every few steps to keep the hot loop tight.
 		// Each checked derivative norm is captured as lastResidual so the
@@ -396,7 +306,7 @@ func (d *DSPU) annealLoop(st *InferState, sc *dscratch, sys ode.System) (*Result
 			}
 		}
 	}
-	st.Res = Result{
+	st.Res = engine.Result{
 		Voltage:   x,
 		LatencyNs: t,
 		AnnealNs:  t,
@@ -418,7 +328,7 @@ type Trace struct {
 // TraceRun integrates for durationNs from x0 with the given observations
 // clamped, sampling the state every sampleEveryNs. TraceRun drives the
 // network directly (it sets the shared clamp set) and is single-threaded.
-func (d *DSPU) TraceRun(x0 []float64, obs []Observation, durationNs, sampleEveryNs float64) (*Trace, error) {
+func (d *DSPU) TraceRun(x0 []float64, obs []engine.Observation, durationNs, sampleEveryNs float64) (*Trace, error) {
 	if len(x0) != d.N {
 		return nil, fmt.Errorf("dspu: initial state has %d entries, want %d", len(x0), d.N)
 	}

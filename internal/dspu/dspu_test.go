@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsgl/internal/circuit"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/ode"
 	"dsgl/internal/rng"
@@ -41,7 +42,7 @@ func TestNewRejectsBadParams(t *testing.T) {
 
 func TestInferTwoNodeFixedPoint(t *testing.T) {
 	d := chainDSPU(t, 2, 0.6, Config{})
-	res, err := d.Infer([]Observation{{Index: 0, Value: 0.5}})
+	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,8 @@ func TestInferMatchesGaussSeidelEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := []Observation{{Index: 0, Value: 0.3}, {Index: 1, Value: -0.4}, {Index: 2, Value: 0.1}}
-	res, err := d.Infer(obs)
+	obs := []engine.Observation{{Index: 0, Value: 0.3}, {Index: 1, Value: -0.4}, {Index: 2, Value: 0.1}}
+	res, err := d.Engine().InferSeeded(obs, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +99,18 @@ func TestInferMatchesGaussSeidelEquilibrium(t *testing.T) {
 
 func TestInferValidation(t *testing.T) {
 	d := chainDSPU(t, 3, 0.5, Config{})
-	if _, err := d.Infer([]Observation{{Index: 9, Value: 0}}); err == nil {
+	if _, err := d.Engine().InferSeeded([]engine.Observation{{Index: 9, Value: 0}}, d.BaseSeed()); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}
-	if _, err := d.Infer([]Observation{{Index: 0, Value: 5}}); err == nil {
+	if _, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 5}}, d.BaseSeed()); err == nil {
 		t.Fatal("expected error for value beyond rails")
-	}
-	if _, err := d.InferFrom([]float64{0}, nil); err == nil {
-		t.Fatal("expected error for wrong state length")
 	}
 }
 
 func TestInferDeterministicWithSeed(t *testing.T) {
 	mk := func() float64 {
 		d := chainDSPU(t, 8, 0.3, Config{Seed: 77})
-		res, err := d.Infer([]Observation{{Index: 0, Value: 0.5}})
+		res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +123,7 @@ func TestInferDeterministicWithSeed(t *testing.T) {
 
 func TestLatencyReported(t *testing.T) {
 	d := chainDSPU(t, 4, 0.5, Config{MaxTimeNs: 50})
-	res, err := d.Infer([]Observation{{Index: 0, Value: 0.5}})
+	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +137,12 @@ func TestLatencyReported(t *testing.T) {
 
 func TestEnergyDecreasesDuringInference(t *testing.T) {
 	d := chainDSPU(t, 6, 0.4, Config{Seed: 3})
+	// The engine inits free nodes uniform in [-0.1, 0.1) from the request
+	// seed alone; replaying that draw gives the starting energy.
 	x0 := make([]float64, 6)
-	rng.New(3).FillUniform(x0, -0.5, 0.5)
+	rng.New(3).FillUniform(x0, -0.1, 0.1)
 	e0 := d.Energy(x0)
-	res, err := d.InferFrom(x0, nil)
+	res, err := d.Engine().InferSeeded(nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEnergyDecreasesDuringInference(t *testing.T) {
 func TestTraceRunSampling(t *testing.T) {
 	d := chainDSPU(t, 3, 0.5, Config{})
 	x0 := make([]float64, 3)
-	tr, err := d.TraceRun(x0, []Observation{{Index: 0, Value: 0.5}}, 10, 1)
+	tr, err := d.TraceRun(x0, []engine.Observation{{Index: 0, Value: 0.5}}, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRK4IntegratorOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Infer([]Observation{{Index: 0, Value: 0.5}})
+	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestNoisyInferenceStaysClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Infer([]Observation{{Index: 0, Value: 0.5}})
+	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +231,12 @@ func TestSparseDSPUMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := []Observation{{Index: 0, Value: 0.4}}
-	rd, err := dd.Infer(obs)
+	obs := []engine.Observation{{Index: 0, Value: 0.4}}
+	rd, err := dd.Engine().InferSeeded(obs, dd.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := ds.Infer(obs)
+	rs, err := ds.Engine().InferSeeded(obs, ds.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}

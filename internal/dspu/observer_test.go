@@ -1,6 +1,10 @@
 package dspu
 
-import "testing"
+import (
+	"testing"
+
+	"dsgl/internal/engine"
+)
 
 // TestObserverEnergyDescendsOnDensePath checks the dense-path observer: the
 // symmetric chain DSPU is an exact gradient flow of H_RV, so the per-step
@@ -8,10 +12,10 @@ import "testing"
 // slack) and one callback per integration step taken.
 func TestObserverEnergyDescendsOnDensePath(t *testing.T) {
 	d := chainDSPU(t, 6, 0.3, Config{MaxTimeNs: 200, Seed: 9})
-	st := d.NewInferState()
+	st := d.Engine().NewInferState()
 	var trace []float64
 	steps := 0
-	st.SetObserver(func(si StepInfo) {
+	st.SetObserver(func(si engine.StepInfo) {
 		if si.Step != steps {
 			t.Fatalf("step sequence broken: got %d, want %d", si.Step, steps)
 		}
@@ -19,7 +23,7 @@ func TestObserverEnergyDescendsOnDensePath(t *testing.T) {
 		// EnergyFn is only valid during the callback; evaluate it here.
 		trace = append(trace, si.EnergyFn())
 	})
-	res, err := d.InferWith(st, []Observation{{Index: 0, Value: 0.6}}, 3)
+	res, err := d.Engine().InferWith(st, []engine.Observation{{Index: 0, Value: 0.6}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func TestObserverEnergyDescendsOnDensePath(t *testing.T) {
 	// Removing the observer stops the callbacks.
 	st.SetObserver(nil)
 	n := steps
-	if _, err := d.InferWith(st, nil, 3); err != nil {
+	if _, err := d.Engine().InferWith(st, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	if steps != n {
@@ -47,13 +51,13 @@ func TestObserverEnergyDescendsOnDensePath(t *testing.T) {
 
 func TestObserverNilKeepsZeroAllocDense(t *testing.T) {
 	d := chainDSPU(t, 6, 0.3, Config{MaxTimeNs: 100, Seed: 9})
-	st := d.NewInferState()
-	obs := []Observation{{Index: 0, Value: 0.6}}
-	if _, err := d.InferWith(st, obs, 1); err != nil {
+	st := d.Engine().NewInferState()
+	obs := []engine.Observation{{Index: 0, Value: 0.6}}
+	if _, err := d.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := d.InferWith(st, obs, 2); err != nil {
+		if _, err := d.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)
 		}
 	})

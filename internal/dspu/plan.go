@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"dsgl/internal/circuit"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 )
 
@@ -118,7 +119,7 @@ type planSys struct {
 // planSystem folds the constant clamp currents for the current inference
 // (st.X already carries the clamped values) and returns the state's plan
 // system bound to this plan.
-func (d *DSPU) planSystem(st *InferState, sc *dscratch, pl *clampPlan) *planSys {
+func (d *DSPU) planSystem(st *engine.InferState, sc *dscratch, pl *clampPlan) *planSys {
 	ps := &sc.psys
 	ps.d = d
 	ps.pl = pl

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dsgl/internal/circuit"
+	"dsgl/internal/engine"
 	"dsgl/internal/ode"
 	"dsgl/internal/rng"
 )
@@ -13,7 +14,7 @@ import (
 // identicalResults asserts two dense-path Results carry the same IEEE-754
 // bit patterns everywhere — the dspu half of the plan-naive-identity
 // contract.
-func identicalResults(t *testing.T, label string, plan, naive *Result) {
+func identicalResults(t *testing.T, label string, plan, naive *engine.Result) {
 	t.Helper()
 	if len(plan.Voltage) != len(naive.Voltage) {
 		t.Fatalf("%s: voltage length %d vs %d", label, len(plan.Voltage), len(naive.Voltage))
@@ -34,6 +35,11 @@ func identicalResults(t *testing.T, label string, plan, naive *Result) {
 	}
 }
 
+// runFresh runs one request on a fresh state of d's engine.
+func runFresh(d *DSPU, req engine.Request) (*engine.Result, error) {
+	return d.Engine().Run(d.Engine().NewInferState(), req)
+}
+
 // TestDSPUInferPlanBitIdentical: the plan path must reproduce the naive
 // network bit for bit under both integrators, for several seeds and clamp
 // patterns — including no clamps (all dyn) and all clamps (nothing free).
@@ -48,18 +54,18 @@ func TestDSPUInferPlanBitIdentical(t *testing.T) {
 		t.Run(integ.name, func(t *testing.T) {
 			d := chainDSPU(t, 8, 0.3, Config{MaxTimeNs: 200, Seed: 9, Integrator: integ.mk()})
 			for _, seed := range []uint64{1, 5, 99} {
-				for _, obs := range [][]Observation{
+				for _, obs := range [][]engine.Observation{
 					nil,
 					{{Index: 0, Value: 0.6}},
 					{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}},
 					{{Index: 0, Value: 0.1}, {Index: 1, Value: 0.2}, {Index: 2, Value: -0.3}, {Index: 3, Value: 0.4}, {Index: 4, Value: 0.5}, {Index: 5, Value: -0.6}, {Index: 6, Value: 0.7}, {Index: 7, Value: -0.8}},
 				} {
-					plan, err := d.InferWith(d.NewInferState(), obs, seed)
+					plan, err := d.Engine().InferWith(d.Engine().NewInferState(), obs, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
 					plan = plan.Detach()
-					naive, err := d.InferWithNaive(d.NewInferState(), obs, seed)
+					naive, err := runFresh(d, engine.Request{Obs: obs, Seed: seed, Path: engine.Naive})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,19 +81,19 @@ func TestDSPUInferPlanBitIdentical(t *testing.T) {
 // per-free-node draw order, so with a shared reseeded RNG the two paths see
 // the same noise stream and settle identically.
 func TestDSPUInferPlanBitIdenticalNoisy(t *testing.T) {
-	run := func(naive bool) *Result {
+	run := func(naive bool) *engine.Result {
 		noiseRNG := rng.New(77)
 		d := chainDSPU(t, 8, 0.3, Config{
 			MaxTimeNs: 100, Seed: 9,
 			Noise: &circuit.NoiseModel{NodeSigma: 0.02, CouplerSigma: 0.02, RNG: noiseRNG},
 		})
-		obs := []Observation{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}}
-		var res *Result
+		obs := []engine.Observation{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}}
+		var res *engine.Result
 		var err error
 		if naive {
-			res, err = d.InferWithNaive(d.NewInferState(), obs, 3)
+			res, err = runFresh(d, engine.Request{Obs: obs, Seed: 3, Path: engine.Naive})
 		} else {
-			res, err = d.InferWith(d.NewInferState(), obs, 3)
+			res, err = d.Engine().InferWith(d.Engine().NewInferState(), obs, 3)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -101,21 +107,21 @@ func TestDSPUInferPlanBitIdenticalNoisy(t *testing.T) {
 // compile once; a new pattern compiles again.
 func TestDSPUPlanCacheReuse(t *testing.T) {
 	d := chainDSPU(t, 8, 0.3, Config{MaxTimeNs: 100, Seed: 9})
-	st := d.NewInferState()
-	obs := []Observation{{Index: 0, Value: 0.6}}
+	st := d.Engine().NewInferState()
+	obs := []engine.Observation{{Index: 0, Value: 0.6}}
 	for k := 0; k < 5; k++ {
-		if _, err := d.InferWith(st, obs, uint64(k)); err != nil {
+		if _, err := d.Engine().InferWith(st, obs, uint64(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits, misses := d.PlanCacheStats()
+	hits, misses := d.Engine().PlanCacheStats()
 	if misses != 1 || hits != 4 {
 		t.Fatalf("shared pattern: hits=%d misses=%d, want 4/1", hits, misses)
 	}
-	if _, err := d.InferWith(st, []Observation{{Index: 3, Value: 0.1}}, 0); err != nil {
+	if _, err := d.Engine().InferWith(st, []engine.Observation{{Index: 3, Value: 0.1}}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses = d.PlanCacheStats(); misses != 2 {
+	if _, misses = d.Engine().PlanCacheStats(); misses != 2 {
 		t.Fatalf("new pattern did not compile: misses=%d", misses)
 	}
 }
@@ -124,12 +130,12 @@ func TestDSPUPlanCacheReuse(t *testing.T) {
 // observation indices on both the plan and naive entries.
 func TestDSPUDuplicateObservationRejected(t *testing.T) {
 	d := chainDSPU(t, 6, 0.3, Config{MaxTimeNs: 100, Seed: 9})
-	dup := []Observation{{Index: 2, Value: 0.1}, {Index: 2, Value: 0.1}}
-	if _, err := d.Infer(dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("Infer: got %v, want duplicate-observation error", err)
+	dup := []engine.Observation{{Index: 2, Value: 0.1}, {Index: 2, Value: 0.1}}
+	if _, err := d.Engine().InferSeeded(dup, d.BaseSeed()); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("InferSeeded: got %v, want duplicate-observation error", err)
 	}
-	if _, err := d.InferWithNaive(d.NewInferState(), dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("InferWithNaive: got %v, want duplicate-observation error", err)
+	if _, err := runFresh(d, engine.Request{Obs: dup, Seed: 1, Path: engine.Naive}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("naive Run: got %v, want duplicate-observation error", err)
 	}
 }
 
@@ -137,17 +143,17 @@ func TestDSPUDuplicateObservationRejected(t *testing.T) {
 // after warm-up, like the plan path.
 func TestDSPUNaiveZeroAlloc(t *testing.T) {
 	d := chainDSPU(t, 6, 0.3, Config{MaxTimeNs: 100, Seed: 9})
-	st := d.NewInferState()
-	obs := []Observation{{Index: 0, Value: 0.6}}
-	if _, err := d.InferWithNaive(st, obs, 1); err != nil {
+	st := d.Engine().NewInferState()
+	obs := []engine.Observation{{Index: 0, Value: 0.6}}
+	if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := d.InferWithNaive(st, obs, 2); err != nil {
+		if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("InferWithNaive allocated %v per op, want 0", allocs)
+		t.Fatalf("naive Run allocated %v per op, want 0", allocs)
 	}
 }

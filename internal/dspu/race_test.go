@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"dsgl/internal/engine"
 )
 
 // TestConcurrentInferenceSharedDSPU exercises the documented concurrency
@@ -14,15 +16,15 @@ import (
 // regression. Results must also stay bit-identical to a sequential run.
 func TestConcurrentInferenceSharedDSPU(t *testing.T) {
 	d := chainDSPU(t, 12, 0.3, Config{MaxTimeNs: 150, Seed: 9})
-	patterns := [][]Observation{
+	patterns := [][]engine.Observation{
 		{{Index: 0, Value: 0.6}},
 		{{Index: 3, Value: -0.4}, {Index: 7, Value: 0.2}},
 	}
 
 	// Sequential reference, one fresh state per pattern.
-	want := make([]*Result, len(patterns))
+	want := make([]*engine.Result, len(patterns))
 	for i, obs := range patterns {
-		res, err := d.InferWith(d.NewInferState(), obs, uint64(100+i))
+		res, err := d.Engine().InferWith(d.Engine().NewInferState(), obs, uint64(100+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,11 +36,11 @@ func TestConcurrentInferenceSharedDSPU(t *testing.T) {
 	errs := make([]error, len(patterns))
 	for i, obs := range patterns {
 		wg.Add(1)
-		go func(i int, obs []Observation) {
+		go func(i int, obs []engine.Observation) {
 			defer wg.Done()
-			st := d.NewInferState()
+			st := d.Engine().NewInferState()
 			for r := 0; r < rounds; r++ {
-				res, err := d.InferWith(st, obs, uint64(100+i))
+				res, err := d.Engine().InferWith(st, obs, uint64(100+i))
 				if err != nil {
 					errs[i] = err
 					return
@@ -65,8 +67,8 @@ func TestConcurrentInferenceSharedDSPU(t *testing.T) {
 // goroutines on one DSPU — both must be free of shared mutable state.
 func TestConcurrentNaiveAndPlanned(t *testing.T) {
 	d := chainDSPU(t, 10, 0.3, Config{MaxTimeNs: 120, Seed: 4})
-	obs := []Observation{{Index: 0, Value: 0.5}, {Index: 5, Value: -0.3}}
-	ref, err := d.InferWith(d.NewInferState(), obs, 7)
+	obs := []engine.Observation{{Index: 0, Value: 0.5}, {Index: 5, Value: -0.3}}
+	ref, err := d.Engine().InferWith(d.Engine().NewInferState(), obs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +79,14 @@ func TestConcurrentNaiveAndPlanned(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			st := d.NewInferState()
+			st := d.Engine().NewInferState()
 			for r := 0; r < 10; r++ {
-				var res *Result
+				var res *engine.Result
 				var err error
 				if g%2 == 0 {
-					res, err = d.InferWith(st, obs, 7)
+					res, err = d.Engine().InferWith(st, obs, 7)
 				} else {
-					res, err = d.InferWithNaive(st, obs, 7)
+					res, err = d.Engine().Run(st, engine.Request{Obs: obs, Seed: 7, Path: engine.Naive})
 				}
 				if err != nil {
 					t.Error(err)

@@ -1,18 +1,17 @@
 // Package engine is the shared inference core of the DS-GL reproduction.
 //
-// PR 3 mirrored the whole clamp-plan inference stack — InferState arenas,
-// observation validation, plan compilation + LRU caching, observer plumbing,
-// batch fan-out, result detachment — into both internal/scalable and
-// internal/dspu, and the two copies had to be kept bit-for-bit in sync by
-// hand. This package extracts that machinery once: a Backend supplies the
-// node dynamics (dimension, rails, clamp-plan compilation, the anneal loops
-// themselves, energy/residual hooks) and the Engine owns everything around
-// them:
+// DS-GL inference is one loop (paper Sec. III.C): clamp the observed nodes,
+// anneal, read out the free ones. A Backend supplies the node dynamics
+// (dimension, rails, clamp-plan compilation, the anneal loops themselves,
+// energy/residual hooks) and the Engine runs that loop through a single
+// entry point, Run(state, Request{Obs, Seed, Path}), owning everything
+// around the anneal:
 //
 //   - the InferState lifecycle (per-worker scratch arenas, reusable across
 //     inferences, allocation-free in the steady state);
-//   - observation validation — index range, rail bound, duplicate rejection
-//     — one implementation shared by every entry point including EnsurePlan;
+//   - observation validation — index range, finite values within the
+//     rails, duplicate rejection — one validator shared by Run,
+//     Stream.Tick and EnsurePlan;
 //   - the clamp-plan cache: compiled plans keyed by the packed
 //     observation-index bitmask, bounded LRU (internal/lru) behind a
 //     lock-free read snapshot; compilation happens OUTSIDE the cache lock
@@ -21,11 +20,22 @@
 //     deterministic: a pattern's first resolution is the one miss, every
 //     other resolution — snapshot hit, LRU hit, or singleflight wait — is
 //     a hit);
-//   - the seeding convention: window i of a batch anneals with seed
-//     BaseSeed()+i, which is what makes InferBatch bit-identical to a
-//     sequential loop for any worker count;
+//   - the anneal path a Request selects: Planned (the clamp-plan loop, the
+//     default), Naive (the backend's reference loop, which the
+//     plan-naive-identity invariant compares Planned against bit for bit),
+//     or Sharded (the partitioned anneal of a ShardedBackend, falling back
+//     to Planned when the backend or the clamp pattern cannot shard);
+//   - the seeding convention: a Request's Seed alone fixes its free-node
+//     init and noise, so RunBatch is bit-identical to a sequential loop of
+//     Run calls for any worker count, and InferBatch gives window i the
+//     seed BaseSeed()+i;
+//   - streaming sessions (stream.go): ticks warm-started from the previous
+//     equilibrium, with plans delta-compiled from the previous pattern;
 //   - observer dispatch types (StepInfo with a lazy EnergyFn) and Result
 //     detachment.
+//
+// RunBatch fans a slice of Requests across a worker pool; InferWith,
+// InferSeeded and InferBatch are thin conveniences over Run and RunBatch.
 //
 // The related-work lineage (BRIM's bistable CMOS nodes, oscillator-based
 // Ising machines) runs the same clamp-anneal-readout loop over very
@@ -35,17 +45,17 @@
 //
 // Bit-exactness discipline: the Engine never touches the floating-point
 // path of an anneal. It seeds the state RNG, fills the initial voltages
-// (uniform in [-0.1, 0.1), exactly the pre-extraction convention), writes
-// the clamp values, and hands off to the backend's RunPlanned/RunNaive. A
-// backend extracted onto this engine therefore produces bit-identical
-// results to its pre-extraction form — enforced for the scalable backend by
-// the golden-voltage regression fixture and the nine verify invariants.
-// The sharded anneal path (InferSharded*) is the one deliberate exception:
-// it is deterministic per seed but only tolerance-equivalent to the exact
-// path, a contract the sharded-fixed-point invariant verifies.
+// (uniform in [-0.1, 0.1)), writes the clamp values, and hands off to the
+// backend's RunPlanned/RunNaive. A backend extracted onto this engine
+// therefore produces bit-identical results to its pre-extraction form —
+// enforced by the golden-voltage regression fixture and the ten verify
+// invariants. The Sharded path is the one deliberate exception: it is
+// deterministic per seed but only tolerance-equivalent to the exact path,
+// a contract the sharded-fixed-point invariant verifies.
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -64,7 +74,7 @@ const PlanCacheCapacity = 8
 // driven by the engine. All methods except RunPlanned and RunNaive must be
 // safe for concurrent use; the Run* methods are called with a per-worker
 // InferState and may only mutate that state (plus backend-owned immutable
-// data), which is what makes InferBatch race-free.
+// data), which is what makes RunBatch race-free.
 type Backend interface {
 	// Name prefixes error messages ("scalable", "dspu") and names the
 	// backend in CLIs and reports.
@@ -110,8 +120,8 @@ type Backend interface {
 // super-community groups in the scalable machine) and anneals every
 // partition on its own goroutine, exchanging cross-partition coupling
 // contributions at a configured sync interval. Backends that cannot shard
-// (the dense DSPU) simply do not implement the interface; the engine's
-// InferSharded* entry points then run the exact planned path.
+// (the dense DSPU) simply do not implement the interface; a Sharded
+// Request then runs the exact planned path.
 type ShardedBackend interface {
 	Backend
 	// CompileShardedPlan compiles the clamp pattern into a sharded
@@ -150,7 +160,7 @@ type Engine struct {
 	planDeltaHits      atomic.Uint64
 	planDeltaFallbacks atomic.Uint64
 
-	// states recycles InferStates across InferBatch calls so repeated
+	// states recycles InferStates across RunBatch calls so repeated
 	// batch windows stop re-allocating per-worker scratch arenas. Reuse is
 	// safe because every inference fully re-seeds the state (voltages,
 	// clamp mask, RNG, backend scratch).
@@ -178,127 +188,60 @@ func (e *Engine) Backend() Backend { return e.b }
 // anneals with BaseSeed()+i).
 func (e *Engine) BaseSeed() uint64 { return e.b.BaseSeed() }
 
-// Infer clamps the observations, initializes free nodes near zero, and
-// anneals to equilibrium with the backend's base seed. A fresh scratch
-// state is allocated per call; use InferWith for the allocation-free path.
-func (e *Engine) Infer(obs []Observation) (*Result, error) {
-	return e.InferSeeded(obs, e.b.BaseSeed())
+// Path selects which anneal loop a Request runs.
+type Path int
+
+const (
+	// Planned runs the backend's clamp-plan loop: the observation pattern
+	// resolves to a compiled plan through the plan cache. The default.
+	Planned Path = iota
+	// Naive runs the backend's reference loop: no clamp plan, every
+	// coupling re-evaluated in full each step. The plan-naive-identity
+	// invariant asserts Planned and Naive return bit-identical Results for
+	// every seed; benchmarks use it as the pre-folding baseline.
+	Naive
+	// Sharded runs the backend's partitioned anneal: graph partitions
+	// anneal concurrently, exchanging cross-partition contributions at the
+	// backend's sync interval. It falls back to Planned when the backend
+	// does not shard (ShardedBackend not implemented, or CompileShardedPlan
+	// declined the pattern) or when a step observer is installed — the
+	// sharded loop dispatches no observers. Sharded runs are deterministic
+	// per seed and tolerance-equivalent (not bit-identical) to Planned,
+	// the contract the sharded-fixed-point verify invariant enforces.
+	Sharded
+)
+
+// Request is one inference: the observations to clamp, the seed of the
+// free-node init and noise streams, and the anneal path.
+type Request struct {
+	Obs  []Observation
+	Seed uint64
+	Path Path
 }
 
-// InferSeeded is Infer with an explicit seed for free-node initialization
-// and noise. The batch engine gives window w the seed BaseSeed()+w so a
-// parallel batch is bit-identical to a sequential loop over the windows.
-func (e *Engine) InferSeeded(obs []Observation, seed uint64) (*Result, error) {
-	res, err := e.InferWith(e.NewInferState(), obs, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detach(), nil
-}
-
-// InferFrom runs inference from an explicit initial state.
-func (e *Engine) InferFrom(x0 []float64, obs []Observation) (*Result, error) {
-	if len(x0) != e.b.Dim() {
-		return nil, fmt.Errorf("%s: initial state has %d entries, want %d", e.b.Name(), len(x0), e.b.Dim())
-	}
-	st := e.NewInferState()
-	copy(st.X, x0)
-	st.RNG.Reseed(e.b.BaseSeed())
-	res, err := e.inferInto(st, obs)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detach(), nil
-}
-
-// InferWith runs one inference on a reusable scratch state with an explicit
-// seed. After the state's first use the whole call — initialization, anneal
-// loop, residual checks, result — performs zero heap allocations. The
-// returned Result aliases the state's buffers (see InferState.Result).
-func (e *Engine) InferWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
+// Run executes one inference on a reusable scratch state. On the Planned
+// and Naive paths, after the state's first use, the whole call —
+// initialization, anneal loop, residual checks, result — performs zero
+// heap allocations. The returned Result aliases the state's buffers (see
+// InferState.Result).
+func (e *Engine) Run(st *InferState, req Request) (*Result, error) {
 	if err := e.checkState(st); err != nil {
 		return nil, err
 	}
-	st.RNG.Reseed(seed)
-	st.RNG.FillUniform(st.X, -0.1, 0.1)
-	return e.inferInto(st, obs)
+	return e.run(st, req, nil)
 }
 
-// InferWithNaive is InferWith running the backend's naive reference loop:
-// no clamp plan, every coupling re-evaluated in full each step. The
-// plan-naive-identity invariant asserts InferWith and InferWithNaive return
-// bit-identical Results for every seed; benchmarks use this entry as the
-// pre-folding baseline.
-func (e *Engine) InferWithNaive(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	if err := e.checkState(st); err != nil {
-		return nil, err
-	}
-	m := e.metrics()
-	var start time.Time
-	if m.enabled() {
-		start = time.Now()
-	}
-	st.RNG.Reseed(seed)
-	st.RNG.FillUniform(st.X, -0.1, 0.1)
-	if err := st.applyObservations(obs); err != nil {
-		m.recordInfer(nil, err, start)
-		return nil, err
-	}
-	res, err := e.b.RunNaive(st)
-	m.recordInfer(res, err, start)
-	return res, err
-}
-
-// InferSeededNaive is InferSeeded running the naive reference loop.
-func (e *Engine) InferSeededNaive(obs []Observation, seed uint64) (*Result, error) {
-	res, err := e.InferWithNaive(e.NewInferState(), obs, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detach(), nil
-}
-
-// InferBatch anneals every observation set of a batch across a pool of
-// workers (workers <= 0 selects runtime.GOMAXPROCS(0)) and returns one
-// Result per entry, in order. Each worker owns a private InferState drawn
-// from the engine's free-list (allocated on the first batch, recycled
-// across batches), so the per-window steady state allocates nothing;
-// window i is seeded BaseSeed()+i, making the output bit-identical to
-// calling InferSeeded(obs[i], BaseSeed()+i) sequentially — regardless of
-// worker count or scheduling.
-func (e *Engine) InferBatch(obs [][]Observation, workers int) ([]*Result, error) {
-	base := e.b.BaseSeed()
-	return e.runBatch(obs, workers, e.InferWith, func(i int) uint64 { return base + uint64(i) })
-}
-
-// InferBatchSeeds is InferBatch with an explicit anneal seed per window:
-// window i runs with seeds[i] instead of BaseSeed()+i. This is the entry
-// point the serving layer's cross-request coalescing rides on — requests
-// that arrive with their own seeds are fanned out together yet each anneal
-// is bit-identical to the solo InferSeeded(obs[i], seeds[i]) call, because
-// the seed is the only per-window input the engine contributes.
-func (e *Engine) InferBatchSeeds(obs [][]Observation, seeds []uint64, workers int) ([]*Result, error) {
-	if len(seeds) != len(obs) {
-		return nil, fmt.Errorf("%s: batch has %d observation sets but %d seeds", e.b.Name(), len(obs), len(seeds))
-	}
-	return e.runBatch(obs, workers, e.InferWith, func(i int) uint64 { return seeds[i] })
-}
-
-// InferShardedBatch is InferBatch over the sharded anneal path (see
-// InferShardedWith): windows fan out across batch workers and each window's
-// anneal additionally fans out across graph shards. Seeding and ordering
-// semantics are identical to InferBatch; on a backend without sharding the
-// two entry points return bit-identical results.
-func (e *Engine) InferShardedBatch(obs [][]Observation, workers int) ([]*Result, error) {
-	base := e.b.BaseSeed()
-	return e.runBatch(obs, workers, e.InferShardedWith, func(i int) uint64 { return base + uint64(i) })
-}
-
-// runBatch is the shared batch fan-out: acquire one pooled state per
-// worker, run every window through infer at seed seedOf(i), return the
-// states to the free-list, and surface the first error in window order.
-func (e *Engine) runBatch(obs [][]Observation, workers int, infer func(*InferState, []Observation, uint64) (*Result, error), seedOf func(int) uint64) ([]*Result, error) {
-	n := len(obs)
+// RunBatch runs every request across a pool of workers (workers <= 0
+// selects runtime.GOMAXPROCS(0)) and returns one detached Result per
+// request, in order. Each worker owns a private InferState drawn from the
+// engine's free-list (allocated on the first batch, recycled across
+// batches), so the per-request steady state allocates nothing. Because a
+// request's seed is the only per-request input the engine contributes, the
+// output is bit-identical to calling Run on each request sequentially —
+// regardless of worker count or scheduling. The first error in request
+// order fails the batch.
+func (e *Engine) RunBatch(reqs []Request, workers int) ([]*Result, error) {
+	n := len(reqs)
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	w := pool.Clamp(workers, n)
@@ -312,12 +255,7 @@ func (e *Engine) runBatch(obs [][]Observation, workers int, infer func(*InferSta
 		m.batchWorkers.Set(float64(w))
 	}
 	pool.RunWorkers(w, n, func(worker, i int) {
-		res, err := infer(states[worker], obs[i], seedOf(i))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i] = res.Detach()
+		results[i], errs[i] = detached(e.run(states[worker], reqs[i], nil))
 	})
 	for _, st := range states {
 		e.putState(st)
@@ -328,6 +266,110 @@ func (e *Engine) runBatch(obs [][]Observation, workers int, infer func(*InferSta
 		}
 	}
 	return results, nil
+}
+
+// InferWith is Run on the Planned path.
+func (e *Engine) InferWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
+	return e.Run(st, Request{Obs: obs, Seed: seed})
+}
+
+// InferSeeded is InferWith on a fresh state, returning a detached Result.
+func (e *Engine) InferSeeded(obs []Observation, seed uint64) (*Result, error) {
+	return detached(e.Run(e.NewInferState(), Request{Obs: obs, Seed: seed}))
+}
+
+// InferBatch is RunBatch on the Planned path with window i seeded
+// BaseSeed()+i, bit-identical to InferSeeded(obs[i], BaseSeed()+i) in a
+// sequential loop.
+func (e *Engine) InferBatch(obs [][]Observation, workers int) ([]*Result, error) {
+	base := e.b.BaseSeed()
+	reqs := make([]Request, len(obs))
+	for i, o := range obs {
+		reqs[i] = Request{Obs: o, Seed: base + uint64(i)}
+	}
+	return e.RunBatch(reqs, workers)
+}
+
+// detached passes an error through or detaches the Result from its state.
+func detached(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res.Detach(), nil
+}
+
+// run is the one inference sequence behind Run, RunBatch and Stream.Tick:
+// seed the state, validate and clamp the observations, resolve the plan
+// the request's path needs, run the backend, record. A non-nil stream makes
+// it a streaming tick: after the stream's cold first tick the free nodes
+// keep the previous equilibrium as their init instead of a fresh random
+// fill, and the plan resolves by delta from the previous pattern.
+func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
+	m := e.metrics()
+	var start time.Time
+	if m.enabled() {
+		start = time.Now()
+	}
+	warm := s != nil && s.started
+	st.RNG.Reseed(req.Seed)
+	if !warm {
+		st.RNG.FillUniform(st.X, -0.1, 0.1)
+	}
+	st.WarmStart = warm
+	b := e.b
+	err := validateObservations(b.Name(), req.Obs, len(st.X), b.Rails(), st.X, st.Clamped, &st.ClampIdx)
+	var res *Result
+	if err == nil {
+		res, err = e.anneal(st, req.Path, s, m)
+	}
+	m.recordInfer(res, err, start)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// anneal resolves the plan for the path on a prepared state and runs the
+// matching backend loop. The Planned result is bit-identical to Naive's —
+// a plan only reorganizes which floating-point operations are hoisted,
+// never their order (the backends' compilation discipline).
+func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Result, error) {
+	switch path {
+	case Planned:
+	case Naive:
+		return e.b.RunNaive(st)
+	case Sharded:
+		if sb, ok := e.b.(ShardedBackend); ok && st.Observer == nil {
+			key := packMask(st.Clamped, st.KeyBuf)
+			key[len(key)-1] = shardPlanTag
+			if pl := e.planFor(st.Clamped, key, sb.CompileShardedPlan); pl != nil {
+				res, err := sb.RunSharded(st, pl)
+				if err == nil && m.enabled() {
+					m.shardInfers.Inc()
+					m.shardSyncRounds.Add(uint64(res.Switches))
+					m.shardAnnealSteps.Add(uint64(res.Steps))
+					m.shardWorkers.Set(float64(sb.ShardCount()))
+				}
+				return res, err
+			}
+		}
+	default:
+		return nil, fmt.Errorf("%s: unknown inference path %d", e.b.Name(), path)
+	}
+	key := packMask(st.Clamped, st.KeyBuf)[:maskBytes(len(st.X))]
+	compile := e.b.CompilePlan
+	if s != nil && s.started && !bytes.Equal(key, s.prevKey) {
+		if db, ok := e.b.(DeltaBackend); ok {
+			// The closure only runs on a cache miss, so the delta counters
+			// move once per new pattern, not once per tick.
+			prevPl, resident := e.plans.peek(s.prevKey)
+			prevClamped := s.prevClamped
+			compile = func(clamped []bool) any {
+				return e.compileDelta(db, prevPl, resident, prevClamped, clamped, m)
+			}
+		}
+	}
+	return e.b.RunPlanned(st, e.planFor(st.Clamped, key, compile))
 }
 
 // getState draws a reusable InferState from the engine free-list,
@@ -348,12 +390,11 @@ func (e *Engine) putState(st *InferState) {
 	e.states.put(st)
 }
 
-// EnsurePlan validates the observation set (the same range / rail /
-// duplicate checks every inference entry point runs) and compiles (or
-// re-warms) the clamp plan for its index pattern, so that a subsequent
-// batch over windows sharing the pattern starts with a cache hit on every
-// worker. Values are validated but never stored — plans depend on indices
-// only.
+// EnsurePlan validates the observation set (the same range / finiteness /
+// rail / duplicate checks Run performs) and compiles (or re-warms) the
+// clamp plan for its index pattern, so that a subsequent batch over
+// windows sharing the pattern starts with a cache hit on every worker.
+// Values are validated but never stored — plans depend on indices only.
 func (e *Engine) EnsurePlan(obs []Observation) error {
 	e.ensureMu.Lock()
 	defer e.ensureMu.Unlock()
@@ -389,95 +430,12 @@ func (e *Engine) PlanCacheLen() int {
 	return e.plans.resident()
 }
 
-// checkState guards the reusable-state entry points against nil or foreign
-// states.
+// checkState guards Run against nil or foreign states.
 func (e *Engine) checkState(st *InferState) error {
 	if st == nil || st.eng != e {
 		return fmt.Errorf("%s: InferState belongs to a different engine", e.b.Name())
 	}
 	return nil
-}
-
-// inferInto resolves the observation pattern to a compiled clamp plan
-// (cache hit in the steady state) and runs the backend's planned anneal on
-// the prepared state. The result is bit-identical to the naive path — the
-// plan only reorganizes which floating-point operations are hoisted, never
-// their order (the backends' compilation discipline).
-func (e *Engine) inferInto(st *InferState, obs []Observation) (*Result, error) {
-	m := e.metrics()
-	var start time.Time
-	if m.enabled() {
-		start = time.Now()
-	}
-	if err := st.applyObservations(obs); err != nil {
-		m.recordInfer(nil, err, start)
-		return nil, err
-	}
-	pl := e.planFor(st.Clamped, packMask(st.Clamped, st.KeyBuf)[:maskBytes(len(st.X))], e.b.CompilePlan)
-	res, err := e.b.RunPlanned(st, pl)
-	m.recordInfer(res, err, start)
-	return res, err
-}
-
-// InferShardedWith is InferWith over the backend's sharded anneal path:
-// the graph partitions anneal concurrently, exchanging cross-partition
-// contributions at the backend's sync interval. It falls back to the exact
-// planned path when the backend does not shard (ShardedBackend not
-// implemented, or CompileShardedPlan declined this pattern) or when a step
-// observer is installed — the sharded loop dispatches no observers.
-// Sharded runs are deterministic for a fixed seed, so batches and repeated
-// calls reproduce bit-identically; they are tolerance-equivalent (not
-// bit-identical) to the exact path, the contract the sharded-fixed-point
-// verify invariant enforces.
-func (e *Engine) InferShardedWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	if err := e.checkState(st); err != nil {
-		return nil, err
-	}
-	sb, ok := e.b.(ShardedBackend)
-	if !ok || st.Observer != nil {
-		return e.InferWith(st, obs, seed)
-	}
-	st.RNG.Reseed(seed)
-	st.RNG.FillUniform(st.X, -0.1, 0.1)
-	m := e.metrics()
-	var start time.Time
-	if m.enabled() {
-		start = time.Now()
-	}
-	if err := st.applyObservations(obs); err != nil {
-		m.recordInfer(nil, err, start)
-		return nil, err
-	}
-	key := packMask(st.Clamped, st.KeyBuf)
-	key[len(key)-1] = shardPlanTag
-	pl := e.planFor(st.Clamped, key, sb.CompileShardedPlan)
-	if pl == nil {
-		// The backend declined to shard this pattern: run the exact path
-		// on the already-prepared state.
-		epl := e.planFor(st.Clamped, packMask(st.Clamped, st.KeyBuf)[:maskBytes(len(st.X))], e.b.CompilePlan)
-		res, err := e.b.RunPlanned(st, epl)
-		m.recordInfer(res, err, start)
-		return res, err
-	}
-	res, err := sb.RunSharded(st, pl)
-	m.recordInfer(res, err, start)
-	if err == nil && m.enabled() {
-		m.shardInfers.Inc()
-		m.shardSyncRounds.Add(uint64(res.Switches))
-		m.shardAnnealSteps.Add(uint64(res.Steps))
-		m.shardWorkers.Set(float64(sb.ShardCount()))
-	}
-	return res, err
-}
-
-// InferShardedSeeded is InferSeeded over the sharded anneal path; see
-// InferShardedWith for fallback and determinism semantics.
-func (e *Engine) InferShardedSeeded(obs []Observation, seed uint64) (*Result, error) {
-	res, err := e.InferShardedWith(e.NewInferState(), obs, seed)
-	if err != nil {
-		return nil, err
-	}
-	return res.Detach(), nil
 }
 
 // shardPlanTag distinguishes sharded-plan cache keys from exact-plan keys:

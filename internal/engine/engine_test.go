@@ -92,8 +92,12 @@ func newStub(n int) (*stubBackend, *Engine) {
 	return b, New(b)
 }
 
+// paths lists every anneal path a Request can select.
+var paths = []Path{Planned, Naive, Sharded}
+
 func TestValidationSharedAcrossEntryPoints(t *testing.T) {
 	_, e := newStub(8)
+	st := e.NewInferState()
 	cases := []struct {
 		obs  []Observation
 		want string
@@ -104,20 +108,82 @@ func TestValidationSharedAcrossEntryPoints(t *testing.T) {
 		{[]Observation{{Index: 2, Value: 0.1}, {Index: 2, Value: 0.1}}, "duplicate"},
 	}
 	for _, tc := range cases {
-		if _, err := e.Infer(tc.obs); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("Infer(%v): got %v, want %q", tc.obs, err, tc.want)
-		}
-		if _, err := e.InferSeededNaive(tc.obs, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("InferSeededNaive(%v): got %v, want %q", tc.obs, err, tc.want)
+		for _, p := range paths {
+			if _, err := e.Run(st, Request{Obs: tc.obs, Seed: 1, Path: p}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run(%v, path %d): got %v, want %q", tc.obs, p, err, tc.want)
+			}
 		}
 		if err := e.EnsurePlan(tc.obs); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("EnsurePlan(%v): got %v, want %q", tc.obs, err, tc.want)
 		}
 	}
 	// Error messages carry the backend name.
-	_, err := e.Infer([]Observation{{Index: 99, Value: 0}})
+	_, err := e.InferSeeded([]Observation{{Index: 99, Value: 0}}, 1)
 	if err == nil || !strings.Contains(err.Error(), "stub:") {
 		t.Fatalf("error %v does not carry the backend name", err)
+	}
+}
+
+// TestNonFiniteObservationsRejected: |NaN| > rail is false, so a rail
+// check alone admits NaN. Every entry point must reject NaN and ±Inf at
+// the validator, before the backend anneals anything.
+func TestNonFiniteObservationsRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, e := newStub(8)
+		obs := []Observation{{Index: 1, Value: 0.2}, {Index: 3, Value: v}}
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Fatalf("%s with value %v: got %v, want a not-finite rejection", what, v, err)
+			}
+		}
+		st := e.NewInferState()
+		for _, p := range paths {
+			_, err := e.Run(st, Request{Obs: obs, Seed: 1, Path: p})
+			check(fmt.Sprintf("Run(path %d)", p), err)
+		}
+		_, err := e.RunBatch([]Request{{Obs: obs, Seed: 1}, {Obs: obs, Seed: 2, Path: Naive}}, 2)
+		check("RunBatch", err)
+		s := e.OpenStream()
+		_, err = s.Tick(obs, 1)
+		check("Stream.Tick", err)
+		s.Close()
+		check("EnsurePlan", e.EnsurePlan(obs))
+		if c, p, n := b.compiles.Load(), b.planned.Load(), b.naive.Load(); c+p+n != 0 {
+			t.Fatalf("value %v reached the backend: %d compiles, %d planned, %d naive runs", v, c, p, n)
+		}
+	}
+}
+
+// TestRunPaths: Planned and Naive run different backend loops yet agree
+// bit for bit; Sharded on a backend that cannot shard is Planned; an
+// unknown path is an error.
+func TestRunPaths(t *testing.T) {
+	b, e := newStub(6)
+	obs := []Observation{{Index: 2, Value: 0.3}}
+	res := make(map[Path]*Result)
+	for _, p := range paths {
+		r, err := e.Run(e.NewInferState(), Request{Obs: obs, Seed: 5, Path: p})
+		if err != nil {
+			t.Fatalf("path %d: %v", p, err)
+		}
+		res[p] = r
+	}
+	if got := b.naive.Load(); got != 1 {
+		t.Fatalf("naive loop ran %d times, want 1", got)
+	}
+	if got := b.planned.Load(); got != 2 {
+		t.Fatalf("planned loop ran %d times, want 2 (Planned + Sharded fallback)", got)
+	}
+	for _, p := range []Path{Naive, Sharded} {
+		for i := range res[Planned].Voltage {
+			if math.Float64bits(res[p].Voltage[i]) != math.Float64bits(res[Planned].Voltage[i]) {
+				t.Fatalf("path %d diverges from Planned at node %d", p, i)
+			}
+		}
+	}
+	if _, err := e.Run(e.NewInferState(), Request{Obs: obs, Path: Path(99)}); err == nil || !strings.Contains(err.Error(), "unknown inference path") {
+		t.Fatalf("unknown path: got %v", err)
 	}
 }
 
@@ -185,40 +251,42 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestInferBatchSeedsMatchesSolo: RunBatch with each request's own seed
+// and path — the serving layer's coalesced batches — is bit-identical to
+// running every request alone, for any worker count.
 func TestInferBatchSeedsMatchesSolo(t *testing.T) {
 	_, e := newStub(6)
-	obsList := make([][]Observation, 7)
-	seeds := make([]uint64, len(obsList))
-	for i := range obsList {
-		obsList[i] = []Observation{{Index: i % 3, Value: 0.1 * float64(i%4)}}
-		// Non-contiguous, out-of-order seeds: the serving layer hands the
-		// engine whatever seeds its requests arrived with.
-		seeds[i] = uint64(1000 - 17*i)
+	reqs := make([]Request, 7)
+	for i := range reqs {
+		// Non-contiguous, out-of-order seeds and mixed paths: the serving
+		// layer hands the engine whatever seeds its requests arrived with.
+		reqs[i] = Request{
+			Obs:  []Observation{{Index: i % 3, Value: 0.1 * float64(i%4)}},
+			Seed: uint64(1000 - 17*i),
+			Path: paths[i%len(paths)],
+		}
 	}
-	solo := make([]*Result, len(obsList))
-	for i, obs := range obsList {
-		r, err := e.InferSeeded(obs, seeds[i])
+	solo := make([]*Result, len(reqs))
+	for i, req := range reqs {
+		r, err := e.Run(e.NewInferState(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		solo[i] = r
 	}
 	for _, workers := range []int{1, 4} {
-		par, err := e.InferBatchSeeds(obsList, seeds, workers)
+		par, err := e.RunBatch(reqs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range solo {
 			for k := range solo[i].Voltage {
 				if math.Float64bits(par[i].Voltage[k]) != math.Float64bits(solo[i].Voltage[k]) {
-					t.Fatalf("workers=%d window %d node %d: %v vs %v",
+					t.Fatalf("workers=%d request %d node %d: %v vs %v",
 						workers, i, k, par[i].Voltage[k], solo[i].Voltage[k])
 				}
 			}
 		}
-	}
-	if _, err := e.InferBatchSeeds(obsList, seeds[:3], 2); err == nil || !strings.Contains(err.Error(), "seeds") {
-		t.Fatalf("seed-count mismatch: got %v, want an error naming the seeds", err)
 	}
 }
 
@@ -266,7 +334,7 @@ func TestEnsurePlanWarmsCache(t *testing.T) {
 	if got := b.compiles.Load(); got != 1 {
 		t.Fatalf("EnsurePlan compiled %d plans, want 1", got)
 	}
-	if _, err := e.Infer(obs); err != nil {
+	if _, err := e.InferSeeded(obs, 1); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := e.PlanCacheStats()
@@ -290,6 +358,9 @@ func TestForeignStateRejected(t *testing.T) {
 	st := e1.NewInferState()
 	if _, err := e2.InferWith(st, nil, 1); err == nil || !strings.Contains(err.Error(), "different engine") {
 		t.Fatalf("foreign state: got %v", err)
+	}
+	if _, err := e2.Run(st, Request{Path: Naive}); err == nil || !strings.Contains(err.Error(), "different engine") {
+		t.Fatalf("foreign state on the naive path: got %v", err)
 	}
 	if _, err := e2.InferWith(nil, nil, 1); err == nil {
 		t.Fatal("nil state accepted")
@@ -344,22 +415,5 @@ func TestObserverDispatch(t *testing.T) {
 	}
 	if len(steps) != n {
 		t.Fatal("observer fired after removal")
-	}
-}
-
-func TestInferFromUsesInitialState(t *testing.T) {
-	_, e := newStub(3)
-	res, err := e.InferFrom([]float64{0.8, 0.4, 0.2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.2, 0.1, 0.05} // two halvings of every free node
-	for i := range want {
-		if math.Abs(res.Voltage[i]-want[i]) > 1e-15 {
-			t.Fatalf("node %d: %g, want %g", i, res.Voltage[i], want[i])
-		}
-	}
-	if _, err := e.InferFrom([]float64{1}, nil); err == nil {
-		t.Fatal("wrong-length initial state accepted")
 	}
 }

@@ -103,8 +103,8 @@ type InferState struct {
 	// voltages of the predecessor tick, not a fresh random init. Backends
 	// may exploit it — the scalable machine seeds every held slice from
 	// the warm state up front and settles on a fine-grained check instead
-	// of waiting out a full slice cycle. Every entry point clears it
-	// (applyObservations); only InferShifted arms it.
+	// of waiting out a full slice cycle. Run clears it; only a Stream's
+	// warm ticks arm it.
 	WarmStart bool
 	// Observer, when non-nil, receives StepInfo after every step.
 	Observer StepObserver
@@ -140,17 +140,11 @@ func (st *InferState) SetObserver(fn StepObserver) { st.Observer = fn }
 // the next inference; copy it (or Detach) if it must outlive the state.
 func (st *InferState) Result() *Result { return &st.Res }
 
-// applyObservations resets the clamp mask and clamps each observation onto
-// the state via the shared validator.
-func (st *InferState) applyObservations(obs []Observation) error {
-	st.WarmStart = false // every entry point runs cold; InferShifted re-arms
-	b := st.eng.b
-	return validateObservations(b.Name(), obs, len(st.X), b.Rails(), st.X, st.Clamped, &st.ClampIdx)
-}
-
 // validateObservations is the single observation validator every entry point
-// runs — index range, rail bound, duplicate rejection. A duplicate index is
-// rejected rather than silently last-wins: two observations for one node are
+// runs — index range, finite value within the rail bound, duplicate
+// rejection. Non-finite values need their own check: |NaN| > rail is
+// false, so the rail bound alone would let a NaN into the anneal. A
+// duplicate index is rejected rather than silently last-wins: two observations for one node are
 // almost always a windowing bug, and the clamp-plan key (which is a set, not
 // a list) would otherwise hide the difference.
 //
@@ -169,6 +163,9 @@ func validateObservations(name string, obs []Observation, n int, rail float64, x
 	for _, o := range obs {
 		if o.Index < 0 || o.Index >= n {
 			return fmt.Errorf("%s: observation index %d out of range [0,%d)", name, o.Index, n)
+		}
+		if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
+			return fmt.Errorf("%s: observation value %g for node %d is not finite", name, o.Value, o.Index)
 		}
 		if math.Abs(o.Value) > rail {
 			return fmt.Errorf("%s: observation value %g exceeds rail %g", name, o.Value, rail)

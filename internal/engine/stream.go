@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"bytes"
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // DeltaBackend is the optional Backend extension for clamp-plan
 // delta-compilation. A streaming temporal inference slides its observation
@@ -35,7 +31,8 @@ type DeltaBackend interface {
 // clamp plans resolved by delta-compilation from the predecessor tick's
 // pattern when the backend supports it. Open with Engine.OpenStream, feed
 // ticks with Tick, and Close when done to return the scratch state to the
-// engine pool.
+// engine pool. Warm start and plan-delta resolution live only here; the
+// Request a tick runs is a plain Planned one.
 //
 // A Stream is single-threaded: it owns one InferState and each tick's warm
 // start is the previous tick's equilibrium. Concurrent sessions use one
@@ -74,17 +71,8 @@ func (s *Stream) Close() {
 	}
 }
 
-// Tick runs one streaming inference; see Engine.InferShifted for the warm
-// start and plan-delta semantics. The returned Result aliases the stream's
-// state buffers and is overwritten by the next tick; Detach it if it must
-// outlive the tick.
-func (s *Stream) Tick(obs []Observation, seed uint64) (*Result, error) {
-	return s.eng.InferShifted(s, obs, seed)
-}
-
-// InferShifted is the streaming-tick entry point behind Stream.Tick: one
-// inference whose observation set is a (usually small) shift of the
-// previous tick's.
+// Tick runs one streaming inference: the session's next observation window,
+// usually a small shift of the previous tick's.
 //
 // The first tick of a session is exactly InferWith — uniform random init,
 // full plan resolution. Every later tick differs in two ways:
@@ -102,64 +90,26 @@ func (s *Stream) Tick(obs []Observation, seed uint64) (*Result, error) {
 //     to CompilePlan when the backend declines or the predecessor was
 //     evicted. Either way the product lands in the cache under the new
 //     pattern's key.
-func (e *Engine) InferShifted(s *Stream, obs []Observation, seed uint64) (*Result, error) {
-	if s == nil || s.eng != e {
-		return nil, fmt.Errorf("%s: Stream belongs to a different engine", e.b.Name())
-	}
+//
+// The returned Result aliases the stream's state buffers and is
+// overwritten by the next tick; Detach it if it must outlive the tick.
+func (s *Stream) Tick(obs []Observation, seed uint64) (*Result, error) {
 	if s.st == nil {
-		return nil, fmt.Errorf("%s: Tick on a closed stream", e.b.Name())
+		return nil, fmt.Errorf("%s: Tick on a closed stream", s.eng.b.Name())
 	}
 	st := s.st
-	m := e.metrics()
-	var start time.Time
-	if m.enabled() {
-		start = time.Now()
-	}
-	st.RNG.Reseed(seed)
-	if !s.started {
-		st.RNG.FillUniform(st.X, -0.1, 0.1)
-	}
-	if err := st.applyObservations(obs); err != nil {
-		m.recordInfer(nil, err, start)
-		return nil, err
-	}
-	st.WarmStart = s.started
-	n := len(st.X)
-	key := packMask(st.Clamped, st.KeyBuf)[:maskBytes(n)]
-	compile := e.b.CompilePlan
-	if s.started && !bytes.Equal(key, s.prevKey) {
-		if db, ok := e.b.(DeltaBackend); ok {
-			// The closure only runs on a cache miss, so the hit/fallback
-			// counters move once per new pattern, not once per tick.
-			prevPl, resident := e.residentPlan(s.prevKey)
-			prevClamped := s.prevClamped
-			compile = func(clamped []bool) any {
-				if resident {
-					if pl := db.CompilePlanDelta(prevPl, prevClamped, clamped); pl != nil {
-						e.planDeltaHits.Add(1)
-						m.planDeltaHits.Inc()
-						return pl
-					}
-				}
-				e.planDeltaFallbacks.Add(1)
-				m.planDeltaFallbacks.Inc()
-				return e.b.CompilePlan(clamped)
-			}
-		}
-	}
-	pl := e.planFor(st.Clamped, key, compile)
-	if s.prevKey == nil {
-		s.prevKey = make([]byte, len(key))
-		s.prevClamped = make([]bool, n)
-	}
-	copy(s.prevKey, key)
-	copy(s.prevClamped, st.Clamped)
-	res, err := e.b.RunPlanned(st, pl)
-	m.recordInfer(res, err, start)
+	res, err := s.eng.run(st, Request{Obs: obs, Seed: seed}, s)
 	if err != nil {
 		return nil, err
 	}
-	if m.enabled() {
+	n := len(st.X)
+	if s.prevKey == nil {
+		s.prevKey = make([]byte, maskBytes(n))
+		s.prevClamped = make([]bool, n)
+	}
+	copy(s.prevKey, st.KeyBuf)
+	copy(s.prevClamped, st.Clamped)
+	if m := s.eng.metrics(); m.enabled() {
 		m.streamTicks.Inc()
 		if s.started {
 			m.streamWarmSteps.Observe(float64(res.Steps))
@@ -171,12 +121,20 @@ func (e *Engine) InferShifted(s *Stream, obs []Observation, seed uint64) (*Resul
 	return res, nil
 }
 
-// residentPlan reads the plan cached under key, if any, from the lock-free
-// snapshot. Unlike planFor it never compiles, never bumps recency, and
-// never counts a hit or miss — it only answers "is the predecessor's plan
-// still around to patch from".
-func (e *Engine) residentPlan(key []byte) (any, bool) {
-	return e.plans.peek(key)
+// compileDelta resolves a shifted pattern's cache miss: patch the
+// predecessor's plan when it is still resident and the backend accepts
+// the delta, else compile in full. Either outcome is counted.
+func (e *Engine) compileDelta(db DeltaBackend, prevPl any, resident bool, prevClamped, clamped []bool, m *engineObs) any {
+	if resident {
+		if pl := db.CompilePlanDelta(prevPl, prevClamped, clamped); pl != nil {
+			e.planDeltaHits.Add(1)
+			m.planDeltaHits.Inc()
+			return pl
+		}
+	}
+	e.planDeltaFallbacks.Add(1)
+	m.planDeltaFallbacks.Inc()
+	return e.b.CompilePlan(clamped)
 }
 
 // PlanDeltaStats reports the cumulative plan delta-compilation counts:

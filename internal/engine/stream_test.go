@@ -206,13 +206,20 @@ func TestStreamClosedAndForeign(t *testing.T) {
 	if _, err := s.Tick(nil, 1); err == nil || !strings.Contains(err.Error(), "closed stream") {
 		t.Fatalf("closed stream: got %v", err)
 	}
+	// A stream runs on the engine that opened it and no other.
 	s2 := e1.OpenStream()
 	defer s2.Close()
-	if _, err := e2.InferShifted(s2, nil, 1); err == nil || !strings.Contains(err.Error(), "different engine") {
-		t.Fatalf("foreign stream: got %v", err)
+	if s2.Engine() != e1 {
+		t.Fatal("stream reports a foreign engine")
 	}
-	if _, err := e2.InferShifted(nil, nil, 1); err == nil {
-		t.Fatal("nil stream accepted")
+	if _, err := s2.Tick([]Observation{{Index: 0, Value: 0.5}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := e2.PlanCacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("tick on e1's stream touched e2's plan cache: hits=%d misses=%d", hits, misses)
+	}
+	if _, misses := e1.PlanCacheStats(); misses != 1 {
+		t.Fatalf("tick did not resolve its plan on e1: misses=%d", misses)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dsgl/internal/circuit"
 	"dsgl/internal/dspu"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/ode"
 	"dsgl/internal/rng"
@@ -38,7 +39,7 @@ func Fig4(cfg Config, w io.Writer) error {
 	for i := range h {
 		h[i] = -1.5
 	}
-	inputs := []dspu.Observation{{Index: 0, Value: 0.7}, {Index: 2, Value: -0.4}, {Index: 4, Value: 0.2}}
+	inputs := []engine.Observation{{Index: 0, Value: 0.7}, {Index: 2, Value: -0.4}, {Index: 4, Value: 0.2}}
 
 	// DSPU trace.
 	d, err := dspu.New(j, h, dspu.Config{Dt: 0.02})

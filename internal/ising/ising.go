@@ -1,21 +1,18 @@
 // Package ising implements the Ising model and the family of Ising-machine
 // dynamics DS-GL takes as its architectural baseline (paper Sec. II): BRIM
 // (bistable resistively-coupled), Metropolis (digital annealer comparator),
-// and OIM (oscillator/Kuramoto family). BRIM is the binary comparator in
-// the circuit-validation experiment (Fig. 4) and the cost baseline of
-// Table I; Solver exposes all three dynamics as an engine.OptBackend so the
-// combinatorial-optimization workloads (max-cut, QUBO) run through the same
-// seeded multi-restart fan-out as the regression workloads.
+// and OIM (oscillator/Kuramoto family). BRIM is the binary comparator of
+// the paper's cost baseline (Table I). Solver runs all three dynamics as
+// an engine.OptBackend, so the combinatorial-optimization workloads
+// (max-cut, QUBO) anneal through the same seeded multi-restart fan-out as
+// the regression workloads.
 package ising
 
 import (
 	"fmt"
 	"math"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
-	"dsgl/internal/rng"
 )
 
 // Model is the Ising model of Eq. 1: H = -Σ_{i≠j} J_ij σ_i σ_j - Σ h_i σ_i
@@ -130,147 +127,8 @@ func (m *Model) GroundState() ([]int8, float64, error) {
 	return best, bestE, nil
 }
 
-// CutValue returns the weight of the graph cut induced by spin vector s on
-// the weighted adjacency matrix w: the sum of w_ij over edges whose
-// endpoints have opposite spins. Max-cut maps to the Ising ground state via
-// J = -W.
-func CutValue(w *mat.Dense, s []int8) float64 {
-	var cut float64
-	for i := 0; i < w.Rows; i++ {
-		for j := i + 1; j < w.Cols; j++ {
-			if s[i] != s[j] {
-				cut += w.At(i, j)
-			}
-		}
-	}
-	return cut
-}
-
-// MaxCutModel builds the Ising model whose ground state is the max cut of
-// the weighted graph w (symmetric, zero diagonal).
-func MaxCutModel(w *mat.Dense) (*Model, error) {
-	j := w.Clone()
-	j.Scale(-1)
-	j.ZeroDiagonal()
-	return NewModel(j, make([]float64, w.Rows))
-}
-
-// AnnealSchedule controls BRIM's Node Control Unit: at each interval a
-// fraction of free nodes is randomly flipped to escape local minima, with
-// the fraction decaying geometrically — the standard annealing control of
-// the BRIM paper.
-type AnnealSchedule struct {
-	// FlipInterval is the simulated time in ns between flip events.
-	FlipInterval float64
-	// InitialFlipFrac is the starting fraction of nodes flipped per event.
-	InitialFlipFrac float64
-	// Decay multiplies the flip fraction after every event (0 < Decay <= 1).
-	Decay float64
-}
-
-// DefaultAnnealSchedule is a schedule that works well for the graph sizes
-// exercised in this repository.
-func DefaultAnnealSchedule() AnnealSchedule {
-	return AnnealSchedule{FlipInterval: 2, InitialFlipFrac: 0.25, Decay: 0.85}
-}
-
-// BRIM simulates the bistable resistively-coupled Ising machine: capacitor
-// voltages driven by coupling currents (linear self-reaction), bistable
-// rails at ±1, periodic random flips for annealing. The coupling network is
-// built over the sparse symmetrized W, so one derivative costs O(nnz).
-type BRIM struct {
-	Model    *Model
-	Net      *circuit.Network
-	Schedule AnnealSchedule
-	// Dt is the integration step in ns (default 0.05).
-	Dt  float64
-	rng *rng.RNG
-}
-
-// NewBRIM builds a BRIM machine for the given Ising model.
-func NewBRIM(m *Model, sched AnnealSchedule, r *rng.RNG) (*BRIM, error) {
-	net, err := circuit.NewNetworkCSR(m.W, m.H, circuit.Config{Self: circuit.Linear})
-	if err != nil {
-		return nil, err
-	}
-	return &BRIM{Model: m, Net: net, Schedule: sched, Dt: 0.05, rng: r}, nil
-}
-
-// Result is the outcome of an annealing run.
-type Result struct {
-	Spins   []int8    // sign-quantized final voltages
-	Voltage []float64 // raw final voltages
-	Energy  float64   // Ising energy of Spins
-	TimeNs  float64   // simulated annealing time
-}
-
-// Anneal runs natural annealing for durationNs simulated nanoseconds and
-// returns the binarized result. Clamped nodes of the underlying network
-// keep their initial voltages.
-func (b *BRIM) Anneal(durationNs float64) Result {
-	x := make([]float64, b.Model.N)
-	for i := range x {
-		if b.rng.Float64() < 0.5 {
-			x[i] = -0.1
-		} else {
-			x[i] = 0.1
-		}
-	}
-	return b.AnnealFrom(x, durationNs)
-}
-
-// AnnealFrom runs natural annealing starting from the given voltages.
-func (b *BRIM) AnnealFrom(x0 []float64, durationNs float64) Result {
-	x := mat.CopyVec(x0)
-	ig := ode.NewEuler()
-	t := 0.0
-	nextFlip := b.Schedule.FlipInterval
-	flipFrac := b.Schedule.InitialFlipFrac
-	steps := int(durationNs / b.Dt)
-	for s := 0; s < steps; s++ {
-		t = ig.Step(b.Net, t, b.Dt, x)
-		b.Net.ClampRails(x)
-		if b.Schedule.FlipInterval > 0 && t >= nextFlip {
-			b.flip(x, flipFrac)
-			flipFrac *= b.Schedule.Decay
-			nextFlip += b.Schedule.FlipInterval
-		}
-	}
-	spins := Quantize(x)
-	return Result{
-		Spins:   spins,
-		Voltage: x,
-		Energy:  b.Model.Energy(spins),
-		TimeNs:  t,
-	}
-}
-
-// flip negates a random fraction of free node voltages.
-func (b *BRIM) flip(x []float64, frac float64) {
-	for i := range x {
-		if b.Net.Clamped[i] {
-			continue
-		}
-		if b.rng.Float64() < frac {
-			x[i] = -x[i]
-		}
-	}
-}
-
-// Quantize maps voltages to ±1 spins by sign (ties resolve to +1).
-func Quantize(x []float64) []int8 {
-	s := make([]int8, len(x))
-	for i, v := range x {
-		if v < 0 {
-			s[i] = -1
-		} else {
-			s[i] = 1
-		}
-	}
-	return s
-}
-
-// QuantizeInto is Quantize without the allocation: dst must have len(x).
+// QuantizeInto maps voltages to ±1 spins by sign (ties resolve to +1):
+// dst[i] = sign(x[i]). dst must have len(x).
 func QuantizeInto(dst []int8, x []float64) {
 	for i, v := range x {
 		if v < 0 {

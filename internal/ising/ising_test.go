@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/rng"
 )
@@ -22,6 +23,78 @@ func ferroModel(t *testing.T, n int, w float64) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// randomGraph draws a seeded symmetric weighted adjacency matrix: each pair
+// is an edge with probability p, weight uniform in [lo, 1).
+func randomGraph(n int, p, lo float64, seed uint64) *mat.Dense {
+	r := rng.New(seed)
+	w := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < n; k++ {
+			if r.Float64() < p {
+				v := r.Uniform(lo, 1)
+				w.Set(i, k, v)
+				w.Set(k, i, v)
+			}
+		}
+	}
+	return w
+}
+
+// maxCutModel builds the Ising model whose ground state is the max cut of
+// the weighted graph w (symmetric, zero diagonal): J = -W, no field.
+func maxCutModel(t *testing.T, w *mat.Dense) *Model {
+	t.Helper()
+	j := w.Clone()
+	j.Scale(-1)
+	m, err := NewModel(j, make([]float64, w.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// cutValue is the weight of the cut spins s induce on w: the sum of w_ij
+// over edges whose endpoints have opposite spins.
+func cutValue(w *mat.Dense, s []int8) float64 {
+	var cut float64
+	for i := 0; i < w.Rows; i++ {
+		for j := i + 1; j < w.Cols; j++ {
+			if s[i] != s[j] {
+				cut += w.At(i, j)
+			}
+		}
+	}
+	return cut
+}
+
+// optimalCut is the max cut of w by exhaustive search over m's ground state.
+func optimalCut(t *testing.T, w *mat.Dense, m *Model) float64 {
+	t.Helper()
+	s, _, err := m.GroundState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cutValue(w, s)
+}
+
+// solveOnce runs one seeded restart of dyn on m through the engine and
+// returns the restart's detached result plus a copy of the final carrier
+// state (voltages for BRIM, phases for OIM).
+func solveOnce(t *testing.T, m *Model, dyn Dynamics, sched engine.Schedule, seed uint64) (*engine.OptResult, []float64) {
+	t.Helper()
+	s, err := NewSolver(m, dyn, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewOpt(s)
+	st := e.NewSolveState()
+	res, err := e.SolveWith(st, sched, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", dyn, err)
+	}
+	return res.Detach(), append([]float64(nil), st.X...)
 }
 
 func TestNewModelValidation(t *testing.T) {
@@ -117,45 +190,40 @@ func TestEnergyConsistency(t *testing.T) {
 	}
 }
 
+// TestCutValue pins the max-cut lowering on a hand-checked path graph:
+// under J = -W the Ising energy is H = 2 Σ_{i<j} w_ij σ_i σ_j, so every
+// cut edge contributes -2w and every uncut edge +2w.
 func TestCutValue(t *testing.T) {
 	w := mat.NewDense(3, 3)
 	w.Set(0, 1, 2)
 	w.Set(1, 0, 2)
 	w.Set(1, 2, 3)
 	w.Set(2, 1, 3)
-	s := []int8{1, -1, 1}
-	if got := CutValue(w, s); got != 5 {
-		t.Fatalf("CutValue = %g, want 5", got)
-	}
-	if got := CutValue(w, []int8{1, 1, 1}); got != 0 {
-		t.Fatalf("uniform cut = %g, want 0", got)
+	m := maxCutModel(t, w)
+	const total = 5
+	for _, tc := range []struct {
+		s   []int8
+		cut float64
+	}{
+		{[]int8{1, -1, 1}, 5},
+		{[]int8{1, 1, 1}, 0},
+		{[]int8{1, 1, -1}, 3},
+	} {
+		if got := cutValue(w, tc.s); got != tc.cut {
+			t.Fatalf("cut of %v = %g, want %g", tc.s, got, tc.cut)
+		}
+		if got, want := m.Energy(tc.s), 2*(total-tc.cut)-2*tc.cut; got != want {
+			t.Fatalf("energy of %v = %g, want %g", tc.s, got, want)
+		}
 	}
 }
 
 func TestMaxCutModelGroundStateIsMaxCut(t *testing.T) {
 	// Small random graph: brute-force max cut must match the Ising ground
-	// state of the MaxCutModel.
-	r := rng.New(11)
+	// state of the max-cut lowering.
 	n := 8
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			if r.Float64() < 0.5 {
-				v := r.Uniform(0.1, 1)
-				w.Set(i, k, v)
-				w.Set(k, i, v)
-			}
-		}
-	}
-	m, err := MaxCutModel(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := m.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := CutValue(w, s)
+	w := randomGraph(n, 0.5, 0.1, 11)
+	got := optimalCut(t, w, maxCutModel(t, w))
 
 	best := 0.0
 	tmp := make([]int8, n)
@@ -167,7 +235,7 @@ func TestMaxCutModelGroundStateIsMaxCut(t *testing.T) {
 				tmp[i] = -1
 			}
 		}
-		if c := CutValue(w, tmp); c > best {
+		if c := cutValue(w, tmp); c > best {
 			best = c
 		}
 	}
@@ -177,48 +245,22 @@ func TestMaxCutModelGroundStateIsMaxCut(t *testing.T) {
 }
 
 func TestBRIMAnnealFindsGoodCut(t *testing.T) {
-	// BRIM should find a near-optimal max cut on a small graph.
-	r := rng.New(5)
-	n := 12
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			if r.Float64() < 0.4 {
-				v := r.Uniform(0.2, 1)
-				w.Set(i, k, v)
-				w.Set(k, i, v)
-			}
-		}
-	}
-	m, err := MaxCutModel(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brim, err := NewBRIM(m, DefaultAnnealSchedule(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := brim.Anneal(100)
-	got := CutValue(w, res.Spins)
-
-	s, _, err := m.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := CutValue(w, s)
+	// One BRIM restart should find a near-optimal max cut on a small graph.
+	w := randomGraph(12, 0.4, 0.2, 5)
+	m := maxCutModel(t, w)
+	res, _ := solveOnce(t, m, BRIMDynamics, engine.GeometricSchedule(50, 2, 0.05), 99)
+	got, best := cutValue(w, res.Spins), optimalCut(t, w, m)
 	if got < 0.85*best {
 		t.Fatalf("BRIM cut %g below 85%% of optimum %g", got, best)
 	}
 }
 
 func TestBRIMPolarizes(t *testing.T) {
+	// With the flip escapes cooled to nothing, the bistable nodes must end
+	// on the rails.
 	m := ferroModel(t, 6, 0.5)
-	brim, err := NewBRIM(m, AnnealSchedule{}, rng.New(2)) // no flips
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := brim.Anneal(200)
-	for i, v := range res.Voltage {
+	_, x := solveOnce(t, m, BRIMDynamics, engine.GeometricSchedule(100, 1, 1e-12), 2)
+	for i, v := range x {
 		if math.Abs(math.Abs(v)-1) > 1e-6 {
 			t.Fatalf("BRIM node %d did not polarize: %g", i, v)
 		}
@@ -226,9 +268,10 @@ func TestBRIMPolarizes(t *testing.T) {
 }
 
 func TestQuantize(t *testing.T) {
-	s := Quantize([]float64{-0.3, 0, 0.7})
+	s := make([]int8, 3)
+	QuantizeInto(s, []float64{-0.3, 0, 0.7})
 	if s[0] != -1 || s[1] != 1 || s[2] != 1 {
-		t.Fatalf("Quantize = %v", s)
+		t.Fatalf("QuantizeInto = %v", s)
 	}
 }
 
@@ -277,15 +320,16 @@ func TestGroundStateLargeNErrors(t *testing.T) {
 
 func TestBRIMDeterministicWithSeed(t *testing.T) {
 	m := ferroModel(t, 6, 0.5)
-	run := func() float64 {
-		brim, err := NewBRIM(m, DefaultAnnealSchedule(), rng.New(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return brim.Anneal(50).Energy
-	}
-	if run() != run() {
+	sched := engine.GeometricSchedule(25, 2, 0.05)
+	r1, x1 := solveOnce(t, m, BRIMDynamics, sched, 7)
+	r2, x2 := solveOnce(t, m, BRIMDynamics, sched, 7)
+	if r1.Energy != r2.Energy {
 		t.Fatal("same seed must reproduce the same annealing result")
+	}
+	for i := range x1 {
+		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
+			t.Fatalf("same seed diverges at node %d voltage: %v vs %v", i, x1[i], x2[i])
+		}
 	}
 }
 
@@ -310,15 +354,18 @@ func TestMetropolisFindsGroundStateSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewMetropolis(m, rng.New(5)).Anneal(300)
+	res, _ := solveOnce(t, m, MetropolisDynamics, engine.GeometricSchedule(300, 2, 0.01), 5)
 	if res.Energy > wantE+1e-9 && res.Energy > wantE*0.95 {
 		t.Fatalf("Metropolis energy %g, ground state %g", res.Energy, wantE)
 	}
 }
 
+// TestMetropolisEnergyBookkeeping: the sweep tracks the best state by
+// incremental ΔE accounting. The kept best must be at least as good as
+// every state the per-sweep observer saw, and its reported energy must
+// agree with a fresh Energy evaluation — on a model with fields, where
+// the ΔE formula's h term matters.
 func TestMetropolisEnergyBookkeeping(t *testing.T) {
-	// The incremental ΔE accounting must agree with a fresh Energy()
-	// evaluation at the end (Result recomputes, so compare to best).
 	r := rng.New(7)
 	n := 8
 	j := mat.NewDense(n, n)
@@ -335,42 +382,33 @@ func TestMetropolisEnergyBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewMetropolis(m, rng.New(9)).Anneal(100)
+	s, err := NewSolver(m, MetropolisDynamics, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.NewOpt(s)
+	st := e.NewSolveState()
+	seen := math.Inf(1)
+	st.SetObserver(func(si engine.StepInfo) { seen = math.Min(seen, si.EnergyFn()) })
+	res, err := e.SolveWith(st, engine.GeometricSchedule(100, 2, 0.01), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := m.Energy(res.Spins); math.Abs(got-res.Energy) > 1e-9 {
 		t.Fatalf("reported energy %g, recomputed %g", res.Energy, got)
+	}
+	if res.Energy > seen+1e-9 {
+		t.Fatalf("kept best %g worse than an observed state %g", res.Energy, seen)
 	}
 }
 
 func TestMetropolisMaxCutComparableToBRIM(t *testing.T) {
-	r := rng.New(12)
-	n := 14
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			if r.Float64() < 0.4 {
-				v := r.Uniform(0.2, 1)
-				w.Set(i, k, v)
-				w.Set(k, i, v)
-			}
-		}
-	}
-	m, err := MaxCutModel(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres := NewMetropolis(m, rng.New(3)).Anneal(400)
-	brim, err := NewBRIM(m, DefaultAnnealSchedule(), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres := brim.Anneal(150)
-	mcut := CutValue(w, mres.Spins)
-	bcut := CutValue(w, bres.Spins)
-	s, _, err := m.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := CutValue(w, s)
+	w := randomGraph(14, 0.4, 0.2, 12)
+	m := maxCutModel(t, w)
+	mres, _ := solveOnce(t, m, MetropolisDynamics, engine.GeometricSchedule(400, 2, 0.01), 3)
+	bres, _ := solveOnce(t, m, BRIMDynamics, engine.GeometricSchedule(75, 2, 0.05), 4)
+	mcut, bcut := cutValue(w, mres.Spins), cutValue(w, bres.Spins)
+	best := optimalCut(t, w, m)
 	if mcut < 0.9*best {
 		t.Fatalf("Metropolis cut %g below 90%% of optimum %g", mcut, best)
 	}

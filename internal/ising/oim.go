@@ -4,43 +4,28 @@ import (
 	"math"
 
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
-	"dsgl/internal/rng"
 )
 
-// OIM is an oscillator-based Ising machine (Wang & Roychowdhury 2019; the
-// Kuramoto/XY-model family of the paper's related-work section). Spins are
-// oscillator phases φ_i with Lyapunov function
+// phaseSystem is the oscillator-based Ising machine's phase flow (Wang &
+// Roychowdhury 2019; the Kuramoto/XY-model family of the paper's
+// related-work section). Spins are oscillator phases φ_i with Lyapunov
+// function
 //
 //	H_XY = -½ Σ_{i≠j} W_ij cos(φ_i - φ_j) - K Σ cos(2 φ_i),  W = J + Jᵀ
 //
 // where the second term is sub-harmonic injection locking (SHIL) that
 // binarizes phases toward {0, π}. The paper argues these machines do not
-// extend naturally to real-valued quadratic objectives — this comparator
-// exists to demonstrate exactly that contrast against the Real-Valued DSPU.
-type OIM struct {
-	Model *Model
-	// ShilK is the SHIL binarization strength (default 1).
-	ShilK float64
-	// Dt is the integration step (default 0.02).
-	Dt  float64
-	rng *rng.RNG
-}
-
-// NewOIM builds an oscillator machine for the Ising model m.
-func NewOIM(m *Model, r *rng.RNG) *OIM {
-	return &OIM{Model: m, ShilK: 1, Dt: 0.02, rng: r}
-}
-
-// phaseSystem implements the gradient flow dφ/dt = -∂H_XY/∂φ over the
+// extend naturally to real-valued quadratic objectives; the OIM dynamics
+// exist to demonstrate exactly that contrast against the Real-Valued DSPU.
+//
+// The system integrates the gradient flow dφ/dt = -∂H_XY/∂φ over the
 // sparse symmetrized coupling: one derivative costs O(nnz).
 type phaseSystem struct {
 	w     *mat.CSR
 	shilK float64
 }
 
-func (p *phaseSystem) Dim() int { return p.w.Rows }
-
+// Derivative writes dφ/dt at phases phi into dst.
 func (p *phaseSystem) Derivative(_ float64, phi, dst []float64) {
 	for i := 0; i < p.w.Rows; i++ {
 		var drive float64
@@ -52,42 +37,8 @@ func (p *phaseSystem) Derivative(_ float64, phi, dst []float64) {
 	}
 }
 
-// Anneal evolves the oscillator phases for the given simulated duration
-// with the SHIL strength ramped linearly from 0 to ShilK, then reads out
-// spins by phase binarization (φ near 0 → +1, near π → −1).
-func (o *OIM) Anneal(durationNs float64) Result {
-	n := o.Model.N
-	phi := make([]float64, n)
-	for i := range phi {
-		phi[i] = o.rng.Uniform(0, 2*math.Pi)
-	}
-	sys := &phaseSystem{w: o.Model.W, shilK: 0}
-	ig := ode.NewRK4()
-	steps := int(durationNs / o.Dt)
-	t := 0.0
-	for s := 0; s < steps; s++ {
-		sys.shilK = o.ShilK * float64(s) / float64(steps)
-		t = ig.Step(sys, t, o.Dt, phi)
-	}
-	spins := PhaseQuantize(phi)
-	return Result{
-		Spins:   spins,
-		Voltage: phi,
-		Energy:  o.Model.Energy(spins),
-		TimeNs:  t,
-	}
-}
-
-// PhaseQuantize maps oscillator phases to Ising spins: +1 when the phase
-// is within π/2 of 0 (mod 2π), −1 otherwise.
-func PhaseQuantize(phi []float64) []int8 {
-	s := make([]int8, len(phi))
-	PhaseQuantizeInto(s, phi)
-	return s
-}
-
-// PhaseQuantizeInto is PhaseQuantize without the allocation: dst must have
-// len(phi).
+// PhaseQuantizeInto maps oscillator phases to Ising spins: +1 when the
+// phase is within π/2 of 0 (mod 2π), −1 otherwise. dst must have len(phi).
 func PhaseQuantizeInto(dst []int8, phi []float64) {
 	for i, p := range phi {
 		m := math.Mod(p, 2*math.Pi)

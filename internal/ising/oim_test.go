@@ -4,13 +4,31 @@ import (
 	"math"
 	"testing"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/rng"
 )
 
+// oimSchedule ramps SHIL from 0 to nearly full strength over 60 ns of
+// phase flow (120 checkpoints of 0.5 ns).
+var oimSchedule = engine.GeometricSchedule(120, 2, 0.05)
+
+// binarized reports the largest distance of any phase from {0, π} (mod π).
+func binarized(phi []float64) float64 {
+	var worst float64
+	for _, p := range phi {
+		mod := math.Mod(p, math.Pi)
+		if mod < 0 {
+			mod += math.Pi
+		}
+		worst = math.Max(worst, math.Min(mod, math.Pi-mod))
+	}
+	return worst
+}
+
 func TestOIMFerromagnetAligns(t *testing.T) {
 	m := ferroModel(t, 6, 0.5)
-	res := NewOIM(m, rng.New(3)).Anneal(60)
+	res, _ := solveOnce(t, m, OIMDynamics, oimSchedule, 3)
 	for i := 1; i < 6; i++ {
 		if res.Spins[i] != res.Spins[0] {
 			t.Fatalf("ferromagnet phases not aligned: %v", res.Spins)
@@ -19,29 +37,10 @@ func TestOIMFerromagnetAligns(t *testing.T) {
 }
 
 func TestOIMMaxCutQuality(t *testing.T) {
-	r := rng.New(21)
-	n := 10
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := i + 1; k < n; k++ {
-			if r.Float64() < 0.5 {
-				v := r.Uniform(0.2, 1)
-				w.Set(i, k, v)
-				w.Set(k, i, v)
-			}
-		}
-	}
-	m, err := MaxCutModel(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := NewOIM(m, rng.New(8)).Anneal(120)
-	got := CutValue(w, res.Spins)
-	s, _, err := m.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := CutValue(w, s)
+	w := randomGraph(10, 0.5, 0.2, 21)
+	m := maxCutModel(t, w)
+	res, _ := solveOnce(t, m, OIMDynamics, oimSchedule, 8)
+	got, best := cutValue(w, res.Spins), optimalCut(t, w, m)
 	if got < 0.8*best {
 		t.Fatalf("OIM cut %g below 80%% of optimum %g", got, best)
 	}
@@ -49,26 +48,20 @@ func TestOIMMaxCutQuality(t *testing.T) {
 
 func TestOIMShilBinarizesPhases(t *testing.T) {
 	m := ferroModel(t, 8, 0.3)
-	res := NewOIM(m, rng.New(5)).Anneal(100)
+	_, phi := solveOnce(t, m, OIMDynamics, engine.GeometricSchedule(200, 2, 0.05), 5)
 	// Final phases must sit near 0 or π (mod π tolerance).
-	for i, p := range res.Voltage {
-		mod := math.Mod(p, math.Pi)
-		if mod < 0 {
-			mod += math.Pi
-		}
-		d := math.Min(mod, math.Pi-mod)
-		if d > 0.2 {
-			t.Fatalf("phase %d = %g not binarized (dist %g)", i, p, d)
-		}
+	if d := binarized(phi); d > 0.2 {
+		t.Fatalf("phases %v not binarized (worst distance %g)", phi, d)
 	}
 }
 
 func TestPhaseQuantize(t *testing.T) {
-	s := PhaseQuantize([]float64{0, math.Pi, 2 * math.Pi, -math.Pi, math.Pi / 4, 3 * math.Pi / 4})
+	s := make([]int8, 6)
+	PhaseQuantizeInto(s, []float64{0, math.Pi, 2 * math.Pi, -math.Pi, math.Pi / 4, 3 * math.Pi / 4})
 	want := []int8{1, -1, 1, -1, 1, -1}
 	for i := range want {
 		if s[i] != want[i] {
-			t.Fatalf("PhaseQuantize[%d] = %d, want %d", i, s[i], want[i])
+			t.Fatalf("PhaseQuantizeInto[%d] = %d, want %d", i, s[i], want[i])
 		}
 	}
 }
@@ -108,21 +101,12 @@ func TestXYEnergyGradientConsistency(t *testing.T) {
 }
 
 func TestOIMCannotHoldRealValues(t *testing.T) {
-	// The contrast the paper draws: clamping an input phase to a
-	// "real-valued" intermediate angle does not make free oscillators
-	// settle at proportional intermediate phases — SHIL binarizes them.
-	// (The Real-Valued DSPU test suite shows the opposite behaviour.)
+	// The contrast the paper draws: oscillators do not settle at
+	// intermediate "real-valued" phases — SHIL binarizes them. (The
+	// Real-Valued DSPU test suite shows the opposite behaviour.)
 	m := ferroModel(t, 4, 0.5)
-	o := NewOIM(m, rng.New(2))
-	res := o.Anneal(120)
-	for _, p := range res.Voltage {
-		mod := math.Mod(p, math.Pi)
-		if mod < 0 {
-			mod += math.Pi
-		}
-		d := math.Min(mod, math.Pi-mod)
-		if d > 0.25 {
-			t.Fatalf("oscillator settled at non-binary phase %g", p)
-		}
+	_, phi := solveOnce(t, m, OIMDynamics, oimSchedule, 2)
+	if d := binarized(phi); d > 0.25 {
+		t.Fatalf("oscillators settled at non-binary phases %v (worst distance %g)", phi, d)
 	}
 }

@@ -270,3 +270,25 @@ func (s *Solver) runOIM(st *engine.SolveState, pl *solvePlan) {
 		observe(st, e, t)
 	}
 }
+
+// rebuildLocal recomputes the local-field cache local[i] = Σ_j W_ij σ_j
+// from scratch in O(nnz).
+func rebuildLocal(m *Model, s []int8, local []float64) {
+	for i := 0; i < m.N; i++ {
+		var sum float64
+		for p := m.W.RowPtr[i]; p < m.W.RowPtr[i+1]; p++ {
+			sum += m.W.Val[p] * float64(s[m.W.ColIdx[p]])
+		}
+		local[i] = sum
+	}
+}
+
+// applyFlip flips spin i and incrementally updates the local fields of its
+// neighbours in O(degree), using W's symmetry (W_ji = W_ij).
+func applyFlip(m *Model, s []int8, i int, local []float64) {
+	s[i] = -s[i]
+	delta := 2 * float64(s[i])
+	for p := m.W.RowPtr[i]; p < m.W.RowPtr[i+1]; p++ {
+		local[m.W.ColIdx[p]] += m.W.Val[p] * delta
+	}
+}

@@ -1,5 +1,5 @@
 // Package pool is the worker-pool primitive shared by the batch-inference
-// engine (scalable.Machine.InferBatch), the top-level parallel evaluator
+// engine (engine.Engine.RunBatch), the top-level parallel evaluator
 // (dsgl.Model.EvaluateParallel), the ridge-lambda selection grid, and the
 // experiment sweeps of internal/experiments.
 //
@@ -72,7 +72,7 @@ func RunErr(workers, n int, fn func(i int) error) error {
 // caller normalizes the count, typically via Clamp) and passes each
 // invocation the worker's index in [0, workers) alongside the item index.
 // The worker index lets callers give every worker a private scratch arena
-// — the zero-allocation inference states of scalable.Machine.InferBatch —
+// — the zero-allocation inference states of engine.Engine.RunBatch —
 // without any locking.
 func RunWorkers(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {

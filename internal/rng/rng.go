@@ -20,8 +20,8 @@ type RNG struct {
 func New(seed uint64) *RNG { return &RNG{state: seed} }
 
 // Reseed resets the generator to the exact stream of New(seed) without
-// allocating. Reusable scratch states (scalable.InferState, dspu.InferState)
-// embed an RNG by value and Reseed it per inference so the anneal hot loop
+// allocating. Reusable scratch states (engine.InferState) embed an RNG by
+// value and Reseed it per inference so the anneal hot loop
 // stays allocation-free.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
 

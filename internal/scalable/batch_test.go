@@ -3,6 +3,7 @@ package scalable
 import (
 	"testing"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/pattern"
 )
@@ -19,10 +20,10 @@ func batchMachine(t *testing.T, cfg Config) *Machine {
 }
 
 // batchObservations builds a batch of distinct observation sets.
-func batchObservations(n, dim int) [][]Observation {
-	obs := make([][]Observation, n)
+func batchObservations(n, dim int) [][]engine.Observation {
+	obs := make([][]engine.Observation, n)
 	for i := range obs {
-		obs[i] = []Observation{
+		obs[i] = []engine.Observation{
 			{Index: i % dim, Value: 0.5 - 0.05*float64(i%10)},
 			{Index: (i*3 + 1) % dim, Value: -0.3 + 0.04*float64(i%7)},
 		}
@@ -47,7 +48,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := batchMachine(t, tc.cfg)
 			obs := batchObservations(24, m.N)
-			batch, err := m.InferBatch(obs, 8)
+			batch, err := m.Engine().InferBatch(obs, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("batch returned %d results for %d windows", len(batch), len(obs))
 			}
 			for i := range obs {
-				seq, err := m.InferSeeded(obs[i], m.Config().Seed+uint64(i))
+				seq, err := m.Engine().InferSeeded(obs[i], m.Config().Seed+uint64(i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,12 +82,12 @@ func TestInferBatchMatchesSequential(t *testing.T) {
 func TestInferBatchWorkerCountInvariance(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 3, MaxTimeNs: 1000, Seed: 5})
 	obs := batchObservations(10, m.N)
-	ref, err := m.InferBatch(obs, 1)
+	ref, err := m.Engine().InferBatch(obs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16, 0, -1} {
-		got, err := m.InferBatch(obs, workers)
+		got, err := m.Engine().InferBatch(obs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,29 +105,29 @@ func TestInferBatchWorkerCountInvariance(t *testing.T) {
 func TestInferBatchPropagatesError(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 5})
 	obs := batchObservations(6, m.N)
-	obs[3] = []Observation{{Index: m.N + 7, Value: 0.1}} // out of range
-	if _, err := m.InferBatch(obs, 4); err == nil {
+	obs[3] = []engine.Observation{{Index: m.N + 7, Value: 0.1}} // out of range
+	if _, err := m.Engine().InferBatch(obs, 4); err == nil {
 		t.Fatal("expected error for out-of-range observation in batch")
 	}
-	if _, err := m.InferBatch(nil, 4); err != nil {
+	if _, err := m.Engine().InferBatch(nil, 4); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
 
 func TestInferSeededBaseSeedMatchesInfer(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 21})
-	obs := []Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-	a, err := m.Infer(obs)
+	obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+	a, err := m.Engine().InferSeeded(obs, m.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.InferSeeded(obs, m.Config().Seed)
+	b, err := m.Engine().InferSeeded(obs, m.Config().Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.Voltage {
 		if a.Voltage[i] != b.Voltage[i] {
-			t.Fatalf("node %d: Infer %g != InferSeeded(base) %g", i, a.Voltage[i], b.Voltage[i])
+			t.Fatalf("node %d: InferSeeded(BaseSeed) %g != InferSeeded(Config.Seed) %g", i, a.Voltage[i], b.Voltage[i])
 		}
 	}
 }
@@ -146,13 +147,13 @@ func TestInferWithZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := batchMachine(t, tc.cfg)
-			st := m.NewInferState()
-			obs := []Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-			if _, err := m.InferWith(st, obs, 1); err != nil { // warm-up
+			st := m.Engine().NewInferState()
+			obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+			if _, err := m.Engine().InferWith(st, obs, 1); err != nil { // warm-up
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := m.InferWith(st, obs, 2); err != nil {
+				if _, err := m.Engine().InferWith(st, obs, 2); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -166,41 +167,41 @@ func TestInferWithZeroAlloc(t *testing.T) {
 func TestInferWithRejectsForeignState(t *testing.T) {
 	m1 := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 3})
 	m2 := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 4})
-	st := m1.NewInferState()
-	if _, err := m2.InferWith(st, nil, 1); err == nil {
+	st := m1.Engine().NewInferState()
+	if _, err := m2.Engine().InferWith(st, nil, 1); err == nil {
 		t.Fatal("expected error for a state built by another machine")
 	}
-	if _, err := m1.InferWith(nil, nil, 1); err == nil {
+	if _, err := m1.Engine().InferWith(nil, nil, 1); err == nil {
 		t.Fatal("expected error for nil state")
 	}
 }
 
 // TestInferStateResultAliasing documents the aliasing contract: the state's
 // Result voltage is overwritten in place by the next inference, while
-// Infer/InferSeeded return detached copies.
+// InferSeeded returns detached copies.
 func TestInferStateResultAliasing(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 9})
-	st := m.NewInferState()
-	r1, err := m.InferWith(st, []Observation{{Index: 0, Value: 0.4}}, 1)
+	st := m.Engine().NewInferState()
+	r1, err := m.Engine().InferWith(st, []engine.Observation{{Index: 0, Value: 0.4}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v0 := r1.Voltage[m.N-1]
 	if st.Result() != r1 {
-		t.Fatal("InferState.Result must return the last inference's result")
+		t.Fatal("engine.InferState.Result must return the last inference's result")
 	}
-	if _, err := m.InferWith(st, []Observation{{Index: 0, Value: -0.4}}, 2); err != nil {
+	if _, err := m.Engine().InferWith(st, []engine.Observation{{Index: 0, Value: -0.4}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if r1.Voltage[m.N-1] == v0 {
 		t.Fatal("aliased voltage should have been overwritten by the second inference")
 	}
-	detached, err := m.InferSeeded([]Observation{{Index: 0, Value: 0.4}}, 1)
+	detached, err := m.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.4}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vd := detached.Voltage[m.N-1]
-	if _, err := m.InferSeeded([]Observation{{Index: 0, Value: -0.4}}, 2); err != nil {
+	if _, err := m.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: -0.4}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if detached.Voltage[m.N-1] != vd {

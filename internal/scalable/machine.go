@@ -207,26 +207,6 @@ func (m *Machine) Stats() Stats { return m.stats }
 // Config returns the defaults-filled configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// Observation clamps node Index to Value during inference.
-type Observation = engine.Observation
-
-// Result is the outcome of one Scalable DSPU inference.
-type Result = engine.Result
-
-// StepInfo is the per-step telemetry handed to a StepObserver; see
-// engine.StepInfo.
-type StepInfo = engine.StepInfo
-
-// StepObserver receives StepInfo after every integration step of an
-// inference; see engine.StepObserver.
-type StepObserver = engine.StepObserver
-
-// InferState is a reusable per-worker scratch arena for Machine inference;
-// see engine.InferState. The machine-specific buffers (intra-PE current,
-// derivative, sample-and-hold contributions, folded biases) hang off the
-// state's Scratch field.
-type InferState = engine.InferState
-
 // scratch is the Machine's backend arena inside an engine.InferState: every
 // buffer the anneal hot loop touches beyond the engine-owned voltage vector
 // and clamp mask, so that after the state's first use an inference runs
@@ -253,7 +233,7 @@ type scratch struct {
 
 // AttachState allocates the machine's scratch arena onto an engine state.
 // Called once per InferState by engine.NewInferState.
-func (m *Machine) AttachState(st *InferState) {
+func (m *Machine) AttachState(st *engine.InferState) {
 	sc := &scratch{
 		intraCur: make([]float64, m.N),
 		deriv:    make([]float64, m.N),
@@ -294,21 +274,18 @@ func (m *Machine) BaseSeed() uint64 { return m.cfg.Seed }
 func (m *Machine) CompilePlan(clamped []bool) any { return m.compilePlan(clamped) }
 
 // RunPlanned runs the clamp-plan hot loop on a prepared state.
-func (m *Machine) RunPlanned(st *InferState, plan any) (*Result, error) {
+func (m *Machine) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
 	return m.inferPlanned(st, plan.(*clampPlan))
 }
 
 // RunNaive runs the naive reference loop on a prepared state.
-func (m *Machine) RunNaive(st *InferState) (*Result, error) {
+func (m *Machine) RunNaive(st *engine.InferState) (*engine.Result, error) {
 	return m.inferNaive(st)
 }
 
-// NewInferState allocates a scratch arena sized for this machine.
-func (m *Machine) NewInferState() *InferState { return m.Engine().NewInferState() }
-
 // refreshPhase re-evaluates slice k's held contribution from the fresh
 // state: subtract the stale current, recompute, add the fresh one.
-func (m *Machine) refreshPhase(st *InferState, sc *scratch, k int) {
+func (m *Machine) refreshPhase(st *engine.InferState, sc *scratch, k int) {
 	contrib := sc.contrib[k]
 	interSum := sc.interSum
 	for i, v := range contrib {
@@ -320,103 +297,18 @@ func (m *Machine) refreshPhase(st *InferState, sc *scratch, k int) {
 	}
 }
 
-// Infer clamps the observations, initializes free nodes near zero, and runs
-// the co-annealing process to equilibrium. It is the convenience wrapper
-// around InferWith: a fresh scratch state is allocated per call.
-func (m *Machine) Infer(obs []Observation) (*Result, error) {
-	return m.Engine().Infer(obs)
-}
-
-// InferSeeded is Infer with an explicit seed for free-node initialization
-// and noise. The batch engine gives window w the seed Config.Seed + w so a
-// parallel batch is bit-identical to a sequential loop over the windows.
-func (m *Machine) InferSeeded(obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferSeeded(obs, seed)
-}
-
-// InferFrom runs inference from an explicit initial state.
-func (m *Machine) InferFrom(x0 []float64, obs []Observation) (*Result, error) {
-	return m.Engine().InferFrom(x0, obs)
-}
-
-// InferWith runs one inference on a reusable scratch state with an explicit
-// seed. After the state's first use the whole call — initialization, anneal
-// loop, residual checks, result — performs zero heap allocations. The
-// returned Result aliases the state's buffers (see engine.InferState).
-func (m *Machine) InferWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferWith(st, obs, seed)
-}
-
-// InferBatch anneals every observation set of a batch across a pool of
-// workers (workers <= 0 selects runtime.GOMAXPROCS(0)) and returns one
-// Result per entry, in order; window i is seeded Config.Seed + i, making
-// the output bit-identical to a sequential loop regardless of worker count.
-func (m *Machine) InferBatch(obs [][]Observation, workers int) ([]*Result, error) {
-	return m.Engine().InferBatch(obs, workers)
-}
-
-// InferShardedSeeded is InferSeeded over the software-sharded anneal path
-// (shard.go): graph partitions anneal concurrently and exchange coupling
-// contributions every Config.ShardSyncNs. Falls back to the exact path
-// whenever the machine cannot shard; see engine.InferShardedWith.
-func (m *Machine) InferShardedSeeded(obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferShardedSeeded(obs, seed)
-}
-
-// InferShardedWith is InferWith over the sharded anneal path.
-func (m *Machine) InferShardedWith(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferShardedWith(st, obs, seed)
-}
-
-// InferShardedBatch is InferBatch over the sharded anneal path: windows
-// fan out across batch workers, each window's anneal across shards.
-func (m *Machine) InferShardedBatch(obs [][]Observation, workers int) ([]*Result, error) {
-	return m.Engine().InferShardedBatch(obs, workers)
-}
-
 // The Machine is the sharding-capable backend of the shared engine.
 var _ engine.ShardedBackend = (*Machine)(nil)
 
 // The Machine also delta-compiles clamp plans for streaming inference.
 var _ engine.DeltaBackend = (*Machine)(nil)
 
-// InferWithNaive is InferWith running the naive reference loop: no clamp
-// plan, every coupling matrix re-evaluated in full each step. The
-// plan-naive-identity invariant asserts InferWith and InferWithNaive return
-// bit-identical Results for every seed; benchmarks use this entry as the
-// pre-folding baseline.
-func (m *Machine) InferWithNaive(st *InferState, obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferWithNaive(st, obs, seed)
-}
-
-// InferSeededNaive is InferSeeded running the naive reference loop.
-func (m *Machine) InferSeededNaive(obs []Observation, seed uint64) (*Result, error) {
-	return m.Engine().InferSeededNaive(obs, seed)
-}
-
-// EnsurePlan validates the observation set (the full range / rail /
-// duplicate checks every inference entry point runs) and compiles (or
-// re-warms) the clamp plan for its index pattern, so that a subsequent
-// batch over windows sharing the pattern starts with a cache hit on every
-// worker. Evaluate and EvaluateParallel call this once per run instead of
-// compiling inside the first window's inference.
-func (m *Machine) EnsurePlan(obs []Observation) error {
-	return m.Engine().EnsurePlan(obs)
-}
-
-// PlanCacheStats reports the cumulative clamp-plan cache hit and miss
-// counts. A miss compiles a plan; the steady state of a batch whose windows
-// share one observation pattern is all hits.
-func (m *Machine) PlanCacheStats() (hits, misses uint64) {
-	return m.Engine().PlanCacheStats()
-}
-
 // inferNaive is the reference co-annealing loop: every coupling matrix is
 // re-evaluated in full every step, with no clamp-aware folding. It is kept
-// callable (InferWithNaive, InferSeededNaive) as the ground truth the
-// plan-path bit-identity invariant verifies against, and as the baseline
+// callable (a Naive engine.Request) as the ground truth the plan-path
+// bit-identity invariant verifies against, and as the baseline
 // BenchmarkInferNaive measures.
-func (m *Machine) inferNaive(st *InferState) (*Result, error) {
+func (m *Machine) inferNaive(st *engine.InferState) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
 	clamped := st.Clamped
@@ -515,7 +407,7 @@ func (m *Machine) inferNaive(st *InferState) (*Result, error) {
 		annealT += m.cfg.Dt
 		taken = s + 1
 		if st.Observer != nil {
-			st.Observer(StepInfo{
+			st.Observer(engine.StepInfo{
 				Step:     s,
 				TimeNs:   annealT,
 				EnergyFn: st.EnergyFn,
@@ -568,7 +460,7 @@ func (m *Machine) inferNaive(st *InferState) (*Result, error) {
 			nextSwitch += m.cfg.SwitchIntervalNs
 		}
 	}
-	st.Res = Result{
+	st.Res = engine.Result{
 		Voltage:   x,
 		AnnealNs:  annealT,
 		LatencyNs: annealT + float64(switches)*m.cfg.SwitchOverheadNs,

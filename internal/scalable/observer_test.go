@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsgl/internal/community"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/train"
 )
@@ -11,7 +12,7 @@ import (
 // directedSystem builds a single-PE system whose couplings run only from
 // the first nObs (clamped) nodes into the remaining free nodes — the same
 // directed shape the closed-form DS-GL training produces.
-func directedSystem(t *testing.T, n, nObs int) (*Machine, []Observation, []bool) {
+func directedSystem(t *testing.T, n, nObs int) (*Machine, []engine.Observation, []bool) {
 	t.Helper()
 	a := &community.Assignment{
 		PEOf:     make([]int, n),
@@ -37,10 +38,10 @@ func directedSystem(t *testing.T, n, nObs int) (*Machine, []Observation, []bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := make([]Observation, nObs)
+	obs := make([]engine.Observation, nObs)
 	clamped := make([]bool, n)
 	for o := 0; o < nObs; o++ {
-		obs[o] = Observation{Index: o, Value: 0.5 - 0.2*float64(o%3)}
+		obs[o] = engine.Observation{Index: o, Value: 0.5 - 0.2*float64(o%3)}
 		clamped[o] = true
 	}
 	return m, obs, clamped
@@ -48,10 +49,10 @@ func directedSystem(t *testing.T, n, nObs int) (*Machine, []Observation, []bool)
 
 func TestObserverReceivesEveryStep(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 3})
-	st := m.NewInferState()
-	var infos []StepInfo
+	st := m.Engine().NewInferState()
+	var infos []engine.StepInfo
 	var lastEnergy float64
-	st.SetObserver(func(si StepInfo) {
+	st.SetObserver(func(si engine.StepInfo) {
 		if si.X == nil || len(si.X) != m.N {
 			t.Fatalf("step %d: X has %d entries, want %d", si.Step, len(si.X), m.N)
 		}
@@ -59,7 +60,7 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 		lastEnergy = si.EnergyFn()
 		infos = append(infos, si)
 	})
-	res, err := m.InferWith(st, []Observation{{Index: 0, Value: 0.4}}, 1)
+	res, err := m.Engine().InferWith(st, []engine.Observation{{Index: 0, Value: 0.4}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 	// Removing the observer stops the callbacks.
 	st.SetObserver(nil)
 	n := len(infos)
-	if _, err := m.InferWith(st, []Observation{{Index: 0, Value: 0.4}}, 1); err != nil {
+	if _, err := m.Engine().InferWith(st, []engine.Observation{{Index: 0, Value: 0.4}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(infos) != n {
@@ -95,12 +96,12 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 // EnergyAt half-weights the clamp couplings and carries no such guarantee.
 func TestObserverClampedEnergyDescends(t *testing.T) {
 	m, obs, clamped := directedSystem(t, 10, 4)
-	st := m.NewInferState()
+	st := m.Engine().NewInferState()
 	var trace []float64
-	st.SetObserver(func(si StepInfo) {
+	st.SetObserver(func(si engine.StepInfo) {
 		trace = append(trace, m.ClampedEnergyAt(si.X, clamped))
 	})
-	res, err := m.InferWith(st, obs, 7)
+	res, err := m.Engine().InferWith(st, obs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +124,13 @@ func TestObserverClampedEnergyDescends(t *testing.T) {
 // for the simulated dynamics.
 func TestClampedEnergyGradientConsistency(t *testing.T) {
 	m, obs, clamped := directedSystem(t, 10, 4)
-	st := m.NewInferState()
+	st := m.Engine().NewInferState()
 	type sample struct{ e, maxD float64 }
 	var ss []sample
-	st.SetObserver(func(si StepInfo) {
+	st.SetObserver(func(si engine.StepInfo) {
 		ss = append(ss, sample{m.ClampedEnergyAt(si.X, clamped), si.MaxDeriv})
 	})
-	if _, err := m.InferWith(st, obs, 7); err != nil {
+	if _, err := m.Engine().InferWith(st, obs, 7); err != nil {
 		t.Fatal(err)
 	}
 	// While the derivative is large, energy must move; once max|dσ/dt| is
@@ -144,7 +145,7 @@ func TestClampedEnergyGradientConsistency(t *testing.T) {
 
 func TestResidualAtSettledState(t *testing.T) {
 	m, obs, clamped := directedSystem(t, 10, 4)
-	res, err := m.InferSeeded(obs, 7)
+	res, err := m.Engine().InferSeeded(obs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +177,13 @@ func TestResidualAtSettledState(t *testing.T) {
 // the presence of the observer field: a nil observer must not cost heap.
 func TestObserverNilKeepsZeroAlloc(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 3})
-	st := m.NewInferState()
-	obs := []Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-	if _, err := m.InferWith(st, obs, 1); err != nil {
+	st := m.Engine().NewInferState()
+	obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+	if _, err := m.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := m.InferWith(st, obs, 2); err != nil {
+		if _, err := m.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -44,6 +44,7 @@ package scalable
 import (
 	"math"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 )
 
@@ -169,7 +170,7 @@ func patchPlanMat(s *mat.CSR, prev planMat, colRows [][]int32, oldClamped, newCl
 // the bit pattern a full recompute would produce. The subtract/recompute/add
 // sequence on interSum is kept per free node because a-c+c need not
 // round-trip even when c is unchanged.
-func refreshPhasePlanned(st *InferState, sc *scratch, pl *clampPlan, k int) {
+func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *clampPlan, k int) {
 	contrib := sc.contrib[k]
 	interSum := sc.interSum
 	for _, i := range pl.freeIdx {
@@ -186,7 +187,7 @@ func refreshPhasePlanned(st *InferState, sc *scratch, pl *clampPlan, k int) {
 // list. Each floating-point operation it performs on a free node's state is
 // the operation inferNaive performs, in the same order — see the package
 // comment for the discipline — so the Result is bit-identical.
-func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
+func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
 	steps := int(m.cfg.MaxTimeNs / m.cfg.Dt)
@@ -287,7 +288,7 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 		annealT += m.cfg.Dt
 		taken = s + 1
 		if st.Observer != nil {
-			st.Observer(StepInfo{
+			st.Observer(engine.StepInfo{
 				Step:     s,
 				TimeNs:   annealT,
 				EnergyFn: st.EnergyFn,
@@ -335,7 +336,7 @@ func (m *Machine) inferPlanned(st *InferState, pl *clampPlan) (*Result, error) {
 			nextSwitch += m.cfg.SwitchIntervalNs
 		}
 	}
-	st.Res = Result{
+	st.Res = engine.Result{
 		Voltage:   x,
 		AnnealNs:  annealT,
 		LatencyNs: annealT + float64(switches)*m.cfg.SwitchOverheadNs,

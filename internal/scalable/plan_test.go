@@ -11,7 +11,12 @@ import (
 // identicalResults compares two Results bit-for-bit: every float field and
 // every voltage must carry the same IEEE-754 bit pattern, not merely compare
 // equal. This is the strongest form of the plan-naive-identity contract.
-func identicalResults(t *testing.T, label string, plan, naive *Result) {
+// runFresh runs one request on a fresh state of m's engine.
+func runFresh(m *Machine, req engine.Request) (*engine.Result, error) {
+	return m.Engine().Run(m.Engine().NewInferState(), req)
+}
+
+func identicalResults(t *testing.T, label string, plan, naive *engine.Result) {
 	t.Helper()
 	if len(plan.Voltage) != len(naive.Voltage) {
 		t.Fatalf("%s: voltage length %d vs %d", label, len(plan.Voltage), len(naive.Voltage))
@@ -56,17 +61,17 @@ func TestInferPlanBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := batchMachine(t, tc.cfg)
 			for _, seed := range []uint64{1, 7, 42, 1 << 40} {
-				for _, obs := range [][]Observation{
+				for _, obs := range [][]engine.Observation{
 					{{Index: 0, Value: 0.4}},
 					{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}, {Index: 11, Value: 0.9}},
 					{{Index: 3, Value: -0.2}, {Index: 4, Value: 0.1}, {Index: 8, Value: 0.6}, {Index: 15, Value: -0.7}, {Index: 20, Value: 0.25}},
 					{}, // no clamps: everything is dyn
 				} {
-					plan, err := m.InferSeeded(obs, seed)
+					plan, err := m.Engine().InferSeeded(obs, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					naive, err := m.InferSeededNaive(obs, seed)
+					naive, err := runFresh(m, engine.Request{Obs: obs, Seed: seed, Path: engine.Naive})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,12 +89,12 @@ func TestInferPlanBatchBitIdentical(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 3, MaxTimeNs: 1500, Seed: 9})
 	obs := batchObservations(16, m.N)
 	for _, workers := range []int{1, 3, 8} {
-		batch, err := m.InferBatch(obs, workers)
+		batch, err := m.Engine().InferBatch(obs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range obs {
-			naive, err := m.InferSeededNaive(obs[i], m.Config().Seed+uint64(i))
+			naive, err := runFresh(m, engine.Request{Obs: obs[i], Seed: m.Config().Seed + uint64(i), Path: engine.Naive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,15 +108,15 @@ func TestInferPlanBatchBitIdentical(t *testing.T) {
 // integrate) and, via the empty-observation case above, no node observed.
 func TestPlanAllClampedAndFullyFree(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 5})
-	obs := make([]Observation, m.N)
+	obs := make([]engine.Observation, m.N)
 	for i := range obs {
-		obs[i] = Observation{Index: i, Value: 0.3 - 0.01*float64(i)}
+		obs[i] = engine.Observation{Index: i, Value: 0.3 - 0.01*float64(i)}
 	}
-	plan, err := m.InferSeeded(obs, 3)
+	plan, err := m.Engine().InferSeeded(obs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := m.InferSeededNaive(obs, 3)
+	naive, err := runFresh(m, engine.Request{Obs: obs, Seed: 3, Path: engine.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,18 +135,18 @@ func TestPlanAllClampedAndFullyFree(t *testing.T) {
 func TestPlanCacheHitsAcrossBatch(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 3})
 	const windows = 24
-	obs := make([][]Observation, windows)
+	obs := make([][]engine.Observation, windows)
 	for w := range obs {
-		obs[w] = []Observation{
+		obs[w] = []engine.Observation{
 			{Index: 2, Value: 0.5 - 0.02*float64(w)},
 			{Index: 9, Value: -0.4 + 0.03*float64(w%5)},
 			{Index: 17, Value: 0.1 * float64(w%7)},
 		}
 	}
-	if _, err := m.InferBatch(obs, 8); err != nil {
+	if _, err := m.Engine().InferBatch(obs, 8); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := m.PlanCacheStats()
+	hits, misses := m.Engine().PlanCacheStats()
 	if misses != 1 {
 		t.Fatalf("shared-pattern batch compiled %d plans, want 1", misses)
 	}
@@ -154,22 +159,22 @@ func TestPlanCacheHitsAcrossBatch(t *testing.T) {
 // batch hit the cache.
 func TestEnsurePlanWarmsCache(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 3})
-	obs := []Observation{{Index: 1, Value: 0.2}, {Index: 6, Value: -0.1}}
-	if err := m.EnsurePlan(obs); err != nil {
+	obs := []engine.Observation{{Index: 1, Value: 0.2}, {Index: 6, Value: -0.1}}
+	if err := m.Engine().EnsurePlan(obs); err != nil {
 		t.Fatal(err)
 	}
-	batch := [][]Observation{obs, obs, obs, obs}
-	if _, err := m.InferBatch(batch, 2); err != nil {
+	batch := [][]engine.Observation{obs, obs, obs, obs}
+	if _, err := m.Engine().InferBatch(batch, 2); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := m.PlanCacheStats()
+	hits, misses := m.Engine().PlanCacheStats()
 	if misses != 1 || hits != uint64(len(batch)) {
 		t.Fatalf("after EnsurePlan: hits=%d misses=%d, want hits=%d misses=1", hits, misses, len(batch))
 	}
-	if err := m.EnsurePlan([]Observation{{Index: -1}}); err == nil {
+	if err := m.Engine().EnsurePlan([]engine.Observation{{Index: -1}}); err == nil {
 		t.Fatal("EnsurePlan accepted out-of-range index")
 	}
-	if err := m.EnsurePlan([]Observation{{Index: 1}, {Index: 1}}); err == nil {
+	if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1}, {Index: 1}}); err == nil {
 		t.Fatal("EnsurePlan accepted duplicate index")
 	}
 }
@@ -182,23 +187,23 @@ func TestEnsurePlanWarmsCache(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 3})
 	cap := engine.PlanCacheCapacity
-	pat := func(k int) []Observation {
-		return []Observation{{Index: k % m.N, Value: 0.2}, {Index: (k + 7) % m.N, Value: -0.2}}
+	pat := func(k int) []engine.Observation {
+		return []engine.Observation{{Index: k % m.N, Value: 0.2}, {Index: (k + 7) % m.N, Value: -0.2}}
 	}
 	// cap+1 distinct patterns: pattern 0 gets evicted. Every planned result
 	// along the way must match the naive loop bit for bit.
 	for k := 0; k <= cap; k++ {
-		plan, err := m.InferSeeded(pat(k), 1)
+		plan, err := m.Engine().InferSeeded(pat(k), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := m.InferSeededNaive(pat(k), 1)
+		naive, err := runFresh(m, engine.Request{Obs: pat(k), Seed: 1, Path: engine.Naive})
 		if err != nil {
 			t.Fatal(err)
 		}
 		identicalResults(t, "pre-eviction", plan, naive)
 	}
-	_, misses := m.PlanCacheStats()
+	_, misses := m.Engine().PlanCacheStats()
 	if want := uint64(cap + 1); misses != want {
 		t.Fatalf("distinct patterns: misses=%d, want %d", misses, want)
 	}
@@ -207,16 +212,16 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	// Pattern 0 was evicted: re-running it recompiles, and the recompiled
 	// plan must still be bit-identical to naive.
-	plan, err := m.InferSeeded(pat(0), 1)
+	plan, err := m.Engine().InferSeeded(pat(0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := m.InferSeededNaive(pat(0), 1)
+	naive, err := runFresh(m, engine.Request{Obs: pat(0), Seed: 1, Path: engine.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	identicalResults(t, "post-eviction recompile", plan, naive)
-	_, misses = m.PlanCacheStats()
+	_, misses = m.Engine().PlanCacheStats()
 	if want := uint64(cap + 2); misses != want {
 		t.Fatalf("evicted pattern did not recompile: misses=%d, want %d", misses, want)
 	}
@@ -224,11 +229,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("cache grew past its bound: holds %d plans, cap %d", got, cap)
 	}
 	// The survivor set still hits.
-	hitsBefore, _ := m.PlanCacheStats()
-	if _, err := m.InferSeeded(pat(cap), 1); err != nil {
+	hitsBefore, _ := m.Engine().PlanCacheStats()
+	if _, err := m.Engine().InferSeeded(pat(cap), 1); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := m.PlanCacheStats()
+	hits, _ := m.Engine().PlanCacheStats()
 	if hits != hitsBefore+1 {
 		t.Fatalf("recent pattern missed: hits %d -> %d", hitsBefore, hits)
 	}
@@ -240,11 +245,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // allocating a fresh mask and key per call.
 func TestEnsurePlanRejectsRailViolation(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 3})
-	if err := m.EnsurePlan([]Observation{{Index: 1, Value: 2.5}}); err == nil || !strings.Contains(err.Error(), "rail") {
+	if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 2.5}}); err == nil || !strings.Contains(err.Error(), "rail") {
 		t.Fatalf("EnsurePlan: got %v, want rail-bound error", err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := m.EnsurePlan([]Observation{{Index: 1, Value: 0.2}}); err != nil {
+		if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 0.2}}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -257,14 +262,14 @@ func TestEnsurePlanRejectsRailViolation(t *testing.T) {
 // bug, not a tie-break — every inference entry point must reject it.
 func TestDuplicateObservationRejected(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 200, Seed: 3})
-	dup := []Observation{{Index: 4, Value: 0.2}, {Index: 4, Value: 0.2}}
-	if _, err := m.Infer(dup); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("Infer: got %v, want duplicate-observation error", err)
+	dup := []engine.Observation{{Index: 4, Value: 0.2}, {Index: 4, Value: 0.2}}
+	if _, err := m.Engine().InferSeeded(dup, m.BaseSeed()); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("InferSeeded: got %v, want duplicate-observation error", err)
 	}
-	if _, err := m.InferSeededNaive(dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("InferSeededNaive: got %v, want duplicate-observation error", err)
+	if _, err := runFresh(m, engine.Request{Obs: dup, Seed: 1, Path: engine.Naive}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("naive Run: got %v, want duplicate-observation error", err)
 	}
-	if _, err := m.InferBatch([][]Observation{{{Index: 0, Value: 0.1}}, dup}, 2); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := m.Engine().InferBatch([][]engine.Observation{{{Index: 0, Value: 0.1}}, dup}, 2); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("InferBatch: got %v, want duplicate-observation error", err)
 	}
 }
@@ -274,17 +279,17 @@ func TestDuplicateObservationRejected(t *testing.T) {
 // against it measure arithmetic, not allocator traffic.
 func TestInferNaiveZeroAlloc(t *testing.T) {
 	m := batchMachine(t, Config{Lanes: 30, MaxTimeNs: 500, Seed: 3})
-	st := m.NewInferState()
-	obs := []Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-	if _, err := m.InferWithNaive(st, obs, 1); err != nil {
+	st := m.Engine().NewInferState()
+	obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+	if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := m.InferWithNaive(st, obs, 2); err != nil {
+		if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("InferWithNaive allocated %v per op, want 0", allocs)
+		t.Fatalf("naive Run allocated %v per op, want 0", allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dsgl/internal/community"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/pattern"
 	"dsgl/internal/rng"
@@ -99,10 +100,10 @@ func TestQuickInferenceStaysOnRails(t *testing.T) {
 			return false
 		}
 		r := rng.New(seed ^ 0x55)
-		obs := []Observation{
+		obs := []engine.Observation{
 			{Index: r.Intn(p.Dim()), Value: r.Uniform(-0.9, 0.9)},
 		}
-		res, err := m.Infer(obs)
+		res, err := m.Engine().InferSeeded(obs, m.BaseSeed())
 		if err != nil {
 			return false
 		}

@@ -7,6 +7,7 @@ import (
 
 	"dsgl/internal/community"
 	"dsgl/internal/dspu"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/pattern"
 	"dsgl/internal/rng"
@@ -129,8 +130,8 @@ func TestInferMatchesMonolithicDSPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := []Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-	res, err := m.Infer(obs)
+	obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+	res, err := m.Engine().InferSeeded(obs, m.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestInferMatchesMonolithicDSPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := d.Infer([]dspu.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}})
+	dres, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +160,8 @@ func TestTemporalInferenceApproachesTrueEquilibrium(t *testing.T) {
 	if m.Stats().Rounds <= 1 {
 		t.Skip("system did not need temporal mode")
 	}
-	obs := []Observation{{Index: 0, Value: 0.5}, {Index: 7, Value: -0.2}}
-	res, err := m.Infer(obs)
+	obs := []engine.Observation{{Index: 0, Value: 0.5}, {Index: 7, Value: -0.2}}
+	res, err := m.Engine().InferSeeded(obs, m.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestTemporalInferenceApproachesTrueEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := d.Infer([]dspu.Observation{{Index: 0, Value: 0.5}, {Index: 7, Value: -0.2}})
+	dres, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}, {Index: 7, Value: -0.2}}, d.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestTemporalSlowerThanSpatial(t *testing.T) {
 	// The accuracy/latency tradeoff of Fig. 11: temporal mode takes longer
 	// than the spatial variant of the same system.
 	p, a, mask := testSystem(t, 2, 2, 6, pattern.DMesh, 3, 11)
-	obs := []Observation{{Index: 0, Value: 0.5}}
+	obs := []engine.Observation{{Index: 0, Value: 0.5}}
 	temporal, err := Build(p, a, mask, Config{Lanes: 3, MaxTimeNs: 40000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -203,11 +204,11 @@ func TestTemporalSlowerThanSpatial(t *testing.T) {
 	if temporal.Stats().Rounds <= 1 {
 		t.Skip("system did not need temporal mode")
 	}
-	rt, err := temporal.Infer(obs)
+	rt, err := temporal.Engine().InferSeeded(obs, temporal.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := spatial.Infer(obs)
+	rs, err := spatial.Engine().InferSeeded(obs, spatial.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestSyncIntervalDegradesFidelity(t *testing.T) {
 	// annealing against staler values, moving the result away from the
 	// tightly-synchronized one.
 	p, a, mask := testSystem(t, 2, 2, 6, pattern.DMesh, 3, 13)
-	obs := []Observation{{Index: 0, Value: 0.5}, {Index: 9, Value: -0.4}}
+	obs := []engine.Observation{{Index: 0, Value: 0.5}, {Index: 9, Value: -0.4}}
 	run := func(sync float64) []float64 {
 		// Lanes: 3 forces temporal+spatial mode — synchronization only
 		// matters when held slices exist.
@@ -232,7 +233,7 @@ func TestSyncIntervalDegradesFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Infer(obs)
+		res, err := m.Engine().InferSeeded(obs, m.BaseSeed())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +261,7 @@ func TestSyncIntervalDegradesFidelity(t *testing.T) {
 
 func TestNoiseToleration(t *testing.T) {
 	p, a, mask := testSystem(t, 2, 2, 4, pattern.DMesh, 2, 17)
-	obs := []Observation{{Index: 0, Value: 0.5}}
+	obs := []engine.Observation{{Index: 0, Value: 0.5}}
 	clean, err := Build(p, a, mask, Config{Lanes: 30, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +270,11 @@ func TestNoiseToleration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := clean.Infer(obs)
+	rc, err := clean.Engine().InferSeeded(obs, clean.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := noisy.Infer(obs)
+	rn, err := noisy.Engine().InferSeeded(obs, noisy.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +332,11 @@ func TestInferValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Infer([]Observation{{Index: 99, Value: 0}}); err == nil {
+	if _, err := m.Engine().InferSeeded([]engine.Observation{{Index: 99, Value: 0}}, m.BaseSeed()); err == nil {
 		t.Fatal("expected error for bad index")
 	}
-	if _, err := m.Infer([]Observation{{Index: 0, Value: 2}}); err == nil {
+	if _, err := m.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 2}}, m.BaseSeed()); err == nil {
 		t.Fatal("expected error for out-of-rail value")
-	}
-	if _, err := m.InferFrom(make([]float64, 3), nil); err == nil {
-		t.Fatal("expected error for bad state length")
 	}
 }
 
@@ -349,7 +347,7 @@ func TestInferDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Infer([]Observation{{Index: 0, Value: 0.3}})
+		res, err := m.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.3}}, m.BaseSeed())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +388,7 @@ func TestWormholeRoutingCounted(t *testing.T) {
 	}
 	// The wormhole must actually carry current: clamping node 0 must move
 	// node n-1.
-	res, err := m.Infer([]Observation{{Index: 0, Value: 0.5}})
+	res, err := m.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, m.BaseSeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,10 +418,12 @@ func TestEnergyDecreasesOverall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine inits free nodes uniform in [-0.1, 0.1) from the request
+	// seed alone; replaying that draw gives the starting energy.
 	x0 := make([]float64, p.Dim())
-	rng.New(6).FillUniform(x0, -0.5, 0.5)
+	rng.New(6).FillUniform(x0, -0.1, 0.1)
 	e0 := m.EnergyAt(x0)
-	res, err := m.InferFrom(x0, nil)
+	res, err := m.Engine().InferSeeded(nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

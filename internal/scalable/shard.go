@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"dsgl/internal/community"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 )
 
@@ -186,13 +187,13 @@ func (m *Machine) CompileShardedPlan(clamped []bool) any {
 
 // RunSharded runs the partitioned anneal on a prepared state. Part of the
 // engine.ShardedBackend contract.
-func (m *Machine) RunSharded(st *InferState, plan any) (*Result, error) {
+func (m *Machine) RunSharded(st *engine.InferState, plan any) (*engine.Result, error) {
 	return m.runSharded(st, plan.(*shardPlan))
 }
 
 // runSharded is the sharded anneal loop; see the package comment at the
 // top of this file for the exchange and convergence semantics.
-func (m *Machine) runSharded(st *InferState, pl *shardPlan) (*Result, error) {
+func (m *Machine) runSharded(st *engine.InferState, pl *shardPlan) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	if sc.shard == nil {
 		sc.shard = newShardScratch(len(m.shardGroups), m.N)
@@ -299,7 +300,7 @@ func (m *Machine) runSharded(st *InferState, pl *shardPlan) (*Result, error) {
 	wg.Wait()
 
 	annealT := float64(out.steps) * dt
-	st.Res = Result{
+	st.Res = engine.Result{
 		Voltage:   x,
 		AnnealNs:  annealT,
 		LatencyNs: annealT,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsgl/internal/community"
+	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/pattern"
 	"dsgl/internal/rng"
@@ -65,7 +66,7 @@ func shardedMachine(t *testing.T, cfg Config) (sharded, exact *Machine) {
 	return s, e
 }
 
-var shardObs = []Observation{
+var shardObs = []engine.Observation{
 	{Index: 0, Value: 0.4}, {Index: 3, Value: -0.2}, {Index: 7, Value: 0.6},
 	{Index: 12, Value: -0.5}, {Index: 14, Value: 0.3}, {Index: 19, Value: 0.1},
 	{Index: 21, Value: -0.35},
@@ -98,11 +99,11 @@ func TestShardedSettlesToSameFixedPoint(t *testing.T) {
 				t.Fatal("sharded plan unexpectedly unavailable for this pattern")
 			}
 			for _, seed := range []uint64{1, 42} {
-				shard, err := sm.InferShardedSeeded(shardObs, seed)
+				shard, err := runFresh(sm, engine.Request{Obs: shardObs, Seed: seed, Path: engine.Sharded})
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact, err := em.InferSeeded(shardObs, seed)
+				exact, err := em.Engine().InferSeeded(shardObs, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,10 +135,10 @@ func TestShardedSettlesToSameFixedPoint(t *testing.T) {
 					t.Fatalf("settled sharded residual %.3g >= bound %.3g", r, sm.SettleResidualTol())
 				}
 				if math.Float64bits(r) != math.Float64bits(shard.Residual) {
-					t.Fatalf("Result.Residual %v not bit-identical to ResidualAt %v", shard.Residual, r)
+					t.Fatalf("engine.Result.Residual %v not bit-identical to ResidualAt %v", shard.Residual, r)
 				}
 				// Determinism: a repeat run reproduces bit-for-bit.
-				again, err := sm.InferShardedSeeded(shardObs, seed)
+				again, err := runFresh(sm, engine.Request{Obs: shardObs, Seed: seed, Path: engine.Sharded})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,11 +175,11 @@ func TestShardedFallsBackToExact(t *testing.T) {
 			if n := m.ShardCount(); n != 0 {
 				t.Fatalf("ShardCount = %d, want 0", n)
 			}
-			shard, err := m.InferShardedSeeded(shardObs, 7)
+			shard, err := runFresh(m, engine.Request{Obs: shardObs, Seed: 7, Path: engine.Sharded})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := m.InferSeeded(shardObs, 7)
+			exact, err := m.Engine().InferSeeded(shardObs, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,20 +194,20 @@ func TestShardedFallsBackToExact(t *testing.T) {
 func TestShardedPlanDeclinesConcentratedClamps(t *testing.T) {
 	sm, _ := shardedMachine(t, Config{Lanes: 30, Seed: 11, ShardWorkers: 4})
 	clamped := make([]bool, sm.N)
-	var obs []Observation
+	var obs []engine.Observation
 	// Clamp every node except the first PE's six.
 	for i := 6; i < sm.N; i++ {
 		clamped[i] = true
-		obs = append(obs, Observation{Index: i, Value: 0.1})
+		obs = append(obs, engine.Observation{Index: i, Value: 0.1})
 	}
 	if pl := sm.CompileShardedPlan(clamped); pl != nil {
 		t.Fatal("plan should decline a single-shard free pattern")
 	}
-	shard, err := sm.InferShardedSeeded(obs, 3)
+	shard, err := runFresh(sm, engine.Request{Obs: obs, Seed: 3, Path: engine.Sharded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := sm.InferSeeded(obs, 3)
+	exact, err := sm.Engine().InferSeeded(obs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,19 +215,23 @@ func TestShardedPlanDeclinesConcentratedClamps(t *testing.T) {
 }
 
 // TestShardedBatchMatchesSequentialSharded: the sharded batch entry point
-// must be bit-identical to a sequential loop of InferShardedSeeded with
+// must be bit-identical to a sequential loop of Sharded Runs with
 // the same per-window seeds, for any worker count (sharded runs are
 // deterministic per seed, so the batch contract carries over).
 func TestShardedBatchMatchesSequentialSharded(t *testing.T) {
 	sm, _ := shardedMachine(t, Config{Lanes: 3, Seed: 11, ShardWorkers: 4})
 	obs := batchObservations(12, sm.N)
 	for _, workers := range []int{1, 4} {
-		batch, err := sm.InferShardedBatch(obs, workers)
+		reqs := make([]engine.Request, len(obs))
+		for i := range obs {
+			reqs[i] = engine.Request{Obs: obs[i], Seed: sm.Config().Seed + uint64(i), Path: engine.Sharded}
+		}
+		batch, err := sm.Engine().RunBatch(reqs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range obs {
-			seq, err := sm.InferShardedSeeded(obs[i], sm.Config().Seed+uint64(i))
+			seq, err := runFresh(sm, reqs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -139,7 +139,7 @@ func (s *Server) flushAll() {
 
 // execBatch runs one flushed batch through the engine and delivers each
 // member's result. A single request runs the solo seeded entry point; two
-// or more run InferBatchSeeds with one seed per request, which the engine
+// or more run RunBatch with each request's own seed, which the engine
 // guarantees bit-identical to the solo calls (the serving determinism
 // contract).
 func (s *Server) execBatch(entry *ModelEntry, batch []*pendingReq) {
@@ -155,13 +155,11 @@ func (s *Server) execBatch(entry *ModelEntry, batch []*pendingReq) {
 		p.done <- execResult{res: res, batchSize: 1, err: err}
 		return
 	}
-	obsList := make([][]engine.Observation, len(batch))
-	seeds := make([]uint64, len(batch))
+	reqs := make([]engine.Request, len(batch))
 	for i, p := range batch {
-		obsList[i] = p.obs
-		seeds[i] = p.seed
+		reqs[i] = engine.Request{Obs: p.obs, Seed: p.seed}
 	}
-	results, err := eng.InferBatchSeeds(obsList, seeds, s.cfg.Workers)
+	results, err := eng.RunBatch(reqs, s.cfg.Workers)
 	if err != nil {
 		s.m.inferErrors.Add(uint64(len(batch)))
 	}

@@ -9,7 +9,7 @@
 // Determinism contract: a request annealed inside a coalesced batch is
 // bit-identical to the same request served solo. The batcher groups
 // requests by (model, clamp bitmask) and hands the engine one seed per
-// request (Engine.InferBatchSeeds), and the engine contributes nothing
+// request (Engine.RunBatch), and the engine contributes nothing
 // per-window beyond that seed — so batching is purely a throughput
 // decision, never a results decision (pinned by TestBatchingDeterminism).
 package serve

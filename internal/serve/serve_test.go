@@ -287,7 +287,7 @@ func TestRegistryLoadEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := entry.Model.Engine().Infer(obsList); err != nil {
+	if _, err := entry.Model.Engine().InferSeeded(obsList, 1); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
 	hits1, misses1 := entry.Model.PlanCacheStats()

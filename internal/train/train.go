@@ -35,15 +35,26 @@ func (p *Params) Clone() *Params {
 // Dim returns the system size.
 func (p *Params) Dim() int { return len(p.H) }
 
-// Validate checks the structural invariants the hardware requires.
+// Validate checks the structural invariants the hardware requires: square
+// J matching h, zero diagonal, finite entries everywhere, and strictly
+// negative h. NaN needs the explicit finiteness check — NaN >= 0 is false,
+// so the sign test alone would pass it.
 func (p *Params) Validate() error {
 	n := len(p.H)
 	if p.J.Rows != n || p.J.Cols != n {
 		return fmt.Errorf("train: J is %dx%d but h has %d entries", p.J.Rows, p.J.Cols, n)
 	}
+	for k, v := range p.J.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("train: J[%d][%d] = %g not finite", k/n, k%n, v)
+		}
+	}
 	for i := 0; i < n; i++ {
 		if p.J.At(i, i) != 0 {
 			return fmt.Errorf("train: J diagonal non-zero at %d", i)
+		}
+		if h := p.H[i]; math.IsNaN(h) || math.IsInf(h, 0) {
+			return fmt.Errorf("train: h[%d] = %g not finite", i, h)
 		}
 		if p.H[i] >= 0 {
 			return fmt.Errorf("train: h[%d] = %g not negative", i, p.H[i])

@@ -247,3 +247,30 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		t.Fatal("expected error for non-zero diagonal")
 	}
 }
+
+// TestValidateRejectsNonFinite: NaN >= 0 is false, so a sign check alone
+// passes a NaN h, and off-diagonal J entries had no check at all. Validate
+// gates snapshot Load, scalable.Build and training, so every non-finite
+// entry must fail it.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			name string
+			set  func(p *Params)
+		}{
+			{"h", func(p *Params) { p.H[1] = v }},
+			{"J off-diagonal", func(p *Params) { p.J.Set(0, 2, v) }},
+			{"J diagonal", func(p *Params) { p.J.Set(2, 2, v) }},
+		} {
+			p := &Params{J: mat.NewDense(3, 3), H: []float64{-1, -1, -1}}
+			p.J.Set(0, 1, 0.2)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("baseline params rejected: %v", err)
+			}
+			tc.set(p)
+			if err := p.Validate(); err == nil {
+				t.Fatalf("%s = %v accepted", tc.name, v)
+			}
+		}
+	}
+}

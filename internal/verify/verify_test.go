@@ -100,8 +100,8 @@ func TestDenseEqual(t *testing.T) {
 }
 
 func TestResultsEqual(t *testing.T) {
-	a := &scalable.Result{Voltage: []float64{1, 2}, LatencyNs: 10, AnnealNs: 9, Settled: true, Switches: 3, Energy: -1}
-	b := &scalable.Result{Voltage: []float64{1, 2}, LatencyNs: 10, AnnealNs: 9, Settled: true, Switches: 3, Energy: -1}
+	a := &engine.Result{Voltage: []float64{1, 2}, LatencyNs: 10, AnnealNs: 9, Settled: true, Switches: 3, Energy: -1}
+	b := &engine.Result{Voltage: []float64{1, 2}, LatencyNs: 10, AnnealNs: 9, Settled: true, Switches: 3, Energy: -1}
 	if v := ResultsEqual("x", "w0", a, b); len(v) != 0 {
 		t.Fatalf("identical results flagged: %v", v)
 	}
@@ -197,8 +197,8 @@ func TestLosslessCompilation(t *testing.T) {
 
 func TestSettledResidualOnRealAnneal(t *testing.T) {
 	m, _ := testMachine(t, scalable.Config{Lanes: 30, MaxTimeNs: 5000})
-	obs := []scalable.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
-	res, err := m.InferSeeded(obs, 3)
+	obs := []engine.Observation{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}}
+	res, err := m.Engine().InferSeeded(obs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

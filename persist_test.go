@@ -3,7 +3,9 @@ package dsgl
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dsgl/internal/scalable"
@@ -184,6 +186,25 @@ func TestLoadRejectsCorruptGeometry(t *testing.T) {
 				t.Fatalf("Load accepted a snapshot with %s", tc.name)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsNonFiniteParams: a snapshot whose parameters carry a NaN
+// h decodes cleanly, and NaN >= 0 is false, so a sign check alone admitted
+// it. Load's parameter gate must reject it before any machine is built.
+func TestLoadRejectsNonFiniteParams(t *testing.T) {
+	ds := tinyDataset(t, "traffic")
+	model, err := Train(ds, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	nan := func(s *modelSnapshot) { s.H[len(s.H)/2] = math.NaN() }
+	if _, err := Load(reencode(t, buf.Bytes(), nan), ds); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("Load of a snapshot with a NaN h: got %v, want a not-finite rejection", err)
 	}
 }
 

@@ -537,21 +537,23 @@ func (m *Model) checkSeqParIdentity(probes []datasets.Window, obsList [][]engine
 // checkPlanNaiveIdentity verifies the clamp-plan compiled inference path
 // against the naive reference loop: for every probe window the plan-path
 // Result (which the sequential reference pass seq already carries — the
-// default Infer entry points run the plan) must be bit-identical to
-// InferSeededNaive with the same seed. This is the contract that makes the
+// default Planned path runs the plan) must be bit-identical to a Naive
+// run with the same seed. This is the contract that makes the
 // constant-current folding a pure optimization: it may hoist work out of
 // the anneal loop, never change a rounding.
 func (m *Model) checkPlanNaiveIdentity(obsList [][]engine.Observation, seq []*engine.Result, seed uint64) (VerifyCheck, error) {
 	c := VerifyCheck{Invariant: verify.InvPlanNaiveIdentity, Name: "clamp-plan/naive bit-identity"}
+	eng := m.Engine()
+	st := eng.NewInferState()
 	for i, obs := range obsList {
-		naive, err := m.Engine().InferSeededNaive(obs, seed+uint64(i))
+		naive, err := eng.Run(st, engine.Request{Obs: obs, Seed: seed + uint64(i), Path: engine.Naive})
 		if err != nil {
 			return c, fmt.Errorf("dsgl: verify naive probe %d: %w", i, err)
 		}
 		c.Violations = append(c.Violations,
 			verify.ResultsEqual(verify.InvPlanNaiveIdentity, fmt.Sprintf("probe %d", i), naive, seq[i])...)
 	}
-	hits, misses := m.Engine().PlanCacheStats()
+	hits, misses := eng.PlanCacheStats()
 	c.Detail = fmt.Sprintf("%d probe windows re-inferred naively; plan cache %d hits / %d misses", len(obsList), hits, misses)
 	return c, nil
 }
@@ -614,8 +616,10 @@ func (m *Model) checkShardedFixedPoint(obsList [][]engine.Observation, seq []*en
 	}
 	tol := shardedFixedPointTol(m.Tuned.H, twin.SettleResidualTol())
 	settled := 0
+	eng := twin.Engine()
+	st := eng.NewInferState()
 	for i, obs := range obsList {
-		res, err := twin.InferShardedSeeded(obs, seed+uint64(i))
+		res, err := eng.Run(st, engine.Request{Obs: obs, Seed: seed + uint64(i), Path: engine.Sharded})
 		if err != nil {
 			return c, fmt.Errorf("dsgl: verify sharded probe %d: %w", i, err)
 		}
