@@ -283,30 +283,16 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	trainWindows, _ := ds.Split()
-	samples := make([][]float64, len(trainWindows))
-	for i, w := range trainWindows {
-		samples[i] = w.Full
-	}
-	if opts.RidgeLambda == 0 {
-		lam, err := selectLambda(ds, samples, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("dsgl: lambda selection: %w", err)
-		}
-		opts.RidgeLambda = lam
-	}
-	// Observed entries are clamped during inference, so their regression
-	// rows never act; weighting them out of the loss devotes the entire
-	// coupling budget to the predicted variables.
-	rowWeight := make([]float64, ds.WindowLen())
-	for _, idx := range ds.UnknownIndices() {
-		rowWeight[idx] = 1
-	}
-
 	// Heterogeneous decomposition: assign every node an interaction class
 	// and expand the labels across the flattened window so the training
 	// and sharding stages below can consume them per variable.
 	classes, classVars, err := assignClasses(ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	clock := newStageClock()
+	samples := ds.TrainSamples()
+	mom, err := ridgeMoments(ds, samples, &opts, &clock)
 	if err != nil {
 		return nil, err
 	}
@@ -316,11 +302,11 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	// refinement that may also grow unknown-to-unknown couplings.
 	dense := opts.DenseInit
 	if dense == nil {
-		var err error
-		dense, err = trainDensePhase(ds, samples, rowWeight, opts, classVars)
+		dense, err = trainDensePhase(ds, mom, samples, opts, classVars)
 		if err != nil {
 			return nil, err
 		}
+		clock.mark(stageRidge)
 	} else if dense.Dim() != ds.WindowLen() {
 		return nil, fmt.Errorf("dsgl: DenseInit dim %d, want %d", dense.Dim(), ds.WindowLen())
 	}
@@ -337,6 +323,8 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dsgl: dense DSPU: %w", err)
 		}
+		clock.mark(stageBuild)
+		clock.record()
 		return &Model{
 			Dataset:  ds,
 			Opts:     opts,
@@ -352,6 +340,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	// Phase 2: decomposition (Sec. IV.B).
 	pruned := community.PruneToDensity(dense.J, opts.Density)
 	weights := community.CouplingWeights(pruned)
+	clock.mark(stagePrune)
 	part := community.Louvain(weights, 10)
 	if opts.Decompose {
 		// Shards must respect class boundaries: split every Louvain
@@ -359,10 +348,12 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 		// single class this returns the partition label-for-label.
 		part = community.RefineByClass(part, classVars)
 	}
+	clock.mark(stageLouvain)
 	assign, err := community.Redistribute(part, weights, opts.PECapacity)
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: redistribution: %w", err)
 	}
+	clock.mark(stageRedistribute)
 	mask, _ := pattern.BuildMask(assign, pruned, pattern.Config{
 		Kind:      opts.Pattern,
 		Wormholes: opts.Wormholes,
@@ -374,6 +365,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	for i := range mask.Data {
 		mask.Data[i] = mask.Data[i] && support.Data[i]
 	}
+	clock.mark(stageMask)
 	// Fine-tune with patterns: re-solve the training objective in closed
 	// form with J confined to the mask. An optional gradient pass
 	// (FineTuneEpochs > 0) can follow to grow unknown-to-unknown
@@ -381,9 +373,9 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	// the accuracy the sparsification lost without exposure-bias risk.
 	var tuned *train.Params
 	if opts.Decompose {
-		tuned, err = train.BlockMaskedRidge(samples, ds.ObservedMask(), classVars, mask, opts.RidgeLambda)
+		tuned, err = mom.BlockMaskedRidge(classVars, mask, opts.RidgeLambda)
 	} else {
-		tuned, err = train.MaskedRidge(samples, ds.ObservedMask(), mask, opts.RidgeLambda)
+		tuned, err = mom.MaskedRidge(mask, opts.RidgeLambda)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: fine-tune: %w", err)
@@ -394,13 +386,14 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 			LR:        0.002,
 			Mask:      mask,
 			Init:      tuned,
-			RowWeight: rowWeight,
+			RowWeight: unknownRowWeight(ds),
 			Seed:      opts.Seed + 1,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("dsgl: fine-tune: %w", err)
 		}
 	}
+	clock.mark(stageMaskedRidge)
 
 	// Phase 3: hardware compilation (Sec. IV.C).
 	machine, err := scalable.Build(tuned, assign, mask, scalable.Config{
@@ -417,6 +410,8 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: hardware compilation: %w", err)
 	}
+	clock.mark(stageBuild)
+	clock.record()
 
 	return &Model{
 		Dataset:    ds,
@@ -718,40 +713,47 @@ func validationCount(n int) int {
 	return n * 3 / 20
 }
 
-// selectLambda picks the ridge strength that minimizes validation RMSE
-// over the unknown entries, using the last 15% of the training windows as
-// the validation slice (time-ordered, so no leakage; see validationCount).
-// The candidate grid is embarrassingly parallel — each candidate solves an
-// independent ridge system — so it fans out over the shared worker pool;
-// the winner is picked by scanning candidates in grid order, which keeps
-// the choice identical to the sequential scan for any worker count.
-func selectLambda(ds *Dataset, samples [][]float64, workers int) (float64, error) {
-	nVal := validationCount(len(samples))
-	if nVal < 4 {
-		return 0.1, nil // too little data to validate; a safe default
+// ridgeMoments accumulates the ridge moments over every training sample,
+// in one pass shared by every closed-form fit of the pipeline: the lambda
+// grid, the dense fit and the masked refit. When opts.RidgeLambda is zero
+// it picks lambda on the way: it accumulates the fit prefix, solves and
+// scores the grid from those moments (selectLambda), and only then adds
+// the validation suffix. Moments are plain sums in sample order, so the
+// result is exactly what one pass over all samples accumulates.
+func ridgeMoments(ds *Dataset, samples [][]float64, opts *Options, clock *stageClock) (*train.Moments, error) {
+	mom, err := train.NewMoments(ds.ObservedMask())
+	if err != nil {
+		return nil, fmt.Errorf("dsgl: ridge moments: %w", err)
 	}
-	fit := samples[:len(samples)-nVal]
-	val := samples[len(samples)-nVal:]
-	unknown := ds.UnknownIndices()
-	rmse := make([]float64, len(lambdaCandidates))
-	err := pool.RunErr(workers, len(lambdaCandidates), func(i int) error {
-		p, err := train.RidgeInit(fit, ds.ObservedMask(), lambdaCandidates[i])
-		if err != nil {
-			return err
-		}
-		buf := make([]float64, ds.WindowLen())
-		var acc metrics.Accumulator
-		for _, smp := range val {
-			// With no unknown-to-unknown couplings the clamped equilibrium
-			// equals the one-shot regression from the observed entries.
-			p.Regress(smp, buf)
-			for _, idx := range unknown {
-				acc.Add(buf[idx], smp[idx])
+	added := 0
+	if opts.RidgeLambda == 0 {
+		opts.RidgeLambda = 0.1 // too little data to validate; a safe default
+		if nVal := validationCount(len(samples)); nVal >= 4 {
+			added = len(samples) - nVal
+			if err := mom.Add(samples[:added], opts.Workers); err != nil {
+				return nil, fmt.Errorf("dsgl: ridge moments: %w", err)
 			}
+			clock.mark(stageMoments)
+			lam, err := selectLambda(mom, samples[added:], ds.UnknownIndices(), opts.Workers)
+			if err != nil {
+				return nil, fmt.Errorf("dsgl: lambda selection: %w", err)
+			}
+			clock.mark(stageLambdaGrid)
+			opts.RidgeLambda = lam
 		}
-		rmse[i] = acc.RMSE()
-		return nil
-	})
+	}
+	if err := mom.Add(samples[added:], opts.Workers); err != nil {
+		return nil, fmt.Errorf("dsgl: ridge moments: %w", err)
+	}
+	clock.mark(stageMoments)
+	return mom, nil
+}
+
+// selectLambda picks the ridge strength that minimizes validation RMSE
+// over the unknown entries: the first strict minimum of lambdaRMSE in grid
+// order.
+func selectLambda(mom *train.Moments, val [][]float64, unknown []int, workers int) (float64, error) {
+	rmse, err := lambdaRMSE(mom, val, unknown, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -765,18 +767,61 @@ func selectLambda(ds *Dataset, samples [][]float64, workers int) (float64, error
 	return best, nil
 }
 
-// trainDensePhase runs phase 1: ridge closed form plus optional gradient
-// refinement (skipped when opts.TrainEpochs < 0). A non-nil classVars
-// selects the block-structured solve (per-class-pair ridge blocks); the
-// optional gradient refinement stays class-agnostic — the masked refit of
-// phase 2 re-imposes the block structure on everything the hardware runs.
-func trainDensePhase(ds *Dataset, samples [][]float64, rowWeight []float64, opts Options, classVars []int) (*train.Params, error) {
+// lambdaRMSE scores every lambda candidate by its validation RMSE over the
+// unknown entries. mom holds the moments of the fit prefix and val is the
+// validation slice: the last 15% of the training windows (time-ordered, so
+// no leakage; see validationCount). Every candidate is solved from the
+// same moments and scored from its weights alone — with no
+// unknown-to-unknown couplings the clamped equilibrium equals the one-shot
+// regression from the observed entries. The candidates are independent,
+// so they fan out over the shared worker pool, each writing only its own
+// score.
+func lambdaRMSE(mom *train.Moments, val [][]float64, unknown []int, workers int) ([]float64, error) {
+	rmse := make([]float64, len(lambdaCandidates))
+	err := pool.RunErr(workers, len(lambdaCandidates), func(i int) error {
+		w, err := mom.Weights(lambdaCandidates[i])
+		if err != nil {
+			return err
+		}
+		pred := make([]float64, len(unknown))
+		var acc metrics.Accumulator
+		for _, smp := range val {
+			mom.Predict(w, smp, pred)
+			for k, idx := range unknown {
+				acc.Add(pred[k], smp[idx])
+			}
+		}
+		rmse[i] = acc.RMSE()
+		return nil
+	})
+	return rmse, err
+}
+
+// unknownRowWeight is the gradient trainer's loss weighting: observed
+// entries are clamped during inference, so their regression rows never
+// act; weighting them out of the loss devotes the entire coupling budget
+// to the predicted variables.
+func unknownRowWeight(ds *Dataset) []float64 {
+	rowWeight := make([]float64, ds.WindowLen())
+	for _, idx := range ds.UnknownIndices() {
+		rowWeight[idx] = 1
+	}
+	return rowWeight
+}
+
+// trainDensePhase runs phase 1: ridge closed form from the all-sample
+// moments plus optional gradient refinement (skipped when
+// opts.TrainEpochs < 0). A non-nil classVars selects the block-structured
+// solve (per-class-pair ridge blocks); the optional gradient refinement
+// stays class-agnostic — the masked refit of phase 2 re-imposes the block
+// structure on everything the hardware runs.
+func trainDensePhase(ds *Dataset, mom *train.Moments, samples [][]float64, opts Options, classVars []int) (*train.Params, error) {
 	var init *train.Params
 	var err error
 	if classVars != nil {
-		init, err = train.BlockRidge(samples, ds.ObservedMask(), classVars, opts.RidgeLambda)
+		init, err = mom.BlockRidge(classVars, opts.RidgeLambda)
 	} else {
-		init, err = train.RidgeInit(samples, ds.ObservedMask(), opts.RidgeLambda)
+		init, err = mom.Ridge(opts.RidgeLambda)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: ridge initialization: %w", err)
@@ -788,7 +833,7 @@ func trainDensePhase(ds *Dataset, samples [][]float64, rowWeight []float64, opts
 		Epochs:    opts.TrainEpochs,
 		LR:        0.01,
 		Init:      init,
-		RowWeight: rowWeight,
+		RowWeight: unknownRowWeight(ds),
 		Seed:      opts.Seed,
 	})
 	if err != nil {
@@ -807,27 +852,23 @@ func TrainDense(ds *Dataset, opts Options) (*train.Params, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	trainWindows, _ := ds.Split()
-	samples := make([][]float64, len(trainWindows))
-	for i, w := range trainWindows {
-		samples[i] = w.Full
-	}
-	if opts.RidgeLambda == 0 {
-		lam, err := selectLambda(ds, samples, opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("dsgl: lambda selection: %w", err)
-		}
-		opts.RidgeLambda = lam
-	}
-	rowWeight := make([]float64, ds.WindowLen())
-	for _, idx := range ds.UnknownIndices() {
-		rowWeight[idx] = 1
-	}
 	_, classVars, err := assignClasses(ds, opts)
 	if err != nil {
 		return nil, err
 	}
-	return trainDensePhase(ds, samples, rowWeight, opts, classVars)
+	clock := newStageClock()
+	samples := ds.TrainSamples()
+	mom, err := ridgeMoments(ds, samples, &opts, &clock)
+	if err != nil {
+		return nil, err
+	}
+	dense, err := trainDensePhase(ds, mom, samples, opts, classVars)
+	if err != nil {
+		return nil, err
+	}
+	clock.mark(stageRidge)
+	clock.record()
+	return dense, nil
 }
 
 // DenseInfer runs one window inference on a dense (single-PE) Real-Valued

@@ -3,6 +3,7 @@ package dsgl
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dsgl/internal/metrics"
@@ -431,25 +432,40 @@ func TestValidationCountPinsSplit(t *testing.T) {
 	}
 }
 
-// TestTrainDenseRejectsMalformedDataset pins the TrainDense admission
-// check: before the fix TrainDense skipped the ds.Validate() call Train
-// performs, so a malformed dataset panicked deep inside Split/ridge
-// instead of returning an error.
+// TestTrainDenseRejectsMalformedDataset pins the admission check of both
+// training entry points. Before the first fix TrainDense skipped the
+// ds.Validate() call Train performs, so a malformed dataset panicked deep
+// inside Split/ridge instead of returning an error. Before the second,
+// Validate checked only shapes: one NaN in the series made every lambda
+// candidate score NaN and every dense coupling NaN, pruning dropped them
+// all, and Train returned a zero-coupling model without error.
 func TestTrainDenseRejectsMalformedDataset(t *testing.T) {
-	ds := tinyDataset(t, "traffic")
-	ds.X = ds.X[:len(ds.X)-3] // truncated series: Validate must catch this
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("TrainDense panicked on a malformed dataset: %v", r)
-		}
-	}()
-	if _, err := TrainDense(ds, Options{Seed: 5}); err == nil {
-		t.Fatal("TrainDense accepted a dataset with a truncated series")
+	cases := []struct {
+		name    string
+		corrupt func(ds *Dataset)
+		want    string // substring the error must contain
+	}{
+		{"truncated series", func(ds *Dataset) { ds.X = ds.X[:len(ds.X)-3] }, "data length"},
+		{"NaN value", func(ds *Dataset) { ds.X[3*ds.N+5] = math.NaN() }, "t=3 node=5"},
+		{"+Inf value", func(ds *Dataset) { ds.X[3*ds.N+5] = math.Inf(1) }, "t=3 node=5"},
+		{"-Inf value", func(ds *Dataset) { ds.X[3*ds.N+5] = math.Inf(-1) }, "t=3 node=5"},
 	}
-	// Same malformed input through Train, as the reference behaviour the
-	// fix aligns TrainDense with.
-	if _, err := Train(ds, tinyOptions()); err == nil {
-		t.Fatal("Train accepted a dataset with a truncated series")
+	for _, tc := range cases {
+		ds := tinyDataset(t, "traffic")
+		tc.corrupt(ds)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: TrainDense panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := TrainDense(ds, Options{Seed: 5}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: TrainDense error %v, want one containing %q", tc.name, err, tc.want)
+			}
+		}()
+		if _, err := Train(ds, tinyOptions()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Train error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

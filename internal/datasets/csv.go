@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"dsgl/internal/mat"
@@ -32,7 +33,8 @@ type CSVSpec struct {
 
 // ReadSeriesCSV parses a node series: one row per timestep, N*F value
 // columns (node-major). The header row is optional; non-numeric first rows
-// are skipped as headers.
+// are skipped as headers. NaN and ±Inf tokens, which strconv.ParseFloat
+// accepts, are rejected with their line and column.
 func ReadSeriesCSV(r io.Reader, spec CSVSpec) ([][]float64, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -62,6 +64,11 @@ func ReadSeriesCSV(r io.Reader, spec CSVSpec) ([][]float64, error) {
 				continue // header
 			}
 			return nil, fmt.Errorf("datasets: csv line %d: non-numeric value", line)
+		}
+		for i, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("datasets: csv line %d column %d: value %q is not finite", line, i+1, rec[i])
+			}
 		}
 		rows = append(rows, vals)
 	}

@@ -47,15 +47,25 @@ func TestReadSeriesCSVHeaderSkipped(t *testing.T) {
 	}
 }
 
+// TestReadSeriesCSVErrors: every malformed input fails, naming where the
+// fault sits when a line has one. strconv.ParseFloat accepts NaN and ±Inf
+// tokens, so those used to come back as data.
 func TestReadSeriesCSVErrors(t *testing.T) {
-	if _, err := ReadSeriesCSV(strings.NewReader(""), CSVSpec{}); err == nil {
-		t.Fatal("expected error for empty input")
+	cases := []struct{ name, in, want string }{
+		{"empty", "", "no data rows"},
+		{"non-numeric mid-file", "1,2\n3,x\n", "line 2"},
+		{"ragged", "1,2\n3\n", "row 2"},
+		{"NaN", "1,NaN\n2,3\n", "line 1 column 2"},
+		{"+Inf", "1,2\n+Inf,3\n", "line 2 column 1"},
+		{"-inf", "1,2\n2,-inf\n", "line 2 column 2"},
+		{"Infinity", "1,2\n3,4\nInfinity,5\n", "line 3 column 1"},
+		{"NaN after header", "a,b\n1,nan\n", "line 2 column 2"},
 	}
-	if _, err := ReadSeriesCSV(strings.NewReader("1,2\n3,x\n"), CSVSpec{}); err == nil {
-		t.Fatal("expected error for non-numeric mid-file value")
-	}
-	if _, err := ReadSeriesCSV(strings.NewReader("1,2\n3\n"), CSVSpec{}); err == nil {
-		t.Fatal("expected error for ragged rows")
+	for _, tc := range cases {
+		rows, err := ReadSeriesCSV(strings.NewReader(tc.in), CSVSpec{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: rows %v, error %v; want an error naming %q", tc.name, rows, err, tc.want)
+		}
 	}
 }
 
@@ -70,9 +80,21 @@ func TestReadAdjacencyCSVSymmetrizes(t *testing.T) {
 	}
 }
 
+// TestReadAdjacencyCSVRejectsNegative covers every invalid weight: a
+// negative one, and NaN and ±Inf, which the negative-weight check alone
+// passed (NaN < 0 is false).
 func TestReadAdjacencyCSVRejectsNegative(t *testing.T) {
-	if _, err := ReadAdjacencyCSV(strings.NewReader("0,-1\n-1,0\n")); err == nil {
-		t.Fatal("expected error for negative weight")
+	cases := []struct{ name, in, want string }{
+		{"negative", "0,-1\n-1,0\n", "negative adjacency weight at (0,1)"},
+		{"NaN", "0,NaN\n1,0\n", "line 1 column 2"},
+		{"+Inf", "0,1\nInf,0\n", "line 2 column 1"},
+		{"-Inf", "0,-Inf\n1,0\n", "line 1 column 2"},
+	}
+	for _, tc := range cases {
+		adj, err := ReadAdjacencyCSV(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, error %v; want an error naming %q", tc.name, adj, err, tc.want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package datasets
 
 import (
 	"fmt"
+	"math"
 
 	"dsgl/internal/mat"
 )
@@ -110,22 +111,35 @@ func (d *Dataset) Window(start int) Window {
 // timestep with any training window (asserted by
 // TestSplitHorizonDisjoint).
 func (d *Dataset) Split() (train, test []Window) {
-	total := d.NumWindows()
-	nTrain := int(float64(total) * d.TrainFrac)
-	if nTrain < 1 {
-		nTrain = 1
-	}
-	if nTrain > total {
-		nTrain = total
-	}
+	nTrain := d.trainWindows()
 	for s := 0; s < nTrain; s++ {
 		train = append(train, d.Window(s))
 	}
 	gap := d.History + d.Horizon - 1
-	for s := nTrain + gap; s < total; s++ {
+	for s := nTrain + gap; s < d.NumWindows(); s++ {
 		test = append(test, d.Window(s))
 	}
 	return train, test
+}
+
+// trainWindows returns how many windows, starting at timestep 0, form the
+// training split.
+func (d *Dataset) trainWindows() int {
+	total := d.NumWindows()
+	return min(total, max(1, int(float64(total)*d.TrainFrac)))
+}
+
+// TrainSamples returns the flattened vectors of Split's training windows,
+// in the same order, without copying them: window s spans timesteps s to
+// s+History+Horizon-1, which X already holds contiguously in the window
+// layout, so each sample is a read-only view into X.
+func (d *Dataset) TrainSamples() [][]float64 {
+	stride, n := d.N*d.F, d.WindowLen()
+	samples := make([][]float64, d.trainWindows())
+	for s := range samples {
+		samples[s] = d.X[s*stride : s*stride+n : s*stride+n]
+	}
+	return samples
 }
 
 // ObservedMask returns, for the flattened window vector, true where the
@@ -192,6 +206,19 @@ func (d *Dataset) Validate() error {
 	}
 	if d.TrainFrac <= 0 || d.TrainFrac >= 1 {
 		return fmt.Errorf("datasets: %s TrainFrac %g out of (0,1)", d.Name, d.TrainFrac)
+	}
+	// Non-finite values must stop here: one NaN poisons every ridge moment
+	// it touches, and the fit then silently degenerates instead of failing.
+	for k, v := range d.X {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t, n, f := k/(d.N*d.F), k/d.F%d.N, k%d.F
+			return fmt.Errorf("datasets: %s value %g at t=%d node=%d feature=%d is not finite", d.Name, v, t, n, f)
+		}
+	}
+	for k, v := range d.Adj.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("datasets: %s adjacency weight %g at (%d,%d) is not finite", d.Name, v, k/d.N, k%d.N)
+		}
 	}
 	return nil
 }

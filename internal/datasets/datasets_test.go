@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dsgl/internal/rng"
@@ -116,6 +117,30 @@ func TestSplitNoOverlapAndOrder(t *testing.T) {
 // guarantee: no test window shares ANY timestep (history or horizon) with
 // any training window. The pre-fix split fails it (first test window
 // started at timestep nTrain, inside the last training span).
+// TestTrainSamplesMatchSplit: the zero-copy training samples must equal
+// Split's training windows value for value, on single- and multi-feature
+// layouts, and must not be writable past their window.
+func TestTrainSamplesMatchSplit(t *testing.T) {
+	for _, name := range []string{"traffic", "housing"} {
+		d := Generate(name, Config{N: 8, T: 80})
+		train, _ := d.Split()
+		samples := d.TrainSamples()
+		if len(samples) != len(train) {
+			t.Fatalf("%s: %d samples, Split has %d training windows", name, len(samples), len(train))
+		}
+		for i, w := range train {
+			if len(samples[i]) != len(w.Full) || cap(samples[i]) != len(w.Full) {
+				t.Fatalf("%s: sample %d has len %d cap %d, want %d", name, i, len(samples[i]), cap(samples[i]), len(w.Full))
+			}
+			for k, v := range w.Full {
+				if math.Float64bits(samples[i][k]) != math.Float64bits(v) {
+					t.Fatalf("%s: sample %d entry %d = %v, window has %v", name, i, k, samples[i][k], v)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitHorizonDisjoint(t *testing.T) {
 	for _, name := range []string{"stock", "traffic"} {
 		d := Generate(name, Config{N: 8, T: 80})
@@ -466,6 +491,45 @@ func TestValidatePredictFeature(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("PredictFeature=%d: want validation error, got nil", tc.pf)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or ±Inf anywhere in the series or
+// the adjacency must fail Validate and name where it sits. Before the
+// check, one NaN reached training, where it poisoned every ridge moment
+// and Train returned a model with no couplings and no error.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(d *Dataset)
+		want    string
+	}{
+		{"clean", func(d *Dataset) {}, ""},
+		{"NaN value", func(d *Dataset) { d.set(3, 5, 0, math.NaN()) }, "t=3 node=5 feature=0"},
+		{"+Inf value", func(d *Dataset) { d.set(0, 0, 0, math.Inf(1)) }, "t=0 node=0 feature=0"},
+		{"-Inf last value", func(d *Dataset) { d.set(d.T-1, d.N-1, 0, math.Inf(-1)) }, "t=59 node=7 feature=0"},
+		{"NaN adjacency", func(d *Dataset) { d.Adj.Set(2, 6, math.NaN()) }, "(2,6)"},
+		{"+Inf adjacency", func(d *Dataset) { d.Adj.Set(7, 0, math.Inf(1)) }, "(7,0)"},
+	}
+	for _, tc := range cases {
+		d := Generate("traffic", Config{N: 8, T: 60})
+		tc.corrupt(d)
+		err := d.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	// Multi-feature layout: the feature index is decoded too.
+	d := Generate("housing", Config{N: 8, T: 60})
+	d.set(4, 2, 5, math.NaN())
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "t=4 node=2 feature=5") {
+		t.Errorf("housing: error %v, want one naming t=4 node=2 feature=5", err)
 	}
 }
 

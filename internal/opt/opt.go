@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -173,9 +174,18 @@ func Torus(rows, cols int) (*Instance, error) {
 	return buildInstance(fmt.Sprintf("torus-%dx%d", rows, cols), n, edges), nil
 }
 
+// maxGsetNodes bounds the node count a Gset header may declare. The
+// instance's CSR allocates a row pointer per node before any edge is
+// checked, so an unchecked header such as "2000000000 0" would allocate
+// about 16 GB. The largest instance of the Gset collection, G81, has
+// 20,000 nodes.
+const maxGsetNodes = 1 << 20
+
 // ParseGset reads the Gset text format: a "n m" header line, then m lines
-// "i j w" with 1-indexed endpoints. Duplicate edges sum; self-loops are
-// rejected. Blank lines and lines starting with '#' or '%' are skipped.
+// "i j w" with 1-indexed endpoints. Duplicate edges sum; self-loops,
+// non-finite weights and headers declaring more than maxGsetNodes nodes
+// are rejected. Blank lines and lines starting with '#' or '%' are
+// skipped.
 func ParseGset(name string, rd io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -200,6 +210,9 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 			if err1 != nil || err2 != nil || n < 1 || m < 0 {
 				return nil, fmt.Errorf("opt: %s line %d: bad header %q", name, line, text)
 			}
+			if n > maxGsetNodes {
+				return nil, fmt.Errorf("opt: %s line %d: header declares %d nodes, limit %d", name, line, n, maxGsetNodes)
+			}
 			header = true
 			continue
 		}
@@ -211,6 +224,9 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 		w, err3 := strconv.ParseFloat(fields[2], 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("opt: %s line %d: bad edge %q", name, line, text)
+		}
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("opt: %s line %d: edge weight %q is not finite", name, line, fields[2])
 		}
 		if i < 1 || i > n || j < 1 || j > n {
 			return nil, fmt.Errorf("opt: %s line %d: endpoint out of range [1,%d]", name, line, n)

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -210,6 +211,24 @@ func TestParseGsetErrors(t *testing.T) {
 		if _, err := ParseGset(c.name, strings.NewReader(c.text)); err == nil {
 			t.Errorf("%s: expected parse error", c.name)
 		}
+	}
+	// Non-finite weights (strconv.ParseFloat accepts the tokens) and
+	// headers declaring more nodes than the bound must name their line;
+	// the header check runs before anything is sized from it.
+	for _, c := range []struct{ name, text, want string }{
+		{"NaN weight", "2 1\n1 2 NaN\n", "line 2"},
+		{"+Inf weight", "3 2\n1 2 1\n2 3 +Inf\n", "line 3"},
+		{"-Inf weight", "# c\n2 1\n1 2 -inf\n", "line 3"},
+		{"huge header", "2000000000 0\n", "line 1"},
+		{"header over bound", fmt.Sprintf("%d 0\n", maxGsetNodes+1), "line 1"},
+	} {
+		g, err := ParseGset(c.name, strings.NewReader(c.text))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: instance %v, error %v; want an error naming %q", c.name, g, err, c.want)
+		}
+	}
+	if _, err := ParseGset("at bound", strings.NewReader(fmt.Sprintf("%d 1\n1 2 1\n", maxGsetNodes))); err != nil {
+		t.Errorf("header at the bound: %v", err)
 	}
 	// Comments, blank lines, and duplicate-edge summing are accepted.
 	g, err := ParseGset("ok", strings.NewReader("# comment\n\n3 2\n1 2 1\n% other\n2 3 2\n"))

@@ -51,73 +51,34 @@ func checkClasses(classOf []int, n int) (int, error) {
 // every flattened window variable (callers expand per-node labels across
 // steps and features).
 func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda float64) (*Params, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("train: no samples")
-	}
-	n := len(samples[0])
-	if len(observed) != n {
-		return nil, fmt.Errorf("train: observed mask has %d entries, want %d", len(observed), n)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("train: ridge lambda must be positive, got %g", lambda)
-	}
-	k, err := checkClasses(classOf, n)
+	m, err := momentsOf(samples, observed)
 	if err != nil {
 		return nil, err
 	}
-	var obsIdx, unkIdx []int
-	for i, o := range observed {
-		if o {
-			obsIdx = append(obsIdx, i)
-		} else {
-			unkIdx = append(unkIdx, i)
-		}
-	}
-	if len(obsIdx) == 0 || len(unkIdx) == 0 {
-		return nil, fmt.Errorf("train: need both observed and unknown variables (%d/%d)", len(obsIdx), len(unkIdx))
-	}
+	return m.BlockRidge(classOf, lambda)
+}
 
-	no, nu := len(obsIdx), len(unkIdx)
-	// Full Gram and cross moments, accumulated exactly as RidgeInit does —
-	// the per-class solves below extract sub-blocks, so at K=1 the extracted
-	// block is a verbatim copy of the monolithic system.
-	g := mat.NewDense(no, no)
-	b := mat.NewDense(no, nu)
-	for _, smp := range samples {
-		if len(smp) != n {
-			return nil, fmt.Errorf("train: ragged samples")
-		}
-		for i := 0; i < no; i++ {
-			vi := smp[obsIdx[i]]
-			if vi == 0 {
-				continue
-			}
-			grow := g.Row(i)
-			for j := i; j < no; j++ {
-				grow[j] += vi * smp[obsIdx[j]]
-			}
-			brow := b.Row(i)
-			for u := 0; u < nu; u++ {
-				brow[u] += vi * smp[unkIdx[u]]
-			}
-		}
+// BlockRidge solves the per-class block fit of the package-level
+// BlockRidge from the moments.
+func (m *Moments) BlockRidge(classOf []int, lambda float64) (*Params, error) {
+	k, err := checkClasses(classOf, m.n)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < no; i++ {
-		for j := 0; j < i; j++ {
-			g.Set(i, j, g.At(j, i))
-		}
+	if err := m.ready(lambda); err != nil {
+		return nil, err
 	}
-
-	j := mat.NewDense(n, n)
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
-	}
+	no, nu := len(m.obsIdx), len(m.unkIdx)
+	// The cross moments residualized class by class; the Gram blocks are
+	// read from the moments, so at K=1 the one block is a verbatim copy of
+	// the monolithic system.
+	b := m.b.Clone()
+	p := m.newParams()
 	for class := 0; class < k; class++ {
 		// Observed columns belonging to this source class, ascending (obsIdx
 		// is ascending, so the filtered positions are too).
 		var cols []int
-		for i, gi := range obsIdx {
+		for i, gi := range m.obsIdx {
 			if classOf[gi] == class {
 				cols = append(cols, i)
 			}
@@ -130,11 +91,10 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 		rhs := mat.NewDense(s, nu)
 		for a := 0; a < s; a++ {
 			for c := 0; c < s; c++ {
-				sub.Set(a, c, g.At(cols[a], cols[c]))
+				sub.Set(a, c, m.gram(cols[a], cols[c]))
 			}
 			sub.Add(a, a, lambda)
-			srow, brow := rhs.Row(a), b.Row(cols[a])
-			copy(srow, brow)
+			copy(rhs.Row(a), b.Row(cols[a]))
 		}
 		w, err := solveMulti(sub, rhs)
 		if err != nil {
@@ -142,7 +102,7 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 		}
 		for u := 0; u < nu; u++ {
 			for a := 0; a < s; a++ {
-				j.Set(unkIdx[u], obsIdx[cols[a]], w.At(a, u))
+				p.J.Set(m.unkIdx[u], m.obsIdx[cols[a]], w.At(a, u))
 			}
 		}
 		// Residualize the remaining cross moments: later classes fit what
@@ -151,9 +111,9 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 		// with RidgeInit.
 		if class+1 < k {
 			for i := 0; i < no; i++ {
-				grow, brow := g.Row(i), b.Row(i)
+				brow := b.Row(i)
 				for a := 0; a < s; a++ {
-					gia := grow[cols[a]]
+					gia := m.gram(i, cols[a])
 					if gia == 0 {
 						continue
 					}
@@ -165,8 +125,8 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 			}
 		}
 	}
-	j.ZeroDiagonal()
-	return &Params{J: j, H: h}, nil
+	p.J.ZeroDiagonal()
+	return p, nil
 }
 
 // BlockMaskedRidge is the decomposed counterpart of MaskedRidge: every
@@ -174,72 +134,28 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 // and the class groups are solved in canonical order, each against the
 // residual right-hand side left by the groups before it.
 func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask *mat.Bool, lambda float64) (*Params, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("train: no samples")
-	}
-	n := len(samples[0])
-	if len(observed) != n {
-		return nil, fmt.Errorf("train: observed mask has %d entries, want %d", len(observed), n)
-	}
-	if mask == nil || mask.Rows != n || mask.Cols != n {
-		return nil, fmt.Errorf("train: coupling mask missing or mis-shaped")
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("train: ridge lambda must be positive, got %g", lambda)
-	}
-	k, err := checkClasses(classOf, n)
+	m, err := momentsOf(samples, observed)
 	if err != nil {
 		return nil, err
 	}
-	var obsIdx, unkIdx []int
-	obsPos := make([]int, n)
-	for i, o := range observed {
-		if o {
-			obsPos[i] = len(obsIdx)
-			obsIdx = append(obsIdx, i)
-		} else {
-			obsPos[i] = -1
-			unkIdx = append(unkIdx, i)
-		}
-	}
-	if len(obsIdx) == 0 || len(unkIdx) == 0 {
-		return nil, fmt.Errorf("train: need both observed and unknown variables (%d/%d)", len(obsIdx), len(unkIdx))
-	}
-	no := len(obsIdx)
+	return m.BlockMaskedRidge(classOf, mask, lambda)
+}
 
-	g := mat.NewDense(no, no)
-	b := mat.NewDense(no, len(unkIdx))
-	for _, smp := range samples {
-		if len(smp) != n {
-			return nil, fmt.Errorf("train: ragged samples")
-		}
-		for i := 0; i < no; i++ {
-			vi := smp[obsIdx[i]]
-			if vi == 0 {
-				continue
-			}
-			grow := g.Row(i)
-			for j := i; j < no; j++ {
-				grow[j] += vi * smp[obsIdx[j]]
-			}
-			brow := b.Row(i)
-			for u := range unkIdx {
-				brow[u] += vi * smp[unkIdx[u]]
-			}
-		}
+// BlockMaskedRidge solves the per-row, per-class block fit of the
+// package-level BlockMaskedRidge from the moments.
+func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64) (*Params, error) {
+	if mask == nil || mask.Rows != m.n || mask.Cols != m.n {
+		return nil, fmt.Errorf("train: coupling mask missing or mis-shaped")
 	}
-	for i := 0; i < no; i++ {
-		for j := 0; j < i; j++ {
-			g.Set(i, j, g.At(j, i))
-		}
+	k, err := checkClasses(classOf, m.n)
+	if err != nil {
+		return nil, err
 	}
-
-	j := mat.NewDense(n, n)
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
+	if err := m.ready(lambda); err != nil {
+		return nil, err
 	}
-	for u, uIdx := range unkIdx {
+	p := m.newParams()
+	for u, uIdx := range m.unkIdx {
 		// Previously solved (column position, weight) pairs of this row —
 		// later class blocks fit the residual these leave behind. Empty
 		// for the first non-empty class, so K=1 is bit-identical to
@@ -250,9 +166,9 @@ func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask 
 			// Columns this row may couple with in this block: masked AND
 			// observed AND of the source class, ascending.
 			var cols []int
-			for c := 0; c < n; c++ {
-				if c != uIdx && mask.At(uIdx, c) && observed[c] && classOf[c] == class {
-					cols = append(cols, obsPos[c])
+			for c := 0; c < m.n; c++ {
+				if c != uIdx && mask.At(uIdx, c) && m.obsPos[c] >= 0 && classOf[c] == class {
+					cols = append(cols, m.obsPos[c])
 				}
 			}
 			if len(cols) == 0 {
@@ -263,12 +179,12 @@ func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask 
 			rhs := mat.NewDense(s, 1)
 			for a := 0; a < s; a++ {
 				for c := 0; c < s; c++ {
-					sub.Set(a, c, g.At(cols[a], cols[c]))
+					sub.Set(a, c, m.gram(cols[a], cols[c]))
 				}
 				sub.Add(a, a, lambda)
-				r := b.At(cols[a], u)
-				for p, pc := range solvedCols {
-					r -= g.At(cols[a], pc) * solvedW[p]
+				r := m.b.At(cols[a], u)
+				for q, qc := range solvedCols {
+					r -= m.gram(cols[a], qc) * solvedW[q]
 				}
 				rhs.Set(a, 0, r)
 			}
@@ -277,12 +193,12 @@ func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask 
 				return nil, fmt.Errorf("train: block masked ridge row %d class %d: %w", uIdx, class, err)
 			}
 			for a := 0; a < s; a++ {
-				j.Set(uIdx, obsIdx[cols[a]], wts.At(a, 0))
+				p.J.Set(uIdx, m.obsIdx[cols[a]], wts.At(a, 0))
 				solvedCols = append(solvedCols, cols[a])
 				solvedW = append(solvedW, wts.At(a, 0))
 			}
 		}
 	}
-	j.ZeroDiagonal()
-	return &Params{J: j, H: h}, nil
+	p.J.ZeroDiagonal()
+	return p, nil
 }

@@ -23,84 +23,20 @@ import (
 // on the optimum directly for the clamped-input block, which stochastic
 // training approaches slowly.
 func RidgeInit(samples [][]float64, observed []bool, lambda float64) (*Params, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("train: no samples")
-	}
-	n := len(samples[0])
-	if len(observed) != n {
-		return nil, fmt.Errorf("train: observed mask has %d entries, want %d", len(observed), n)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("train: ridge lambda must be positive, got %g", lambda)
-	}
-	var obsIdx, unkIdx []int
-	for i, o := range observed {
-		if o {
-			obsIdx = append(obsIdx, i)
-		} else {
-			unkIdx = append(unkIdx, i)
-		}
-	}
-	if len(obsIdx) == 0 || len(unkIdx) == 0 {
-		return nil, fmt.Errorf("train: need both observed and unknown variables (%d/%d)", len(obsIdx), len(unkIdx))
-	}
-
-	no, nu := len(obsIdx), len(unkIdx)
-	// Gram matrix G = Xᵀ X over observed columns and cross term B = Xᵀ Y.
-	g := mat.NewDense(no, no)
-	b := mat.NewDense(no, nu)
-	for _, smp := range samples {
-		if len(smp) != n {
-			return nil, fmt.Errorf("train: ragged samples")
-		}
-		for i := 0; i < no; i++ {
-			vi := smp[obsIdx[i]]
-			if vi == 0 {
-				continue
-			}
-			grow := g.Row(i)
-			for j := i; j < no; j++ {
-				grow[j] += vi * smp[obsIdx[j]]
-			}
-			brow := b.Row(i)
-			for u := 0; u < nu; u++ {
-				brow[u] += vi * smp[unkIdx[u]]
-			}
-		}
-	}
-	for i := 0; i < no; i++ {
-		for j := 0; j < i; j++ {
-			g.Set(i, j, g.At(j, i))
-		}
-		g.Add(i, i, lambda)
-	}
-	w, err := solveMulti(g, b)
+	m, err := momentsOf(samples, observed)
 	if err != nil {
 		return nil, err
 	}
-
-	j := mat.NewDense(n, n)
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
-	}
-	for u := 0; u < nu; u++ {
-		for i := 0; i < no; i++ {
-			j.Set(unkIdx[u], obsIdx[i], w.At(i, u))
-		}
-	}
-	j.ZeroDiagonal()
-	return &Params{J: j, H: h}, nil
+	return m.Ridge(lambda)
 }
 
 // solveMulti solves A X = B for X by Gaussian elimination with partial
-// pivoting. A is overwritten.
+// pivoting. A and B are overwritten; X is returned in B's storage.
 func solveMulti(a, b *mat.Dense) (*mat.Dense, error) {
 	n := a.Rows
 	if a.Cols != n || b.Rows != n {
 		return nil, fmt.Errorf("train: solveMulti shape mismatch")
 	}
-	m := b.Cols
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		piv := col
@@ -117,34 +53,43 @@ func solveMulti(a, b *mat.Dense) (*mat.Dense, error) {
 			swapRows(b, piv, col)
 		}
 		pv := a.At(col, col)
+		acol, bcol := a.Row(col)[col:], b.Row(col)
 		for r := col + 1; r < n; r++ {
 			f := a.At(r, col) / pv
 			if f == 0 {
 				continue
 			}
-			arow, acol := a.Row(r), a.Row(col)
-			for c := col; c < n; c++ {
-				arow[c] -= f * acol[c]
+			arow := a.Row(r)[col:]
+			arow = arow[:len(acol)]
+			for c, v := range acol {
+				arow[c] -= f * v
 			}
-			brow, bcol := b.Row(r), b.Row(col)
-			for c := 0; c < m; c++ {
-				brow[c] -= f * bcol[c]
+			brow := b.Row(r)
+			brow = brow[:len(bcol)]
+			for c, v := range bcol {
+				brow[c] -= f * v
 			}
 		}
 	}
-	x := mat.NewDense(n, m)
+	// Back substitution in place, bottom row first: row r of B becomes row
+	// r of X once the rows below it are final. Every entry subtracts its
+	// terms in ascending k before the division, as the entry-at-a-time
+	// textbook loop does, but the sweep runs along rows.
 	for r := n - 1; r >= 0; r-- {
-		xrow, brow := x.Row(r), b.Row(r)
-		arow := a.Row(r)
-		for c := 0; c < m; c++ {
-			s := brow[c]
-			for k := r + 1; k < n; k++ {
-				s -= arow[k] * x.At(k, c)
+		arow, xr := a.Row(r), b.Row(r)
+		for k := r + 1; k < n; k++ {
+			ark := arow[k]
+			xk := b.Row(k)
+			xk = xk[:len(xr)]
+			for c, v := range xk {
+				xr[c] -= ark * v
 			}
-			xrow[c] = s / arow[r]
+		}
+		for c := range xr {
+			xr[c] /= arow[r]
 		}
 	}
-	return x, nil
+	return b, nil
 }
 
 func swapRows(m *mat.Dense, a, b int) {
@@ -166,98 +111,9 @@ func swapRows(m *mat.Dense, a, b int) {
 // fitted against ground-truth values that are unavailable at inference
 // time (exposure bias), which measurably hurts the annealed solution.
 func MaskedRidge(samples [][]float64, observed []bool, mask *mat.Bool, lambda float64) (*Params, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("train: no samples")
+	m, err := momentsOf(samples, observed)
+	if err != nil {
+		return nil, err
 	}
-	n := len(samples[0])
-	if len(observed) != n {
-		return nil, fmt.Errorf("train: observed mask has %d entries, want %d", len(observed), n)
-	}
-	if mask == nil || mask.Rows != n || mask.Cols != n {
-		return nil, fmt.Errorf("train: coupling mask missing or mis-shaped")
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("train: ridge lambda must be positive, got %g", lambda)
-	}
-	var obsIdx, unkIdx []int
-	obsPos := make([]int, n) // global index -> position in obsIdx
-	for i, o := range observed {
-		if o {
-			obsPos[i] = len(obsIdx)
-			obsIdx = append(obsIdx, i)
-		} else {
-			obsPos[i] = -1
-			unkIdx = append(unkIdx, i)
-		}
-	}
-	if len(obsIdx) == 0 || len(unkIdx) == 0 {
-		return nil, fmt.Errorf("train: need both observed and unknown variables (%d/%d)", len(obsIdx), len(unkIdx))
-	}
-	no := len(obsIdx)
-
-	// Shared Gram over the observed block and cross moments to every
-	// unknown target.
-	g := mat.NewDense(no, no)
-	b := mat.NewDense(no, len(unkIdx))
-	for _, smp := range samples {
-		if len(smp) != n {
-			return nil, fmt.Errorf("train: ragged samples")
-		}
-		for i := 0; i < no; i++ {
-			vi := smp[obsIdx[i]]
-			if vi == 0 {
-				continue
-			}
-			grow := g.Row(i)
-			for j := i; j < no; j++ {
-				grow[j] += vi * smp[obsIdx[j]]
-			}
-			brow := b.Row(i)
-			for u := range unkIdx {
-				brow[u] += vi * smp[unkIdx[u]]
-			}
-		}
-	}
-	for i := 0; i < no; i++ {
-		for j := 0; j < i; j++ {
-			g.Set(i, j, g.At(j, i))
-		}
-	}
-
-	j := mat.NewDense(n, n)
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
-	}
-	for u, uIdx := range unkIdx {
-		// Columns this row may couple with: masked AND observed.
-		var cols []int
-		for c := 0; c < n; c++ {
-			if c != uIdx && mask.At(uIdx, c) && observed[c] {
-				cols = append(cols, obsPos[c])
-			}
-		}
-		if len(cols) == 0 {
-			continue // isolated row predicts 0 (the normalized mean)
-		}
-		s := len(cols)
-		sub := mat.NewDense(s, s)
-		rhs := mat.NewDense(s, 1)
-		for a := 0; a < s; a++ {
-			for c := 0; c < s; c++ {
-				sub.Set(a, c, g.At(cols[a], cols[c]))
-			}
-			sub.Add(a, a, lambda)
-			rhs.Set(a, 0, b.At(cols[a], u))
-		}
-		wts, err := solveMulti(sub, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("train: masked ridge row %d: %w", uIdx, err)
-		}
-		for a := 0; a < s; a++ {
-			j.Set(uIdx, obsIdx[cols[a]], wts.At(a, 0))
-		}
-	}
-	j.ZeroDiagonal()
-	return &Params{J: j, H: h}, nil
+	return m.MaskedRidge(mask, lambda)
 }

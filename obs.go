@@ -2,6 +2,7 @@ package dsgl
 
 import (
 	"io"
+	"time"
 
 	"dsgl/internal/obs"
 )
@@ -47,3 +48,67 @@ func MetricsSnapshot() []MetricSnapshot { return obs.Default().Snapshot() }
 // exposition format. A no-op (writing nothing) when metrics are
 // disabled.
 func WriteMetrics(w io.Writer) error { return obs.Default().WritePrometheus(w) }
+
+// Training stages timed into dsgl_train_stage_seconds{stage}, in pipeline
+// order. moments is the one pass that accumulates the ridge moments
+// (taken in two pieces around lambda_grid, recorded as one sample); ridge
+// is the dense closed-form fit plus any gradient refinement; masked_ridge
+// is the masked refit plus any fine-tune; build is scalable.Build, or
+// dspu.New on the dense backend.
+const (
+	stageMoments = iota
+	stageLambdaGrid
+	stageRidge
+	stagePrune
+	stageLouvain
+	stageRedistribute
+	stageMask
+	stageMaskedRidge
+	stageBuild
+	numStages
+)
+
+var stageNames = [numStages]string{"moments", "lambda_grid", "ridge", "prune", "louvain", "redistribute", "mask", "masked_ridge", "build"}
+
+// stageClock attributes one Train or TrainDense run's wall time to its
+// stages. Each mark charges the time since the previous mark to a stage;
+// record then observes every charged stage once. With metrics disabled
+// the clock is inert: it reads no time and records nothing.
+type stageClock struct {
+	reg     *obs.Registry
+	last    time.Time
+	spent   [numStages]time.Duration
+	charged [numStages]bool
+}
+
+func newStageClock() stageClock {
+	r := obs.Default()
+	if r == nil {
+		return stageClock{}
+	}
+	return stageClock{reg: r, last: time.Now()}
+}
+
+// mark charges the time since the previous mark to stage.
+func (c *stageClock) mark(stage int) {
+	if c.reg == nil {
+		return
+	}
+	now := time.Now()
+	c.spent[stage] += now.Sub(c.last)
+	c.charged[stage] = true
+	c.last = now
+}
+
+// record observes one sample per charged stage.
+func (c *stageClock) record() {
+	if c.reg == nil {
+		return
+	}
+	for s, d := range c.spent {
+		if c.charged[s] {
+			c.reg.Histogram("dsgl_train_stage_seconds", "wall time of one training stage (moments, lambda_grid, ridge, prune, louvain, redistribute, mask, masked_ridge, build)",
+				obs.L("stage", stageNames[s])).Observe(d.Seconds())
+		}
+	}
+}
