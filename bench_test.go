@@ -983,33 +983,54 @@ func BenchmarkInferSharded(b *testing.B) {
 
 // BenchmarkOptSolve anneals a 256-node Gset-style MaxCut instance through
 // the engine's seeded multi-restart fan-out, once per selectable solver
-// dynamics. Besides wall cost it reports solution quality as custom metrics:
-// best-energy (the Ising ground-energy proxy; lower is better), the cut it
-// maps back to, and restarts-to-best (how deep into the restart fan-out the
-// winner appeared — 1 means the first seed already won). Deterministic in
-// the pinned seed, so the metric columns are comparable across runs.
+// dynamics, plus a metropolis-weighted row on the same graph with weights
+// drawn from (0, 1]: its energy steps fit no grid, so it measures the
+// direct math.Exp acceptance path. Besides wall cost it reports solution
+// quality as custom metrics: best-energy (the Ising ground-energy proxy;
+// lower is better), the cut it maps back to, and restarts-to-best (how deep
+// into the restart fan-out the winner appeared — 1 means the first seed
+// already won). spin-steps (restarts × steps × nodes per op) and
+// ns/spin-step split ns/op into work and cost per unit of work.
+// Deterministic in the pinned seed, so the metric columns are comparable
+// across runs.
 func BenchmarkOptSolve(b *testing.B) {
 	g, err := dsgl.GsetInstance(256, 6, false, 13)
 	if err != nil {
 		b.Fatal(err)
 	}
+	weighted, err := dsgl.GsetInstance(256, 6, true, 13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type row struct {
+		name, dyn string
+		g         *dsgl.OptInstance
+	}
+	var rows []row
 	for _, dyn := range dsgl.OptDynamics() {
-		b.Run(dyn, func(b *testing.B) {
+		rows = append(rows, row{dyn, dyn, g})
+	}
+	rows = append(rows, row{"metropolis-weighted", dsgl.DynamicsMetropolis, weighted})
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var rep *dsgl.OptReport
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err = dsgl.SolveMaxCut(g, dsgl.OptOptions{
-					Dynamics: dyn, Steps: 60, Restarts: 4, Workers: 4, Seed: 9,
+				rep, err = dsgl.SolveMaxCut(r.g, dsgl.OptOptions{
+					Dynamics: r.dyn, Steps: 60, Restarts: 4, Workers: 4, Seed: 9,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
+			spinSteps := float64(rep.Run.Steps * r.g.N)
 			b.ReportMetric(rep.Run.Best.Energy, "best-energy")
 			b.ReportMetric(rep.Cut, "cut")
 			b.ReportMetric(float64(rep.Run.BestRestart+1), "restarts-to-best")
+			b.ReportMetric(spinSteps, "spin-steps")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/spinSteps, "ns/spin-step")
 		})
 	}
 }

@@ -412,6 +412,11 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 		}
 		run.BestTrace[i] = best
 	}
+	// NaN and +Inf never compare below +Inf, so a run whose every energy
+	// is one of them has no best restart.
+	if run.Best == nil {
+		return nil, fmt.Errorf("%s: no restart reached a comparable energy (energies %v)", e.b.Name(), run.Energies)
+	}
 	if m := e.metrics(); m.enabled() {
 		m.bestEnergy.Set(run.Best.Energy)
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"dsgl/internal/obs"
 )
 
 // stubOptBackend is a deterministic toy solver: each "step" draws a random
@@ -17,6 +19,8 @@ type stubOptBackend struct {
 	seed     uint64
 	compiles int
 	fail     bool // when set, every RunSolve errors
+	// energy, when non-nil, replaces every restart's reported energy.
+	energy func() float64
 }
 
 type stubSolvePlan struct {
@@ -75,8 +79,50 @@ func (b *stubOptBackend) RunSolve(st *SolveState, plan any) (*OptResult, error) 
 		}
 	}
 	st.Res.Energy = best
+	if b.energy != nil {
+		st.Res.Energy = b.energy()
+	}
 	st.Res.Steps = pl.sched.Steps
 	return &st.Res, nil
+}
+
+// TestSolveFromRejectsIncomparableEnergies: when no restart reports an
+// energy below +Inf there is no best restart, and SolveFrom must say so
+// instead of returning a run whose Best is nil. With metrics on, the same
+// run must not reach the best-energy gauge either.
+func TestSolveFromRejectsIncomparableEnergies(t *testing.T) {
+	cases := []struct {
+		name   string
+		energy float64
+		ok     bool
+	}{
+		{"finite", -3, true},
+		{"NaN", math.NaN(), false},
+		{"+Inf", math.Inf(1), false},
+		{"-Inf", math.Inf(-1), true},
+	}
+	for _, c := range cases {
+		for _, metrics := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/metrics=%v", c.name, metrics), func(t *testing.T) {
+				if metrics {
+					prev := obs.Default()
+					obs.SetDefault(obs.NewRegistry())
+					t.Cleanup(func() { obs.SetDefault(prev) })
+				}
+				b := &stubOptBackend{n: 4, seed: 1, energy: func() float64 { return c.energy }}
+				run, err := NewOpt(b).SolveFrom(GeometricSchedule(3, 2, 0.1), 1, 3, 2)
+				if c.ok {
+					if err != nil || run.Best == nil {
+						t.Fatalf("SolveFrom = %v, %v; want a run with a best restart", run, err)
+					}
+					return
+				}
+				if err == nil {
+					t.Fatalf("SolveFrom returned %+v with no error; want an error", run)
+				}
+			})
+		}
+	}
 }
 
 func TestScheduleValidate(t *testing.T) {

@@ -33,8 +33,8 @@ type Model struct {
 }
 
 // NewModel builds an Ising model from a dense coupling matrix. j must be
-// square with zero diagonal; it is symmetrized into W = J + Jᵀ and the
-// dense form is not retained.
+// square with zero diagonal, and every entry of j and h finite; it is
+// symmetrized into W = J + Jᵀ and the dense form is not retained.
 func NewModel(j *mat.Dense, h []float64) (*Model, error) {
 	if j.Rows != j.Cols {
 		return nil, fmt.Errorf("ising: J must be square, got %dx%d", j.Rows, j.Cols)
@@ -43,6 +43,14 @@ func NewModel(j *mat.Dense, h []float64) (*Model, error) {
 		return nil, fmt.Errorf("ising: len(h)=%d, want %d", len(h), j.Rows)
 	}
 	n := j.Rows
+	for k, v := range j.Data {
+		if !finite(v) {
+			return nil, fmt.Errorf("ising: J[%d][%d] = %g is not finite", k/n, k%n, v)
+		}
+	}
+	if err := checkFiniteH(h); err != nil {
+		return nil, err
+	}
 	sym := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		if j.At(i, i) != 0 {
@@ -59,15 +67,27 @@ func NewModel(j *mat.Dense, h []float64) (*Model, error) {
 
 // NewModelCSR builds an Ising model directly from a symmetrized sparse
 // coupling W = J + Jᵀ — the path instance generators take, which never
-// materializes a dense matrix. w must be square, zero-diagonal, and exactly
-// symmetric (W_ij == W_ji bit-for-bit); the matrix is used directly, not
-// copied, and must not be mutated afterwards.
+// materializes a dense matrix. w must be square, zero-diagonal, exactly
+// symmetric (W_ij == W_ji bit-for-bit) and finite, as must h; the matrix
+// is used directly, not copied, and must not be mutated afterwards.
 func NewModelCSR(w *mat.CSR, h []float64) (*Model, error) {
 	if w.Rows != w.Cols {
 		return nil, fmt.Errorf("ising: W must be square, got %dx%d", w.Rows, w.Cols)
 	}
 	if len(h) != w.Rows {
 		return nil, fmt.Errorf("ising: len(h)=%d, want %d", len(h), w.Rows)
+	}
+	// Finiteness first: NaN never equals its mirror entry, so the symmetry
+	// check below would misreport it.
+	for i := 0; i < w.Rows; i++ {
+		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
+			if !finite(w.Val[p]) {
+				return nil, fmt.Errorf("ising: W[%d][%d] = %g is not finite", i, w.ColIdx[p], w.Val[p])
+			}
+		}
+	}
+	if err := checkFiniteH(h); err != nil {
+		return nil, err
 	}
 	for i := 0; i < w.Rows; i++ {
 		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
@@ -81,6 +101,18 @@ func NewModelCSR(w *mat.CSR, h []float64) (*Model, error) {
 		}
 	}
 	return &Model{N: w.Rows, W: w, H: mat.CopyVec(h)}, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// checkFiniteH names the first non-finite field entry.
+func checkFiniteH(h []float64) error {
+	for i, v := range h {
+		if !finite(v) {
+			return fmt.Errorf("ising: h[%d] = %g is not finite", i, v)
+		}
+	}
+	return nil
 }
 
 // Energy evaluates the Hamiltonian for spin vector s (entries ±1) in

@@ -3,6 +3,7 @@ package ising
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dsgl/internal/circuit"
 	"dsgl/internal/engine"
@@ -42,6 +43,11 @@ const (
 	oimShilK     = 1.0  // SHIL strength at the cold end of the ladder
 )
 
+// acceptGridCap bounds K, the largest row sum of |W| and |h| in grid steps,
+// up to which a Metropolis solver keeps an acceptance table: K+1 entries of
+// 16 bytes per SolveState, 64 KiB at the cap.
+const acceptGridCap = 1 << 12
+
 // Solver adapts an Ising model to the engine.OptBackend contract: one
 // instance, one selected dynamics, annealed under engine-compiled schedule
 // plans with the engine's seeded multi-restart fan-out. The solver and its
@@ -55,6 +61,11 @@ type Solver struct {
 	// net is the BRIM coupling circuit, built once; nil for the other
 	// dynamics.
 	net *circuit.Network
+	// acceptInv is 1/(2q) and acceptK the table's largest index when the
+	// Metropolis model sits on a power-of-two grid q (see acceptGrid);
+	// acceptInv is 0 otherwise, and for the other dynamics.
+	acceptInv float64
+	acceptK   int
 }
 
 // NewSolver builds an OptBackend for model m under the chosen dynamics.
@@ -67,7 +78,9 @@ func NewSolver(m *Model, dyn Dynamics, seed uint64) (*Solver, error) {
 			return nil, err
 		}
 		s.net = net
-	case MetropolisDynamics, OIMDynamics:
+	case MetropolisDynamics:
+		s.acceptInv, s.acceptK = acceptGrid(m)
+	case OIMDynamics:
 	default:
 		return nil, fmt.Errorf("ising: unknown dynamics %q (want %s|%s|%s)",
 			dyn, BRIMDynamics, MetropolisDynamics, OIMDynamics)
@@ -110,14 +123,26 @@ func (s *Solver) CompileSolvePlan(sched engine.Schedule) any {
 }
 
 // solverScratch is the per-state arena: derivative and coupling buffers for
-// the continuous dynamics, local fields for Metropolis, and the all-free
-// clamp mask the BRIM derivative wants.
+// the continuous dynamics, local fields and the acceptance table for
+// Metropolis, and the all-free clamp mask the BRIM derivative wants.
 type solverScratch struct {
 	deriv []float64
 	buf   []float64
 	mask  []bool
 	local []float64
 	ps    phaseSystem
+	// accept caches math.Exp(-dE/T) at index dE/(2q) for on-grid
+	// Metropolis models, nil otherwise. An entry holds for the sweep whose
+	// stamp it carries; sweep advances before every sweep and is never
+	// reset, so no stamp from an earlier sweep or restart matches.
+	accept []acceptEntry
+	sweep  uint64
+}
+
+// acceptEntry is one acceptance-table slot.
+type acceptEntry struct {
+	sweep uint64
+	p     float64
 }
 
 // AttachSolveState implements engine.OptBackend.
@@ -129,6 +154,9 @@ func (s *Solver) AttachSolveState(st *engine.SolveState) {
 		mask:  make([]bool, n),
 		local: make([]float64, n),
 		ps:    phaseSystem{w: s.m.W},
+	}
+	if s.acceptInv != 0 {
+		st.Scratch.(*solverScratch).accept = make([]acceptEntry, s.acceptK+1)
 	}
 }
 
@@ -182,21 +210,95 @@ func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
 	copy(st.Res.Spins, st.Spins)
 	st.Res.BestStep = 0
 	for sweep, temp := range pl.temps {
+		sc.sweep++
 		for k := 0; k < n; k++ {
 			i := st.RNG.Intn(n)
 			dE := 2 * float64(st.Spins[i]) * (sc.local[i] + s.m.H[i])
-			if dE <= 0 || st.RNG.Float64() < math.Exp(-dE/temp) {
-				applyFlip(s.m, st.Spins, i, sc.local)
-				curE += dE
-				if curE < bestE {
-					bestE = curE
-					copy(st.Res.Spins, st.Spins)
-					st.Res.BestStep = sweep
+			if !(dE <= 0) {
+				// Accept the uphill step with probability exp(-dE/T); a NaN
+				// dE from an overflowed field also draws u and is rejected.
+				// With a table, each distinct dE is computed once per sweep:
+				// on the grid dE is exact, so the cached value has the bits
+				// the direct call would return.
+				u := st.RNG.Float64()
+				var p float64
+				if sc.accept == nil {
+					p = math.Exp(-dE / temp)
+				} else if e := &sc.accept[int(dE*s.acceptInv)]; e.sweep == sc.sweep {
+					p = e.p
+				} else {
+					p = math.Exp(-dE / temp)
+					e.sweep, e.p = sc.sweep, p
 				}
+				if !(u < p) {
+					continue
+				}
+			}
+			applyFlip(s.m, st.Spins, i, sc.local)
+			curE += dE
+			if curE < bestE {
+				bestE = curE
+				copy(st.Res.Spins, st.Spins)
+				st.Res.BestStep = sweep
 			}
 		}
 		observe(st, sweep, 0)
 	}
+}
+
+// acceptGrid decides whether m's Metropolis energy steps fit an acceptance
+// table. It finds the largest power of two q that divides every W and h
+// entry, and K = maxᵢ(Σⱼ|Wᵢⱼ| + |hᵢ|)/q. Local fields are then sums of
+// multiples of q no larger than Kq, so every proposal's dE = 2σᵢ(localᵢ+hᵢ)
+// is computed exactly, and dE/(2q) is an integer in [-K, K]. It returns
+// 1/(2q) and K, or 0, 0 when m is off the grid: no non-zero entry, K above
+// acceptGridCap (a non-finite entry makes K NaN or +Inf), or a 1/(2q) or
+// 2Kq that overflows.
+func acceptGrid(m *Model) (inv float64, k int) {
+	var maxRow float64
+	for i := 0; i < m.N; i++ {
+		row := math.Abs(m.H[i])
+		for p := m.W.RowPtr[i]; p < m.W.RowPtr[i+1]; p++ {
+			row += math.Abs(m.W.Val[p])
+		}
+		maxRow = math.Max(maxRow, row)
+	}
+	// q = 2^qExp. K is compared as a float against the cap whenever q
+	// shrinks, before it becomes an integer, so continuous weights stop
+	// the scan at their first entry and huge values cannot wrap.
+	qExp := math.MaxInt
+	for _, vals := range [][]float64{m.W.Val, m.H} {
+		for _, v := range vals {
+			if v == 0 {
+				continue
+			}
+			if e := lowBitExp(v); e < qExp {
+				qExp = e
+				if !(math.Ldexp(maxRow, -qExp) <= acceptGridCap) {
+					return 0, 0
+				}
+			}
+		}
+	}
+	if qExp == math.MaxInt {
+		return 0, 0 // every entry is zero, so no step is ever uphill
+	}
+	inv = math.Ldexp(0.5, -qExp)
+	if math.IsInf(inv, 0) || math.IsInf(2*maxRow, 0) {
+		return 0, 0
+	}
+	return inv, int(math.Ldexp(maxRow, -qExp))
+}
+
+// lowBitExp returns e such that the finite, non-zero v is an odd multiple
+// of 2^e: the exponent of the lowest set bit of its significand.
+func lowBitExp(v float64) int {
+	b := math.Float64bits(v)
+	exp, mant := int(b>>52&0x7ff), b&(1<<52-1)
+	if exp == 0 { // subnormal: no implicit leading bit
+		return -1074 + bits.TrailingZeros64(mant)
+	}
+	return exp - 1075 + bits.TrailingZeros64(mant|1<<52)
 }
 
 // runBRIM: blocks of Euler integration on the coupling circuit, a quantized

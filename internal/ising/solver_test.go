@@ -3,6 +3,7 @@ package ising
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dsgl/internal/engine"
@@ -57,6 +58,41 @@ func TestNewModelCSRValidation(t *testing.T) {
 	rect := &mat.CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 0, 0}}
 	if _, err := NewModelCSR(rect, make([]float64, 2)); err == nil {
 		t.Fatal("non-square W must error")
+	}
+}
+
+// TestModelRejectsNonFinite: NaN and ±Inf couplings or fields are refused
+// at construction, with an error naming the entry — including NaN in W,
+// which never equals its mirror and so must not be reported as asymmetry.
+func TestModelRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	csr := func(v01, v10 float64) *mat.CSR {
+		return &mat.CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2}, ColIdx: []int{1, 0}, Val: []float64{v01, v10}}
+	}
+	dense := func(v01, v10 float64) *mat.Dense { return mat.NewDenseFrom(2, 2, []float64{0, v01, v10, 0}) }
+	cases := []struct {
+		name  string
+		build func() (*Model, error)
+		want  string
+	}{
+		{"W +Inf", func() (*Model, error) { return NewModelCSR(csr(inf, inf), []float64{0, 0}) }, "W[0][1] = +Inf is not finite"},
+		{"W -Inf", func() (*Model, error) { return NewModelCSR(csr(1, -inf), []float64{0, 0}) }, "W[1][0] = -Inf is not finite"},
+		{"W NaN", func() (*Model, error) { return NewModelCSR(csr(nan, nan), []float64{0, 0}) }, "W[0][1] = NaN is not finite"},
+		{"W ok, h NaN", func() (*Model, error) { return NewModelCSR(csr(1, 1), []float64{0, nan}) }, "h[1] = NaN is not finite"},
+		{"W ok, h -Inf", func() (*Model, error) { return NewModelCSR(csr(1, 1), []float64{-inf, 0}) }, "h[0] = -Inf is not finite"},
+		{"J +Inf", func() (*Model, error) { return NewModel(dense(0, inf), []float64{0, 0}) }, "J[1][0] = +Inf is not finite"},
+		{"J NaN", func() (*Model, error) { return NewModel(dense(nan, 0), []float64{0, 0}) }, "J[0][1] = NaN is not finite"},
+		{"J ok, h +Inf", func() (*Model, error) { return NewModel(dense(1, 0), []float64{inf, 0}) }, "h[0] = +Inf is not finite"},
+	}
+	for _, c := range cases {
+		m, err := c.build()
+		if err == nil {
+			t.Errorf("%s: accepted (model %+v), want an error", c.name, m)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the entry (%q)", c.name, err, c.want)
+		}
 	}
 }
 
@@ -253,5 +289,128 @@ func TestSolverForeignPlanRejected(t *testing.T) {
 	st := engine.NewOpt(s).NewSolveState()
 	if _, err := s.RunSolve(st, "not a plan"); err == nil {
 		t.Fatal("foreign plan type must error")
+	}
+}
+
+// gridModel builds a symmetric model over a ring of n spins with the given
+// coupling on every ring edge and field h on every spin.
+func gridModel(t *testing.T, n int, w, h float64) *Model {
+	t.Helper()
+	b := mat.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		j := (i + 1) % n
+		b.Add(i, j, w)
+		b.Add(j, i, w)
+	}
+	hs := make([]float64, n)
+	for i := range hs {
+		hs[i] = h
+	}
+	m, err := NewModelCSR(b.Build(), hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestAcceptGrid pins which models get a Metropolis acceptance table and
+// its geometry: the grid step q is the largest power of two dividing every
+// entry, K the largest row sum in steps of q.
+func TestAcceptGrid(t *testing.T) {
+	cases := []struct {
+		name    string
+		m       *Model
+		inv     float64
+		k       int
+		offGrid bool
+	}{
+		{"unit ring", gridModel(t, 6, -1, 0), 0.5, 2, false},
+		{"ring with field", gridModel(t, 6, 1, 3), 0.5, 5, false},
+		{"quarter step", gridModel(t, 6, -0.25, 0.5), 2, 4, false},
+		{"even weights", gridModel(t, 6, 6, 0), 0.25, 6, false},
+		{"continuous weight", gridModel(t, 6, 0.1, 0), 0, 0, true},
+		{"K over the cap", gridModel(t, 6, acceptGridCap, 1), 0, 0, true},
+		{"K at the cap", gridModel(t, 6, acceptGridCap/2-1, 2), 0.5, acceptGridCap, false},
+		{"2Kq overflows", gridModel(t, 6, 0x1p1022, 0), 0, 0, true},
+		{"1/(2q) overflows", gridModel(t, 6, 0x1p-1074, 0), 0, 0, true},
+		{"all zero", gridModel(t, 6, 0, 0), 0, 0, true},
+		{"NaN field", &Model{N: 1, W: &mat.CSR{Rows: 1, Cols: 1, RowPtr: []int{0, 0}}, H: []float64{math.NaN()}}, 0, 0, true},
+	}
+	for _, c := range cases {
+		inv, k := acceptGrid(c.m)
+		if c.offGrid {
+			if inv != 0 {
+				t.Errorf("%s: got a table (1/(2q) = %g, K = %d), want the direct path", c.name, inv, k)
+			}
+			continue
+		}
+		if inv != c.inv || k != c.k {
+			t.Errorf("%s: 1/(2q) = %g, K = %d; want %g, %d", c.name, inv, k, c.inv, c.k)
+		}
+	}
+}
+
+// TestAcceptTableMatchesDirectExp: the acceptance table is an exact cache,
+// so a Metropolis solve with it must be bit-identical to the same solve
+// forced onto the direct math.Exp path — every restart's spins, energy
+// and best step, under every schedule kind, on Ising models lowered from
+// MaxCut (unit step) and from a QUBO with fields (quarter step).
+func TestAcceptTableMatchesDirectExp(t *testing.T) {
+	r := rng.New(5)
+	n := 40
+	jb := mat.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		for d := 0; d < 3; d++ {
+			j := r.Intn(n)
+			if j != i {
+				v := float64(r.Intn(5)-2) * 0.25
+				jb.Add(i, j, v)
+				jb.Add(j, i, v)
+			}
+		}
+	}
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = float64(r.Intn(9)-4) * 0.25
+	}
+	quarter, err := NewModelCSR(jb.Build(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*Model{"unit": gridModel(t, 50, -1, 0), "quarter": quarter}
+	scheds := []engine.Schedule{
+		engine.GeometricSchedule(60, 2, 0.05),
+		engine.LinearSchedule(60, 2, 0.05),
+		engine.AdaptiveSchedule(60, 2, 0.05, 3, 0.5),
+	}
+	for name, m := range models {
+		table, err := NewSolver(m, MetropolisDynamics, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table.acceptInv == 0 {
+			t.Fatalf("%s: model unexpectedly off the grid", name)
+		}
+		direct := *table
+		direct.acceptInv, direct.acceptK = 0, 0
+		te, de := engine.NewOpt(table), engine.NewOpt(&direct)
+		ts, ds := te.NewSolveState(), de.NewSolveState()
+		for _, sched := range scheds {
+			for restart := 0; restart < 4; restart++ {
+				s := sched.ForRestart(restart)
+				seed := uint64(11 + restart)
+				a, err := te.SolveWith(ts, s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := de.SolveWith(ds, s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) || math.Float64bits(a.Energy) != math.Float64bits(b.Energy) {
+					t.Fatalf("%s %s restart %d: table %+v, direct %+v", name, sched.Kind, restart, a, b)
+				}
+			}
+		}
 	}
 }

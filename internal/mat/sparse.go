@@ -153,15 +153,21 @@ func (s *CSR) SplitCols(mask []bool) (free, clamped *CSR) {
 }
 
 // Builder accumulates (i, j, v) triplets and produces a CSR matrix.
-// Duplicate entries for the same (i, j) are summed.
+// Duplicate entries for the same (i, j) are summed in Add order.
 type Builder struct {
 	rows, cols int
-	entries    map[[2]int]float64
+	trips      []triplet
+}
+
+// triplet is one accumulated Add.
+type triplet struct {
+	i, j int
+	v    float64
 }
 
 // NewBuilder returns a Builder for a rows x cols matrix.
 func NewBuilder(rows, cols int) *Builder {
-	return &Builder{rows: rows, cols: cols, entries: make(map[[2]int]float64)}
+	return &Builder{rows: rows, cols: cols}
 }
 
 // Add accumulates v at (i, j).
@@ -169,41 +175,51 @@ func (b *Builder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
 		panic(fmt.Sprintf("mat: Builder.Add out of range (%d,%d) in %dx%d", i, j, b.rows, b.cols))
 	}
-	b.entries[[2]int{i, j}] += v
+	b.trips = append(b.trips, triplet{i, j, v})
 }
 
-// Build produces the CSR matrix. Entries that summed to exactly zero are
-// still stored; callers that care should prune with eps beforehand.
+// Build produces the CSR matrix in O(NNZ + rows + cols): a stable counting
+// sort by column, then one by row, puts the triplets in (row, column) order
+// with duplicates still in Add order, and each run of duplicates sums from
+// +0 in that order. Entries that summed to exactly zero are still stored;
+// callers that care should prune with eps beforehand. Build does not
+// consume the triplets, so it may be called again after further Adds.
 func (b *Builder) Build() *CSR {
-	type trip struct {
-		i, j int
-		v    float64
-	}
-	trips := make([]trip, 0, len(b.entries))
-	for k, v := range b.entries {
-		trips = append(trips, trip{k[0], k[1], v})
-	}
-	sort.Slice(trips, func(a, c int) bool {
-		if trips[a].i != trips[c].i {
-			return trips[a].i < trips[c].i
-		}
-		return trips[a].j < trips[c].j
-	})
+	byCol := countingSort(b.trips, b.cols, func(t *triplet) int { return t.j })
+	sorted := countingSort(byCol, b.rows, func(t *triplet) int { return t.i })
 	s := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
-	s.ColIdx = make([]int, 0, len(trips))
-	s.Val = make([]float64, 0, len(trips))
-	row := 0
-	for _, t := range trips {
-		for row < t.i {
-			row++
-			s.RowPtr[row] = len(s.Val)
+	s.ColIdx = make([]int, 0, len(sorted))
+	s.Val = make([]float64, 0, len(sorted))
+	for k, t := range sorted {
+		if k > 0 && t.i == sorted[k-1].i && t.j == sorted[k-1].j {
+			s.Val[len(s.Val)-1] += t.v
+			continue
 		}
+		s.RowPtr[t.i+1]++
 		s.ColIdx = append(s.ColIdx, t.j)
-		s.Val = append(s.Val, t.v)
+		s.Val = append(s.Val, 0+t.v)
 	}
-	for row < b.rows {
-		row++
-		s.RowPtr[row] = len(s.Val)
+	for i := 0; i < b.rows; i++ {
+		s.RowPtr[i+1] += s.RowPtr[i]
 	}
 	return s
+}
+
+// countingSort returns a copy of ts stably ordered by key, which must lie
+// in [0, n).
+func countingSort(ts []triplet, n int, key func(*triplet) int) []triplet {
+	next := make([]int, n+1)
+	for k := range ts {
+		next[key(&ts[k])+1]++
+	}
+	for k := 1; k < n; k++ {
+		next[k] += next[k-1]
+	}
+	out := make([]triplet, len(ts))
+	for k := range ts {
+		c := key(&ts[k])
+		out[next[c]] = ts[k]
+		next[c]++
+	}
+	return out
 }

@@ -2,6 +2,8 @@ package mat
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +104,93 @@ func TestBuilderEmptyRows(t *testing.T) {
 	}
 	if s.At(3, 0) != 1 {
 		t.Fatal("missing entry")
+	}
+}
+
+// addCall is one recorded Builder.Add.
+type addCall struct {
+	i, j int
+	v    float64
+}
+
+// mapBuild is the map-and-sort Builder the linear-time Build replaced,
+// kept as the reference: duplicates sum into a map entry that starts at +0,
+// in Add order, and the keys are then sorted by (row, column).
+func mapBuild(rows, cols int, trips []addCall) *CSR {
+	entries := map[[2]int]float64{}
+	for _, t := range trips {
+		entries[[2]int{t.i, t.j}] += t.v
+	}
+	keys := make([][2]int, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a][0] != keys[b][0] {
+			return keys[a][0] < keys[b][0]
+		}
+		return keys[a][1] < keys[b][1]
+	})
+	s := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1), ColIdx: []int{}, Val: []float64{}}
+	for _, k := range keys {
+		s.RowPtr[k[0]+1]++
+		s.ColIdx = append(s.ColIdx, k[1])
+		s.Val = append(s.Val, entries[k])
+	}
+	for i := 0; i < rows; i++ {
+		s.RowPtr[i+1] += s.RowPtr[i]
+	}
+	return s
+}
+
+// sameCSR compares structure exactly and values by IEEE-754 bits, so a -0
+// that the reference stores as +0 counts as a difference.
+func sameCSR(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !reflect.DeepEqual(a.RowPtr, b.RowPtr) ||
+		len(a.ColIdx) != len(b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for p := range a.Val {
+		if a.ColIdx[p] != b.ColIdx[p] || math.Float64bits(a.Val[p]) != math.Float64bits(b.Val[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBuilderMatchesMapReference drives random triplet streams through the
+// Builder and the map reference: out-of-order adds, many duplicates whose
+// sum depends on Add order, signed zeros, huge values that cancel, rows
+// and columns left empty, non-square shapes, and Build called twice with
+// more Adds in between. Every result must match bit for bit.
+func TestBuilderMatchesMapReference(t *testing.T) {
+	values := []float64{math.Copysign(0, -1), 0, 1, -1, 0.1, -0.1, 1e300, -1e300, 1e-310, 3}
+	for seed := int64(1); seed <= 300; seed++ {
+		r := newTestRand(seed)
+		rows, cols := 1+int(r.next()*9), 1+int(r.next()*9)
+		// Only a random band of rows and columns is ever touched, so the
+		// rest stay empty.
+		rowSpan, colSpan := 1+int(r.next()*float64(rows)), 1+int(r.next()*float64(cols))
+		b := NewBuilder(rows, cols)
+		var trips []addCall
+		for round := 0; round < 2; round++ {
+			for k := int(r.next() * 40); k > 0; k-- {
+				i, j := rows-1-int(r.next()*float64(rowSpan)), int(r.next()*float64(colSpan))
+				v := values[int(r.next()*float64(len(values)))]
+				if r.next() < 0.3 {
+					v = r.next()*2 - 1
+				}
+				b.Add(i, j, v)
+				trips = append(trips, addCall{i, j, v})
+			}
+			want := mapBuild(rows, cols, trips)
+			for call := 0; call < 2; call++ {
+				if got := b.Build(); !sameCSR(got, want) {
+					t.Fatalf("seed %d round %d call %d: Build diverges from the map reference\n got  %+v\n want %+v",
+						seed, round, call, got, want)
+				}
+			}
+		}
 	}
 }
 

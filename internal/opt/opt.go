@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -34,25 +33,15 @@ type Instance struct {
 type edgeKey struct{ i, j int }
 
 // buildInstance assembles a symmetric CSR from an undirected edge-weight
-// map (keys i < j; weights summed per edge).
+// map (keys i < j, one weight per edge). The Builder orders the entries,
+// so the map's iteration order does not matter.
 func buildInstance(name string, n int, edges map[edgeKey]float64) *Instance {
-	keys := make([]edgeKey, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].i != keys[b].i {
-			return keys[a].i < keys[b].i
-		}
-		return keys[a].j < keys[b].j
-	})
 	b := mat.NewBuilder(n, n)
-	for _, k := range keys {
-		w := edges[k]
+	for k, w := range edges {
 		b.Add(k.i, k.j, w)
 		b.Add(k.j, k.i, w)
 	}
-	return &Instance{Name: name, N: n, Edges: len(keys), W: b.Build()}
+	return &Instance{Name: name, N: n, Edges: len(edges), W: b.Build()}
 }
 
 // CutValue returns the weight of the cut induced by spin vector s: the sum
@@ -188,10 +177,9 @@ const maxGsetNodes = 1 << 20
 // skipped.
 func ParseGset(name string, rd io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20)
 	var n, m int
-	header := false
-	edges := map[edgeKey]float64{}
+	var b *mat.Builder
 	line := 0
 	for sc.Scan() {
 		line++
@@ -200,7 +188,7 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 			continue
 		}
 		fields := strings.Fields(text)
-		if !header {
+		if b == nil {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("opt: %s line %d: header wants \"n m\", got %q", name, line, text)
 			}
@@ -213,7 +201,7 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 			if n > maxGsetNodes {
 				return nil, fmt.Errorf("opt: %s line %d: header declares %d nodes, limit %d", name, line, n, maxGsetNodes)
 			}
-			header = true
+			b = mat.NewBuilder(n, n)
 			continue
 		}
 		if len(fields) != 3 {
@@ -234,22 +222,23 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 		if i == j {
 			return nil, fmt.Errorf("opt: %s line %d: self-loop on node %d", name, line, i)
 		}
-		k := edgeKey{i - 1, j - 1}
-		if k.i > k.j {
-			k.i, k.j = k.j, k.i
-		}
-		edges[k] += w
+		// Both orientations, so the CSR is symmetric and a repeated edge
+		// sums in file order whichever way round it is written.
+		b.Add(i-1, j-1, w)
+		b.Add(j-1, i-1, w)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("opt: %s: %v", name, err)
 	}
-	if !header {
+	if b == nil {
 		return nil, fmt.Errorf("opt: %s: empty instance (no header)", name)
 	}
-	if len(edges) != m {
-		return nil, fmt.Errorf("opt: %s: header declares %d edges, found %d distinct", name, m, len(edges))
+	w := b.Build()
+	// No self-loops, so every distinct edge is two stored entries.
+	if edges := w.NNZ() / 2; edges != m {
+		return nil, fmt.Errorf("opt: %s: header declares %d edges, found %d distinct", name, m, edges)
 	}
-	return buildInstance(name, n, edges), nil
+	return &Instance{Name: name, N: n, Edges: m, W: w}, nil
 }
 
 // LoadGset reads a Gset instance from a file, named after its basename.

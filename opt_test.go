@@ -1,7 +1,10 @@
 package dsgl
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -107,5 +110,35 @@ func TestSolveMaxCutOptionValidation(t *testing.T) {
 	}
 	if rep.Dynamics != DynamicsMetropolis || rep.Run.Restarts != 4 {
 		t.Fatalf("defaults not applied: %+v", rep)
+	}
+}
+
+// TestSolveMaxCutRejectsNonFiniteEdge: an instance whose adjacency carries
+// a non-finite weight (both orientations, so it is still symmetric) must
+// fail with an error naming the entry, not panic on a run in which no
+// restart reached a comparable energy.
+func TestSolveMaxCutRejectsNonFiniteEdge(t *testing.T) {
+	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		g, err := GsetInstance(16, 3, false, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := g.W.ColIdx[0]
+		g.W.Val[0] = w
+		for p := g.W.RowPtr[j]; p < g.W.RowPtr[j+1]; p++ {
+			if g.W.ColIdx[p] == 0 {
+				g.W.Val[p] = w
+			}
+		}
+		for _, dyn := range OptDynamics() {
+			rep, err := SolveMaxCut(g, OptOptions{Dynamics: dyn, Steps: 10, Restarts: 2, Workers: 1})
+			if err == nil {
+				t.Errorf("weight %v, %s: solved (cut %v), want an error", w, dyn, rep.Cut)
+				continue
+			}
+			if want := fmt.Sprintf("W[0][%d] = %g is not finite", j, -w); !strings.Contains(err.Error(), want) {
+				t.Errorf("weight %v, %s: error %q does not name the entry (%q)", w, dyn, err, want)
+			}
+		}
 	}
 }
