@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench serve-bench verify clean
+.PHONY: all build vet lint test race bench serve-bench verify loc clean
 
 all: lint build test
 
@@ -33,16 +33,23 @@ race:
 	$(GO) test -race ./...
 
 # verify trains the standard pipeline on every built-in dataset and checks
-# the ten runtime invariants (energy descent, settle residual, snapshot
-# round trip, seq/par bit-identity, lossless compilation, plan/naive
-# bit-identity, sharded fixed-point agreement, warm-start fixed-point
-# agreement, opt best-energy consistency, decomposed K=1 / monolithic
-# bit-identity). The second line runs the decomposed pipeline itself
-# (K>1 classes on a heterogeneous workload) through the same harness.
-# Nonzero exit on any violation; small -n keeps it CI-cheap.
+# the ten runtime invariants (listed in the internal/verify package doc).
+# The second line runs the decomposed pipeline itself (K>1 classes on a
+# heterogeneous workload) through the same harness; the third runs every
+# dataset on the dense single-PE backend. Nonzero exit on any violation;
+# small -n keeps it CI-cheap.
 verify:
 	$(GO) run ./cmd/dsgl verify -n 16 -eval 8
 	$(GO) run ./cmd/dsgl verify heteromix -n 16 -eval 8 -decompose -classes 3
+	$(GO) run ./cmd/dsgl verify -backend dense -n 16 -eval 8
+
+# loc prints the non-test Go line count outside perfbench/ (the benchmark
+# module): every line, and code only (non-blank lines that are not //
+# comments). Untracked files that git does not ignore count too.
+loc:
+	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/'); \
+	echo "total $$(cat $$files | wc -l)"; \
+	echo "code  $$(cat $$files | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"
 
 # bench runs the batch-inference benchmarks in steady state and captures the
 # full -json event stream (benchmark results ride in "output" events) as

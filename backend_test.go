@@ -30,6 +30,46 @@ func TestTrainRejectsUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsBadOptions: every option value the pipeline cannot run
+// must fail Train with an error, never a panic or a silently different
+// model. Dense-backend noise is rejected because the dense DSPU models no
+// analog noise: a noisy dense model used to predict exactly like the
+// noise-free one.
+func TestTrainRejectsBadOptions(t *testing.T) {
+	ds := tinyDataset(t, "traffic")
+	for _, tc := range []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"NaN density", func(o *Options) { o.Density = math.NaN() }},
+		{"negative density", func(o *Options) { o.Density = -0.1 }},
+		{"density above 1", func(o *Options) { o.Density = 2 }},
+		{"infinite density", func(o *Options) { o.Density = math.Inf(1) }},
+		{"NaN RidgeLambda", func(o *Options) { o.RidgeLambda = math.NaN() }},
+		{"NaN node noise", func(o *Options) { o.NodeNoise = math.NaN() }},
+		{"negative coupler noise", func(o *Options) { o.CouplerNoise = -0.05 }},
+		{"negative MaxInferNs", func(o *Options) { o.MaxInferNs = -1 }},
+		{"infinite SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.Inf(1) }},
+		{"NaN SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.NaN() }},
+		{"infinite ShardSyncNs", func(o *Options) { o.ShardSyncNs = math.Inf(1) }},
+		{"dense node noise", func(o *Options) { o.Backend = BackendDense; o.NodeNoise = 0.05 }},
+		{"dense coupler noise", func(o *Options) { o.Backend = BackendDense; o.CouplerNoise = 0.05 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Train panicked: %v", r)
+				}
+			}()
+			opts := tinyOptions()
+			tc.edit(&opts)
+			if _, err := Train(ds, opts); err == nil {
+				t.Fatal("Train accepted the options")
+			}
+		})
+	}
+}
+
 func TestDenseBackendEndToEnd(t *testing.T) {
 	ds := tinyDataset(t, "traffic")
 	model, err := Train(ds, denseOptions())

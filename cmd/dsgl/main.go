@@ -246,10 +246,9 @@ func formatMAPE(rep *dsgl.Report) string {
 
 // verify trains the standard pipeline on each named workload (default:
 // every built-in dataset) and runs the invariant-verification harness
-// against the trained model: monotone energy descent, equilibrium
-// residual at settle, Save/Load round-trip equivalence, sequential vs
-// parallel bit-identity, and lossless compilation. Any violation makes
-// the command exit nonzero.
+// (dsgl.Verify) against the trained model: the ten invariants listed in
+// the internal/verify package doc. Any violation makes the command exit
+// nonzero.
 func verify(names []string, cfg experiments.Config, opts dsgl.Options) error {
 	if len(names) == 0 {
 		names = append(dsgl.DatasetNames(), dsgl.MultiDatasetNames()...)

@@ -111,7 +111,9 @@ type Options struct {
 	// value. With BackendDense the pipeline stops after phase 1 and the
 	// Model runs the dense parameter set on a single dense DSPU; the
 	// decomposition options (Pattern, Density, Wormholes, PECapacity,
-	// Lanes, TemporalDisabled, SyncIntervalNs, FineTuneEpochs) are unused.
+	// Lanes, TemporalDisabled, SyncIntervalNs, FineTuneEpochs) are unused,
+	// and Train rejects non-zero NodeNoise or CouplerNoise: the dense DSPU
+	// models no analog noise.
 	Backend string
 	// Pattern is the inter-PE interconnect. The zero value is Chain (the
 	// cheapest); the paper's richest pattern is DMesh.
@@ -236,6 +238,40 @@ func (o *Options) fillDefaults() {
 	}
 }
 
+// validate is the one gate on Options: Train runs it after fillDefaults and
+// Load on a snapshot's options. NaN fails every comparison, so each bound
+// is written to reject it too.
+func (o *Options) validate() error {
+	if o.Backend != BackendScalable && o.Backend != BackendDense {
+		return errUnknownBackend(o.Backend)
+	}
+	if !(o.Density > 0 && o.Density <= 1) {
+		return fmt.Errorf("dsgl: Density %v outside (0, 1]", o.Density)
+	}
+	for _, f := range []struct {
+		name      string
+		v         float64
+		allowZero bool
+	}{
+		{"RidgeLambda", o.RidgeLambda, true}, // 0: select on validation data
+		{"NodeNoise", o.NodeNoise, true},
+		{"CouplerNoise", o.CouplerNoise, true},
+		{"MaxInferNs", o.MaxInferNs, false},
+		{"SyncIntervalNs", o.SyncIntervalNs, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 || (f.v == 0 && !f.allowZero) {
+			return fmt.Errorf("dsgl: %s %v out of range", f.name, f.v)
+		}
+	}
+	if math.IsNaN(o.ShardSyncNs) || math.IsInf(o.ShardSyncNs, 0) {
+		return fmt.Errorf("dsgl: ShardSyncNs %v must be finite", o.ShardSyncNs)
+	}
+	if o.Backend == BackendDense && (o.NodeNoise != 0 || o.CouplerNoise != 0) {
+		return errors.New("dsgl: the dense backend models no analog noise; NodeNoise and CouplerNoise must be 0")
+	}
+	return nil
+}
+
 // Model is a trained, decomposed, and hardware-compiled DS-GL system for
 // one dataset.
 type Model struct {
@@ -277,8 +313,8 @@ func errUnknownBackend(name string) error {
 // Train runs the full DS-GL pipeline on the dataset's training windows.
 func Train(ds *Dataset, opts Options) (*Model, error) {
 	opts.fillDefaults()
-	if opts.Backend != BackendScalable && opts.Backend != BackendDense {
-		return nil, errUnknownBackend(opts.Backend)
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -315,29 +351,28 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	// on a single-PE dense DSPU (Sec. III), with no decomposition and no
 	// hardware compilation. Tuned aliases Dense so metrics/report code that
 	// consults the "running" parameter set works unchanged.
-	if opts.Backend == BackendDense {
-		d, err := dspu.New(dense.J, dense.H, dspu.Config{
-			Seed:      opts.Seed + 2, // same anneal-seed slot the scalable machine uses
-			MaxTimeNs: denseMaxInferNs,
-		})
+	tuned := dense
+	var assign *community.Assignment
+	var mask *mat.Bool
+	if opts.Backend == BackendScalable {
+		tuned, assign, mask, err = decompose(ds, opts, dense, mom, samples, classVars, &clock)
 		if err != nil {
-			return nil, fmt.Errorf("dsgl: dense DSPU: %w", err)
+			return nil, err
 		}
-		clock.mark(stageBuild)
-		clock.record()
-		return &Model{
-			Dataset:  ds,
-			Opts:     opts,
-			Dense:    dense,
-			Tuned:    dense,
-			Dspu:     d,
-			Classes:  classes,
-			unknown:  ds.UnknownIndices(),
-			observed: ds.ObservedMask(),
-		}, nil
 	}
+	m, err := newModel(ds, opts, dense, tuned, assign, mask, classes)
+	if err != nil {
+		return nil, err
+	}
+	clock.mark(stageBuild)
+	clock.record()
+	return m, nil
+}
 
-	// Phase 2: decomposition (Sec. IV.B).
+// decompose runs phase 2 (Sec. IV.B): prune the dense J to the density
+// target, place its communities on the PE grid, build the interconnect
+// mask, and refit the parameters under it.
+func decompose(ds *Dataset, opts Options, dense *train.Params, mom *train.Moments, samples [][]float64, classVars []int, clock *stageClock) (*train.Params, *community.Assignment, *mat.Bool, error) {
 	pruned := community.PruneToDensity(dense.J, opts.Density)
 	weights := community.CouplingWeights(pruned)
 	clock.mark(stagePrune)
@@ -351,7 +386,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	clock.mark(stageLouvain)
 	assign, err := community.Redistribute(part, weights, opts.PECapacity)
 	if err != nil {
-		return nil, fmt.Errorf("dsgl: redistribution: %w", err)
+		return nil, nil, nil, fmt.Errorf("dsgl: redistribution: %w", err)
 	}
 	clock.mark(stageRedistribute)
 	mask, _ := pattern.BuildMask(assign, pruned, pattern.Config{
@@ -378,7 +413,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 		tuned, err = mom.MaskedRidge(mask, opts.RidgeLambda)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("dsgl: fine-tune: %w", err)
+		return nil, nil, nil, fmt.Errorf("dsgl: fine-tune: %w", err)
 	}
 	if opts.FineTuneEpochs > 0 {
 		tuned, err = train.Fit(samples, train.Config{
@@ -390,41 +425,53 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 			Seed:      opts.Seed + 1,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("dsgl: fine-tune: %w", err)
+			return nil, nil, nil, fmt.Errorf("dsgl: fine-tune: %w", err)
 		}
 	}
 	clock.mark(stageMaskedRidge)
+	return tuned, assign, mask, nil
+}
 
-	// Phase 3: hardware compilation (Sec. IV.C).
-	machine, err := scalable.Build(tuned, assign, mask, scalable.Config{
-		Lanes:            opts.Lanes,
-		TemporalDisabled: opts.TemporalDisabled,
-		SyncIntervalNs:   opts.SyncIntervalNs,
-		MaxTimeNs:        opts.MaxInferNs,
-		NodeNoise:        opts.NodeNoise,
-		CouplerNoise:     opts.CouplerNoise,
-		ShardWorkers:     opts.ShardWorkers,
-		ShardSyncNs:      opts.ShardSyncNs,
-		Seed:             opts.Seed + 2,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dsgl: hardware compilation: %w", err)
-	}
-	clock.mark(stageBuild)
-	clock.record()
-
-	return &Model{
+// newModel builds the backend opts.Backend selects around the parameter
+// set it runs (phase 3, Sec. IV.C, on the scalable backend) and wraps it in
+// a Model. Train, Load and DenseInfer all build models here, so a loaded
+// model runs exactly the backend Train built. assign and mask are the
+// decomposition; the dense backend has none.
+func newModel(ds *Dataset, opts Options, dense, tuned *train.Params, assign *community.Assignment, mask *mat.Bool, classes []int) (*Model, error) {
+	m := &Model{
 		Dataset:    ds,
 		Opts:       opts,
 		Dense:      dense,
 		Tuned:      tuned,
 		Assignment: assign,
-		Machine:    machine,
 		Classes:    classes,
 		mask:       mask,
 		unknown:    ds.UnknownIndices(),
 		observed:   ds.ObservedMask(),
-	}, nil
+	}
+	var err error
+	if opts.Backend == BackendDense {
+		m.Dspu, err = dspu.New(tuned.J, tuned.H, dspu.Config{
+			Seed:      opts.Seed + 2, // same anneal-seed slot the scalable machine uses
+			MaxTimeNs: denseMaxInferNs,
+		})
+	} else {
+		m.Machine, err = scalable.Build(tuned, assign, mask, scalable.Config{
+			Lanes:            opts.Lanes,
+			TemporalDisabled: opts.TemporalDisabled,
+			SyncIntervalNs:   opts.SyncIntervalNs,
+			MaxTimeNs:        opts.MaxInferNs,
+			NodeNoise:        opts.NodeNoise,
+			CouplerNoise:     opts.CouplerNoise,
+			ShardWorkers:     opts.ShardWorkers,
+			ShardSyncNs:      opts.ShardSyncNs,
+			Seed:             opts.Seed + 2,
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dsgl: building the %s backend: %w", opts.Backend, err)
+	}
+	return m, nil
 }
 
 // assignClasses runs the class-assignment stage when Options.Decompose is
@@ -463,18 +510,32 @@ func classVariables(ds *Dataset, nodeClass []int) []int {
 // switching, so they settle well within 2 µs.
 const denseMaxInferNs = 2000
 
+// regressionBackend is what the model and its verification need from
+// either regression backend; *scalable.Machine and *dspu.DSPU both
+// provide it.
+type regressionBackend interface {
+	Engine() *engine.Engine
+	EffectiveJ() *mat.Dense
+	ClampedEnergyAt(x []float64, clamped []bool) float64
+	ResidualAt(x []float64, clamped []bool) (float64, error)
+	SettleResidualTol() float64
+}
+
+// backend returns the backend the model runs.
+func (m *Model) backend() regressionBackend {
+	if m.Machine != nil {
+		return m.Machine
+	}
+	return m.Dspu
+}
+
 // Engine returns the inference engine of the model's backend. Both
-// backends expose the identical engine surface (InferSeeded, InferBatch,
+// backends expose the identical engine surface (Run, RunBatch,
 // EnsurePlan, plan-cache stats), so everything downstream of Train is
 // backend-agnostic. The serving layer (internal/serve) drives models
 // through this handle: it is safe for concurrent use, and batch entry
 // points are bit-identical to their solo equivalents per seed.
-func (m *Model) Engine() *engine.Engine {
-	if m.Machine != nil {
-		return m.Machine.Engine()
-	}
-	return m.Dspu.Engine()
-}
+func (m *Model) Engine() *engine.Engine { return m.backend().Engine() }
 
 // mode names the co-annealing method for predictions and reports.
 func (m *Model) mode() string {
@@ -847,6 +908,9 @@ func trainDensePhase(ds *Dataset, mom *train.Moments, samples [][]float64, opts 
 // via DenseInfer or passed to Train as Options.DenseInit.
 func TrainDense(ds *Dataset, opts Options) (*train.Params, error) {
 	opts.fillDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	// Same admission check Train performs: a malformed dataset must surface
 	// here as an error, not as a panic deep inside Split or the ridge solve.
 	if err := ds.Validate(); err != nil {
@@ -874,41 +938,14 @@ func TrainDense(ds *Dataset, opts Options) (*train.Params, error) {
 // DenseInfer runs one window inference on a dense (single-PE) Real-Valued
 // DSPU built from params.
 func DenseInfer(ds *Dataset, params *train.Params, w datasets.Window, seed uint64) (*Prediction, error) {
-	// Same geometry check windowObservations performs on the model path: a
-	// window that does not match the parameter dimension would otherwise
-	// panic indexing w.Full (too short) or silently clamp garbage entries
-	// (too long).
-	if len(w.Full) != params.Dim() {
-		return nil, fmt.Errorf("dsgl: window has %d entries, parameters expect %d", len(w.Full), params.Dim())
-	}
+	// The dataset's observation mask must fit the parameters; the window
+	// itself is checked against them by predictSeeded.
 	if got := ds.WindowLen(); got != params.Dim() {
 		return nil, fmt.Errorf("dsgl: dataset window length %d, parameters expect %d", got, params.Dim())
 	}
-	d, err := dspu.New(params.J, params.H, dspu.Config{Seed: seed, MaxTimeNs: denseMaxInferNs})
+	m, err := newModel(ds, Options{Backend: BackendDense}, params, params, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	observed := ds.ObservedMask()
-	obs := make([]engine.Observation, 0, len(w.Full))
-	for i, isObs := range observed {
-		if isObs {
-			obs = append(obs, engine.Observation{Index: i, Value: w.Full[i]})
-		}
-	}
-	res, err := d.Engine().InferSeeded(obs, seed)
-	if err != nil {
-		return nil, err
-	}
-	unknown := ds.UnknownIndices()
-	p := &Prediction{
-		Values:    make([]float64, len(unknown)),
-		Truth:     make([]float64, len(unknown)),
-		LatencyUs: res.LatencyNs / 1000,
-		Mode:      "dense",
-	}
-	for k, idx := range unknown {
-		p.Values[k] = res.Voltage[idx]
-		p.Truth[k] = w.Full[idx]
-	}
-	return p, nil
+	return m.predictSeeded(w, seed)
 }

@@ -81,16 +81,14 @@ type DSPU struct {
 	N   int
 	Net *circuit.Network
 	cfg Config
+	// cpl is the one-matrix coupling list [Net.J] the clamp plans split and
+	// the energies reduce; kept as a field so neither allocates per call.
+	cpl *mat.Couplings
 
 	// The engine is created lazily on first use, mirroring
 	// scalable.Machine: tests may construct literals that never infer.
 	engOnce sync.Once
 	eng     *engine.Engine
-
-	// Column→rows adjacency of J, built lazily on the first plan-delta
-	// compile (plan.go).
-	colRowsOnce sync.Once
-	jColRows    [][]int32
 }
 
 // Engine returns the inference engine driving this DSPU, creating it on
@@ -114,7 +112,7 @@ func New(j *mat.Dense, h []float64, cfg Config) (*DSPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg}, nil
+	return &DSPU{N: j.Rows, Net: net, cfg: cfg, cpl: mat.NewCouplings(net.J)}, nil
 }
 
 // NewCSR builds a DSPU from a sparse coupling matrix.
@@ -129,7 +127,7 @@ func NewCSR(j *mat.CSR, h []float64, cfg Config) (*DSPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg}, nil
+	return &DSPU{N: j.Rows, Net: net, cfg: cfg, cpl: mat.NewCouplings(net.J)}, nil
 }
 
 // dscratch is the DSPU's backend arena inside an engine.InferState.
@@ -187,8 +185,9 @@ func (d *DSPU) Rails() float64 { return d.cfg.VRail }
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (d *DSPU) BaseSeed() uint64 { return d.cfg.Seed }
 
-// CompilePlan compiles the clamp pattern into a *clampPlan (see plan.go).
-func (d *DSPU) CompilePlan(clamped []bool) any { return d.compilePlan(clamped) }
+// CompilePlan splits the coupling list against the clamp pattern (see
+// plan.go).
+func (d *DSPU) CompilePlan(clamped []bool) any { return d.cpl.Split(clamped) }
 
 // The DSPU delta-compiles clamp plans for streaming inference (plan.go).
 var _ engine.DeltaBackend = (*DSPU)(nil)
@@ -196,7 +195,7 @@ var _ engine.DeltaBackend = (*DSPU)(nil)
 // RunPlanned runs the integration loop over the clamp-plan system.
 func (d *DSPU) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
 	sc := st.Scratch.(*dscratch)
-	return d.annealLoop(st, sc, d.planSystem(st, sc, plan.(*clampPlan)))
+	return d.annealLoop(st, sc, d.planSystem(st, sc, plan.(*mat.ClampSplit)))
 }
 
 // RunNaive runs the integration loop over the raw network (per-state mask).
@@ -206,50 +205,20 @@ func (d *DSPU) RunNaive(st *engine.InferState) (*engine.Result, error) {
 }
 
 // EnergyAt evaluates the real-valued Hamiltonian H_RV at state x.
-func (d *DSPU) EnergyAt(x []float64) float64 { return d.Net.Energy(x) }
+func (d *DSPU) EnergyAt(x []float64) float64 { return d.cpl.EnergyAt(x, d.Net.H) }
 
-// EffectiveJ reconstructs the dense coupling matrix the network realizes —
-// the counterpart of scalable.Machine.EffectiveJ for the single-PE dense
-// backend. Construction converts the trained J to CSR dropping only exact
-// zeros and keeping every surviving entry bit-exact, so EffectiveJ equals
-// the constructor's J bit-for-bit; the lossless-realization and snapshot
+// EffectiveJ reconstructs the dense coupling matrix the network realizes.
+// Construction converts the trained J to CSR dropping only exact zeros and
+// keeping every surviving entry bit-exact, so EffectiveJ equals the
+// constructor's J bit-for-bit; the lossless-realization and snapshot
 // round-trip verify invariants compare against it.
-func (d *DSPU) EffectiveJ() *mat.Dense { return d.Net.J.ToDense() }
+func (d *DSPU) EffectiveJ() *mat.Dense { return d.cpl.EffectiveJ() }
 
 // ClampedEnergyAt evaluates the conditional Hamiltonian of the free
-// subsystem given the clamped nodes (the Lyapunov function of clamped
-// annealing, mirroring scalable.Machine.ClampedEnergyAt): free-free
-// couplings weigh 1/2, free-clamp couplings full weight (the clamped node
-// is a boundary condition, not a co-descending coordinate), clamped rows
-// dropped.
+// subsystem given the clamped nodes, the Lyapunov function of clamped
+// annealing (see mat.Couplings.ClampedEnergyAt).
 func (d *DSPU) ClampedEnergyAt(x []float64, clamped []bool) float64 {
-	var e float64
-	s := d.Net.J
-	for i := 0; i < s.Rows; i++ {
-		if clamped[i] {
-			continue
-		}
-		xi := x[i]
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			w := 0.5
-			if clamped[s.ColIdx[p]] {
-				w = 1
-			}
-			e -= w * s.Val[p] * xi * x[s.ColIdx[p]]
-		}
-	}
-	for i, h := range d.Net.H {
-		if clamped[i] {
-			continue
-		}
-		switch d.Net.Self {
-		case circuit.Linear:
-			e -= h * x[i]
-		case circuit.Quadratic:
-			e -= 0.5 * h * x[i] * x[i]
-		}
-	}
-	return e
+	return d.cpl.ClampedEnergyAt(x, clamped, d.Net.H)
 }
 
 // ResidualAt evaluates the noise-free equilibrium residual max |dσ/dt| at
@@ -312,7 +281,7 @@ func (d *DSPU) annealLoop(st *engine.InferState, sc *dscratch, sys ode.System) (
 		AnnealNs:  t,
 		Steps:     taken,
 		Settled:   settled,
-		Energy:    d.Net.Energy(x),
+		Energy:    d.EnergyAt(x),
 		Residual:  lastResidual,
 	}
 	return &st.Res, nil
@@ -360,9 +329,6 @@ func (d *DSPU) TraceRun(x0 []float64, obs []engine.Observation, durationNs, samp
 	}
 	return tr, nil
 }
-
-// Energy evaluates the real-valued Hamiltonian H_RV at state x.
-func (d *DSPU) Energy(x []float64) float64 { return d.Net.Energy(x) }
 
 // Config returns the (defaults-filled) runtime configuration.
 func (d *DSPU) Config() Config { return d.cfg }

@@ -141,7 +141,7 @@ func TestEnergyDecreasesDuringInference(t *testing.T) {
 	// seed alone; replaying that draw gives the starting energy.
 	x0 := make([]float64, 6)
 	rng.New(3).FillUniform(x0, -0.1, 0.1)
-	e0 := d.Energy(x0)
+	e0 := d.EnergyAt(x0)
 	res, err := d.Engine().InferSeeded(nil, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +169,175 @@ func TestPatchRowPlanDoesNotMutatePrev(t *testing.T) {
 	PatchRowPlan(s, static, dyn, s.ColRows(), clamped, next)
 	if !csrIdentical(static, snapS) || !csrIdentical(dyn, snapD) {
 		t.Fatal("PatchRowPlan mutated the previous split")
+	}
+}
+
+// csrBitIdentical is csrIdentical with values compared by bit pattern, so
+// -0 and +0 (both legal stored couplings) are told apart.
+func csrBitIdentical(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.RowPtr) != len(b.RowPtr) ||
+		len(a.ColIdx) != len(b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != b.RowPtr[i] {
+			return false
+		}
+	}
+	for i := range a.ColIdx {
+		if a.ColIdx[i] != b.ColIdx[i] || math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func intsEqual(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// splitsBitIdentical compares two clamp splits field by field.
+func splitsBitIdentical(a, b *ClampSplit) bool {
+	if !intsEqual(a.Free, b.Free) || !intsEqual(a.Clamped, b.Clamped) ||
+		len(a.Static) != len(b.Static) || len(a.Dyn) != len(b.Dyn) {
+		return false
+	}
+	for k := range a.Static {
+		if !csrBitIdentical(a.Static[k], b.Static[k]) || !csrBitIdentical(a.Dyn[k], b.Dyn[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneSplit deep-copies a split, so a later comparison can tell whether
+// the original was written to.
+func cloneSplit(s *ClampSplit) *ClampSplit {
+	c := &ClampSplit{Free: append([]int(nil), s.Free...), Clamped: append([]int(nil), s.Clamped...)}
+	cp := func(m *CSR) *CSR {
+		return &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: append([]int(nil), m.RowPtr...),
+			ColIdx: append([]int(nil), m.ColIdx...), Val: append([]float64(nil), m.Val...)}
+	}
+	for k := range s.Static {
+		c.Static = append(c.Static, cp(s.Static[k]))
+		c.Dyn = append(c.Dyn, cp(s.Dyn[k]))
+	}
+	return c
+}
+
+// decodeCouplings reads a coupling list from fuzz bytes: a matrix count
+// (1-4), a dimension (1-12), then one byte per matrix cell. A cell byte
+// with its low two bits clear stores an entry whose value comes from the
+// remaining six bits: -0, an explicit +0, or a multiple of 1/8 in
+// [-3.75, 3.75]. Rows may end up empty. It returns the unread bytes.
+func decodeCouplings(data []byte) (*Couplings, []byte) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	count, n := 1+int(data[0])%4, 1+int(data[1])%12
+	data = data[2:]
+	mats := make([]*CSR, count)
+	for k := range mats {
+		s := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var b byte
+				if len(data) > 0 {
+					b, data = data[0], data[1:]
+				}
+				if b&3 != 0 {
+					continue
+				}
+				v := float64(int(b>>2)-32) / 8
+				switch b >> 2 {
+				case 0:
+					v = math.Copysign(0, -1)
+				case 1:
+					v = 0
+				}
+				s.ColIdx = append(s.ColIdx, j)
+				s.Val = append(s.Val, v)
+			}
+			s.RowPtr[i+1] = len(s.Val)
+		}
+		mats[k] = s
+	}
+	return NewCouplings(mats...), data
+}
+
+// FuzzClampSplitPatch is the differential check of the clamp-plan patcher
+// against a fresh split, the pair both inference backends rely on. From
+// the input it decodes a coupling list and a walk of clamp masks: the first
+// mask's bits come from the input, then every step byte flips up to six
+// positions (repeats cancel), read from the bytes that follow. At every
+// step Patch must decline exactly when no bit or more than MaxPatchBits
+// bits flipped, must otherwise equal Split of the new mask bit for bit,
+// and must never write to the split it patches.
+func FuzzClampSplitPatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, rest := decodeCouplings(data)
+		if c == nil {
+			return
+		}
+		n := c.Dim()
+		mask := make([]bool, n)
+		for i := range mask {
+			if len(rest) > 0 {
+				mask[i], rest = rest[0]&1 == 1, rest[1:]
+			}
+		}
+		cur := c.Split(mask)
+		for len(rest) > 0 {
+			flips := int(rest[0]) % 7
+			rest = rest[1:]
+			next := append([]bool(nil), mask...)
+			for ; flips > 0 && len(rest) > 0; flips-- {
+				next[int(rest[0])%n] = !next[int(rest[0])%n]
+				rest = rest[1:]
+			}
+			changed := 0
+			for i := range next {
+				if next[i] != mask[i] {
+					changed++
+				}
+			}
+			before := cloneSplit(cur)
+			got := cur.Patch(c, mask, next)
+			if !splitsBitIdentical(cur, before) {
+				t.Fatal("Patch wrote to the split it patched")
+			}
+			fresh := c.Split(next)
+			if wantNil := changed == 0 || changed > MaxPatchBits; wantNil != (got == nil) {
+				t.Fatalf("%d bits flipped: Patch returned nil = %v, want %v", changed, got == nil, wantNil)
+			}
+			if got != nil && !splitsBitIdentical(got, fresh) {
+				t.Fatalf("patched split (%d bits flipped) differs from a fresh split", changed)
+			}
+			mask, cur = next, fresh
+		}
+	})
+}
+
+// TestClampSplitPatchDeclinesForeignList: a split of a coupling list with a
+// different number of matrices is not patchable against this one.
+func TestClampSplitPatchDeclinesForeignList(t *testing.T) {
+	r := newTestRand(4)
+	a := randSquareCSR(r, 5, 0.4)
+	one, two := NewCouplings(a), NewCouplings(a, randSquareCSR(r, 5, 0.4))
+	old := []bool{true, false, false, true, false}
+	next := []bool{true, true, false, true, false}
+	if got := one.Split(old).Patch(two, old, next); got != nil {
+		t.Fatal("Patch accepted a split of a one-matrix list against a two-matrix list")
+	}
+	if got := two.Split(old).Patch(two, old, next); got == nil {
+		t.Fatal("Patch declined a one-bit delta on its own list")
 	}
 }

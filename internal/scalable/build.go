@@ -205,6 +205,7 @@ func Build(params *train.Params, assign *community.Assignment, mask *mat.Bool, c
 		m.phases = []*mat.CSR{mat.NewBuilder(n, n).Build()}
 		m.stats.Rounds = 1
 	}
+	m.cpl = mat.NewCouplings(append([]*mat.CSR{m.intra}, m.phases...)...)
 	return m, nil
 }
 

@@ -171,7 +171,10 @@ type Machine struct {
 	assign *community.Assignment
 	intra  *mat.CSR   // intra-PE couplings (always live, always fresh)
 	phases []*mat.CSR // inter-PE couplings per temporal slice
-	stats  Stats
+	// cpl is the coupling list [intra, slice 0, slice 1, ...] the clamp
+	// plans split (plan.go) and the energies and EffectiveJ reduce.
+	cpl   *mat.Couplings
+	stats Stats
 
 	// The engine is created lazily on first use: tests construct bare
 	// Machine literals (&Machine{N: ..., intra: ...}) that never infer.
@@ -185,13 +188,6 @@ type Machine struct {
 	shardOnce   sync.Once
 	shardGroups [][]int
 	combined    *mat.CSR
-
-	// Column→rows adjacency of every coupling matrix, built lazily on the
-	// first plan-delta compile (plan.go): the patcher uses it to find the
-	// rows a clamp-mask flip touches without rescanning the matrices.
-	colRowsOnce  sync.Once
-	intraColRows [][]int32
-	phaseColRows [][][]int32
 }
 
 // Engine returns the inference engine driving this machine, creating it on
@@ -219,11 +215,10 @@ type scratch struct {
 	resBuf   []float64
 	contrib  [][]float64
 
-	// Clamp-plan scratch: biasIntra and biasPhase hold the folded constant
-	// coupling currents of the current inference (one entry per row; only
-	// fully-clamped rows are non-zero).
-	biasIntra []float64
-	biasPhase [][]float64
+	// Clamp-plan scratch: bias[k] holds the folded constant coupling
+	// currents of coupling-list matrix k for the current inference (one
+	// entry per row; only fully-clamped rows are non-zero).
+	bias [][]float64
 
 	// shard is the sharded-anneal arena (shard.go), allocated on the
 	// state's first sharded run; nil until then, so states that never run
@@ -247,11 +242,10 @@ func (m *Machine) AttachState(st *engine.InferState) {
 	for k := range sc.contrib {
 		sc.contrib[k] = flat[k*m.N : (k+1)*m.N : (k+1)*m.N]
 	}
-	sc.biasIntra = make([]float64, m.N)
-	sc.biasPhase = make([][]float64, len(m.phases))
-	biasFlat := make([]float64, len(m.phases)*m.N)
-	for k := range sc.biasPhase {
-		sc.biasPhase[k] = biasFlat[k*m.N : (k+1)*m.N : (k+1)*m.N]
+	sc.bias = make([][]float64, len(m.cpl.Mats))
+	biasFlat := make([]float64, len(sc.bias)*m.N)
+	for k := range sc.bias {
+		sc.bias[k] = biasFlat[k*m.N : (k+1)*m.N : (k+1)*m.N]
 	}
 	st.Scratch = sc
 }
@@ -270,12 +264,13 @@ func (m *Machine) Rails() float64 { return m.cfg.VRail }
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (m *Machine) BaseSeed() uint64 { return m.cfg.Seed }
 
-// CompilePlan compiles the clamp pattern into a *clampPlan (see plan.go).
-func (m *Machine) CompilePlan(clamped []bool) any { return m.compilePlan(clamped) }
+// CompilePlan splits the coupling list against the clamp pattern (see
+// plan.go).
+func (m *Machine) CompilePlan(clamped []bool) any { return m.cpl.Split(clamped) }
 
 // RunPlanned runs the clamp-plan hot loop on a prepared state.
 func (m *Machine) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
-	return m.inferPlanned(st, plan.(*clampPlan))
+	return m.inferPlanned(st, plan.(*mat.ClampSplit))
 }
 
 // RunNaive runs the naive reference loop on a prepared state.
@@ -534,69 +529,13 @@ func (m *Machine) SettleResidualTol() float64 {
 
 // EnergyAt evaluates the real-valued Hamiltonian of the compiled system
 // (all couplings, intra and inter) at state x.
-func (m *Machine) EnergyAt(x []float64) float64 {
-	var e float64
-	addJ := func(s *mat.CSR) {
-		for i := 0; i < s.Rows; i++ {
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				e -= 0.5 * s.Val[p] * x[i] * x[s.ColIdx[p]]
-			}
-		}
-	}
-	addJ(m.intra)
-	for _, ph := range m.phases {
-		addJ(ph)
-	}
-	for i, h := range m.params.H {
-		e -= 0.5 * h * x[i] * x[i]
-	}
-	return e
-}
+func (m *Machine) EnergyAt(x []float64) float64 { return m.cpl.EnergyAt(x, m.params.H) }
 
 // ClampedEnergyAt evaluates the conditional Hamiltonian of the free
-// subsystem given the clamped nodes:
-//
-//	E_c(x) = - 1/2 Σ_{i,j free} J_ij x_i x_j
-//	         -     Σ_{i free, j clamped} J_ij x_i x_j
-//	         - 1/2 Σ_{i free} h_i x_i²
-//
-// This — not the raw Hamiltonian EnergyAt — is the Lyapunov function of
-// clamped annealing: the dynamics dσ_i/dt = Σ_j J_ij σ_j + h_i σ_i on the
-// free nodes are exactly -∇E_c whenever the free-free coupling block is
-// symmetric (in particular whenever it is empty, as the closed-form trained
-// systems are: couplings run from observed to predicted nodes only). The
-// clamp-coupling term enters with full weight because the clamped node is a
-// boundary condition, not a co-descending coordinate; EnergyAt's symmetric
-// 1/2 accounting double-discounts it, which is why EnergyAt can rise
-// monotonically while the system descends E_c to the regression
-// equilibrium σ_i = -Σ J_ij σ_j / h_i (paper Eqs. 6-8).
+// subsystem given the clamped nodes, the Lyapunov function of clamped
+// annealing (see mat.Couplings.ClampedEnergyAt).
 func (m *Machine) ClampedEnergyAt(x []float64, clamped []bool) float64 {
-	var e float64
-	addJ := func(s *mat.CSR) {
-		for i := 0; i < s.Rows; i++ {
-			if clamped[i] {
-				continue
-			}
-			xi := x[i]
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				w := 0.5
-				if clamped[s.ColIdx[p]] {
-					w = 1
-				}
-				e -= w * s.Val[p] * xi * x[s.ColIdx[p]]
-			}
-		}
-	}
-	addJ(m.intra)
-	for _, ph := range m.phases {
-		addJ(ph)
-	}
-	for i, h := range m.params.H {
-		if !clamped[i] {
-			e -= 0.5 * h * x[i] * x[i]
-		}
-	}
-	return e
+	return m.cpl.ClampedEnergyAt(x, clamped, m.params.H)
 }
 
 // typicalCoupling estimates the nominal coupling-current magnitude for
@@ -625,10 +564,4 @@ func (m *Machine) typicalCoupling() float64 {
 // realizes (intra + all slices); for a lossless compilation this equals
 // the trained J. Used by tests and by the DS-GL-Spatial accuracy
 // accounting.
-func (m *Machine) EffectiveJ() *mat.Dense {
-	out := m.intra.ToDense()
-	for _, ph := range m.phases {
-		out.AddM(ph.ToDense())
-	}
-	return out
-}
+func (m *Machine) EffectiveJ() *mat.Dense { return m.cpl.EffectiveJ() }

@@ -2,9 +2,12 @@
 //
 // During clamped inference the observed nodes' voltages never change, so
 // every coupling-matrix row whose stored columns are all observed evaluates
-// to the same number on every integration step. A clampPlan is the
+// to the same number on every integration step. A clamp plan is the
 // compilation of that observation — of the observation INDEX pattern, never
-// the values — into a form the anneal hot loop can exploit:
+// the values — into a form the anneal hot loop can exploit. The machine's
+// plan is the mat.ClampSplit of its coupling list [intra, slice 0, slice 1,
+// ...], so Static[0]/Dyn[0] split the intra matrix and Static[1+k]/Dyn[1+k]
+// split slice k:
 //
 //   - rows of each coupling matrix are classified once: a row whose columns
 //     are all clamped becomes part of the "static" matrix and is folded into
@@ -17,7 +20,8 @@
 //
 // Plans are compiled on demand by the shared inference engine
 // (internal/engine), which caches them by packed clamp-mask key in a
-// bounded LRU; this file supplies only the compilation and the planned hot
+// bounded LRU and patches them across small mask shifts for streams;
+// internal/mat does the splitting and this file supplies the planned hot
 // loop.
 //
 // Bit-exactness is the design constraint, not an accident. The plan path
@@ -48,120 +52,16 @@ import (
 	"dsgl/internal/mat"
 )
 
-// planMat is one coupling matrix compiled against a clamp pattern.
-type planMat struct {
-	// static holds the free rows whose stored columns are all clamped:
-	// each is a constant for the whole inference, folded into a bias by
-	// MulVec once per inference.
-	static *mat.CSR
-	// dyn holds the free rows with at least one free column, each kept as
-	// the FULL original row so per-step accumulation order — and therefore
-	// every rounding step — matches the naive loop exactly.
-	dyn *mat.CSR
-}
-
-// clampPlan is a compiled inference plan for one observation index pattern.
-// A plan is immutable after compilation and shared freely across InferBatch
-// workers; all per-inference mutable state (the folded biases) lives in the
-// InferState's scratch arena.
-type clampPlan struct {
-	freeIdx  []int // unclamped node indices, ascending
-	clampIdx []int // clamped node indices, ascending
-	intra    planMat
-	phases   []planMat
-}
-
-// compilePlan classifies every coupling matrix row against the clamp
-// pattern and builds the free/clamped index lists.
-func (m *Machine) compilePlan(clamped []bool) *clampPlan {
-	pl := &clampPlan{
-		intra:  compilePlanMat(m.intra, clamped),
-		phases: make([]planMat, len(m.phases)),
-	}
-	for k, ph := range m.phases {
-		pl.phases[k] = compilePlanMat(ph, clamped)
-	}
-	for i, c := range clamped {
-		if c {
-			pl.clampIdx = append(pl.clampIdx, i)
-		} else {
-			pl.freeIdx = append(pl.freeIdx, i)
-		}
-	}
-	return pl
-}
-
-// compilePlanMat splits one coupling matrix into its static (fully-clamped
-// free rows) and dyn (mixed free rows, kept whole) parts. mat.SplitRowPlan
-// carries each stored row over verbatim — same entries, same in-row order —
-// so the static matrix folds, and the dyn matrix re-evaluates, the exact
-// accumulation order the naive loop would use.
-func compilePlanMat(s *mat.CSR, clamped []bool) planMat {
-	static, dyn := mat.SplitRowPlan(s, clamped)
-	return planMat{static: static, dyn: dyn}
-}
-
-// maxPlanDeltaBits bounds how large a clamp-mask symmetric difference the
-// delta compiler accepts. A sliding observation window shifts two bits per
-// tick (one index leaves, one enters); beyond a handful of flips the
-// affected-row set approaches the whole matrix and a full compile is both
-// simpler and no slower.
-const maxPlanDeltaBits = 4
-
-// CompilePlanDelta implements engine.DeltaBackend: it patches a previously
-// compiled plan for oldClamped into the plan for newClamped, reclassifying
-// only the rows the mask delta touches. The product is structurally
-// identical to a full compilePlan of newClamped — bit for bit, so the
-// planned-vs-naive identity invariant holds for patched plans too — and the
-// previous plan is never mutated (it may still be cached under its own
-// key). Returns nil to decline when the delta is empty, too large, or prev
-// is not this machine's plan type; the engine then falls back to a full
+// CompilePlanDelta implements engine.DeltaBackend by patching the previous
+// plan (mat.ClampSplit.Patch); nil declines and sends the engine to a full
 // compile.
 func (m *Machine) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any {
-	pl, ok := prev.(*clampPlan)
-	if !ok || len(oldClamped) != m.N || len(newClamped) != m.N {
-		return nil
-	}
-	changed := 0
-	for i := range newClamped {
-		if oldClamped[i] != newClamped[i] {
-			changed++
+	if pl, ok := prev.(*mat.ClampSplit); ok {
+		if np := pl.Patch(m.cpl, oldClamped, newClamped); np != nil {
+			return np
 		}
 	}
-	if changed == 0 || changed > maxPlanDeltaBits {
-		return nil
-	}
-	m.colRowsOnce.Do(func() {
-		m.intraColRows = m.intra.ColRows()
-		m.phaseColRows = make([][][]int32, len(m.phases))
-		for k, ph := range m.phases {
-			m.phaseColRows[k] = ph.ColRows()
-		}
-	})
-	np := &clampPlan{
-		intra:  patchPlanMat(m.intra, pl.intra, m.intraColRows, oldClamped, newClamped),
-		phases: make([]planMat, len(m.phases)),
-	}
-	for k, ph := range m.phases {
-		np.phases[k] = patchPlanMat(ph, pl.phases[k], m.phaseColRows[k], oldClamped, newClamped)
-	}
-	np.freeIdx = make([]int, 0, len(pl.freeIdx))
-	np.clampIdx = make([]int, 0, len(pl.clampIdx))
-	for i, c := range newClamped {
-		if c {
-			np.clampIdx = append(np.clampIdx, i)
-		} else {
-			np.freeIdx = append(np.freeIdx, i)
-		}
-	}
-	return np
-}
-
-// patchPlanMat is compilePlanMat through mat.PatchRowPlan: unaffected rows
-// are copied from the previous split wholesale.
-func patchPlanMat(s *mat.CSR, prev planMat, colRows [][]int32, oldClamped, newClamped []bool) planMat {
-	static, dyn := mat.PatchRowPlan(s, prev.static, prev.dyn, colRows, oldClamped, newClamped)
-	return planMat{static: static, dyn: dyn}
+	return nil
 }
 
 // refreshPhasePlanned is refreshPhase on the plan path: slice k's held
@@ -170,14 +70,14 @@ func patchPlanMat(s *mat.CSR, prev planMat, colRows [][]int32, oldClamped, newCl
 // the bit pattern a full recompute would produce. The subtract/recompute/add
 // sequence on interSum is kept per free node because a-c+c need not
 // round-trip even when c is unchanged.
-func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *clampPlan, k int) {
+func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *mat.ClampSplit, k int) {
 	contrib := sc.contrib[k]
 	interSum := sc.interSum
-	for _, i := range pl.freeIdx {
+	for _, i := range pl.Free {
 		interSum[i] -= contrib[i]
 	}
-	pl.phases[k].dyn.MulVecAdd(st.X, sc.biasPhase[k], contrib)
-	for _, i := range pl.freeIdx {
+	pl.Dyn[1+k].MulVecAdd(st.X, sc.bias[1+k], contrib)
+	for _, i := range pl.Free {
 		interSum[i] += contrib[i]
 	}
 }
@@ -187,7 +87,7 @@ func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *clampPlan, k in
 // list. Each floating-point operation it performs on a free node's state is
 // the operation inferNaive performs, in the same order — see the package
 // comment for the discipline — so the Result is bit-identical.
-func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Result, error) {
+func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
 	steps := int(m.cfg.MaxTimeNs / m.cfg.Dt)
@@ -199,9 +99,8 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Re
 	// computed here once instead of once per step. Free columns are never
 	// read (static rows have none), so the uninitialized free voltages
 	// cannot leak in.
-	pl.intra.static.MulVec(x, sc.biasIntra)
-	for k := range pl.phases {
-		pl.phases[k].static.MulVec(x, sc.biasPhase[k])
+	for k, static := range pl.Static {
+		static.MulVec(x, sc.bias[k])
 	}
 
 	intraCur := sc.intraCur
@@ -216,8 +115,8 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Re
 			c[i] = 0
 		}
 	}
-	free := pl.freeIdx
-	pl.phases[0].dyn.MulVecAdd(x, sc.biasPhase[0], sc.contrib[0])
+	free := pl.Free
+	pl.Dyn[1].MulVecAdd(x, sc.bias[1], sc.contrib[0])
 	for _, i := range free {
 		interSum[i] += sc.contrib[0][i]
 	}
@@ -251,7 +150,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Re
 	nextFine := 0 // earliest step for the next warm fine-grained check
 
 	for s := 0; s < steps; s++ {
-		pl.intra.dyn.MulVecAdd(x, sc.biasIntra, intraCur)
+		pl.Dyn[0].MulVecAdd(x, sc.bias[0], intraCur)
 		refreshPhasePlanned(st, sc, pl, phase)
 		maxD := 0.0
 		for _, i := range free {
@@ -356,12 +255,12 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *clampPlan) (*engine.Re
 // contribution accumulated from zero (the bias for dyn rows) and added to
 // the buffer in one operation (empty rows included: naive adds their zero
 // sum too, which rounds -0 to +0).
-func (m *Machine) planResidual(pl *clampPlan, sc *scratch, x, buf []float64) float64 {
-	pl.intra.dyn.MulVecAdd(x, sc.biasIntra, buf)
-	for k := range pl.phases {
-		dyn := pl.phases[k].dyn
-		bias := sc.biasPhase[k]
-		for _, i := range pl.freeIdx {
+func (m *Machine) planResidual(pl *mat.ClampSplit, sc *scratch, x, buf []float64) float64 {
+	pl.Dyn[0].MulVecAdd(x, sc.bias[0], buf)
+	for k := 1; k < len(pl.Dyn); k++ {
+		dyn := pl.Dyn[k]
+		bias := sc.bias[k]
+		for _, i := range pl.Free {
 			sum := bias[i]
 			for p := dyn.RowPtr[i]; p < dyn.RowPtr[i+1]; p++ {
 				sum += dyn.Val[p] * x[dyn.ColIdx[p]]
@@ -370,7 +269,7 @@ func (m *Machine) planResidual(pl *clampPlan, sc *scratch, x, buf []float64) flo
 		}
 	}
 	maxD := 0.0
-	for _, i := range pl.freeIdx {
+	for _, i := range pl.Free {
 		d := buf[i] + m.params.H[i]*x[i]
 		if x[i] >= m.cfg.VRail && d > 0 {
 			d = 0

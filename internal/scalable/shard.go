@@ -54,13 +54,13 @@ type shardPart struct {
 }
 
 // shardPlan is a compiled sharded inference plan for one clamp pattern:
-// the static/dyn split of the combined coupling matrix (same folding
-// discipline as clampPlan) plus the per-shard free-node lists and the
-// exchange cadence in integration steps.
+// the static/dyn split of the combined coupling matrix (mat.SplitRowPlan,
+// the folding discipline of plan.go) plus the per-shard free-node lists and
+// the exchange cadence in integration steps.
 type shardPlan struct {
-	syncSteps int
-	combined  planMat
-	parts     []shardPart
+	syncSteps   int
+	static, dyn *mat.CSR
+	parts       []shardPart
 }
 
 // shardScratch is the per-state sharded-anneal arena: the folded constant
@@ -112,10 +112,7 @@ func (m *Machine) shardSetup() {
 			return
 		}
 		m.shardGroups = groups
-		mats := make([]*mat.CSR, 0, 1+len(m.phases))
-		mats = append(mats, m.intra)
-		mats = append(mats, m.phases...)
-		m.combined = combineCSR(mats, m.N)
+		m.combined = combineCSR(m.cpl.Mats, m.N)
 	})
 }
 
@@ -178,11 +175,8 @@ func (m *Machine) CompileShardedPlan(clamped []bool) any {
 	if len(parts) < 2 {
 		return nil
 	}
-	return &shardPlan{
-		syncSteps: m.shardSyncSteps(),
-		combined:  compilePlanMat(m.combined, clamped),
-		parts:     parts,
-	}
+	static, dyn := mat.SplitRowPlan(m.combined, clamped)
+	return &shardPlan{syncSteps: m.shardSyncSteps(), static: static, dyn: dyn, parts: parts}
 }
 
 // RunSharded runs the partitioned anneal on a prepared state. Part of the
@@ -207,7 +201,7 @@ func (m *Machine) runSharded(st *engine.InferState, pl *shardPlan) (*engine.Resu
 
 	// Fold the constant clamp currents of the combined matrix once per
 	// inference (static rows read clamped columns only).
-	pl.combined.static.MulVec(x, ss.bias)
+	pl.static.MulVec(x, ss.bias)
 
 	parts := pl.parts
 	k := len(parts)
@@ -216,7 +210,7 @@ func (m *Machine) runSharded(st *engine.InferState, pl *shardPlan) (*engine.Resu
 	}
 
 	bar := newBarrier(k)
-	dyn := pl.combined.dyn
+	dyn := pl.dyn
 	H := m.params.H
 	dt, rail := m.cfg.Dt, m.cfg.VRail
 	tol := m.cfg.SettleTol * settleResidualFactor

@@ -3,8 +3,8 @@
 // system claims (paper Sec. III, Eqs. 6-8), plus the structured report
 // they feed.
 //
-// The ten invariants, as checked by dsgl.(*Model).Verify and the
-// `dsgl verify` CLI subcommand:
+// The ten invariants, as checked by dsgl.(*Model).Verify, the `dsgl verify`
+// CLI subcommand and `make verify` — this list is their one statement:
 //
 //  1. energy-descent      — the Lyapunov-designed dynamics anneal with
 //     monotone (ripple-bounded) energy descent;
@@ -14,8 +14,8 @@
 //  3. snapshot-round-trip — a model survives Save/Load bit-identically:
 //     same compilation stats, same effective coupling matrix, same
 //     inference results on a probe window;
-//  4. seq-par-identity    — Evaluate and EvaluateParallel (and InferBatch
-//     vs sequential InferSeeded) are bit-identical for any worker count;
+//  4. seq-par-identity    — Evaluate and EvaluateParallel (and a parallel
+//     RunBatch vs sequential runs) are bit-identical for any worker count;
 //  5. lossless-compile    — when no coupling is dropped, the compiled
 //     machine realizes exactly the tuned J (EffectiveJ == Tuned.J);
 //  6. plan-naive-identity — the clamp-plan compiled inference path (constant
@@ -54,10 +54,11 @@
 //     downstream is deterministic — so any divergence is a real defect in
 //     the decomposition plumbing, never numerical slack.
 //
-// The package deliberately contains no pipeline logic: it consumes
-// machines, results, and energy traces produced by the caller, so the same
-// checkers serve the public API, the CLI, and the unit tests of the
-// subsystems they guard.
+// The package deliberately contains no pipeline logic and imports no
+// backend: it consumes results, matrices and energy traces produced by the
+// caller, so the same checkers serve the public API, the CLI, and the unit
+// tests of the subsystems they guard. Invariants 7 and 8 share one
+// tolerance checker, FixedPoint.
 package verify
 
 import (
@@ -66,7 +67,6 @@ import (
 
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
-	"dsgl/internal/scalable"
 )
 
 // Invariant identifiers, stable across report formats.
@@ -184,22 +184,6 @@ func SettledResidual(m ResidualChecker, res *engine.Result, clamped []bool) []Vi
 		}}
 	}
 	return nil
-}
-
-// MachinesEquivalent checks that two compiled machines are observationally
-// identical: same compilation statistics and bit-identical effective
-// coupling matrices. It is the static half of invariant 3; the dynamic half
-// compares probe-window inference results via ResultsEqual.
-func MachinesEquivalent(invariant string, a, b *scalable.Machine) []Violation {
-	var v []Violation
-	if sa, sb := a.Stats(), b.Stats(); sa != sb {
-		v = append(v, Violation{
-			Invariant: invariant,
-			Detail:    fmt.Sprintf("compilation stats diverge: %+v vs %+v", sa, sb),
-		})
-	}
-	v = append(v, DenseEqual(invariant, "EffectiveJ", a.EffectiveJ(), b.EffectiveJ())...)
-	return v
 }
 
 // DenseEqual checks two dense matrices for bit-identity.
@@ -321,41 +305,17 @@ func ResultsEqual(invariant, label string, a, b *engine.Result) []Violation {
 	return v
 }
 
-// ShardedFixedPoint checks invariant 7 on one probe: a sharded anneal that
-// settles must sit at the same fixed point as the settled exact reference,
-// node-wise within tol (the caller derives tol from the settle-residual
-// bound and the field strengths — both states carry residual < bound, so
-// they bracket the unique equilibrium). An exact reference that did not
-// settle makes no fixed-point claim and passes vacuously; an exact settle
-// the sharded path fails to reproduce is itself a violation — stale
-// cross-shard couplings may slow convergence, never prevent it, within the
-// same time budget the ShardSync interval was sized for.
-func ShardedFixedPoint(label string, exact, sharded *engine.Result, tol float64) []Violation {
-	return fixedPointWithin(InvShardedFixedPoint, label, "exact", "sharded", exact, sharded, tol,
-		fmt.Sprintf("exact anneal settled but sharded anneal did not (residual %.3g after %d sync rounds)",
-			sharded.Residual, sharded.Switches))
-}
-
-// WarmStartFixedPoint checks invariant 8 on one streaming tick: a
-// warm-started anneal that settles must sit at the same fixed point as the
-// settled cold inference of the same window, node-wise within tol (derived
-// from the settle-residual bound exactly as for invariant 7 — both states
-// carry residual < bound around the unique clamped equilibrium). A cold
-// reference that did not settle makes no fixed-point claim and passes
-// vacuously; a cold settle the warm tick fails to reproduce is itself a
-// violation — starting nearer the equilibrium may shorten the anneal, never
-// derail it.
-func WarmStartFixedPoint(label string, cold, warm *engine.Result, tol float64) []Violation {
-	return fixedPointWithin(InvWarmStartFixedPoint, label, "cold", "warm", cold, warm, tol,
-		fmt.Sprintf("cold anneal settled but warm-started anneal did not (residual %.3g after %d steps)",
-			warm.Residual, warm.Steps))
-}
-
-// fixedPointWithin is the node-wise comparison behind the fixed-point
-// tolerance invariants (7 and 8): a settled reference and a settled
-// candidate must agree within tol; notSettled is the violation detail when
-// the candidate failed to settle at all.
-func fixedPointWithin(invariant, label, refName, gotName string, ref, got *engine.Result, tol float64, notSettled string) []Violation {
+// FixedPoint checks the tolerance invariants 7 and 8 on one probe: a
+// settled reference anneal and the anneal compared with it (sharded, or
+// warm-started) must reach the same fixed point, node-wise within tol. The
+// caller derives tol from the settle-residual bound and the field
+// strengths: both states carry residual < bound, so they bracket the
+// unique clamped equilibrium. A reference that did not settle makes no
+// fixed-point claim and passes vacuously; a settle the compared anneal
+// fails to reproduce is itself a violation — stale cross-shard couplings
+// or a nearer start may change the path, never prevent convergence within
+// the same time budget.
+func FixedPoint(invariant, label string, ref, got *engine.Result, tol float64) []Violation {
 	add := func(format string, args ...any) Violation {
 		return Violation{Invariant: invariant, Detail: label + ": " + fmt.Sprintf(format, args...)}
 	}
@@ -363,7 +323,8 @@ func fixedPointWithin(invariant, label, refName, gotName string, ref, got *engin
 		return nil
 	}
 	if !got.Settled {
-		return []Violation{add("%s", notSettled)}
+		return []Violation{add("reference anneal settled but the compared anneal did not (residual %.3g after %d steps)",
+			got.Residual, got.Steps)}
 	}
 	if len(ref.Voltage) != len(got.Voltage) {
 		return []Violation{add("voltage length diverges: %d vs %d", len(ref.Voltage), len(got.Voltage))}
@@ -376,8 +337,8 @@ func fixedPointWithin(invariant, label, refName, gotName string, ref, got *engin
 			continue
 		}
 		if len(v) < maxViolationsPerCheck {
-			v = append(v, add("node %d: %s %v vs %s %v (|Δ|=%.3g > tol %.3g)",
-				i, refName, ref.Voltage[i], gotName, got.Voltage[i], d, tol))
+			v = append(v, add("node %d: reference %v vs compared %v (|Δ|=%.3g > tol %.3g)",
+				i, ref.Voltage[i], got.Voltage[i], d, tol))
 		} else {
 			overflow++
 		}
@@ -386,18 +347,6 @@ func fixedPointWithin(invariant, label, refName, gotName string, ref, got *engin
 		v = append(v, add("... and %d more node divergences", overflow))
 	}
 	return v
-}
-
-// LosslessCompilation checks invariant 5: when the compilation dropped no
-// coupling, the machine's effective coupling matrix must equal the tuned J
-// bit-for-bit. With DroppedCouplings > 0 (the DS-GL-Spatial variant
-// overflowing its lane budget) the invariant does not apply and the check
-// passes vacuously.
-func LosslessCompilation(m *scalable.Machine, tunedJ *mat.Dense) []Violation {
-	if m.Stats().DroppedCouplings > 0 {
-		return nil
-	}
-	return DenseEqual(InvLosslessCompile, "EffectiveJ vs Tuned.J", m.EffectiveJ(), tunedJ)
 }
 
 // OptBestEnergyMonotone checks invariant 9 on one multi-restart solve:

@@ -8,9 +8,7 @@ import (
 	"runtime"
 
 	"dsgl/internal/community"
-	"dsgl/internal/dspu"
 	"dsgl/internal/mat"
-	"dsgl/internal/scalable"
 	"dsgl/internal/train"
 )
 
@@ -78,45 +76,7 @@ const (
 // stores the parameter set alone — the single-PE DSPU is rebuilt from it
 // deterministically, exactly as Train would.
 func (m *Model) Save(w io.Writer) error {
-	if m.Machine == nil {
-		return m.saveDense(w)
-	}
-	mask := m.mask
-	if mask == nil {
-		// A hand-assembled Model without a retained mask: fall back to the
-		// tuned support, which is a (possibly strict) subset of the true
-		// mask.
-		mask = m.maskFromSupport()
-	}
-	opts := m.Opts
-	opts.DenseInit = nil // never embed the dense phase in snapshots
-	snap := modelSnapshot{
-		Format:      snapshotFormat,
-		Backend:     BackendScalable,
-		DatasetName: m.Dataset.Name,
-		WindowLen:   m.Dataset.WindowLen(),
-		Opts:        opts,
-		JRows:       m.Tuned.J.Rows,
-		JCols:       m.Tuned.J.Cols,
-		JData:       m.Tuned.J.Data,
-		H:           m.Tuned.H,
-		PEOf:        m.Assignment.PEOf,
-		GridW:       m.Assignment.GridW,
-		GridH:       m.Assignment.GridH,
-		Capacity:    m.Assignment.Capacity,
-		MaskRows:    mask.Rows,
-		MaskCols:    mask.Cols,
-		MaskData:    mask.Data,
-		Classes:     m.Classes,
-	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// saveDense serializes a dense-backend model: the parameter set is the
-// whole state — Load rebuilds the single-PE DSPU from it with the same
-// deterministic construction Train uses.
-func (m *Model) saveDense(w io.Writer) error {
-	if m.Dspu == nil {
+	if m.Machine == nil && m.Dspu == nil {
 		return errors.New("dsgl: Save needs a trained model")
 	}
 	opts := m.Opts
@@ -132,6 +92,20 @@ func (m *Model) saveDense(w io.Writer) error {
 		JData:       m.Tuned.J.Data,
 		H:           m.Tuned.H,
 		Classes:     m.Classes,
+	}
+	if m.Machine != nil {
+		mask := m.mask
+		if mask == nil {
+			// A hand-assembled Model without a retained mask: fall back to
+			// the tuned support, which is a (possibly strict) subset of the
+			// true mask.
+			mask = m.maskFromSupport()
+		}
+		snap.Backend = BackendScalable
+		snap.PEOf = m.Assignment.PEOf
+		snap.GridW, snap.GridH = m.Assignment.GridW, m.Assignment.GridH
+		snap.Capacity = m.Assignment.Capacity
+		snap.MaskRows, snap.MaskCols, snap.MaskData = mask.Rows, mask.Cols, mask.Data
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -173,11 +147,9 @@ func (snap *modelSnapshot) validateParams() error {
 }
 
 // validateGeometry checks the scalable-backend decomposition block
-// (placement, grid, mask) on top of validateParams.
+// (placement, grid, mask) of a snapshot whose parameters passed
+// validateParams.
 func (snap *modelSnapshot) validateGeometry() error {
-	if err := snap.validateParams(); err != nil {
-		return err
-	}
 	if got, want := len(snap.PEOf), snap.JRows; got != want {
 		return fmt.Errorf("dsgl: snapshot placement covers %d nodes, want %d", got, want)
 	}
@@ -188,11 +160,14 @@ func (snap *modelSnapshot) validateGeometry() error {
 	if got, want := len(snap.MaskData), snap.MaskRows*snap.MaskCols; got != want {
 		return fmt.Errorf("dsgl: snapshot mask data has %d entries, want %d", got, want)
 	}
-	if snap.GridW <= 0 || snap.GridH <= 0 {
-		return fmt.Errorf("dsgl: snapshot PE grid is %dx%d", snap.GridW, snap.GridH)
-	}
 	if snap.Capacity <= 0 {
 		return fmt.Errorf("dsgl: snapshot PE capacity is %d", snap.Capacity)
+	}
+	// Redistribute always places n nodes on GridFor(n, Capacity); checking
+	// that bounds the grid by the node count before Load allocates it.
+	if w, h := community.GridFor(snap.JRows, snap.Capacity); snap.GridW != w || snap.GridH != h {
+		return fmt.Errorf("dsgl: snapshot PE grid is %dx%d, want %dx%d for %d nodes at capacity %d",
+			snap.GridW, snap.GridH, w, h, snap.JRows, snap.Capacity)
 	}
 	return nil
 }
@@ -228,10 +203,18 @@ func Load(r io.Reader, ds *Dataset) (*Model, error) {
 	if err := snap.validateClasses(ds); err != nil {
 		return nil, err
 	}
-	if snap.Backend == BackendDense {
-		return loadDense(&snap, ds)
+	opts := snap.Opts
+	// Opts.Workers is a GOMAXPROCS snapshot of the saving host — meaningless
+	// here. Re-normalize to the loading process's default so a model saved
+	// on a 128-core trainer doesn't spawn 128 workers on a 2-core server.
+	opts.Workers = runtime.GOMAXPROCS(0)
+	// Normalize the backend tag: pre-backend (v1/v2) snapshots carry an
+	// empty Options.Backend field.
+	opts.Backend = snap.Backend
+	if err := opts.validate(); err != nil {
+		return nil, fmt.Errorf("dsgl: snapshot options: %w", err)
 	}
-	if err := snap.validateGeometry(); err != nil {
+	if err := snap.validateParams(); err != nil {
 		return nil, err
 	}
 	tuned := &train.Params{
@@ -240,6 +223,15 @@ func Load(r io.Reader, ds *Dataset) (*Model, error) {
 	}
 	if err := tuned.Validate(); err != nil {
 		return nil, fmt.Errorf("dsgl: snapshot parameters: %w", err)
+	}
+	// The dense phase is not persisted: Dense reuses Tuned. A dense
+	// snapshot carries only the parameter set, rebuilt exactly as Train
+	// built it.
+	if snap.Backend == BackendDense {
+		return newModel(ds, opts, tuned, tuned, nil, nil, snap.Classes)
+	}
+	if err := snap.validateGeometry(); err != nil {
+		return nil, err
 	}
 	assign := &community.Assignment{
 		PEOf:     snap.PEOf,
@@ -260,40 +252,7 @@ func Load(r io.Reader, ds *Dataset) (*Model, error) {
 	// v2 snapshots carry the model's real mask; v1 carried only the tuned
 	// support (see the format constants).
 	mask := &mat.Bool{Rows: snap.MaskRows, Cols: snap.MaskCols, Data: snap.MaskData}
-	opts := snap.Opts
-	// Opts.Workers is a GOMAXPROCS snapshot of the saving host — meaningless
-	// here. Re-normalize to the loading process's default so a model saved
-	// on a 128-core trainer doesn't spawn 128 workers on a 2-core server.
-	opts.Workers = runtime.GOMAXPROCS(0)
-	// Normalize the backend tag: pre-backend (v1/v2) snapshots carry an
-	// empty Options.Backend field.
-	opts.Backend = BackendScalable
-	machine, err := scalable.Build(tuned, assign, mask, scalable.Config{
-		Lanes:            opts.Lanes,
-		TemporalDisabled: opts.TemporalDisabled,
-		SyncIntervalNs:   opts.SyncIntervalNs,
-		MaxTimeNs:        opts.MaxInferNs,
-		NodeNoise:        opts.NodeNoise,
-		CouplerNoise:     opts.CouplerNoise,
-		ShardWorkers:     opts.ShardWorkers,
-		ShardSyncNs:      opts.ShardSyncNs,
-		Seed:             opts.Seed + 2,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dsgl: rebuilding machine: %w", err)
-	}
-	return &Model{
-		Dataset:    ds,
-		Opts:       opts,
-		Dense:      tuned, // the dense phase is not persisted; reuse tuned
-		Tuned:      tuned,
-		Assignment: assign,
-		Machine:    machine,
-		Classes:    snap.Classes,
-		mask:       mask,
-		unknown:    ds.UnknownIndices(),
-		observed:   ds.ObservedMask(),
-	}, nil
+	return newModel(ds, opts, tuned, tuned, assign, mask, snap.Classes)
 }
 
 // validateClasses checks the v4 class-label block: absent (monolithic or
@@ -311,44 +270,4 @@ func (snap *modelSnapshot) validateClasses(ds *Dataset) error {
 		}
 	}
 	return nil
-}
-
-// loadDense rebuilds a dense-backend model from a v3 dense snapshot: the
-// single-PE DSPU is reconstructed from the persisted parameter set with the
-// same deterministic configuration Train uses (anneal seed Opts.Seed+2,
-// dense anneal budget), so the loaded model is observationally bit-identical
-// to the saved one.
-func loadDense(snap *modelSnapshot, ds *Dataset) (*Model, error) {
-	if err := snap.validateParams(); err != nil {
-		return nil, err
-	}
-	tuned := &train.Params{
-		J: mat.NewDenseFrom(snap.JRows, snap.JCols, snap.JData),
-		H: snap.H,
-	}
-	if err := tuned.Validate(); err != nil {
-		return nil, fmt.Errorf("dsgl: snapshot parameters: %w", err)
-	}
-	opts := snap.Opts
-	// Same re-normalization as the scalable path: the saving host's worker
-	// count is meaningless here.
-	opts.Workers = runtime.GOMAXPROCS(0)
-	opts.Backend = BackendDense
-	d, err := dspu.New(tuned.J, tuned.H, dspu.Config{
-		Seed:      opts.Seed + 2, // same anneal-seed slot Train assigns
-		MaxTimeNs: denseMaxInferNs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dsgl: rebuilding dense DSPU: %w", err)
-	}
-	return &Model{
-		Dataset:  ds,
-		Opts:     opts,
-		Dense:    tuned,
-		Tuned:    tuned,
-		Dspu:     d,
-		Classes:  snap.Classes,
-		unknown:  ds.UnknownIndices(),
-		observed: ds.ObservedMask(),
-	}, nil
 }

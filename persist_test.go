@@ -174,6 +174,16 @@ func TestLoadRejectsCorruptGeometry(t *testing.T) {
 		{"zero PE grid", func(s *modelSnapshot) { s.GridW = 0 }},
 		{"zero PE capacity", func(s *modelSnapshot) { s.Capacity = 0 }},
 		{"future format", func(s *modelSnapshot) { s.Format = 99 }},
+		// The grid must be bounded before NodesOf is allocated from it.
+		{"2^31 x 2^31 PE grid", func(s *modelSnapshot) { s.GridW, s.GridH = 1<<31, 1<<31 }},
+		{"PE grid larger than the nodes need", func(s *modelSnapshot) { s.GridW++ }},
+		// Snapshot options pass the same gate as Train's.
+		{"NaN node noise", func(s *modelSnapshot) { s.Opts.NodeNoise = math.NaN() }},
+		{"negative coupler noise", func(s *modelSnapshot) { s.Opts.CouplerNoise = -0.1 }},
+		{"negative MaxInferNs", func(s *modelSnapshot) { s.Opts.MaxInferNs = -1 }},
+		{"infinite SyncIntervalNs", func(s *modelSnapshot) { s.Opts.SyncIntervalNs = math.Inf(1) }},
+		{"NaN RidgeLambda", func(s *modelSnapshot) { s.Opts.RidgeLambda = math.NaN() }},
+		{"dense snapshot with noise", func(s *modelSnapshot) { s.Backend = BackendDense; s.Opts.NodeNoise = 0.05 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

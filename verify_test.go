@@ -1,6 +1,8 @@
 package dsgl
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -18,12 +20,42 @@ func findCheck(t *testing.T, rep *VerifyReport, invariant string) *VerifyCheck {
 	return nil
 }
 
+// goldenVerifyPath pins every regime's rendered verify report: check
+// order, skip reasons and detail strings. Regenerate only when a report
+// change is intentional:
+//
+//	go test -run TestVerifyAllInvariantsGreen -update-golden .
+const goldenVerifyPath = "testdata/golden_verify.txt"
+
+// readGoldenVerify splits the golden report file into its "== regime =="
+// sections.
+func readGoldenVerify(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenVerifyPath)
+	if err != nil {
+		t.Fatalf("read golden verify reports (regenerate with -update-golden): %v", err)
+	}
+	sections := make(map[string]string)
+	name := ""
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if strings.HasPrefix(line, "== ") && strings.HasSuffix(line, " ==\n") {
+			name = strings.TrimSuffix(strings.TrimPrefix(line, "== "), " ==\n")
+			continue
+		}
+		sections[name] += line
+	}
+	return sections
+}
+
 // TestVerifyAllInvariantsGreen runs the full harness against freshly
-// trained models in every co-annealing regime. A healthy model must come
-// back clean, and each regime must skip exactly the checks whose
-// preconditions it breaks: analog noise voids the per-step Lyapunov
-// argument, and a disabled temporal dimension forces coupling drops so
-// EffectiveJ == Tuned.J no longer applies.
+// trained models in every co-annealing regime and on the dense backend. A
+// healthy model must come back clean, and each regime must skip exactly
+// the checks whose preconditions it breaks: analog noise voids the
+// per-step Lyapunov argument, a disabled temporal dimension forces
+// coupling drops so EffectiveJ == Tuned.J no longer applies, and the dense
+// backend has no communities to shard. Every report must also render
+// exactly as pinned in goldenVerifyPath. Workers is set explicitly because
+// the snapshot size in the round-trip detail encodes it.
 func TestVerifyAllInvariantsGreen(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -38,10 +70,19 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 		{"noise",
 			func() Options { o := tinyOptions(); o.NodeNoise = 0.05; return o }(),
 			[]string{verify.InvEnergyDescent, verify.InvShardedFixedPoint, verify.InvWarmStartFixedPoint}},
+		{"dense",
+			func() Options { o := tinyOptions(); o.Backend = BackendDense; return o }(),
+			[]string{verify.InvShardedFixedPoint}},
 	}
+	var golden map[string]string
+	if !*updateGolden {
+		golden = readGoldenVerify(t)
+	}
+	var out strings.Builder
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := tinyDataset(t, "traffic")
+			tc.opts.Workers = 2
 			model, err := Train(ds, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -50,10 +91,14 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var sb strings.Builder
+			rep.Fprint(&sb)
+			fmt.Fprintf(&out, "== %s ==\n%s", tc.name, sb.String())
 			if !rep.Ok() {
-				var sb strings.Builder
-				rep.Fprint(&sb)
 				t.Fatalf("verification failed on a healthy model:\n%s", sb.String())
+			}
+			if want, ok := golden[tc.name]; !*updateGolden && (!ok || want != sb.String()) {
+				t.Errorf("report diverges from %s:\n--- got\n%s--- want\n%s", goldenVerifyPath, sb.String(), want)
 			}
 			if len(rep.Checks) != 10 {
 				t.Fatalf("report has %d checks, want all 10 invariants", len(rep.Checks))
@@ -98,6 +143,12 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 				}
 			}
 		})
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenVerifyPath, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d regimes)", goldenVerifyPath, len(cases))
 	}
 }
 
@@ -148,6 +199,30 @@ func TestVerifyDetectsTamperedCoupling(t *testing.T) {
 	if c := findCheck(t, rep, verify.InvSeqParIdentity); !c.Passed() {
 		t.Fatalf("seq/par identity should be unaffected by parameter tampering: %+v", c)
 	}
+}
+
+// TestVerifyFlagsRoundTripStatsDivergence: a snapshot that rebuilds a
+// machine with different compilation statistics fails the round trip.
+// Editing Opts.Lanes after training makes Save record a lane budget the
+// running machine was not compiled under.
+func TestVerifyFlagsRoundTripStatsDivergence(t *testing.T) {
+	ds := tinyDataset(t, "traffic")
+	model, err := Train(ds, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Opts.Lanes = 2
+	rep, err := Verify(model, VerifyOptions{Windows: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := findCheck(t, rep, verify.InvSnapshotRoundTrip)
+	for _, v := range c.Violations {
+		if strings.Contains(v.Detail, "compilation stats diverge") {
+			return
+		}
+	}
+	t.Fatalf("round-trip check did not flag the stats divergence: %+v", c)
 }
 
 func TestVerifyRejectsUntrainedModel(t *testing.T) {
