@@ -54,7 +54,9 @@ loc:
 # bench runs the batch-inference benchmarks in steady state and captures the
 # full -json event stream (benchmark results ride in "output" events) as
 # BENCH_infer.json for machine consumption, while the human-readable table
-# still lands on stdout via BENCH_infer.txt.
+# still lands on stdout via BENCH_infer.txt. BENCH_opt.json holds the MaxCut
+# solver rows and BENCH_train.json one Train per traffic size N = 24..192,
+# with each stage's time as a <stage>-ms metric.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkInfer(Batch|With|Plan|Fresh|Observer|Sharded|Stream)|BenchmarkEvaluateParallel' \
 		-benchmem -benchtime=10x -json . | tee BENCH_infer.json | \
@@ -64,6 +66,10 @@ bench:
 		-benchmem -benchtime=5x -json . | tee BENCH_opt.json | \
 		$(GO) run ./cmd/benchfmt -guard
 	@echo "wrote BENCH_opt.json"
+	$(GO) test -run '^$$' -bench 'BenchmarkTrain$$' \
+		-benchmem -benchtime=3x -json . | tee BENCH_train.json | \
+		$(GO) run ./cmd/benchfmt
+	@echo "wrote BENCH_train.json"
 
 # serve-bench drives the serving layer with the synthetic open-loop load
 # generator (heavy-tail Pareto arrivals, two offered-QPS points) and
@@ -76,4 +82,4 @@ serve-bench:
 	@echo "wrote BENCH_serve.json"
 
 clean:
-	rm -f BENCH_infer.json BENCH_opt.json BENCH_serve.json
+	rm -f BENCH_infer.json BENCH_opt.json BENCH_train.json BENCH_serve.json

@@ -1066,3 +1066,32 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTrain times one default Train on the traffic dataset at
+// N = 24, 48, 96 and 192 (window dimensions 192 to 1,536): the training
+// half of the scaling curve. Besides ns/op, B/op and allocs/op it reports
+// each stage's wall time per Train, read from dsgl_train_stage_seconds,
+// as <stage>-ms.
+func BenchmarkTrain(b *testing.B) {
+	for _, n := range []int{24, 48, 96, 192} {
+		ds := dsgl.GenerateDataset("traffic", dsgl.DatasetConfig{N: n, Seed: 7})
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			dsgl.DisableMetrics() // a fresh registry: stage sums start at zero
+			dsgl.EnableMetrics()
+			defer dsgl.DisableMetrics()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dsgl.Train(ds, dsgl.Options{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, s := range dsgl.MetricsSnapshot() {
+				if s.Name == "dsgl_train_stage_seconds" && s.SampleSum != nil {
+					b.ReportMetric(*s.SampleSum*1e3/float64(b.N), s.Labels["stage"]+"-ms")
+				}
+			}
+		})
+	}
+}

@@ -408,9 +408,9 @@ func decompose(ds *Dataset, opts Options, dense *train.Params, mom *train.Moment
 	// the accuracy the sparsification lost without exposure-bias risk.
 	var tuned *train.Params
 	if opts.Decompose {
-		tuned, err = mom.BlockMaskedRidge(classVars, mask, opts.RidgeLambda)
+		tuned, err = mom.BlockMaskedRidge(classVars, mask, opts.RidgeLambda, opts.Workers)
 	} else {
-		tuned, err = mom.MaskedRidge(mask, opts.RidgeLambda)
+		tuned, err = mom.MaskedRidge(mask, opts.RidgeLambda, opts.Workers)
 	}
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dsgl: fine-tune: %w", err)
@@ -836,20 +836,31 @@ func selectLambda(mom *train.Moments, val [][]float64, unknown []int, workers in
 // unknown-to-unknown couplings the clamped equilibrium equals the one-shot
 // regression from the observed entries. The candidates are independent,
 // so they fan out over the shared worker pool, each writing only its own
-// score.
+// score; a worker solves its candidates one after the other in one
+// Workspace and predicts four validation samples per pass over the
+// weights.
 func lambdaRMSE(mom *train.Moments, val [][]float64, unknown []int, workers int) ([]float64, error) {
+	const group = 4
+	workers = pool.Clamp(workers, len(lambdaCandidates))
+	ws := make([]train.Workspace, workers)
 	rmse := make([]float64, len(lambdaCandidates))
-	err := pool.RunErr(workers, len(lambdaCandidates), func(i int) error {
-		w, err := mom.Weights(lambdaCandidates[i])
+	err := pool.RunWorkersErr(workers, len(lambdaCandidates), func(worker, i int) error {
+		w, err := mom.Weights(lambdaCandidates[i], 1, &ws[worker])
 		if err != nil {
 			return err
 		}
-		pred := make([]float64, len(unknown))
+		pred := make([][]float64, group)
+		for k := range pred {
+			pred[k] = make([]float64, len(unknown))
+		}
 		var acc metrics.Accumulator
-		for _, smp := range val {
-			mom.Predict(w, smp, pred)
-			for k, idx := range unknown {
-				acc.Add(pred[k], smp[idx])
+		for s := 0; s < len(val); s += group {
+			smps := val[s:min(s+group, len(val))]
+			mom.Predict(w, smps, pred)
+			for k, smp := range smps {
+				for j, idx := range unknown {
+					acc.Add(pred[k][j], smp[idx])
+				}
 			}
 		}
 		rmse[i] = acc.RMSE()
@@ -880,9 +891,9 @@ func trainDensePhase(ds *Dataset, mom *train.Moments, samples [][]float64, opts 
 	var init *train.Params
 	var err error
 	if classVars != nil {
-		init, err = mom.BlockRidge(classVars, opts.RidgeLambda)
+		init, err = mom.BlockRidge(classVars, opts.RidgeLambda, opts.Workers)
 	} else {
-		init, err = mom.Ridge(opts.RidgeLambda)
+		init, err = mom.Ridge(opts.RidgeLambda, opts.Workers)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: ridge initialization: %w", err)

@@ -7,9 +7,10 @@
 package community
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dsgl/internal/mat"
 )
@@ -225,7 +226,18 @@ func PruneToDensity(j *mat.Dense, density float64) *mat.Dense {
 		a, b int
 		mag  float64
 	}
-	pairs := make([]pair, 0, n*(n-1)/2)
+	// Only the non-zero pairs are ranked, and a trained J is mostly zero
+	// (only its unknown rows are populated), so count them before sizing
+	// the slice.
+	nonzero := 0
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if math.Abs(j.At(a, b))+math.Abs(j.At(b, a)) > 0 {
+				nonzero++
+			}
+		}
+	}
+	pairs := make([]pair, 0, nonzero)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			mag := math.Abs(j.At(a, b)) + math.Abs(j.At(b, a))
@@ -234,7 +246,12 @@ func PruneToDensity(j *mat.Dense, density float64) *mat.Dense {
 			}
 		}
 	}
-	sort.Slice(pairs, func(x, y int) bool { return pairs[x].mag > pairs[y].mag })
+	// Strongest first. slices.SortFunc and sort.Slice run the same
+	// pattern-defeating quicksort and make the same moves on the same
+	// comparisons, so under this order pairs of equal strength land where
+	// sort.Slice puts them and the kept set is the same with either
+	// (TestPruneKeepsSortSliceOrder).
+	slices.SortFunc(pairs, func(x, y pair) int { return cmp.Compare(y.mag, x.mag) })
 	// Each kept pair contributes 2 entries out of n*n budget.
 	budget := int(density * float64(n) * float64(n) / 2)
 	if budget > len(pairs) {

@@ -2,6 +2,7 @@ package community
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"dsgl/internal/mat"
@@ -308,5 +309,74 @@ func TestRefineByClassPanics(t *testing.T) {
 			}()
 			RefineByClass(p, classOf)
 		}()
+	}
+}
+
+// pruneSortSlice is PruneToDensity as it was before it sized its pair
+// slice to the non-zero pairs and sorted with slices.SortFunc: the
+// reference TestPruneKeepsSortSliceOrder holds it to.
+func pruneSortSlice(j *mat.Dense, density float64) *mat.Dense {
+	n := j.Rows
+	type pair struct {
+		a, b int
+		mag  float64
+	}
+	pairs := make([]pair, 0, n*(n-1)/2)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			mag := math.Abs(j.At(a, b)) + math.Abs(j.At(b, a))
+			if mag > 0 {
+				pairs = append(pairs, pair{a, b, mag})
+			}
+		}
+	}
+	sort.Slice(pairs, func(x, y int) bool { return pairs[x].mag > pairs[y].mag })
+	budget := int(density * float64(n) * float64(n) / 2)
+	if budget > len(pairs) {
+		budget = len(pairs)
+	}
+	out := mat.NewDense(n, n)
+	for _, p := range pairs[:budget] {
+		out.Set(p.a, p.b, j.At(p.a, p.b))
+		out.Set(p.b, p.a, j.At(p.b, p.a))
+	}
+	return out
+}
+
+// TestPruneKeepsSortSliceOrder: on inputs where most pairs tie in
+// strength, which tied pairs survive the budget cut depends on the sort's
+// permutation, so PruneToDensity must keep exactly the set the sort.Slice
+// version kept. Couplings take a few quarter-step values in a few rows,
+// like a trained J whose unknown rows alone are populated, over sizes from
+// insertion-sort range to 20k pairs and densities that cut through ties.
+func TestPruneKeepsSortSliceOrder(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + int(r.Float64()*200)
+		levels := 1 + int(r.Float64()*6)
+		fill := 0.2 + 0.8*r.Float64()
+		j := mat.NewDense(n, n)
+		for a := 0; a < n; a++ {
+			if r.Float64() < 0.5 {
+				continue // an observed row: no couplings
+			}
+			for b := 0; b < n; b++ {
+				if a != b && r.Float64() < fill {
+					v := float64(1+int(r.Float64()*float64(levels))) / 4
+					if r.Float64() < 0.5 {
+						v = -v
+					}
+					j.Set(a, b, v)
+				}
+			}
+		}
+		for _, density := range []float64{0.01, 0.05, 0.1, 0.25} {
+			got, want := PruneToDensity(j, density), pruneSortSlice(j, density)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("trial %d (n=%d, %d levels) density %g: kept set differs from sort.Slice's at entry %d", trial, n, levels, density, i)
+				}
+			}
+		}
 	}
 }

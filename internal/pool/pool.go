@@ -55,11 +55,18 @@ func Run(workers, n int, fn func(i int)) {
 // that aborts on error would have surfaced for deterministic item
 // functions.
 func RunErr(workers, n int, fn func(i int) error) error {
+	return RunWorkersErr(Clamp(workers, n), n, func(_, i int) error { return fn(i) })
+}
+
+// RunWorkersErr is RunWorkers for item functions that can fail, returning
+// what RunErr returns: every item is visited and the first error in item
+// order comes back.
+func RunWorkersErr(workers, n int, fn func(worker, i int) error) error {
 	if n == 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	Run(workers, n, func(i int) { errs[i] = fn(i) })
+	RunWorkers(workers, n, func(worker, i int) { errs[i] = fn(worker, i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -55,12 +55,13 @@ func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda floa
 	if err != nil {
 		return nil, err
 	}
-	return m.BlockRidge(classOf, lambda)
+	return m.BlockRidge(classOf, lambda, 1)
 }
 
 // BlockRidge solves the per-class block fit of the package-level
-// BlockRidge from the moments.
-func (m *Moments) BlockRidge(classOf []int, lambda float64) (*Params, error) {
+// BlockRidge from the moments. Each class's solve replays its elimination
+// on up to workers column ranges of its right-hand side at once.
+func (m *Moments) BlockRidge(classOf []int, lambda float64, workers int) (*Params, error) {
 	k, err := checkClasses(classOf, m.n)
 	if err != nil {
 		return nil, err
@@ -96,7 +97,7 @@ func (m *Moments) BlockRidge(classOf []int, lambda float64) (*Params, error) {
 			sub.Add(a, a, lambda)
 			copy(rhs.Row(a), b.Row(cols[a]))
 		}
-		w, err := solveMulti(sub, rhs)
+		w, err := solveMulti(sub, rhs, workers)
 		if err != nil {
 			return nil, fmt.Errorf("train: block ridge class %d: %w", class, err)
 		}
@@ -138,12 +139,14 @@ func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask 
 	if err != nil {
 		return nil, err
 	}
-	return m.BlockMaskedRidge(classOf, mask, lambda)
+	return m.BlockMaskedRidge(classOf, mask, lambda, 1)
 }
 
 // BlockMaskedRidge solves the per-row, per-class block fit of the
-// package-level BlockMaskedRidge from the moments.
-func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64) (*Params, error) {
+// package-level BlockMaskedRidge from the moments. The rows are
+// independent and fan out over up to workers goroutines, each writing
+// only its own row of J.
+func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64, workers int) (*Params, error) {
 	if mask == nil || mask.Rows != m.n || mask.Cols != m.n {
 		return nil, fmt.Errorf("train: coupling mask missing or mis-shaped")
 	}
@@ -155,28 +158,28 @@ func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64
 		return nil, err
 	}
 	p := m.newParams()
-	for u, uIdx := range m.unkIdx {
+	err = eachRow(workers, len(m.unkIdx), func(sc *rowScratch, u int) error {
+		uIdx := m.unkIdx[u]
 		// Previously solved (column position, weight) pairs of this row —
 		// later class blocks fit the residual these leave behind. Empty
 		// for the first non-empty class, so K=1 is bit-identical to
 		// MaskedRidge.
-		var solvedCols []int
-		var solvedW []float64
+		solvedCols, solvedW := sc.solvedCols[:0], sc.solvedW[:0]
 		for class := 0; class < k; class++ {
 			// Columns this row may couple with in this block: masked AND
 			// observed AND of the source class, ascending.
-			var cols []int
+			cols := sc.cols[:0]
 			for c := 0; c < m.n; c++ {
 				if c != uIdx && mask.At(uIdx, c) && m.obsPos[c] >= 0 && classOf[c] == class {
 					cols = append(cols, m.obsPos[c])
 				}
 			}
+			sc.cols = cols
 			if len(cols) == 0 {
 				continue // no allowed couplings into this class
 			}
 			s := len(cols)
-			sub := mat.NewDense(s, s)
-			rhs := mat.NewDense(s, 1)
+			sub, rhs := sc.system(s)
 			for a := 0; a < s; a++ {
 				for c := 0; c < s; c++ {
 					sub.Set(a, c, m.gram(cols[a], cols[c]))
@@ -188,9 +191,9 @@ func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64
 				}
 				rhs.Set(a, 0, r)
 			}
-			wts, err := solveMulti(sub, rhs)
+			wts, err := solveMulti(sub, rhs, 1)
 			if err != nil {
-				return nil, fmt.Errorf("train: block masked ridge row %d class %d: %w", uIdx, class, err)
+				return fmt.Errorf("train: block masked ridge row %d class %d: %w", uIdx, class, err)
 			}
 			for a := 0; a < s; a++ {
 				p.J.Set(uIdx, m.obsIdx[cols[a]], wts.At(a, 0))
@@ -198,6 +201,11 @@ func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64
 				solvedW = append(solvedW, wts.At(a, 0))
 			}
 		}
+		sc.solvedCols, sc.solvedW = solvedCols, solvedW
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.J.ZeroDiagonal()
 	return p, nil

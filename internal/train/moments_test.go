@@ -70,14 +70,14 @@ func TestMomentsPrefixSuffixAnyWorkers(t *testing.T) {
 		if err := m.Add(samples[53:], workers); err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Ridge(lambda)
+		got, err := m.Ridge(lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(got.J.Data, want.J.Data) || !sameBits(got.H, want.H) {
 			t.Errorf("workers=%d: Ridge differs from RidgeInit over all samples", workers)
 		}
-		gotMasked, err := m.MaskedRidge(mask, lambda)
+		gotMasked, err := m.MaskedRidge(mask, lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,33 +89,41 @@ func TestMomentsPrefixSuffixAnyWorkers(t *testing.T) {
 
 // TestMomentsPredictMatchesRegress: a candidate scored from its weights
 // predicts every unknown exactly as Params.Regress does on the J that
-// Ridge installs from the same weights.
+// Ridge installs from the same weights, with the validation samples passed
+// together (three groups of four and one of three) and with an odd and an
+// even number of unknowns.
 func TestMomentsPredictMatchesRegress(t *testing.T) {
-	const n, lambda = 17, 0.1
-	samples, observed := momentTestSamples(n, 60, 33)
-	m, err := NewMoments(observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(samples[:45], 2); err != nil {
-		t.Fatal(err)
-	}
-	w, err := m.Weights(lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.Ridge(lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := make([]float64, len(m.unkIdx))
-	buf := make([]float64, n)
-	for s, smp := range samples[45:] {
-		m.Predict(w, smp, pred)
-		p.Regress(smp, buf)
-		for k, idx := range m.unkIdx {
-			if math.Float64bits(pred[k]) != math.Float64bits(buf[idx]) {
-				t.Fatalf("sample %d unknown %d: Predict %v, Regress %v", s, idx, pred[k], buf[idx])
+	const lambda = 0.1
+	for _, n := range []int{16, 17} {
+		samples, observed := momentTestSamples(n, 60, 33)
+		m, err := NewMoments(observed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Add(samples[:45], 2); err != nil {
+			t.Fatal(err)
+		}
+		w, err := m.Weights(lambda, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Ridge(lambda, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := samples[45:]
+		pred := make([][]float64, len(val))
+		for s := range pred {
+			pred[s] = make([]float64, len(m.unkIdx))
+		}
+		m.Predict(w, val, pred)
+		buf := make([]float64, n)
+		for s, smp := range val {
+			p.Regress(smp, buf)
+			for k, idx := range m.unkIdx {
+				if math.Float64bits(pred[s][k]) != math.Float64bits(buf[idx]) {
+					t.Fatalf("n=%d sample %d unknown %d: Predict %v, Regress %v", n, s, idx, pred[s][k], buf[idx])
+				}
 			}
 		}
 	}
@@ -131,7 +139,7 @@ func TestMomentsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Weights(1); err == nil {
+	if _, err := m.Weights(1, 1, nil); err == nil {
 		t.Error("solve before any sample accepted")
 	}
 	if err := m.Add([][]float64{{1, 2}, {1}}, 2); err == nil {
@@ -140,7 +148,7 @@ func TestMomentsErrors(t *testing.T) {
 	if err := m.Add([][]float64{{1, 2}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Ridge(0); err == nil {
+	if _, err := m.Ridge(0, 1); err == nil {
 		t.Error("zero lambda accepted")
 	}
 }

@@ -203,7 +203,7 @@ func TestSolveMultiKnownSystem(t *testing.T) {
 	// [2 1; 1 3] X = [5; 10] -> X = [1; 3].
 	a := mat.NewDenseFrom(2, 2, []float64{2, 1, 1, 3})
 	b := mat.NewDenseFrom(2, 1, []float64{5, 10})
-	x, err := solveMulti(a, b)
+	x, err := solveMulti(a, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSolveMultiKnownSystem(t *testing.T) {
 func TestSolveMultiSingular(t *testing.T) {
 	a := mat.NewDenseFrom(2, 2, []float64{1, 1, 1, 1})
 	b := mat.NewDenseFrom(2, 1, []float64{1, 2})
-	if _, err := solveMulti(a, b); err == nil {
+	if _, err := solveMulti(a, b, 1); err == nil {
 		t.Fatal("expected error for singular system")
 	}
 }
@@ -224,7 +224,7 @@ func TestSolveMultiPivoting(t *testing.T) {
 	// Leading zero forces a pivot swap.
 	a := mat.NewDenseFrom(2, 2, []float64{0, 1, 1, 0})
 	b := mat.NewDenseFrom(2, 1, []float64{3, 7})
-	x, err := solveMulti(a, b)
+	x, err := solveMulti(a, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
