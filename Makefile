@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./...
 
 # verify trains the standard pipeline on every built-in dataset and checks
-# the ten runtime invariants (listed in the internal/verify package doc).
+# the nine runtime invariants (listed in the internal/verify package doc).
 # The second line runs the decomposed pipeline itself (K>1 classes on a
 # heterogeneous workload) through the same harness; the third runs every
 # dataset on the dense single-PE backend. Nonzero exit on any violation;
@@ -58,7 +58,7 @@ loc:
 # solver rows and BENCH_train.json one Train per traffic size N = 24..192,
 # with each stage's time as a <stage>-ms metric.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkInfer(Batch|With|Plan|Fresh|Observer|Sharded|Stream)|BenchmarkEvaluateParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkInfer(Batch|With|Plan|Fresh|Observer|Stream)|BenchmarkEvaluateParallel' \
 		-benchmem -benchtime=10x -json . | tee BENCH_infer.json | \
 		$(GO) run ./cmd/benchfmt -guard
 	@echo "wrote BENCH_infer.json"

@@ -51,7 +51,7 @@ func TestTrainRejectsBadOptions(t *testing.T) {
 		{"negative MaxInferNs", func(o *Options) { o.MaxInferNs = -1 }},
 		{"infinite SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.Inf(1) }},
 		{"NaN SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.NaN() }},
-		{"infinite ShardSyncNs", func(o *Options) { o.ShardSyncNs = math.Inf(1) }},
+		{"negative Lanes", func(o *Options) { o.Lanes = -1 }},
 		{"dense node noise", func(o *Options) { o.Backend = BackendDense; o.NodeNoise = 0.05 }},
 		{"dense coupler noise", func(o *Options) { o.Backend = BackendDense; o.CouplerNoise = 0.05 }},
 	} {
@@ -139,9 +139,7 @@ func TestDenseBackendSeqParIdentity(t *testing.T) {
 // TestDenseBackendVerify runs the invariant harness against a dense model.
 // Since the v3 snapshot format the formerly scalable-only checks — snapshot
 // round-trip and lossless compilation — run on the dense backend too:
-// invariants 1-6 and 8 must execute (not skip) and hold. Only the sharded
-// fixed-point check skips: a dense model has no community structure to
-// shard.
+// every invariant must execute (not skip) and hold.
 func TestDenseBackendVerify(t *testing.T) {
 	ds := tinyDataset(t, "traffic")
 	model, err := Train(ds, denseOptions())
@@ -158,24 +156,10 @@ func TestDenseBackendVerify(t *testing.T) {
 		}
 		t.Fatal("dense model violates invariants")
 	}
-	ran := map[string]bool{}
 	for _, c := range rep.Checks {
-		if !c.Skipped {
-			ran[c.Invariant] = true
+		if c.Skipped {
+			t.Errorf("check %s did not run on the dense backend: %s", c.Invariant, c.Detail)
 		}
-	}
-	for _, inv := range []string{
-		verify.InvEnergyDescent, verify.InvSettleResidual,
-		verify.InvSnapshotRoundTrip, verify.InvSeqParIdentity,
-		verify.InvLosslessCompile, verify.InvPlanNaiveIdentity,
-		verify.InvWarmStartFixedPoint, verify.InvDecomposedK1Identity,
-	} {
-		if !ran[inv] {
-			t.Errorf("check %s did not run on the dense backend", inv)
-		}
-	}
-	if ran[verify.InvShardedFixedPoint] {
-		t.Error("sharded fixed-point check should skip on the dense backend")
 	}
 }
 

@@ -938,49 +938,6 @@ func BenchmarkInferStream(b *testing.B) {
 	})
 }
 
-// BenchmarkInferSharded contrasts one steady-state window inference on the
-// exact sequential anneal against the community-sharded anneal of the same
-// machine (ShardWorkers=4 — the benchmark model spans 3 PEs, so the anneal
-// fans out across 3 shard goroutines with sample-and-hold cross-shard
-// couplings). On a single core the sharded path pays the barrier overhead
-// for no speedup; its win is proportional to cores, like InferBatch's.
-func BenchmarkInferSharded(b *testing.B) {
-	ds := benchDataset()
-	model, err := dsgl.Train(ds, dsgl.Options{Seed: 7, MaxInferNs: 3000, ShardWorkers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := model.Machine
-	if m.ShardCount() < 2 {
-		b.Fatalf("benchmark model should shard, ShardCount=%d", m.ShardCount())
-	}
-	_, test := ds.Split()
-	var obs []engine.Observation
-	for j, o := range ds.ObservedMask() {
-		if o {
-			obs = append(obs, engine.Observation{Index: j, Value: test[0].Full[j]})
-		}
-	}
-	b.Run("exact", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Engine().InferSeeded(obs, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Engine().Run(m.Engine().NewInferState(), engine.Request{Obs: obs, Seed: uint64(i), Path: engine.Sharded}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkOptSolve anneals a 256-node Gset-style MaxCut instance through
 // the engine's seeded multi-restart fan-out, once per selectable solver
 // dynamics, plus a metropolis-weighted row on the same graph with weights

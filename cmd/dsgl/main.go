@@ -8,7 +8,7 @@
 //	dsgl fig10 -n 32 -eval 30 # accuracy vs density (Fig. 10)
 //	dsgl table2               # RMSE vs SOTA GNNs (Table II)
 //	dsgl eval -backend dense  # train + evaluate one dataset end to end
-//	dsgl verify               # check the ten runtime invariants
+//	dsgl verify               # check the nine runtime invariants
 //	dsgl opt -nodes 800       # solve a Gset-style MaxCut instance
 //	dsgl all                  # run the full suite in paper order
 package main
@@ -246,7 +246,7 @@ func formatMAPE(rep *dsgl.Report) string {
 
 // verify trains the standard pipeline on each named workload (default:
 // every built-in dataset) and runs the invariant-verification harness
-// (dsgl.Verify) against the trained model: the ten invariants listed in
+// (dsgl.Verify) against the trained model: the nine invariants listed in
 // the internal/verify package doc. Any violation makes the command exit
 // nonzero.
 func verify(names []string, cfg experiments.Config, opts dsgl.Options) error {
@@ -300,7 +300,7 @@ experiments:
   eval     train one dataset and report test-split RMSE/MAE/latency
            (honors -backend: compare dense vs scalable end to end)
   verify   train on the named (default: all) datasets and check the
-           ten runtime invariants; nonzero exit on any violation
+           nine runtime invariants; nonzero exit on any violation
   opt      solve a Gset-style MaxCut instance on the Ising backends
            (own flags: see 'dsgl opt -h'; -dynamics brim|metropolis|oim)
   list     print experiment ids

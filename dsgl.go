@@ -129,7 +129,8 @@ type Options struct {
 	// span multi-PE grids where the interconnect patterns genuinely
 	// differ.
 	PECapacity int
-	// Lanes is L, analog lanes per portal. Default 30 (the paper's pick).
+	// Lanes is L, analog lanes per portal. Default 30 (the paper's pick);
+	// negative values are rejected.
 	Lanes int
 	// TemporalDisabled selects the DS-GL-Spatial variant.
 	TemporalDisabled bool
@@ -165,30 +166,22 @@ type Options struct {
 	// sequential ones — every window is seeded by its index, not by
 	// scheduling order — so Workers is purely a throughput knob.
 	Workers int
-	// ShardWorkers > 1 turns on the intra-inference sharded anneal on the
-	// scalable backend: the graph is partitioned into up to ShardWorkers
-	// balanced shards along Louvain super-community (PE) boundaries, each
-	// annealing on its own goroutine with cross-shard couplings held stale
-	// between synchronization rounds (the same sample-and-hold discipline
-	// the temporal slices use). Sharded inference is deterministic per seed
-	// and settles to the sequential fixed point within the settle-residual
-	// tolerance (the sharded-fixed-point verify invariant), but is NOT
-	// bit-identical to it. 0 or 1 (the default) keeps the exact sequential
-	// anneal; machines with injected analog noise or a single community
-	// always run exact.
+	// ShardWorkers is ignored.
+	//
+	// Deprecated: the sharded anneal it enabled was removed. The field
+	// remains only while the repo benchmark sets it (ROADMAP item 1);
+	// snapshots that carry it still load.
 	ShardWorkers int
-	// ShardSyncNs is the simulated interval between cross-shard coupling
-	// refreshes. 0 selects SyncIntervalNs (cross-shard staleness matched to
-	// the hardware's inter-tile sync rate); values at or below the
-	// integration step disable sharding rather than pretend a per-step
-	// exchange, which the exact path already is.
+	// ShardSyncNs is ignored.
+	//
+	// Deprecated: it paced the removed sharded anneal; see ShardWorkers.
 	ShardSyncNs float64
 	// Decompose turns on heterogeneous decomposition (ROADMAP item 5):
 	// nodes are partitioned into interaction classes (internal/hetero),
 	// phase 1 and the masked refit fit per-class-pair J blocks
 	// (train.BlockRidge / train.BlockMaskedRidge), and the Louvain
-	// partition is refined along class boundaries before sharding so no
-	// shard mixes classes. With Classes == 1 the decomposed pipeline is
+	// partition is refined along class boundaries before placement so no
+	// PE mixes classes. With Classes == 1 the decomposed pipeline is
 	// bit-identical to the monolithic one (verify invariant 10).
 	Decompose bool
 	// Classes is K, the number of interaction classes when Decompose is
@@ -263,8 +256,8 @@ func (o *Options) validate() error {
 			return fmt.Errorf("dsgl: %s %v out of range", f.name, f.v)
 		}
 	}
-	if math.IsNaN(o.ShardSyncNs) || math.IsInf(o.ShardSyncNs, 0) {
-		return fmt.Errorf("dsgl: ShardSyncNs %v must be finite", o.ShardSyncNs)
+	if o.Lanes < 0 {
+		return fmt.Errorf("dsgl: Lanes %d is negative", o.Lanes)
 	}
 	if o.Backend == BackendDense && (o.NodeNoise != 0 || o.CouplerNoise != 0) {
 		return errors.New("dsgl: the dense backend models no analog noise; NodeNoise and CouplerNoise must be 0")
@@ -321,7 +314,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	}
 	// Heterogeneous decomposition: assign every node an interaction class
 	// and expand the labels across the flattened window so the training
-	// and sharding stages below can consume them per variable.
+	// and placement stages below can consume them per variable.
 	classes, classVars, err := assignClasses(ds, opts)
 	if err != nil {
 		return nil, err
@@ -378,7 +371,7 @@ func decompose(ds *Dataset, opts Options, dense *train.Params, mom *train.Moment
 	clock.mark(stagePrune)
 	part := community.Louvain(weights, 10)
 	if opts.Decompose {
-		// Shards must respect class boundaries: split every Louvain
+		// PEs must respect class boundaries: split every Louvain
 		// community along the class labels before redistribution. With a
 		// single class this returns the partition label-for-label.
 		part = community.RefineByClass(part, classVars)
@@ -463,8 +456,6 @@ func newModel(ds *Dataset, opts Options, dense, tuned *train.Params, assign *com
 			MaxTimeNs:        opts.MaxInferNs,
 			NodeNoise:        opts.NodeNoise,
 			CouplerNoise:     opts.CouplerNoise,
-			ShardWorkers:     opts.ShardWorkers,
-			ShardSyncNs:      opts.ShardSyncNs,
 			Seed:             opts.Seed + 2,
 		})
 	}
@@ -572,23 +563,11 @@ func (m *Model) predictSeeded(w datasets.Window, seed uint64) (*Prediction, erro
 		return nil, err
 	}
 	eng := m.Engine()
-	res, err := eng.Run(eng.NewInferState(), engine.Request{Obs: obs, Seed: seed, Path: m.inferPath()})
+	res, err := eng.Run(eng.NewInferState(), engine.Request{Obs: obs, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	return m.predictionFrom(w, res), nil
-}
-
-// inferPath routes this model's window anneals: the community-sharded
-// anneal when the user asked for shard workers on a scalable model, the
-// planned path otherwise. The engine falls back to the exact path per call
-// whenever the machine or the clamp pattern cannot shard, so routing here
-// only consults the user's knob and the backend.
-func (m *Model) inferPath() engine.Path {
-	if m.Machine != nil && m.Opts.ShardWorkers > 1 {
-		return engine.Sharded
-	}
-	return engine.Planned
 }
 
 // WindowObservations builds the clamp list for one window: every observed
@@ -692,14 +671,14 @@ func (m *Model) EvaluateParallel(windows []datasets.Window, workers int) (*Repor
 	if err := m.ensurePlan(); err != nil {
 		return nil, err
 	}
-	seed, path := m.Engine().BaseSeed(), m.inferPath()
+	seed := m.Engine().BaseSeed()
 	reqs := make([]engine.Request, len(windows))
 	for i, w := range windows {
 		obs, err := m.windowObservations(w)
 		if err != nil {
 			return nil, err
 		}
-		reqs[i] = engine.Request{Obs: obs, Seed: seed + uint64(i), Path: path}
+		reqs[i] = engine.Request{Obs: obs, Seed: seed + uint64(i)}
 	}
 	results, err := m.Engine().RunBatch(reqs, workers)
 	if err != nil {

@@ -1,17 +1,21 @@
 package dsgl
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/metrics"
+	"dsgl/internal/verify"
 )
 
 // tinyDataset keeps integration tests fast: a short series on a small
 // graph.
-func tinyDataset(t *testing.T, name string) *Dataset {
+func tinyDataset(t testing.TB, name string) *Dataset {
 	t.Helper()
 	return GenerateDataset(name, DatasetConfig{N: 16, T: 400, History: 4, Horizon: 1, Seed: 2})
 }
@@ -407,6 +411,69 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 			par.MeanLatencyUs != ref.MeanLatencyUs || par.Windows != ref.Windows {
 			t.Fatalf("workers=%d: parallel report %+v != sequential %+v",
 				workers, par, ref)
+		}
+	}
+}
+
+// TestDeprecatedOptionsIgnored: ShardWorkers and ShardSyncNs are read by
+// nothing. A model trained with them must anneal exactly like the
+// default-options model, and so must its Save→Load copy: probe Results
+// and the EvaluateParallel report, bit for bit.
+func TestDeprecatedOptionsIgnored(t *testing.T) {
+	ds := tinyDataset(t, "traffic")
+	ref, err := Train(ds, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := tinyOptions()
+	opts.ShardWorkers, opts.ShardSyncNs = 4, 50
+	trained, err := Train(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trained.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, test := ds.Split()
+	test = test[:8]
+	probes := func(m *Model) []*engine.Result {
+		t.Helper()
+		reqs := make([]engine.Request, len(test))
+		for i, w := range test {
+			obs, err := m.WindowObservations(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = engine.Request{Obs: obs, Seed: m.Engine().BaseSeed() + uint64(i)}
+		}
+		res, err := m.Engine().RunBatch(reqs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	report := func(m *Model) string {
+		t.Helper()
+		rep, err := m.EvaluateParallel(test, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", *rep)
+	}
+	wantRes, wantRep := probes(ref), report(ref)
+	for name, m := range map[string]*Model{"trained": trained, "loaded": loaded} {
+		for i, res := range probes(m) {
+			for _, v := range verify.ResultsEqual("deprecated-options", fmt.Sprintf("%s probe %d", name, i), wantRes[i], res) {
+				t.Error(v.Detail)
+			}
+		}
+		if got := report(m); got != wantRep {
+			t.Errorf("%s: EvaluateParallel report %s, want %s", name, got, wantRep)
 		}
 	}
 }

@@ -282,7 +282,7 @@ func SupportMask(j *mat.Dense, eps float64) *mat.Bool {
 // RefineByClass splits every community along interaction-class boundaries:
 // two nodes stay in the same refined community only if they share both the
 // original community AND the class label. The heterogeneous-decomposition
-// pipeline runs this between Louvain and Redistribute so shards never mix
+// pipeline runs this between Louvain and Redistribute so no PE mixes
 // interaction classes (ROADMAP item 5). With a single class the input
 // partition is returned label-for-label: Louvain output is already
 // compacted by first occurrence, and so is the refinement — the K=1

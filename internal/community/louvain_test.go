@@ -279,7 +279,7 @@ func TestRefineByClassSplitsMixedCommunities(t *testing.T) {
 	}
 }
 
-// TestRefineByClassK1Identity is the sharding-layer half of the K=1
+// TestRefineByClassK1Identity is the placement-layer half of the K=1
 // bit-identity contract: a single class must leave the partition
 // untouched label-for-label.
 func TestRefineByClassK1Identity(t *testing.T) {

@@ -21,10 +21,8 @@
 //     other resolution — snapshot hit, LRU hit, or singleflight wait — is
 //     a hit);
 //   - the anneal path a Request selects: Planned (the clamp-plan loop, the
-//     default), Naive (the backend's reference loop, which the
-//     plan-naive-identity invariant compares Planned against bit for bit),
-//     or Sharded (the partitioned anneal of a ShardedBackend, falling back
-//     to Planned when the backend or the clamp pattern cannot shard);
+//     default) or Naive (the backend's reference loop, which the
+//     plan-naive-identity invariant compares Planned against bit for bit);
 //   - the seeding convention: a Request's Seed alone fixes its free-node
 //     init and noise, so RunBatch is bit-identical to a sequential loop of
 //     Run calls for any worker count, and InferBatch gives window i the
@@ -48,10 +46,8 @@
 // (uniform in [-0.1, 0.1)), writes the clamp values, and hands off to the
 // backend's RunPlanned/RunNaive. A backend extracted onto this engine
 // therefore produces bit-identical results to its pre-extraction form —
-// enforced by the golden-voltage regression fixture and the ten verify
-// invariants. The Sharded path is the one deliberate exception: it is
-// deterministic per seed but only tolerance-equivalent to the exact path,
-// a contract the sharded-fixed-point invariant verifies.
+// enforced by the golden-voltage regression fixture and the verify
+// invariants.
 package engine
 
 import (
@@ -115,34 +111,6 @@ type Backend interface {
 	SettleResidualTol() float64
 }
 
-// ShardedBackend is the optional Backend extension for the intra-inference
-// sharded anneal: the backend partitions its graph (by Louvain
-// super-community groups in the scalable machine) and anneals every
-// partition on its own goroutine, exchanging cross-partition coupling
-// contributions at a configured sync interval. Backends that cannot shard
-// (the dense DSPU) simply do not implement the interface; a Sharded
-// Request then runs the exact planned path.
-type ShardedBackend interface {
-	Backend
-	// CompileShardedPlan compiles the clamp pattern into a sharded
-	// inference plan, or returns nil when this machine cannot shard
-	// (sharding disabled, single community, noise enabled, or the clamp
-	// pattern leaves fewer than two partitions with free nodes). Like
-	// CompilePlan the result depends only on WHICH nodes are clamped, is
-	// immutable, and is cached by the engine (nil included, so the
-	// shardability decision is made once per pattern residency).
-	CompileShardedPlan(clamped []bool) any
-	// RunSharded runs the partitioned anneal on a prepared state under a
-	// non-nil plan previously returned by CompileShardedPlan. Same state
-	// contract as RunPlanned; Result.Switches counts cross-shard sync
-	// rounds.
-	RunSharded(st *InferState, plan any) (*Result, error)
-	// ShardCount reports how many partitions the sharded path would run
-	// (0 or 1 when sharding is unavailable) — telemetry and warm-up
-	// gating, never correctness.
-	ShardCount() int
-}
-
 // Engine drives inference for one Backend: validation, plan caching,
 // seeding, and batch fan-out. Safe for concurrent use.
 type Engine struct {
@@ -200,15 +168,6 @@ const (
 	// invariant asserts Planned and Naive return bit-identical Results for
 	// every seed; benchmarks use it as the pre-folding baseline.
 	Naive
-	// Sharded runs the backend's partitioned anneal: graph partitions
-	// anneal concurrently, exchanging cross-partition contributions at the
-	// backend's sync interval. It falls back to Planned when the backend
-	// does not shard (ShardedBackend not implemented, or CompileShardedPlan
-	// declined the pattern) or when a step observer is installed — the
-	// sharded loop dispatches no observers. Sharded runs are deterministic
-	// per seed and tolerance-equivalent (not bit-identical) to Planned,
-	// the contract the sharded-fixed-point verify invariant enforces.
-	Sharded
 )
 
 // Request is one inference: the observations to clamp, the seed of the
@@ -338,25 +297,10 @@ func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Re
 	case Planned:
 	case Naive:
 		return e.b.RunNaive(st)
-	case Sharded:
-		if sb, ok := e.b.(ShardedBackend); ok && st.Observer == nil {
-			key := packMask(st.Clamped, st.KeyBuf)
-			key[len(key)-1] = shardPlanTag
-			if pl := e.planFor(st.Clamped, key, sb.CompileShardedPlan); pl != nil {
-				res, err := sb.RunSharded(st, pl)
-				if err == nil && m.enabled() {
-					m.shardInfers.Inc()
-					m.shardSyncRounds.Add(uint64(res.Switches))
-					m.shardAnnealSteps.Add(uint64(res.Steps))
-					m.shardWorkers.Set(float64(sb.ShardCount()))
-				}
-				return res, err
-			}
-		}
 	default:
 		return nil, fmt.Errorf("%s: unknown inference path %d", e.b.Name(), path)
 	}
-	key := packMask(st.Clamped, st.KeyBuf)[:maskBytes(len(st.X))]
+	key := packMask(st.Clamped, st.KeyBuf)
 	compile := e.b.CompilePlan
 	if s != nil && s.started && !bytes.Equal(key, s.prevKey) {
 		if db, ok := e.b.(DeltaBackend); ok {
@@ -401,19 +345,12 @@ func (e *Engine) EnsurePlan(obs []Observation) error {
 	n := e.b.Dim()
 	if e.ensureClamped == nil {
 		e.ensureClamped = make([]bool, n)
-		e.ensureKey = make([]byte, maskBytes(n)+1)
+		e.ensureKey = make([]byte, maskBytes(n))
 	}
 	if err := validateObservations(e.b.Name(), obs, n, e.b.Rails(), nil, e.ensureClamped, nil); err != nil {
 		return err
 	}
-	e.planFor(e.ensureClamped, packMask(e.ensureClamped, e.ensureKey)[:maskBytes(n)], e.b.CompilePlan)
-	// Warm the sharded variant too when the backend actually shards, so a
-	// sharded batch starts hot on every worker as well.
-	if sb, ok := e.b.(ShardedBackend); ok && sb.ShardCount() >= 2 {
-		key := packMask(e.ensureClamped, e.ensureKey)
-		key[len(key)-1] = shardPlanTag
-		e.planFor(e.ensureClamped, key, sb.CompileShardedPlan)
-	}
+	e.planFor(e.ensureClamped, packMask(e.ensureClamped, e.ensureKey), e.b.CompilePlan)
 	return nil
 }
 
@@ -438,11 +375,6 @@ func (e *Engine) checkState(st *InferState) error {
 	return nil
 }
 
-// shardPlanTag distinguishes sharded-plan cache keys from exact-plan keys:
-// exact keys are the bare maskBytes(n) bitmask, sharded keys carry one
-// trailing tag byte. Both variants of one pattern can be resident at once.
-const shardPlanTag = 1
-
 // planFor resolves the clamp pattern to a compiled plan through the shared
 // plan cache (see plancache.go for the lock-free warm path, the per-key
 // singleflight compile, and the counter-determinism guarantee).
@@ -455,8 +387,7 @@ func (e *Engine) planFor(clamped []bool, key []byte, compile func([]bool) any) a
 func maskBytes(n int) int { return (n + 7) / 8 }
 
 // packMask packs the clamp mask into buf as a little-endian bitmask — the
-// plan-cache key. buf must have at least maskBytes(len(clamped)) bytes;
-// any extra bytes (the sharded-plan tag slot) are zeroed.
+// plan-cache key. buf must have exactly maskBytes(len(clamped)) bytes.
 func packMask(clamped []bool, buf []byte) []byte {
 	for i := range buf {
 		buf[i] = 0

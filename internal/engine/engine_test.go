@@ -93,7 +93,7 @@ func newStub(n int) (*stubBackend, *Engine) {
 }
 
 // paths lists every anneal path a Request can select.
-var paths = []Path{Planned, Naive, Sharded}
+var paths = []Path{Planned, Naive}
 
 func TestValidationSharedAcrossEntryPoints(t *testing.T) {
 	_, e := newStub(8)
@@ -156,8 +156,7 @@ func TestNonFiniteObservationsRejected(t *testing.T) {
 }
 
 // TestRunPaths: Planned and Naive run different backend loops yet agree
-// bit for bit; Sharded on a backend that cannot shard is Planned; an
-// unknown path is an error.
+// bit for bit; an unknown path is an error.
 func TestRunPaths(t *testing.T) {
 	b, e := newStub(6)
 	obs := []Observation{{Index: 2, Value: 0.3}}
@@ -172,14 +171,12 @@ func TestRunPaths(t *testing.T) {
 	if got := b.naive.Load(); got != 1 {
 		t.Fatalf("naive loop ran %d times, want 1", got)
 	}
-	if got := b.planned.Load(); got != 2 {
-		t.Fatalf("planned loop ran %d times, want 2 (Planned + Sharded fallback)", got)
+	if got := b.planned.Load(); got != 1 {
+		t.Fatalf("planned loop ran %d times, want 1", got)
 	}
-	for _, p := range []Path{Naive, Sharded} {
-		for i := range res[Planned].Voltage {
-			if math.Float64bits(res[p].Voltage[i]) != math.Float64bits(res[Planned].Voltage[i]) {
-				t.Fatalf("path %d diverges from Planned at node %d", p, i)
-			}
+	for i := range res[Planned].Voltage {
+		if math.Float64bits(res[Naive].Voltage[i]) != math.Float64bits(res[Planned].Voltage[i]) {
+			t.Fatalf("Naive diverges from Planned at node %d", i)
 		}
 	}
 	if _, err := e.Run(e.NewInferState(), Request{Obs: obs, Path: Path(99)}); err == nil || !strings.Contains(err.Error(), "unknown inference path") {

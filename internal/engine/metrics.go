@@ -38,10 +38,6 @@ type engineObs struct {
 	planSingleflightWaits *obs.Counter // dsgl_plan_singleflight_waits_total
 	statePoolHits         *obs.Counter // dsgl_state_pool_hits_total
 	statePoolMisses       *obs.Counter // dsgl_state_pool_misses_total
-	shardInfers           *obs.Counter // dsgl_shard_infer_total
-	shardSyncRounds       *obs.Counter // dsgl_shard_sync_rounds_total
-	shardAnnealSteps      *obs.Counter // dsgl_shard_anneal_steps_total
-	shardWorkers          *obs.Gauge   // dsgl_shard_workers
 
 	// Streaming-inference instruments (stream.go): delta-compile outcomes
 	// and the warm-vs-cold steps-to-settle comparison the warm-start path
@@ -81,10 +77,6 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
 		statePoolHits:         r.Counter("dsgl_state_pool_hits_total", "batch InferStates served from the engine free-list", l),
 		statePoolMisses:       r.Counter("dsgl_state_pool_misses_total", "batch InferStates allocated because the free-list was dry", l),
-		shardInfers:           r.Counter("dsgl_shard_infer_total", "inferences that ran the sharded anneal path", l),
-		shardSyncRounds:       r.Counter("dsgl_shard_sync_rounds_total", "cross-shard synchronization rounds across all sharded inferences", l),
-		shardAnnealSteps:      r.Counter("dsgl_shard_anneal_steps_total", "integration steps taken on the sharded anneal path", l),
-		shardWorkers:          r.Gauge("dsgl_shard_workers", "shard count of the most recent sharded inference", l),
 
 		planDeltaHits:      r.Counter("dsgl_plan_delta_hits_total", "clamp plans resolved by patching the predecessor pattern's plan", l),
 		planDeltaFallbacks: r.Counter("dsgl_plan_delta_fallbacks_total", "shifted-pattern plan misses that fell back to a full compile", l),

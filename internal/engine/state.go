@@ -90,9 +90,7 @@ type InferState struct {
 	// order (the form integrator-style backends iterate).
 	Clamped  []bool
 	ClampIdx []int
-	// KeyBuf is the packed clamp-mask plan-cache key scratch: maskBytes
-	// of bitmask plus one trailing tag byte distinguishing the sharded
-	// plan variant (see shardPlanTag).
+	// KeyBuf is the packed clamp-mask plan-cache key scratch.
 	KeyBuf []byte
 	// RNG is the per-state noise/init stream, reseeded per inference.
 	RNG rng.RNG
@@ -123,7 +121,7 @@ func (e *Engine) NewInferState() *InferState {
 		X:        make([]float64, n),
 		Clamped:  make([]bool, n),
 		ClampIdx: make([]int, 0, n),
-		KeyBuf:   make([]byte, maskBytes(n)+1),
+		KeyBuf:   make([]byte, maskBytes(n)),
 	}
 	st.EnergyFn = func() float64 { return e.b.EnergyAt(st.X) }
 	e.b.AttachState(st)

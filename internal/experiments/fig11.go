@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dsgl"
-	"dsgl/internal/datasets"
 )
 
 // Fig11 reproduces the accuracy-vs-latency study: the best RMSE obtainable
@@ -92,7 +91,3 @@ func Fig11(cfg Config, w io.Writer) error {
 	}
 	return nil
 }
-
-// datasetsForFig11 is exported for tests: the harness covers all seven
-// workloads by default but tests shrink it.
-func datasetsForFig11() []string { return datasets.Names() }

@@ -8,7 +8,6 @@ import (
 	"dsgl/internal/datasets"
 	"dsgl/internal/gnn"
 	"dsgl/internal/hw"
-	"dsgl/internal/metrics"
 )
 
 // Table1 reproduces the hardware comparison (Table I): BRIM vs DSPU-2000 vs
@@ -241,11 +240,4 @@ func Table4(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%-10s %12s %12.3e %14.3g\n", name, "DS-GL", rep.RMSE, rep.MeanLatencyUs)
 	}
 	return nil
-}
-
-// bestOf returns the minimum of a metric accumulator set; helper shared by
-// tests.
-func bestOf(vals []float64) float64 {
-	s := metrics.Summarize(vals)
-	return s.Min
 }

@@ -62,13 +62,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.Cols, m.Rows)

@@ -251,34 +251,31 @@ func TestConfigFillDefaults(t *testing.T) {
 			in:   Config{},
 			want: Config{
 				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 200, SwitchIntervalNs: 200,
-				SwitchOverheadNs: 20, ShardSyncNs: 200,
+				VRail: 1, SyncIntervalNs: 200, SwitchOverheadNs: 20,
 			},
 		},
 		{
 			name: "explicit-values-kept",
 			in: Config{
 				Lanes: 8, Dt: 0.2, MaxTimeNs: 100, SettleTol: 1e-3,
-				VRail: 2, SyncIntervalNs: 50, SwitchIntervalNs: 25,
+				VRail: 2, SyncIntervalNs: 50,
 				SwitchOverheadNs: 5, TemporalDisabled: true,
-				ShardWorkers: 3, ShardSyncNs: 40,
 				NodeNoise: 0.1, CouplerNoise: 0.2, Seed: 9,
 			},
 			want: Config{
 				Lanes: 8, Dt: 0.2, MaxTimeNs: 100, SettleTol: 1e-3,
-				VRail: 2, SyncIntervalNs: 50, SwitchIntervalNs: 25,
+				VRail: 2, SyncIntervalNs: 50,
 				SwitchOverheadNs: 5, TemporalDisabled: true,
-				ShardWorkers: 3, ShardSyncNs: 40,
 				NodeNoise: 0.1, CouplerNoise: 0.2, Seed: 9,
 			},
 		},
 		{
+			// One interval paces both synchronization and slice rotation.
 			name: "switch-interval-follows-sync",
 			in:   Config{SyncIntervalNs: 75},
 			want: Config{
 				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 75, SwitchIntervalNs: 75,
-				SwitchOverheadNs: 20, ShardSyncNs: 75,
+				VRail: 1, SyncIntervalNs: 75, SwitchOverheadNs: 20,
 			},
 		},
 		{
@@ -286,8 +283,7 @@ func TestConfigFillDefaults(t *testing.T) {
 			in:   Config{SwitchOverheadNs: -1},
 			want: Config{
 				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 200, SwitchIntervalNs: 200,
-				SwitchOverheadNs: 0, ShardSyncNs: 200,
+				VRail: 1, SyncIntervalNs: 200, SwitchOverheadNs: 0,
 			},
 		},
 	} {

@@ -59,14 +59,11 @@ type Config struct {
 	// the live mapping coupling is continuous analog current and needs no
 	// synchronization; the inactive mappings' held contributions refresh
 	// only when their slice next becomes live — i.e. cross-mapping
-	// information exchanges once per synchronization interval. Default
-	// 200 ns, the interval the DS-GL hardware supports. Values <= Dt
-	// rotate every integration step.
+	// information exchanges once per synchronization interval, so this
+	// one interval is also the slice rotation period. Default 200 ns, the
+	// interval the DS-GL hardware supports. Values <= Dt rotate every
+	// integration step.
 	SyncIntervalNs float64
-	// SwitchIntervalNs overrides the slice rotation period when non-zero;
-	// by default it equals SyncIntervalNs (rotation IS the
-	// synchronization mechanism).
-	SwitchIntervalNs float64
 	// SwitchOverheadNs is the dead time per mapping switch while the
 	// In-CU Weight Buffers redrive the crossbar DACs and the schedulers
 	// reload routing state (default 20 ns); it counts toward latency but
@@ -76,19 +73,14 @@ type Config struct {
 	// TemporalDisabled selects the DS-GL-Spatial variant: couplings beyond
 	// one round are dropped instead of time-multiplexed.
 	TemporalDisabled bool
-	// ShardWorkers enables the software-sharded anneal (shard.go): the
-	// graph is partitioned into up to ShardWorkers groups of Louvain
-	// super-communities and each partition anneals on its own goroutine,
-	// exchanging cross-partition contributions every ShardSyncNs. 0 or 1
-	// keeps the exact sequential path; noisy configurations always do
-	// (one RNG stream cannot be split across concurrent shards
-	// deterministically).
+	// ShardWorkers is ignored.
+	//
+	// Deprecated: the sharded anneal it enabled was removed. The field
+	// remains only while the repo benchmark sets it (ROADMAP item 1).
 	ShardWorkers int
-	// ShardSyncNs is the cross-shard synchronization interval (default:
-	// SyncIntervalNs, the hardware sync rate — the software analog of the
-	// paper's multi-mapping synchronization). Values <= Dt would exchange
-	// every integration step, where the exact path is the bit-identical
-	// (and cheaper) implementation, so the machine routes there instead.
+	// ShardSyncNs is ignored.
+	//
+	// Deprecated: it paced the removed sharded anneal; see ShardWorkers.
 	ShardSyncNs float64
 	// NodeNoise / CouplerNoise are relative Gaussian disturbance sigmas
 	// (Fig. 13). Zero disables noise.
@@ -115,12 +107,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.SyncIntervalNs == 0 {
 		c.SyncIntervalNs = 200
-	}
-	if c.SwitchIntervalNs == 0 {
-		c.SwitchIntervalNs = c.SyncIntervalNs
-	}
-	if c.ShardSyncNs == 0 {
-		c.ShardSyncNs = c.SyncIntervalNs
 	}
 	if c.SwitchOverheadNs == 0 {
 		c.SwitchOverheadNs = 20
@@ -180,14 +166,6 @@ type Machine struct {
 	// Machine literals (&Machine{N: ..., intra: ...}) that never infer.
 	engOnce sync.Once
 	eng     *engine.Engine
-
-	// Sharded-anneal structures, built lazily on first use (shard.go):
-	// shardGroups partitions the nodes by super-community groups (nil when
-	// this machine cannot shard) and combined merges intra plus every
-	// temporal slice into one always-live coupling matrix.
-	shardOnce   sync.Once
-	shardGroups [][]int
-	combined    *mat.CSR
 }
 
 // Engine returns the inference engine driving this machine, creating it on
@@ -219,11 +197,6 @@ type scratch struct {
 	// currents of coupling-list matrix k for the current inference (one
 	// entry per row; only fully-clamped rows are non-zero).
 	bias [][]float64
-
-	// shard is the sharded-anneal arena (shard.go), allocated on the
-	// state's first sharded run; nil until then, so states that never run
-	// the sharded path pay nothing.
-	shard *shardScratch
 }
 
 // AttachState allocates the machine's scratch arena onto an engine state.
@@ -292,10 +265,7 @@ func (m *Machine) refreshPhase(st *engine.InferState, sc *scratch, k int) {
 	}
 }
 
-// The Machine is the sharding-capable backend of the shared engine.
-var _ engine.ShardedBackend = (*Machine)(nil)
-
-// The Machine also delta-compiles clamp plans for streaming inference.
+// The Machine delta-compiles clamp plans for streaming inference.
 var _ engine.DeltaBackend = (*Machine)(nil)
 
 // inferNaive is the reference co-annealing loop: every coupling matrix is
@@ -355,14 +325,14 @@ func (m *Machine) inferNaive(st *engine.InferState) (*engine.Result, error) {
 	r := &st.RNG
 
 	phase := 0
-	nextSwitch := m.cfg.SwitchIntervalNs
+	nextSwitch := m.cfg.SyncIntervalNs
 	annealT := 0.0
 	switches := 0
 	settled := false
 	lastResidual := math.NaN()
 	taken := 0
 	// Steps per full slice cycle, for the temporal-mode convergence check.
-	checkEvery := int(m.cfg.SwitchIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
+	checkEvery := int(m.cfg.SyncIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
 	if checkEvery < 32 {
 		checkEvery = 32
 	}
@@ -452,7 +422,7 @@ func (m *Machine) inferNaive(st *engine.InferState) (*engine.Result, error) {
 		if len(m.phases) > 1 && annealT >= nextSwitch {
 			phase = (phase + 1) % len(m.phases)
 			switches++
-			nextSwitch += m.cfg.SwitchIntervalNs
+			nextSwitch += m.cfg.SyncIntervalNs
 		}
 	}
 	st.Res = engine.Result{

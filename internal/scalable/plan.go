@@ -137,13 +137,13 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 	r := &st.RNG
 
 	phase := 0
-	nextSwitch := m.cfg.SwitchIntervalNs
+	nextSwitch := m.cfg.SyncIntervalNs
 	annealT := 0.0
 	switches := 0
 	settled := false
 	lastResidual := math.NaN()
 	taken := 0
-	checkEvery := int(m.cfg.SwitchIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
+	checkEvery := int(m.cfg.SyncIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
 	if checkEvery < 32 {
 		checkEvery = 32
 	}
@@ -232,7 +232,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		if len(m.phases) > 1 && annealT >= nextSwitch {
 			phase = (phase + 1) % len(m.phases)
 			switches++
-			nextSwitch += m.cfg.SwitchIntervalNs
+			nextSwitch += m.cfg.SyncIntervalNs
 		}
 	}
 	st.Res = engine.Result{

@@ -61,9 +61,6 @@ func ZeroParam(rows, cols int) *Tensor {
 // RequiresGrad reports whether gradients accumulate into t.
 func (t *Tensor) RequiresGrad() bool { return t.requires }
 
-// SetRequiresGrad marks t as a trainable leaf.
-func (t *Tensor) SetRequiresGrad(v bool) { t.requires = v }
-
 // At returns element (i, j).
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 

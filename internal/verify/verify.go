@@ -1,10 +1,12 @@
 // Package verify is the invariant-verification layer of the DS-GL
-// reproduction: small, composable checkers for the ten contracts the
+// reproduction: small, composable checkers for the nine contracts the
 // system claims (paper Sec. III, Eqs. 6-8), plus the structured report
 // they feed.
 //
-// The ten invariants, as checked by dsgl.(*Model).Verify, the `dsgl verify`
-// CLI subcommand and `make verify` — this list is their one statement:
+// The nine invariants, as checked by dsgl.(*Model).Verify, the `dsgl verify`
+// CLI subcommand and `make verify` — this list is their one statement. The
+// numbers are stable: 7 is retired and stays unused, so references to the
+// others remain valid.
 //
 //  1. energy-descent      — the Lyapunov-designed dynamics anneal with
 //     monotone (ripple-bounded) energy descent;
@@ -21,21 +23,16 @@
 //  6. plan-naive-identity — the clamp-plan compiled inference path (constant
 //     clamp currents folded, free-row kernels) returns Results bit-identical
 //     to the naive re-evaluate-everything reference loop;
-//  7. sharded-fixed-point — the community-sharded parallel anneal (stale
-//     cross-shard couplings refreshed every sync interval) settles to the
-//     same equilibrium as the exact sequential anneal, node-wise within the
-//     tolerance the settle-residual bound implies. Unlike 4 and 6 this is a
-//     tolerance contract, not bit-identity: the sharded kernel sums each
-//     row's couplings in a different grouping, so IEEE-754 non-associativity
-//     already perturbs the trajectory at the first step;
+//  7. (retired) sharded-fixed-point — checked the community-sharded
+//     anneal, which was removed; every inference now runs one anneal path;
 //  8. warm-start-fixed-point — a warm-started streaming tick (free nodes
 //     initialized from the previous tick's equilibrium instead of a fresh
 //     random draw; see engine.Stream) settles to the same fixed point as a
-//     cold inference of the same window. Like 7 this is a tolerance
-//     contract: the clamped dynamics have a unique attracting equilibrium,
-//     so the init only moves where the trajectory starts, never where it
-//     ends — but the two trajectories differ, so the settled states agree
-//     only within the settle-residual bracket, not bit-for-bit;
+//     cold inference of the same window. This is a tolerance contract:
+//     the clamped dynamics have a unique attracting equilibrium, so the
+//     init only moves where the trajectory starts, never where it ends —
+//     but the two trajectories differ, so the settled states agree only
+//     within the settle-residual bracket, not bit-for-bit;
 //  9. opt-best-energy-monotone — a multi-restart combinatorial solve
 //     (engine.OptEngine over an ising.Solver) reports an internally
 //     consistent run: the best-energy-so-far trace is the exact running
@@ -57,8 +54,8 @@
 // The package deliberately contains no pipeline logic and imports no
 // backend: it consumes results, matrices and energy traces produced by the
 // caller, so the same checkers serve the public API, the CLI, and the unit
-// tests of the subsystems they guard. Invariants 7 and 8 share one
-// tolerance checker, FixedPoint.
+// tests of the subsystems they guard. Invariant 8's tolerance checker is
+// FixedPoint.
 package verify
 
 import (
@@ -77,7 +74,6 @@ const (
 	InvSeqParIdentity      = "seq-par-identity"
 	InvLosslessCompile     = "lossless-compile"
 	InvPlanNaiveIdentity   = "plan-naive-identity"
-	InvShardedFixedPoint   = "sharded-fixed-point"
 	InvWarmStartFixedPoint = "warm-start-fixed-point"
 
 	InvOptBestEnergyMonotone = "opt-best-energy-monotone"
@@ -305,16 +301,15 @@ func ResultsEqual(invariant, label string, a, b *engine.Result) []Violation {
 	return v
 }
 
-// FixedPoint checks the tolerance invariants 7 and 8 on one probe: a
-// settled reference anneal and the anneal compared with it (sharded, or
-// warm-started) must reach the same fixed point, node-wise within tol. The
+// FixedPoint checks the tolerance invariant 8 on one probe: a settled
+// reference anneal and the anneal compared with it (warm-started) must
+// reach the same fixed point, node-wise within tol. The
 // caller derives tol from the settle-residual bound and the field
 // strengths: both states carry residual < bound, so they bracket the
 // unique clamped equilibrium. A reference that did not settle makes no
 // fixed-point claim and passes vacuously; a settle the compared anneal
-// fails to reproduce is itself a violation — stale cross-shard couplings
-// or a nearer start may change the path, never prevent convergence within
-// the same time budget.
+// fails to reproduce is itself a violation — a nearer start may change
+// the path, never prevent convergence within the same time budget.
 func FixedPoint(invariant, label string, ref, got *engine.Result, tol float64) []Violation {
 	add := func(format string, args ...any) Violation {
 		return Violation{Invariant: invariant, Detail: label + ": " + fmt.Sprintf(format, args...)}

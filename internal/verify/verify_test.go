@@ -213,33 +213,33 @@ func TestReportOkAndFprint(t *testing.T) {
 	}
 }
 
-// TestShardedFixedPoint drives FixedPoint as invariant 7 uses it; the
-// warm-start invariant 8 calls the same function.
-func TestShardedFixedPoint(t *testing.T) {
+// TestWarmStartFixedPoint drives FixedPoint as the warm-start invariant 8
+// uses it.
+func TestWarmStartFixedPoint(t *testing.T) {
 	exact := &engine.Result{Settled: true, Voltage: []float64{0.5, -0.25, 0.75}}
 	agree := &engine.Result{Settled: true, Voltage: []float64{0.5 + 5e-5, -0.25, 0.75 - 5e-5}}
-	if v := FixedPoint(InvShardedFixedPoint, "p", exact, agree, 1e-4); len(v) != 0 {
+	if v := FixedPoint(InvWarmStartFixedPoint, "p", exact, agree, 1e-4); len(v) != 0 {
 		t.Fatalf("within-tol pair flagged: %v", v)
 	}
 	far := &engine.Result{Settled: true, Voltage: []float64{0.5, -0.25 + 1e-3, 0.75}}
-	v := FixedPoint(InvShardedFixedPoint, "p", exact, far, 1e-4)
+	v := FixedPoint(InvWarmStartFixedPoint, "p", exact, far, 1e-4)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "node 1") {
 		t.Fatalf("out-of-tol node not flagged: %v", v)
 	}
-	if v[0].Invariant != InvShardedFixedPoint {
+	if v[0].Invariant != InvWarmStartFixedPoint {
 		t.Fatalf("invariant id = %q", v[0].Invariant)
 	}
 	unsettled := &engine.Result{Settled: false, Voltage: exact.Voltage, Residual: 0.1, Switches: 3}
-	if v := FixedPoint(InvShardedFixedPoint, "p", exact, unsettled, 1e-4); len(v) != 1 ||
+	if v := FixedPoint(InvWarmStartFixedPoint, "p", exact, unsettled, 1e-4); len(v) != 1 ||
 		!strings.Contains(v[0].Detail, "did not") {
-		t.Fatalf("sharded non-settle not flagged: %v", v)
+		t.Fatalf("warm non-settle not flagged: %v", v)
 	}
-	// No claim when the exact reference itself did not settle.
-	if v := FixedPoint(InvShardedFixedPoint, "p", unsettled, far, 1e-4); v != nil {
+	// No claim when the cold reference itself did not settle.
+	if v := FixedPoint(InvWarmStartFixedPoint, "p", unsettled, far, 1e-4); v != nil {
 		t.Fatalf("vacuous case flagged: %v", v)
 	}
 	short := &engine.Result{Settled: true, Voltage: []float64{0.5}}
-	if v := FixedPoint(InvShardedFixedPoint, "p", exact, short, 1e-4); len(v) != 1 {
+	if v := FixedPoint(InvWarmStartFixedPoint, "p", exact, short, 1e-4); len(v) != 1 {
 		t.Fatalf("length mismatch not flagged: %v", v)
 	}
 	// Violation capping: every node diverges, list stays bounded.
@@ -249,7 +249,7 @@ func TestShardedFixedPoint(t *testing.T) {
 	for i := range wideB.Voltage {
 		wideB.Voltage[i] = 1
 	}
-	v = FixedPoint(InvShardedFixedPoint, "p", wideA, wideB, 1e-4)
+	v = FixedPoint(InvWarmStartFixedPoint, "p", wideA, wideB, 1e-4)
 	if len(v) != maxViolationsPerCheck+1 {
 		t.Fatalf("got %d violations, want %d capped + 1 summary", len(v), maxViolationsPerCheck+1)
 	}

@@ -183,6 +183,7 @@ func TestLoadRejectsCorruptGeometry(t *testing.T) {
 		{"negative MaxInferNs", func(s *modelSnapshot) { s.Opts.MaxInferNs = -1 }},
 		{"infinite SyncIntervalNs", func(s *modelSnapshot) { s.Opts.SyncIntervalNs = math.Inf(1) }},
 		{"NaN RidgeLambda", func(s *modelSnapshot) { s.Opts.RidgeLambda = math.NaN() }},
+		{"negative Lanes", func(s *modelSnapshot) { s.Opts.Lanes = -1 }},
 		{"dense snapshot with noise", func(s *modelSnapshot) { s.Backend = BackendDense; s.Opts.NodeNoise = 0.05 }},
 	}
 	for _, tc := range cases {
@@ -197,6 +198,147 @@ func TestLoadRejectsCorruptGeometry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snapshotField is one modelSnapshot field FuzzLoad overwrites from the
+// fuzzer's integer and float values.
+type snapshotField struct {
+	name string
+	set  func(s *modelSnapshot, i int64, f float64)
+}
+
+// fuzzResize resizes v to a length drawn from i, at most 2*len(v)+1 (grown
+// with zero values), so a fuzzed length never allocates much more than the
+// seed snapshot holds.
+func fuzzResize[T any](v []T, i int64) []T {
+	n := int(uint64(i) % uint64(2*len(v)+2))
+	if n <= len(v) {
+		return v[:n]
+	}
+	return append(v, make([]T, n-len(v))...)
+}
+
+// fuzzIndex draws an index into a slice of length n from the high half of
+// i; fuzzValue is the low half, sign-extended. One int64 thus addresses any
+// entry with any 32-bit value.
+func fuzzIndex(i int64, n int) int { return int(uint64(i)>>32) % n }
+func fuzzValue(i int64) int        { return int(int32(i)) }
+
+// setInt and setFloat adapt a plain field write to a snapshotField.
+func setInt(set func(s *modelSnapshot, v int)) func(*modelSnapshot, int64, float64) {
+	return func(s *modelSnapshot, i int64, _ float64) { set(s, int(i)) }
+}
+
+func setFloat(set func(s *modelSnapshot, v float64)) func(*modelSnapshot, int64, float64) {
+	return func(s *modelSnapshot, _ int64, f float64) { set(s, f) }
+}
+
+var snapshotFields = []snapshotField{
+	{"Format", setInt(func(s *modelSnapshot, v int) { s.Format = v })},
+	{"Backend", func(s *modelSnapshot, i int64, _ float64) {
+		s.Backend = []string{"", BackendScalable, BackendDense, "bogus"}[uint64(i)%4]
+	}},
+	{"JRows", setInt(func(s *modelSnapshot, v int) { s.JRows = v })},
+	{"JCols", setInt(func(s *modelSnapshot, v int) { s.JCols = v })},
+	{"JData length", func(s *modelSnapshot, i int64, _ float64) { s.JData = fuzzResize(s.JData, i) }},
+	{"J entry", func(s *modelSnapshot, i int64, f float64) { s.JData[fuzzIndex(i, len(s.JData))] = f }},
+	{"H length", func(s *modelSnapshot, i int64, _ float64) { s.H = fuzzResize(s.H, i) }},
+	{"H entry", func(s *modelSnapshot, i int64, f float64) { s.H[fuzzIndex(i, len(s.H))] = f }},
+	{"PEOf length", func(s *modelSnapshot, i int64, _ float64) { s.PEOf = fuzzResize(s.PEOf, i) }},
+	{"PEOf entry", func(s *modelSnapshot, i int64, _ float64) {
+		if len(s.PEOf) > 0 {
+			s.PEOf[fuzzIndex(i, len(s.PEOf))] = fuzzValue(i)
+		}
+	}},
+	{"MaskRows", setInt(func(s *modelSnapshot, v int) { s.MaskRows = v })},
+	{"MaskCols", setInt(func(s *modelSnapshot, v int) { s.MaskCols = v })},
+	{"MaskData length", func(s *modelSnapshot, i int64, _ float64) { s.MaskData = fuzzResize(s.MaskData, i) }},
+	{"GridW", setInt(func(s *modelSnapshot, v int) { s.GridW = v })},
+	{"GridH", setInt(func(s *modelSnapshot, v int) { s.GridH = v })},
+	{"Capacity", setInt(func(s *modelSnapshot, v int) { s.Capacity = v })},
+	{"class label", func(s *modelSnapshot, i int64, _ float64) {
+		if len(s.Classes) > 0 {
+			s.Classes[fuzzIndex(i, len(s.Classes))] = fuzzValue(i)
+		}
+	}},
+	{"Opts.Pattern", setInt(func(s *modelSnapshot, v int) { s.Opts.Pattern = Pattern(v) })},
+	{"Opts.Density", setFloat(func(s *modelSnapshot, v float64) { s.Opts.Density = v })},
+	{"Opts.Wormholes", setInt(func(s *modelSnapshot, v int) { s.Opts.Wormholes = v })},
+	{"Opts.PECapacity", setInt(func(s *modelSnapshot, v int) { s.Opts.PECapacity = v })},
+	{"Opts.Lanes", setInt(func(s *modelSnapshot, v int) { s.Opts.Lanes = v })},
+	{"Opts.RidgeLambda", setFloat(func(s *modelSnapshot, v float64) { s.Opts.RidgeLambda = v })},
+	{"Opts.TrainEpochs", setInt(func(s *modelSnapshot, v int) { s.Opts.TrainEpochs = v })},
+	{"Opts.FineTuneEpochs", setInt(func(s *modelSnapshot, v int) { s.Opts.FineTuneEpochs = v })},
+	{"Opts.SyncIntervalNs", setFloat(func(s *modelSnapshot, v float64) { s.Opts.SyncIntervalNs = v })},
+	{"Opts.MaxInferNs", setFloat(func(s *modelSnapshot, v float64) { s.Opts.MaxInferNs = v })},
+	{"Opts.NodeNoise", setFloat(func(s *modelSnapshot, v float64) { s.Opts.NodeNoise = v })},
+	{"Opts.CouplerNoise", setFloat(func(s *modelSnapshot, v float64) { s.Opts.CouplerNoise = v })},
+	{"Opts.Workers", setInt(func(s *modelSnapshot, v int) { s.Opts.Workers = v })},
+	{"Opts.ShardWorkers", setInt(func(s *modelSnapshot, v int) { s.Opts.ShardWorkers = v })},
+	{"Opts.ShardSyncNs", setFloat(func(s *modelSnapshot, v float64) { s.Opts.ShardSyncNs = v })},
+	{"Opts.Classes", setInt(func(s *modelSnapshot, v int) { s.Opts.Classes = v })},
+	{"Opts.Seed", setInt(func(s *modelSnapshot, v int) { s.Opts.Seed = uint64(v) })},
+}
+
+// FuzzLoad sets one field of a real snapshot (a tiny scalable, decomposed
+// K=3 or dense model), re-encodes it and loads it. It fuzzes fields, not
+// raw bytes: encoding/gob is documented as not hardened against adversarial
+// input, and the gates under test are Load's own. Load must never panic,
+// and any model it returns must survive Save→Load with identical Stats and
+// identical EffectiveJ bits.
+func FuzzLoad(f *testing.F) {
+	ds := tinyDataset(f, "traffic")
+	decomposed := tinyOptions()
+	decomposed.Decompose, decomposed.Classes = true, 3
+	var seeds [][]byte
+	for _, opts := range []Options{tinyOptions(), decomposed, denseOptions()} {
+		m, err := Train(ds, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	for seed := range seeds {
+		for field := range snapshotFields {
+			f.Add(uint8(seed), uint8(field), int64(-1), math.NaN())
+			f.Add(uint8(seed), uint8(field), int64(1)<<32|2, 0.5)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed, field uint8, i int64, v float64) {
+		fld := snapshotFields[int(field)%len(snapshotFields)]
+		r := reencode(t, seeds[int(seed)%len(seeds)], func(s *modelSnapshot) { fld.set(s, i, v) })
+		m, err := Load(r, ds)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("%s=%d/%v: Save of a loaded model: %v", fld.name, i, v, err)
+		}
+		again, err := Load(&buf, ds)
+		if err != nil {
+			t.Fatalf("%s=%d/%v: reloading a loaded model: %v", fld.name, i, v, err)
+		}
+		if (m.Machine == nil) != (again.Machine == nil) {
+			t.Fatalf("%s=%d/%v: backend changed across Save→Load", fld.name, i, v)
+		}
+		if m.Machine != nil && m.Machine.Stats() != again.Machine.Stats() {
+			t.Fatalf("%s=%d/%v: Stats %+v became %+v across Save→Load", fld.name, i, v, m.Machine.Stats(), again.Machine.Stats())
+		}
+		a, b := m.backend().EffectiveJ(), again.backend().EffectiveJ()
+		if a.Rows != b.Rows || a.Cols != b.Cols {
+			t.Fatalf("%s=%d/%v: EffectiveJ %dx%d became %dx%d", fld.name, i, v, a.Rows, a.Cols, b.Rows, b.Cols)
+		}
+		for k := range a.Data {
+			if math.Float64bits(a.Data[k]) != math.Float64bits(b.Data[k]) {
+				t.Fatalf("%s=%d/%v: EffectiveJ entry %d: %v became %v", fld.name, i, v, k, a.Data[k], b.Data[k])
+			}
+		}
+	})
 }
 
 // TestLoadRejectsNonFiniteParams: a snapshot whose parameters carry a NaN

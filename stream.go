@@ -27,10 +27,7 @@ type StreamSession struct {
 	tick uint64
 }
 
-// OpenStream starts a streaming inference session on the model. Streaming
-// always runs the exact (unsharded) anneal path: warm starts need the
-// previous equilibrium to sit in the session state, which the sharded
-// scatter/gather does not preserve.
+// OpenStream starts a streaming inference session on the model.
 func (m *Model) OpenStream() *StreamSession {
 	return &StreamSession{m: m, s: m.Engine().OpenStream()}
 }

@@ -10,7 +10,6 @@ import (
 	"dsgl/internal/engine"
 	"dsgl/internal/ising"
 	"dsgl/internal/opt"
-	"dsgl/internal/scalable"
 	"dsgl/internal/verify"
 )
 
@@ -115,7 +114,7 @@ type invariantCheck struct {
 	check     func(m *Model, p *probes, c *VerifyCheck) error
 }
 
-// invariantChecks lists the ten contracts in report order; the
+// invariantChecks lists the nine contracts in report order; the
 // internal/verify package doc states each one.
 var invariantChecks = []invariantCheck{
 	{verify.InvEnergyDescent, "monotone energy descent",
@@ -125,15 +124,13 @@ var invariantChecks = []invariantCheck{
 	{verify.InvSeqParIdentity, "sequential/parallel bit-identity", "", (*Model).checkSeqParIdentity},
 	{verify.InvLosslessCompile, "lossless compilation", "", (*Model).checkLosslessCompile},
 	{verify.InvPlanNaiveIdentity, "clamp-plan/naive bit-identity", "", (*Model).checkPlanNaiveIdentity},
-	{verify.InvShardedFixedPoint, "sharded/sequential fixed-point agreement",
-		"analog noise injected; the sharded anneal always defers to the exact path", (*Model).checkShardedFixedPoint},
 	{verify.InvWarmStartFixedPoint, "warm-start/cold fixed-point agreement",
 		"analog noise injected; warm and cold anneals draw diverging noise streams", (*Model).checkWarmStartFixedPoint},
 	{verify.InvOptBestEnergyMonotone, "optimization best-energy consistency", "", (*Model).checkOptBestEnergyMonotone},
 	{verify.InvDecomposedK1Identity, "decomposed K=1 / monolithic bit-identity", "", (*Model).checkDecomposedK1Identity},
 }
 
-// Verify checks the ten runtime contracts of the DS-GL system (paper
+// Verify checks the nine runtime contracts of the DS-GL system (paper
 // Sec. III, Eqs. 6-8) against the trained model, on probe windows from
 // the head of its test split. The invariants are stated in the
 // internal/verify package doc; invariantChecks runs them in that order.
@@ -145,10 +142,9 @@ var invariantChecks = []invariantCheck{
 // violations are reported, not returned as errors.
 //
 // Verify runs against either backend. On a BackendDense model the
-// snapshot round trip exercises the dense snapshot format, lossless
+// snapshot round trip exercises the dense snapshot format, and lossless
 // compilation compares the network's realized coupling matrix against the
-// tuned J, and the sharded fixed-point check reports itself skipped: the
-// dense backend has no community structure to shard.
+// tuned J.
 func Verify(m *Model, opts VerifyOptions) (*VerifyReport, error) {
 	if m == nil || m.Dataset == nil || (m.Machine == nil && m.Dspu == nil) {
 		return nil, errors.New("dsgl: Verify needs a trained model")
@@ -207,7 +203,7 @@ func (m *Model) checkEnergyDescent(p *probes, c *VerifyCheck) error {
 		// Sample once per slice switch: within a slice the held currents
 		// make the measured energy ripple by design, so the descent claim
 		// is made on the switch-to-switch envelope.
-		stride = max(int(cfg.SwitchIntervalNs/cfg.Dt), 1)
+		stride = max(int(cfg.SyncIntervalNs/cfg.Dt), 1)
 	}
 	// The descending quantity is the conditional Hamiltonian given the
 	// clamps (see mat.Couplings.ClampedEnergyAt): the raw Hamiltonian that
@@ -390,20 +386,14 @@ func (m *Model) checkPlanNaiveIdentity(p *probes, c *VerifyCheck) error {
 	return nil
 }
 
-// verifyShardWorkers is the shard count the sharded-fixed-point check
-// verifies with. Four matches the CI-class core budget the sharded anneal
-// targets; ShardNodes caps the effective count at the community (PE) count,
-// so small graphs verify with whatever parallelism they actually support.
-const verifyShardWorkers = 4
-
-// shardedFixedPointTol converts the settle-residual bound into a node-wise
+// fixedPointTol converts the settle-residual bound into a node-wise
 // voltage tolerance: at a settled state every free node's residual
 // |Σ J_ij x_j + h_i x_i| is below the bound, so to first order two settled
 // states differ per node by at most 2·bound/|h_i|. The extra factor of two
 // covers the free-free coupling feedback the per-node linearization drops
 // (trained DS-GL systems keep that block weak — the closed-form solve
 // couples unknowns to observations, not to each other).
-func shardedFixedPointTol(h []float64, residBound float64) float64 {
+func fixedPointTol(h []float64, residBound float64) float64 {
 	minH := math.Inf(1)
 	for _, v := range h {
 		if a := math.Abs(v); a > 0 && a < minH {
@@ -416,64 +406,18 @@ func shardedFixedPointTol(h []float64, residBound float64) float64 {
 	return 4 * residBound / minH
 }
 
-// checkShardedFixedPoint verifies invariant 7 on a sharding-enabled twin of
-// the machine (same tuned parameters, assignment, and mask — only
-// ShardWorkers differs), so the invariant is exercised even when the model
-// itself runs with sharding off; the twin and the reference share every
-// probe seed.
-func (m *Model) checkShardedFixedPoint(p *probes, c *VerifyCheck) error {
-	if m.Machine == nil {
-		c.Skipped = true
-		c.Detail = "dense backend has no community structure to shard"
-		return nil
-	}
-	cfg := m.Machine.Config()
-	cfg.ShardWorkers = verifyShardWorkers
-	cfg.ShardSyncNs = m.Opts.ShardSyncNs
-	twin, err := scalable.Build(m.Tuned, m.Assignment, m.mask, cfg)
-	if err != nil {
-		return fmt.Errorf("dsgl: verify sharded twin compilation: %w", err)
-	}
-	if twin.ShardCount() < 2 {
-		c.Skipped = true
-		c.Detail = "graph yields fewer than two community shards; sharded anneal never engages"
-		return nil
-	}
-	tol := shardedFixedPointTol(m.Tuned.H, twin.SettleResidualTol())
-	sharded, err := p.run(twin.Engine(), engine.Sharded)
-	if err != nil {
-		return fmt.Errorf("dsgl: verify sharded probes: %w", err)
-	}
-	settled := 0
-	for i, res := range sharded {
-		if p.seq[i].Settled {
-			settled++
-		}
-		c.Violations = append(c.Violations,
-			verify.FixedPoint(c.Invariant, fmt.Sprintf("probe %d", i), p.seq[i], res, tol)...)
-	}
-	if settled == 0 {
-		c.Skipped = true
-		c.Detail = fmt.Sprintf("none of the %d probes settled on the exact path; no fixed-point claim made", len(p.obs))
-		return nil
-	}
-	c.Detail = fmt.Sprintf("%d shards, %d/%d settled probes compared, node tolerance %.2g",
-		twin.ShardCount(), settled, len(p.obs), tol)
-	return nil
-}
-
 // checkWarmStartFixedPoint verifies invariant 8 by streaming the probe
 // windows as consecutive warm-started ticks (see engine.Stream). The first
 // tick of a stream IS a cold inference and must match the reference bit
 // for bit; the warm ticks carry a different trajectory to the same
-// attractor and are compared within the invariant-7 tolerance.
+// attractor and are compared within fixedPointTol.
 func (m *Model) checkWarmStartFixedPoint(p *probes, c *VerifyCheck) error {
 	if len(p.obs) < 2 {
 		c.Skipped = true
 		c.Detail = "need at least two probe windows to take a warm-started tick"
 		return nil
 	}
-	tol := shardedFixedPointTol(m.Tuned.H, m.backend().SettleResidualTol())
+	tol := fixedPointTol(m.Tuned.H, m.backend().SettleResidualTol())
 	s := m.Engine().OpenStream()
 	defer s.Close()
 	settled := 0

@@ -52,8 +52,8 @@ func readGoldenVerify(t *testing.T) map[string]string {
 // healthy model must come back clean, and each regime must skip exactly
 // the checks whose preconditions it breaks: analog noise voids the
 // per-step Lyapunov argument, a disabled temporal dimension forces
-// coupling drops so EffectiveJ == Tuned.J no longer applies, and the dense
-// backend has no communities to shard. Every report must also render
+// coupling drops so EffectiveJ == Tuned.J no longer applies. Every report
+// must also render
 // exactly as pinned in goldenVerifyPath. Workers is set explicitly because
 // the snapshot size in the round-trip detail encodes it.
 func TestVerifyAllInvariantsGreen(t *testing.T) {
@@ -69,10 +69,10 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 			[]string{verify.InvLosslessCompile}},
 		{"noise",
 			func() Options { o := tinyOptions(); o.NodeNoise = 0.05; return o }(),
-			[]string{verify.InvEnergyDescent, verify.InvShardedFixedPoint, verify.InvWarmStartFixedPoint}},
+			[]string{verify.InvEnergyDescent, verify.InvWarmStartFixedPoint}},
 		{"dense",
 			func() Options { o := tinyOptions(); o.Backend = BackendDense; return o }(),
-			[]string{verify.InvShardedFixedPoint}},
+			nil},
 	}
 	var golden map[string]string
 	if !*updateGolden {
@@ -100,8 +100,8 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 			if want, ok := golden[tc.name]; !*updateGolden && (!ok || want != sb.String()) {
 				t.Errorf("report diverges from %s:\n--- got\n%s--- want\n%s", goldenVerifyPath, sb.String(), want)
 			}
-			if len(rep.Checks) != 10 {
-				t.Fatalf("report has %d checks, want all 10 invariants", len(rep.Checks))
+			if len(rep.Checks) != 9 {
+				t.Fatalf("report has %d checks, want all 9 invariants", len(rep.Checks))
 			}
 			// The optimization invariant is model-independent and must never
 			// skip — it actively compares two worker counts in every regime.
@@ -129,11 +129,6 @@ func TestVerifyAllInvariantsGreen(t *testing.T) {
 					t.Errorf("%s: expected SKIP, got %q", c.Invariant, c.Detail)
 				}
 				if c.Invariant == verify.InvLosslessCompile && !mustSkip[c.Invariant] && c.Skipped {
-					t.Errorf("%s unexpectedly skipped: %s", c.Invariant, c.Detail)
-				}
-				// The tiny model spans several PEs, so unless noise forces
-				// the exact path the sharded check must actively compare.
-				if c.Invariant == verify.InvShardedFixedPoint && !mustSkip[c.Invariant] && c.Skipped {
 					t.Errorf("%s unexpectedly skipped: %s", c.Invariant, c.Detail)
 				}
 				// The warm-start check must actively compare whenever noise
