@@ -52,6 +52,7 @@ func TestTrainRejectsBadOptions(t *testing.T) {
 		{"infinite SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.Inf(1) }},
 		{"NaN SyncIntervalNs", func(o *Options) { o.SyncIntervalNs = math.NaN() }},
 		{"negative Lanes", func(o *Options) { o.Lanes = -1 }},
+		{"Pattern 99", func(o *Options) { o.Pattern = 99 }},
 		{"dense node noise", func(o *Options) { o.Backend = BackendDense; o.NodeNoise = 0.05 }},
 		{"dense coupler noise", func(o *Options) { o.Backend = BackendDense; o.CouplerNoise = 0.05 }},
 	} {

@@ -679,11 +679,11 @@ func BenchmarkInferBatch(b *testing.B) {
 }
 
 // BenchmarkInferWith is the steady-state single inference through a reused
-// arena running the NAIVE reference loop (a Naive engine.Request) — every
-// coupling matrix re-evaluated in full every step, exactly what InferWith
-// did before clamp plans. It is the baseline BenchmarkInferPlan is
-// measured against; allocs/op must report 0 (enforced by
-// TestInferNaiveZeroAlloc).
+// arena on the Naive path (a Naive engine.Request): the planned anneal loop
+// under the unfolded plan, which folds nothing, so every coupling matrix is
+// re-evaluated in full every step, as inference ran before clamp plans. It
+// is the baseline BenchmarkInferPlan is measured against; allocs/op must
+// report 0 (enforced by TestInferNaiveZeroAlloc).
 func BenchmarkInferWith(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -709,7 +709,7 @@ func BenchmarkInferWith(b *testing.B) {
 // BenchmarkInferPlan is the same steady-state inference through the
 // clamp-plan path (the default InferWith): constant clamp currents folded
 // once per inference, free-row kernels in the anneal loop, plan resolved by
-// a cache hit. Results are bit-identical to BenchmarkInferWith's naive loop;
+// a cache hit. Results are bit-identical to BenchmarkInferWith's Naive path;
 // only the wall cost differs. Reports the plan-cache hit rate of the
 // measured window and must stay at 0 allocs/op (TestInferWithZeroAlloc).
 func BenchmarkInferPlan(b *testing.B) {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"dsgl/internal/community"
 	"dsgl/internal/datasets"
@@ -237,6 +238,9 @@ func (o *Options) fillDefaults() {
 func (o *Options) validate() error {
 	if o.Backend != BackendScalable && o.Backend != BackendDense {
 		return errUnknownBackend(o.Backend)
+	}
+	if !slices.Contains(pattern.Kinds(), o.Pattern) {
+		return fmt.Errorf("dsgl: unknown Pattern %d (valid: %v)", int(o.Pattern), pattern.Kinds())
 	}
 	if !(o.Density > 0 && o.Density <= 1) {
 		return fmt.Errorf("dsgl: Density %v outside (0, 1]", o.Density)

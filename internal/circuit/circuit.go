@@ -5,11 +5,11 @@
 // term.
 //
 // The network is exposed as an ode.System with state σ (the vector of
-// capacitor voltages) so the same integration core drives binary annealing,
-// real-valued annealing, and the multi-PE co-annealing simulations. Voltages
-// are normalized to the rails [-1, +1]; time is in nanoseconds; conductances
-// are in normalized units where capacitance C = 1 corresponds to a ~1 ns
-// node time constant, matching the 0-50 ns settling traces of Fig. 4.
+// capacitor voltages) so the same integration core drives binary annealing
+// and real-valued annealing. Voltages are normalized to the rails [-1, +1];
+// time is in nanoseconds; conductances are in normalized units where the
+// node capacitance is 1, a ~1 ns node time constant, matching the 0-50 ns
+// settling traces of Fig. 4.
 package circuit
 
 import (
@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"dsgl/internal/mat"
-	"dsgl/internal/rng"
 )
 
 // SelfReaction selects the self-reaction term of the Hamiltonian, i.e. the
@@ -46,55 +45,29 @@ func (s SelfReaction) String() string {
 	}
 }
 
-// NoiseModel injects dynamic Gaussian disturbances at nodes and coupling
-// units, reproducing the robustness study of Fig. 13. Sigma values are
-// relative: the per-step disturbance is drawn as N(0, (sigma·scale)²) where
-// scale is the nominal magnitude of the disturbed quantity.
-type NoiseModel struct {
-	// NodeSigma is the relative standard deviation of the voltage
-	// disturbance added to every free node each step.
-	NodeSigma float64
-	// CouplerSigma is the relative standard deviation of the multiplicative
-	// disturbance applied to coupling currents each step.
-	CouplerSigma float64
-	// RNG is the noise source. Required when either sigma is non-zero.
-	RNG *rng.RNG
-}
-
-// Enabled reports whether any disturbance is configured.
-func (n *NoiseModel) Enabled() bool {
-	return n != nil && (n.NodeSigma > 0 || n.CouplerSigma > 0)
-}
-
 // Network is the coupled capacitor/resistor network.
 //
-// Dynamics (normalized units, C = Capacitance):
+// Dynamics (normalized units, unit node capacitance):
 //
-//	Linear:    C dσ_i/dt = Σ_j J_ij σ_j + h_i
-//	Quadratic: C dσ_i/dt = Σ_j J_ij σ_j + h_i σ_i
+//	Linear:    dσ_i/dt = Σ_j J_ij σ_j + h_i
+//	Quadratic: dσ_i/dt = Σ_j J_ij σ_j + h_i σ_i
 //
 // with σ clamped to [-VRail, +VRail] after every step, and dσ_i/dt = 0 for
 // clamped (observed input) nodes.
 type Network struct {
-	N            int
-	Self         SelfReaction
-	Capacitance  float64
-	VRail        float64
-	J            *mat.CSR  // coupling conductances, diag-free
-	H            []float64 // self-reaction conductances (Quadratic: must be < 0)
-	Clamped      []bool    // true = node voltage held at its set value
-	Noise        *NoiseModel
-	couplingBuf  []float64
-	noiseScaleJ  float64 // typical |J| row sum, cached for coupler noise
-	noiseScaleJn bool
+	N           int
+	Self        SelfReaction
+	VRail       float64
+	J           *mat.CSR  // coupling conductances, diag-free
+	H           []float64 // self-reaction conductances (Quadratic: must be < 0)
+	Clamped     []bool    // true = node voltage held at its set value
+	couplingBuf []float64
 }
 
 // Config collects the parameters for NewNetwork.
 type Config struct {
-	Self        SelfReaction
-	Capacitance float64 // defaults to 1
-	VRail       float64 // defaults to 1
-	Noise       *NoiseModel
+	Self  SelfReaction
+	VRail float64 // defaults to 1
 }
 
 // NewNetwork builds a network of n nodes with coupling matrix j (converted
@@ -122,30 +95,17 @@ func NewNetwork(j *mat.Dense, h []float64, cfg Config) (*Network, error) {
 			}
 		}
 	}
-	if cfg.Capacitance == 0 {
-		cfg.Capacitance = 1
-	}
 	if cfg.VRail == 0 {
 		cfg.VRail = 1
 	}
-	if cfg.Noise.Enabled() && cfg.Noise.RNG == nil {
-		return nil, fmt.Errorf("circuit: noise model enabled but RNG is nil")
-	}
-	nw := &Network{
-		N:           n,
-		Self:        cfg.Self,
-		Capacitance: cfg.Capacitance,
-		VRail:       cfg.VRail,
-		J:           mat.FromDense(j, 0),
-		H:           mat.CopyVec(h),
-		Clamped:     make([]bool, n),
-		Noise:       cfg.Noise,
-	}
-	// Precompute the coupler-noise scale so concurrent derivative
-	// evaluations never write network state lazily.
-	nw.noiseScaleJ = nw.typicalCoupling()
-	nw.noiseScaleJn = true
-	return nw, nil
+	return &Network{
+		N:       n,
+		Self:    cfg.Self,
+		VRail:   cfg.VRail,
+		J:       mat.FromDense(j, 0),
+		H:       mat.CopyVec(h),
+		Clamped: make([]bool, n),
+	}, nil
 }
 
 // NewNetworkCSR is NewNetwork for a pre-built sparse coupling matrix.
@@ -164,35 +124,21 @@ func NewNetworkCSR(j *mat.CSR, h []float64, cfg Config) (*Network, error) {
 			}
 		}
 	}
-	if cfg.Capacitance == 0 {
-		cfg.Capacitance = 1
-	}
 	if cfg.VRail == 0 {
 		cfg.VRail = 1
 	}
-	if cfg.Noise.Enabled() && cfg.Noise.RNG == nil {
-		return nil, fmt.Errorf("circuit: noise model enabled but RNG is nil")
-	}
-	nw := &Network{
-		N:           j.Rows,
-		Self:        cfg.Self,
-		Capacitance: cfg.Capacitance,
-		VRail:       cfg.VRail,
-		J:           j,
-		H:           mat.CopyVec(h),
-		Clamped:     make([]bool, j.Rows),
-		Noise:       cfg.Noise,
-	}
-	nw.noiseScaleJ = nw.typicalCoupling()
-	nw.noiseScaleJn = true
-	return nw, nil
+	return &Network{
+		N:       j.Rows,
+		Self:    cfg.Self,
+		VRail:   cfg.VRail,
+		J:       j,
+		H:       mat.CopyVec(h),
+		Clamped: make([]bool, j.Rows),
+	}, nil
 }
 
 // Clamp marks node i as an observed input whose voltage is held constant.
 func (nw *Network) Clamp(i int) { nw.Clamped[i] = true }
-
-// Release frees node i to evolve.
-func (nw *Network) Release(i int) { nw.Clamped[i] = false }
 
 // ClampSet clamps exactly the listed nodes, releasing all others.
 func (nw *Network) ClampSet(nodes []int) {
@@ -209,9 +155,11 @@ func (nw *Network) Dim() int { return nw.N }
 
 // Derivative implements ode.System: the node current balance of Eq. 8,
 // using the network's own clamp set and internal coupling buffer. Not safe
-// for concurrent use — concurrent inference goes through DerivativeMasked
-// with caller-owned mask and scratch (how internal/dspu's per-state systems
-// drive it).
+// for concurrent use — concurrent annealing goes through DerivativeMasked
+// with caller-owned mask and scratch, as the BRIM solver does. The dense
+// DSPU's inferences evaluate the quadratic balance through their clamp
+// plans instead, bit for bit; its TraceRun (Fig. 4) drives this method
+// directly.
 func (nw *Network) Derivative(t float64, x, dst []float64) {
 	if len(nw.couplingBuf) != nw.N {
 		nw.couplingBuf = make([]float64, nw.N)
@@ -220,35 +168,15 @@ func (nw *Network) Derivative(t float64, x, dst []float64) {
 }
 
 // DerivativeMasked is Derivative with a caller-provided clamp mask and
-// coupling scratch buffer (length N). It writes no network state — provided
-// the noise scale was precomputed (the constructors do) — so distinct
-// callers with private masks and buffers may evaluate it concurrently on a
-// shared network. The one remaining shared mutable resource is the noise
-// RNG: a network with a noise model must not be evaluated concurrently.
+// coupling scratch buffer (length N). It writes no network state, so
+// distinct callers with private masks and buffers may evaluate it
+// concurrently on a shared network.
 func (nw *Network) DerivativeMasked(_ float64, x, dst []float64, clamped []bool, buf []float64) {
 	nw.J.MulVec(x, buf)
-	noisy := nw.Noise.Enabled()
-	var cs, ns float64
-	if noisy {
-		cs = nw.Noise.CouplerSigma
-		ns = nw.Noise.NodeSigma
-		if !nw.noiseScaleJn {
-			// Lazy fallback for literal-constructed networks; the
-			// constructors precompute this so the concurrent path never
-			// writes here.
-			nw.noiseScaleJ = nw.typicalCoupling()
-			nw.noiseScaleJn = true
-		}
-	}
-	invC := 1 / nw.Capacitance
 	for i := 0; i < nw.N; i++ {
 		if clamped[i] {
 			dst[i] = 0
 			continue
-		}
-		coupling := buf[i]
-		if noisy && cs > 0 {
-			coupling += nw.Noise.RNG.NormScaled(0, cs*nw.noiseScaleJ)
 		}
 		var self float64
 		switch nw.Self {
@@ -257,10 +185,7 @@ func (nw *Network) DerivativeMasked(_ float64, x, dst []float64, clamped []bool,
 		case Quadratic:
 			self = nw.H[i] * x[i]
 		}
-		d := invC * (coupling + self)
-		if noisy && ns > 0 {
-			d += nw.Noise.RNG.NormScaled(0, ns)
-		}
+		d := buf[i] + self
 		// Rails: once a node is at a rail, only inward current moves it.
 		if x[i] >= nw.VRail && d > 0 {
 			d = 0
@@ -271,13 +196,12 @@ func (nw *Network) DerivativeMasked(_ float64, x, dst []float64, clamped []bool,
 	}
 }
 
-// Residual evaluates the noise-free equilibrium residual max |dσ/dt| at x,
-// skipping nodes marked in clamped. buf is caller-provided scratch of
-// length N. This is the deterministic settle condition: disturbances are
-// excluded so the quantity is reproducible from outside an anneal.
+// Residual evaluates the equilibrium residual max |dσ/dt| at x, skipping
+// nodes marked in clamped. buf is caller-provided scratch of length N. It
+// is computed independently of any anneal loop, so the settle condition is
+// checkable from outside one.
 func (nw *Network) Residual(x []float64, clamped []bool, buf []float64) float64 {
 	nw.J.MulVec(x, buf)
-	invC := 1 / nw.Capacitance
 	maxD := 0.0
 	for i := 0; i < nw.N; i++ {
 		if clamped[i] {
@@ -290,7 +214,7 @@ func (nw *Network) Residual(x []float64, clamped []bool, buf []float64) float64 
 		case Quadratic:
 			self = nw.H[i] * x[i]
 		}
-		d := invC * (buf[i] + self)
+		d := buf[i] + self
 		if x[i] >= nw.VRail && d > 0 {
 			d = 0
 		} else if x[i] <= -nw.VRail && d < 0 {
@@ -301,19 +225,6 @@ func (nw *Network) Residual(x []float64, clamped []bool, buf []float64) float64 
 		}
 	}
 	return maxD
-}
-
-// typicalCoupling estimates the nominal coupling-current magnitude, used to
-// scale multiplicative coupler noise.
-func (nw *Network) typicalCoupling() float64 {
-	var sum float64
-	for _, v := range nw.J.Val {
-		sum += math.Abs(v)
-	}
-	if nw.N == 0 || len(nw.J.Val) == 0 {
-		return 1
-	}
-	return sum / float64(nw.N)
 }
 
 // ClampRails limits the state vector to the rails in place. Integration

@@ -37,12 +37,8 @@ type Config struct {
 	SettleTol float64
 	// VRail bounds voltages. Default 1.
 	VRail float64
-	// Capacitance sets the node time constant. Default 1.
-	Capacitance float64
 	// Integrator defaults to forward Euler.
 	Integrator ode.Integrator
-	// Noise optionally injects node/coupler disturbances (Fig. 13).
-	Noise *circuit.NoiseModel
 	// Seed for unknown-node initialization.
 	Seed uint64
 }
@@ -60,9 +56,6 @@ func (c *Config) fillDefaults() {
 	if c.VRail == 0 {
 		c.VRail = 1
 	}
-	if c.Capacitance == 0 {
-		c.Capacitance = 1
-	}
 	if c.Integrator == nil {
 		c.Integrator = ode.NewEuler()
 	}
@@ -74,9 +67,7 @@ func (c *Config) fillDefaults() {
 // Concurrency: engine inferences on distinct InferStates are safe to run
 // from multiple goroutines — each state carries its own clamp mask,
 // coupling scratch, and integrator clone, and the network is only read.
-// The exception is a configured noise model, whose RNG is shared: noisy
-// inference must stay single-threaded. TraceRun (which sets the network
-// clamp set) is also single-threaded by design.
+// TraceRun (which sets the network clamp set) is single-threaded by design.
 type DSPU struct {
 	N   int
 	Net *circuit.Network
@@ -103,27 +94,7 @@ func (d *DSPU) Engine() *engine.Engine {
 // enforced during training).
 func New(j *mat.Dense, h []float64, cfg Config) (*DSPU, error) {
 	cfg.fillDefaults()
-	net, err := circuit.NewNetwork(j, h, circuit.Config{
-		Self:        circuit.Quadratic,
-		Capacitance: cfg.Capacitance,
-		VRail:       cfg.VRail,
-		Noise:       cfg.Noise,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg, cpl: mat.NewCouplings(net.J)}, nil
-}
-
-// NewCSR builds a DSPU from a sparse coupling matrix.
-func NewCSR(j *mat.CSR, h []float64, cfg Config) (*DSPU, error) {
-	cfg.fillDefaults()
-	net, err := circuit.NewNetworkCSR(j, h, circuit.Config{
-		Self:        circuit.Quadratic,
-		Capacitance: cfg.Capacitance,
-		VRail:       cfg.VRail,
-		Noise:       cfg.Noise,
-	})
+	net, err := circuit.NewNetwork(j, h, circuit.Config{Self: circuit.Quadratic, VRail: cfg.VRail})
 	if err != nil {
 		return nil, err
 	}
@@ -133,29 +104,11 @@ func NewCSR(j *mat.CSR, h []float64, cfg Config) (*DSPU, error) {
 // dscratch is the DSPU's backend arena inside an engine.InferState.
 type dscratch struct {
 	deriv    []float64
-	bias     []float64 // folded constant coupling currents (plan path)
-	coupling []float64 // per-evaluation coupling buffer, shared by both systems
-	psys     planSys   // plan-path ode.System, bound per inference
-	naive    naiveSys  // naive-path ode.System over the state's clamp mask
+	bias     []float64      // folded constant coupling currents
+	coupling []float64      // per-evaluation coupling buffer
+	psys     planSys        // the ode.System of the current plan, bound per inference
+	unfolded mat.ClampSplit // the Naive path's plan, refilled per inference
 	integ    ode.Integrator
-}
-
-// naiveSys is the per-state naive reference system: the raw circuit network
-// evaluated with the state's own clamp mask and coupling buffer, so two
-// states of one DSPU never contend on network scratch (the historical
-// ClampSet-on-the-shared-network race).
-type naiveSys struct {
-	nw      *circuit.Network
-	clamped []bool
-	buf     []float64
-}
-
-// Dim implements ode.System.
-func (s *naiveSys) Dim() int { return s.nw.N }
-
-// Derivative implements ode.System.
-func (s *naiveSys) Derivative(t float64, x, dst []float64) {
-	s.nw.DerivativeMasked(t, x, dst, s.clamped, s.buf)
 }
 
 // AttachState allocates the DSPU's scratch arena onto an engine state.
@@ -167,7 +120,6 @@ func (d *DSPU) AttachState(st *engine.InferState) {
 		coupling: make([]float64, d.N),
 		integ:    ode.Clone(d.cfg.Integrator),
 	}
-	sc.naive = naiveSys{nw: d.Net, clamped: st.Clamped, buf: sc.coupling}
 	st.Scratch = sc
 }
 
@@ -194,14 +146,17 @@ var _ engine.DeltaBackend = (*DSPU)(nil)
 
 // RunPlanned runs the integration loop over the clamp-plan system.
 func (d *DSPU) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
-	sc := st.Scratch.(*dscratch)
-	return d.annealLoop(st, sc, d.planSystem(st, sc, plan.(*mat.ClampSplit)))
+	return d.annealLoop(st, plan.(*mat.ClampSplit))
 }
 
-// RunNaive runs the integration loop over the raw network (per-state mask).
+// RunNaive runs the integration loop under the state's unfolded plan
+// (mat.Couplings.Unfold): nothing folded, every coupling row
+// re-accumulated each evaluation. It is the reference the
+// plan-naive-identity invariant holds RunPlanned to.
 func (d *DSPU) RunNaive(st *engine.InferState) (*engine.Result, error) {
 	sc := st.Scratch.(*dscratch)
-	return d.annealLoop(st, sc, &sc.naive)
+	d.cpl.Unfold(st.Clamped, &sc.unfolded)
+	return d.annealLoop(st, &sc.unfolded)
 }
 
 // EnergyAt evaluates the real-valued Hamiltonian H_RV at state x.
@@ -221,8 +176,8 @@ func (d *DSPU) ClampedEnergyAt(x []float64, clamped []bool) float64 {
 	return d.cpl.ClampedEnergyAt(x, clamped, d.Net.H)
 }
 
-// ResidualAt evaluates the noise-free equilibrium residual max |dσ/dt| at
-// state x, skipping nodes marked in clamped (nil = no node clamped).
+// ResidualAt evaluates the equilibrium residual max |dσ/dt| at state x,
+// skipping nodes marked in clamped (nil = no node clamped).
 func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
 	if len(x) != d.N {
 		return 0, fmt.Errorf("dspu: state has %d entries, want %d", len(x), d.N)
@@ -236,16 +191,17 @@ func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
 }
 
 // SettleResidualTol is the residual bound a Settled result guarantees: the
-// settle check stops the loop the moment the (deterministic) derivative
-// norm falls below SettleTol, at the reported state.
+// settle check stops the loop the moment the derivative norm falls below
+// SettleTol, at the reported state.
 func (d *DSPU) SettleResidualTol() float64 { return d.cfg.SettleTol }
 
-// annealLoop is the integration loop proper, parameterized over the system
-// evaluated each step — the per-state naive network view (naive path) or
-// its clamp-plan compilation (planSys). Everything outside the Derivative
-// evaluation is shared, so the two paths can only differ through the
-// derivative values, which the plan construction makes bit-identical.
-func (d *DSPU) annealLoop(st *engine.InferState, sc *dscratch, sys ode.System) (*engine.Result, error) {
+// annealLoop is the integration loop proper, over the ode.System of one
+// clamp plan: a Split plan on the Planned path, the unfolded plan on the
+// Naive path. The two can only differ through the derivative values, which
+// the plan construction makes bit-identical.
+func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
+	sc := st.Scratch.(*dscratch)
+	sys := d.planSystem(st, sc, pl)
 	x := st.X
 	deriv := sc.deriv
 	steps := int(d.cfg.MaxTimeNs / d.cfg.Dt)

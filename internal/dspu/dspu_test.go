@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/ode"
@@ -186,63 +185,5 @@ func TestRK4IntegratorOption(t *testing.T) {
 	}
 	if math.Abs(res.Voltage[1]-0.3) > 1e-4 {
 		t.Fatalf("RK4 fixed point %g, want 0.3", res.Voltage[1])
-	}
-}
-
-func TestNoisyInferenceStaysClose(t *testing.T) {
-	j := mat.NewDense(2, 2)
-	j.Set(0, 1, 0.6)
-	j.Set(1, 0, 0.6)
-	d, err := New(j, []float64{-1, -1}, Config{
-		Noise: &circuit.NoiseModel{NodeSigma: 0.05, CouplerSigma: 0.05, RNG: rng.New(8)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Voltage[1]-0.3) > 0.1 {
-		t.Fatalf("noisy fixed point %g too far from 0.3", res.Voltage[1])
-	}
-}
-
-func TestSparseDSPUMatchesDense(t *testing.T) {
-	r := rng.New(13)
-	n := 10
-	j := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if i != k && r.Float64() < 0.3 {
-				j.Set(i, k, r.NormScaled(0, 0.2))
-			}
-		}
-	}
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
-	}
-	dd, err := New(j, h, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := NewCSR(mat.FromDense(j, 0), h, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := []engine.Observation{{Index: 0, Value: 0.4}}
-	rd, err := dd.Engine().InferSeeded(obs, dd.BaseSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := ds.Engine().InferSeeded(obs, ds.BaseSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(rd.Voltage[i]-rs.Voltage[i]) > 1e-9 {
-			t.Fatalf("dense/sparse mismatch at %d: %g vs %g", i, rd.Voltage[i], rs.Voltage[i])
-		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/engine"
 	"dsgl/internal/ode"
-	"dsgl/internal/rng"
 )
 
 // identicalResults asserts two dense-path Results carry the same IEEE-754
@@ -74,33 +72,6 @@ func TestDSPUInferPlanBitIdentical(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDSPUInferPlanBitIdenticalNoisy extends the contract to the disturbed
-// network: the plan path replicates the coupler-noise scale and the
-// per-free-node draw order, so with a shared reseeded RNG the two paths see
-// the same noise stream and settle identically.
-func TestDSPUInferPlanBitIdenticalNoisy(t *testing.T) {
-	run := func(naive bool) *engine.Result {
-		noiseRNG := rng.New(77)
-		d := chainDSPU(t, 8, 0.3, Config{
-			MaxTimeNs: 100, Seed: 9,
-			Noise: &circuit.NoiseModel{NodeSigma: 0.02, CouplerSigma: 0.02, RNG: noiseRNG},
-		})
-		obs := []engine.Observation{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}}
-		var res *engine.Result
-		var err error
-		if naive {
-			res, err = runFresh(d, engine.Request{Obs: obs, Seed: 3, Path: engine.Naive})
-		} else {
-			res, err = d.Engine().InferWith(d.Engine().NewInferState(), obs, 3)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Detach()
-	}
-	identicalResults(t, "noisy", run(false), run(true))
 }
 
 // TestDSPUPlanCacheReuse: repeated inferences sharing a clamp pattern

@@ -20,9 +20,10 @@
 //     deterministic: a pattern's first resolution is the one miss, every
 //     other resolution — snapshot hit, LRU hit, or singleflight wait — is
 //     a hit);
-//   - the anneal path a Request selects: Planned (the clamp-plan loop, the
-//     default) or Naive (the backend's reference loop, which the
-//     plan-naive-identity invariant compares Planned against bit for bit);
+//   - the anneal path a Request selects: Planned (the clamp-plan loop under
+//     a cached plan, the default) or Naive (the same loop under the plan
+//     that folds nothing, which the plan-naive-identity invariant compares
+//     Planned against bit for bit);
 //   - the seeding convention: a Request's Seed alone fixes its free-node
 //     init and noise, so RunBatch is bit-identical to a sequential loop of
 //     Run calls for any worker count, and InferBatch gives window i the
@@ -93,13 +94,15 @@ type Backend interface {
 	// NewInferState.
 	AttachState(st *InferState)
 	// RunPlanned runs one anneal on a prepared state (st.X holds initial
-	// voltages with observations clamped, st.Clamped/ClampIdx the clamp
-	// pattern, st.RNG the seeded noise stream) under a plan previously
-	// returned by CompilePlan. It writes st.Res and returns &st.Res.
+	// voltages with observations clamped, st.Clamped the clamp pattern,
+	// st.RNG the seeded noise stream) under a plan previously returned by
+	// CompilePlan. It writes st.Res and returns &st.Res.
 	RunPlanned(st *InferState, plan any) (*Result, error)
-	// RunNaive is the naive reference anneal: no clamp plan, every coupling
-	// re-evaluated in full. It is the ground truth the plan-naive-identity
-	// invariant verifies RunPlanned against.
+	// RunNaive is the reference anneal: the RunPlanned loop under the plan
+	// that folds nothing (mat.Couplings.Unfold for both backends), built in
+	// the state's scratch, so every coupling is re-evaluated in full. It is
+	// what the plan-naive-identity invariant verifies RunPlanned against,
+	// and it never touches the plan cache.
 	RunNaive(st *InferState) (*Result, error)
 	// EnergyAt evaluates the backend's Hamiltonian at state x; the engine
 	// binds it into the lazy StepInfo.EnergyFn handed to observers.
@@ -163,10 +166,11 @@ const (
 	// Planned runs the backend's clamp-plan loop: the observation pattern
 	// resolves to a compiled plan through the plan cache. The default.
 	Planned Path = iota
-	// Naive runs the backend's reference loop: no clamp plan, every
-	// coupling re-evaluated in full each step. The plan-naive-identity
-	// invariant asserts Planned and Naive return bit-identical Results for
-	// every seed; benchmarks use it as the pre-folding baseline.
+	// Naive runs the backend's planned loop under the plan that folds
+	// nothing: every coupling re-evaluated in full each step, no plan
+	// cache. The plan-naive-identity invariant asserts Planned and Naive
+	// return bit-identical Results for every seed; benchmarks use it as
+	// the pre-folding baseline.
 	Naive
 )
 
@@ -276,7 +280,7 @@ func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
 	}
 	st.WarmStart = warm
 	b := e.b
-	err := validateObservations(b.Name(), req.Obs, len(st.X), b.Rails(), st.X, st.Clamped, &st.ClampIdx)
+	err := validateObservations(b.Name(), req.Obs, len(st.X), b.Rails(), st.X, st.Clamped)
 	var res *Result
 	if err == nil {
 		res, err = e.anneal(st, req.Path, s, m)
@@ -347,7 +351,7 @@ func (e *Engine) EnsurePlan(obs []Observation) error {
 		e.ensureClamped = make([]bool, n)
 		e.ensureKey = make([]byte, maskBytes(n))
 	}
-	if err := validateObservations(e.b.Name(), obs, n, e.b.Rails(), nil, e.ensureClamped, nil); err != nil {
+	if err := validateObservations(e.b.Name(), obs, n, e.b.Rails(), nil, e.ensureClamped); err != nil {
 		return err
 	}
 	e.planFor(e.ensureClamped, packMask(e.ensureClamped, e.ensureKey), e.b.CompilePlan)

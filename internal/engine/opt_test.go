@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dsgl/internal/obs"
@@ -17,8 +18,8 @@ import (
 type stubOptBackend struct {
 	n        int
 	seed     uint64
-	compiles int
-	fail     bool // when set, every RunSolve errors
+	compiles atomic.Int64 // restarts of different schedules compile concurrently
+	fail     bool         // when set, every RunSolve errors
 	// energy, when non-nil, replaces every restart's reported energy.
 	energy func() float64
 }
@@ -33,7 +34,7 @@ func (b *stubOptBackend) Dim() int         { return b.n }
 func (b *stubOptBackend) BaseSeed() uint64 { return b.seed }
 
 func (b *stubOptBackend) CompileSolvePlan(sched Schedule) any {
-	b.compiles++
+	b.compiles.Add(1)
 	temps := make([]float64, sched.Steps)
 	for k := range temps {
 		temps[k] = sched.At(k)
@@ -288,8 +289,8 @@ func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 	if _, err := e.Solve(GeometricSchedule(5, 2, 0.1), 8, 4); err != nil {
 		t.Fatal(err)
 	}
-	if b.compiles != 1 {
-		t.Errorf("geometric batch compiled %d plans, want 1", b.compiles)
+	if got := b.compiles.Load(); got != 1 {
+		t.Errorf("geometric batch compiled %d plans, want 1", got)
 	}
 	hits, misses := e.PlanCacheStats()
 	if misses != 1 || hits != 7 {
@@ -304,8 +305,8 @@ func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 	if _, err := e2.Solve(AdaptiveSchedule(5, 2, 0.1, 3, 0.5), 9, 1); err != nil {
 		t.Fatal(err)
 	}
-	if b2.compiles != 3 {
-		t.Errorf("adaptive batch (period 3) compiled %d plans, want 3", b2.compiles)
+	if got := b2.compiles.Load(); got != 3 {
+		t.Errorf("adaptive batch (period 3) compiled %d plans, want 3", got)
 	}
 }
 

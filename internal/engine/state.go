@@ -71,8 +71,8 @@ type StepInfo struct {
 type StepObserver func(StepInfo)
 
 // InferState is a reusable per-worker scratch arena for inference. The
-// engine owns the backend-independent buffers — working voltages, clamp mask
-// and index list, plan-cache key, RNG, result, observer — and the backend
+// engine owns the backend-independent buffers — working voltages, clamp
+// mask, plan-cache key, RNG, result, observer — and the backend
 // hangs its own arena off Scratch in AttachState. After the state's first
 // use an inference runs allocation-free (enforced per backend by the
 // zero-alloc tests and the benchmark allocs/op columns).
@@ -86,10 +86,8 @@ type InferState struct {
 	// X is the working voltage vector. Observations are clamped into it;
 	// free entries are seeded by the engine before each anneal.
 	X []float64
-	// Clamped marks the observed nodes; ClampIdx lists them in observation
-	// order (the form integrator-style backends iterate).
-	Clamped  []bool
-	ClampIdx []int
+	// Clamped marks the observed nodes.
+	Clamped []bool
 	// KeyBuf is the packed clamp-mask plan-cache key scratch.
 	KeyBuf []byte
 	// RNG is the per-state noise/init stream, reseeded per inference.
@@ -117,11 +115,10 @@ type InferState struct {
 func (e *Engine) NewInferState() *InferState {
 	n := e.b.Dim()
 	st := &InferState{
-		eng:      e,
-		X:        make([]float64, n),
-		Clamped:  make([]bool, n),
-		ClampIdx: make([]int, 0, n),
-		KeyBuf:   make([]byte, maskBytes(n)),
+		eng:     e,
+		X:       make([]float64, n),
+		Clamped: make([]bool, n),
+		KeyBuf:  make([]byte, maskBytes(n)),
 	}
 	st.EnergyFn = func() float64 { return e.b.EnergyAt(st.X) }
 	e.b.AttachState(st)
@@ -147,16 +144,11 @@ func (st *InferState) Result() *Result { return &st.Res }
 // a list) would otherwise hide the difference.
 //
 // clamped (length n) is reset and filled as the mask. When x is non-nil the
-// observation values are clamped into it; when clampIdx is non-nil it is
-// reset and filled with the observed indices in observation order. Passing
-// nil for both validates without mutating any inference state — the
-// EnsurePlan path.
-func validateObservations(name string, obs []Observation, n int, rail float64, x []float64, clamped []bool, clampIdx *[]int) error {
+// observation values are clamped into it; passing nil validates without
+// mutating any inference state — the EnsurePlan path.
+func validateObservations(name string, obs []Observation, n int, rail float64, x []float64, clamped []bool) error {
 	for i := range clamped {
 		clamped[i] = false
-	}
-	if clampIdx != nil {
-		*clampIdx = (*clampIdx)[:0]
 	}
 	for _, o := range obs {
 		if o.Index < 0 || o.Index >= n {
@@ -175,9 +167,6 @@ func validateObservations(name string, obs []Observation, n int, rail float64, x
 			x[o.Index] = o.Value
 		}
 		clamped[o.Index] = true
-		if clampIdx != nil {
-			*clampIdx = append(*clampIdx, o.Index)
-		}
 	}
 	return nil
 }

@@ -9,10 +9,15 @@ import (
 // dimension whose sum is the J a clamped system anneals: [J] for the
 // single-PE DSPU, [intra, slice 0, slice 1, ...] for the scalable mesh.
 // Both backends split it against a clamp mask (Split), patch that split
-// across a small mask change (ClampSplit.Patch) and reduce it to energies
-// and an effective J here, so the folding rules live in one place.
+// across a small mask change (ClampSplit.Patch), unfold it for the naive
+// reference (Unfold) and reduce it to energies and an effective J here, so
+// the folding rules live in one place.
 type Couplings struct {
 	Mats []*CSR
+
+	// noStatic is Unfold's Static: one empty n x n matrix per entry of
+	// Mats, built by NewCouplings and shared by every unfolded plan.
+	noStatic []*CSR
 
 	// colRows[k] is Mats[k].ColRows(), built on the first Patch.
 	colRowsOnce sync.Once
@@ -31,7 +36,12 @@ func NewCouplings(mats ...*CSR) *Couplings {
 			panic(fmt.Sprintf("mat: NewCouplings wants %dx%d matrices, got %dx%d", n, n, s.Rows, s.Cols))
 		}
 	}
-	return &Couplings{Mats: mats}
+	empty := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	c := &Couplings{Mats: mats, noStatic: make([]*CSR, len(mats))}
+	for k := range c.noStatic {
+		c.noStatic[k] = empty
+	}
+	return c
 }
 
 // Dim is the dimension every matrix shares.
@@ -53,8 +63,22 @@ func (c *Couplings) Split(clamped []bool) *ClampSplit {
 	for k, s := range c.Mats {
 		sp.Static[k], sp.Dyn[k] = SplitRowPlan(s, clamped)
 	}
-	sp.Free, sp.Clamped = freeClamped(clamped)
+	sp.Free, sp.Clamped = appendFreeClamped(clamped, nil, nil)
 	return sp
+}
+
+// Unfold builds into dst the clamp plan that folds nothing: every Static
+// matrix is empty and Dyn is the coupling list itself, so a planned anneal
+// loop under it re-accumulates every coupling row from zero, in stored
+// order, every step. That is the naive reference, and comparing it with
+// the Split plan isolates the one step that folding adds: hoisting the
+// fully clamped rows into a bias. Free and Clamped are rebuilt into dst's
+// own slices, so a dst reused across inferences allocates nothing once its
+// slices have grown to the dimension. The plan shares c's matrices; treat
+// it as read-only.
+func (c *Couplings) Unfold(clamped []bool, dst *ClampSplit) {
+	dst.Static, dst.Dyn = c.noStatic, c.Mats
+	dst.Free, dst.Clamped = appendFreeClamped(clamped, dst.Free[:0], dst.Clamped[:0])
 }
 
 // MaxPatchBits bounds the clamp-mask symmetric difference Patch accepts. A
@@ -94,12 +118,13 @@ func (s *ClampSplit) Patch(c *Couplings, oldClamped, newClamped []bool) *ClampSp
 	for k, m := range c.Mats {
 		np.Static[k], np.Dyn[k] = PatchRowPlan(m, s.Static[k], s.Dyn[k], c.colRows[k], oldClamped, newClamped)
 	}
-	np.Free, np.Clamped = freeClamped(newClamped)
+	np.Free, np.Clamped = appendFreeClamped(newClamped, nil, nil)
 	return np
 }
 
-// freeClamped lists a mask's unclamped and clamped indices, ascending.
-func freeClamped(clamped []bool) (free, cl []int) {
+// appendFreeClamped appends a mask's unclamped indices to free and its
+// clamped ones to cl, ascending.
+func appendFreeClamped(clamped []bool, free, cl []int) ([]int, []int) {
 	for i, c := range clamped {
 		if c {
 			cl = append(cl, i)

@@ -273,6 +273,30 @@ func decodeCouplings(data []byte) (*Couplings, []byte) {
 	return NewCouplings(mats...), data
 }
 
+// checkUnfold unfolds one mask into dst and holds the result to Unfold's
+// contract: every Static matrix is empty, Dyn is the coupling list itself,
+// and Free and Clamped equal split's (the Split of the same mask).
+func checkUnfold(t *testing.T, c *Couplings, mask []bool, split, dst *ClampSplit) {
+	t.Helper()
+	n := c.Dim()
+	c.Unfold(mask, dst)
+	empty := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	if len(dst.Static) != len(c.Mats) || len(dst.Dyn) != len(c.Mats) {
+		t.Fatalf("unfolded plan has %d static and %d dyn matrices, want %d", len(dst.Static), len(dst.Dyn), len(c.Mats))
+	}
+	for k := range c.Mats {
+		if !csrBitIdentical(dst.Static[k], empty) {
+			t.Fatalf("unfolded Static[%d] is not empty", k)
+		}
+		if dst.Dyn[k] != c.Mats[k] {
+			t.Fatalf("unfolded Dyn[%d] is not the coupling matrix", k)
+		}
+	}
+	if !intsEqual(dst.Free, split.Free) || !intsEqual(dst.Clamped, split.Clamped) {
+		t.Fatalf("unfolded free/clamped %v/%v, Split's %v/%v", dst.Free, dst.Clamped, split.Free, split.Clamped)
+	}
+}
+
 // FuzzClampSplitPatch is the differential check of the clamp-plan patcher
 // against a fresh split, the pair both inference backends rely on. From
 // the input it decodes a coupling list and a walk of clamp masks: the first
@@ -280,7 +304,9 @@ func decodeCouplings(data []byte) (*Couplings, []byte) {
 // positions (repeats cancel), read from the bytes that follow. At every
 // step Patch must decline exactly when no bit or more than MaxPatchBits
 // bits flipped, must otherwise equal Split of the new mask bit for bit,
-// and must never write to the split it patches.
+// and must never write to the split it patches. Every mask of the walk
+// is also unfolded into one reused plan (checkUnfold), whose last refill
+// must not allocate.
 func FuzzClampSplitPatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, rest := decodeCouplings(data)
@@ -295,6 +321,8 @@ func FuzzClampSplitPatch(f *testing.F) {
 			}
 		}
 		cur := c.Split(mask)
+		var unfolded ClampSplit
+		checkUnfold(t, c, mask, cur, &unfolded)
 		for len(rest) > 0 {
 			flips := int(rest[0]) % 7
 			rest = rest[1:]
@@ -321,7 +349,13 @@ func FuzzClampSplitPatch(f *testing.F) {
 			if got != nil && !splitsBitIdentical(got, fresh) {
 				t.Fatalf("patched split (%d bits flipped) differs from a fresh split", changed)
 			}
+			checkUnfold(t, c, next, fresh, &unfolded)
 			mask, cur = next, fresh
+		}
+		// Every mask of the walk went through the same plan, so its
+		// slices have room for the last one: a refill must not allocate.
+		if allocs := testing.AllocsPerRun(1, func() { c.Unfold(mask, &unfolded) }); allocs != 0 {
+			t.Fatalf("Unfold into a reused plan allocated %v times", allocs)
 		}
 	})
 }

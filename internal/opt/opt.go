@@ -172,9 +172,9 @@ const maxGsetNodes = 1 << 20
 
 // ParseGset reads the Gset text format: a "n m" header line, then m lines
 // "i j w" with 1-indexed endpoints. Duplicate edges sum; self-loops,
-// non-finite weights and headers declaring more than maxGsetNodes nodes
-// are rejected. Blank lines and lines starting with '#' or '%' are
-// skipped.
+// non-finite weights (a duplicate edge's sum included) and headers
+// declaring more than maxGsetNodes nodes are rejected. Blank lines and
+// lines starting with '#' or '%' are skipped.
 func ParseGset(name string, rd io.Reader) (*Instance, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<20)
@@ -234,6 +234,14 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 		return nil, fmt.Errorf("opt: %s: empty instance (no header)", name)
 	}
 	w := b.Build()
+	// Finite weights of a repeated edge can still sum past the float range.
+	for i := 0; i < n; i++ {
+		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
+			if v := w.Val[p]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("opt: %s: repeated edge %d %d sums to %g, not finite", name, i+1, w.ColIdx[p]+1, v)
+			}
+		}
+	}
 	// No self-loops, so every distinct edge is two stored entries.
 	if edges := w.NNZ() / 2; edges != m {
 		return nil, fmt.Errorf("opt: %s: header declares %d edges, found %d distinct", name, m, edges)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -220,6 +222,7 @@ func TestParseGsetErrors(t *testing.T) {
 		{"+Inf weight", "3 2\n1 2 1\n2 3 +Inf\n", "line 3"},
 		{"-Inf weight", "# c\n2 1\n1 2 -inf\n", "line 3"},
 		{"huge header", "2000000000 0\n", "line 1"},
+		{"overflowing duplicate edge", "2 1\n1 2 1e308\n2 1 1e308\n", "not finite"},
 		{"header over bound", fmt.Sprintf("%d 0\n", maxGsetNodes+1), "line 1"},
 	} {
 		g, err := ParseGset(c.name, strings.NewReader(c.text))
@@ -238,6 +241,49 @@ func TestParseGsetErrors(t *testing.T) {
 	if g.N != 3 || g.Edges != 2 || g.W.At(1, 2) != 2 {
 		t.Fatalf("parsed instance wrong: %+v", g)
 	}
+}
+
+// FuzzParseGset feeds arbitrary text to ParseGset. It must never panic,
+// and any instance it returns must have a finite, symmetric, zero-diagonal
+// W that survives WriteGset → ParseGset bit for bit.
+func FuzzParseGset(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		g, err := ParseGset("fuzz", strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		w := g.W
+		for i := 0; i < g.N; i++ {
+			for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
+				j, v := w.ColIdx[p], w.Val[p]
+				if i == j || math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("W[%d][%d] = %v: want a finite off-diagonal weight", i, j, v)
+				}
+				lo, hi := w.RowPtr[j], w.RowPtr[j+1]
+				q := lo + sort.SearchInts(w.ColIdx[lo:hi], i)
+				if q == hi || w.ColIdx[q] != i || math.Float64bits(w.Val[q]) != math.Float64bits(v) {
+					t.Fatalf("W[%d][%d] = %v has no bit-identical W[%d][%d]", i, j, v, j, i)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.WriteGset(&buf); err != nil {
+			t.Fatal(err)
+		}
+		text2 := buf.String()
+		g2, err := ParseGset("round-trip", &buf)
+		if err != nil {
+			t.Fatalf("written instance does not parse: %v\n%s", err, text2)
+		}
+		if g2.N != g.N || g2.Edges != g.Edges || !slices.Equal(g2.W.RowPtr, w.RowPtr) || !slices.Equal(g2.W.ColIdx, w.ColIdx) {
+			t.Fatalf("round trip changed the structure:\n%s", text2)
+		}
+		for p, v := range w.Val {
+			if math.Float64bits(g2.W.Val[p]) != math.Float64bits(v) {
+				t.Fatalf("round trip changed a weight: %v became %v", v, g2.W.Val[p])
+			}
+		}
+	})
 }
 
 // TestQUBOToIsingExact: Value(bits) == Energy(spins) + const for every

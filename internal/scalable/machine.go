@@ -117,7 +117,7 @@ func (c *Config) fillDefaults() {
 }
 
 // errNoSteps rejects a configuration whose time budget cannot fit a single
-// integration step. Shared by the naive and planned loops.
+// integration step.
 var errNoSteps = errors.New("scalable: MaxTimeNs shorter than one timestep")
 
 // settleResidualFactor relaxes SettleTol for the full-residual settle
@@ -197,6 +197,8 @@ type scratch struct {
 	// currents of coupling-list matrix k for the current inference (one
 	// entry per row; only fully-clamped rows are non-zero).
 	bias [][]float64
+	// unfolded is the Naive path's plan, refilled per inference.
+	unfolded mat.ClampSplit
 }
 
 // AttachState allocates the machine's scratch arena onto an engine state.
@@ -246,197 +248,18 @@ func (m *Machine) RunPlanned(st *engine.InferState, plan any) (*engine.Result, e
 	return m.inferPlanned(st, plan.(*mat.ClampSplit))
 }
 
-// RunNaive runs the naive reference loop on a prepared state.
+// RunNaive runs the planned loop under the state's unfolded plan
+// (mat.Couplings.Unfold): nothing folded, every coupling row re-accumulated
+// each step. It is the reference the plan-naive-identity invariant holds
+// RunPlanned to, and the baseline BenchmarkInferWith measures.
 func (m *Machine) RunNaive(st *engine.InferState) (*engine.Result, error) {
-	return m.inferNaive(st)
-}
-
-// refreshPhase re-evaluates slice k's held contribution from the fresh
-// state: subtract the stale current, recompute, add the fresh one.
-func (m *Machine) refreshPhase(st *engine.InferState, sc *scratch, k int) {
-	contrib := sc.contrib[k]
-	interSum := sc.interSum
-	for i, v := range contrib {
-		interSum[i] -= v
-	}
-	m.phases[k].MulVec(st.X, contrib)
-	for i, v := range contrib {
-		interSum[i] += v
-	}
+	sc := st.Scratch.(*scratch)
+	m.cpl.Unfold(st.Clamped, &sc.unfolded)
+	return m.inferPlanned(st, &sc.unfolded)
 }
 
 // The Machine delta-compiles clamp plans for streaming inference.
 var _ engine.DeltaBackend = (*Machine)(nil)
-
-// inferNaive is the reference co-annealing loop: every coupling matrix is
-// re-evaluated in full every step, with no clamp-aware folding. It is kept
-// callable (a Naive engine.Request) as the ground truth the plan-path
-// bit-identity invariant verifies against, and as the baseline
-// BenchmarkInferNaive measures.
-func (m *Machine) inferNaive(st *engine.InferState) (*engine.Result, error) {
-	sc := st.Scratch.(*scratch)
-	x := st.X
-	clamped := st.Clamped
-	steps := int(m.cfg.MaxTimeNs / m.cfg.Dt)
-	if steps < 1 {
-		return nil, errNoSteps
-	}
-
-	intraCur := sc.intraCur
-	deriv := sc.deriv
-	// contrib[k] is the coupling current of slice k ("mapping" k). The
-	// live mapping is a real analog connection and refreshes from the
-	// fresh state every step; an inactive mapping's CU sample-and-hold
-	// keeps the current it carried when last live. Mappings that have
-	// never been live contribute nothing yet — cross-mapping information
-	// only propagates as the Switch Controller rotates through them, one
-	// synchronization interval at a time.
-	interSum := sc.interSum
-	for i := range interSum {
-		interSum[i] = 0
-	}
-	for k := range sc.contrib {
-		c := sc.contrib[k]
-		for i := range c {
-			c[i] = 0
-		}
-	}
-	m.phases[0].MulVec(x, sc.contrib[0])
-	for i, v := range sc.contrib[0] {
-		interSum[i] += v
-	}
-	if st.WarmStart {
-		// Streaming warm tick: x is the previous tick's equilibrium, so
-		// every held slice is seeded from it up front — exactly the
-		// sample-and-hold current a settled past state would be carrying —
-		// instead of contributing nothing until the rotation first reaches
-		// it. Without this a warm tick pays a full slice cycle before the
-		// dynamics even see all couplings, no matter how close its init is.
-		for k := 1; k < len(m.phases); k++ {
-			m.refreshPhase(st, sc, k)
-		}
-	}
-
-	noisy := m.cfg.NodeNoise > 0 || m.cfg.CouplerNoise > 0
-	var couplerScale float64
-	if noisy {
-		couplerScale = m.typicalCoupling()
-	}
-	r := &st.RNG
-
-	phase := 0
-	nextSwitch := m.cfg.SyncIntervalNs
-	annealT := 0.0
-	switches := 0
-	settled := false
-	lastResidual := math.NaN()
-	taken := 0
-	// Steps per full slice cycle, for the temporal-mode convergence check.
-	checkEvery := int(m.cfg.SyncIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
-	if checkEvery < 32 {
-		checkEvery = 32
-	}
-	nextFine := 0 // earliest step for the next warm fine-grained check
-
-	for s := 0; s < steps; s++ {
-		m.intra.MulVec(x, intraCur)
-		m.refreshPhase(st, sc, phase)
-		maxD := 0.0
-		for i := 0; i < m.N; i++ {
-			if clamped[i] {
-				deriv[i] = 0
-				continue
-			}
-			cur := intraCur[i] + interSum[i]
-			if noisy && m.cfg.CouplerNoise > 0 {
-				cur += r.NormScaled(0, m.cfg.CouplerNoise*couplerScale)
-			}
-			d := cur + m.params.H[i]*x[i]
-			if noisy && m.cfg.NodeNoise > 0 {
-				d += r.NormScaled(0, m.cfg.NodeNoise)
-			}
-			if x[i] >= m.cfg.VRail && d > 0 {
-				d = 0
-			} else if x[i] <= -m.cfg.VRail && d < 0 {
-				d = 0
-			}
-			deriv[i] = d
-			if a := math.Abs(d); a > maxD {
-				maxD = a
-			}
-		}
-		for i := 0; i < m.N; i++ {
-			x[i] += m.cfg.Dt * deriv[i]
-		}
-		mat.Clamp(x, -m.cfg.VRail, m.cfg.VRail)
-		annealT += m.cfg.Dt
-		taken = s + 1
-		if st.Observer != nil {
-			st.Observer(engine.StepInfo{
-				Step:     s,
-				TimeNs:   annealT,
-				EnergyFn: st.EnergyFn,
-				MaxDeriv: maxD,
-				Phase:    phase,
-				X:        x,
-			})
-		}
-
-		// Convergence: a single-slice mapping settles when its own residual
-		// vanishes; a multiplexed mapping carries switching ripple, so the
-		// true (full-coupling) residual is checked once per slice cycle.
-		// Each full-residual evaluation is captured as lastResidual so the
-		// Result can report the equilibrium residual at convergence.
-		if len(m.phases) == 1 {
-			if maxD < m.cfg.SettleTol {
-				lastResidual = m.fullResidual(x, clamped, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
-					settled = true
-					break
-				}
-			}
-		} else {
-			// Warm ticks start near the fixed point, so they additionally
-			// get the single-slice criterion: a vanished live-slice
-			// derivative triggers a full-residual confirmation mid-cycle.
-			// A failed confirmation (stale-held pseudo-equilibrium) backs
-			// off warmFineBackoff steps so it cannot buy an O(nnz) residual
-			// evaluation every step. Cold runs keep the once-per-cycle
-			// check only, bit-for-bit as before.
-			if st.WarmStart && s >= nextFine && maxD < m.cfg.SettleTol {
-				lastResidual = m.fullResidual(x, clamped, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
-					settled = true
-					break
-				}
-				nextFine = s + warmFineBackoff
-			}
-			if s%checkEvery == checkEvery-1 {
-				lastResidual = m.fullResidual(x, clamped, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
-					settled = true
-					break
-				}
-			}
-		}
-		if len(m.phases) > 1 && annealT >= nextSwitch {
-			phase = (phase + 1) % len(m.phases)
-			switches++
-			nextSwitch += m.cfg.SyncIntervalNs
-		}
-	}
-	st.Res = engine.Result{
-		Voltage:   x,
-		AnnealNs:  annealT,
-		LatencyNs: annealT + float64(switches)*m.cfg.SwitchOverheadNs,
-		Settled:   settled,
-		Switches:  switches,
-		Steps:     taken,
-		Energy:    m.EnergyAt(x),
-		Residual:  lastResidual,
-	}
-	return &st.Res, nil
-}
 
 // fullResidual evaluates max |dσ/dt| with every coupling live and fresh —
 // the true equilibrium condition of the underlying dynamical system. buf is

@@ -21,28 +21,32 @@
 // Plans are compiled on demand by the shared inference engine
 // (internal/engine), which caches them by packed clamp-mask key in a
 // bounded LRU and patches them across small mask shifts for streams;
-// internal/mat does the splitting and this file supplies the planned hot
-// loop.
+// internal/mat does the splitting and this file supplies the one anneal
+// loop, inferPlanned, that both engine paths run. The Naive path runs it
+// under the unfolded plan (mat.Couplings.Unfold): no static rows, every
+// coupling matrix whole in Dyn, so every row is re-accumulated from zero,
+// in stored order, every step.
 //
 // Bit-exactness is the design constraint, not an accident. The plan path
-// must return Results bit-identical to the naive loop (the sixth
-// verification invariant), which IEEE-754 non-associativity makes a strict
-// discipline:
+// must return Results bit-identical to the unfolded one (the sixth
+// verification invariant), and since both run this loop, the one step
+// that invariant isolates is the fold itself, which IEEE-754
+// non-associativity makes a strict discipline:
 //
 //   - a "dyn" row keeps the FULL original row — including its clamped
-//     columns — so its per-step accumulation order is exactly the naive
+//     columns — so its per-step accumulation order is exactly the unfolded
 //     order. Partial folding of a mixed row would reassociate the sum.
 //   - a "static" row's folded bias is computed by the same
-//     start-at-zero, in-row-order accumulation the naive loop runs, so the
-//     hoisted value is the bit pattern the naive loop recomputes each step.
+//     start-at-zero, in-row-order accumulation the unfolded plan runs each
+//     step, so the hoisted value is the bit pattern it recomputes.
 //   - mat.CSR.MulVecAdd starts each row's accumulation literally at the
-//     bias (no spurious +0 terms), and the bias is exactly +0 for dyn rows,
-//     so the fused kernel reproduces both row classes' naive bit patterns.
-//   - the sample-and-hold interSum update keeps the naive two-op
+//     bias (no spurious +0 terms), and the bias is exactly +0 for dyn rows
+//     (and for every row of the unfolded plan, whose static matrices are
+//     empty), so the fused kernel reproduces both row classes' bit
+//     patterns.
+//   - the sample-and-hold interSum update keeps the two-op
 //     subtract-then-add sequence per refresh: skipping a "constant"
 //     refresh would be observable, since a-c+c need not round-trip to a.
-//   - noise draws happen per free node in ascending order in both paths,
-//     so the RNG streams stay aligned.
 package scalable
 
 import (
@@ -64,13 +68,13 @@ func (m *Machine) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any 
 	return nil
 }
 
-// refreshPhasePlanned is refreshPhase on the plan path: slice k's held
-// contribution is re-derived from the fresh state, but only the dyn rows are
-// actually re-accumulated — static rows re-emit their folded bias, which is
-// the bit pattern a full recompute would produce. The subtract/recompute/add
-// sequence on interSum is kept per free node because a-c+c need not
-// round-trip even when c is unchanged.
-func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *mat.ClampSplit, k int) {
+// refreshPhase re-evaluates slice k's held contribution from the fresh
+// state: subtract the stale current, recompute, add the fresh one. Only the
+// dyn rows are re-accumulated — static rows re-emit their folded bias,
+// which is the bit pattern a full recompute would produce. The
+// subtract/recompute/add sequence on interSum is kept per free node because
+// a-c+c need not round-trip even when c is unchanged.
+func refreshPhase(st *engine.InferState, sc *scratch, pl *mat.ClampSplit, k int) {
 	contrib := sc.contrib[k]
 	interSum := sc.interSum
 	for _, i := range pl.Free {
@@ -82,11 +86,13 @@ func refreshPhasePlanned(st *engine.InferState, sc *scratch, pl *mat.ClampSplit,
 	}
 }
 
-// inferPlanned is the clamp-plan hot loop: inferNaive with the constant
-// clamp currents folded out and every per-node loop walking the free index
-// list. Each floating-point operation it performs on a free node's state is
-// the operation inferNaive performs, in the same order — see the package
-// comment for the discipline — so the Result is bit-identical.
+// inferPlanned is the co-annealing loop, under a clamp plan: the constant
+// clamp currents of the plan's static rows folded out once, the dyn rows
+// re-accumulated each step, and every per-node loop walking the free index
+// list. Under a Split plan and under the unfolded plan of the same mask it
+// performs the same floating-point operations on every free node, in the
+// same order — see the package comment for the discipline — so the two
+// Results are bit-identical. Clamped nodes are never written.
 func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
@@ -105,6 +111,13 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 
 	intraCur := sc.intraCur
 	deriv := sc.deriv
+	// contrib[k] is the coupling current of slice k ("mapping" k). The
+	// live mapping is a real analog connection and refreshes from the
+	// fresh state every step; an inactive mapping's CU sample-and-hold
+	// keeps the current it carried when last live. Mappings that have
+	// never been live contribute nothing yet — cross-mapping information
+	// only propagates as the Switch Controller rotates through them, one
+	// synchronization interval at a time.
 	interSum := sc.interSum
 	for i := range interSum {
 		interSum[i] = 0
@@ -121,11 +134,14 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		interSum[i] += sc.contrib[0][i]
 	}
 	if st.WarmStart {
-		// Streaming warm tick: seed every held slice from the warm-start
-		// equilibrium up front instead of waiting for the rotation to
-		// first reach it — mirrors inferNaive's warm init exactly.
+		// Streaming warm tick: x is the previous tick's equilibrium, so
+		// every held slice is seeded from it up front — exactly the
+		// sample-and-hold current a settled past state would be carrying —
+		// instead of contributing nothing until the rotation first reaches
+		// it. Without this a warm tick pays a full slice cycle before the
+		// dynamics even see all couplings, no matter how close its init is.
 		for k := 1; k < len(m.phases); k++ {
-			refreshPhasePlanned(st, sc, pl, k)
+			refreshPhase(st, sc, pl, k)
 		}
 	}
 
@@ -151,7 +167,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 
 	for s := 0; s < steps; s++ {
 		pl.Dyn[0].MulVecAdd(x, sc.bias[0], intraCur)
-		refreshPhasePlanned(st, sc, pl, phase)
+		refreshPhase(st, sc, pl, phase)
 		maxD := 0.0
 		for _, i := range free {
 			cur := intraCur[i] + interSum[i]
@@ -172,9 +188,8 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 				maxD = a
 			}
 		}
-		// Fused update+rail-clamp per free node; i-local, so identical to
-		// the naive full-vector update followed by mat.Clamp. Clamped
-		// nodes never move (their observation already respects the rail).
+		// Fused update and rail clamp per free node. Clamped nodes never
+		// move (their observation already respects the rail).
 		for _, i := range free {
 			xi := x[i] + m.cfg.Dt*deriv[i]
 			if xi < -m.cfg.VRail {
@@ -197,9 +212,12 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 			})
 		}
 
-		// Mirrors inferNaive's convergence structure, lastResidual capture
-		// included: planResidual equals fullResidual bit-for-bit, so the
-		// reported Residual is bit-identical across the two paths.
+		// Convergence: a single-slice mapping settles when its own residual
+		// vanishes; a multiplexed mapping carries switching ripple, so the
+		// true (full-coupling) residual is checked once per slice cycle.
+		// Each full-residual evaluation is captured as lastResidual so the
+		// Result can report the equilibrium residual at convergence;
+		// planResidual equals fullResidual (ResidualAt) bit for bit.
 		if len(m.phases) == 1 {
 			if maxD < m.cfg.SettleTol {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
@@ -209,10 +227,13 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 				}
 			}
 		} else {
-			// Warm-tick fine-grained settle check, mirroring inferNaive's
-			// structure (and backoff) exactly; planResidual equals
-			// fullResidual bit-for-bit, so warm naive and warm planned
-			// runs settle on the same step with the same residual.
+			// Warm ticks start near the fixed point, so they additionally
+			// get the single-slice criterion: a vanished live-slice
+			// derivative triggers a full-residual confirmation mid-cycle.
+			// A failed confirmation (stale-held pseudo-equilibrium) backs
+			// off warmFineBackoff steps so it cannot buy an O(nnz) residual
+			// evaluation every step. Cold runs keep the once-per-cycle
+			// check only.
 			if st.WarmStart && s >= nextFine && maxD < m.cfg.SettleTol {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
 				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
@@ -253,8 +274,8 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 // from their folded bias. Mirrors fullResidual's order exactly — intra row
 // first, then each slice's row sum added in slice order, each slice's
 // contribution accumulated from zero (the bias for dyn rows) and added to
-// the buffer in one operation (empty rows included: naive adds their zero
-// sum too, which rounds -0 to +0).
+// the buffer in one operation (empty rows included: fullResidual adds their
+// zero sum too, which rounds -0 to +0).
 func (m *Machine) planResidual(pl *mat.ClampSplit, sc *scratch, x, buf []float64) float64 {
 	pl.Dyn[0].MulVecAdd(x, sc.bias[0], buf)
 	for k := 1; k < len(pl.Dyn); k++ {

@@ -66,6 +66,8 @@ func TestInferPlanBitIdentical(t *testing.T) {
 					{{Index: 0, Value: 0.4}, {Index: 5, Value: -0.3}, {Index: 11, Value: 0.9}},
 					{{Index: 3, Value: -0.2}, {Index: 4, Value: 0.1}, {Index: 8, Value: 0.6}, {Index: 15, Value: -0.7}, {Index: 20, Value: 0.25}},
 					{}, // no clamps: everything is dyn
+					// A clamped -0 must stay -0 on both paths.
+					{{Index: 0, Value: math.Copysign(0, -1)}, {Index: 5, Value: -0.3}},
 				} {
 					plan, err := m.Engine().InferSeeded(obs, seed)
 					if err != nil {

@@ -22,7 +22,10 @@
 //     machine realizes exactly the tuned J (EffectiveJ == Tuned.J);
 //  6. plan-naive-identity — the clamp-plan compiled inference path (constant
 //     clamp currents folded, free-row kernels) returns Results bit-identical
-//     to the naive re-evaluate-everything reference loop;
+//     to the Naive path: the same anneal loop under the unfolded plan, which
+//     folds nothing and re-evaluates every coupling each step. Both paths
+//     share the loop, so this isolates the one step with IEEE-754 risk,
+//     hoisting the fully clamped rows into a bias;
 //  7. (retired) sharded-fixed-point — checked the community-sharded
 //     anneal, which was removed; every inference now runs one anneal path;
 //  8. warm-start-fixed-point — a warm-started streaming tick (free nodes

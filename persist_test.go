@@ -184,6 +184,7 @@ func TestLoadRejectsCorruptGeometry(t *testing.T) {
 		{"infinite SyncIntervalNs", func(s *modelSnapshot) { s.Opts.SyncIntervalNs = math.Inf(1) }},
 		{"NaN RidgeLambda", func(s *modelSnapshot) { s.Opts.RidgeLambda = math.NaN() }},
 		{"negative Lanes", func(s *modelSnapshot) { s.Opts.Lanes = -1 }},
+		{"Pattern 99", func(s *modelSnapshot) { s.Opts.Pattern = 99 }},
 		{"dense snapshot with noise", func(s *modelSnapshot) { s.Backend = BackendDense; s.Opts.NodeNoise = 0.05 }},
 	}
 	for _, tc := range cases {
