@@ -15,6 +15,7 @@ package dsgl_test
 //	go run ./cmd/dsgl table2
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -22,6 +23,7 @@ import (
 	"testing"
 
 	"dsgl"
+	"dsgl/internal/alloctest"
 	"dsgl/internal/community"
 	"dsgl/internal/dspu"
 	"dsgl/internal/engine"
@@ -29,6 +31,7 @@ import (
 	"dsgl/internal/gnn"
 	"dsgl/internal/mat"
 	"dsgl/internal/ode"
+	"dsgl/internal/opt"
 	"dsgl/internal/pattern"
 	"dsgl/internal/rng"
 	"dsgl/internal/scalable"
@@ -786,14 +789,14 @@ func TestInferPlanObsZeroAlloc(t *testing.T) {
 		}
 	}
 	run() // warm-up: compile the plan, size the arena
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("metrics disabled: %v allocs per inference, want 0", allocs)
+	if allocs := alloctest.Count(5, run); allocs != 0 {
+		t.Fatalf("metrics disabled: %d allocations in 5 inferences, want 0", allocs)
 	}
 	dsgl.EnableMetrics()
 	defer dsgl.DisableMetrics()
 	run() // re-bind the instruments against the fresh registry
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("metrics enabled: %v allocs per inference, want 0", allocs)
+	if allocs := alloctest.Count(5, run); allocs != 0 {
+		t.Fatalf("metrics enabled: %d allocations in 5 inferences, want 0", allocs)
 	}
 }
 
@@ -988,6 +991,35 @@ func BenchmarkOptSolve(b *testing.B) {
 			b.ReportMetric(float64(rep.Run.BestRestart+1), "restarts-to-best")
 			b.ReportMetric(spinSteps, "spin-steps")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/spinSteps, "ns/spin-step")
+		})
+	}
+}
+
+// BenchmarkParseGset parses the Gset text of perfbench's maxcut-g800
+// instance (800 nodes, degree 6, unit weights, seed 1), and of the same
+// graph with weights drawn from (0, 1], whose weight tokens take the
+// strconv.ParseFloat path instead of the all-digit one.
+func BenchmarkParseGset(b *testing.B) {
+	for _, weighted := range []bool{false, true} {
+		g, err := opt.RandomGraph(800, 6, weighted, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var text bytes.Buffer
+		if err := g.WriteGset(&text); err != nil {
+			b.Fatal(err)
+		}
+		name := "g800"
+		if weighted {
+			name += "-weighted"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.ParseGset(g.Name, bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

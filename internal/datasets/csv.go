@@ -85,18 +85,21 @@ func ReadSeriesCSV(r io.Reader, spec CSVSpec) ([][]float64, error) {
 }
 
 // ReadAdjacencyCSV parses an N x N adjacency matrix (numeric rows only, no
-// header).
+// header). The result is symmetrized by averaging, with a zero diagonal; a
+// pair of weights whose average overflows is rejected.
 func ReadAdjacencyCSV(r io.Reader) (*mat.Dense, error) {
 	rows, err := ReadSeriesCSV(r, CSVSpec{})
 	if err != nil {
 		return nil, err
 	}
+	// Every row has the first row's width, so the matrix is sized only
+	// once the input holds all n×n of its values.
 	n := len(rows)
+	if len(rows[0]) != n {
+		return nil, fmt.Errorf("datasets: adjacency row 1 has %d columns, want %d", len(rows[0]), n)
+	}
 	adj := mat.NewDense(n, n)
 	for i, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("datasets: adjacency row %d has %d columns, want %d", i+1, len(row), n)
-		}
 		for j, v := range row {
 			if v < 0 {
 				return nil, fmt.Errorf("datasets: negative adjacency weight at (%d,%d)", i, j)
@@ -108,6 +111,13 @@ func ReadAdjacencyCSV(r io.Reader) (*mat.Dense, error) {
 		adj.Set(i, i, 0)
 	}
 	adj.Symmetrize()
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if v := adj.At(i, j); math.IsInf(v, 0) {
+				return nil, fmt.Errorf("datasets: adjacency weights at (%d,%d) and (%d,%d) average to %g, not finite", i, j, j, i, v)
+			}
+		}
+	}
 	return adj, nil
 }
 

@@ -2,6 +2,10 @@ package datasets
 
 import (
 	"bytes"
+	"encoding/csv"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -82,19 +86,37 @@ func TestReadAdjacencyCSVSymmetrizes(t *testing.T) {
 
 // TestReadAdjacencyCSVRejectsNegative covers every invalid weight: a
 // negative one, and NaN and ±Inf, which the negative-weight check alone
-// passed (NaN < 0 is false).
+// passed (NaN < 0 is false), and two finite weights whose symmetrized
+// average overflowed to +Inf.
 func TestReadAdjacencyCSVRejectsNegative(t *testing.T) {
 	cases := []struct{ name, in, want string }{
 		{"negative", "0,-1\n-1,0\n", "negative adjacency weight at (0,1)"},
 		{"NaN", "0,NaN\n1,0\n", "line 1 column 2"},
 		{"+Inf", "0,1\nInf,0\n", "line 2 column 1"},
 		{"-Inf", "0,-Inf\n1,0\n", "line 1 column 2"},
+		{"overflowing average", "0,1,1e308\n1,0,1\n1.7e308,1,0\n", "(0,2) and (2,0) average to +Inf"},
 	}
 	for _, tc := range cases {
 		adj, err := ReadAdjacencyCSV(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, error %v; want an error naming %q", tc.name, adj, err, tc.want)
 		}
+	}
+}
+
+// TestReadAdjacencyCSVNotSquare: a non-square table is rejected before the
+// matrix is sized, so a column of n values does not allocate n×n.
+func TestReadAdjacencyCSVNotSquare(t *testing.T) {
+	in := strings.Repeat("0\n", 4000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	adj, err := ReadAdjacencyCSV(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "adjacency row 1 has 1 columns, want 4000") {
+		t.Fatalf("got %v, error %v; want the non-square table rejected", adj, err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 8<<20 {
+		t.Fatalf("rejecting an 8 KB table allocated %d bytes", b)
 	}
 }
 
@@ -156,4 +178,72 @@ func TestFromCSVTrainableEndToEnd(t *testing.T) {
 	if len(d.UnknownIndices()) != d.N {
 		t.Fatalf("unknowns = %d", len(d.UnknownIndices()))
 	}
+}
+
+// FuzzReadSeriesCSV feeds arbitrary text to ReadSeriesCSV and to
+// ReadAdjacencyCSV. Neither may panic. An accepted series must be
+// rectangular and finite, and must survive FormatFloat('g', -1) →
+// encoding/csv → ReadSeriesCSV bit for bit. An accepted adjacency must be
+// square, finite and non-negative, symmetric, with a zero diagonal.
+func FuzzReadSeriesCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		if rows, err := ReadSeriesCSV(strings.NewReader(text), CSVSpec{}); err == nil {
+			var buf bytes.Buffer
+			w := csv.NewWriter(&buf)
+			for i, row := range rows {
+				if len(row) != len(rows[0]) {
+					t.Fatalf("row %d has %d columns, row 0 has %d", i, len(row), len(rows[0]))
+				}
+				rec := make([]string, len(row))
+				for j, v := range row {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("series value (%d,%d) = %v is not finite", i, j, v)
+					}
+					rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
+				}
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Flush()
+			back, err := ReadSeriesCSV(bytes.NewReader(buf.Bytes()), CSVSpec{})
+			if err != nil {
+				t.Fatalf("written series does not read back: %v\n%s", err, buf.String())
+			}
+			if len(back) != len(rows) {
+				t.Fatalf("round trip read %d rows, wrote %d:\n%s", len(back), len(rows), buf.String())
+			}
+			for i, row := range rows {
+				if len(back[i]) != len(row) {
+					t.Fatalf("round trip read %d columns in row %d, wrote %d:\n%s", len(back[i]), i, len(row), buf.String())
+				}
+				for j, v := range row {
+					if math.Float64bits(back[i][j]) != math.Float64bits(v) {
+						t.Fatalf("round trip changed value (%d,%d) %v:\n%s", i, j, v, buf.String())
+					}
+				}
+			}
+		}
+		adj, err := ReadAdjacencyCSV(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		if adj.Rows != adj.Cols {
+			t.Fatalf("adjacency is %dx%d", adj.Rows, adj.Cols)
+		}
+		for i := 0; i < adj.Rows; i++ {
+			if v := adj.At(i, i); v != 0 {
+				t.Fatalf("adjacency diagonal (%d,%d) = %v", i, i, v)
+			}
+			for j := 0; j < adj.Cols; j++ {
+				v := adj.At(i, j)
+				if !(v >= 0) || math.IsInf(v, 0) {
+					t.Fatalf("adjacency weight (%d,%d) = %v: want finite and non-negative", i, j, v)
+				}
+				if math.Float64bits(adj.At(j, i)) != math.Float64bits(v) {
+					t.Fatalf("adjacency (%d,%d) = %v but (%d,%d) = %v", i, j, v, j, i, adj.At(j, i))
+				}
+			}
+		}
+	})
 }

@@ -3,6 +3,7 @@ package dspu
 import (
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/engine"
 )
 
@@ -56,12 +57,12 @@ func TestObserverNilKeepsZeroAllocDense(t *testing.T) {
 	if _, err := d.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if _, err := d.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-observer InferWith allocated %v per op, want 0", allocs)
+		t.Fatalf("nil-observer InferWith allocated %d times in 5 runs, want 0", allocs)
 	}
 }

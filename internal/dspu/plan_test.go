@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/engine"
 	"dsgl/internal/ode"
 )
@@ -119,12 +120,12 @@ func TestDSPUNaiveZeroAlloc(t *testing.T) {
 	if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("naive Run allocated %v per op, want 0", allocs)
+		t.Fatalf("naive Run allocated %d times in 5 runs, want 0", allocs)
 	}
 }

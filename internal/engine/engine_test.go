@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dsgl/internal/alloctest"
 )
 
 // stubBackend is a minimal deterministic Backend: its "anneal" halves every
@@ -339,13 +341,13 @@ func TestEnsurePlanWarmsCache(t *testing.T) {
 		t.Fatalf("post-EnsurePlan inference: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// Warm EnsurePlan neither allocates nor recompiles.
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if err := e.EnsurePlan(obs); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm EnsurePlan allocated %v per op, want 0", allocs)
+		t.Fatalf("warm EnsurePlan allocated %d times in 5 runs, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,10 @@
 package lru
 
-import "testing"
+import (
+	"testing"
+
+	"dsgl/internal/alloctest"
+)
 
 func k(s string) []byte { return []byte(s) }
 
@@ -95,13 +99,13 @@ func TestGetDoesNotAllocateOnHit(t *testing.T) {
 	c := New[int](4)
 	key := k("pattern")
 	c.Add(key, 42)
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := alloctest.Count(100, func() {
 		if _, ok := c.Get(key); !ok {
 			t.Fatal("lost entry")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Get allocated %v per hit, want 0", allocs)
+		t.Fatalf("Get allocated %d times in 100 hits, want 0", allocs)
 	}
 }
 

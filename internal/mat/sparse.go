@@ -1,8 +1,10 @@
 package mat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -170,6 +172,10 @@ func NewBuilder(rows, cols int) *Builder {
 	return &Builder{rows: rows, cols: cols}
 }
 
+// Grow reserves room for k more Adds, so that many append without
+// reallocating.
+func (b *Builder) Grow(k int) { b.trips = slices.Grow(b.trips, k) }
+
 // Add accumulates v at (i, j).
 func (b *Builder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
@@ -178,48 +184,46 @@ func (b *Builder) Add(i, j int, v float64) {
 	b.trips = append(b.trips, triplet{i, j, v})
 }
 
-// Build produces the CSR matrix in O(NNZ + rows + cols): a stable counting
-// sort by column, then one by row, puts the triplets in (row, column) order
-// with duplicates still in Add order, and each run of duplicates sums from
-// +0 in that order. Entries that summed to exactly zero are still stored;
-// callers that care should prune with eps beforehand. Build does not
-// consume the triplets, so it may be called again after further Adds.
+// Build produces the CSR matrix. A stable counting sort by row copies the
+// triplets once, each row's run is then stably ordered by column, so
+// duplicates stay in Add order, and each run of duplicates sums from +0 in
+// that order. That is O(NNZ + rows) plus the column sorts, which cost
+// O(d) for a row of d entries added in column order and O(d log² d) at
+// worst. Entries that summed to exactly zero are still stored; callers
+// that care should prune with eps beforehand. Build does not consume the
+// triplets, so it may be called again after further Adds.
 func (b *Builder) Build() *CSR {
-	byCol := countingSort(b.trips, b.cols, func(t *triplet) int { return t.j })
-	sorted := countingSort(byCol, b.rows, func(t *triplet) int { return t.i })
 	s := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
+	// RowPtr[i] counts row i's triplets into the slot after it, holds the
+	// row's start once summed, and its end once the triplets are placed.
+	for k := range b.trips {
+		s.RowPtr[b.trips[k].i+1]++
+	}
+	for i := 1; i < b.rows; i++ {
+		s.RowPtr[i] += s.RowPtr[i-1]
+	}
+	sorted := make([]triplet, len(b.trips))
+	for _, t := range b.trips {
+		sorted[s.RowPtr[t.i]] = t
+		s.RowPtr[t.i]++
+	}
 	s.ColIdx = make([]int, 0, len(sorted))
 	s.Val = make([]float64, 0, len(sorted))
-	for k, t := range sorted {
-		if k > 0 && t.i == sorted[k-1].i && t.j == sorted[k-1].j {
-			s.Val[len(s.Val)-1] += t.v
-			continue
-		}
-		s.RowPtr[t.i+1]++
-		s.ColIdx = append(s.ColIdx, t.j)
-		s.Val = append(s.Val, 0+t.v)
-	}
+	lo := 0
 	for i := 0; i < b.rows; i++ {
-		s.RowPtr[i+1] += s.RowPtr[i]
+		run := sorted[lo:s.RowPtr[i]]
+		lo = s.RowPtr[i]
+		s.RowPtr[i] = len(s.Val)
+		slices.SortStableFunc(run, func(a, b triplet) int { return cmp.Compare(a.j, b.j) })
+		for k, t := range run {
+			if k > 0 && t.j == run[k-1].j {
+				s.Val[len(s.Val)-1] += t.v
+				continue
+			}
+			s.ColIdx = append(s.ColIdx, t.j)
+			s.Val = append(s.Val, 0+t.v)
+		}
 	}
+	s.RowPtr[b.rows] = len(s.Val)
 	return s
-}
-
-// countingSort returns a copy of ts stably ordered by key, which must lie
-// in [0, n).
-func countingSort(ts []triplet, n int, key func(*triplet) int) []triplet {
-	next := make([]int, n+1)
-	for k := range ts {
-		next[key(&ts[k])+1]++
-	}
-	for k := 1; k < n; k++ {
-		next[k] += next[k-1]
-	}
-	out := make([]triplet, len(ts))
-	for k := range ts {
-		c := key(&ts[k])
-		out[next[c]] = ts[k]
-		next[c]++
-	}
-	return out
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dsgl/internal/alloctest"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -257,25 +259,25 @@ func TestRecordZeroAlloc(t *testing.T) {
 	c := r.Counter("alloc_total", "")
 	g := r.Gauge("alloc_gauge", "")
 	h := r.Histogram("alloc_hist", "")
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := alloctest.Count(1000, func() {
 		c.Inc()
 		g.Set(3)
 		g.Add(1)
 		h.Observe(2.5)
 	}); n != 0 {
-		t.Fatalf("live instruments allocated %v per record", n)
+		t.Fatalf("live instruments allocated %d times in 1000 records", n)
 	}
 	var nc *Counter
 	var ng *Gauge
 	var nh *Histogram
 	var ns *Summary
-	if n := testing.AllocsPerRun(1000, func() {
+	if n := alloctest.Count(1000, func() {
 		nc.Inc()
 		ng.Set(3)
 		nh.Observe(2.5)
 		ns.Observe(2.5)
 	}); n != 0 {
-		t.Fatalf("nil instruments allocated %v per record", n)
+		t.Fatalf("nil instruments allocated %d times in 1000 records", n)
 	}
 }
 

@@ -7,12 +7,15 @@ package opt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"dsgl/internal/ising"
 	"dsgl/internal/mat"
@@ -170,31 +173,46 @@ func Torus(rows, cols int) (*Instance, error) {
 // 20,000 nodes.
 const maxGsetNodes = 1 << 20
 
+// gsetReserve caps the triplets (24 B each, two per edge) that a Gset
+// header's edge count reserves on its own word: about 1 MB. A reader that
+// reports its unread length, such as a bytes.Reader, backs more, up to a
+// third of that length: every edge line takes at least 6 bytes ("i j w"
+// and its line end) and adds two triplets.
+const gsetReserve = 1 << 20 / 24
+
 // ParseGset reads the Gset text format: a "n m" header line, then m lines
 // "i j w" with 1-indexed endpoints. Duplicate edges sum; self-loops,
 // non-finite weights (a duplicate edge's sum included) and headers
 // declaring more than maxGsetNodes nodes are rejected. Blank lines and
-// lines starting with '#' or '%' are skipped.
+// lines starting with '#' or '%' are skipped. Fields split as
+// strings.Fields splits them and numbers parse as strconv.Atoi and
+// strconv.ParseFloat parse them, but each line is read in place, so a
+// well-formed line allocates nothing.
 func ParseGset(name string, rd io.Reader) (*Instance, error) {
+	reserve := gsetReserve
+	if l, ok := rd.(interface{ Len() int }); ok {
+		reserve = max(reserve, l.Len()/3)
+	}
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<20)
 	var n, m int
 	var b *mat.Builder
+	var f [3][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' || text[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(text)
+		nf := fields(text, f[:])
 		if b == nil {
-			if len(fields) != 2 {
+			if nf != 2 {
 				return nil, fmt.Errorf("opt: %s line %d: header wants \"n m\", got %q", name, line, text)
 			}
 			var err1, err2 error
-			n, err1 = strconv.Atoi(fields[0])
-			m, err2 = strconv.Atoi(fields[1])
+			n, err1 = atoi(f[0])
+			m, err2 = atoi(f[1])
 			if err1 != nil || err2 != nil || n < 1 || m < 0 {
 				return nil, fmt.Errorf("opt: %s line %d: bad header %q", name, line, text)
 			}
@@ -202,19 +220,20 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 				return nil, fmt.Errorf("opt: %s line %d: header declares %d nodes, limit %d", name, line, n, maxGsetNodes)
 			}
 			b = mat.NewBuilder(n, n)
+			b.Grow(2 * min(m, reserve/2))
 			continue
 		}
-		if len(fields) != 3 {
+		if nf != 3 {
 			return nil, fmt.Errorf("opt: %s line %d: edge wants \"i j w\", got %q", name, line, text)
 		}
-		i, err1 := strconv.Atoi(fields[0])
-		j, err2 := strconv.Atoi(fields[1])
-		w, err3 := strconv.ParseFloat(fields[2], 64)
+		i, err1 := atoi(f[0])
+		j, err2 := atoi(f[1])
+		w, err3 := parseFloat(f[2])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("opt: %s line %d: bad edge %q", name, line, text)
 		}
 		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("opt: %s line %d: edge weight %q is not finite", name, line, fields[2])
+			return nil, fmt.Errorf("opt: %s line %d: edge weight %q is not finite", name, line, f[2])
 		}
 		if i < 1 || i > n || j < 1 || j > n {
 			return nil, fmt.Errorf("opt: %s line %d: endpoint out of range [1,%d]", name, line, n)
@@ -247,6 +266,78 @@ func ParseGset(name string, rd io.Reader) (*Instance, error) {
 		return nil, fmt.Errorf("opt: %s: header declares %d edges, found %d distinct", name, m, edges)
 	}
 	return &Instance{Name: name, N: n, Edges: m, W: w}, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fields splits s around runs of white space exactly as strings.Fields
+// does, decoding UTF-8 above 0x7F (an invalid byte is one non-space rune).
+// It stores the first len(out) fields in out, as subslices of s, and
+// returns how many fields s has.
+func fields(s []byte, out [][]byte) int {
+	nf, start := 0, -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		space := r < utf8.RuneSelf && asciiSpace[r]
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && start >= 0:
+			if nf < len(out) {
+				out[nf] = s[start:i]
+			}
+			nf, start = nf+1, -1
+		case !space && start < 0:
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		if nf < len(out) {
+			out[nf] = s[start:]
+		}
+		nf++
+	}
+	return nf
+}
+
+// maxFastDigits is the longest all-digit token parsed without strconv:
+// 10^15 - 1 is below 2^53, so it is exact both as an int and as a float64.
+const maxFastDigits = 15
+
+// digits returns the value of a token of 1 to maxFastDigits ASCII digits,
+// and false for any other token.
+func digits(tok []byte) (int, bool) {
+	if len(tok) == 0 || len(tok) > maxFastDigits {
+		return 0, false
+	}
+	v := 0
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, true
+}
+
+// atoi is strconv.Atoi on a byte token.
+func atoi(tok []byte) (int, error) {
+	if v, ok := digits(tok); ok {
+		return v, nil
+	}
+	return strconv.Atoi(string(tok))
+}
+
+// parseFloat is strconv.ParseFloat(tok, 64) on a byte token.
+func parseFloat(tok []byte) (float64, error) {
+	if v, ok := digits(tok); ok {
+		return float64(v), nil
+	}
+	return strconv.ParseFloat(string(tok), 64)
 }
 
 // LoadGset reads a Gset instance from a file, named after its basename.

@@ -1,14 +1,19 @@
 package opt
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/engine"
 	"dsgl/internal/ising"
 	"dsgl/internal/mat"
@@ -233,6 +238,23 @@ func TestParseGsetErrors(t *testing.T) {
 	if _, err := ParseGset("at bound", strings.NewReader(fmt.Sprintf("%d 1\n1 2 1\n", maxGsetNodes))); err != nil {
 		t.Errorf("header at the bound: %v", err)
 	}
+	// A header's edge count reserves room for the edges, but on its own
+	// word no more than about 1 MB, whether or not the reader reports its
+	// length. The bound is 3 MB because a -race build also allocates the
+	// temporary that slices.Grow appends, about 1 MB more.
+	const huge = "2 1000000000000\n1 2 1\n"
+	for _, rd := range []io.Reader{strings.NewReader(huge), struct{ io.Reader }{strings.NewReader(huge)}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseGset("huge edge count", rd)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "header declares 1000000000000 edges") {
+			t.Errorf("huge edge count: error %v", err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 3<<20 {
+			t.Errorf("huge edge count: the parse allocated %d bytes, want at most 3 MB", b)
+		}
+	}
 	// Comments, blank lines, and duplicate-edge summing are accepted.
 	g, err := ParseGset("ok", strings.NewReader("# comment\n\n3 2\n1 2 1\n% other\n2 3 2\n"))
 	if err != nil {
@@ -243,13 +265,44 @@ func TestParseGsetErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseGset feeds arbitrary text to ParseGset. It must never panic,
-// and any instance it returns must have a finite, symmetric, zero-diagonal
-// W that survives WriteGset → ParseGset bit for bit.
+// TestParseGsetAllocations: a well-formed line allocates nothing, so the
+// 800-node benchmark instance and one ten times its size parse with the
+// same number of allocations, weighted or not.
+func TestParseGsetAllocations(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		var counts [2]uint64
+		for k, n := range []int{800, 8000} {
+			g, err := RandomGraph(n, 6, weighted, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := g.WriteGset(&buf); err != nil {
+				t.Fatal(err)
+			}
+			text := buf.Bytes()
+			counts[k] = alloctest.Count(1, func() {
+				if _, err := ParseGset("alloc", bytes.NewReader(text)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("weighted %v: %d allocations to parse 800 nodes, %d to parse 8000; want the same count",
+				weighted, counts[0], counts[1])
+		}
+	}
+}
+
+// FuzzParseGset feeds arbitrary text to ParseGset and to parseGsetReference,
+// the line-by-line string parser it replaced. Both must reject with the
+// same error or accept the same instance bit for bit. ParseGset must never
+// panic, and any instance it returns must have a finite, symmetric,
+// zero-diagonal W that survives WriteGset → ParseGset bit for bit.
 func FuzzParseGset(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
-		g, err := ParseGset("fuzz", strings.NewReader(text))
-		if err != nil {
+		g := diffReference(t, text)
+		if g == nil {
 			return
 		}
 		w := g.W
@@ -271,19 +324,144 @@ func FuzzParseGset(f *testing.F) {
 			t.Fatal(err)
 		}
 		text2 := buf.String()
-		g2, err := ParseGset("round-trip", &buf)
+		// A reader that hides its length: the header alone sizes the
+		// reservation.
+		g2, err := ParseGset("round-trip", struct{ io.Reader }{&buf})
 		if err != nil {
 			t.Fatalf("written instance does not parse: %v\n%s", err, text2)
 		}
-		if g2.N != g.N || g2.Edges != g.Edges || !slices.Equal(g2.W.RowPtr, w.RowPtr) || !slices.Equal(g2.W.ColIdx, w.ColIdx) {
-			t.Fatalf("round trip changed the structure:\n%s", text2)
-		}
-		for p, v := range w.Val {
-			if math.Float64bits(g2.W.Val[p]) != math.Float64bits(v) {
-				t.Fatalf("round trip changed a weight: %v became %v", v, g2.W.Val[p])
-			}
+		if !sameInstance(g2, g) {
+			t.Fatalf("round trip changed the instance:\n%s", text2)
 		}
 	})
+}
+
+// TestParseGsetLongLine: lines at bufio.Scanner's 1 MiB limit give both
+// parsers the same outcome. They are not FuzzParseGset seeds because the
+// fuzzer would spend its time minimizing inputs mutated from seeds that
+// size.
+func TestParseGsetLongLine(t *testing.T) {
+	for _, c := range []struct {
+		name, text string
+		accept     bool
+	}{
+		{"comment over the limit", "#" + strings.Repeat("x", 1<<20) + "\n2 1\n1 2 1\n", false},
+		{"weight over the limit", "2 1\n1 2 " + strings.Repeat("1", 1<<20) + "\n", false},
+		{"weight under the limit", "2 1\n1 2 " + strings.Repeat("0", 1<<20-16) + "1\n", true},
+	} {
+		if g := diffReference(t, c.text); (g != nil) != c.accept {
+			t.Errorf("%s: accepted %v, want %v", c.name, g != nil, c.accept)
+		}
+	}
+}
+
+// diffReference parses text with ParseGset and parseGsetReference. Both
+// must reject it with the same error, and then it returns nil, or accept
+// the same instance bit for bit, which it returns.
+func diffReference(t *testing.T, text string) *Instance {
+	t.Helper()
+	g, err := ParseGset("fuzz", strings.NewReader(text))
+	ref, refErr := parseGsetReference("fuzz", strings.NewReader(text))
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("ParseGset error %v, reference error %v", err, refErr)
+	}
+	if err == nil && !sameInstance(g, ref) {
+		t.Fatalf("ParseGset and the reference disagree:\n got  %d nodes, %d edges, %+v\n want %d nodes, %d edges, %+v",
+			g.N, g.Edges, g.W, ref.N, ref.Edges, ref.W)
+	}
+	return g
+}
+
+// sameInstance compares node and edge counts, W's structure exactly, and
+// W's values by IEEE-754 bits.
+func sameInstance(a, b *Instance) bool {
+	if a.N != b.N || a.Edges != b.Edges || !slices.Equal(a.W.RowPtr, b.W.RowPtr) || !slices.Equal(a.W.ColIdx, b.W.ColIdx) ||
+		len(a.W.Val) != len(b.W.Val) {
+		return false
+	}
+	for p, v := range a.W.Val {
+		if math.Float64bits(b.W.Val[p]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// parseGsetReference is the string-per-line ParseGset that the in-place
+// parser replaced, kept verbatim as FuzzParseGset's reference: every
+// accept or reject decision, error message and line number must match it.
+func parseGsetReference(name string, rd io.Reader) (*Instance, error) {
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(nil, 1<<20)
+	var n, m int
+	var b *mat.Builder
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || text[0] == '#' || text[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(text)
+		if b == nil {
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("opt: %s line %d: header wants \"n m\", got %q", name, line, text)
+			}
+			var err1, err2 error
+			n, err1 = strconv.Atoi(fields[0])
+			m, err2 = strconv.Atoi(fields[1])
+			if err1 != nil || err2 != nil || n < 1 || m < 0 {
+				return nil, fmt.Errorf("opt: %s line %d: bad header %q", name, line, text)
+			}
+			if n > maxGsetNodes {
+				return nil, fmt.Errorf("opt: %s line %d: header declares %d nodes, limit %d", name, line, n, maxGsetNodes)
+			}
+			b = mat.NewBuilder(n, n)
+			continue
+		}
+		if len(fields) != 3 {
+			return nil, fmt.Errorf("opt: %s line %d: edge wants \"i j w\", got %q", name, line, text)
+		}
+		i, err1 := strconv.Atoi(fields[0])
+		j, err2 := strconv.Atoi(fields[1])
+		w, err3 := strconv.ParseFloat(fields[2], 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return nil, fmt.Errorf("opt: %s line %d: bad edge %q", name, line, text)
+		}
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("opt: %s line %d: edge weight %q is not finite", name, line, fields[2])
+		}
+		if i < 1 || i > n || j < 1 || j > n {
+			return nil, fmt.Errorf("opt: %s line %d: endpoint out of range [1,%d]", name, line, n)
+		}
+		if i == j {
+			return nil, fmt.Errorf("opt: %s line %d: self-loop on node %d", name, line, i)
+		}
+		// Both orientations, so the CSR is symmetric and a repeated edge
+		// sums in file order whichever way round it is written.
+		b.Add(i-1, j-1, w)
+		b.Add(j-1, i-1, w)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("opt: %s: %v", name, err)
+	}
+	if b == nil {
+		return nil, fmt.Errorf("opt: %s: empty instance (no header)", name)
+	}
+	w := b.Build()
+	// Finite weights of a repeated edge can still sum past the float range.
+	for i := 0; i < n; i++ {
+		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
+			if v := w.Val[p]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("opt: %s: repeated edge %d %d sums to %g, not finite", name, i+1, w.ColIdx[p]+1, v)
+			}
+		}
+	}
+	// No self-loops, so every distinct edge is two stored entries.
+	if edges := w.NNZ() / 2; edges != m {
+		return nil, fmt.Errorf("opt: %s: header declares %d edges, found %d distinct", name, m, edges)
+	}
+	return &Instance{Name: name, N: n, Edges: m, W: w}, nil
 }
 
 // TestQUBOToIsingExact: Value(bits) == Energy(spins) + const for every

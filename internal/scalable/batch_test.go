@@ -3,6 +3,7 @@ package scalable
 import (
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
 	"dsgl/internal/pattern"
@@ -152,13 +153,13 @@ func TestInferWithZeroAlloc(t *testing.T) {
 			if _, err := m.Engine().InferWith(st, obs, 1); err != nil { // warm-up
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(5, func() {
+			allocs := alloctest.Count(5, func() {
 				if _, err := m.Engine().InferWith(st, obs, 2); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("InferWith allocated %v per op after warm-up, want 0", allocs)
+				t.Fatalf("InferWith allocated %d times in 5 runs after warm-up, want 0", allocs)
 			}
 		})
 	}

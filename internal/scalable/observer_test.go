@@ -3,6 +3,7 @@ package scalable
 import (
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/community"
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
@@ -182,12 +183,12 @@ func TestObserverNilKeepsZeroAlloc(t *testing.T) {
 	if _, err := m.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if _, err := m.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-observer InferWith allocated %v per op, want 0", allocs)
+		t.Fatalf("nil-observer InferWith allocated %d times in 5 runs, want 0", allocs)
 	}
 }

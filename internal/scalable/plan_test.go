@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsgl/internal/alloctest"
 	"dsgl/internal/engine"
 )
 
@@ -250,13 +251,13 @@ func TestEnsurePlanRejectsRailViolation(t *testing.T) {
 	if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 2.5}}); err == nil || !strings.Contains(err.Error(), "rail") {
 		t.Fatalf("EnsurePlan: got %v, want rail-bound error", err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 0.2}}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm EnsurePlan allocated %v per op, want 0", allocs)
+		t.Fatalf("warm EnsurePlan allocated %d times in 5 runs, want 0", allocs)
 	}
 }
 
@@ -286,12 +287,12 @@ func TestInferNaiveZeroAlloc(t *testing.T) {
 	if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := alloctest.Count(5, func() {
 		if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("naive Run allocated %v per op, want 0", allocs)
+		t.Fatalf("naive Run allocated %d times in 5 runs, want 0", allocs)
 	}
 }
