@@ -1,0 +1,6 @@
+//go:build !race
+
+package alloctest
+
+// raceBuild reports whether the binary was built with -race.
+const raceBuild = false

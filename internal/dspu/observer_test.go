@@ -57,6 +57,7 @@ func TestObserverNilKeepsZeroAllocDense(t *testing.T) {
 	if _, err := d.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if _, err := d.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)

@@ -120,6 +120,7 @@ func TestDSPUNaiveZeroAlloc(t *testing.T) {
 	if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if _, err := d.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)

@@ -341,6 +341,7 @@ func TestEnsurePlanWarmsCache(t *testing.T) {
 		t.Fatalf("post-EnsurePlan inference: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 	// Warm EnsurePlan neither allocates nor recompiles.
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if err := e.EnsurePlan(obs); err != nil {
 			t.Fatal(err)

@@ -68,8 +68,10 @@ func NewModel(j *mat.Dense, h []float64) (*Model, error) {
 // NewModelCSR builds an Ising model directly from a symmetrized sparse
 // coupling W = J + Jᵀ — the path instance generators take, which never
 // materializes a dense matrix. w must be square, zero-diagonal, exactly
-// symmetric (W_ij == W_ji bit-for-bit) and finite, as must h; the matrix
-// is used directly, not copied, and must not be mutated afterwards.
+// symmetric (W_ij == W_ji bit-for-bit) and finite, as must h, and each row's
+// column indices must be in range and strictly increasing, as
+// mat.Builder.Build leaves them. The matrix is used directly, not copied,
+// and must not be mutated afterwards.
 func NewModelCSR(w *mat.CSR, h []float64) (*Model, error) {
 	if w.Rows != w.Cols {
 		return nil, fmt.Errorf("ising: W must be square, got %dx%d", w.Rows, w.Cols)
@@ -78,29 +80,79 @@ func NewModelCSR(w *mat.CSR, h []float64) (*Model, error) {
 		return nil, fmt.Errorf("ising: len(h)=%d, want %d", len(h), w.Rows)
 	}
 	// Finiteness first: NaN never equals its mirror entry, so the symmetry
-	// check below would misreport it.
+	// check below would misreport it. That check also leans on sorted,
+	// unique, in-range columns.
 	for i := 0; i < w.Rows; i++ {
+		prev := -1
 		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
+			j := w.ColIdx[p]
 			if !finite(w.Val[p]) {
-				return nil, fmt.Errorf("ising: W[%d][%d] = %g is not finite", i, w.ColIdx[p], w.Val[p])
+				return nil, fmt.Errorf("ising: W[%d][%d] = %g is not finite", i, j, w.Val[p])
 			}
+			if j < 0 || j >= w.Cols {
+				return nil, fmt.Errorf("ising: W row %d: column %d out of range [0, %d)", i, j, w.Cols)
+			}
+			if j <= prev {
+				return nil, fmt.Errorf("ising: W row %d: column %d follows column %d; columns must increase strictly", i, j, prev)
+			}
+			prev = j
 		}
 	}
 	if err := checkFiniteH(h); err != nil {
 		return nil, err
 	}
-	for i := 0; i < w.Rows; i++ {
+	if err := checkSymmetric(w); err != nil {
+		return nil, err
+	}
+	return &Model{N: w.Rows, W: w, H: mat.CopyVec(h)}, nil
+}
+
+// checkSymmetric reports the first entry, in row-major order, that is on
+// the diagonal or differs from its mirror, where a mirror W doesn't store
+// reads as 0 (as mat.CSR.At reads it). Rows are walked in order with one
+// cursor per row instead of a binary search per entry, so the check is
+// linear in the stored entries. Row i's entry (i, j) above the diagonal
+// moves next[j] past row j's columns below i, which can only be entries
+// (j, c) whose row c < i stores no (c, j), to the mirror (j, i). Such an
+// unmatched entry is an error unless it stores zero; bad[j] keeps the first
+// non-zero one, so that row j reports it in its turn. Columns must be
+// sorted and unique.
+func checkSymmetric(w *mat.CSR) error {
+	n := w.Rows
+	cursors := make([]int, 2*n)
+	next, bad := cursors[:n], cursors[n:]
+	copy(next, w.RowPtr[:n])
+	copy(bad, w.RowPtr[1:])
+	for i := 0; i < n; i++ {
 		for p := w.RowPtr[i]; p < w.RowPtr[i+1]; p++ {
 			j := w.ColIdx[p]
-			if j == i {
-				return nil, fmt.Errorf("ising: non-zero diagonal at %d", i)
-			}
-			if w.At(j, i) != w.Val[p] {
-				return nil, fmt.Errorf("ising: W not symmetric at (%d,%d)", i, j)
+			switch {
+			case j == i:
+				return fmt.Errorf("ising: non-zero diagonal at %d", i)
+			case j > i:
+				q, end := next[j], w.RowPtr[j+1]
+				for ; q < end && w.ColIdx[q] < i; q++ {
+					if w.Val[q] != 0 && bad[j] == end {
+						bad[j] = q
+					}
+				}
+				var mirror float64
+				if q < end && w.ColIdx[q] == i {
+					mirror = w.Val[q]
+					q++
+				}
+				next[j] = q
+				if mirror != w.Val[p] {
+					return fmt.Errorf("ising: W not symmetric at (%d,%d)", i, j)
+				}
+			case p == bad[i] || p >= next[i] && w.Val[p] != 0:
+				// j < i, and a non-zero entry no cursor matched: row j
+				// stores no (j, i).
+				return fmt.Errorf("ising: W not symmetric at (%d,%d)", i, j)
 			}
 		}
 	}
-	return &Model{N: w.Rows, W: w, H: mat.CopyVec(h)}, nil
+	return nil
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

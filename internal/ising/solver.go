@@ -43,11 +43,6 @@ const (
 	oimShilK     = 1.0  // SHIL strength at the cold end of the ladder
 )
 
-// acceptGridCap bounds K, the largest row sum of |W| and |h| in grid steps,
-// up to which a Metropolis solver keeps an acceptance table: K+1 entries of
-// 16 bytes per SolveState, 64 KiB at the cap.
-const acceptGridCap = 1 << 12
-
 // Solver adapts an Ising model to the engine.OptBackend contract: one
 // instance, one selected dynamics, annealed under engine-compiled schedule
 // plans with the engine's seeded multi-restart fan-out. The solver and its
@@ -61,11 +56,34 @@ type Solver struct {
 	// net is the BRIM coupling circuit, built once; nil for the other
 	// dynamics.
 	net *circuit.Network
-	// acceptInv is 1/(2q) and acceptK the table's largest index when the
-	// Metropolis model sits on a power-of-two grid q (see acceptGrid);
-	// acceptInv is 0 otherwise, and for the other dynamics.
-	acceptInv float64
-	acceptK   int
+	// grid is the Metropolis model in integer units of its power-of-two
+	// grid step q (see acceptGrid); nil when the model is off the grid, and
+	// for the other dynamics.
+	grid *intModel
+}
+
+// intModel is an on-grid model in units of q: w and h are W's entries (in
+// W's CSR order) and h divided by q, so a field fᵢ = hᵢ + Σⱼ wᵢⱼσⱼ is an
+// integer of magnitude at most k, and flipping spin i changes the energy
+// by e·2q with e = σᵢfᵢ.
+type intModel struct {
+	w    []int32
+	h    []int32
+	k    int
+	twoQ float64
+}
+
+// newIntModel converts m to units of q = 1/(2·inv). Every entry is a
+// multiple of q no larger than kq, so v·inv is exact and so is twice it.
+func newIntModel(m *Model, inv float64, k int) *intModel {
+	g := &intModel{w: make([]int32, len(m.W.Val)), h: make([]int32, m.N), k: k, twoQ: 1 / inv}
+	for p, v := range m.W.Val {
+		g.w[p] = int32(2 * (v * inv))
+	}
+	for i, v := range m.H {
+		g.h[i] = int32(2 * (v * inv))
+	}
+	return g
 }
 
 // NewSolver builds an OptBackend for model m under the chosen dynamics.
@@ -79,7 +97,9 @@ func NewSolver(m *Model, dyn Dynamics, seed uint64) (*Solver, error) {
 		}
 		s.net = net
 	case MetropolisDynamics:
-		s.acceptInv, s.acceptK = acceptGrid(m)
+		if inv, k := acceptGrid(m); inv != 0 {
+			s.grid = newIntModel(m, inv, k)
+		}
 	case OIMDynamics:
 	default:
 		return nil, fmt.Errorf("ising: unknown dynamics %q (want %s|%s|%s)",
@@ -122,42 +142,36 @@ func (s *Solver) CompileSolvePlan(sched engine.Schedule) any {
 	return &solvePlan{sched: sched, temps: temps}
 }
 
-// solverScratch is the per-state arena: derivative and coupling buffers for
-// the continuous dynamics, local fields and the acceptance table for
-// Metropolis, and the all-free clamp mask the BRIM derivative wants.
+// solverScratch is the per-state arena; each dynamics allocates only its
+// own buffers. BRIM takes derivative and coupling buffers and the all-free
+// clamp mask its derivative wants, OIM a derivative buffer and its phase
+// system, on-grid Metropolis integer fields and a threshold row, and
+// off-grid Metropolis float local fields.
 type solverScratch struct {
 	deriv []float64
 	buf   []float64
 	mask  []bool
-	local []float64
 	ps    phaseSystem
-	// accept caches math.Exp(-dE/T) at index dE/(2q) for on-grid
-	// Metropolis models, nil otherwise. An entry holds for the sweep whose
-	// stamp it carries; sweep advances before every sweep and is never
-	// reset, so no stamp from an earlier sweep or restart matches.
-	accept []acceptEntry
-	sweep  uint64
-}
-
-// acceptEntry is one acceptance-table slot.
-type acceptEntry struct {
-	sweep uint64
-	p     float64
+	field []int32
+	row   []uint64
+	local []float64
 }
 
 // AttachSolveState implements engine.OptBackend.
 func (s *Solver) AttachSolveState(st *engine.SolveState) {
 	n := s.m.N
-	st.Scratch = &solverScratch{
-		deriv: make([]float64, n),
-		buf:   make([]float64, n),
-		mask:  make([]bool, n),
-		local: make([]float64, n),
-		ps:    phaseSystem{w: s.m.W},
+	sc := &solverScratch{}
+	switch {
+	case s.dyn == BRIMDynamics:
+		sc.deriv, sc.buf, sc.mask = make([]float64, n), make([]float64, n), make([]bool, n)
+	case s.dyn == OIMDynamics:
+		sc.deriv, sc.ps = make([]float64, n), phaseSystem{w: s.m.W}
+	case s.grid != nil:
+		sc.field, sc.row = make([]int32, n), make([]uint64, s.grid.k+1)
+	default:
+		sc.local = make([]float64, n)
 	}
-	if s.acceptInv != 0 {
-		st.Scratch.(*solverScratch).accept = make([]acceptEntry, s.acceptK+1)
-	}
+	st.Scratch = sc
 }
 
 // RunSolve implements engine.OptBackend: one restart of the selected
@@ -172,7 +186,11 @@ func (s *Solver) RunSolve(st *engine.SolveState, plan any) (*engine.OptResult, e
 	}
 	switch s.dyn {
 	case MetropolisDynamics:
-		s.runMetropolis(st, pl)
+		if s.grid != nil {
+			s.runMetropolisGrid(st, pl)
+		} else {
+			s.runMetropolis(st, pl)
+		}
 	case BRIMDynamics:
 		s.runBRIM(st, pl)
 	case OIMDynamics:
@@ -193,10 +211,8 @@ func observe(st *engine.SolveState, step int, t float64) {
 	}
 }
 
-// runMetropolis: one sweep per schedule step at ladder temperature T(k).
-func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
-	n := s.m.N
-	sc := st.Scratch.(*solverScratch)
+// randomSpins draws the restart's starting spins, one draw per spin.
+func randomSpins(st *engine.SolveState) {
 	for i := range st.Spins {
 		if st.RNG.Float64() < 0.5 {
 			st.Spins[i] = -1
@@ -204,35 +220,27 @@ func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
 			st.Spins[i] = 1
 		}
 	}
+}
+
+// runMetropolis: one sweep per schedule step at ladder temperature T(k),
+// for models off the grid.
+func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
+	n := s.m.N
+	sc := st.Scratch.(*solverScratch)
+	randomSpins(st)
 	rebuildLocal(s.m, st.Spins, sc.local)
 	curE := s.m.Energy(st.Spins)
 	bestE := curE
 	copy(st.Res.Spins, st.Spins)
 	st.Res.BestStep = 0
 	for sweep, temp := range pl.temps {
-		sc.sweep++
 		for k := 0; k < n; k++ {
 			i := st.RNG.Intn(n)
 			dE := 2 * float64(st.Spins[i]) * (sc.local[i] + s.m.H[i])
-			if !(dE <= 0) {
-				// Accept the uphill step with probability exp(-dE/T); a NaN
-				// dE from an overflowed field also draws u and is rejected.
-				// With a table, each distinct dE is computed once per sweep:
-				// on the grid dE is exact, so the cached value has the bits
-				// the direct call would return.
-				u := st.RNG.Float64()
-				var p float64
-				if sc.accept == nil {
-					p = math.Exp(-dE / temp)
-				} else if e := &sc.accept[int(dE*s.acceptInv)]; e.sweep == sc.sweep {
-					p = e.p
-				} else {
-					p = math.Exp(-dE / temp)
-					e.sweep, e.p = sc.sweep, p
-				}
-				if !(u < p) {
-					continue
-				}
+			// Accept the uphill step with probability exp(-dE/T); a NaN dE
+			// from an overflowed field also draws u and is rejected.
+			if !(dE <= 0) && !(st.RNG.Float64() < math.Exp(-dE/temp)) {
+				continue
 			}
 			applyFlip(s.m, st.Spins, i, sc.local)
 			curE += dE
@@ -246,14 +254,86 @@ func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
 	}
 }
 
-// acceptGrid decides whether m's Metropolis energy steps fit an acceptance
-// table. It finds the largest power of two q that divides every W and h
+// runMetropolisGrid is runMetropolis for on-grid models, on integer fields
+// and integer thresholds, which it fills for each sweep's temperature
+// before the sweep. A proposal's e = σᵢfᵢ is dE/(2q), so e ≤ 0 is
+// dE ≤ 0, and an uphill step draws the same 53 bits u = m·2⁻⁵³ that
+// Float64 would and accepts exactly when m < ⌈exp(−dE/T)·2⁵³⌉, which is
+// u < exp(−dE/T). e·2q is the float loop's exact dE, so every draw, flip,
+// energy and best state is the one runMetropolis makes.
+func (s *Solver) runMetropolisGrid(st *engine.SolveState, pl *solvePlan) {
+	n, g := s.m.N, s.grid
+	sc := st.Scratch.(*solverScratch)
+	spins, f, row := st.Spins, sc.field, sc.row
+	rowPtr, colIdx := s.m.W.RowPtr, s.m.W.ColIdx
+	randomSpins(st)
+	for i := range f {
+		sum := g.h[i]
+		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+			sum += g.w[p] * int32(spins[colIdx[p]])
+		}
+		f[i] = sum
+	}
+	curE := s.m.Energy(spins)
+	bestE := curE
+	copy(st.Res.Spins, spins)
+	st.Res.BestStep = 0
+	for sweep, temp := range pl.temps {
+		fillThresholds(row, g.twoQ, temp)
+		for k := 0; k < n; k++ {
+			i := int(st.RNG.Uint64() % uint64(n)) // Intn(n), inlined
+			e := int32(spins[i]) * f[i]
+			if e > 0 && st.RNG.Uint64()>>11 >= row[e] {
+				continue
+			}
+			spins[i] = -spins[i]
+			d := 2 * int32(spins[i])
+			for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
+				f[colIdx[p]] += g.w[p] * d
+			}
+			curE += float64(e) * g.twoQ // the float loop's exact dE
+			if curE < bestE {
+				bestE = curE
+				copy(st.Res.Spins, spins)
+				st.Res.BestStep = sweep
+			}
+		}
+		observe(st, sweep, 0)
+	}
+}
+
+// fillThresholds writes row[e] = acceptThreshold(exp(−e·2q/T)), the
+// integer form of the probability of accepting an uphill step of
+// dE = e·2q at temperature T, computed as the float loop computes it.
+func fillThresholds(row []uint64, twoQ, temp float64) {
+	for e := range row {
+		dE := float64(e) * twoQ
+		row[e] = acceptThreshold(math.Exp(-dE / temp))
+	}
+}
+
+// acceptThreshold returns ⌈p·2⁵³⌉ for p in [0, 1], and 0 for a NaN p. For
+// u = m·2⁻⁵³ with integer m, u < p holds exactly when m < p·2⁵³ (scaling
+// by a power of two is exact), that is when m < ⌈p·2⁵³⌉. u < NaN never
+// holds, and neither does m < 0.
+func acceptThreshold(p float64) uint64 {
+	if p > 0 {
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0
+}
+
+// acceptGrid decides whether m's Metropolis energy steps fit the integer
+// loop. It finds the largest power of two q that divides every W and h
 // entry, and K = maxᵢ(Σⱼ|Wᵢⱼ| + |hᵢ|)/q. Local fields are then sums of
 // multiples of q no larger than Kq, so every proposal's dE = 2σᵢ(localᵢ+hᵢ)
-// is computed exactly, and dE/(2q) is an integer in [-K, K]. It returns
-// 1/(2q) and K, or 0, 0 when m is off the grid: no non-zero entry, K above
-// acceptGridCap (a non-finite entry makes K NaN or +Inf), or a 1/(2q) or
-// 2Kq that overflows.
+// is computed exactly, and dE/(2q) is an integer in [-K, K]. The integer
+// loop computes K+1 thresholds before each sweep of N proposals, so K < N
+// holds it to at most the one exponential per proposal the float loop may
+// compute; K < 2³¹ keeps its fields in int32. It returns 1/(2q) and K, or
+// 0, 0 when m is off the grid: no non-zero entry, K too large (a
+// non-finite entry makes K NaN or +Inf), or a 1/(2q) or 2Kq that
+// overflows.
 func acceptGrid(m *Model) (inv float64, k int) {
 	var maxRow float64
 	for i := 0; i < m.N; i++ {
@@ -263,9 +343,10 @@ func acceptGrid(m *Model) (inv float64, k int) {
 		}
 		maxRow = math.Max(maxRow, row)
 	}
-	// q = 2^qExp. K is compared as a float against the cap whenever q
-	// shrinks, before it becomes an integer, so continuous weights stop
-	// the scan at their first entry and huge values cannot wrap.
+	// q = 2^qExp. K is compared as a float against its bound whenever q
+	// shrinks, before it becomes an integer, so continuous weights stop the
+	// scan at their first entry and huge values cannot wrap.
+	bound := float64(min(m.N, math.MaxInt32))
 	qExp := math.MaxInt
 	for _, vals := range [][]float64{m.W.Val, m.H} {
 		for _, v := range vals {
@@ -274,7 +355,7 @@ func acceptGrid(m *Model) (inv float64, k int) {
 			}
 			if e := lowBitExp(v); e < qExp {
 				qExp = e
-				if !(math.Ldexp(maxRow, -qExp) <= acceptGridCap) {
+				if !(math.Ldexp(maxRow, -qExp) < bound) {
 					return 0, 0
 				}
 			}

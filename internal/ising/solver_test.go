@@ -1,6 +1,7 @@
 package ising
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -58,6 +59,34 @@ func TestNewModelCSRValidation(t *testing.T) {
 	rect := &mat.CSR{Rows: 2, Cols: 3, RowPtr: []int{0, 0, 0}}
 	if _, err := NewModelCSR(rect, make([]float64, 2)); err == nil {
 		t.Fatal("non-square W must error")
+	}
+	// Each row's columns must be in range and strictly increasing, and the
+	// error names the row. A mirror check alone passes the duplicated
+	// (0,1) below against its one stored mirror, though W sums to 2 one
+	// way and 1 the other.
+	csr := func(rowPtr, colIdx []int) *mat.CSR {
+		n := len(rowPtr) - 1
+		val := make([]float64, len(colIdx))
+		for p := range val {
+			val[p] = 1
+		}
+		return &mat.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	}
+	malformed := []struct {
+		name string
+		w    *mat.CSR
+		row  int
+	}{
+		{"duplicate column", csr([]int{0, 2, 3}, []int{1, 1, 0}), 0},
+		{"unsorted symmetric row", csr([]int{0, 2, 3, 4}, []int{2, 1, 0, 0}), 0},
+		{"column past the end", csr([]int{0, 1, 2}, []int{1, 2}), 1},
+		{"negative column", csr([]int{0, 1, 1}, []int{-1}), 0},
+	}
+	for _, c := range malformed {
+		_, err := NewModelCSR(c.w, make([]float64, c.w.Rows))
+		if want := fmt.Sprintf("W row %d:", c.row); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming row %d", c.name, err, c.row)
+		}
 	}
 }
 
@@ -313,9 +342,9 @@ func gridModel(t *testing.T, n int, w, h float64) *Model {
 	return m
 }
 
-// TestAcceptGrid pins which models get a Metropolis acceptance table and
-// its geometry: the grid step q is the largest power of two dividing every
-// entry, K the largest row sum in steps of q.
+// TestAcceptGrid pins which models Metropolis runs on integer fields and
+// their geometry: the grid step q is the largest power of two dividing
+// every entry, K the largest row sum in steps of q.
 func TestAcceptGrid(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -325,12 +354,12 @@ func TestAcceptGrid(t *testing.T) {
 		offGrid bool
 	}{
 		{"unit ring", gridModel(t, 6, -1, 0), 0.5, 2, false},
-		{"ring with field", gridModel(t, 6, 1, 3), 0.5, 5, false},
+		{"ring with field, K = N-1", gridModel(t, 6, 1, 3), 0.5, 5, false},
+		{"K = N", gridModel(t, 6, 1, 4), 0, 0, true},
 		{"quarter step", gridModel(t, 6, -0.25, 0.5), 2, 4, false},
-		{"even weights", gridModel(t, 6, 6, 0), 0.25, 6, false},
+		{"even weights", gridModel(t, 8, 6, 0), 0.25, 6, false},
 		{"continuous weight", gridModel(t, 6, 0.1, 0), 0, 0, true},
-		{"K over the cap", gridModel(t, 6, acceptGridCap, 1), 0, 0, true},
-		{"K at the cap", gridModel(t, 6, acceptGridCap/2-1, 2), 0.5, acceptGridCap, false},
+		{"large K = N-1", gridModel(t, 1<<12+1, 1<<11-1, 2), 0.5, 1 << 12, false},
 		{"2Kq overflows", gridModel(t, 6, 0x1p1022, 0), 0, 0, true},
 		{"1/(2q) overflows", gridModel(t, 6, 0x1p-1074, 0), 0, 0, true},
 		{"all zero", gridModel(t, 6, 0, 0), 0, 0, true},
@@ -340,7 +369,7 @@ func TestAcceptGrid(t *testing.T) {
 		inv, k := acceptGrid(c.m)
 		if c.offGrid {
 			if inv != 0 {
-				t.Errorf("%s: got a table (1/(2q) = %g, K = %d), want the direct path", c.name, inv, k)
+				t.Errorf("%s: on the grid (1/(2q) = %g, K = %d), want the float loop", c.name, inv, k)
 			}
 			continue
 		}
@@ -350,11 +379,14 @@ func TestAcceptGrid(t *testing.T) {
 	}
 }
 
-// TestAcceptTableMatchesDirectExp: the acceptance table is an exact cache,
-// so a Metropolis solve with it must be bit-identical to the same solve
-// forced onto the direct math.Exp path — every restart's spins, energy
-// and best step, under every schedule kind, on Ising models lowered from
-// MaxCut (unit step) and from a QUBO with fields (quarter step).
+// TestAcceptTableMatchesDirectExp: the integer loop and its acceptance
+// thresholds must reproduce the float loop with the direct math.Exp call
+// bit for bit: after every sweep the same spins (so the same flips), and
+// after every restart the same result (spins, energy, best step) and the
+// same RNG state (so the same number of draws). It covers MaxCut's unit
+// step and a quarter-step QUBO with fields, every schedule kind plus a
+// linear one from T0 = +Inf whose ladder is NaN after its first step, and
+// the largest K the grid admits, N-1, on a ring of 4,097 spins.
 func TestAcceptTableMatchesDirectExp(t *testing.T) {
 	r := rng.New(5)
 	n := 40
@@ -377,39 +409,118 @@ func TestAcceptTableMatchesDirectExp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := map[string]*Model{"unit": gridModel(t, 50, -1, 0), "quarter": quarter}
-	scheds := []engine.Schedule{
-		engine.GeometricSchedule(60, 2, 0.05),
-		engine.LinearSchedule(60, 2, 0.05),
-		engine.AdaptiveSchedule(60, 2, 0.05, 3, 0.5),
+	cases := []struct {
+		name string
+		m    *Model
+	}{
+		{"unit", gridModel(t, 50, -1, 0)},
+		{"quarter", quarter},
+		{"K = N-1", gridModel(t, 1<<12+1, 1<<11-1, 2)},
 	}
-	for name, m := range models {
-		table, err := NewSolver(m, MetropolisDynamics, 1)
+	for _, c := range cases {
+		grid, err := NewSolver(c.m, MetropolisDynamics, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if table.acceptInv == 0 {
-			t.Fatalf("%s: model unexpectedly off the grid", name)
+		if grid.grid == nil {
+			t.Fatalf("%s: model unexpectedly off the grid", c.name)
 		}
-		direct := *table
-		direct.acceptInv, direct.acceptK = 0, 0
-		te, de := engine.NewOpt(table), engine.NewOpt(&direct)
-		ts, ds := te.NewSolveState(), de.NewSolveState()
+		float := *grid
+		float.grid = nil
+		ge, fe := engine.NewOpt(grid), engine.NewOpt(&float)
+		gs, fs := ge.NewSolveState(), fe.NewSolveState()
+		var gTrace, fTrace []uint64
+		gs.SetObserver(spinTrace(&gTrace, gs))
+		fs.SetObserver(spinTrace(&fTrace, fs))
+		scheds := []engine.Schedule{
+			engine.GeometricSchedule(60, 2, 0.05),
+			engine.LinearSchedule(60, 2, 0.05),
+			engine.AdaptiveSchedule(60, 2, 0.05, 3, 0.5),
+			engine.LinearSchedule(60, math.Inf(1), 0.05),
+		}
 		for _, sched := range scheds {
 			for restart := 0; restart < 4; restart++ {
 				s := sched.ForRestart(restart)
 				seed := uint64(11 + restart)
-				a, err := te.SolveWith(ts, s, seed)
+				gTrace, fTrace = gTrace[:0], fTrace[:0]
+				a, err := ge.SolveWith(gs, s, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := de.SolveWith(ds, s, seed)
+				b, err := fe.SolveWith(fs, s, seed)
 				if err != nil {
 					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s, %s from T0 = %g, restart %d", c.name, s.Kind, s.T0, restart)
+				if !reflect.DeepEqual(gTrace, fTrace) {
+					t.Fatalf("%s: spins after each sweep differ", where)
 				}
 				if !reflect.DeepEqual(a, b) || math.Float64bits(a.Energy) != math.Float64bits(b.Energy) {
-					t.Fatalf("%s %s restart %d: table %+v, direct %+v", name, sched.Kind, restart, a, b)
+					t.Fatalf("%s: integer loop %+v, float loop %+v", where, a, b)
 				}
+				if gs.RNG != fs.RNG {
+					t.Fatalf("%s: the loops drew different numbers of values", where)
+				}
+			}
+		}
+	}
+}
+
+// spinTrace returns an observer that appends an FNV-1a hash of st's spins
+// to *trace at every sweep.
+func spinTrace(trace *[]uint64, st *engine.SolveState) engine.StepObserver {
+	return func(engine.StepInfo) {
+		h := uint64(14695981039346656037)
+		for _, s := range st.Spins {
+			h = (h ^ uint64(uint8(s))) * 1099511628211
+		}
+		*trace = append(*trace, h)
+	}
+}
+
+// TestAcceptThreshold: a 53-bit draw m accepts against the integer
+// threshold ⌈p·2⁵³⌉ exactly when Float64's u = m·2⁻⁵³ satisfies u < p.
+// Checked at m = t−1, t, t+1 around each threshold t, for edge
+// probabilities and for every threshold of the default OptOptions ladder
+// (geometric, 200 steps from 2 to 0.05, maxcut-g800's) at grid steps q = 1
+// and q = ¼ and every e up to 255 (maxcut-g800's K is 21).
+func TestAcceptThreshold(t *testing.T) {
+	check := func(p float64, th uint64) {
+		t.Helper()
+		for _, m := range []uint64{th - 1, th, th + 1} {
+			if m >= 1<<53 { // also th-1 when th is 0
+				continue
+			}
+			if got, want := m < th, float64(m)/(1<<53) < p; got != want {
+				t.Fatalf("p = %g (threshold %d), m = %d: integer test %v, float test %v", p, th, m, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		p  float64
+		th uint64
+	}{
+		{0, 0},
+		{0x1p-1074, 1},
+		{0x1p-53, 1},
+		{0.5, 1 << 52},
+		{1 - 0x1p-53, 1<<53 - 1},
+		{1, 1 << 53},
+		{math.NaN(), 0},
+	} {
+		if got := acceptThreshold(c.p); got != c.th {
+			t.Errorf("acceptThreshold(%g) = %d, want %d", c.p, got, c.th)
+		}
+		check(c.p, c.th)
+	}
+	sched := engine.GeometricSchedule(200, 2, 0.05)
+	row := make([]uint64, 256)
+	for _, twoQ := range []float64{2, 0.5} {
+		for k := 0; k < sched.Steps; k++ {
+			temp := sched.At(k)
+			fillThresholds(row, twoQ, temp)
+			for e, th := range row {
+				check(math.Exp(-(float64(e)*twoQ)/temp), th)
 			}
 		}
 	}

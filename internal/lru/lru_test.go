@@ -99,6 +99,7 @@ func TestGetDoesNotAllocateOnHit(t *testing.T) {
 	c := New[int](4)
 	key := k("pattern")
 	c.Add(key, 42)
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(100, func() {
 		if _, ok := c.Get(key); !ok {
 			t.Fatal("lost entry")

@@ -259,6 +259,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 	c := r.Counter("alloc_total", "")
 	g := r.Gauge("alloc_gauge", "")
 	h := r.Histogram("alloc_hist", "")
+	alloctest.SkipUnderRace(t)
 	if n := alloctest.Count(1000, func() {
 		c.Inc()
 		g.Set(3)

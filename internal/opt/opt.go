@@ -174,10 +174,11 @@ func Torus(rows, cols int) (*Instance, error) {
 const maxGsetNodes = 1 << 20
 
 // gsetReserve caps the triplets (24 B each, two per edge) that a Gset
-// header's edge count reserves on its own word: about 1 MB. A reader that
-// reports its unread length, such as a bytes.Reader, backs more, up to a
-// third of that length: every edge line takes at least 6 bytes ("i j w"
-// and its line end) and adds two triplets.
+// header's edge count reserves on its own word: about 1 MB. A reader whose
+// unread length is known (a *bytes.Reader, *bytes.Buffer or
+// *strings.Reader) backs more, up to a third of that length: every edge
+// line takes at least 6 bytes ("i j w" and its line end) and adds two
+// triplets.
 const gsetReserve = 1 << 20 / 24
 
 // ParseGset reads the Gset text format: a "n m" header line, then m lines
@@ -189,9 +190,17 @@ const gsetReserve = 1 << 20 / 24
 // strconv.ParseFloat parse them, but each line is read in place, so a
 // well-formed line allocates nothing.
 func ParseGset(name string, rd io.Reader) (*Instance, error) {
+	// The cases are concrete types, which the switch compares inline. An
+	// assertion to an interface type calls the runtime, and that call
+	// allocates a new type-assertion cache in about one call in 1024.
 	reserve := gsetReserve
-	if l, ok := rd.(interface{ Len() int }); ok {
-		reserve = max(reserve, l.Len()/3)
+	switch r := rd.(type) {
+	case *bytes.Reader:
+		reserve = max(reserve, r.Len()/3)
+	case *bytes.Buffer:
+		reserve = max(reserve, r.Len()/3)
+	case *strings.Reader:
+		reserve = max(reserve, r.Len()/3)
 	}
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(nil, 1<<20)

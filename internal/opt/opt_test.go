@@ -269,6 +269,7 @@ func TestParseGsetErrors(t *testing.T) {
 // 800-node benchmark instance and one ten times its size parse with the
 // same number of allocations, weighted or not.
 func TestParseGsetAllocations(t *testing.T) {
+	alloctest.SkipUnderRace(t)
 	for _, weighted := range []bool{false, true} {
 		var counts [2]uint64
 		for k, n := range []int{800, 8000} {

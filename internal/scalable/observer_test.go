@@ -183,6 +183,7 @@ func TestObserverNilKeepsZeroAlloc(t *testing.T) {
 	if _, err := m.Engine().InferWith(st, obs, 1); err != nil {
 		t.Fatal(err)
 	}
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if _, err := m.Engine().InferWith(st, obs, 2); err != nil {
 			t.Fatal(err)

@@ -251,6 +251,7 @@ func TestEnsurePlanRejectsRailViolation(t *testing.T) {
 	if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 2.5}}); err == nil || !strings.Contains(err.Error(), "rail") {
 		t.Fatalf("EnsurePlan: got %v, want rail-bound error", err)
 	}
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if err := m.Engine().EnsurePlan([]engine.Observation{{Index: 1, Value: 0.2}}); err != nil {
 			t.Fatal(err)
@@ -287,6 +288,7 @@ func TestInferNaiveZeroAlloc(t *testing.T) {
 	if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 1, Path: engine.Naive}); err != nil {
 		t.Fatal(err)
 	}
+	alloctest.SkipUnderRace(t)
 	allocs := alloctest.Count(5, func() {
 		if _, err := m.Engine().Run(st, engine.Request{Obs: obs, Seed: 2, Path: engine.Naive}); err != nil {
 			t.Fatal(err)
