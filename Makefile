@@ -43,25 +43,29 @@ verify:
 	$(GO) run ./cmd/dsgl verify heteromix -n 16 -eval 8 -decompose -classes 3
 	$(GO) run ./cmd/dsgl verify -backend dense -n 16 -eval 8
 
-# loc prints the non-test Go line count outside perfbench/ (the benchmark
-# module): every line, and code only (non-blank lines that are not //
-# comments). Untracked files that git does not ignore count too.
+# loc prints the Go line counts outside perfbench/ (the benchmark module):
+# every non-test line, non-test code only (non-blank lines that are not //
+# comments), and every test line. Untracked files that git does not ignore
+# count too.
 loc:
-	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^perfbench/'); \
-	echo "total $$(cat $$files | wc -l)"; \
-	echo "code  $$(cat $$files | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"
+	@files=$$(git ls-files --cached --others --exclude-standard '*.go' | grep -v '^perfbench/'); \
+	src=$$(echo "$$files" | grep -v '_test\.go$$'); tests=$$(echo "$$files" | grep '_test\.go$$'); \
+	echo "total $$(cat $$src | wc -l)"; \
+	echo "code  $$(cat $$src | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"; \
+	echo "test  $$(cat $$tests | wc -l)"
 
-# bench runs the batch-inference benchmarks in steady state and captures the
-# full -json event stream (benchmark results ride in "output" events) as
-# BENCH_infer.json for machine consumption, while the human-readable table
-# still lands on stdout via BENCH_infer.txt. BENCH_opt.json holds the MaxCut
+# bench runs the batch-inference benchmarks in steady state at one and two
+# Ps (-cpu=1,2, so rows at two Ps carry a -2 suffix) and captures the full
+# -json event stream (benchmark results ride in "output" events) as
+# BENCH_infer.json for machine consumption, while benchfmt renders the
+# human-readable table on stdout. BENCH_opt.json holds the MaxCut
 # solver rows and the Gset parse rows; they run for a second each, not a
 # fixed count, because a row under 10 ms reads high over a handful of
 # iterations. BENCH_train.json holds one Train per traffic size
 # N = 24..192, with each stage's time as a <stage>-ms metric.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkInfer(Batch|With|Plan|Fresh|Observer|Stream)|BenchmarkEvaluateParallel' \
-		-benchmem -benchtime=10x -json . | tee BENCH_infer.json | \
+		-benchmem -benchtime=10x -cpu=1,2 -json . | tee BENCH_infer.json | \
 		$(GO) run ./cmd/benchfmt -guard
 	@echo "wrote BENCH_infer.json"
 	$(GO) test -run '^$$' -bench 'BenchmarkOptSolve|BenchmarkParseGset' \

@@ -87,7 +87,7 @@ func optCmd(args []string, out io.Writer) int {
 
 	fmt.Fprintf(out, "instance %s: %d nodes, %d edges\n", rep.Instance, rep.Nodes, rep.Edges)
 	fmt.Fprintf(out, "solver %s, %s schedule (%d steps, T %g -> %g), %d restarts\n",
-		rep.Backend, *schedule, *steps, *t0, *t1, rep.Run.Restarts)
+		rep.Backend, rep.Schedule.Kind, rep.Schedule.Steps, rep.Schedule.T0, rep.Schedule.T1, rep.Run.Restarts)
 	fmt.Fprintf(out, "best cut %.3f (energy %.6g, restart %d)\n",
 		rep.Cut, rep.Run.Best.Energy, rep.Run.BestRestart)
 	if *trace {

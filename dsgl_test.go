@@ -170,7 +170,8 @@ func TestMaskConfinement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every non-zero coupling must respect the density budget.
-	density := model.Tuned.J.Density(0)
+	j := model.Tuned.J
+	density := float64(j.NNZ(0)) / float64(len(j.Data))
 	if density > model.Opts.Density+1e-9 {
 		t.Fatalf("tuned density %g exceeds budget %g", density, model.Opts.Density)
 	}

@@ -137,9 +137,6 @@ func NewNetworkCSR(j *mat.CSR, h []float64, cfg Config) (*Network, error) {
 	}, nil
 }
 
-// Clamp marks node i as an observed input whose voltage is held constant.
-func (nw *Network) Clamp(i int) { nw.Clamped[i] = true }
-
 // ClampSet clamps exactly the listed nodes, releasing all others.
 func (nw *Network) ClampSet(nodes []int) {
 	for i := range nw.Clamped {

@@ -57,7 +57,7 @@ func TestLinearAllowsAnyH(t *testing.T) {
 // settles at -J*v/h1.
 func TestQuadraticFixedPoint(t *testing.T) {
 	nw := twoNode(t, 0.8, -1, -2)
-	nw.Clamp(0)
+	nw.Clamped[0] = true
 	x := []float64{0.5, 0}
 	ig := ode.NewEuler()
 	tt := 0.0
@@ -84,7 +84,7 @@ func TestLinearPolarizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Clamp(0)
+	nw.Clamped[0] = true
 	x := []float64{0.5, 0.01}
 	ig := ode.NewEuler()
 	tt := 0.0
@@ -136,8 +136,8 @@ func TestEnergyMonotoneDescent(t *testing.T) {
 
 func TestClampSetReleases(t *testing.T) {
 	nw := twoNode(t, 0.5, -1, -1)
-	nw.Clamp(0)
-	nw.Clamp(1)
+	nw.Clamped[0] = true
+	nw.Clamped[1] = true
 	nw.ClampSet([]int{1})
 	if nw.Clamped[0] || !nw.Clamped[1] {
 		t.Fatalf("ClampSet wrong: %v", nw.Clamped)
@@ -150,7 +150,7 @@ func TestClampSetReleases(t *testing.T) {
 
 func TestRailsStopOutwardCurrent(t *testing.T) {
 	nw := twoNode(t, 2.0, -0.5, -0.5)
-	nw.Clamp(0)
+	nw.Clamped[0] = true
 	x := []float64{1.0, 1.0} // node 1 at rail; coupling pushes it further out
 	dst := make([]float64, 2)
 	nw.Derivative(0, x, dst)
@@ -178,8 +178,8 @@ func TestEquilibriumMatchesODE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.Clamp(0)
-	nw.Clamp(1)
+	nw.Clamped[0] = true
+	nw.Clamped[1] = true
 	x := make([]float64, n)
 	x[0], x[1] = 0.4, -0.3
 	eq := nw.Equilibrium(x, 200)

@@ -184,7 +184,7 @@ func TestPruneToDensity(t *testing.T) {
 		}
 	}
 	pruned := PruneToDensity(j, 0.1)
-	if d := pruned.Density(0); d > 0.1+1e-9 {
+	if d := float64(pruned.NNZ(0)) / float64(n*n); d > 0.1+1e-9 {
 		t.Fatalf("density %g exceeds target", d)
 	}
 	// Surviving entries must be among the strongest: min kept pair-mag >=

@@ -88,7 +88,7 @@ func TestQuickPruneInvariants(t *testing.T) {
 		}
 		density := 0.05 + 0.3*r.Float64()
 		pruned := PruneToDensity(j, density)
-		if pruned.Density(0) > density+1e-9 {
+		if float64(pruned.NNZ(0))/float64(n*n) > density+1e-9 {
 			return false
 		}
 		for i, v := range pruned.Data {

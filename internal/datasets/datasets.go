@@ -179,8 +179,8 @@ func (d *Dataset) UnknownIndices() []int {
 	return idx
 }
 
-// Validate checks internal consistency; generators call it before
-// returning.
+// Validate checks internal consistency; New calls it once on every
+// dataset it builds.
 func (d *Dataset) Validate() error {
 	if d.N <= 0 || d.F <= 0 || d.T <= 0 {
 		return fmt.Errorf("datasets: %s has non-positive dims N=%d F=%d T=%d", d.Name, d.N, d.F, d.T)

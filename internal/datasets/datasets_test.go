@@ -435,7 +435,7 @@ func TestAirKindsPairwiseDistinct(t *testing.T) {
 	kinds := []string{"pm25", "pm10", "no2", "o3"}
 	gen := make(map[string]*Dataset, len(kinds))
 	for _, k := range kinds {
-		d, err := NewAir(k, Config{N: 16, T: 240, Seed: 5})
+		d, err := New(k, Config{N: 16, T: 240, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,12 +537,41 @@ func TestNewUnknownName(t *testing.T) {
 	if _, err := New("nope", Config{}); err == nil {
 		t.Fatal("New with unknown name must return an error")
 	}
-	if _, err := NewAir("nope", Config{}); err == nil {
-		t.Fatal("NewAir with unknown kind must return an error")
-	}
 	d, err := New("traffic", Config{N: 8, T: 60})
 	if err != nil || d == nil || d.Name != "traffic" {
 		t.Fatalf("New(traffic) = %v, %v", d, err)
+	}
+}
+
+// TestNewRejectsBadSizes: sizes that reach New from flags come back as
+// errors on every dataset, never as panics, and two nodes still build.
+func TestNewRejectsBadSizes(t *testing.T) {
+	bad := []Config{
+		{N: 1},
+		{N: -3},
+		{T: -5},
+		{T: 1},
+		{History: -1},
+		{Horizon: -1},
+		{History: 2000},
+	}
+	build := func(name string, cfg Config) (d *Dataset, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s %+v: panicked: %v", name, cfg, p)
+			}
+		}()
+		return New(name, cfg)
+	}
+	for _, name := range append(Names(), MultiNames()...) {
+		for _, cfg := range bad {
+			if d, err := build(name, cfg); err == nil {
+				t.Errorf("%s %+v: built %d nodes x %d steps, want an error", name, cfg, d.N, d.T)
+			}
+		}
+		if _, err := build(name, Config{N: 2}); err != nil {
+			t.Errorf("%s with N = 2: %v", name, err)
+		}
 	}
 }
 

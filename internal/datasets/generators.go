@@ -48,38 +48,68 @@ func MultiNames() []string {
 	return []string{"housing", "climate", "heteromix", "heterokinetics", "heteroflow"}
 }
 
-// New builds the named dataset, returning an error for an unknown name —
-// the entry point for callers fed by external input (CLI arguments, serve
-// boot specs), where a typo must surface as an error rather than a panic.
-// Use Names() / MultiNames() for the valid set.
+// New builds and validates the named dataset, returning an error for an
+// unknown name, a size no generator can build, or a dataset that fails
+// Validate — the entry point for callers fed by external input (CLI
+// arguments, serve boot specs), where bad input must surface as an error
+// rather than a panic. Use Names() / MultiNames() for the valid set.
 func New(name string, cfg Config) (*Dataset, error) {
-	switch name {
-	case "traffic":
-		return GenTraffic(cfg), nil
-	case "pm25", "pm10", "no2", "o3":
-		return NewAir(name, cfg)
-	case "covid":
-		return GenCovid(cfg), nil
-	case "stock":
-		return GenStock(cfg), nil
-	case "housing":
-		return GenHousing(cfg), nil
-	case "climate":
-		return GenClimate(cfg), nil
-	case "heteromix":
-		return GenHeteroMix(cfg), nil
-	case "heterokinetics":
-		return GenHeteroKinetics(cfg), nil
-	case "heteroflow":
-		return GenHeteroFlow(cfg), nil
-	default:
+	gen := generator(name)
+	if gen == nil {
 		return nil, fmt.Errorf("datasets: unknown dataset %q (valid: %s)",
 			name, strings.Join(append(Names(), MultiNames()...), " "))
 	}
+	if err := cfg.check(); err != nil {
+		return nil, fmt.Errorf("datasets: %s: %v", name, err)
+	}
+	d := gen(cfg)
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// Generate builds the named dataset. It panics on an unknown name; callers
-// holding externally supplied names should use New instead.
+// generator returns the named dataset's generator, or nil for an unknown
+// name. Generators do not validate what they build; New does.
+func generator(name string) func(Config) *Dataset {
+	switch name {
+	case "traffic":
+		return GenTraffic
+	case "pm25", "pm10", "no2", "o3":
+		return func(cfg Config) *Dataset { return GenAir(name, cfg) }
+	case "covid":
+		return GenCovid
+	case "stock":
+		return GenStock
+	case "housing":
+		return GenHousing
+	case "climate":
+		return GenClimate
+	case "heteromix":
+		return GenHeteroMix
+	case "heterokinetics":
+		return GenHeteroKinetics
+	case "heteroflow":
+		return GenHeteroFlow
+	}
+	return nil
+}
+
+// check rejects sizes no generator can build: a graph needs two nodes, and
+// no length can be negative. Zero selects the dataset's default.
+func (c Config) check() error {
+	if c.N == 1 || c.N < 0 {
+		return fmt.Errorf("N = %d: a graph needs at least 2 nodes (0 selects the default)", c.N)
+	}
+	if c.T < 0 || c.History < 0 || c.Horizon < 0 {
+		return fmt.Errorf("T = %d, History = %d, Horizon = %d: lengths cannot be negative (0 selects the default)",
+			c.T, c.History, c.Horizon)
+	}
+	return nil
+}
+
+// Generate builds the named dataset. It panics where New returns an error;
+// callers holding externally supplied names or sizes should use New.
 func Generate(name string, cfg Config) *Dataset {
 	d, err := New(name, cfg)
 	if err != nil {
@@ -144,7 +174,6 @@ func GenTraffic(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -177,20 +206,10 @@ func kindSeed(kind string) uint64 {
 	return h
 }
 
-// NewAir builds one pollutant dataset, returning an error for an unknown
-// kind (valid: pm25, pm10, no2, o3).
-func NewAir(kind string, cfg Config) (*Dataset, error) {
-	if _, ok := airKinds[kind]; !ok {
-		return nil, fmt.Errorf("datasets: unknown air-quality kind %q", kind)
-	}
-	return GenAir(kind, cfg), nil
-}
-
 // GenAir models one pollutant from the Chinese air-quality reanalysis:
 // station readings following an AR(1) field with graph diffusion, seasonal
 // and daily forcing, and emission hot-spots per community. It panics on an
-// unknown kind; callers holding externally supplied names should use
-// NewAir.
+// unknown kind; callers holding externally supplied names should use New.
 func GenAir(kind string, cfg Config) *Dataset {
 	p, ok := airKinds[kind]
 	if !ok {
@@ -233,7 +252,6 @@ func GenAir(kind string, cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -284,7 +302,6 @@ func GenCovid(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -329,7 +346,6 @@ func GenStock(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -380,7 +396,6 @@ func GenHousing(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -432,7 +447,6 @@ func GenClimate(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -499,7 +513,6 @@ func GenHeteroMix(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -550,7 +563,6 @@ func GenHeteroKinetics(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
 }
 
@@ -606,12 +618,5 @@ func GenHeteroFlow(cfg Config) *Dataset {
 		}
 	}
 	d.normalize()
-	mustValidate(d)
 	return d
-}
-
-func mustValidate(d *Dataset) {
-	if err := d.Validate(); err != nil {
-		panic(err)
-	}
 }

@@ -285,6 +285,3 @@ func (d *DSPU) TraceRun(x0 []float64, obs []engine.Observation, durationNs, samp
 	}
 	return tr, nil
 }
-
-// Config returns the (defaults-filled) runtime configuration.
-func (d *DSPU) Config() Config { return d.cfg }

@@ -86,7 +86,7 @@ func TestInferMatchesGaussSeidelEquilibrium(t *testing.T) {
 	x := make([]float64, n)
 	for _, o := range obs {
 		x[o.Index] = o.Value
-		d.Net.Clamp(o.Index)
+		d.Net.Clamped[o.Index] = true
 	}
 	eq := d.Net.Equilibrium(x, 500)
 	for i := 0; i < n; i++ {

@@ -152,9 +152,6 @@ type Engine struct {
 // New binds an engine to its backend.
 func New(b Backend) *Engine { return &Engine{b: b} }
 
-// Backend returns the backend this engine drives.
-func (e *Engine) Backend() Backend { return e.b }
-
 // BaseSeed returns the backend's configured base seed (window i of a batch
 // anneals with BaseSeed()+i).
 func (e *Engine) BaseSeed() uint64 { return e.b.BaseSeed() }

@@ -26,7 +26,7 @@ import (
 // touches a restart's floating-point path. It seeds the state RNG and hands
 // off to the backend's RunSolve, so restart i of a multi-restart batch is a
 // pure function of (schedule-for-restart-i, baseSeed+i) and a parallel
-// Solve is bit-identical to a sequential loop for any worker count — the
+// SolveFrom is bit-identical to a sequential loop for any worker count — the
 // same property the regression batch engine proves under -race.
 
 // Schedule kinds of the annealing-schedule library.
@@ -169,15 +169,15 @@ func packSchedule(s Schedule, buf []byte) []byte {
 // by the OptEngine. All methods except RunSolve must be safe for concurrent
 // use; RunSolve is called with a per-worker SolveState and may only mutate
 // that state (plus backend-owned immutable data), which is what makes a
-// parallel multi-restart Solve race-free.
+// parallel multi-restart SolveFrom race-free.
 type OptBackend interface {
 	// Name prefixes error messages and names the backend in CLIs, reports,
 	// and obs labels ("ising-brim", "ising-metropolis", ...).
 	Name() string
 	// Dim is the spin-vector dimension (node count of the instance).
 	Dim() int
-	// BaseSeed is the backend's configured seed; restart i of a
-	// multi-restart Solve runs with BaseSeed()+i.
+	// BaseSeed is the backend's configured seed; a multi-restart
+	// SolveFrom from it runs restart i with BaseSeed()+i.
 	BaseSeed() uint64
 	// CompileSolvePlan compiles the annealing schedule against the
 	// backend's instance into an immutable solver plan (precomputed control
@@ -217,7 +217,7 @@ func (r *OptResult) Detach() *OptResult {
 	return &c
 }
 
-// OptRun is the outcome of a multi-restart Solve.
+// OptRun is the outcome of a multi-restart SolveFrom.
 type OptRun struct {
 	// Best is the lowest-energy restart's result; ties resolve to the
 	// earliest restart, so Best is worker-count independent.
@@ -239,7 +239,7 @@ type OptRun struct {
 // backend-independent buffers; the backend hangs its own arena off Scratch
 // in AttachSolveState. A state belongs to the engine that created it and
 // must not be shared between goroutines; parallel restarts use one state
-// per worker (Solve arranges this automatically).
+// per worker (SolveFrom arranges this automatically).
 type SolveState struct {
 	eng *OptEngine
 
@@ -282,7 +282,7 @@ type OptEngine struct {
 	// engine's clamp-plan cache.
 	plans planCache
 
-	// states recycles SolveStates across Solve calls.
+	// states recycles SolveStates across SolveFrom calls.
 	states freeList[*SolveState]
 
 	// obsBind caches the instrument binding; see metrics.go.
@@ -292,11 +292,8 @@ type OptEngine struct {
 // NewOpt binds an optimization engine to its backend.
 func NewOpt(b OptBackend) *OptEngine { return &OptEngine{b: b} }
 
-// Backend returns the backend this engine drives.
-func (e *OptEngine) Backend() OptBackend { return e.b }
-
-// BaseSeed returns the backend's configured base seed (restart i of a
-// Solve anneals with BaseSeed()+i).
+// BaseSeed returns the backend's configured base seed (callers that want
+// the backend's own seeding pass it to SolveFrom).
 func (e *OptEngine) BaseSeed() uint64 { return e.b.BaseSeed() }
 
 // NewSolveState allocates a scratch arena sized for this engine's backend.
@@ -349,16 +346,11 @@ func (e *OptEngine) SolveSeeded(sched Schedule, seed uint64) (*OptResult, error)
 	return res.Detach(), nil
 }
 
-// Solve fans restarts out across a pool of workers (workers <= 0 selects
-// runtime.GOMAXPROCS(0)): restart i anneals under sched.ForRestart(i) with
-// seed BaseSeed()+i, making the run bit-identical to a sequential loop over
-// the restarts — regardless of worker count or scheduling.
-func (e *OptEngine) Solve(sched Schedule, restarts, workers int) (*OptRun, error) {
-	return e.SolveFrom(sched, e.b.BaseSeed(), restarts, workers)
-}
-
-// SolveFrom is Solve with an explicit base seed: restart i runs with seed
-// base+i.
+// SolveFrom fans restarts out across a pool of workers (workers <= 0
+// selects runtime.GOMAXPROCS(0)): restart i anneals under
+// sched.ForRestart(i) with seed base+i, making the run bit-identical to a
+// sequential loop over the restarts — regardless of worker count or
+// scheduling.
 func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int) (*OptRun, error) {
 	if restarts < 1 {
 		restarts = 1

@@ -233,7 +233,7 @@ func TestOptSoloVsFanoutBitIdentity(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		e := NewOpt(&stubOptBackend{n: 16, seed: 40})
-		run, err := e.Solve(sched, restarts, workers)
+		run, err := e.SolveFrom(sched, e.BaseSeed(), restarts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -260,7 +260,7 @@ func TestOptSoloVsFanoutBitIdentity(t *testing.T) {
 
 func TestOptRunBestTraceMonotone(t *testing.T) {
 	e := NewOpt(&stubOptBackend{n: 12, seed: 7})
-	run, err := e.Solve(GeometricSchedule(8, 2, 0.1), 8, 4)
+	run, err := e.SolveFrom(GeometricSchedule(8, 2, 0.1), e.BaseSeed(), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestOptRunBestTraceMonotone(t *testing.T) {
 func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 	b := &stubOptBackend{n: 8, seed: 1}
 	e := NewOpt(b)
-	if _, err := e.Solve(GeometricSchedule(5, 2, 0.1), 8, 4); err != nil {
+	if _, err := e.SolveFrom(GeometricSchedule(5, 2, 0.1), e.BaseSeed(), 8, 4); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.compiles.Load(); got != 1 {
@@ -302,7 +302,7 @@ func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 
 	b2 := &stubOptBackend{n: 8, seed: 1}
 	e2 := NewOpt(b2)
-	if _, err := e2.Solve(AdaptiveSchedule(5, 2, 0.1, 3, 0.5), 9, 1); err != nil {
+	if _, err := e2.SolveFrom(AdaptiveSchedule(5, 2, 0.1, 3, 0.5), e2.BaseSeed(), 9, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := b2.compiles.Load(); got != 3 {
@@ -313,7 +313,7 @@ func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 func TestOptStatePooling(t *testing.T) {
 	e := NewOpt(&stubOptBackend{n: 8, seed: 1})
 	sched := GeometricSchedule(3, 2, 0.1)
-	if _, err := e.Solve(sched, 4, 2); err != nil {
+	if _, err := e.SolveFrom(sched, e.BaseSeed(), 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	e.states.mu.Lock()
@@ -322,7 +322,7 @@ func TestOptStatePooling(t *testing.T) {
 	if pooled != 2 {
 		t.Fatalf("pooled states after first batch = %d, want 2", pooled)
 	}
-	if _, err := e.Solve(sched, 4, 2); err != nil {
+	if _, err := e.SolveFrom(sched, e.BaseSeed(), 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	e.states.mu.Lock()
@@ -361,14 +361,14 @@ func TestOptObserverStrippedOnPooling(t *testing.T) {
 	st := e.getState()
 	st.SetObserver(func(StepInfo) { t.Error("stale observer fired on recycled state") })
 	e.putState(st)
-	if _, err := e.Solve(GeometricSchedule(4, 2, 0.1), 1, 1); err != nil {
+	if _, err := e.SolveFrom(GeometricSchedule(4, 2, 0.1), e.BaseSeed(), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOptErrorPropagation(t *testing.T) {
 	e := NewOpt(&stubOptBackend{n: 6, seed: 3})
-	if _, err := e.Solve(Schedule{Kind: "nope", Steps: 4, T0: 2, T1: 0.1}, 2, 1); err == nil {
+	if _, err := e.SolveFrom(Schedule{Kind: "nope", Steps: 4, T0: 2, T1: 0.1}, e.BaseSeed(), 2, 1); err == nil {
 		t.Error("invalid schedule must error")
 	}
 	st := e.NewSolveState()
@@ -380,7 +380,7 @@ func TestOptErrorPropagation(t *testing.T) {
 
 func TestOptRunSolveErrorSurfaces(t *testing.T) {
 	e := NewOpt(&stubOptBackend{n: 6, seed: 9, fail: true})
-	if _, err := e.Solve(GeometricSchedule(6, 2, 0.1), 4, 2); err == nil {
+	if _, err := e.SolveFrom(GeometricSchedule(6, 2, 0.1), e.BaseSeed(), 4, 2); err == nil {
 		t.Error("restart error must fail the batch")
 	} else if got := err.Error(); got != "stub-opt: injected failure" {
 		t.Errorf("unexpected error %q", got)
@@ -401,9 +401,9 @@ func TestOptResultDetach(t *testing.T) {
 	}
 }
 
-func ExampleOptEngine_Solve() {
+func ExampleOptEngine_SolveFrom() {
 	e := NewOpt(&stubOptBackend{n: 4, seed: 11})
-	run, err := e.Solve(GeometricSchedule(20, 2, 0.1), 4, 2)
+	run, err := e.SolveFrom(GeometricSchedule(20, 2, 0.1), e.BaseSeed(), 4, 2)
 	if err != nil {
 		panic(err)
 	}

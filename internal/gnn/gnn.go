@@ -87,15 +87,6 @@ func normalizedAdj(adj *mat.Dense) *tensor.Tensor {
 	return t
 }
 
-// paramCount sums the element counts of a parameter list.
-func paramCount(ps []*tensor.Tensor) int {
-	total := 0
-	for _, p := range ps {
-		total += len(p.Data)
-	}
-	return total
-}
-
 // ---------------------------------------------------------------------------
 // GWN
 // ---------------------------------------------------------------------------

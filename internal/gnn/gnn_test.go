@@ -279,3 +279,12 @@ func TestGWNAdaptiveAdjacencyRowStochastic(t *testing.T) {
 		}
 	}
 }
+
+// paramCount sums the element counts of a parameter list.
+func paramCount(ps []*tensor.Tensor) int {
+	total := 0
+	for _, p := range ps {
+		total += len(p.Data)
+	}
+	return total
+}

@@ -48,9 +48,6 @@ type Classes struct {
 	NodeClass []int
 }
 
-// Of returns the class of node n.
-func (c *Classes) Of(n int) int { return c.NodeClass[n] }
-
 // Uniform returns the K=1 assignment (every node class 0) for n nodes.
 func Uniform(n int) *Classes {
 	return &Classes{K: 1, NodeClass: make([]int, n)}

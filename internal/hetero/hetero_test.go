@@ -115,7 +115,7 @@ func TestAssignErrors(t *testing.T) {
 
 func TestUniform(t *testing.T) {
 	u := Uniform(5)
-	if u.K != 1 || len(u.NodeClass) != 5 || u.Of(3) != 0 {
+	if u.K != 1 || len(u.NodeClass) != 5 || u.NodeClass[3] != 0 {
 		t.Fatalf("Uniform(5) = %+v", u)
 	}
 }

@@ -183,71 +183,3 @@ func (p Platform) EnergyMJ(flops float64) float64 {
 func DSGLEnergyMJ(latencyUs, chipPowerMW float64) float64 {
 	return latencyUs / 1e6 * chipPowerMW
 }
-
-// ProgrammingModel estimates the one-time cost of configuring a dynamical
-// system's coupling network — BRIM's Programming Units write the resistive
-// crossbar column by column under the Column Select Unit, and the Scalable
-// DSPU additionally loads the In-CU Weight Buffers. Configuration is paid
-// once per trained model (inference then reuses the programmed couplers),
-// so it amortizes across inferences; this model quantifies that overhead.
-type ProgrammingModel struct {
-	// ColumnWriteNs is the time to program one crossbar column (all rows
-	// in parallel). 45 nm DAC settling ~ tens of ns.
-	ColumnWriteNs float64
-	// CouplerWriteEnergyPJ is the energy to program one coupler.
-	CouplerWriteEnergyPJ float64
-	// BufferLoadNsPerKB is the time to stream mapping metadata into the
-	// PE-CU map and temporal buffers.
-	BufferLoadNsPerKB float64
-}
-
-// DefaultProgrammingModel returns constants consistent with the 45 nm
-// technology node of the cost model.
-func DefaultProgrammingModel() ProgrammingModel {
-	return ProgrammingModel{
-		ColumnWriteNs:        50,
-		CouplerWriteEnergyPJ: 2,
-		BufferLoadNsPerKB:    100,
-	}
-}
-
-// ProgrammingCost is the configuration overhead for one compiled mapping.
-type ProgrammingCost struct {
-	TimeUs   float64
-	EnergyUJ float64
-}
-
-// DenseCost models programming a single K x K crossbar (BRIM or one PE).
-func (p ProgrammingModel) DenseCost(nodes int) ProgrammingCost {
-	cols := float64(nodes)
-	couplers := float64(nodes) * float64(nodes)
-	return ProgrammingCost{
-		TimeUs:   cols * p.ColumnWriteNs / 1000,
-		EnergyUJ: couplers * p.CouplerWriteEnergyPJ / 1e6,
-	}
-}
-
-// ScalableCost models programming a Scalable DSPU mapping: every PE's
-// local crossbar (programmed in parallel across PEs), the CU weight
-// buffers (one entry per inter-PE coupling per slice), and the mapping
-// metadata buffers.
-func (p ProgrammingModel) ScalableCost(pes, peCapacity, interCouplings, slices int) ProgrammingCost {
-	// PEs program concurrently: time is one crossbar, not pes crossbars.
-	perPE := p.DenseCost(peCapacity)
-	cuEntries := float64(interCouplings)
-	metaKB := float64(interCouplings*8+slices*peCapacity*4) / 1024
-	return ProgrammingCost{
-		TimeUs: perPE.TimeUs +
-			cuEntries*p.ColumnWriteNs/float64(max(1, pes))/1000 +
-			metaKB*p.BufferLoadNsPerKB/1000,
-		EnergyUJ: float64(pes)*perPE.EnergyUJ +
-			cuEntries*p.CouplerWriteEnergyPJ/1e6,
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -167,40 +167,3 @@ func TestSpeedupAndPowerHeadlines(t *testing.T) {
 		t.Fatalf("power ratio only %g", gpu.TypicalPowerW/(dsgl.PowerMW/1000))
 	}
 }
-
-func TestProgrammingDenseCost(t *testing.T) {
-	p := DefaultProgrammingModel()
-	c := p.DenseCost(2000)
-	// 2000 columns x 50 ns = 100 µs; 4M couplers x 2 pJ = 8 µJ.
-	if math.Abs(c.TimeUs-100) > 1e-9 {
-		t.Fatalf("dense programming time %g µs", c.TimeUs)
-	}
-	if math.Abs(c.EnergyUJ-8) > 1e-9 {
-		t.Fatalf("dense programming energy %g µJ", c.EnergyUJ)
-	}
-}
-
-func TestProgrammingScalableCheaperTime(t *testing.T) {
-	p := DefaultProgrammingModel()
-	dense := p.DenseCost(8000)
-	tiled := p.ScalableCost(32, 250, 5000, 4)
-	if tiled.TimeUs >= dense.TimeUs {
-		t.Fatalf("parallel PE programming %g µs should beat monolithic %g µs", tiled.TimeUs, dense.TimeUs)
-	}
-	if tiled.EnergyUJ <= 0 || tiled.TimeUs <= 0 {
-		t.Fatal("non-positive programming cost")
-	}
-}
-
-func TestProgrammingAmortizes(t *testing.T) {
-	// Even including programming, a thousand inferences at ~1 µs each
-	// keep DS-GL far below a single GNN inference on the GPU row.
-	p := DefaultProgrammingModel()
-	prog := p.ScalableCost(32, 250, 5000, 4)
-	gpu := Platforms()[4]
-	gnnLatency := gpu.LatencyUs(3e9)
-	totalDSGL := prog.TimeUs + 1000*1.0
-	if totalDSGL >= 1000*gnnLatency {
-		t.Fatalf("amortized DS-GL %g µs not below GNN %g µs", totalDSGL, 1000*gnnLatency)
-	}
-}

@@ -3,9 +3,8 @@
 // (bistable resistively-coupled), Metropolis (digital annealer comparator),
 // and OIM (oscillator/Kuramoto family). BRIM is the binary comparator of
 // the paper's cost baseline (Table I). Solver runs all three dynamics as
-// an engine.OptBackend, so the combinatorial-optimization workloads
-// (max-cut, QUBO) anneal through the same seeded multi-restart fan-out as
-// the regression workloads.
+// an engine.OptBackend, so the MaxCut workloads anneal through the same
+// seeded multi-restart fan-out as the regression workloads.
 package ising
 
 import (
@@ -32,41 +31,8 @@ type Model struct {
 	H []float64
 }
 
-// NewModel builds an Ising model from a dense coupling matrix. j must be
-// square with zero diagonal, and every entry of j and h finite; it is
-// symmetrized into W = J + Jᵀ and the dense form is not retained.
-func NewModel(j *mat.Dense, h []float64) (*Model, error) {
-	if j.Rows != j.Cols {
-		return nil, fmt.Errorf("ising: J must be square, got %dx%d", j.Rows, j.Cols)
-	}
-	if len(h) != j.Rows {
-		return nil, fmt.Errorf("ising: len(h)=%d, want %d", len(h), j.Rows)
-	}
-	n := j.Rows
-	for k, v := range j.Data {
-		if !finite(v) {
-			return nil, fmt.Errorf("ising: J[%d][%d] = %g is not finite", k/n, k%n, v)
-		}
-	}
-	if err := checkFiniteH(h); err != nil {
-		return nil, err
-	}
-	sym := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		if j.At(i, i) != 0 {
-			return nil, fmt.Errorf("ising: non-zero diagonal at %d", i)
-		}
-		for k := 0; k < n; k++ {
-			if v := j.At(i, k) + j.At(k, i); v != 0 {
-				sym.Set(i, k, v)
-			}
-		}
-	}
-	return &Model{N: n, W: mat.FromDense(sym, 0), H: mat.CopyVec(h)}, nil
-}
-
-// NewModelCSR builds an Ising model directly from a symmetrized sparse
-// coupling W = J + Jᵀ — the path instance generators take, which never
+// NewModelCSR builds an Ising model from a symmetrized sparse coupling
+// W = J + Jᵀ — the path instance generators take, which never
 // materializes a dense matrix. w must be square, zero-diagonal, exactly
 // symmetric (W_ij == W_ji bit-for-bit) and finite, as must h, and each row's
 // column indices must be in range and strictly increasing, as

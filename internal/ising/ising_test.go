@@ -9,6 +9,23 @@ import (
 	"dsgl/internal/rng"
 )
 
+// denseModel builds the model of a dense coupling matrix j (square, zero
+// diagonal) through NewModelCSR, symmetrizing it into W = J + Jᵀ.
+func denseModel(t *testing.T, j *mat.Dense, h []float64) *Model {
+	t.Helper()
+	w := mat.NewDense(j.Rows, j.Cols)
+	for i := 0; i < j.Rows; i++ {
+		for k := 0; k < j.Cols; k++ {
+			w.Set(i, k, j.At(i, k)+j.At(k, i))
+		}
+	}
+	m, err := NewModelCSR(mat.FromDense(w, 0), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func ferroModel(t *testing.T, n int, w float64) *Model {
 	t.Helper()
 	j := mat.NewDense(n, n)
@@ -18,11 +35,7 @@ func ferroModel(t *testing.T, n int, w float64) *Model {
 			j.Set(k, i, w)
 		}
 	}
-	m, err := NewModel(j, make([]float64, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return denseModel(t, j, make([]float64, n))
 }
 
 // randomGraph draws a seeded symmetric weighted adjacency matrix: each pair
@@ -46,13 +59,11 @@ func randomGraph(n int, p, lo float64, seed uint64) *mat.Dense {
 // the weighted graph w (symmetric, zero diagonal): J = -W, no field.
 func maxCutModel(t *testing.T, w *mat.Dense) *Model {
 	t.Helper()
-	j := w.Clone()
-	j.Scale(-1)
-	m, err := NewModel(j, make([]float64, w.Rows))
-	if err != nil {
-		t.Fatal(err)
+	j := mat.NewDense(w.Rows, w.Cols)
+	for i, v := range w.Data {
+		j.Data[i] = -v
 	}
-	return m
+	return denseModel(t, j, make([]float64, w.Rows))
 }
 
 // cutValue is the weight of the cut spins s induce on w: the sum of w_ij
@@ -97,21 +108,6 @@ func solveOnce(t *testing.T, m *Model, dyn Dynamics, sched engine.Schedule, seed
 	return res.Detach(), append([]float64(nil), st.X...)
 }
 
-func TestNewModelValidation(t *testing.T) {
-	j := mat.NewDense(2, 3)
-	if _, err := NewModel(j, []float64{0, 0}); err == nil {
-		t.Fatal("expected error for non-square J")
-	}
-	j2 := mat.NewDense(2, 2)
-	j2.Set(1, 1, 1)
-	if _, err := NewModel(j2, []float64{0, 0}); err == nil {
-		t.Fatal("expected error for diagonal J")
-	}
-	if _, err := NewModel(mat.NewDense(2, 2), []float64{0}); err == nil {
-		t.Fatal("expected error for h length mismatch")
-	}
-}
-
 func TestFerromagnetGroundState(t *testing.T) {
 	m := ferroModel(t, 4, 1)
 	s, e, err := m.GroundState()
@@ -133,10 +129,7 @@ func TestFerromagnetGroundState(t *testing.T) {
 func TestFieldBreaksTie(t *testing.T) {
 	j := mat.NewDense(2, 2)
 	h := []float64{0.5, 0.5}
-	m, err := NewModel(j, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := denseModel(t, j, h)
 	s, _, err := m.GroundState()
 	if err != nil {
 		t.Fatal(err)
@@ -159,10 +152,7 @@ func TestEnergyConsistency(t *testing.T) {
 	}
 	h := make([]float64, n)
 	r.FillNorm(h, 0, 1)
-	m, err := NewModel(j, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := denseModel(t, j, h)
 	// Flipping one spin changes energy by the analytic local field.
 	s := make([]int8, n)
 	for i := range s {
@@ -346,10 +336,7 @@ func TestMetropolisFindsGroundStateSmall(t *testing.T) {
 			}
 		}
 	}
-	m, err := NewModel(j, make([]float64, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := denseModel(t, j, make([]float64, n))
 	_, wantE, err := m.GroundState()
 	if err != nil {
 		t.Fatal(err)
@@ -378,10 +365,7 @@ func TestMetropolisEnergyBookkeeping(t *testing.T) {
 	}
 	h := make([]float64, n)
 	r.FillNorm(h, 0, 0.3)
-	m, err := NewModel(j, h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := denseModel(t, j, h)
 	s, err := NewSolver(m, MetropolisDynamics, 9)
 	if err != nil {
 		t.Fatal(err)

@@ -78,10 +78,7 @@ func TestXYEnergyGradientConsistency(t *testing.T) {
 			j.Set(k, i, v)
 		}
 	}
-	m, err := NewModel(j, make([]float64, n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := denseModel(t, j, make([]float64, n))
 	phi := make([]float64, n)
 	r.FillUniform(phi, 0, 2*math.Pi)
 	sys := &phaseSystem{w: m.W, shilK: 0.7}

@@ -108,12 +108,6 @@ func NewSolver(m *Model, dyn Dynamics, seed uint64) (*Solver, error) {
 	return s, nil
 }
 
-// Model returns the Ising model this solver anneals.
-func (s *Solver) Model() *Model { return s.m }
-
-// Dynamics returns the selected dynamics.
-func (s *Solver) Dynamics() Dynamics { return s.dyn }
-
 // Name implements engine.OptBackend.
 func (s *Solver) Name() string { return "ising-" + string(s.dyn) }
 

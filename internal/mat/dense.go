@@ -62,31 +62,6 @@ func (m *Dense) Zero() {
 	}
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Symmetrize replaces m with (m + mᵀ)/2. m must be square.
-func (m *Dense) Symmetrize() {
-	if m.Rows != m.Cols {
-		panic("mat: Symmetrize on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			avg := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, avg)
-			m.Set(j, i, avg)
-		}
-	}
-}
-
 // ZeroDiagonal clears the diagonal of a square matrix. The Ising coupling
 // matrix J requires diag(J) = 0 (Eq. 2 of the paper).
 func (m *Dense) ZeroDiagonal() {
@@ -118,44 +93,6 @@ func (m *Dense) MulVec(x, y []float64) []float64 {
 	return y
 }
 
-// Mul computes c = a*b as a new matrix.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := NewDense(a.Rows, b.Cols)
-	MulInto(c, a, b)
-	return c
-}
-
-// MulInto computes c = a*b into an existing matrix c.
-func MulInto(c, a, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("mat: MulInto dimension mismatch")
-	}
-	c.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// Scale multiplies every element by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // AddM adds other element-wise into m.
 func (m *Dense) AddM(other *Dense) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
@@ -175,25 +112,6 @@ func (m *Dense) NNZ(eps float64) int {
 		}
 	}
 	return n
-}
-
-// Density returns NNZ(eps) divided by the total number of elements.
-func (m *Dense) Density(eps float64) float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return float64(m.NNZ(eps)) / float64(len(m.Data))
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // Equal reports whether m and other have the same shape and all elements
@@ -250,23 +168,4 @@ func (b *Bool) Count() int {
 		}
 	}
 	return n
-}
-
-// Or sets b = b ∨ other element-wise.
-func (b *Bool) Or(other *Bool) {
-	if b.Rows != other.Rows || b.Cols != other.Cols {
-		panic("mat: Or dimension mismatch")
-	}
-	for i, v := range other.Data {
-		if v {
-			b.Data[i] = true
-		}
-	}
-}
-
-// Clone returns a deep copy of b.
-func (b *Bool) Clone() *Bool {
-	c := NewBool(b.Rows, b.Cols)
-	copy(c.Data, b.Data)
-	return c
 }

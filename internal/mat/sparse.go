@@ -21,14 +21,6 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (s *CSR) NNZ() int { return len(s.Val) }
 
-// Density returns NNZ divided by Rows*Cols.
-func (s *CSR) Density() float64 {
-	if s.Rows == 0 || s.Cols == 0 {
-		return 0
-	}
-	return float64(s.NNZ()) / float64(s.Rows*s.Cols)
-}
-
 // FromDense converts a dense matrix to CSR, dropping entries with
 // |v| <= eps.
 func FromDense(m *Dense, eps float64) *CSR {

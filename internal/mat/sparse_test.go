@@ -63,16 +63,6 @@ func TestCSRMulVecMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-func TestCSRDensity(t *testing.T) {
-	m := NewDense(4, 4)
-	m.Set(0, 1, 1)
-	m.Set(2, 3, 1)
-	s := FromDense(m, 0)
-	if got := s.Density(); got != 2.0/16 {
-		t.Fatalf("Density = %g", got)
-	}
-}
-
 func TestCSRRowNNZ(t *testing.T) {
 	m := NewDenseFrom(2, 2, []float64{1, 1, 0, 1})
 	s := FromDense(m, 0)

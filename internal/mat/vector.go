@@ -5,44 +5,6 @@ import "math"
 // Vector helpers. These operate on plain []float64 so callers can use Go
 // slices directly; no wrapper type is needed.
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mat: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// ScaleVec multiplies every element of x by s in place.
-func ScaleVec(s float64, x []float64) {
-	for i := range x {
-		x[i] *= s
-	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // NormInf returns the max-abs norm of x.
 func NormInf(x []float64) float64 {
 	m := 0.0
@@ -66,52 +28,9 @@ func Clamp(x []float64, lo, hi float64) {
 	}
 }
 
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // CopyVec returns a copy of x.
 func CopyVec(x []float64) []float64 {
 	c := make([]float64, len(x))
 	copy(c, x)
 	return c
-}
-
-// MinMax returns the smallest and largest values in x.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }

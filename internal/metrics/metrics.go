@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RMSE returns the root-mean-square error between predictions and targets.
@@ -143,50 +142,3 @@ func (a *Accumulator) MAPE() float64 {
 // MAPESkipped returns how many recorded pairs were excluded from the
 // percentage average because their target magnitude fell below MAPEEps.
 func (a *Accumulator) MAPESkipped() int { return a.n - a.nPct }
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Median, Max float64
-}
-
-// Summarize computes summary statistics of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	mean := sum / float64(len(xs))
-	var sq float64
-	for _, v := range xs {
-		d := v - mean
-		sq += d * d
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   mean,
-		Std:    math.Sqrt(sq / float64(len(xs))),
-		Min:    sorted[0],
-		Median: median(sorted),
-		Max:    sorted[len(sorted)-1],
-	}
-}
-
-// median returns the median of a non-empty sorted slice: the middle
-// element for odd lengths, the average of the two middle elements for
-// even lengths. (Indexing sorted[len/2] alone silently reports the upper
-// middle on even lengths — a bias, not a median.)
-func median(sorted []float64) float64 {
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}

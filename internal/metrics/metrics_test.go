@@ -121,44 +121,3 @@ func TestAccumulatorEmpty(t *testing.T) {
 		t.Fatal("empty accumulator must be zero")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary")
-	}
-}
-
-// TestSummarizeMedian is the even-length-median regression: the pre-fix
-// code indexed sorted[len/2], silently reporting the UPPER middle element
-// for even-length samples instead of the average of the two middles.
-func TestSummarizeMedian(t *testing.T) {
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"len-1", []float64{7}, 7},
-		{"odd", []float64{5, 1, 3}, 3},
-		{"even", []float64{4, 1, 3, 2}, 2.5}, // pre-fix: 3 (upper middle)
-		{"even-distinct-middles", []float64{10, 0, 2, 8}, 5},
-		{"even-equal-middles", []float64{1, 2, 2, 9}, 2},
-		{"odd-5", []float64{9, 2, 7, 1, 5}, 5},
-	}
-	for _, c := range cases {
-		if got := Summarize(c.xs).Median; got != c.want {
-			t.Errorf("%s: median(%v) = %g, want %g", c.name, c.xs, got, c.want)
-		}
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize must not sort the caller's slice")
-	}
-}

@@ -113,31 +113,3 @@ func (r *RK4) Step(sys System, t, dt float64, x []float64) float64 {
 	}
 	return t + dt
 }
-
-// Run integrates sys from t0 for steps fixed steps of size dt, invoking
-// observe (if non-nil) after every step with the current time and state.
-// It returns the final time.
-func Run(ig Integrator, sys System, t0, dt float64, steps int, x []float64, observe func(t float64, x []float64)) float64 {
-	t := t0
-	for s := 0; s < steps; s++ {
-		t = ig.Step(sys, t, dt, x)
-		if observe != nil {
-			observe(t, x)
-		}
-	}
-	return t
-}
-
-// RunUntil integrates until either maxSteps is reached or stop returns true
-// (checked after each step). It returns the final time and the number of
-// steps taken.
-func RunUntil(ig Integrator, sys System, t0, dt float64, maxSteps int, x []float64, stop func(t float64, x []float64) bool) (float64, int) {
-	t := t0
-	for s := 0; s < maxSteps; s++ {
-		t = ig.Step(sys, t, dt, x)
-		if stop != nil && stop(t, x) {
-			return t, s + 1
-		}
-	}
-	return t, maxSteps
-}

@@ -23,10 +23,18 @@ func (oscillator) Derivative(_ float64, x, dst []float64) {
 	dst[1] = -x[0]
 }
 
+// step advances x by steps integrator steps of size dt from t = 0.
+func step(ig Integrator, sys System, dt float64, steps int, x []float64) {
+	t := 0.0
+	for s := 0; s < steps; s++ {
+		t = ig.Step(sys, t, dt, x)
+	}
+}
+
 func TestEulerDecay(t *testing.T) {
 	sys := decay{k: 1}
 	x := []float64{1}
-	Run(NewEuler(), sys, 0, 0.001, 1000, x, nil)
+	step(NewEuler(), sys, 0.001, 1000, x)
 	want := math.Exp(-1)
 	if math.Abs(x[0]-want) > 1e-3 {
 		t.Fatalf("Euler decay: got %g, want %g", x[0], want)
@@ -36,7 +44,7 @@ func TestEulerDecay(t *testing.T) {
 func TestRK4Decay(t *testing.T) {
 	sys := decay{k: 1}
 	x := []float64{1}
-	Run(NewRK4(), sys, 0, 0.01, 100, x, nil)
+	step(NewRK4(), sys, 0.01, 100, x)
 	want := math.Exp(-1)
 	if math.Abs(x[0]-want) > 1e-8 {
 		t.Fatalf("RK4 decay: got %g, want %g (err %g)", x[0], want, x[0]-want)
@@ -46,9 +54,9 @@ func TestRK4Decay(t *testing.T) {
 func TestRK4OrderBeatsEuler(t *testing.T) {
 	want := math.Exp(-1)
 	xe := []float64{1}
-	Run(NewEuler(), decay{k: 1}, 0, 0.01, 100, xe, nil)
+	step(NewEuler(), decay{k: 1}, 0.01, 100, xe)
 	xr := []float64{1}
-	Run(NewRK4(), decay{k: 1}, 0, 0.01, 100, xr, nil)
+	step(NewRK4(), decay{k: 1}, 0.01, 100, xr)
 	errE := math.Abs(xe[0] - want)
 	errR := math.Abs(xr[0] - want)
 	if errR >= errE {
@@ -58,7 +66,7 @@ func TestRK4OrderBeatsEuler(t *testing.T) {
 
 func TestRK4OscillatorEnergy(t *testing.T) {
 	x := []float64{1, 0}
-	Run(NewRK4(), oscillator{}, 0, 0.01, 1000, x, nil)
+	step(NewRK4(), oscillator{}, 0.01, 1000, x)
 	energy := x[0]*x[0] + x[1]*x[1]
 	if math.Abs(energy-1) > 1e-6 {
 		t.Fatalf("oscillator energy drifted to %g", energy)
@@ -66,40 +74,6 @@ func TestRK4OscillatorEnergy(t *testing.T) {
 	// After t = 10 the exact solution is cos(10).
 	if math.Abs(x[0]-math.Cos(10)) > 1e-5 {
 		t.Fatalf("oscillator position %g, want %g", x[0], math.Cos(10))
-	}
-}
-
-func TestRunObserveCount(t *testing.T) {
-	count := 0
-	x := []float64{1}
-	final := Run(NewEuler(), decay{k: 1}, 0, 0.1, 7, x, func(tt float64, _ []float64) {
-		count++
-	})
-	if count != 7 {
-		t.Fatalf("observe called %d times, want 7", count)
-	}
-	if math.Abs(final-0.7) > 1e-12 {
-		t.Fatalf("final time %g, want 0.7", final)
-	}
-}
-
-func TestRunUntilStops(t *testing.T) {
-	x := []float64{1}
-	_, steps := RunUntil(NewEuler(), decay{k: 1}, 0, 0.01, 10000, x,
-		func(_ float64, s []float64) bool { return s[0] < 0.5 })
-	if steps >= 10000 {
-		t.Fatal("RunUntil never stopped")
-	}
-	if x[0] >= 0.5 {
-		t.Fatalf("stop condition not reached: x = %g", x[0])
-	}
-}
-
-func TestRunUntilMaxSteps(t *testing.T) {
-	x := []float64{1}
-	_, steps := RunUntil(NewEuler(), decay{k: 1}, 0, 0.01, 5, x, nil)
-	if steps != 5 {
-		t.Fatalf("steps = %d, want 5", steps)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package opt is the combinatorial-optimization workload layer: Gset-style
-// graph instances, generators, and converters that lower MaxCut, QUBO, and
-// penalty-encoded graph problems onto the Ising solver backends. The
-// package owns problem representation and exact conversion arithmetic; the
-// annealing itself runs through internal/ising's engine.OptBackend.
+// MaxCut instances, their generators and parser, and the exact lowering of
+// MaxCut onto the Ising solver backends. The package owns problem
+// representation and conversion arithmetic; the annealing itself runs
+// through internal/ising's engine.OptBackend.
 package opt
 
 import (

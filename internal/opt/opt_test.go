@@ -465,142 +465,6 @@ func parseGsetReference(name string, rd io.Reader) (*Instance, error) {
 	return &Instance{Name: name, N: n, Edges: m, W: w}, nil
 }
 
-// TestQUBOToIsingExact: Value(bits) == Energy(spins) + const for every
-// assignment of a small random asymmetric QUBO.
-func TestQUBOToIsingExact(t *testing.T) {
-	qb := newTestQUBO(t)
-	m, constant, err := qb.ToIsing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := qb.N
-	s := make([]int8, n)
-	for bits := 0; bits < 1<<uint(n); bits++ {
-		for i := 0; i < n; i++ {
-			if bits&(1<<uint(i)) != 0 {
-				s[i] = 1
-			} else {
-				s[i] = -1
-			}
-		}
-		want := qb.Value(SpinsToBits(s))
-		if got := m.Energy(s) + constant; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("bits %d: E+const = %g, QUBO value %g", bits, got, want)
-		}
-	}
-}
-
-// newTestQUBO constructs a deterministic asymmetric QUBO with diagonal
-// terms — exercises every term of the conversion.
-func newTestQUBO(t *testing.T) *QUBO {
-	t.Helper()
-	const n = 6
-	b := mat.NewBuilder(n, n)
-	v := 0.3
-	for i := 0; i < n; i++ {
-		b.Add(i, i, v)
-		v = -v * 1.1
-		for j := 0; j < n; j++ {
-			if j != i && (i+2*j)%3 == 0 {
-				b.Add(i, j, v+float64(i-j)*0.17)
-			}
-		}
-	}
-	qb, err := NewQUBO(b.Build(), 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qb
-}
-
-// TestGraphColoringProper: a triangle is 3-colorable but not 2-colorable;
-// the QUBO optimum (via exhaustive Ising ground state) must be exactly the
-// penalty floor in each case.
-func TestGraphColoringProper(t *testing.T) {
-	tri := buildInstance("triangle", 3, map[edgeKey]float64{
-		{0, 1}: 1, {1, 2}: 1, {0, 2}: 1,
-	})
-	// k=3: proper coloring exists, optimum value 0.
-	q3, err := GraphColoring(tri, 3, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3, c3, err := q3.ToIsing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, e3, err := m3.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e3+c3) > 1e-9 {
-		t.Errorf("3-coloring optimum %g, want 0", e3+c3)
-	}
-	// k=2: at least one conflict edge is unavoidable, optimum value b=2.
-	q2, err := GraphColoring(tri, 2, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, c2, err := q2.ToIsing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, e2, err := m2.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e2+c2-2) > 1e-9 {
-		t.Errorf("2-coloring optimum %g, want 2 (one conflict)", e2+c2)
-	}
-	if _, err := GraphColoring(tri, 0, 1, 1); err == nil {
-		t.Error("k < 1 must error")
-	}
-	if _, err := GraphColoring(tri, 2, 0, 1); err == nil {
-		t.Error("non-positive penalty must error")
-	}
-}
-
-// TestPartitionBalancedCut: the partition encoding's exhaustive optimum
-// must match the brute-force minimum of cut + alpha*imbalance².
-func TestPartitionBalancedCut(t *testing.T) {
-	g, err := RandomGraph(8, 3, true, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const alpha = 0.7
-	m, constant, err := Partition(g, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, e, err := m.GroundState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Inf(1)
-	tmp := make([]int8, g.N)
-	for bits := 0; bits < 1<<uint(g.N); bits++ {
-		sum := 0
-		for i := 0; i < g.N; i++ {
-			if bits&(1<<uint(i)) != 0 {
-				tmp[i] = 1
-			} else {
-				tmp[i] = -1
-			}
-			sum += int(tmp[i])
-		}
-		obj := g.CutValue(tmp) + alpha*float64(sum*sum)
-		if obj < want {
-			want = obj
-		}
-	}
-	if got := e + constant; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("partition optimum %g, brute force %g", got, want)
-	}
-	if _, _, err := Partition(g, 0); err == nil {
-		t.Error("alpha <= 0 must error")
-	}
-}
-
 // TestInstanceSolvesThroughEngine: the full lowering — instance → Ising →
 // Solver → engine multi-restart — beats a trivial cut on a torus.
 func TestInstanceSolvesThroughEngine(t *testing.T) {
@@ -616,7 +480,7 @@ func TestInstanceSolvesThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := engine.NewOpt(s).Solve(engine.GeometricSchedule(150, 2, 0.02), 4, 2)
+	run, err := engine.NewOpt(s).SolveFrom(engine.GeometricSchedule(150, 2, 0.02), s.BaseSeed(), 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ package rng
 
 import "math"
 
-// RNG is a small, fast, splittable PRNG (SplitMix64). The zero value is a
+// RNG is a small, fast PRNG (SplitMix64). The zero value is a
 // valid generator seeded with 0.
 type RNG struct {
 	state uint64
@@ -24,11 +24,6 @@ func New(seed uint64) *RNG { return &RNG{state: seed} }
 // value and Reseed it per inference so the anneal hot loop
 // stays allocation-free.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
-
-// Split derives an independent child generator. The child's stream is
-// decorrelated from the parent's continued stream, so subsystems can be
-// given their own sources without coordinating draw counts.
-func (r *RNG) Split() *RNG { return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15} }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {

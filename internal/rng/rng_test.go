@@ -104,21 +104,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(123)
-	child := parent.Split()
-	// Parent and child streams should not be identical.
-	same := 0
-	for i := 0; i < 50; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams collided %d times", same)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 1000; i++ {

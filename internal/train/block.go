@@ -44,23 +44,13 @@ func checkClasses(classOf []int, n int) (int, error) {
 	return k, nil
 }
 
-// BlockRidge is the decomposed counterpart of RidgeInit: the
-// observed-to-unknown couplings are fitted per source class in canonical
-// class order, each class's column group solved against the residual
-// cross moments left by the classes before it. classOf assigns a class to
-// every flattened window variable (callers expand per-node labels across
-// steps and features).
-func BlockRidge(samples [][]float64, observed []bool, classOf []int, lambda float64) (*Params, error) {
-	m, err := momentsOf(samples, observed)
-	if err != nil {
-		return nil, err
-	}
-	return m.BlockRidge(classOf, lambda, 1)
-}
-
-// BlockRidge solves the per-class block fit of the package-level
-// BlockRidge from the moments. Each class's solve replays its elimination
-// on up to workers column ranges of its right-hand side at once.
+// BlockRidge is the decomposed counterpart of Ridge: the observed-to-unknown
+// couplings are fitted per source class in canonical class order, each
+// class's column group solved against the residual cross moments left by
+// the classes before it. classOf assigns a class to every flattened window
+// variable (callers expand per-node labels across steps and features).
+// Each class's solve replays its elimination on up to workers column
+// ranges of its right-hand side at once.
 func (m *Moments) BlockRidge(classOf []int, lambda float64, workers int) (*Params, error) {
 	k, err := checkClasses(classOf, m.n)
 	if err != nil {
@@ -133,17 +123,7 @@ func (m *Moments) BlockRidge(classOf []int, lambda float64, workers int) (*Param
 // BlockMaskedRidge is the decomposed counterpart of MaskedRidge: every
 // unknown row's mask-allowed observed columns are split by source class
 // and the class groups are solved in canonical order, each against the
-// residual right-hand side left by the groups before it.
-func BlockMaskedRidge(samples [][]float64, observed []bool, classOf []int, mask *mat.Bool, lambda float64) (*Params, error) {
-	m, err := momentsOf(samples, observed)
-	if err != nil {
-		return nil, err
-	}
-	return m.BlockMaskedRidge(classOf, mask, lambda, 1)
-}
-
-// BlockMaskedRidge solves the per-row, per-class block fit of the
-// package-level BlockMaskedRidge from the moments. The rows are
+// residual right-hand side left by the groups before it. The rows are
 // independent and fan out over up to workers goroutines, each writing
 // only its own row of J.
 func (m *Moments) BlockMaskedRidge(classOf []int, mask *mat.Bool, lambda float64, workers int) (*Params, error) {

@@ -36,6 +36,17 @@ func blockTestSamples(n, nu, count int, seed uint64) ([][]float64, []bool) {
 	return samples, observed
 }
 
+// moments accumulates the samples' ridge moments on one worker, as
+// RidgeInit and MaskedRidge do.
+func moments(t *testing.T, samples [][]float64, observed []bool) *Moments {
+	t.Helper()
+	m, err := momentsOf(samples, observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestBlockRidgeK1Identity is the training-layer half of verify invariant
 // 10: with every variable in class 0 the block-diagonal Gram IS the full
 // Gram, and BlockRidge must reproduce RidgeInit bit-for-bit.
@@ -48,7 +59,7 @@ func TestBlockRidgeK1Identity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := BlockRidge(samples, observed, classOf, 0.5)
+	block, err := moments(t, samples, observed).BlockRidge(classOf, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestBlockMaskedRidgeK1Identity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := BlockMaskedRidge(samples, observed, classOf, mask, 0.5)
+	block, err := moments(t, samples, observed).BlockMaskedRidge(classOf, mask, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestBlockRidgeRespectsClasses(t *testing.T) {
 		classOf[i] = i % 2
 	}
 
-	block, err := BlockRidge(samples, observed, classOf, lambda)
+	block, err := moments(t, samples, observed).BlockRidge(classOf, lambda, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +197,14 @@ func TestBlockRidgeRespectsClasses(t *testing.T) {
 
 func TestBlockRidgeBadClasses(t *testing.T) {
 	samples, observed := blockTestSamples(6, 2, 10, 14)
-	if _, err := BlockRidge(samples, observed, []int{0, 0, 0}, 0.5); err == nil {
+	if _, err := moments(t, samples, observed).BlockRidge([]int{0, 0, 0}, 0.5, 1); err == nil {
 		t.Fatal("short class vector must error")
 	}
-	if _, err := BlockRidge(samples, observed, []int{0, 0, -1, 0, 0, 0}, 0.5); err == nil {
+	if _, err := moments(t, samples, observed).BlockRidge([]int{0, 0, -1, 0, 0, 0}, 0.5, 1); err == nil {
 		t.Fatal("negative class must error")
 	}
 	mask := mat.NewBool(6, 6)
-	if _, err := BlockMaskedRidge(samples, observed, []int{0, 0, 0}, mask, 0.5); err == nil {
+	if _, err := moments(t, samples, observed).BlockMaskedRidge([]int{0, 0, 0}, mask, 0.5, 1); err == nil {
 		t.Fatal("short class vector must error (masked)")
 	}
 }

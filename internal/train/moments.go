@@ -51,8 +51,7 @@ func NewMoments(observed []bool) (*Moments, error) {
 }
 
 // momentsOf accumulates samples on one worker: the shared prologue of the
-// per-fit entry points (RidgeInit, MaskedRidge, BlockRidge,
-// BlockMaskedRidge).
+// per-fit entry points RidgeInit and MaskedRidge.
 func momentsOf(samples [][]float64, observed []bool) (*Moments, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("train: no samples")

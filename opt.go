@@ -130,6 +130,8 @@ type OptReport struct {
 	Edges    int
 	Dynamics string
 	Backend  string
+	// Schedule is the schedule the run annealed under, defaults filled in.
+	Schedule OptSchedule
 }
 
 // SolveMaxCut lowers the instance to an Ising model, anneals it under the
@@ -161,6 +163,7 @@ func SolveMaxCut(g *OptInstance, o OptOptions) (*OptReport, error) {
 		Edges:    g.Edges,
 		Dynamics: o.Dynamics,
 		Backend:  solver.Name(),
+		Schedule: sched,
 	}, nil
 }
 

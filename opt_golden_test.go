@@ -12,13 +12,15 @@ import (
 
 	"dsgl/internal/engine"
 	"dsgl/internal/ising"
+	"dsgl/internal/mat"
 	"dsgl/internal/opt"
+	"dsgl/internal/rng"
 )
 
 // The opt golden fixture pins the Ising solver's trajectories bit for bit:
 // every restart's best energy, best spins and the step that first reached
 // them, for Metropolis on unweighted and weighted Gset-style graphs under
-// all three schedules, on QUBO-lowered instances whose couplings sit on a
+// all three schedules and on a model with fields whose entries sit on a
 // quarter-step grid, and for BRIM and OIM on a small torus. A change to the
 // RNG stream, the proposal order, the acceptance test or the energy
 // arithmetic shows up here. Regenerate only when an output change is
@@ -108,30 +110,11 @@ func captureGoldenOpt(t *testing.T) []goldenOptCase {
 		}
 	}
 
-	geo := engine.GeometricSchedule(200, 2, 0.05)
-	g, err := opt.RandomGraph(40, 3, false, 4)
+	m, err := quarterFieldModel(48, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := opt.GraphColoring(g, 3, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := q.ToIsing()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, solveGoldenOpt(t, "coloring-n40-k3/metropolis/geometric", m, ising.MetropolisDynamics, geo, 5, 4))
-
-	g, err = opt.RandomGraph(48, 3, false, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err = opt.Partition(g, 0.125)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, solveGoldenOpt(t, "partition-n48/metropolis/geometric", m, ising.MetropolisDynamics, geo, 6, 4))
+	cases = append(cases, solveGoldenOpt(t, "fields-n48-quarter/metropolis/geometric", m, ising.MetropolisDynamics, engine.GeometricSchedule(200, 2, 0.05), 5, 4))
 
 	torus, err := opt.Torus(6, 6)
 	if err != nil {
@@ -146,6 +129,34 @@ func captureGoldenOpt(t *testing.T) []goldenOptCase {
 		cases = append(cases, solveGoldenOpt(t, "torus-6x6/"+string(dyn)+"/geometric", m, dyn, short, 3, 2))
 	}
 	return cases
+}
+
+// quarterFieldModel draws a sparse model whose couplings and non-zero
+// fields are all multiples of 0.25: node i couples to three random nodes
+// with weights in ±{0.25, 0.5}, and h_i is in ±{0.25, …, 1}.
+func quarterFieldModel(n int, seed uint64) (*ising.Model, error) {
+	r := rng.New(seed)
+	b := mat.NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		for d := 0; d < 3; d++ {
+			if j := r.Intn(n); j != i {
+				v := float64(r.Intn(2)+1) * 0.25
+				if r.Intn(2) == 0 {
+					v = -v
+				}
+				b.Add(i, j, v)
+				b.Add(j, i, v)
+			}
+		}
+	}
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = float64(r.Intn(4)+1) * 0.25
+		if r.Intn(2) == 0 {
+			h[i] = -h[i]
+		}
+	}
+	return ising.NewModelCSR(b.Build(), h)
 }
 
 func TestGoldenOpt(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 
 // modelSnapshot is the serialized form of a trained Model: everything
 // needed to rebuild the inference backend except the dataset itself (which
-// is regenerable from its seed or reloadable from CSV).
+// is regenerable from its name, sizes and seed).
 type modelSnapshot struct {
 	// Format guards against incompatible future layouts.
 	Format int
