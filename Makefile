@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench serve-bench verify loc clean
+.PHONY: all build vet lint test race bench serve-bench verify experiments loc clean
 
 all: lint build test
 
@@ -42,6 +42,15 @@ verify:
 	$(GO) run ./cmd/dsgl verify -n 16 -eval 8
 	$(GO) run ./cmd/dsgl verify heteromix -n 16 -eval 8 -decompose -classes 3
 	$(GO) run ./cmd/dsgl verify -backend dense -n 16 -eval 8
+
+# experiments regenerates experiments_output.txt, the console output that
+# EXPERIMENTS.md's numbers are read from: every artifact in paper order
+# (dsgl all), with the flags the committed file was produced with (-eval 20;
+# -n 32, -gnn-epochs 12 and -seed 7 are the CLI defaults). It takes about
+# half an hour on a 2-vCPU host, so CI does not run it. A change that moves
+# a reported number runs it and updates EXPERIMENTS.md in the same change.
+experiments:
+	$(GO) run ./cmd/dsgl all -eval 20 > experiments_output.txt
 
 # loc prints the Go line counts outside perfbench/ (the benchmark module):
 # every non-test line, non-test code only (non-blank lines that are not //

@@ -25,12 +25,10 @@ import (
 	"dsgl"
 	"dsgl/internal/alloctest"
 	"dsgl/internal/community"
-	"dsgl/internal/dspu"
 	"dsgl/internal/engine"
 	"dsgl/internal/experiments"
 	"dsgl/internal/gnn"
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
 	"dsgl/internal/opt"
 	"dsgl/internal/pattern"
 	"dsgl/internal/rng"
@@ -374,41 +372,6 @@ func BenchmarkAblationFineTune(b *testing.B) {
 		}
 		b.ReportMetric(rmse, "rmse")
 	})
-}
-
-// BenchmarkAblationIntegrator compares Euler and RK4 on the same inference.
-func BenchmarkAblationIntegrator(b *testing.B) {
-	r := rng.New(5)
-	n := 64
-	j := mat.NewDense(n, n)
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			if x != y && r.Float64() < 0.2 {
-				j.Set(x, y, r.NormScaled(0, 0.1))
-			}
-		}
-	}
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = -1
-	}
-	for _, tc := range []struct {
-		name string
-		ig   ode.Integrator
-	}{{"euler", ode.NewEuler()}, {"rk4", ode.NewRK4()}} {
-		b.Run(tc.name, func(b *testing.B) {
-			d, err := dspu.New(j, h, dspu.Config{Integrator: tc.ig, Seed: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

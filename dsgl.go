@@ -112,7 +112,8 @@ type Options struct {
 	// value. With BackendDense the pipeline stops after phase 1 and the
 	// Model runs the dense parameter set on a single dense DSPU; the
 	// decomposition options (Pattern, Density, Wormholes, PECapacity,
-	// Lanes, TemporalDisabled, SyncIntervalNs, FineTuneEpochs) are unused,
+	// Lanes, TemporalDisabled, SyncIntervalNs, FineTuneEpochs) and
+	// MaxInferNs are unused (the dense DSPU always anneals for up to 2 µs),
 	// and Train rejects non-zero NodeNoise or CouplerNoise: the dense DSPU
 	// models no analog noise.
 	Backend string

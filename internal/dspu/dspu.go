@@ -10,8 +10,8 @@
 // The DSPU is the dense Backend of the shared inference engine
 // (internal/engine): observation validation, clamp-plan caching, seeding,
 // and batch fan-out live in the engine; this package supplies the node
-// dynamics (the circuit network, its clamp-plan compilation, and the
-// integration loop).
+// dynamics (Eq. 8 over a clamp plan, plan.go) and the forward-Euler loop
+// that integrates them.
 package dspu
 
 import (
@@ -20,10 +20,8 @@ import (
 	"math"
 	"sync"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
 )
 
 // Config collects DSPU runtime parameters.
@@ -32,16 +30,16 @@ type Config struct {
 	Dt float64
 	// MaxTimeNs bounds one annealing run. Default 1000 ns.
 	MaxTimeNs float64
-	// SettleTol: the run stops early once max |dσ/dt| < SettleTol.
-	// Default 1e-6 per ns.
-	SettleTol float64
-	// VRail bounds voltages. Default 1.
-	VRail float64
-	// Integrator defaults to forward Euler.
-	Integrator ode.Integrator
 	// Seed for unknown-node initialization.
 	Seed uint64
 }
+
+const (
+	// settleTol stops a run early once max |dσ/dt| < settleTol (per ns).
+	settleTol = 1e-6
+	// vRail bounds node voltages to [-vRail, +vRail].
+	vRail = 1.0
+)
 
 func (c *Config) fillDefaults() {
 	if c.Dt == 0 {
@@ -50,30 +48,21 @@ func (c *Config) fillDefaults() {
 	if c.MaxTimeNs == 0 {
 		c.MaxTimeNs = 1000
 	}
-	if c.SettleTol == 0 {
-		c.SettleTol = 1e-6
-	}
-	if c.VRail == 0 {
-		c.VRail = 1
-	}
-	if c.Integrator == nil {
-		c.Integrator = ode.NewEuler()
-	}
 }
 
 // DSPU is a single real-valued dynamical-system processing unit holding a
 // trained parameter set (J, h).
 //
 // Concurrency: engine inferences on distinct InferStates are safe to run
-// from multiple goroutines — each state carries its own clamp mask,
-// coupling scratch, and integrator clone, and the network is only read.
-// TraceRun (which sets the network clamp set) is single-threaded by design.
+// from multiple goroutines — each state carries its own plan binding and
+// scratch, and the DSPU is only read. TraceRun allocates its own.
 type DSPU struct {
-	N   int
-	Net *circuit.Network
+	N int
+	// h holds the self-reaction conductances, every one negative.
+	h   []float64
 	cfg Config
-	// cpl is the one-matrix coupling list [Net.J] the clamp plans split and
-	// the energies reduce; kept as a field so neither allocates per call.
+	// cpl is the one-matrix coupling list [J] the clamp plans split and
+	// the energies reduce.
 	cpl *mat.Couplings
 
 	// The engine is created lazily on first use, mirroring
@@ -90,37 +79,42 @@ func (d *DSPU) Engine() *engine.Engine {
 }
 
 // New builds a DSPU from trained parameters. j must be square with zero
-// diagonal; every h_i must be strictly negative (the convexity condition
-// enforced during training).
+// diagonal and len(h) rows; every h_i must be strictly negative, the
+// convexity condition training enforces and the hardware realizes as a
+// passive resistor of conductance |h_i|. j is stored as CSR without its
+// exact zeros.
 func New(j *mat.Dense, h []float64, cfg Config) (*DSPU, error) {
-	cfg.fillDefaults()
-	net, err := circuit.NewNetwork(j, h, circuit.Config{Self: circuit.Quadratic, VRail: cfg.VRail})
-	if err != nil {
-		return nil, err
+	n := j.Rows
+	if j.Cols != n {
+		return nil, fmt.Errorf("dspu: coupling matrix must be square, got %dx%d", j.Rows, j.Cols)
 	}
-	return &DSPU{N: j.Rows, Net: net, cfg: cfg, cpl: mat.NewCouplings(net.J)}, nil
+	if len(h) != n {
+		return nil, fmt.Errorf("dspu: len(h)=%d, want %d", len(h), n)
+	}
+	for i := 0; i < n; i++ {
+		if j.At(i, i) != 0 {
+			return nil, fmt.Errorf("dspu: coupling matrix has non-zero diagonal at %d (diag(J)=0 required)", i)
+		}
+	}
+	for i, v := range h {
+		if v >= 0 {
+			return nil, fmt.Errorf("dspu: quadratic self-reaction requires h[%d] < 0, got %g", i, v)
+		}
+	}
+	cfg.fillDefaults()
+	return &DSPU{N: n, h: mat.CopyVec(h), cfg: cfg, cpl: mat.NewCouplings(mat.FromDense(j, 0))}, nil
 }
 
 // dscratch is the DSPU's backend arena inside an engine.InferState.
 type dscratch struct {
-	deriv    []float64
-	bias     []float64      // folded constant coupling currents
-	coupling []float64      // per-evaluation coupling buffer
-	psys     planSys        // the ode.System of the current plan, bound per inference
+	psys     planSys        // the plan binding, rebound per inference
 	unfolded mat.ClampSplit // the Naive path's plan, refilled per inference
-	integ    ode.Integrator
 }
 
 // AttachState allocates the DSPU's scratch arena onto an engine state.
 // Called once per InferState by engine.NewInferState.
 func (d *DSPU) AttachState(st *engine.InferState) {
-	sc := &dscratch{
-		deriv:    make([]float64, d.N),
-		bias:     make([]float64, d.N),
-		coupling: make([]float64, d.N),
-		integ:    ode.Clone(d.cfg.Integrator),
-	}
-	st.Scratch = sc
+	st.Scratch = &dscratch{psys: d.newPlanSys()}
 }
 
 // Backend contract (engine.Backend): identity and bounds.
@@ -132,7 +126,7 @@ func (d *DSPU) Name() string { return "dspu" }
 func (d *DSPU) Dim() int { return d.N }
 
 // Rails is the voltage rail bound observations must respect.
-func (d *DSPU) Rails() float64 { return d.cfg.VRail }
+func (d *DSPU) Rails() float64 { return vRail }
 
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (d *DSPU) BaseSeed() uint64 { return d.cfg.Seed }
@@ -144,7 +138,7 @@ func (d *DSPU) CompilePlan(clamped []bool) any { return d.cpl.Split(clamped) }
 // The DSPU delta-compiles clamp plans for streaming inference (plan.go).
 var _ engine.DeltaBackend = (*DSPU)(nil)
 
-// RunPlanned runs the integration loop over the clamp-plan system.
+// RunPlanned runs the integration loop over the clamp plan.
 func (d *DSPU) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
 	return d.annealLoop(st, plan.(*mat.ClampSplit))
 }
@@ -160,9 +154,9 @@ func (d *DSPU) RunNaive(st *engine.InferState) (*engine.Result, error) {
 }
 
 // EnergyAt evaluates the real-valued Hamiltonian H_RV at state x.
-func (d *DSPU) EnergyAt(x []float64) float64 { return d.cpl.EnergyAt(x, d.Net.H) }
+func (d *DSPU) EnergyAt(x []float64) float64 { return d.cpl.EnergyAt(x, d.h) }
 
-// EffectiveJ reconstructs the dense coupling matrix the network realizes.
+// EffectiveJ reconstructs the dense coupling matrix the DSPU realizes.
 // Construction converts the trained J to CSR dropping only exact zeros and
 // keeping every surviving entry bit-exact, so EffectiveJ equals the
 // constructor's J bit-for-bit; the lossless-realization and snapshot
@@ -173,11 +167,12 @@ func (d *DSPU) EffectiveJ() *mat.Dense { return d.cpl.EffectiveJ() }
 // subsystem given the clamped nodes, the Lyapunov function of clamped
 // annealing (see mat.Couplings.ClampedEnergyAt).
 func (d *DSPU) ClampedEnergyAt(x []float64, clamped []bool) float64 {
-	return d.cpl.ClampedEnergyAt(x, clamped, d.Net.H)
+	return d.cpl.ClampedEnergyAt(x, clamped, d.h)
 }
 
 // ResidualAt evaluates the equilibrium residual max |dσ/dt| at state x,
-// skipping nodes marked in clamped (nil = no node clamped).
+// skipping nodes marked in clamped (nil = no node clamped). It takes the
+// derivative over the unfolded plan, so no coupling is folded.
 func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
 	if len(x) != d.N {
 		return 0, fmt.Errorf("dspu: state has %d entries, want %d", len(x), d.N)
@@ -187,23 +182,22 @@ func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
 	} else if len(clamped) != d.N {
 		return 0, fmt.Errorf("dspu: clamp mask has %d entries, want %d", len(clamped), d.N)
 	}
-	return d.Net.Residual(x, clamped, make([]float64, d.N)), nil
+	return d.unfoldedSys(clamped, x).residual(x), nil
 }
 
 // SettleResidualTol is the residual bound a Settled result guarantees: the
 // settle check stops the loop the moment the derivative norm falls below
-// SettleTol, at the reported state.
-func (d *DSPU) SettleResidualTol() float64 { return d.cfg.SettleTol }
+// settleTol, at the reported state.
+func (d *DSPU) SettleResidualTol() float64 { return settleTol }
 
-// annealLoop is the integration loop proper, over the ode.System of one
-// clamp plan: a Split plan on the Planned path, the unfolded plan on the
-// Naive path. The two can only differ through the derivative values, which
-// the plan construction makes bit-identical.
+// annealLoop is the forward-Euler integration loop over one clamp plan: a
+// Split plan on the Planned path, the unfolded plan on the Naive path. The
+// two can only differ through the derivative values, which the plan
+// construction makes bit-identical. Clamped nodes are never written.
 func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
-	sc := st.Scratch.(*dscratch)
-	sys := d.planSystem(st, sc, pl)
+	ps := &st.Scratch.(*dscratch).psys
 	x := st.X
-	deriv := sc.deriv
+	ps.bind(pl, x)
 	steps := int(d.cfg.MaxTimeNs / d.cfg.Dt)
 	if steps < 1 {
 		return nil, errors.New("dspu: MaxTimeNs shorter than one timestep")
@@ -213,8 +207,8 @@ func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Re
 	lastResidual := math.NaN()
 	taken := 0
 	for s := 0; s < steps; s++ {
-		t = sc.integ.Step(sys, t, d.cfg.Dt, x)
-		d.Net.ClampRails(x)
+		ps.step(x, d.cfg.Dt)
+		t += d.cfg.Dt
 		taken = s + 1
 		if st.Observer != nil {
 			st.Observer(engine.StepInfo{Step: s, TimeNs: t, EnergyFn: st.EnergyFn, X: x})
@@ -223,9 +217,8 @@ func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Re
 		// Each checked derivative norm is captured as lastResidual so the
 		// Result reports the equilibrium residual at convergence.
 		if s%8 == 7 {
-			sys.Derivative(t, x, deriv)
-			lastResidual = mat.NormInf(deriv)
-			if lastResidual < d.cfg.SettleTol {
+			lastResidual = ps.residual(x)
+			if lastResidual < settleTol {
 				settled = true
 				break
 			}
@@ -251,19 +244,19 @@ type Trace struct {
 }
 
 // TraceRun integrates for durationNs from x0 with the given observations
-// clamped, sampling the state every sampleEveryNs. TraceRun drives the
-// network directly (it sets the shared clamp set) and is single-threaded.
+// clamped, sampling the state every sampleEveryNs. It steps the unfolded
+// plan, like the Naive path, on buffers of its own.
 func (d *DSPU) TraceRun(x0 []float64, obs []engine.Observation, durationNs, sampleEveryNs float64) (*Trace, error) {
 	if len(x0) != d.N {
 		return nil, fmt.Errorf("dspu: initial state has %d entries, want %d", len(x0), d.N)
 	}
 	x := mat.CopyVec(x0)
-	clamped := make([]int, 0, len(obs))
+	clamped := make([]bool, d.N)
 	for _, o := range obs {
 		x[o.Index] = o.Value
-		clamped = append(clamped, o.Index)
+		clamped[o.Index] = true
 	}
-	d.Net.ClampSet(clamped)
+	ps := d.unfoldedSys(clamped, x)
 
 	tr := &Trace{}
 	nextSample := 0.0
@@ -276,8 +269,8 @@ func (d *DSPU) TraceRun(x0 []float64, obs []engine.Observation, durationNs, samp
 	record()
 	nextSample += sampleEveryNs
 	for s := 0; s < steps; s++ {
-		t = d.cfg.Integrator.Step(d.Net, t, d.cfg.Dt, x)
-		d.Net.ClampRails(x)
+		ps.step(x, d.cfg.Dt)
+		t += d.cfg.Dt
 		if t+1e-12 >= nextSample {
 			record()
 			nextSample += sampleEveryNs

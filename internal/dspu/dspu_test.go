@@ -3,10 +3,10 @@ package dspu
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
 	"dsgl/internal/rng"
 )
 
@@ -29,13 +29,21 @@ func chainDSPU(t *testing.T, n int, w float64, cfg Config) *DSPU {
 }
 
 func TestNewRejectsBadParams(t *testing.T) {
-	j := mat.NewDense(2, 2)
-	if _, err := New(j, []float64{-1, 0}, Config{}); err == nil {
-		t.Fatal("expected error for non-negative h")
-	}
-	j.Set(0, 0, 1)
-	if _, err := New(j, []float64{-1, -1}, Config{}); err == nil {
-		t.Fatal("expected error for diagonal J")
+	diag := mat.NewDense(2, 2)
+	diag.Set(0, 0, 1)
+	for _, tc := range []struct {
+		name string
+		j    *mat.Dense
+		h    []float64
+	}{
+		{"non-negative h", mat.NewDense(2, 2), []float64{-1, 0}},
+		{"diagonal J", diag, []float64{-1, -1}},
+		{"non-square J", mat.NewDense(2, 3), []float64{-1, -1}},
+		{"len(h) mismatch", mat.NewDense(2, 2), []float64{-1}},
+	} {
+		if _, err := New(tc.j, tc.h, Config{}); err == nil {
+			t.Errorf("%s: New accepted it", tc.name)
+		}
 	}
 }
 
@@ -81,18 +89,116 @@ func TestInferMatchesGaussSeidelEquilibrium(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inference no longer mutates the shared network's clamp mask, so the
-	// reference Gauss-Seidel solve must pin the observed nodes itself.
+	clamped := make([]bool, n)
 	x := make([]float64, n)
 	for _, o := range obs {
 		x[o.Index] = o.Value
-		d.Net.Clamped[o.Index] = true
+		clamped[o.Index] = true
 	}
-	eq := d.Net.Equilibrium(x, 500)
+	eq := gaussSeidel(j, h, x, clamped, 500)
 	for i := 0; i < n; i++ {
 		if math.Abs(res.Voltage[i]-eq[i]) > 1e-3 {
 			t.Fatalf("node %d: annealed %g vs equilibrium %g", i, res.Voltage[i], eq[i])
 		}
+	}
+}
+
+// gaussSeidel is the analytic fixed point of the clamped quadratic system:
+// it solves (diag(h) + J)σ = 0 on the free nodes, with the clamped values
+// of x as boundary conditions, by Gauss–Seidel sweeps (the contraction the
+// physics performs), holding each value to the rails. It is the oracle the
+// annealed fixed points are checked against.
+func gaussSeidel(j *mat.Dense, h, x []float64, clamped []bool, iters int) []float64 {
+	out := mat.CopyVec(x)
+	for it := 0; it < iters; it++ {
+		for i := range out {
+			if clamped[i] {
+				continue
+			}
+			var s float64
+			for k := range out {
+				s += j.At(i, k) * out[k]
+			}
+			out[i] = math.Max(-vRail, math.Min(vRail, -s/h[i]))
+		}
+	}
+	return out
+}
+
+// derivativeAt evaluates the DSPU's node derivative at x on the unfolded
+// plan of clamped; clamped entries of the result are zero.
+func derivativeAt(d *DSPU, x []float64, clamped []bool) []float64 {
+	ps := d.unfoldedSys(clamped, x)
+	ps.derivative(x)
+	return ps.deriv
+}
+
+// TestRailsStopOutwardCurrent: a node on a rail takes only inward current.
+func TestRailsStopOutwardCurrent(t *testing.T) {
+	j := mat.NewDense(2, 2)
+	j.Set(0, 1, 2)
+	j.Set(1, 0, 2)
+	d, err := New(j, []float64{-0.5, -0.5}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamped := []bool{true, false}
+	for _, tc := range []struct {
+		x    []float64
+		want float64
+	}{
+		{[]float64{1, 1}, 0},        // the coupling pushes node 1 past +1
+		{[]float64{-1, -1}, 0},      // ... and past -1
+		{[]float64{-1, 1}, -2.5},    // inward current moves it off +1
+		{[]float64{0.5, 0.5}, 0.75}, // off the rails nothing is stopped
+	} {
+		if got := derivativeAt(d, tc.x, clamped)[1]; got != tc.want {
+			t.Errorf("x=%v: dσ1/dt = %g, want %g", tc.x, got, tc.want)
+		}
+	}
+}
+
+// TestDerivativeMatchesEnergyGradient: off the rails, the node derivative
+// of a symmetric DSPU is the negative gradient of EnergyAt (dσ/dt =
+// -(1/C) ∂H/∂σ with C = 1).
+func TestDerivativeMatchesEnergyGradient(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rng.New(uint64(seed))
+		n := 5
+		j := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for k := i + 1; k < n; k++ {
+				v := r.NormScaled(0, 0.3)
+				j.Set(i, k, v)
+				j.Set(k, i, v)
+			}
+		}
+		h := make([]float64, n)
+		for i := range h {
+			h[i] = -1 - r.Float64()
+		}
+		d, err := New(j, h, Config{})
+		if err != nil {
+			return false
+		}
+		x := make([]float64, n)
+		r.FillUniform(x, -0.5, 0.5)
+		deriv := derivativeAt(d, x, make([]bool, n))
+		const eps = 1e-6
+		for i := 0; i < n; i++ {
+			xp := mat.CopyVec(x)
+			xm := mat.CopyVec(x)
+			xp[i] += eps
+			xm[i] -= eps
+			fd := (d.EnergyAt(xp) - d.EnergyAt(xm)) / (2 * eps)
+			if math.Abs(deriv[i]+fd) > 1e-5 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -168,22 +274,5 @@ func TestTraceRunSampling(t *testing.T) {
 		if st[0] != 0.5 {
 			t.Fatalf("clamped node drifted: %g", st[0])
 		}
-	}
-}
-
-func TestRK4IntegratorOption(t *testing.T) {
-	j := mat.NewDense(2, 2)
-	j.Set(0, 1, 0.6)
-	j.Set(1, 0, 0.6)
-	d, err := New(j, []float64{-1, -1}, Config{Integrator: ode.NewRK4()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Engine().InferSeeded([]engine.Observation{{Index: 0, Value: 0.5}}, d.BaseSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Voltage[1]-0.3) > 1e-4 {
-		t.Fatalf("RK4 fixed point %g, want 0.3", res.Voltage[1])
 	}
 }

@@ -3,22 +3,22 @@
 // whose stored columns are all observed is one constant per inference. The
 // plan is the mat.ClampSplit of the one-matrix coupling list [J]: it folds
 // those rows into a bias computed once, keeps mixed rows whole (so per-step
-// accumulation order — and every rounding step — matches the naive network
-// exactly), drops clamped rows (their derivative is pinned to zero), and
-// lists the free and clamped nodes instead of scanning the clamp mask.
+// accumulation order — and every rounding step — matches the unfolded plan
+// exactly), drops clamped rows (their nodes never move), and lists the free
+// and clamped nodes instead of scanning the clamp mask.
 //
 // Plan caching and keying live in internal/engine and the splitting in
-// internal/mat; this file supplies the plan's runtime binding. The plan is
-// exposed as an ode.System so the DSPU's configured integrator (Euler or
-// RK4) drives it exactly as it would drive the raw circuit network, and
-// planSys.Derivative reproduces circuit.Network.Derivative bit for bit.
-// Both engine paths run annealLoop over it: the Planned path under a Split
-// plan, the Naive path under the unfolded plan (mat.Couplings.Unfold),
-// which folds nothing and re-accumulates the whole of J each evaluation.
+// internal/mat; this file supplies the plan's runtime binding, planSys,
+// whose derivative is Eq. 8's node current balance and whose step is one
+// forward-Euler step of it. Every engine path and TraceRun step a planSys:
+// the Planned path under a Split plan, the Naive path, ResidualAt and
+// TraceRun under the unfolded plan (mat.Couplings.Unfold), which folds
+// nothing and re-accumulates the whole of J each evaluation.
 package dspu
 
 import (
-	"dsgl/internal/engine"
+	"math"
+
 	"dsgl/internal/mat"
 )
 
@@ -34,51 +34,81 @@ func (d *DSPU) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any {
 	return nil
 }
 
-// planSys is a clamp plan bound to one inference's state buffers, exposed as
-// an ode.System so the configured integrator drives it exactly like the raw
-// network. Lives inside the state's dscratch so binding it allocates nothing.
+// planSys is a clamp plan bound to one inference's buffers. An engine
+// state keeps one in its dscratch, so binding it allocates nothing.
 type planSys struct {
-	d    *DSPU
-	pl   *mat.ClampSplit
-	bias []float64 // folded constant coupling currents, len N
-	buf  []float64 // per-evaluation coupling buffer, len N
+	pl    *mat.ClampSplit
+	h     []float64 // the DSPU's self-reaction conductances
+	bias  []float64 // folded constant coupling currents, len N
+	buf   []float64 // per-evaluation coupling currents, len N
+	deriv []float64 // dσ/dt of the free nodes, len N
 }
 
-// planSystem folds the constant clamp currents for the current inference
-// (st.X already carries the clamped values) and returns the state's plan
-// system bound to this plan.
-func (d *DSPU) planSystem(st *engine.InferState, sc *dscratch, pl *mat.ClampSplit) *planSys {
-	ps := &sc.psys
-	ps.d = d
+// newPlanSys allocates an unbound planSys for d.
+func (d *DSPU) newPlanSys() planSys {
+	return planSys{h: d.h, bias: make([]float64, d.N), buf: make([]float64, d.N), deriv: make([]float64, d.N)}
+}
+
+// unfoldedSys returns a planSys of its own bound at x to the unfolded plan
+// of clamped, for the callers outside the engine: ResidualAt and TraceRun.
+func (d *DSPU) unfoldedSys(clamped []bool, x []float64) *planSys {
+	pl := new(mat.ClampSplit)
+	d.cpl.Unfold(clamped, pl)
+	ps := d.newPlanSys()
+	ps.bind(pl, x)
+	return &ps
+}
+
+// bind binds ps to pl and folds pl's constant clamp currents at x, which
+// must already carry the clamped values.
+func (ps *planSys) bind(pl *mat.ClampSplit, x []float64) {
 	ps.pl = pl
-	ps.bias = sc.bias
-	ps.buf = sc.coupling
-	pl.Static[0].MulVec(st.X, sc.bias)
-	return ps
+	pl.Static[0].MulVec(x, ps.bias)
 }
 
-// Dim implements ode.System.
-func (ps *planSys) Dim() int { return ps.d.N }
-
-// Derivative implements ode.System: circuit.Network.Derivative of the
-// quadratic network with the constant clamp currents re-emitted from the
-// folded bias instead of re-accumulated. Every floating-point operation on
-// a free node's derivative is the operation the raw network performs, in
-// the same order.
-func (ps *planSys) Derivative(_ float64, x, dst []float64) {
-	nw := ps.d.Net
-	pl := ps.pl
-	pl.Dyn[0].MulVecAdd(x, ps.bias, ps.buf)
-	for _, i := range pl.Clamped {
-		dst[i] = 0
-	}
-	for _, i := range pl.Free {
-		d := ps.buf[i] + nw.H[i]*x[i]
-		if x[i] >= nw.VRail && d > 0 {
+// derivative writes dσ/dt of every free node at x into ps.deriv: the
+// coupling currents (the folded bias, then the rows the plan keeps) plus
+// the quadratic self-reaction h_i·σ_i, and at a rail only inward current
+// moves a node. Every free node's value is the one the whole of J yields,
+// in the same order of operations.
+func (ps *planSys) derivative(x []float64) {
+	h, buf, deriv := ps.h, ps.buf, ps.deriv
+	ps.pl.Dyn[0].MulVecAdd(x, ps.bias, buf)
+	for _, i := range ps.pl.Free {
+		d := buf[i] + h[i]*x[i]
+		if x[i] >= vRail && d > 0 {
 			d = 0
-		} else if x[i] <= -nw.VRail && d < 0 {
+		} else if x[i] <= -vRail && d < 0 {
 			d = 0
 		}
-		dst[i] = d
+		deriv[i] = d
 	}
+}
+
+// step takes one forward-Euler step of dt ns from x in place and holds the
+// free nodes to the rails. Clamped nodes are never written.
+func (ps *planSys) step(x []float64, dt float64) {
+	ps.derivative(x)
+	for _, i := range ps.pl.Free {
+		xi := x[i] + dt*ps.deriv[i]
+		if xi < -vRail {
+			xi = -vRail
+		} else if xi > vRail {
+			xi = vRail
+		}
+		x[i] = xi
+	}
+}
+
+// residual returns the equilibrium residual max |dσ/dt| over the free
+// nodes at x.
+func (ps *planSys) residual(x []float64) float64 {
+	ps.derivative(x)
+	maxD := 0.0
+	for _, i := range ps.pl.Free {
+		if a := math.Abs(ps.deriv[i]); a > maxD {
+			maxD = a
+		}
+	}
+	return maxD
 }

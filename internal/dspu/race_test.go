@@ -9,11 +9,11 @@ import (
 )
 
 // TestConcurrentInferenceSharedDSPU exercises the documented concurrency
-// contract: one DSPU, many goroutines, each with a private InferState. The
-// old implementation mutated the shared circuit.Network clamp mask through
-// ClampSet on every inference, so two goroutines with different observation
-// patterns corrupted each other; run under -race this test catches any
-// regression. Results must also stay bit-identical to a sequential run.
+// contract: one DSPU, many goroutines, each with a private InferState. An
+// inference writes only its state's plan binding and scratch, never the
+// DSPU; run under -race this test catches any shared write that would let
+// two observation patterns corrupt each other. Results must also stay
+// bit-identical to a sequential run.
 func TestConcurrentInferenceSharedDSPU(t *testing.T) {
 	d := chainDSPU(t, 12, 0.3, Config{MaxTimeNs: 150, Seed: 9})
 	patterns := [][]engine.Observation{

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -36,6 +37,34 @@ func TestFig4Runs(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig4 output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestFig4MatchesCommittedOutput pins Fig. 4 byte for byte: run with the
+// CLI's default seed (7), Fig4 must print exactly the Fig. 4 section of the
+// committed experiments_output.txt, every line before "[fig4 completed".
+func TestFig4MatchesCommittedOutput(t *testing.T) {
+	committed, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.Index(committed, []byte("\n[fig4 completed"))
+	if end < 0 {
+		t.Fatal("experiments_output.txt has no Fig. 4 section")
+	}
+	var buf bytes.Buffer
+	if err := Fig4(Config{Seed: 7}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(committed[:end]), "\n")
+	got := strings.Split(buf.String(), "\n")
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("line %d: got %q, committed %q", i+1, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d lines, committed %d", len(got), len(want))
 	}
 }
 

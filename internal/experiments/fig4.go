@@ -5,11 +5,9 @@ import (
 	"io"
 	"math"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/dspu"
 	"dsgl/internal/engine"
 	"dsgl/internal/mat"
-	"dsgl/internal/ode"
 	"dsgl/internal/rng"
 )
 
@@ -40,6 +38,7 @@ func Fig4(cfg Config, w io.Writer) error {
 		h[i] = -1.5
 	}
 	inputs := []engine.Observation{{Index: 0, Value: 0.7}, {Index: 2, Value: -0.4}, {Index: 4, Value: 0.2}}
+	free := []int{1, 3, 5}
 
 	// DSPU trace.
 	d, err := dspu.New(j, h, dspu.Config{Dt: 0.02})
@@ -55,25 +54,30 @@ func Fig4(cfg Config, w io.Writer) error {
 		return err
 	}
 
-	// BRIM trace: same couplings, linear self-reaction (field 0), same
-	// clamped inputs.
-	bnet, err := circuit.NewNetwork(j, make([]float64, n), circuit.Config{Self: circuit.Linear})
-	if err != nil {
-		return err
-	}
-	bnet.ClampSet([]int{0, 2, 4})
+	// BRIM trace: same couplings and clamped inputs, linear self-reaction
+	// with field 0, so a free node's dσ/dt is its coupling current Σ J σ.
+	// At a rail only inward current moves a node, and each forward-Euler
+	// step is held to the rails.
+	jc := mat.FromDense(j, 0)
+	cur := make([]float64, n)
 	bx := mat.CopyVec(x0)
 	for _, in := range inputs {
 		bx[in.Index] = in.Value
 	}
-	ig := ode.NewEuler()
 	btimes := []float64{0}
 	bstates := [][]float64{mat.CopyVec(bx)}
 	t := 0.0
 	next := 5.0
 	for step := 0; step < 2500; step++ {
-		t = ig.Step(bnet, t, 0.02, bx)
-		bnet.ClampRails(bx)
+		jc.MulVec(bx, cur)
+		for _, i := range free {
+			d := cur[i]
+			if bx[i] >= 1 && d > 0 || bx[i] <= -1 && d < 0 {
+				d = 0
+			}
+			bx[i] = math.Max(-1, math.Min(1, bx[i]+0.02*d))
+		}
+		t += 0.02
 		if t+1e-9 >= next {
 			btimes = append(btimes, t)
 			bstates = append(bstates, mat.CopyVec(bx))
@@ -90,7 +94,7 @@ func Fig4(cfg Config, w io.Writer) error {
 	dFinal := dtrace.States[len(dtrace.States)-1]
 	bFinal := bstates[len(bstates)-1]
 	real, polar := 0, 0
-	for _, i := range []int{1, 3, 5} {
+	for _, i := range free {
 		if math.Abs(dFinal[i]) < 0.99 {
 			real++
 		}

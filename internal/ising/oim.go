@@ -26,7 +26,7 @@ type phaseSystem struct {
 }
 
 // Derivative writes dφ/dt at phases phi into dst.
-func (p *phaseSystem) Derivative(_ float64, phi, dst []float64) {
+func (p *phaseSystem) Derivative(phi, dst []float64) {
 	for i := 0; i < p.w.Rows; i++ {
 		var drive float64
 		for q := p.w.RowPtr[i]; q < p.w.RowPtr[i+1]; q++ {

@@ -83,7 +83,7 @@ func TestXYEnergyGradientConsistency(t *testing.T) {
 	r.FillUniform(phi, 0, 2*math.Pi)
 	sys := &phaseSystem{w: m.W, shilK: 0.7}
 	dst := make([]float64, n)
-	sys.Derivative(0, phi, dst)
+	sys.Derivative(phi, dst)
 	const eps = 1e-6
 	for i := 0; i < n; i++ {
 		up := append([]float64(nil), phi...)

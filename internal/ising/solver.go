@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"dsgl/internal/circuit"
 	"dsgl/internal/engine"
 )
 
@@ -38,6 +37,7 @@ const (
 	brimDt       = 0.05 // ns per Euler step
 	brimSubsteps = 40   // Euler steps per schedule step (2 ns per flip event)
 	brimFlipFrac = 0.25 // flip fraction at full heat (T = T0)
+	brimRail     = 1.0  // capacitor voltages stay in [-brimRail, +brimRail]
 	oimDt        = 0.02 // ns per Euler step
 	oimSubsteps  = 25   // Euler steps per schedule step
 	oimShilK     = 1.0  // SHIL strength at the cold end of the ladder
@@ -53,9 +53,6 @@ type Solver struct {
 	m    *Model
 	dyn  Dynamics
 	seed uint64
-	// net is the BRIM coupling circuit, built once; nil for the other
-	// dynamics.
-	net *circuit.Network
 	// grid is the Metropolis model in integer units of its power-of-two
 	// grid step q (see acceptGrid); nil when the model is off the grid, and
 	// for the other dynamics.
@@ -90,17 +87,11 @@ func newIntModel(m *Model, inv float64, k int) *intModel {
 func NewSolver(m *Model, dyn Dynamics, seed uint64) (*Solver, error) {
 	s := &Solver{m: m, dyn: dyn, seed: seed}
 	switch dyn {
-	case BRIMDynamics:
-		net, err := circuit.NewNetworkCSR(m.W, m.H, circuit.Config{Self: circuit.Linear})
-		if err != nil {
-			return nil, err
-		}
-		s.net = net
+	case BRIMDynamics, OIMDynamics:
 	case MetropolisDynamics:
 		if inv, k := acceptGrid(m); inv != 0 {
 			s.grid = newIntModel(m, inv, k)
 		}
-	case OIMDynamics:
 	default:
 		return nil, fmt.Errorf("ising: unknown dynamics %q (want %s|%s|%s)",
 			dyn, BRIMDynamics, MetropolisDynamics, OIMDynamics)
@@ -137,14 +128,11 @@ func (s *Solver) CompileSolvePlan(sched engine.Schedule) any {
 }
 
 // solverScratch is the per-state arena; each dynamics allocates only its
-// own buffers. BRIM takes derivative and coupling buffers and the all-free
-// clamp mask its derivative wants, OIM a derivative buffer and its phase
-// system, on-grid Metropolis integer fields and a threshold row, and
-// off-grid Metropolis float local fields.
+// own buffers. BRIM takes a coupling-current buffer, OIM a derivative
+// buffer and its phase system, on-grid Metropolis integer fields and a
+// threshold row, and off-grid Metropolis float local fields.
 type solverScratch struct {
 	deriv []float64
-	buf   []float64
-	mask  []bool
 	ps    phaseSystem
 	field []int32
 	row   []uint64
@@ -157,7 +145,7 @@ func (s *Solver) AttachSolveState(st *engine.SolveState) {
 	sc := &solverScratch{}
 	switch {
 	case s.dyn == BRIMDynamics:
-		sc.deriv, sc.buf, sc.mask = make([]float64, n), make([]float64, n), make([]bool, n)
+		sc.deriv = make([]float64, n)
 	case s.dyn == OIMDynamics:
 		sc.deriv, sc.ps = make([]float64, n), phaseSystem{w: s.m.W}
 	case s.grid != nil:
@@ -376,9 +364,12 @@ func lowBitExp(v float64) int {
 	return exp - 1075 + bits.TrailingZeros64(mant|1<<52)
 }
 
-// runBRIM: blocks of Euler integration on the coupling circuit, a quantized
-// checkpoint after each block, then a random-flip escape whose fraction is
-// the ladder value scaled to brimFlipFrac at full heat.
+// runBRIM: blocks of Euler integration of the coupling circuit, a
+// quantized checkpoint after each block, then a random-flip escape whose
+// fraction is the ladder value scaled to brimFlipFrac at full heat. A step
+// drives each capacitor with dσᵢ/dt = Σⱼ Wᵢⱼσⱼ + hᵢ (the linear
+// self-reaction), at a rail only inward current moves it, and the new
+// voltage is held to the rails.
 func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
 	sc := st.Scratch.(*solverScratch)
 	x := st.X
@@ -393,11 +384,22 @@ func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
 	t := 0.0
 	for e, temp := range pl.temps {
 		for k := 0; k < brimSubsteps; k++ {
-			s.net.DerivativeMasked(t, x, sc.deriv, sc.mask, sc.buf)
-			for i := range x {
-				x[i] += brimDt * sc.deriv[i]
+			cur := s.m.W.MulVec(x, sc.deriv)
+			for i, xi := range x {
+				d := cur[i] + s.m.H[i]
+				if xi >= brimRail && d > 0 {
+					d = 0
+				} else if xi <= -brimRail && d < 0 {
+					d = 0
+				}
+				xi += brimDt * d
+				if xi < -brimRail {
+					xi = -brimRail
+				} else if xi > brimRail {
+					xi = brimRail
+				}
+				x[i] = xi
 			}
-			s.net.ClampRails(x)
 			t += brimDt
 		}
 		QuantizeInto(st.Spins, x)
@@ -432,7 +434,7 @@ func (s *Solver) runOIM(st *engine.SolveState, pl *solvePlan) {
 	for e, temp := range pl.temps {
 		sc.ps.shilK = oimShilK * (1 - temp/pl.sched.T0)
 		for k := 0; k < oimSubsteps; k++ {
-			sc.ps.Derivative(t, phi, sc.deriv)
+			sc.ps.Derivative(phi, sc.deriv)
 			for i := range phi {
 				phi[i] += oimDt * sc.deriv[i]
 			}

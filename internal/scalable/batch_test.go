@@ -241,7 +241,7 @@ func TestTypicalCoupling(t *testing.T) {
 }
 
 // TestConfigFillDefaults is the table test for every Config field's
-// zero-value behaviour, including the sentinel conventions.
+// zero-value behaviour.
 func TestConfigFillDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -251,23 +251,16 @@ func TestConfigFillDefaults(t *testing.T) {
 		{
 			name: "all-defaults",
 			in:   Config{},
-			want: Config{
-				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 200, SwitchOverheadNs: 20,
-			},
+			want: Config{Lanes: 30, MaxTimeNs: 20000, SyncIntervalNs: 200},
 		},
 		{
 			name: "explicit-values-kept",
 			in: Config{
-				Lanes: 8, Dt: 0.2, MaxTimeNs: 100, SettleTol: 1e-3,
-				VRail: 2, SyncIntervalNs: 50,
-				SwitchOverheadNs: 5, TemporalDisabled: true,
+				Lanes: 8, MaxTimeNs: 100, SyncIntervalNs: 50, TemporalDisabled: true,
 				NodeNoise: 0.1, CouplerNoise: 0.2, Seed: 9,
 			},
 			want: Config{
-				Lanes: 8, Dt: 0.2, MaxTimeNs: 100, SettleTol: 1e-3,
-				VRail: 2, SyncIntervalNs: 50,
-				SwitchOverheadNs: 5, TemporalDisabled: true,
+				Lanes: 8, MaxTimeNs: 100, SyncIntervalNs: 50, TemporalDisabled: true,
 				NodeNoise: 0.1, CouplerNoise: 0.2, Seed: 9,
 			},
 		},
@@ -275,18 +268,7 @@ func TestConfigFillDefaults(t *testing.T) {
 			// One interval paces both synchronization and slice rotation.
 			name: "switch-interval-follows-sync",
 			in:   Config{SyncIntervalNs: 75},
-			want: Config{
-				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 75, SwitchOverheadNs: 20,
-			},
-		},
-		{
-			name: "negative-switch-overhead-means-zero",
-			in:   Config{SwitchOverheadNs: -1},
-			want: Config{
-				Lanes: 30, Dt: 0.1, MaxTimeNs: 20000, SettleTol: 1e-5,
-				VRail: 1, SyncIntervalNs: 200, SwitchOverheadNs: 0,
-			},
+			want: Config{Lanes: 30, MaxTimeNs: 20000, SyncIntervalNs: 75},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -38,21 +38,12 @@ func (m Mode) String() string {
 // Config holds the hardware and runtime parameters of the Scalable DSPU.
 //
 // Zero-value convention: 0 in any numeric field means "use the documented
-// default", never "literally zero". Where a literal zero is meaningful and
-// differs from the default (SwitchOverheadNs), a negative value is the
-// explicit "zero/off" sentinel, as noted on the field.
+// default", never "literally zero".
 type Config struct {
 	// Lanes is L, the analog lanes per exporting portal. The paper uses 30.
 	Lanes int
-	// Dt is the integration timestep in ns. Default 0.1 (a tenth of the
-	// ~1 ns node time constant).
-	Dt float64
 	// MaxTimeNs bounds one inference. Default 20000 ns (Fig. 11's axis).
 	MaxTimeNs float64
-	// SettleTol stops the run when max |dσ/dt| falls below it. Default 1e-5.
-	SettleTol float64
-	// VRail bounds node voltages. Default 1.
-	VRail float64
 	// SyncIntervalNs is the inter-mapping synchronization interval
 	// (Sec. V.D / Fig. 12): how long each temporal slice ("mapping")
 	// stays live before the Switch Controller rotates to the next. Within
@@ -64,12 +55,6 @@ type Config struct {
 	// interval the DS-GL hardware supports. Values <= Dt rotate every
 	// integration step.
 	SyncIntervalNs float64
-	// SwitchOverheadNs is the dead time per mapping switch while the
-	// In-CU Weight Buffers redrive the crossbar DACs and the schedulers
-	// reload routing state (default 20 ns); it counts toward latency but
-	// performs no annealing. Pass a negative value to model free switching
-	// (an overhead of literally zero).
-	SwitchOverheadNs float64
 	// TemporalDisabled selects the DS-GL-Spatial variant: couplings beyond
 	// one round are dropped instead of time-multiplexed.
 	TemporalDisabled bool
@@ -89,30 +74,30 @@ type Config struct {
 	Seed uint64
 }
 
+// Dt is the integration timestep in ns, a tenth of the ~1 ns node time
+// constant.
+const Dt = 0.1
+
+const (
+	// settleTol stops a run when max |dσ/dt| falls below it.
+	settleTol = 1e-5
+	// vRail bounds node voltages to [-vRail, +vRail].
+	vRail = 1.0
+	// switchOverheadNs is the dead time per mapping switch while the In-CU
+	// Weight Buffers redrive the crossbar DACs and the schedulers reload
+	// routing state; it counts toward latency but performs no annealing.
+	switchOverheadNs = 20
+)
+
 func (c *Config) fillDefaults() {
 	if c.Lanes == 0 {
 		c.Lanes = 30
 	}
-	if c.Dt == 0 {
-		c.Dt = 0.1
-	}
 	if c.MaxTimeNs == 0 {
 		c.MaxTimeNs = 20000
 	}
-	if c.SettleTol == 0 {
-		c.SettleTol = 1e-5
-	}
-	if c.VRail == 0 {
-		c.VRail = 1
-	}
 	if c.SyncIntervalNs == 0 {
 		c.SyncIntervalNs = 200
-	}
-	if c.SwitchOverheadNs == 0 {
-		c.SwitchOverheadNs = 20
-	}
-	if c.SwitchOverheadNs < 0 {
-		c.SwitchOverheadNs = 0
 	}
 }
 
@@ -120,10 +105,10 @@ func (c *Config) fillDefaults() {
 // integration step.
 var errNoSteps = errors.New("scalable: MaxTimeNs shorter than one timestep")
 
-// settleResidualFactor relaxes SettleTol for the full-residual settle
-// check: the live-slice derivative must beat SettleTol itself, while the
+// settleResidualFactor relaxes settleTol for the full-residual settle
+// check: the live-slice derivative must beat settleTol itself, while the
 // true (all-couplings-fresh) residual — which carries sample-and-hold
-// staleness in temporal mode — must beat SettleTol * settleResidualFactor.
+// staleness in temporal mode — must beat settleTol * settleResidualFactor.
 const settleResidualFactor = 10
 
 // warmFineBackoff is the step gap between failed fine-grained settle checks
@@ -234,7 +219,7 @@ func (m *Machine) Name() string { return "scalable" }
 func (m *Machine) Dim() int { return m.N }
 
 // Rails is the voltage rail bound observations must respect.
-func (m *Machine) Rails() float64 { return m.cfg.VRail }
+func (m *Machine) Rails() float64 { return vRail }
 
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (m *Machine) BaseSeed() uint64 { return m.cfg.Seed }
@@ -283,9 +268,9 @@ func (m *Machine) fullResidual(x []float64, clamped []bool, buf []float64) float
 			continue
 		}
 		d := buf[i] + m.params.H[i]*x[i]
-		if x[i] >= m.cfg.VRail && d > 0 {
+		if x[i] >= vRail && d > 0 {
 			d = 0
-		} else if x[i] <= -m.cfg.VRail && d < 0 {
+		} else if x[i] <= -vRail && d < 0 {
 			d = 0
 		}
 		if a := math.Abs(d); a > maxD {
@@ -298,7 +283,7 @@ func (m *Machine) fullResidual(x []float64, clamped []bool, buf []float64) float
 // ResidualAt evaluates the true equilibrium residual max |dσ/dt| at state x
 // with every coupling live and fresh, skipping nodes marked in clamped (nil
 // = no node clamped). It is the exported, allocating face of the in-loop
-// residual check: the invariant "Settled implies residual < 10*SettleTol"
+// residual check: the invariant "Settled implies residual < 10*settleTol"
 // is verifiable from outside the anneal loop with exactly the quantity the
 // loop used.
 func (m *Machine) ResidualAt(x []float64, clamped []bool) (float64, error) {
@@ -315,9 +300,9 @@ func (m *Machine) ResidualAt(x []float64, clamped []bool) (float64, error) {
 
 // SettleResidualTol is the residual bound a Settled result guarantees:
 // whenever Result.Settled is true, ResidualAt at the settled state is below
-// SettleTol * settleResidualFactor.
+// settleTol * settleResidualFactor.
 func (m *Machine) SettleResidualTol() float64 {
-	return m.cfg.SettleTol * settleResidualFactor
+	return settleTol * settleResidualFactor
 }
 
 // EnergyAt evaluates the real-valued Hamiltonian of the compiled system

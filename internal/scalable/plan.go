@@ -96,7 +96,7 @@ func refreshPhase(st *engine.InferState, sc *scratch, pl *mat.ClampSplit, k int)
 func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
-	steps := int(m.cfg.MaxTimeNs / m.cfg.Dt)
+	steps := int(m.cfg.MaxTimeNs / Dt)
 	if steps < 1 {
 		return nil, errNoSteps
 	}
@@ -159,7 +159,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 	settled := false
 	lastResidual := math.NaN()
 	taken := 0
-	checkEvery := int(m.cfg.SyncIntervalNs*float64(len(m.phases))/m.cfg.Dt) + 1
+	checkEvery := int(m.cfg.SyncIntervalNs*float64(len(m.phases))/Dt) + 1
 	if checkEvery < 32 {
 		checkEvery = 32
 	}
@@ -178,9 +178,9 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 			if noisy && m.cfg.NodeNoise > 0 {
 				d += r.NormScaled(0, m.cfg.NodeNoise)
 			}
-			if x[i] >= m.cfg.VRail && d > 0 {
+			if x[i] >= vRail && d > 0 {
 				d = 0
-			} else if x[i] <= -m.cfg.VRail && d < 0 {
+			} else if x[i] <= -vRail && d < 0 {
 				d = 0
 			}
 			deriv[i] = d
@@ -191,15 +191,15 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		// Fused update and rail clamp per free node. Clamped nodes never
 		// move (their observation already respects the rail).
 		for _, i := range free {
-			xi := x[i] + m.cfg.Dt*deriv[i]
-			if xi < -m.cfg.VRail {
-				xi = -m.cfg.VRail
-			} else if xi > m.cfg.VRail {
-				xi = m.cfg.VRail
+			xi := x[i] + Dt*deriv[i]
+			if xi < -vRail {
+				xi = -vRail
+			} else if xi > vRail {
+				xi = vRail
 			}
 			x[i] = xi
 		}
-		annealT += m.cfg.Dt
+		annealT += Dt
 		taken = s + 1
 		if st.Observer != nil {
 			st.Observer(engine.StepInfo{
@@ -219,9 +219,9 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		// Result can report the equilibrium residual at convergence;
 		// planResidual equals fullResidual (ResidualAt) bit for bit.
 		if len(m.phases) == 1 {
-			if maxD < m.cfg.SettleTol {
+			if maxD < settleTol {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
+				if lastResidual < settleTol*settleResidualFactor {
 					settled = true
 					break
 				}
@@ -234,9 +234,9 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 			// off warmFineBackoff steps so it cannot buy an O(nnz) residual
 			// evaluation every step. Cold runs keep the once-per-cycle
 			// check only.
-			if st.WarmStart && s >= nextFine && maxD < m.cfg.SettleTol {
+			if st.WarmStart && s >= nextFine && maxD < settleTol {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
+				if lastResidual < settleTol*settleResidualFactor {
 					settled = true
 					break
 				}
@@ -244,7 +244,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 			}
 			if s%checkEvery == checkEvery-1 {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
-				if lastResidual < m.cfg.SettleTol*settleResidualFactor {
+				if lastResidual < settleTol*settleResidualFactor {
 					settled = true
 					break
 				}
@@ -259,7 +259,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 	st.Res = engine.Result{
 		Voltage:   x,
 		AnnealNs:  annealT,
-		LatencyNs: annealT + float64(switches)*m.cfg.SwitchOverheadNs,
+		LatencyNs: annealT + float64(switches)*switchOverheadNs,
 		Settled:   settled,
 		Switches:  switches,
 		Steps:     taken,
@@ -292,9 +292,9 @@ func (m *Machine) planResidual(pl *mat.ClampSplit, sc *scratch, x, buf []float64
 	maxD := 0.0
 	for _, i := range pl.Free {
 		d := buf[i] + m.params.H[i]*x[i]
-		if x[i] >= m.cfg.VRail && d > 0 {
+		if x[i] >= vRail && d > 0 {
 			d = 0
-		} else if x[i] <= -m.cfg.VRail && d < 0 {
+		} else if x[i] <= -vRail && d < 0 {
 			d = 0
 		}
 		if a := math.Abs(d); a > maxD {

@@ -25,7 +25,7 @@ var (
 	modelErr  error
 )
 
-func testModel(t *testing.T) *dsgl.Model {
+func testModel(t testing.TB) *dsgl.Model {
 	t.Helper()
 	modelOnce.Do(func() {
 		ds := dsgl.GenerateDataset("traffic", dsgl.DatasetConfig{N: 16, T: 400, History: 4, Horizon: 1, Seed: 2})
@@ -37,7 +37,7 @@ func testModel(t *testing.T) *dsgl.Model {
 	return model
 }
 
-func testRegistry(t *testing.T) *Registry {
+func testRegistry(t testing.TB) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	if _, err := reg.Register("traffic", testModel(t)); err != nil {
@@ -450,6 +450,42 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz during drain: status %d, want 503", rec.Code)
 	}
+}
+
+// FuzzServeRequests posts each body to /v1/infer and to /v1/stream, on a
+// fresh Server with batching off. No body may panic a handler, and every
+// reply must be a 200 or a 4xx: a body that fails to decode or validate
+// never gets a 5xx.
+func FuzzServeRequests(f *testing.F) {
+	reg := testRegistry(f)
+	_, test := testModel(f).Dataset.Split()
+	window, err := json.Marshal(test[0].Full)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"model":"traffic","window":` + string(window) + `}`,
+		`{"model":"traffic","observations":[{"index":0,"value":0.5},{"index":3,"value":-0.25}],"seed":7}`,
+		`{"model":"traffic","session":"","observations":[{"index":1,"value":0.1}],"tenant":"t"}`,
+		`{"session":"st-1","close":true}`,
+		`{"model":"traffic","observations":[{"index":0,"val`,
+		`{"model":"traffic","observations":[{"index":9999,"value":0}]}`,
+		`{"model":"traffic","observations":[{"index":2,"value":0.1},{"index":2,"value":0.1}]}`,
+		`{"model":"traffic","observations":[{"index":0,"value":1.5}]}`,
+		`{"model":"traffic","window":` + string(window) + `,"observations":[{"index":0,"value":0.5}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(reg, Config{BatchWindow: -1})
+		for _, path := range []string{"/v1/infer", "/v1/stream"} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
+				t.Fatalf("%s: status %d for body %q: %s", path, rec.Code, body, rec.Body)
+			}
+		}
+	})
 }
 
 // TestStartDrain boots a real listener on a random port, serves one

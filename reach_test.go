@@ -28,8 +28,6 @@ var reachAllowlist = map[string]string{
 	"dsgl/internal/alloctest.passesThroughCall":     "backs alloctest.Count",
 	"dsgl/internal/alloctest.profileRuns":           "backs alloctest.Count",
 	"dsgl/internal/alloctest.raceBuild":             "backs alloctest.SkipUnderRace",
-	"dsgl/internal/circuit.Network.Energy":          "oracle: the circuit tests check Lyapunov descent against it",
-	"dsgl/internal/circuit.Network.Equilibrium":     "oracle: the DSPU and circuit tests compare fixed points against it",
 	"dsgl/internal/community.Partition.Modularity":  "oracle: the Louvain tests check modularity against it",
 	"dsgl/internal/engine.BestEnergyTrace.Observer": "test hook: the opt tests record best energies per step",
 	"dsgl/internal/engine.Engine.PlanCacheLen":      "test hook: the plan-cache tests read residency",
@@ -50,7 +48,6 @@ var reachAllowlist = map[string]string{
 	"dsgl/internal/metrics.MAPEWithCoverage":        "oracle: TestAccumulatorMatchesBatch compares against it",
 	"dsgl/internal/obs.SetDefault":                  "test hook: tests install a fresh default registry",
 	"dsgl/internal/obs.Summary.Quantile":            "test hook: the P² summary tests read quantiles",
-	"dsgl/internal/ode.NewRK4":                      "test hook: the integrator ablation benchmark and the DSPU RK4 tests",
 	"dsgl/internal/rng.RNG.Perm":                    "test hook: benchmarks shuffle windows with it",
 	"dsgl/internal/serve.Server.Draining":           "test hook: the drain tests",
 	"dsgl/internal/serve.Server.QueueDepth":         "test hook: the admission tests wait on queue depth",

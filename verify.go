@@ -10,6 +10,7 @@ import (
 	"dsgl/internal/engine"
 	"dsgl/internal/ising"
 	"dsgl/internal/opt"
+	"dsgl/internal/scalable"
 	"dsgl/internal/verify"
 )
 
@@ -198,12 +199,11 @@ func (m *Model) checkEnergyDescent(p *probes, c *VerifyCheck) error {
 	// A dense-backend model is a single continuous gradient flow — no slice
 	// switching — so it always verifies with the strict per-step tolerance.
 	if m.Machine != nil && m.Machine.Stats().Rounds > 1 {
-		cfg := m.Machine.Config()
 		tol.Rel = descentRelMulti
 		// Sample once per slice switch: within a slice the held currents
 		// make the measured energy ripple by design, so the descent claim
 		// is made on the switch-to-switch envelope.
-		stride = max(int(cfg.SyncIntervalNs/cfg.Dt), 1)
+		stride = max(int(m.Machine.Config().SyncIntervalNs/scalable.Dt), 1)
 	}
 	// The descending quantity is the conditional Hamiltonian given the
 	// clamps (see mat.Couplings.ClampedEnergyAt): the raw Hamiltonian that
