@@ -36,13 +36,117 @@ func TestNewRejectsBadParams(t *testing.T) {
 		j    *mat.Dense
 		h    []float64
 	}{
-		{"non-negative h", mat.NewDense(2, 2), []float64{-1, 0}},
-		{"diagonal J", diag, []float64{-1, -1}},
-		{"non-square J", mat.NewDense(2, 3), []float64{-1, -1}},
-		{"len(h) mismatch", mat.NewDense(2, 2), []float64{-1}},
+		{"non-negative-h", mat.NewDense(2, 2), []float64{-1, 0}},
+		{"positive-h", mat.NewDense(2, 2), []float64{-1, 0.5}},
+		{"diagonal-J", diag, []float64{-1, -1}},
+		{"non-square-J", mat.NewDense(2, 3), []float64{-1, -1}},
+		{"len-h-mismatch", mat.NewDense(2, 2), []float64{-1}},
 	} {
-		if _, err := New(tc.j, tc.h, Config{}); err == nil {
-			t.Errorf("%s: New accepted it", tc.name)
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.j, tc.h, Config{}); err == nil {
+				t.Error("New accepted it")
+			}
+		})
+	}
+}
+
+// stepUnfolded takes steps forward-Euler steps of dt ns from x in place on
+// the unfolded plan of clamped, the step TraceRun and the Naive path take.
+func stepUnfolded(d *DSPU, x []float64, clamped []bool, steps int, dt float64) {
+	ps := d.unfoldedSys(clamped, x)
+	for s := 0; s < steps; s++ {
+		ps.step(x, dt)
+	}
+}
+
+// TestQuadraticFixedPoint verifies Eq. 5 on the Euler step itself: with
+// node 0 clamped to v, node 1 settles at -J*v/h1, for an h1 other than -1.
+func TestQuadraticFixedPoint(t *testing.T) {
+	j := mat.NewDense(2, 2)
+	j.Set(0, 1, 0.8)
+	j.Set(1, 0, 0.8)
+	d, err := New(j, []float64{-1, -2}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.5, 0}
+	stepUnfolded(d, x, []bool{true, false}, 4000, 0.01)
+	want := -0.8 * 0.5 / -2 // = 0.2
+	if math.Abs(x[1]-want) > 1e-6 {
+		t.Fatalf("node 1 settled at %g, want %g", x[1], want)
+	}
+	if x[0] != 0.5 {
+		t.Fatalf("clamped node moved to %g", x[0])
+	}
+}
+
+// TestEnergyMonotoneDescent verifies the Lyapunov property (Eq. 6): free
+// evolution under the Euler step never increases H_RV.
+func TestEnergyMonotoneDescent(t *testing.T) {
+	r := rng.New(42)
+	n := 12
+	j := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < n; k++ {
+			v := r.NormScaled(0, 0.3)
+			j.Set(i, k, v)
+			j.Set(k, i, v)
+		}
+	}
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = -2 // strongly convex so the quadratic term dominates
+	}
+	d, err := New(j, h, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n)
+	r.FillUniform(x, -0.9, 0.9)
+	ps := d.unfoldedSys(make([]bool, n), x)
+	prev := d.EnergyAt(x)
+	for s := 0; s < 2000; s++ {
+		ps.step(x, 0.005)
+		e := d.EnergyAt(x)
+		if e > prev+1e-9 {
+			t.Fatalf("energy increased at step %d: %g -> %g", s, prev, e)
+		}
+		prev = e
+	}
+}
+
+// TestEquilibriumMatchesODE checks the Gauss–Seidel oracle against a long
+// Euler integration of a sparse, asymmetric J with two clamped nodes.
+func TestEquilibriumMatchesODE(t *testing.T) {
+	r := rng.New(7)
+	n := 8
+	j := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			if i != k && r.Float64() < 0.5 {
+				j.Set(i, k, r.NormScaled(0, 0.2))
+			}
+		}
+	}
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = -1.5
+	}
+	d, err := New(j, h, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clamped := make([]bool, n)
+	clamped[0], clamped[1] = true, true
+	x := make([]float64, n)
+	x[0], x[1] = 0.4, -0.3
+	eq := gaussSeidel(j, h, x, clamped, 200)
+
+	xo := mat.CopyVec(x)
+	stepUnfolded(d, xo, clamped, 20000, 0.01)
+	for i := 0; i < n; i++ {
+		if math.Abs(eq[i]-xo[i]) > 1e-4 {
+			t.Fatalf("node %d: Gauss-Seidel %g vs ODE %g", i, eq[i], xo[i])
 		}
 	}
 }

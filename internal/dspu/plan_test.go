@@ -39,40 +39,42 @@ func runFresh(d *DSPU, req engine.Request) (*engine.Result, error) {
 }
 
 // TestDSPUInferPlanBitIdentical: the plan path must reproduce the naive
-// path bit for bit, for several seeds and clamp patterns — including no
-// clamps (all dyn) and all clamps (nothing free). Neither path writes a
-// clamped node, so each clamped voltage keeps its observation's bits, a −0
-// included.
+// path bit for bit under the forward-Euler step, for several seeds and
+// clamp patterns — including no clamps (all dyn) and all clamps (nothing
+// free). Neither path writes a clamped node, so each clamped voltage keeps
+// its observation's bits, a −0 included.
 func TestDSPUInferPlanBitIdentical(t *testing.T) {
-	d := chainDSPU(t, 8, 0.3, Config{MaxTimeNs: 200, Seed: 9})
-	negZero := math.Copysign(0, -1)
-	for _, seed := range []uint64{1, 5, 99} {
-		for _, obs := range [][]engine.Observation{
-			nil,
-			{{Index: 0, Value: 0.6}},
-			{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}},
-			{{Index: 2, Value: negZero}, {Index: 5, Value: 0.3}},
-			{{Index: 0, Value: 0.1}, {Index: 1, Value: 0.2}, {Index: 2, Value: -0.3}, {Index: 3, Value: 0.4}, {Index: 4, Value: 0.5}, {Index: 5, Value: -0.6}, {Index: 6, Value: 0.7}, {Index: 7, Value: -0.8}},
-		} {
-			plan, err := d.Engine().InferWith(d.Engine().NewInferState(), obs, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan = plan.Detach()
-			naive, err := runFresh(d, engine.Request{Obs: obs, Seed: seed, Path: engine.Naive})
-			if err != nil {
-				t.Fatal(err)
-			}
-			identicalResults(t, "plan vs naive", plan, naive)
-			for _, o := range obs {
-				for _, res := range []*engine.Result{plan, naive} {
-					if got := res.Voltage[o.Index]; math.Float64bits(got) != math.Float64bits(o.Value) {
-						t.Fatalf("seed %d: clamped node %d reads %v, observed %v", seed, o.Index, got, o.Value)
+	t.Run("euler", func(t *testing.T) {
+		d := chainDSPU(t, 8, 0.3, Config{MaxTimeNs: 200, Seed: 9})
+		negZero := math.Copysign(0, -1)
+		for _, seed := range []uint64{1, 5, 99} {
+			for _, obs := range [][]engine.Observation{
+				nil,
+				{{Index: 0, Value: 0.6}},
+				{{Index: 0, Value: 0.6}, {Index: 4, Value: -0.2}},
+				{{Index: 2, Value: negZero}, {Index: 5, Value: 0.3}},
+				{{Index: 0, Value: 0.1}, {Index: 1, Value: 0.2}, {Index: 2, Value: -0.3}, {Index: 3, Value: 0.4}, {Index: 4, Value: 0.5}, {Index: 5, Value: -0.6}, {Index: 6, Value: 0.7}, {Index: 7, Value: -0.8}},
+			} {
+				plan, err := d.Engine().InferWith(d.Engine().NewInferState(), obs, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan = plan.Detach()
+				naive, err := runFresh(d, engine.Request{Obs: obs, Seed: seed, Path: engine.Naive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				identicalResults(t, "plan vs naive", plan, naive)
+				for _, o := range obs {
+					for _, res := range []*engine.Result{plan, naive} {
+						if got := res.Voltage[o.Index]; math.Float64bits(got) != math.Float64bits(o.Value) {
+							t.Fatalf("seed %d: clamped node %d reads %v, observed %v", seed, o.Index, got, o.Value)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDSPUPlanCacheReuse: repeated inferences sharing a clamp pattern
