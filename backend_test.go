@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dsgl/internal/engine"
 	"dsgl/internal/verify"
 )
 
@@ -190,7 +191,7 @@ func TestDenseBackendSaveRoundTrip(t *testing.T) {
 		t.Fatalf("loaded backend %q, want %q", loaded.Opts.Backend, BackendDense)
 	}
 	if vs := verify.DenseEqual("round-trip", "EffectiveJ",
-		model.Dspu.EffectiveJ(), loaded.Dspu.EffectiveJ()); len(vs) > 0 {
+		model.Dspu.Engine().EffectiveJ(), loaded.Dspu.Engine().EffectiveJ()); len(vs) > 0 {
 		t.Fatalf("effective J diverges across Save/Load: %v", vs[0].Detail)
 	}
 	_, test := ds.Split()
@@ -204,5 +205,71 @@ func TestDenseBackendSaveRoundTrip(t *testing.T) {
 	}
 	if want.RMSE != got.RMSE || want.MAE != got.MAE || want.MeanLatencyUs != got.MeanLatencyUs {
 		t.Fatalf("loaded dense model diverges: %+v vs %+v", got, want)
+	}
+}
+
+// TestResultResidualIsEngineResidualAt: each backend's in-loop settle
+// check computes the full-coupling residual its own way (the scalable
+// machine over its clamp plan's rows, the dense DSPU through its loop's
+// derivative), and the engine's ResidualAt, which shares no code with
+// either, is the reference both must match. On both anneal paths, every
+// settled probe's Result.Residual must equal ResidualAt at the settled
+// voltages bit for bit, in the spatial, temporal and dense regimes.
+func TestResultResidualIsEngineResidualAt(t *testing.T) {
+	base := Options{Density: 0.15, PECapacity: 24, Seed: 7}
+	temporal, dense := base, base
+	temporal.Lanes = 4
+	dense.Backend = BackendDense
+	cases := []struct {
+		name   string
+		opts   Options
+		rounds int // scalable temporal slices; 0 for the dense backend
+	}{
+		{"spatial", base, 1},
+		{"temporal", temporal, 16},
+		{"dense", dense, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := GenerateDataset("traffic", DatasetConfig{N: 16, Seed: 7})
+			model, err := Train(ds, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if model.Machine != nil && model.Machine.Stats().Rounds != tc.rounds {
+				t.Fatalf("machine runs %d rounds, want %d", model.Machine.Stats().Rounds, tc.rounds)
+			}
+			_, test := ds.Split()
+			eng := model.Engine()
+			mask := model.clampMask()
+			for _, path := range []engine.Path{engine.Planned, engine.Naive} {
+				settled := 0
+				for i, w := range test[:8] {
+					obs, err := model.WindowObservations(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := eng.Run(eng.NewInferState(), engine.Request{Obs: obs, Seed: uint64(i), Path: path})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Settled {
+						continue
+					}
+					settled++
+					r, err := eng.ResidualAt(res.Voltage, mask)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(r) != math.Float64bits(res.Residual) {
+						t.Errorf("path %d, probe %d: Result.Residual %v, ResidualAt %v", path, i, res.Residual, r)
+					}
+				}
+				if settled == 0 {
+					t.Fatalf("path %d: no probe settled", path)
+				}
+				t.Logf("path %d: %d of 8 probes settled", path, settled)
+			}
+		})
 	}
 }

@@ -506,32 +506,19 @@ func classVariables(ds *Dataset, nodeClass []int) []int {
 // switching, so they settle well within 2 µs.
 const denseMaxInferNs = 2000
 
-// regressionBackend is what the model and its verification need from
-// either regression backend; *scalable.Machine and *dspu.DSPU both
-// provide it.
-type regressionBackend interface {
-	Engine() *engine.Engine
-	EffectiveJ() *mat.Dense
-	ClampedEnergyAt(x []float64, clamped []bool) float64
-	ResidualAt(x []float64, clamped []bool) (float64, error)
-	SettleResidualTol() float64
-}
-
-// backend returns the backend the model runs.
-func (m *Model) backend() regressionBackend {
-	if m.Machine != nil {
-		return m.Machine
-	}
-	return m.Dspu
-}
-
 // Engine returns the inference engine of the model's backend. Both
 // backends expose the identical engine surface (Run, RunBatch,
-// EnsurePlan, plan-cache stats), so everything downstream of Train is
-// backend-agnostic. The serving layer (internal/serve) drives models
-// through this handle: it is safe for concurrent use, and batch entry
-// points are bit-identical to their solo equivalents per seed.
-func (m *Model) Engine() *engine.Engine { return m.backend().Engine() }
+// EnsurePlan, plan-cache stats, energies and residual), so everything
+// downstream of Train is backend-agnostic. The serving layer
+// (internal/serve) drives models through this handle: it is safe for
+// concurrent use, and batch entry points are bit-identical to their solo
+// equivalents per seed.
+func (m *Model) Engine() *engine.Engine {
+	if m.Machine != nil {
+		return m.Machine.Engine()
+	}
+	return m.Dspu.Engine()
+}
 
 // mode names the co-annealing method for predictions and reports.
 func (m *Model) mode() string {

@@ -8,10 +8,10 @@
 // currents, and the settled voltages are the predictions (Sec. III.C).
 //
 // The DSPU is the dense Backend of the shared inference engine
-// (internal/engine): observation validation, clamp-plan caching, seeding,
-// and batch fan-out live in the engine; this package supplies the node
-// dynamics (Eq. 8 over a clamp plan, plan.go) and the forward-Euler loop
-// that integrates them.
+// (internal/engine): observation validation, clamp plans, seeding, batch
+// fan-out and the energies live in the engine; this package supplies the
+// node dynamics (Eq. 8 over a clamp plan, plan.go) and the forward-Euler
+// loop that integrates them.
 package dspu
 
 import (
@@ -61,8 +61,8 @@ type DSPU struct {
 	// h holds the self-reaction conductances, every one negative.
 	h   []float64
 	cfg Config
-	// cpl is the one-matrix coupling list [J] the clamp plans split and
-	// the energies reduce.
+	// cpl is the one-matrix coupling list [J] the engine splits into clamp
+	// plans and reduces to energies.
 	cpl *mat.Couplings
 
 	// The engine is created lazily on first use, mirroring
@@ -105,16 +105,12 @@ func New(j *mat.Dense, h []float64, cfg Config) (*DSPU, error) {
 	return &DSPU{N: n, h: mat.CopyVec(h), cfg: cfg, cpl: mat.NewCouplings(mat.FromDense(j, 0))}, nil
 }
 
-// dscratch is the DSPU's backend arena inside an engine.InferState.
-type dscratch struct {
-	psys     planSys        // the plan binding, rebound per inference
-	unfolded mat.ClampSplit // the Naive path's plan, refilled per inference
-}
-
-// AttachState allocates the DSPU's scratch arena onto an engine state.
-// Called once per InferState by engine.NewInferState.
+// AttachState allocates the DSPU's scratch arena, the plan binding it
+// rebinds per inference, onto an engine state. Called once per InferState
+// by engine.NewInferState.
 func (d *DSPU) AttachState(st *engine.InferState) {
-	st.Scratch = &dscratch{psys: d.newPlanSys()}
+	ps := d.newPlanSys()
+	st.Scratch = &ps
 }
 
 // Backend contract (engine.Backend): identity and bounds.
@@ -122,80 +118,34 @@ func (d *DSPU) AttachState(st *engine.InferState) {
 // Name prefixes error messages and names the backend in CLIs and reports.
 func (d *DSPU) Name() string { return "dspu" }
 
-// Dim is the state dimension.
-func (d *DSPU) Dim() int { return d.N }
-
 // Rails is the voltage rail bound observations must respect.
 func (d *DSPU) Rails() float64 { return vRail }
 
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (d *DSPU) BaseSeed() uint64 { return d.cfg.Seed }
 
-// CompilePlan splits the coupling list against the clamp pattern (see
-// plan.go).
-func (d *DSPU) CompilePlan(clamped []bool) any { return d.cpl.Split(clamped) }
+// Couplings is the one-matrix coupling list [J] the engine splits into
+// clamp plans. Construction converts the trained J to CSR dropping only
+// exact zeros and keeping every surviving entry bit-exact, so the engine's
+// EffectiveJ equals the constructor's J bit for bit.
+func (d *DSPU) Couplings() *mat.Couplings { return d.cpl }
 
-// The DSPU delta-compiles clamp plans for streaming inference (plan.go).
-var _ engine.DeltaBackend = (*DSPU)(nil)
-
-// RunPlanned runs the integration loop over the clamp plan.
-func (d *DSPU) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
-	return d.annealLoop(st, plan.(*mat.ClampSplit))
-}
-
-// RunNaive runs the integration loop under the state's unfolded plan
-// (mat.Couplings.Unfold): nothing folded, every coupling row
-// re-accumulated each evaluation. It is the reference the
-// plan-naive-identity invariant holds RunPlanned to.
-func (d *DSPU) RunNaive(st *engine.InferState) (*engine.Result, error) {
-	sc := st.Scratch.(*dscratch)
-	d.cpl.Unfold(st.Clamped, &sc.unfolded)
-	return d.annealLoop(st, &sc.unfolded)
-}
-
-// EnergyAt evaluates the real-valued Hamiltonian H_RV at state x.
-func (d *DSPU) EnergyAt(x []float64) float64 { return d.cpl.EnergyAt(x, d.h) }
-
-// EffectiveJ reconstructs the dense coupling matrix the DSPU realizes.
-// Construction converts the trained J to CSR dropping only exact zeros and
-// keeping every surviving entry bit-exact, so EffectiveJ equals the
-// constructor's J bit-for-bit; the lossless-realization and snapshot
-// round-trip verify invariants compare against it.
-func (d *DSPU) EffectiveJ() *mat.Dense { return d.cpl.EffectiveJ() }
-
-// ClampedEnergyAt evaluates the conditional Hamiltonian of the free
-// subsystem given the clamped nodes, the Lyapunov function of clamped
-// annealing (see mat.Couplings.ClampedEnergyAt).
-func (d *DSPU) ClampedEnergyAt(x []float64, clamped []bool) float64 {
-	return d.cpl.ClampedEnergyAt(x, clamped, d.h)
-}
-
-// ResidualAt evaluates the equilibrium residual max |dσ/dt| at state x,
-// skipping nodes marked in clamped (nil = no node clamped). It takes the
-// derivative over the unfolded plan, so no coupling is folded.
-func (d *DSPU) ResidualAt(x []float64, clamped []bool) (float64, error) {
-	if len(x) != d.N {
-		return 0, fmt.Errorf("dspu: state has %d entries, want %d", len(x), d.N)
-	}
-	if clamped == nil {
-		clamped = make([]bool, d.N)
-	} else if len(clamped) != d.N {
-		return 0, fmt.Errorf("dspu: clamp mask has %d entries, want %d", len(clamped), d.N)
-	}
-	return d.unfoldedSys(clamped, x).residual(x), nil
-}
+// SelfReaction is h, the quadratic self-reaction conductances.
+func (d *DSPU) SelfReaction() []float64 { return d.h }
 
 // SettleResidualTol is the residual bound a Settled result guarantees: the
 // settle check stops the loop the moment the derivative norm falls below
 // settleTol, at the reported state.
 func (d *DSPU) SettleResidualTol() float64 { return settleTol }
 
-// annealLoop is the forward-Euler integration loop over one clamp plan: a
+// Anneal is the forward-Euler integration loop over one clamp plan: a
 // Split plan on the Planned path, the unfolded plan on the Naive path. The
 // two can only differ through the derivative values, which the plan
-// construction makes bit-identical. Clamped nodes are never written.
-func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
-	ps := &st.Scratch.(*dscratch).psys
+// construction makes bit-identical. Clamped nodes are never written. Its
+// settle check is the plan's residual, which equals the engine's
+// ResidualAt bit for bit.
+func (d *DSPU) Anneal(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
+	ps := st.Scratch.(*planSys)
 	x := st.X
 	ps.bind(pl, x)
 	steps := int(d.cfg.MaxTimeNs / d.cfg.Dt)
@@ -230,7 +180,6 @@ func (d *DSPU) annealLoop(st *engine.InferState, pl *mat.ClampSplit) (*engine.Re
 		AnnealNs:  t,
 		Steps:     taken,
 		Settled:   settled,
-		Energy:    d.EnergyAt(x),
 		Residual:  lastResidual,
 	}
 	return &st.Res, nil

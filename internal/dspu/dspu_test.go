@@ -104,10 +104,10 @@ func TestEnergyMonotoneDescent(t *testing.T) {
 	x := make([]float64, n)
 	r.FillUniform(x, -0.9, 0.9)
 	ps := d.unfoldedSys(make([]bool, n), x)
-	prev := d.EnergyAt(x)
+	prev := d.Engine().EnergyAt(x)
 	for s := 0; s < 2000; s++ {
 		ps.step(x, 0.005)
-		e := d.EnergyAt(x)
+		e := d.Engine().EnergyAt(x)
 		if e > prev+1e-9 {
 			t.Fatalf("energy increased at step %d: %g -> %g", s, prev, e)
 		}
@@ -294,7 +294,7 @@ func TestDerivativeMatchesEnergyGradient(t *testing.T) {
 			xm := mat.CopyVec(x)
 			xp[i] += eps
 			xm[i] -= eps
-			fd := (d.EnergyAt(xp) - d.EnergyAt(xm)) / (2 * eps)
+			fd := (d.Engine().EnergyAt(xp) - d.Engine().EnergyAt(xm)) / (2 * eps)
 			if math.Abs(deriv[i]+fd) > 1e-5 {
 				return false
 			}
@@ -350,7 +350,7 @@ func TestEnergyDecreasesDuringInference(t *testing.T) {
 	// seed alone; replaying that draw gives the starting energy.
 	x0 := make([]float64, 6)
 	rng.New(3).FillUniform(x0, -0.1, 0.1)
-	e0 := d.EnergyAt(x0)
+	e0 := d.Engine().EnergyAt(x0)
 	res, err := d.Engine().InferSeeded(nil, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,13 @@
 // exactly), drops clamped rows (their nodes never move), and lists the free
 // and clamped nodes instead of scanning the clamp mask.
 //
-// Plan caching and keying live in internal/engine and the splitting in
-// internal/mat; this file supplies the plan's runtime binding, planSys,
+// Plan compilation and caching live in internal/engine and the splitting
+// in internal/mat; this file supplies the plan's runtime binding, planSys,
 // whose derivative is Eq. 8's node current balance and whose step is one
-// forward-Euler step of it. Every engine path and TraceRun step a planSys:
-// the Planned path under a Split plan, the Naive path, ResidualAt and
-// TraceRun under the unfolded plan (mat.Couplings.Unfold), which folds
-// nothing and re-accumulates the whole of J each evaluation.
+// forward-Euler step of it. Both engine paths and TraceRun step a planSys:
+// the Planned path under a Split plan, the Naive path and TraceRun under
+// the unfolded plan (mat.Couplings.Unfold), which folds nothing and
+// re-accumulates the whole of J each evaluation.
 package dspu
 
 import (
@@ -22,20 +22,8 @@ import (
 	"dsgl/internal/mat"
 )
 
-// CompilePlanDelta implements engine.DeltaBackend by patching the previous
-// plan (mat.ClampSplit.Patch); nil declines and sends the engine to a full
-// compile.
-func (d *DSPU) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any {
-	if pl, ok := prev.(*mat.ClampSplit); ok {
-		if np := pl.Patch(d.cpl, oldClamped, newClamped); np != nil {
-			return np
-		}
-	}
-	return nil
-}
-
 // planSys is a clamp plan bound to one inference's buffers. An engine
-// state keeps one in its dscratch, so binding it allocates nothing.
+// state keeps one as its Scratch, so binding it allocates nothing.
 type planSys struct {
 	pl    *mat.ClampSplit
 	h     []float64 // the DSPU's self-reaction conductances
@@ -50,7 +38,7 @@ func (d *DSPU) newPlanSys() planSys {
 }
 
 // unfoldedSys returns a planSys of its own bound at x to the unfolded plan
-// of clamped, for the callers outside the engine: ResidualAt and TraceRun.
+// of clamped, for TraceRun.
 func (d *DSPU) unfoldedSys(clamped []bool, x []float64) *planSys {
 	pl := new(mat.ClampSplit)
 	d.cpl.Unfold(clamped, pl)

@@ -7,105 +7,106 @@ import (
 	"time"
 )
 
-// slowCompileBackend delays every plan compile and tracks how many
-// compiles overlap, so the tests can prove (a) same-key compiles coalesce
-// to one and (b) different-key compiles are NOT serialized behind the
-// cache mutex — the regression this engine revision fixes.
-type slowCompileBackend struct {
-	*stubBackend
+// slowCompiles hands out compile funcs for planCache.resolve that sleep
+// for delay and track how many compiles overlap, so the tests can prove
+// (a) same-key compiles coalesce to one and (b) different-key compiles are
+// NOT serialized behind the cache mutex.
+type slowCompiles struct {
 	delay       time.Duration
+	compiles    atomic.Int64
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 }
 
-func (s *slowCompileBackend) CompilePlan(clamped []bool) any {
-	cur := s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	for {
-		max := s.maxInFlight.Load()
-		if cur <= max || s.maxInFlight.CompareAndSwap(max, cur) {
-			break
+// compile returns a slow compile func whose plan is v.
+func (s *slowCompiles) compile(v int) func() int {
+	return func() int {
+		s.compiles.Add(1)
+		cur := s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
+		for {
+			max := s.maxInFlight.Load()
+			if cur <= max || s.maxInFlight.CompareAndSwap(max, cur) {
+				break
+			}
 		}
+		time.Sleep(s.delay)
+		return v
 	}
-	time.Sleep(s.delay)
-	return s.stubBackend.CompilePlan(clamped)
 }
 
-func newSlowStub(n int, delay time.Duration) (*slowCompileBackend, *Engine) {
-	b := &slowCompileBackend{
-		stubBackend: &stubBackend{n: n, rails: 1, seed: 11},
-		delay:       delay,
-	}
-	return b, New(b)
-}
-
-// TestPlanCompileCoalescesSameKey: G workers racing on one cold pattern
-// must trigger exactly one compile — everyone else either waits on the
+// TestPlanCompileCoalescesSameKey: G resolvers racing on one cold key must
+// trigger exactly one compile — everyone else either waits on the
 // in-flight call or lands on the published plan, and all G-1 of them count
 // as cache hits.
 func TestPlanCompileCoalescesSameKey(t *testing.T) {
 	const G = 8
-	b, e := newSlowStub(16, 20*time.Millisecond)
-	obs := []Observation{{Index: 2, Value: 0.5}, {Index: 9, Value: -0.25}}
+	var c planCache[int]
+	sc := &slowCompiles{delay: 20 * time.Millisecond}
+	key := []byte{0x04, 0x02}
 
+	got := make([]int, G)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func(g int) {
 			defer wg.Done()
 			<-start
-			if _, err := e.InferSeeded(obs, seed); err != nil {
-				t.Error(err)
-			}
-		}(uint64(g))
+			got[g] = c.resolve(key, sc.compile(7), &sharedObs{})
+		}(g)
 	}
 	close(start)
 	wg.Wait()
 
-	if got := b.compiles.Load(); got != 1 {
-		t.Fatalf("compiles = %d, want 1 (same-key compiles must coalesce)", got)
+	if n := sc.compiles.Load(); n != 1 {
+		t.Fatalf("compiles = %d, want 1 (same-key compiles must coalesce)", n)
 	}
-	hits, misses := e.PlanCacheStats()
+	hits, misses := c.stats()
 	if misses != 1 || hits != G-1 {
 		t.Fatalf("stats hits=%d misses=%d, want hits=%d misses=1", hits, misses, G-1)
 	}
-	if max := b.maxInFlight.Load(); max != 1 {
+	if max := sc.maxInFlight.Load(); max != 1 {
 		t.Fatalf("max concurrent compiles = %d, want 1 for a single key", max)
+	}
+	for g, v := range got {
+		if v != 7 {
+			t.Fatalf("resolver %d got plan %d, want the one compiled plan 7", g, v)
+		}
 	}
 }
 
-// TestPlanCompileDifferentKeysOverlap: distinct cold patterns must compile
+// TestPlanCompileDifferentKeysOverlap: distinct cold keys must compile
 // concurrently rather than queueing behind the cache mutex. Each compile
 // sleeps 30ms; if compilation still ran under the lock the in-flight high
 // water mark would be pinned at 1.
 func TestPlanCompileDifferentKeysOverlap(t *testing.T) {
 	const G = 4
-	b, e := newSlowStub(16, 30*time.Millisecond)
+	var c planCache[int]
+	sc := &slowCompiles{delay: 30 * time.Millisecond}
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
 		wg.Add(1)
-		go func(k int) {
+		go func(g int) {
 			defer wg.Done()
 			<-start
-			obs := []Observation{{Index: k, Value: 0.5}}
-			if _, err := e.InferSeeded(obs, uint64(k)); err != nil {
-				t.Error(err)
+			if v := c.resolve([]byte{byte(g)}, sc.compile(g), &sharedObs{}); v != g {
+				t.Errorf("key %d resolved to plan %d", g, v)
 			}
 		}(g)
 	}
 	close(start)
 	wg.Wait()
 
-	if got := b.compiles.Load(); got != G {
-		t.Fatalf("compiles = %d, want %d distinct", got, G)
+	if n := sc.compiles.Load(); n != G {
+		t.Fatalf("compiles = %d, want %d distinct", n, G)
 	}
-	if _, misses := e.PlanCacheStats(); misses != G {
+	if _, misses := c.stats(); misses != G {
 		t.Fatalf("misses = %d, want %d", misses, G)
 	}
-	if max := b.maxInFlight.Load(); max < 2 {
+	if max := sc.maxInFlight.Load(); max < 2 {
 		t.Fatalf("max concurrent compiles = %d, want >= 2 (distinct keys must not serialize)", max)
 	}
 }
@@ -191,7 +192,7 @@ func TestStatePoolRecyclesAndCapped(t *testing.T) {
 // against a sequential reference. Run under -race this doubles as the
 // locking proof for the snapshot/singleflight/pool machinery.
 func TestConcurrentEnsurePlanBatchAndEviction(t *testing.T) {
-	b, e := newStub(64)
+	_, e := newStub(64)
 	batchObs := make([][]Observation, 8)
 	for i := range batchObs {
 		batchObs[i] = []Observation{{Index: 3, Value: 0.5}, {Index: 7, Value: -0.5}}
@@ -245,9 +246,9 @@ func TestConcurrentEnsurePlanBatchAndEviction(t *testing.T) {
 	if resident := e.PlanCacheLen(); resident > PlanCacheCapacity {
 		t.Fatalf("%d plans resident, cap is %d", resident, PlanCacheCapacity)
 	}
-	if b.compiles.Load() < int64(PlanCacheCapacity) {
+	if n := compiles(e); n < PlanCacheCapacity {
 		t.Fatalf("compiles = %d; churn should have compiled at least %d patterns",
-			b.compiles.Load(), PlanCacheCapacity)
+			n, PlanCacheCapacity)
 	}
 }
 
@@ -255,7 +256,7 @@ func TestConcurrentEnsurePlanBatchAndEviction(t *testing.T) {
 // reflects a complete resident set — every key the stats say was compiled
 // and not evicted resolves through the snapshot without a further miss.
 func TestLRUEachSnapshotConsistency(t *testing.T) {
-	b, e := newStub(32)
+	_, e := newStub(32)
 	var patterns [][]Observation
 	for k := 0; k < PlanCacheCapacity; k++ {
 		patterns = append(patterns, []Observation{{Index: k, Value: 0.25}})
@@ -265,7 +266,7 @@ func TestLRUEachSnapshotConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	compiled := b.compiles.Load()
+	compiled := compiles(e)
 	// Every pattern is resident: re-resolving all of them must be pure
 	// snapshot hits with zero new compiles.
 	for i, p := range patterns {
@@ -273,8 +274,8 @@ func TestLRUEachSnapshotConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.compiles.Load() != compiled {
-		t.Fatalf("re-resolution compiled %d new plans, want 0", b.compiles.Load()-compiled)
+	if n := compiles(e); n != compiled {
+		t.Fatalf("re-resolution compiled %d new plans, want 0", n-compiled)
 	}
 	hits, misses := e.PlanCacheStats()
 	if misses != uint64(len(patterns)) || hits != uint64(len(patterns)) {

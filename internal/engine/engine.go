@@ -2,26 +2,26 @@
 //
 // DS-GL inference is one loop (paper Sec. III.C): clamp the observed nodes,
 // anneal, read out the free ones. A Backend supplies the node dynamics
-// (dimension, rails, clamp-plan compilation, the anneal loops themselves,
-// energy/residual hooks) and the Engine runs that loop through a single
-// entry point, Run(state, Request{Obs, Seed, Path}), owning everything
-// around the anneal:
+// (its coupling list, self-reaction and rails, and the anneal loop itself)
+// and the Engine runs that loop through a single entry point,
+// Run(state, Request{Obs, Seed, Path}), owning everything around the
+// anneal:
 //
 //   - the InferState lifecycle (per-worker scratch arenas, reusable across
 //     inferences, allocation-free in the steady state);
 //   - observation validation — index range, finite values within the
 //     rails, duplicate rejection — one validator shared by Run,
 //     Stream.Tick and EnsurePlan;
-//   - the clamp-plan cache: compiled plans keyed by the packed
-//     observation-index bitmask, bounded LRU (internal/lru) behind a
-//     lock-free read snapshot; compilation happens OUTSIDE the cache lock
-//     with per-key singleflight, so concurrent batch workers neither
-//     serialize on a compile nor duplicate one (hit/miss counters stay
-//     deterministic: a pattern's first resolution is the one miss, every
-//     other resolution — snapshot hit, LRU hit, or singleflight wait — is
-//     a hit);
-//   - the anneal path a Request selects: Planned (the clamp-plan loop under
-//     a cached plan, the default) or Naive (the same loop under the plan
+//   - the clamp plans: the backend's mat.Couplings split against each
+//     clamp pattern, cached by the packed observation-index bitmask in a
+//     bounded LRU (internal/lru) behind a lock-free read snapshot;
+//     splitting happens OUTSIDE the cache lock with per-key singleflight,
+//     so concurrent batch workers neither serialize on a split nor
+//     duplicate one (hit/miss counters stay deterministic: a pattern's
+//     first resolution is the one miss, every other resolution — snapshot
+//     hit, LRU hit, or singleflight wait — is a hit);
+//   - the anneal path a Request selects: Planned (the backend's loop under
+//     a cached split, the default) or Naive (the same loop under the plan
 //     that folds nothing, which the plan-naive-identity invariant compares
 //     Planned against bit for bit);
 //   - the seeding convention: a Request's Seed alone fixes its free-node
@@ -29,9 +29,11 @@
 //     Run calls for any worker count, and InferBatch gives window i the
 //     seed BaseSeed()+i;
 //   - streaming sessions (stream.go): ticks warm-started from the previous
-//     equilibrium, with plans delta-compiled from the previous pattern;
-//   - observer dispatch types (StepInfo with a lazy EnergyFn) and Result
-//     detachment.
+//     equilibrium, with plans patched from the previous pattern's;
+//   - the reductions of the coupling list every caller outside the anneal
+//     needs: Result.Energy and the lazy StepInfo.EnergyFn, the conditional
+//     energy, the effective J, and the one full-coupling residual
+//     (ResidualAt) that both backends' in-loop residuals must match.
 //
 // RunBatch fans a slice of Requests across a worker pool; InferWith,
 // InferSeeded and InferBatch are thin conveniences over Run and RunBatch.
@@ -39,95 +41,92 @@
 // The related-work lineage (BRIM's bistable CMOS nodes, oscillator-based
 // Ising machines) runs the same clamp-anneal-readout loop over very
 // different node dynamics; a new backend implements the Backend contract
-// and inherits the whole engine layer — validation, caching, batching,
+// and inherits the whole engine layer — validation, plans, batching,
 // verification hooks — without copying any of it.
 //
 // Bit-exactness discipline: the Engine never touches the floating-point
 // path of an anneal. It seeds the state RNG, fills the initial voltages
-// (uniform in [-0.1, 0.1)), writes the clamp values, and hands off to the
-// backend's RunPlanned/RunNaive. A backend extracted onto this engine
-// therefore produces bit-identical results to its pre-extraction form —
-// enforced by the golden-voltage regression fixture and the verify
-// invariants.
+// (uniform in [-0.1, 0.1)), writes the clamp values, resolves the plan,
+// and hands off to the backend's Anneal. A split only reorganizes which
+// floating-point operations are hoisted, never their order (see
+// mat.Couplings.Split), which the golden-voltage regression fixture and
+// the verify invariants enforce.
 package engine
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dsgl/internal/mat"
 	"dsgl/internal/pool"
 )
 
 // PlanCacheCapacity bounds the per-engine clamp-plan LRU cache. Eight
 // patterns cover the realistic mix (one pattern per dataset windowing, a
 // few for ad-hoc probes) while keeping the worst-case memory at eight
-// sparsified copies of the coupling matrices.
+// split copies of the coupling list.
 const PlanCacheCapacity = 8
 
 // Backend is the contract a dynamical-system simulator implements to be
-// driven by the engine. All methods except RunPlanned and RunNaive must be
-// safe for concurrent use; the Run* methods are called with a per-worker
-// InferState and may only mutate that state (plus backend-owned immutable
-// data), which is what makes RunBatch race-free.
+// driven by the engine: its couplings and node parameters, and the anneal
+// loop. All methods except Anneal must be safe for concurrent use; Anneal
+// is called with a per-worker InferState and may only mutate that state
+// (plus backend-owned immutable data), which is what makes RunBatch
+// race-free.
 type Backend interface {
 	// Name prefixes error messages ("scalable", "dspu") and names the
 	// backend in CLIs and reports.
 	Name() string
-	// Dim is the state dimension (node count).
-	Dim() int
 	// Rails is the voltage rail bound: observations with |value| beyond it
-	// are rejected before the anneal starts.
+	// are rejected before the anneal starts, and at a rail only inward
+	// current moves a node.
 	Rails() float64
 	// BaseSeed is the backend's configured seed; window i of a batch runs
 	// with BaseSeed()+i.
 	BaseSeed() uint64
-	// CompilePlan compiles the clamp-index pattern into a backend-specific
-	// inference plan. Plans depend only on WHICH nodes are clamped, never
-	// on the clamp values, must be immutable after compilation, and are
-	// shared freely across workers. The engine caches them by packed mask.
-	CompilePlan(clamped []bool) any
-	// AttachState allocates the backend's scratch arena into st.Scratch
-	// (and may rebind st.EnergyFn). Called once per InferState, from
-	// NewInferState.
+	// Couplings is the coupling list whose sum is the J the backend
+	// anneals; its dimension is the state dimension. The engine splits it
+	// into clamp plans and reduces it to energies, the effective J and the
+	// residual. It must not change after the engine is built.
+	Couplings() *mat.Couplings
+	// SelfReaction is h: node i's self-reaction current is h_i·σ_i.
+	SelfReaction() []float64
+	// AttachState allocates the backend's scratch arena into st.Scratch.
+	// Called once per InferState, from NewInferState.
 	AttachState(st *InferState)
-	// RunPlanned runs one anneal on a prepared state (st.X holds initial
+	// Anneal runs one anneal on a prepared state (st.X holds initial
 	// voltages with observations clamped, st.Clamped the clamp pattern,
-	// st.RNG the seeded noise stream) under a plan previously returned by
-	// CompilePlan. It writes st.Res and returns &st.Res.
-	RunPlanned(st *InferState, plan any) (*Result, error)
-	// RunNaive is the reference anneal: the RunPlanned loop under the plan
-	// that folds nothing (mat.Couplings.Unfold for both backends), built in
-	// the state's scratch, so every coupling is re-evaluated in full. It is
-	// what the plan-naive-identity invariant verifies RunPlanned against,
-	// and it never touches the plan cache.
-	RunNaive(st *InferState) (*Result, error)
-	// EnergyAt evaluates the backend's Hamiltonian at state x; the engine
-	// binds it into the lazy StepInfo.EnergyFn handed to observers.
-	EnergyAt(x []float64) float64
-	// ResidualAt evaluates the true (noise-free, all-couplings-fresh)
-	// equilibrium residual max |dσ/dt| at x, skipping clamped nodes.
-	ResidualAt(x []float64, clamped []bool) (float64, error)
-	// SettleResidualTol is the residual bound a Settled result guarantees.
+	// st.RNG the seeded noise stream) under pl, the clamp plan of
+	// st.Clamped: a cached split on the Planned path, the unfolded plan on
+	// the Naive path. It must perform the same floating-point operations
+	// under both. It writes st.Res (all but Energy, which the engine
+	// fills) and returns &st.Res.
+	Anneal(st *InferState, pl *mat.ClampSplit) (*Result, error)
+	// SettleResidualTol is the residual bound a Settled result guarantees:
+	// ResidualAt at a settled state is below it.
 	SettleResidualTol() float64
 }
 
-// Engine drives inference for one Backend: validation, plan caching,
-// seeding, and batch fan-out. Safe for concurrent use.
+// Engine drives inference for one Backend: validation, plan compilation
+// and caching, seeding, and batch fan-out. Safe for concurrent use.
 type Engine struct {
-	b Backend
+	b   Backend
+	cpl *mat.Couplings
+	h   []float64
 
 	// plans is the clamp-plan cache: a bounded LRU behind a lock-free read
 	// snapshot, per-key singleflight compilation, deterministic hit/miss
 	// counters. The machinery lives in plancache.go because the OptEngine
-	// resolves its schedule plans through the identical cache.
-	plans planCache
+	// resolves its schedule ladders through the identical cache.
+	plans planCache[*mat.ClampSplit]
 
 	// Streaming plan-delta counters (stream.go): hits patched a
 	// predecessor plan on a shifted pattern's cache miss, fallbacks fully
-	// compiled one.
+	// split one.
 	planDeltaHits      atomic.Uint64
 	planDeltaFallbacks atomic.Uint64
 
@@ -150,7 +149,9 @@ type Engine struct {
 }
 
 // New binds an engine to its backend.
-func New(b Backend) *Engine { return &Engine{b: b} }
+func New(b Backend) *Engine {
+	return &Engine{b: b, cpl: b.Couplings(), h: b.SelfReaction()}
+}
 
 // BaseSeed returns the backend's configured base seed (window i of a batch
 // anneals with BaseSeed()+i).
@@ -160,14 +161,15 @@ func (e *Engine) BaseSeed() uint64 { return e.b.BaseSeed() }
 type Path int
 
 const (
-	// Planned runs the backend's clamp-plan loop: the observation pattern
-	// resolves to a compiled plan through the plan cache. The default.
+	// Planned runs the backend's anneal under the observation pattern's
+	// split, resolved through the plan cache. The default.
 	Planned Path = iota
-	// Naive runs the backend's planned loop under the plan that folds
-	// nothing: every coupling re-evaluated in full each step, no plan
-	// cache. The plan-naive-identity invariant asserts Planned and Naive
-	// return bit-identical Results for every seed; benchmarks use it as
-	// the pre-folding baseline.
+	// Naive runs the backend's anneal under the plan that folds nothing
+	// (mat.Couplings.Unfold, built in the state): every coupling
+	// re-evaluated in full each step, no plan cache. The
+	// plan-naive-identity invariant asserts Planned and Naive return
+	// bit-identical Results for every seed; benchmarks use it as the
+	// pre-folding baseline.
 	Naive
 )
 
@@ -289,32 +291,44 @@ func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
 	return res, nil
 }
 
-// anneal resolves the plan for the path on a prepared state and runs the
-// matching backend loop. The Planned result is bit-identical to Naive's —
-// a plan only reorganizes which floating-point operations are hoisted,
-// never their order (the backends' compilation discipline).
+// anneal resolves the plan for the path on a prepared state, runs the
+// backend's loop under it and fills the Result's energy. The Planned
+// result is bit-identical to Naive's — a split only reorganizes which
+// floating-point operations are hoisted, never their order.
 func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Result, error) {
+	var pl *mat.ClampSplit
 	switch path {
 	case Planned:
+		pl = e.planFor(st, s, m)
 	case Naive:
-		return e.b.RunNaive(st)
+		e.cpl.Unfold(st.Clamped, &st.unfolded)
+		pl = &st.unfolded
 	default:
 		return nil, fmt.Errorf("%s: unknown inference path %d", e.b.Name(), path)
 	}
-	key := packMask(st.Clamped, st.KeyBuf)
-	compile := e.b.CompilePlan
-	if s != nil && s.started && !bytes.Equal(key, s.prevKey) {
-		if db, ok := e.b.(DeltaBackend); ok {
-			// The closure only runs on a cache miss, so the delta counters
-			// move once per new pattern, not once per tick.
-			prevPl, resident := e.plans.peek(s.prevKey)
-			prevClamped := s.prevClamped
-			compile = func(clamped []bool) any {
-				return e.compileDelta(db, prevPl, resident, prevClamped, clamped, m)
-			}
-		}
+	res, err := e.b.Anneal(st, pl)
+	if err != nil {
+		return nil, err
 	}
-	return e.b.RunPlanned(st, e.planFor(st.Clamped, key, compile))
+	res.Energy = e.EnergyAt(res.Voltage)
+	return res, nil
+}
+
+// planFor resolves the state's clamp pattern to its split through the plan
+// cache (see plancache.go for the lock-free warm path, the per-key
+// singleflight compile, and the counter-determinism guarantee). On a
+// stream tick whose pattern moved, a miss patches the predecessor's plan
+// instead of splitting from scratch.
+func (e *Engine) planFor(st *InferState, s *Stream, m *engineObs) *mat.ClampSplit {
+	key := packMask(st.Clamped, st.KeyBuf)
+	if s != nil && s.started && !bytes.Equal(key, s.prevKey) {
+		// The closure only runs on a cache miss, so the delta counters
+		// move once per new pattern, not once per tick.
+		return e.plans.resolve(key, func() *mat.ClampSplit {
+			return e.compileDelta(s.prevKey, s.prevClamped, st.Clamped, m)
+		}, &m.sharedObs)
+	}
+	return e.plans.resolve(key, func() *mat.ClampSplit { return e.cpl.Split(st.Clamped) }, &m.sharedObs)
 }
 
 // getState draws a reusable InferState from the engine free-list,
@@ -343,7 +357,7 @@ func (e *Engine) putState(st *InferState) {
 func (e *Engine) EnsurePlan(obs []Observation) error {
 	e.ensureMu.Lock()
 	defer e.ensureMu.Unlock()
-	n := e.b.Dim()
+	n := e.cpl.Dim()
 	if e.ensureClamped == nil {
 		e.ensureClamped = make([]bool, n)
 		e.ensureKey = make([]byte, maskBytes(n))
@@ -351,7 +365,8 @@ func (e *Engine) EnsurePlan(obs []Observation) error {
 	if err := validateObservations(e.b.Name(), obs, n, e.b.Rails(), nil, e.ensureClamped); err != nil {
 		return err
 	}
-	e.planFor(e.ensureClamped, packMask(e.ensureClamped, e.ensureKey), e.b.CompilePlan)
+	e.plans.resolve(packMask(e.ensureClamped, e.ensureKey),
+		func() *mat.ClampSplit { return e.cpl.Split(e.ensureClamped) }, &e.metrics().sharedObs)
 	return nil
 }
 
@@ -376,12 +391,71 @@ func (e *Engine) checkState(st *InferState) error {
 	return nil
 }
 
-// planFor resolves the clamp pattern to a compiled plan through the shared
-// plan cache (see plancache.go for the lock-free warm path, the per-key
-// singleflight compile, and the counter-determinism guarantee).
-func (e *Engine) planFor(clamped []bool, key []byte, compile func([]bool) any) any {
-	m := e.metrics()
-	return e.plans.resolve(key, func() any { return compile(clamped) }, m.planObs())
+// EnergyAt evaluates the real-valued Hamiltonian of the backend's
+// coupling list and self-reaction at state x (mat.Couplings.EnergyAt). It
+// is what Result.Energy and the observers' lazy StepInfo.EnergyFn report.
+func (e *Engine) EnergyAt(x []float64) float64 { return e.cpl.EnergyAt(x, e.h) }
+
+// ClampedEnergyAt evaluates the conditional Hamiltonian of the free
+// subsystem given the clamped nodes, the Lyapunov function of clamped
+// annealing (see mat.Couplings.ClampedEnergyAt).
+func (e *Engine) ClampedEnergyAt(x []float64, clamped []bool) float64 {
+	return e.cpl.ClampedEnergyAt(x, clamped, e.h)
+}
+
+// EffectiveJ is the dense sum of the coupling list: the J the backend
+// realizes, which the lossless-compilation and snapshot round-trip
+// invariants compare.
+func (e *Engine) EffectiveJ() *mat.Dense { return e.cpl.EffectiveJ() }
+
+// SettleResidualTol is the residual bound a Settled result guarantees.
+func (e *Engine) SettleResidualTol() float64 { return e.b.SettleResidualTol() }
+
+// ResidualAt evaluates the true equilibrium residual max |dσ/dt| at state
+// x with every coupling live and fresh, skipping nodes marked in clamped
+// (nil = no node clamped): each free node's current is the first matrix's
+// row sum plus every further matrix's row sum, added in list order, plus
+// h_i·x_i, and at a rail only inward current counts. It shares no code with
+// any anneal loop, so it is the independent reference the settle-residual
+// invariant checks Settled results against, and both backends' in-loop
+// residual checks compute this quantity bit for bit.
+func (e *Engine) ResidualAt(x []float64, clamped []bool) (float64, error) {
+	n := e.cpl.Dim()
+	if len(x) != n {
+		return 0, fmt.Errorf("%s: state has %d entries, want %d", e.b.Name(), len(x), n)
+	}
+	if clamped == nil {
+		clamped = make([]bool, n)
+	} else if len(clamped) != n {
+		return 0, fmt.Errorf("%s: clamp mask has %d entries, want %d", e.b.Name(), len(clamped), n)
+	}
+	buf := e.cpl.Mats[0].MulVec(x, nil)
+	for _, s := range e.cpl.Mats[1:] {
+		for i := 0; i < s.Rows; i++ {
+			var sum float64
+			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
+				sum += s.Val[p] * x[s.ColIdx[p]]
+			}
+			buf[i] += sum
+		}
+	}
+	rail := e.b.Rails()
+	maxD := 0.0
+	for i, c := range clamped {
+		if c {
+			continue
+		}
+		d := buf[i] + e.h[i]*x[i]
+		if x[i] >= rail && d > 0 {
+			d = 0
+		} else if x[i] <= -rail && d < 0 {
+			d = 0
+		}
+		if a := math.Abs(d); a > maxD {
+			maxD = a
+		}
+	}
+	return maxD, nil
 }
 
 // maskBytes is the packed-bitmask length for n nodes.

@@ -8,90 +8,66 @@ import (
 	"testing"
 
 	"dsgl/internal/alloctest"
+	"dsgl/internal/mat"
 )
 
-// stubBackend is a minimal deterministic Backend: its "anneal" halves every
-// free node once per run and counts plan compilations, so the tests can pin
-// the engine's validation, seeding, caching, and batching behaviour without
-// any real dynamics.
+// stubBackend is a minimal deterministic Backend: n uncoupled nodes with
+// h = -1, whose "anneal" halves every free node twice per run and counts
+// which plan it ran under, so the tests can pin the engine's validation,
+// seeding, plan resolution, and batching behaviour without any real
+// dynamics.
 type stubBackend struct {
-	n        int
-	rails    float64
-	seed     uint64
-	compiles atomic.Int64
-	planned  atomic.Int64
-	naive    atomic.Int64
+	rails   float64
+	seed    uint64
+	cpl     *mat.Couplings
+	h       []float64
+	planned atomic.Int64
+	naive   atomic.Int64
 }
 
-type stubPlan struct {
-	free []int
-}
+func (s *stubBackend) Name() string               { return "stub" }
+func (s *stubBackend) Rails() float64             { return s.rails }
+func (s *stubBackend) BaseSeed() uint64           { return s.seed }
+func (s *stubBackend) Couplings() *mat.Couplings  { return s.cpl }
+func (s *stubBackend) SelfReaction() []float64    { return s.h }
+func (s *stubBackend) AttachState(st *InferState) {}
+func (s *stubBackend) SettleResidualTol() float64 { return 1e-6 }
 
-type stubScratch struct {
-	attached bool
-}
-
-func (s *stubBackend) Name() string     { return "stub" }
-func (s *stubBackend) Dim() int         { return s.n }
-func (s *stubBackend) Rails() float64   { return s.rails }
-func (s *stubBackend) BaseSeed() uint64 { return s.seed }
-
-func (s *stubBackend) CompilePlan(clamped []bool) any {
-	s.compiles.Add(1)
-	pl := &stubPlan{}
-	for i, c := range clamped {
-		if !c {
-			pl.free = append(pl.free, i)
-		}
+// Anneal counts an unfolded plan (its Dyn is the coupling list itself) as
+// a naive run and any other as a planned one.
+func (s *stubBackend) Anneal(st *InferState, pl *mat.ClampSplit) (*Result, error) {
+	if pl.Dyn[0] == s.cpl.Mats[0] {
+		s.naive.Add(1)
+	} else {
+		s.planned.Add(1)
 	}
-	return pl
-}
-
-func (s *stubBackend) AttachState(st *InferState) { st.Scratch = &stubScratch{attached: true} }
-
-func (s *stubBackend) run(st *InferState, free []int) (*Result, error) {
 	for step := 0; step < 2; step++ {
-		for _, i := range free {
+		for _, i := range pl.Free {
 			st.X[i] *= 0.5
 		}
 		if st.Observer != nil {
 			st.Observer(StepInfo{Step: step, TimeNs: float64(step + 1), EnergyFn: st.EnergyFn, X: st.X})
 		}
 	}
-	st.Res = Result{Voltage: st.X, LatencyNs: 2, AnnealNs: 2, Settled: true, Steps: 2, Energy: s.EnergyAt(st.X)}
+	st.Res = Result{Voltage: st.X, LatencyNs: 2, AnnealNs: 2, Settled: true, Steps: 2}
 	return &st.Res, nil
 }
 
-func (s *stubBackend) RunPlanned(st *InferState, plan any) (*Result, error) {
-	s.planned.Add(1)
-	return s.run(st, plan.(*stubPlan).free)
-}
-
-func (s *stubBackend) RunNaive(st *InferState) (*Result, error) {
-	s.naive.Add(1)
-	free := make([]int, 0, s.n)
-	for i, c := range st.Clamped {
-		if !c {
-			free = append(free, i)
-		}
-	}
-	return s.run(st, free)
-}
-
-func (s *stubBackend) EnergyAt(x []float64) float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	return e
-}
-
-func (s *stubBackend) ResidualAt(x []float64, clamped []bool) (float64, error) { return 0, nil }
-func (s *stubBackend) SettleResidualTol() float64                              { return 1e-6 }
-
 func newStub(n int) (*stubBackend, *Engine) {
-	b := &stubBackend{n: n, rails: 1, seed: 11}
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = -1
+	}
+	empty := &mat.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	b := &stubBackend{rails: 1, seed: 11, cpl: mat.NewCouplings(empty), h: h}
 	return b, New(b)
+}
+
+// compiles is how many plans e has compiled, in full or by patching: every
+// plan-cache miss compiles one.
+func compiles(e *Engine) uint64 {
+	_, misses := e.PlanCacheStats()
+	return misses
 }
 
 // paths lists every anneal path a Request can select.
@@ -151,14 +127,14 @@ func TestNonFiniteObservationsRejected(t *testing.T) {
 		check("Stream.Tick", err)
 		s.Close()
 		check("EnsurePlan", e.EnsurePlan(obs))
-		if c, p, n := b.compiles.Load(), b.planned.Load(), b.naive.Load(); c+p+n != 0 {
-			t.Fatalf("value %v reached the backend: %d compiles, %d planned, %d naive runs", v, c, p, n)
+		if c, p, n := compiles(e), b.planned.Load(), b.naive.Load(); c+uint64(p+n) != 0 {
+			t.Fatalf("value %v reached a plan or the backend: %d compiles, %d planned, %d naive runs", v, c, p, n)
 		}
 	}
 }
 
-// TestRunPaths: Planned and Naive run different backend loops yet agree
-// bit for bit; an unknown path is an error.
+// TestRunPaths: Planned and Naive run the backend under different plans yet
+// agree bit for bit; an unknown path is an error.
 func TestRunPaths(t *testing.T) {
 	b, e := newStub(6)
 	obs := []Observation{{Index: 2, Value: 0.3}}
@@ -290,7 +266,7 @@ func TestInferBatchSeedsMatchesSolo(t *testing.T) {
 }
 
 func TestPlanCacheCountersAndEviction(t *testing.T) {
-	b, e := newStub(32)
+	_, e := newStub(32)
 	st := e.NewInferState()
 	obs := []Observation{{Index: 0, Value: 0.5}}
 	for k := 0; k < 4; k++ {
@@ -302,9 +278,6 @@ func TestPlanCacheCountersAndEviction(t *testing.T) {
 	if hits != 3 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 3/1", hits, misses)
 	}
-	if got := b.compiles.Load(); got != 1 {
-		t.Fatalf("backend compiled %d plans, want 1", got)
-	}
 	// Cycle through more patterns than the cache holds; the cache stays
 	// bounded and the first pattern is evicted and recompiled on return.
 	for p := 0; p < PlanCacheCapacity+1; p++ {
@@ -315,22 +288,22 @@ func TestPlanCacheCountersAndEviction(t *testing.T) {
 	if n := e.PlanCacheLen(); n != PlanCacheCapacity {
 		t.Fatalf("cache holds %d plans, cap %d", n, PlanCacheCapacity)
 	}
-	before := b.compiles.Load()
+	before := compiles(e)
 	if _, err := e.InferWith(st, obs, 9); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.compiles.Load(); got != before+1 {
+	if got := compiles(e); got != before+1 {
 		t.Fatalf("evicted pattern did not recompile: %d -> %d", before, got)
 	}
 }
 
 func TestEnsurePlanWarmsCache(t *testing.T) {
-	b, e := newStub(8)
+	_, e := newStub(8)
 	obs := []Observation{{Index: 2, Value: 0.3}, {Index: 5, Value: -0.1}}
 	if err := e.EnsurePlan(obs); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.compiles.Load(); got != 1 {
+	if got := compiles(e); got != 1 {
 		t.Fatalf("EnsurePlan compiled %d plans, want 1", got)
 	}
 	if _, err := e.InferSeeded(obs, 1); err != nil {

@@ -19,6 +19,7 @@ import (
 // Instruments record once per inference or batch, never per step.
 type engineObs struct {
 	reg *obs.Registry // registry the instruments belong to (nil = disabled)
+	sharedObs
 
 	infers         *obs.Counter   // dsgl_infer_total
 	inferErrors    *obs.Counter   // dsgl_infer_errors_total
@@ -27,17 +28,9 @@ type engineObs struct {
 	simNs          *obs.Histogram // dsgl_infer_sim_ns
 	annealSteps    *obs.Counter   // dsgl_anneal_steps_total
 	settleResidual *obs.Summary   // dsgl_settle_residual
-	planHits       *obs.Counter   // dsgl_plan_cache_hits_total
-	planMisses     *obs.Counter   // dsgl_plan_cache_misses_total
-	planEvictions  *obs.Counter   // dsgl_plan_cache_evictions_total
-	planResident   *obs.Gauge     // dsgl_plan_cache_resident
 	batches        *obs.Counter   // dsgl_infer_batch_total
 	batchWindows   *obs.Counter   // dsgl_infer_batch_windows_total
 	batchWorkers   *obs.Gauge     // dsgl_infer_batch_workers
-
-	planSingleflightWaits *obs.Counter // dsgl_plan_singleflight_waits_total
-	statePoolHits         *obs.Counter // dsgl_state_pool_hits_total
-	statePoolMisses       *obs.Counter // dsgl_state_pool_misses_total
 
 	// Streaming-inference instruments (stream.go): delta-compile outcomes
 	// and the warm-vs-cold steps-to-settle comparison the warm-start path
@@ -59,6 +52,7 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 	l := obs.L("backend", backend)
 	return &engineObs{
 		reg:            r,
+		sharedObs:      newSharedObs(r, l),
 		infers:         r.Counter("dsgl_infer_total", "completed inferences", l),
 		inferErrors:    r.Counter("dsgl_infer_errors_total", "inferences rejected or failed", l),
 		inferSettled:   r.Counter("dsgl_infer_settled_total", "inferences that settled before the time budget", l),
@@ -66,17 +60,9 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 		simNs:          r.Histogram("dsgl_infer_sim_ns", "simulated anneal latency per inference (Result.LatencyNs)", l),
 		annealSteps:    r.Counter("dsgl_anneal_steps_total", "integration steps taken across all inferences", l),
 		settleResidual: r.Summary("dsgl_settle_residual", "equilibrium residual max |dsigma/dt| at convergence (settled inferences)", l),
-		planHits:       r.Counter("dsgl_plan_cache_hits_total", "clamp-plan cache hits", l),
-		planMisses:     r.Counter("dsgl_plan_cache_misses_total", "clamp-plan cache misses (each compiles a plan)", l),
-		planEvictions:  r.Counter("dsgl_plan_cache_evictions_total", "clamp-plan cache evictions", l),
-		planResident:   r.Gauge("dsgl_plan_cache_resident", "compiled clamp plans currently resident", l),
 		batches:        r.Counter("dsgl_infer_batch_total", "InferBatch invocations", l),
 		batchWindows:   r.Counter("dsgl_infer_batch_windows_total", "windows fanned out across all batches", l),
 		batchWorkers:   r.Gauge("dsgl_infer_batch_workers", "worker count of the most recent batch", l),
-
-		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
-		statePoolHits:         r.Counter("dsgl_state_pool_hits_total", "batch InferStates served from the engine free-list", l),
-		statePoolMisses:       r.Counter("dsgl_state_pool_misses_total", "batch InferStates allocated because the free-list was dry", l),
 
 		planDeltaHits:      r.Counter("dsgl_plan_delta_hits_total", "clamp plans resolved by patching the predecessor pattern's plan", l),
 		planDeltaFallbacks: r.Counter("dsgl_plan_delta_fallbacks_total", "shifted-pattern plan misses that fell back to a full compile", l),
@@ -89,14 +75,31 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 // enabled reports whether this binding records anywhere.
 func (m *engineObs) enabled() bool { return m.reg != nil }
 
-// planObs is the slice of the binding the shared plan cache records into.
-func (m *engineObs) planObs() planCacheObs {
-	return planCacheObs{
-		hits:              m.planHits,
-		misses:            m.planMisses,
-		evictions:         m.planEvictions,
-		singleflightWaits: m.planSingleflightWaits,
-		resident:          m.planResident,
+// sharedObs is the instrument set both engines register, labeled by their
+// backend: the plan cache's, which resolve records into, and the state
+// free-list's. Registering it in one place gives every family one help
+// string, whichever engine binds first.
+type sharedObs struct {
+	planHits              *obs.Counter // dsgl_plan_cache_hits_total
+	planMisses            *obs.Counter // dsgl_plan_cache_misses_total
+	planEvictions         *obs.Counter // dsgl_plan_cache_evictions_total
+	planResident          *obs.Gauge   // dsgl_plan_cache_resident
+	planSingleflightWaits *obs.Counter // dsgl_plan_singleflight_waits_total
+	statePoolHits         *obs.Counter // dsgl_state_pool_hits_total
+	statePoolMisses       *obs.Counter // dsgl_state_pool_misses_total
+}
+
+// newSharedObs registers the shared instrument set on r (non-nil) under
+// label l.
+func newSharedObs(r *obs.Registry, l obs.Label) sharedObs {
+	return sharedObs{
+		planHits:              r.Counter("dsgl_plan_cache_hits_total", "plan cache hits (clamp plans or solver ladders)", l),
+		planMisses:            r.Counter("dsgl_plan_cache_misses_total", "plan cache misses (each compiles a plan)", l),
+		planEvictions:         r.Counter("dsgl_plan_cache_evictions_total", "plan cache evictions", l),
+		planResident:          r.Gauge("dsgl_plan_cache_resident", "compiled plans currently resident", l),
+		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
+		statePoolHits:         r.Counter("dsgl_state_pool_hits_total", "batch scratch states served from the engine free-list", l),
+		statePoolMisses:       r.Counter("dsgl_state_pool_misses_total", "batch scratch states allocated because the free-list was dry", l),
 	}
 }
 
@@ -138,27 +141,21 @@ func (m *engineObs) recordInfer(res *Result, err error, start time.Time) {
 }
 
 // optObs is the OptEngine's instrument binding — same caching discipline as
-// engineObs, same dsgl_plan_cache_* / dsgl_state_pool_* instrument names
-// (labeled by the solver backend), plus the solve-specific set. Instruments
-// record once per restart or batch, never per sweep.
+// engineObs, the same shared plan-cache and state-pool set (labeled by the
+// solver backend), plus the solve-specific set. Instruments record once
+// per restart or batch, never per sweep.
 type optObs struct {
 	reg *obs.Registry // registry the instruments belong to (nil = disabled)
+	sharedObs
 
-	solves          *obs.Counter   // dsgl_opt_solves_total
-	solveErrors     *obs.Counter   // dsgl_opt_solve_errors_total
-	solveSteps      *obs.Counter   // dsgl_opt_steps_total
-	restarts        *obs.Counter   // dsgl_opt_restarts_total
-	batches         *obs.Counter   // dsgl_opt_batch_total
-	batchWorkers    *obs.Gauge     // dsgl_opt_batch_workers
-	bestEnergy      *obs.Gauge     // dsgl_opt_best_energy
-	wallSeconds     *obs.Histogram // dsgl_opt_wall_seconds
-	planHits        *obs.Counter   // dsgl_plan_cache_hits_total
-	planMisses      *obs.Counter   // dsgl_plan_cache_misses_total
-	planEvictions   *obs.Counter   // dsgl_plan_cache_evictions_total
-	planResident    *obs.Gauge     // dsgl_plan_cache_resident
-	planSFWaits     *obs.Counter   // dsgl_plan_singleflight_waits_total
-	statePoolHits   *obs.Counter   // dsgl_state_pool_hits_total
-	statePoolMisses *obs.Counter   // dsgl_state_pool_misses_total
+	solves       *obs.Counter   // dsgl_opt_solves_total
+	solveErrors  *obs.Counter   // dsgl_opt_solve_errors_total
+	solveSteps   *obs.Counter   // dsgl_opt_steps_total
+	restarts     *obs.Counter   // dsgl_opt_restarts_total
+	batches      *obs.Counter   // dsgl_opt_batch_total
+	batchWorkers *obs.Gauge     // dsgl_opt_batch_workers
+	bestEnergy   *obs.Gauge     // dsgl_opt_best_energy
+	wallSeconds  *obs.Histogram // dsgl_opt_wall_seconds
 }
 
 // newOptObs registers the solver instrument set on r, labeled by backend.
@@ -169,38 +166,21 @@ func newOptObs(r *obs.Registry, backend string) *optObs {
 	}
 	l := obs.L("backend", backend)
 	return &optObs{
-		reg:             r,
-		solves:          r.Counter("dsgl_opt_solves_total", "completed solver restarts", l),
-		solveErrors:     r.Counter("dsgl_opt_solve_errors_total", "solver restarts rejected or failed", l),
-		solveSteps:      r.Counter("dsgl_opt_steps_total", "sweeps or integration steps taken across all restarts", l),
-		restarts:        r.Counter("dsgl_opt_restarts_total", "restarts fanned out across all Solve batches", l),
-		batches:         r.Counter("dsgl_opt_batch_total", "multi-restart Solve invocations", l),
-		batchWorkers:    r.Gauge("dsgl_opt_batch_workers", "worker count of the most recent Solve batch", l),
-		bestEnergy:      r.Gauge("dsgl_opt_best_energy", "best Hamiltonian energy of the most recent Solve batch", l),
-		wallSeconds:     r.Histogram("dsgl_opt_wall_seconds", "host wall time per solver restart", l),
-		planHits:        r.Counter("dsgl_plan_cache_hits_total", "solver-plan cache hits", l),
-		planMisses:      r.Counter("dsgl_plan_cache_misses_total", "solver-plan cache misses (each compiles a plan)", l),
-		planEvictions:   r.Counter("dsgl_plan_cache_evictions_total", "solver-plan cache evictions", l),
-		planResident:    r.Gauge("dsgl_plan_cache_resident", "compiled solver plans currently resident", l),
-		planSFWaits:     r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
-		statePoolHits:   r.Counter("dsgl_state_pool_hits_total", "SolveStates served from the engine free-list", l),
-		statePoolMisses: r.Counter("dsgl_state_pool_misses_total", "SolveStates allocated because the free-list was dry", l),
+		reg:          r,
+		sharedObs:    newSharedObs(r, l),
+		solves:       r.Counter("dsgl_opt_solves_total", "completed solver restarts", l),
+		solveErrors:  r.Counter("dsgl_opt_solve_errors_total", "solver restarts rejected or failed", l),
+		solveSteps:   r.Counter("dsgl_opt_steps_total", "sweeps or integration steps taken across all restarts", l),
+		restarts:     r.Counter("dsgl_opt_restarts_total", "restarts fanned out across all Solve batches", l),
+		batches:      r.Counter("dsgl_opt_batch_total", "multi-restart Solve invocations", l),
+		batchWorkers: r.Gauge("dsgl_opt_batch_workers", "worker count of the most recent Solve batch", l),
+		bestEnergy:   r.Gauge("dsgl_opt_best_energy", "best Hamiltonian energy of the most recent Solve batch", l),
+		wallSeconds:  r.Histogram("dsgl_opt_wall_seconds", "host wall time per solver restart", l),
 	}
 }
 
 // enabled reports whether this binding records anywhere.
 func (m *optObs) enabled() bool { return m.reg != nil }
-
-// planObs is the slice of the binding the shared plan cache records into.
-func (m *optObs) planObs() planCacheObs {
-	return planCacheObs{
-		hits:              m.planHits,
-		misses:            m.planMisses,
-		evictions:         m.planEvictions,
-		singleflightWaits: m.planSFWaits,
-		resident:          m.planResident,
-	}
-}
 
 // metrics returns the optimization engine's instrument binding for the
 // current default registry; same steady-state cost as Engine.metrics.

@@ -12,8 +12,9 @@ import (
 )
 
 // This file is the optimization half of the engine: the regression Engine
-// drives clamp-observation inference (plan = clamp bitmask), the OptEngine
-// drives combinatorial solvers (plan = annealing schedule + instance). The
+// drives clamp-observation inference (plan = the coupling list split
+// against a clamp bitmask), the OptEngine drives combinatorial solvers
+// (plan = the ladder of an annealing schedule). The
 // split keeps what every dynamical system shares — state lifecycle and
 // pooling, the BaseSeed()+i seeding convention, batch fan-out over
 // internal/pool, StepObserver dispatch with the lazy EnergyFn, plan caching
@@ -46,10 +47,10 @@ const (
 )
 
 // Schedule is an annealing schedule: the optimization analogue of the
-// regression engine's clamp pattern. A backend compiles (schedule,
-// instance) into an immutable solver plan; the engine caches plans keyed by
-// the packed schedule, so the Period distinct variants of an adaptive
-// multi-restart batch compile once each and hit thereafter.
+// regression engine's clamp pattern. The engine compiles it into a Ladder
+// and caches ladders keyed by the packed schedule, so the Period distinct
+// variants of an adaptive multi-restart batch compile once each and hit
+// thereafter.
 //
 // The control value T is dimensionless; each dynamics interprets the ladder
 // in its own units (Metropolis: temperature; BRIM: flip fraction scale;
@@ -140,6 +141,22 @@ func (s Schedule) ForRestart(r int) Schedule {
 	return eff
 }
 
+// Ladder is a compiled schedule: the control value of every step, shared
+// read-only by every restart that anneals under it.
+type Ladder struct {
+	Sched Schedule
+	Temps []float64 // Temps[k] = Sched.At(k), for k in [0, Sched.Steps)
+}
+
+// compileLadder evaluates the schedule at every step.
+func compileLadder(s Schedule) *Ladder {
+	temps := make([]float64, s.Steps)
+	for k := range temps {
+		temps[k] = s.At(k)
+	}
+	return &Ladder{Sched: s, Temps: temps}
+}
+
 // scheduleKeyLen is the packed-schedule plan-cache key length: kind byte,
 // steps, T0, T1, period, reheat.
 const scheduleKeyLen = 1 + 8 + 8 + 8 + 8 + 8
@@ -179,21 +196,16 @@ type OptBackend interface {
 	// BaseSeed is the backend's configured seed; a multi-restart
 	// SolveFrom from it runs restart i with BaseSeed()+i.
 	BaseSeed() uint64
-	// CompileSolvePlan compiles the annealing schedule against the
-	// backend's instance into an immutable solver plan (precomputed control
-	// ladders, checkpoint tables). Plans must depend only on the schedule —
-	// the instance is fixed at backend construction — and are shared freely
-	// across workers; the engine caches them by packed schedule.
-	CompileSolvePlan(sched Schedule) any
 	// AttachSolveState allocates the backend's scratch arena into
 	// st.Scratch (and may rebind st.EnergyFn). Called once per SolveState,
 	// from NewSolveState.
 	AttachSolveState(st *SolveState)
 	// RunSolve runs one restart on a prepared state (st.RNG seeded; spin
-	// and carrier buffers are scratch the backend initializes) under a plan
-	// previously returned by CompileSolvePlan. It writes st.Res — the best
-	// state seen during the restart and its energy — and returns &st.Res.
-	RunSolve(st *SolveState, plan any) (*OptResult, error)
+	// and carrier buffers are scratch the backend initializes) under the
+	// schedule's ladder, which the engine compiled and may share with other
+	// workers. It writes st.Res — the best state seen during the restart
+	// and its energy — and returns &st.Res.
+	RunSolve(st *SolveState, l *Ladder) (*OptResult, error)
 	// EnergyOf evaluates the objective Hamiltonian at spin vector s; the
 	// engine binds it into the lazy StepInfo.EnergyFn handed to observers,
 	// and the opt-best-energy-monotone invariant recomputes reported
@@ -277,10 +289,10 @@ func (st *SolveState) SetObserver(fn StepObserver) { st.Observer = fn }
 type OptEngine struct {
 	b OptBackend
 
-	// plans caches compiled solver plans keyed by packed schedule — the
-	// same cache type, capacity, and counter discipline as the regression
+	// plans caches compiled ladders keyed by packed schedule — the same
+	// cache type, capacity, and counter discipline as the regression
 	// engine's clamp-plan cache.
-	plans planCache
+	plans planCache[*Ladder]
 
 	// states recycles SolveStates across SolveFrom calls.
 	states freeList[*SolveState]
@@ -313,8 +325,8 @@ func (e *OptEngine) NewSolveState() *SolveState {
 
 // SolveWith runs one restart on a reusable scratch state with an explicit
 // seed under the given concrete schedule. After the state's first use the
-// call performs no per-restart heap allocations beyond what the backend's
-// plan compile needed (cache hit in the steady state). The returned result
+// call performs no per-restart heap allocations beyond what the ladder
+// compile needed (cache hit in the steady state). The returned result
 // aliases the state's buffers; Detach it if it must outlive the state.
 func (e *OptEngine) SolveWith(st *SolveState, sched Schedule, seed uint64) (*OptResult, error) {
 	if st == nil || st.eng != e {
@@ -329,9 +341,9 @@ func (e *OptEngine) SolveWith(st *SolveState, sched Schedule, seed uint64) (*Opt
 		start = time.Now()
 	}
 	st.RNG.Reseed(seed)
-	pl := e.plans.resolve(packSchedule(sched, st.KeyBuf),
-		func() any { return e.b.CompileSolvePlan(sched) }, m.planObs())
-	res, err := e.b.RunSolve(st, pl)
+	l := e.plans.resolve(packSchedule(sched, st.KeyBuf),
+		func() *Ladder { return compileLadder(sched) }, &m.sharedObs)
+	res, err := e.b.RunSolve(st, l)
 	m.recordSolve(res, err, start)
 	return res, err
 }
@@ -415,11 +427,10 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 	return run, nil
 }
 
-// PlanCacheStats reports the cumulative solver-plan cache hit and miss
-// counts.
+// PlanCacheStats reports the cumulative ladder cache hit and miss counts.
 func (e *OptEngine) PlanCacheStats() (hits, misses uint64) { return e.plans.stats() }
 
-// PlanCacheLen reports how many compiled solver plans are resident.
+// PlanCacheLen reports how many compiled ladders are resident.
 func (e *OptEngine) PlanCacheLen() int { return e.plans.resident() }
 
 // getState draws a reusable SolveState from the free-list, allocating a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"dsgl/internal/obs"
@@ -13,34 +12,19 @@ import (
 
 // stubOptBackend is a deterministic toy solver: each "step" draws a random
 // spin vector and keeps the best under a diagonal objective. Good enough to
-// pin the engine-side contract — seeding, fan-out identity, plan caching,
-// pooling, observer dispatch — without any real dynamics.
+// pin the engine-side contract — seeding, fan-out identity, ladder
+// caching, pooling, observer dispatch — without any real dynamics.
 type stubOptBackend struct {
-	n        int
-	seed     uint64
-	compiles atomic.Int64 // restarts of different schedules compile concurrently
-	fail     bool         // when set, every RunSolve errors
+	n    int
+	seed uint64
+	fail bool // when set, every RunSolve errors
 	// energy, when non-nil, replaces every restart's reported energy.
 	energy func() float64
-}
-
-type stubSolvePlan struct {
-	sched Schedule
-	temps []float64
 }
 
 func (b *stubOptBackend) Name() string     { return "stub-opt" }
 func (b *stubOptBackend) Dim() int         { return b.n }
 func (b *stubOptBackend) BaseSeed() uint64 { return b.seed }
-
-func (b *stubOptBackend) CompileSolvePlan(sched Schedule) any {
-	b.compiles.Add(1)
-	temps := make([]float64, sched.Steps)
-	for k := range temps {
-		temps[k] = sched.At(k)
-	}
-	return &stubSolvePlan{sched: sched, temps: temps}
-}
 
 func (b *stubOptBackend) AttachSolveState(st *SolveState) {
 	st.Scratch = make([]int8, b.n)
@@ -54,14 +38,13 @@ func (b *stubOptBackend) EnergyOf(s []int8) float64 {
 	return e
 }
 
-func (b *stubOptBackend) RunSolve(st *SolveState, plan any) (*OptResult, error) {
-	pl := plan.(*stubSolvePlan)
+func (b *stubOptBackend) RunSolve(st *SolveState, l *Ladder) (*OptResult, error) {
 	if b.fail {
 		return nil, errors.New("stub-opt: injected failure")
 	}
 	cand := st.Scratch.([]int8)
 	best := math.Inf(1)
-	for k := 0; k < pl.sched.Steps; k++ {
+	for k := range l.Temps {
 		for i := range cand {
 			if st.RNG.Float64() < 0.5 {
 				cand[i] = -1
@@ -83,7 +66,7 @@ func (b *stubOptBackend) RunSolve(st *SolveState, plan any) (*OptResult, error) 
 	if b.energy != nil {
 		st.Res.Energy = b.energy()
 	}
-	st.Res.Steps = pl.sched.Steps
+	st.Res.Steps = l.Sched.Steps
 	return &st.Res, nil
 }
 
@@ -281,16 +264,12 @@ func TestOptRunBestTraceMonotone(t *testing.T) {
 	}
 }
 
-// TestOptPlanCacheAcrossRestarts: a non-adaptive batch compiles once; an
-// adaptive batch compiles once per distinct reheat phase.
+// TestOptPlanCacheAcrossRestarts: a non-adaptive batch compiles one
+// ladder; an adaptive batch compiles one per distinct reheat phase.
 func TestOptPlanCacheAcrossRestarts(t *testing.T) {
-	b := &stubOptBackend{n: 8, seed: 1}
-	e := NewOpt(b)
+	e := NewOpt(&stubOptBackend{n: 8, seed: 1})
 	if _, err := e.SolveFrom(GeometricSchedule(5, 2, 0.1), e.BaseSeed(), 8, 4); err != nil {
 		t.Fatal(err)
-	}
-	if got := b.compiles.Load(); got != 1 {
-		t.Errorf("geometric batch compiled %d plans, want 1", got)
 	}
 	hits, misses := e.PlanCacheStats()
 	if misses != 1 || hits != 7 {
@@ -300,13 +279,12 @@ func TestOptPlanCacheAcrossRestarts(t *testing.T) {
 		t.Errorf("resident plans = %d, want 1", e.PlanCacheLen())
 	}
 
-	b2 := &stubOptBackend{n: 8, seed: 1}
-	e2 := NewOpt(b2)
+	e2 := NewOpt(&stubOptBackend{n: 8, seed: 1})
 	if _, err := e2.SolveFrom(AdaptiveSchedule(5, 2, 0.1, 3, 0.5), e2.BaseSeed(), 9, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := b2.compiles.Load(); got != 3 {
-		t.Errorf("adaptive batch (period 3) compiled %d plans, want 3", got)
+	if _, misses := e2.PlanCacheStats(); misses != 3 {
+		t.Errorf("adaptive batch (period 3) compiled %d ladders, want 3", misses)
 	}
 }
 

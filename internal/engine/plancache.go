@@ -5,44 +5,35 @@ import (
 	"sync/atomic"
 
 	"dsgl/internal/lru"
-	"dsgl/internal/obs"
 )
 
 // This file holds the engine machinery that every dynamical-system driver
-// shares, regardless of what its "plan" is: the regression Engine compiles
-// clamp bitmasks into constant-folded inference plans, the OptEngine
-// compiles annealing schedules into solver plans, and both resolve them
-// through the same bounded-LRU / lock-free-snapshot / per-key-singleflight
-// cache and recycle their per-worker scratch states through the same
-// bounded free-list. Extracting the cache and the free-list (rather than
+// shares, regardless of what its "plan" is: the regression Engine splits
+// its coupling list against clamp bitmasks, the OptEngine evaluates
+// annealing schedules into ladders, and both resolve them through the same
+// bounded-LRU / lock-free-snapshot / per-key-singleflight cache and
+// recycle their per-worker scratch states through the same bounded
+// free-list. Extracting the cache and the free-list (rather than
 // mirroring them into opt.go the way PR 3 found them mirrored across
 // scalable and dspu) keeps the concurrency discipline — and its counters'
 // determinism guarantee — in exactly one place.
 
 // planCall is an in-flight plan compilation other resolvers of the same
 // key wait on instead of compiling again (per-key singleflight).
-type planCall struct {
+type planCall[P any] struct {
 	done chan struct{} // closed once pl is published
-	pl   any
+	pl   P
 }
 
-// planCacheObs is the instrument slice of the cache: the owning engine
-// passes its binding's counters into resolve. Nil instruments (observability
-// disabled) are no-ops via the obs nil-receiver contract.
-type planCacheObs struct {
-	hits, misses, evictions, singleflightWaits *obs.Counter
-	resident                                   *obs.Gauge
-}
-
-// planCache is the compiled-plan cache shared by the inference and
-// optimization engines: a bounded LRU behind a lock-free read snapshot,
-// with compilation running outside the lock under per-key singleflight.
-// The zero value is ready to use (the LRU is allocated lazily at
-// PlanCacheCapacity). Hit/miss counters stay deterministic for a fixed
+// planCache is the cache of compiled plans of type P that the inference
+// and optimization engines share: a bounded LRU behind a lock-free read
+// snapshot, with compilation running outside the lock under per-key
+// singleflight. The zero value is ready to use (the LRU is allocated
+// lazily at PlanCacheCapacity). Hit/miss counters stay deterministic for a fixed
 // call sequence: a key's first resolution is the one miss, every other
 // resolution — snapshot hit, LRU hit, or singleflight wait — is a hit,
 // regardless of worker interleaving.
-type planCache struct {
+type planCache[P any] struct {
 	// mu guards the bounded LRU, the in-flight compile table, and snapshot
 	// publication — but never a compile: resolve registers an in-flight
 	// call, releases the lock, compiles, and re-locks only to insert and
@@ -50,22 +41,24 @@ type planCache struct {
 	// immutable map snapshot of the resident entries rebuilt (O(capacity))
 	// on every insert or eviction.
 	mu       sync.Mutex
-	lru      *lru.Cache[any]
-	inflight map[string]*planCall
-	snap     atomic.Pointer[map[string]any]
+	lru      *lru.Cache[P]
+	inflight map[string]*planCall[P]
+	snap     atomic.Pointer[map[string]P]
 
 	hits, misses atomic.Uint64
 }
 
 // resolve returns the plan for key, compiling it at most once per
-// residency. compile runs unlocked; concurrent resolvers of one missing key
-// wait on the single in-flight compile (counted as hits — the key is
-// compiled once), while compiles of different keys proceed concurrently.
-func (c *planCache) resolve(key []byte, compile func() any, m planCacheObs) any {
+// residency, and records into the owning engine's plan-cache instruments
+// (nil instruments, observability disabled, are no-ops). compile runs
+// unlocked; concurrent resolvers of one missing key wait on the single
+// in-flight compile (counted as hits — the key is compiled once), while
+// compiles of different keys proceed concurrently.
+func (c *planCache[P]) resolve(key []byte, compile func() P, m *sharedObs) P {
 	if snap := c.snap.Load(); snap != nil {
 		if pl, ok := (*snap)[string(key)]; ok {
 			c.hits.Add(1)
-			m.hits.Inc()
+			m.planHits.Inc()
 			// Refresh recency when the lock is free; skipping under
 			// contention only costs eviction-order fidelity, never
 			// correctness.
@@ -81,39 +74,39 @@ func (c *planCache) resolve(key []byte, compile func() any, m planCacheObs) any 
 	c.mu.Lock()
 	if c.lru == nil {
 		// Lazy: engines built as bare literals in tests never populate it.
-		c.lru = lru.New[any](PlanCacheCapacity)
-		c.inflight = make(map[string]*planCall)
+		c.lru = lru.New[P](PlanCacheCapacity)
+		c.inflight = make(map[string]*planCall[P])
 	}
 	if pl, ok := c.lru.Get(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		m.hits.Inc()
+		m.planHits.Inc()
 		return pl
 	}
 	if call, ok := c.inflight[string(key)]; ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		m.hits.Inc()
-		m.singleflightWaits.Inc()
+		m.planHits.Inc()
+		m.planSingleflightWaits.Inc()
 		<-call.done
 		return call.pl
 	}
-	call := &planCall{done: make(chan struct{})}
+	call := &planCall[P]{done: make(chan struct{})}
 	ks := string(key)
 	c.inflight[ks] = call
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	m.misses.Inc()
+	m.planMisses.Inc()
 	call.pl = compile()
 
 	c.mu.Lock()
 	if c.lru.Add(key, call.pl) {
-		m.evictions.Inc()
+		m.planEvictions.Inc()
 	}
 	delete(c.inflight, ks)
 	c.publishSnapshotLocked()
-	m.resident.Set(float64(c.lru.Len()))
+	m.planResident.Set(float64(c.lru.Len()))
 	c.mu.Unlock()
 	close(call.done)
 	return call.pl
@@ -122,29 +115,28 @@ func (c *planCache) resolve(key []byte, compile func() any, m planCacheObs) any 
 // peek returns the resident plan for key without compiling, without
 // counters, and without a recency bump — the streaming delta-compiler's
 // predecessor lookup.
-func (c *planCache) peek(key []byte) (any, bool) {
+func (c *planCache[P]) peek(key []byte) (pl P, ok bool) {
 	if snap := c.snap.Load(); snap != nil {
-		pl, ok := (*snap)[string(key)]
-		return pl, ok
+		pl, ok = (*snap)[string(key)]
 	}
-	return nil, false
+	return pl, ok
 }
 
 // publishSnapshotLocked rebuilds the lock-free read snapshot from the LRU.
 // Caller holds mu.
-func (c *planCache) publishSnapshotLocked() {
-	snap := make(map[string]any, c.lru.Len())
-	c.lru.Each(func(k string, v any) { snap[k] = v })
+func (c *planCache[P]) publishSnapshotLocked() {
+	snap := make(map[string]P, c.lru.Len())
+	c.lru.Each(func(k string, v P) { snap[k] = v })
 	c.snap.Store(&snap)
 }
 
 // stats reports the cumulative hit and miss counts.
-func (c *planCache) stats() (hits, misses uint64) {
+func (c *planCache[P]) stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
 // resident reports how many compiled plans are currently cached.
-func (c *planCache) resident() int {
+func (c *planCache[P]) resident() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.lru == nil {

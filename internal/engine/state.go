@@ -48,7 +48,7 @@ func (r *Result) Detach() *Result {
 // buffer — read it during the callback, copy it if it must outlive the step,
 // never write it.
 //
-// EnergyFn computes the backend's EnergyAt(X) on demand. Evaluating the
+// EnergyFn computes the engine's EnergyAt(X) on demand. Evaluating the
 // Hamiltonian walks every stored coupling — O(nnz) per call — which used to
 // tax every observed step even when the observer never looked at the energy.
 // The hot loops hand out a pre-bound closure and pay only when the observer
@@ -72,8 +72,8 @@ type StepObserver func(StepInfo)
 
 // InferState is a reusable per-worker scratch arena for inference. The
 // engine owns the backend-independent buffers — working voltages, clamp
-// mask, plan-cache key, RNG, result, observer — and the backend
-// hangs its own arena off Scratch in AttachState. After the state's first
+// mask, plan-cache key, RNG, result, observer, the Naive path's plan — and
+// the backend hangs its own arena off Scratch in AttachState. After the state's first
 // use an inference runs allocation-free (enforced per backend by the
 // zero-alloc tests and the benchmark allocs/op columns).
 //
@@ -105,22 +105,26 @@ type InferState struct {
 	// Observer, when non-nil, receives StepInfo after every step.
 	Observer StepObserver
 	// EnergyFn is the pre-bound lazy Hamiltonian closure handed to
-	// observers; it evaluates the backend's EnergyAt over X.
+	// observers; it evaluates the engine's EnergyAt over X.
 	EnergyFn func() float64
 	// Scratch is the backend's private arena, allocated by AttachState.
 	Scratch any
+
+	// unfolded is the Naive path's plan, refilled per inference: a state
+	// reused across inferences refills it without allocating.
+	unfolded mat.ClampSplit
 }
 
 // NewInferState allocates a scratch arena sized for this engine's backend.
 func (e *Engine) NewInferState() *InferState {
-	n := e.b.Dim()
+	n := e.cpl.Dim()
 	st := &InferState{
 		eng:     e,
 		X:       make([]float64, n),
 		Clamped: make([]bool, n),
 		KeyBuf:  make([]byte, maskBytes(n)),
 	}
-	st.EnergyFn = func() float64 { return e.b.EnergyAt(st.X) }
+	st.EnergyFn = func() float64 { return e.EnergyAt(st.X) }
 	e.b.AttachState(st)
 	return st
 }
@@ -139,12 +143,15 @@ func (st *InferState) Result() *Result { return &st.Res }
 // runs — index range, finite value within the rail bound, duplicate
 // rejection. Non-finite values need their own check: |NaN| > rail is
 // false, so the rail bound alone would let a NaN into the anneal. A
-// duplicate index is rejected rather than silently last-wins: two observations for one node are
-// almost always a windowing bug, and the clamp-plan key (which is a set, not
-// a list) would otherwise hide the difference.
+// duplicate index is rejected rather than silently last-wins: two
+// observations for one node are almost always a windowing bug, and the
+// clamp-plan key (which is a set, not a list) would otherwise hide the
+// difference.
 //
-// clamped (length n) is reset and filled as the mask. When x is non-nil the
-// observation values are clamped into it; passing nil validates without
+// clamped (length n) is reset and filled as the mask. When x is non-nil
+// the observation values are clamped into it, but only once every
+// observation has passed: a rejected stream tick must leave the warm state
+// the next tick starts from untouched. Passing nil validates without
 // mutating any inference state — the EnsurePlan path.
 func validateObservations(name string, obs []Observation, n int, rail float64, x []float64, clamped []bool) error {
 	for i := range clamped {
@@ -163,10 +170,12 @@ func validateObservations(name string, obs []Observation, n int, rail float64, x
 		if clamped[o.Index] {
 			return fmt.Errorf("%s: duplicate observation for node %d", name, o.Index)
 		}
-		if x != nil {
+		clamped[o.Index] = true
+	}
+	if x != nil {
+		for _, o := range obs {
 			x[o.Index] = o.Value
 		}
-		clamped[o.Index] = true
 	}
 	return nil
 }

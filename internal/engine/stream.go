@@ -1,38 +1,19 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
 
-// DeltaBackend is the optional Backend extension for clamp-plan
-// delta-compilation. A streaming temporal inference slides its observation
-// window one step per tick: the clamp mask shifts by a small symmetric
-// difference, every tick's mask is new to the plan cache, and a full
-// CompilePlan per tick re-classifies every coupling row from scratch. A
-// DeltaBackend instead patches the predecessor pattern's plan,
-// reclassifying only the rows the flipped mask bits touch.
-//
-// The contract mirrors CompilePlan's: the product depends only on WHICH
-// nodes are clamped, is immutable, and must be interchangeable with a full
-// compile — the engine inserts it into the plan cache under the new
-// pattern's key, and the plan-naive-identity invariant applies to patched
-// plans exactly as to compiled ones, so patching must be structurally
-// lossless. prev is a plan previously produced by this backend (via
-// CompilePlan or CompilePlanDelta) for oldClamped; it must not be mutated,
-// since it may still be resident under its own key. Returning nil declines
-// the delta (mask unchanged, symmetric difference too large, foreign plan
-// type) and sends the engine to the full compile.
-type DeltaBackend interface {
-	Backend
-	CompilePlanDelta(prev any, oldClamped, newClamped []bool) any
-}
+	"dsgl/internal/mat"
+)
 
 // Stream is a stateful streaming-inference session: a sequence of
 // observation windows inferred as consecutive ticks, each warm-started from
 // the previous tick's settled state instead of a fresh random init, with
-// clamp plans resolved by delta-compilation from the predecessor tick's
-// pattern when the backend supports it. Open with Engine.OpenStream, feed
-// ticks with Tick, and Close when done to return the scratch state to the
-// engine pool. Warm start and plan-delta resolution live only here; the
-// Request a tick runs is a plain Planned one.
+// clamp plans patched from the predecessor tick's. Open with
+// Engine.OpenStream, feed ticks with Tick, and Close when done to return
+// the scratch state to the engine pool. Warm start and plan-delta
+// resolution live only here; the Request a tick runs is a plain Planned
+// one.
 //
 // A Stream is single-threaded: it owns one InferState and each tick's warm
 // start is the previous tick's equilibrium. Concurrent sessions use one
@@ -43,7 +24,7 @@ type Stream struct {
 
 	// Predecessor tick's clamp pattern: the packed plan-cache key (for the
 	// LRU lookup that seeds the delta compile) and the unpacked mask (the
-	// DeltaBackend argument).
+	// Patch argument).
 	prevKey     []byte
 	prevClamped []bool
 	started     bool
@@ -55,9 +36,6 @@ type Stream struct {
 func (e *Engine) OpenStream() *Stream {
 	return &Stream{eng: e, st: e.getState()}
 }
-
-// Engine returns the engine this stream runs on.
-func (s *Stream) Engine() *Engine { return s.eng }
 
 // Started reports whether the stream has completed its cold first tick.
 func (s *Stream) Started() bool { return s.started }
@@ -85,11 +63,11 @@ func (s *Stream) Close() {
 //     settles to the same fixed point as a cold one — the
 //     warm-start-fixed-point verify invariant — it just starts closer.
 //   - Plan delta-resolution: when the new clamp pattern misses the plan
-//     cache, the predecessor pattern's resident plan is patched via the
-//     backend's CompilePlanDelta instead of fully recompiled, falling back
-//     to CompilePlan when the backend declines or the predecessor was
-//     evicted. Either way the product lands in the cache under the new
-//     pattern's key.
+//     cache, the predecessor pattern's resident plan is patched
+//     (mat.ClampSplit.Patch) instead of split from scratch, falling back
+//     to a full Split when Patch declines or the predecessor was evicted.
+//     Either way the product lands in the cache under the new pattern's
+//     key.
 //
 // The returned Result aliases the stream's state buffers and is
 // overwritten by the next tick; Detach it if it must outlive the tick.
@@ -121,12 +99,12 @@ func (s *Stream) Tick(obs []Observation, seed uint64) (*Result, error) {
 	return res, nil
 }
 
-// compileDelta resolves a shifted pattern's cache miss: patch the
-// predecessor's plan when it is still resident and the backend accepts
-// the delta, else compile in full. Either outcome is counted.
-func (e *Engine) compileDelta(db DeltaBackend, prevPl any, resident bool, prevClamped, clamped []bool, m *engineObs) any {
-	if resident {
-		if pl := db.CompilePlanDelta(prevPl, prevClamped, clamped); pl != nil {
+// compileDelta resolves a shifted pattern's cache miss: patch the plan of
+// the predecessor pattern prevKey when it is still resident and Patch
+// accepts the delta, else split in full. Either outcome is counted.
+func (e *Engine) compileDelta(prevKey []byte, prevClamped, clamped []bool, m *engineObs) *mat.ClampSplit {
+	if prev, ok := e.plans.peek(prevKey); ok {
+		if pl := prev.Patch(e.cpl, prevClamped, clamped); pl != nil {
 			e.planDeltaHits.Add(1)
 			m.planDeltaHits.Inc()
 			return pl
@@ -134,12 +112,12 @@ func (e *Engine) compileDelta(db DeltaBackend, prevPl any, resident bool, prevCl
 	}
 	e.planDeltaFallbacks.Add(1)
 	m.planDeltaFallbacks.Inc()
-	return e.b.CompilePlan(clamped)
+	return e.cpl.Split(clamped)
 }
 
 // PlanDeltaStats reports the cumulative plan delta-compilation counts:
 // hits patched a predecessor plan, fallbacks resolved a shifted pattern
-// with a full compile (backend declined, no DeltaBackend predecessor plan
+// with a full split (Patch declined, or the predecessor plan was no longer
 // resident). Cache hits on a shifted pattern move neither counter.
 func (e *Engine) PlanDeltaStats() (hits, fallbacks uint64) {
 	return e.planDeltaHits.Load(), e.planDeltaFallbacks.Load()

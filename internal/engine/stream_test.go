@@ -3,39 +3,8 @@ package engine
 import (
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
-
-// deltaStub extends stubBackend with delta-compilation so the stream tests
-// can pin when the engine asks for a patch versus a full compile.
-type deltaStub struct {
-	stubBackend
-	deltas  atomic.Int64
-	decline bool
-}
-
-func (d *deltaStub) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any {
-	d.deltas.Add(1)
-	if d.decline {
-		return nil
-	}
-	if _, ok := prev.(*stubPlan); !ok {
-		return nil
-	}
-	pl := &stubPlan{}
-	for i, c := range newClamped {
-		if !c {
-			pl.free = append(pl.free, i)
-		}
-	}
-	return pl
-}
-
-func newDeltaStub(n int) (*deltaStub, *Engine) {
-	b := &deltaStub{stubBackend: stubBackend{n: n, rails: 1, seed: 11}}
-	return b, New(b)
-}
 
 func TestStreamFirstTickMatchesInferWith(t *testing.T) {
 	_, e := newStub(6)
@@ -101,14 +70,14 @@ func TestStreamWarmStartKeepsSettledState(t *testing.T) {
 }
 
 func TestStreamDeltaHitOnShiftedPattern(t *testing.T) {
-	b, e := newDeltaStub(8)
+	_, e := newStub(8)
 	s := e.OpenStream()
 	defer s.Close()
 	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.deltas.Load(); got != 0 {
-		t.Fatalf("cold tick asked for %d deltas, want 0", got)
+	if hits, fallbacks := e.PlanDeltaStats(); hits+fallbacks != 0 {
+		t.Fatalf("cold tick counted %d delta hits, %d fallbacks, want none", hits, fallbacks)
 	}
 	// Slide the window: one leaves, one enters. The new pattern misses the
 	// cache and resolves by patching the predecessor plan.
@@ -118,8 +87,8 @@ func TestStreamDeltaHitOnShiftedPattern(t *testing.T) {
 	if hits, fallbacks := e.PlanDeltaStats(); hits != 1 || fallbacks != 0 {
 		t.Fatalf("hits=%d fallbacks=%d after shift, want 1/0", hits, fallbacks)
 	}
-	if got := b.compiles.Load(); got != 1 {
-		t.Fatalf("backend fully compiled %d plans, want 1 (cold tick only)", got)
+	if got := compiles(e); got != 2 {
+		t.Fatalf("compiled %d plans, want 2 (cold split, one patch)", got)
 	}
 	// Repeating the pattern is a plain cache hit: no delta, no compile.
 	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.2}}, 3); err != nil {
@@ -132,32 +101,33 @@ func TestStreamDeltaHitOnShiftedPattern(t *testing.T) {
 	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.3}}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.deltas.Load(); got != 1 {
-		t.Fatalf("delta compiler ran %d times, want 1", got)
+	if hits, fallbacks := e.PlanDeltaStats(); hits != 1 || fallbacks != 0 || compiles(e) != 2 {
+		t.Fatalf("return to a resident pattern compiled: hits=%d fallbacks=%d compiles=%d", hits, fallbacks, compiles(e))
 	}
 }
 
+// TestStreamDeltaDeclineFallsBack: a shift of more than mat.MaxPatchBits
+// mask bits is declined by Patch and split in full.
 func TestStreamDeltaDeclineFallsBack(t *testing.T) {
-	b, e := newDeltaStub(8)
-	b.decline = true
+	_, e := newStub(8)
 	s := e.OpenStream()
 	defer s.Close()
-	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}}, 1); err != nil {
+	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}, {Index: 1, Value: 0.1}, {Index: 2, Value: 0.1}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.1}}, 2); err != nil {
+	if _, err := s.Tick([]Observation{{Index: 5, Value: 0.1}, {Index: 6, Value: 0.1}, {Index: 7, Value: 0.1}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if hits, fallbacks := e.PlanDeltaStats(); hits != 0 || fallbacks != 1 {
 		t.Fatalf("hits=%d fallbacks=%d after declined delta, want 0/1", hits, fallbacks)
 	}
-	if got := b.compiles.Load(); got != 2 {
-		t.Fatalf("backend compiled %d plans, want 2 (cold + fallback)", got)
+	if got := compiles(e); got != 2 {
+		t.Fatalf("compiled %d plans, want 2 (cold + fallback)", got)
 	}
 }
 
 func TestStreamEvictedPredecessorFallsBack(t *testing.T) {
-	b, e := newDeltaStub(64)
+	_, e := newStub(64)
 	s := e.OpenStream()
 	defer s.Close()
 	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}}, 1); err != nil {
@@ -169,31 +139,48 @@ func TestStreamEvictedPredecessorFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A two-bit shift Patch would accept: only the missing predecessor
+	// sends it to the fallback.
 	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.1}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if hits, fallbacks := e.PlanDeltaStats(); hits != 0 || fallbacks != 1 {
 		t.Fatalf("hits=%d fallbacks=%d with evicted predecessor, want 0/1", hits, fallbacks)
 	}
-	if got := b.deltas.Load(); got != 0 {
-		t.Fatalf("delta compiler ran %d times against an evicted predecessor, want 0", got)
-	}
 }
 
-func TestStreamNonDeltaBackendNeverCountsDeltas(t *testing.T) {
-	b, e := newStub(8)
-	s := e.OpenStream()
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := s.Tick([]Observation{{Index: i, Value: 0.1}}, uint64(i)); err != nil {
+// TestStreamRejectedTickKeepsWarmState: a tick whose later observation is
+// rejected must not write its earlier ones into the warm state, so the next
+// tick runs exactly as if the rejected one had never been sent.
+func TestStreamRejectedTickKeepsWarmState(t *testing.T) {
+	_, e := newStub(4)
+	tick := func(s *Stream, obs []Observation, seed uint64) *Result {
+		t.Helper()
+		res, err := s.Tick(obs, seed)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res.Detach()
 	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 0 || fallbacks != 0 {
-		t.Fatalf("plain backend moved delta counters: hits=%d fallbacks=%d", hits, fallbacks)
+	first := []Observation{{Index: 0, Value: 0.5}}
+	next := []Observation{{Index: 1, Value: 0.25}}
+	ref := e.OpenStream()
+	defer ref.Close()
+	tick(ref, first, 1)
+	want := tick(ref, next, 2)
+
+	s := e.OpenStream()
+	defer s.Close()
+	tick(s, first, 1)
+	bad := []Observation{{Index: 2, Value: 0.75}, {Index: 3, Value: 5}}
+	if _, err := s.Tick(bad, 9); err == nil || !strings.Contains(err.Error(), "exceeds rail") {
+		t.Fatalf("tick past the rail: got %v", err)
 	}
-	if got := b.compiles.Load(); got != 3 {
-		t.Fatalf("backend compiled %d plans, want 3", got)
+	got := tick(s, next, 2)
+	for i := range want.Voltage {
+		if math.Float64bits(got.Voltage[i]) != math.Float64bits(want.Voltage[i]) {
+			t.Fatalf("node %d: %v after a rejected tick, %v without it", i, got.Voltage[i], want.Voltage[i])
+		}
 	}
 }
 
@@ -209,9 +196,6 @@ func TestStreamClosedAndForeign(t *testing.T) {
 	// A stream runs on the engine that opened it and no other.
 	s2 := e1.OpenStream()
 	defer s2.Close()
-	if s2.Engine() != e1 {
-		t.Fatal("stream reports a foreign engine")
-	}
 	if _, err := s2.Tick([]Observation{{Index: 0, Value: 0.5}}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +222,12 @@ func TestStreamTickValidatesObservations(t *testing.T) {
 // keeps being used between ticks. Recency bumps on cache hits are what
 // keeps it resident; if they regress, the hot pattern recompiles.
 func TestStreamHotPlanSurvivesSlidingMaskChurn(t *testing.T) {
-	b, e := newDeltaStub(128)
+	_, e := newStub(128)
 	hot := []Observation{{Index: 100, Value: 0.5}, {Index: 101, Value: -0.5}}
 	if _, err := e.InferSeeded(hot, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.compiles.Load(); got != 1 {
+	if got := compiles(e); got != 1 {
 		t.Fatalf("hot pattern compiled %d times, want 1", got)
 	}
 	s := e.OpenStream()
@@ -257,14 +241,14 @@ func TestStreamHotPlanSurvivesSlidingMaskChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Full compiles: the hot plan once, the stream's cold first tick once.
+	// Full splits: the hot plan once, the stream's cold first tick once.
 	// Every later tick resolved its fresh pattern by delta, and the hot
 	// pattern never recompiled despite W distinct patterns flowing through
 	// an 8-slot cache.
-	if got := b.compiles.Load(); got != 2 {
-		t.Fatalf("sliding-mask churn forced %d full compiles, want 2 (hot plan evicted?)", got)
-	}
 	hits, fallbacks := e.PlanDeltaStats()
+	if got := compiles(e) - hits; got != 2 {
+		t.Fatalf("sliding-mask churn forced %d full splits, want 2 (hot plan evicted?)", got)
+	}
 	if fallbacks != 0 {
 		t.Fatalf("%d delta fallbacks during churn, want 0", fallbacks)
 	}

@@ -45,7 +45,7 @@ const (
 
 // Solver adapts an Ising model to the engine.OptBackend contract: one
 // instance, one selected dynamics, annealed under engine-compiled schedule
-// plans with the engine's seeded multi-restart fan-out. The solver and its
+// ladders with the engine's seeded multi-restart fan-out. The solver and its
 // coupling network are immutable after construction; all mutable state
 // lives in the per-worker SolveState, which is what makes parallel restarts
 // race-free and bit-identical to a sequential loop.
@@ -111,22 +111,6 @@ func (s *Solver) BaseSeed() uint64 { return s.seed }
 // EnergyOf implements engine.OptBackend: the Ising Hamiltonian at s.
 func (s *Solver) EnergyOf(spins []int8) float64 { return s.m.Energy(spins) }
 
-// solvePlan is a compiled schedule: the control ladder evaluated once per
-// step, shared read-only by every restart that anneals under it.
-type solvePlan struct {
-	sched engine.Schedule
-	temps []float64
-}
-
-// CompileSolvePlan implements engine.OptBackend.
-func (s *Solver) CompileSolvePlan(sched engine.Schedule) any {
-	temps := make([]float64, sched.Steps)
-	for k := range temps {
-		temps[k] = sched.At(k)
-	}
-	return &solvePlan{sched: sched, temps: temps}
-}
-
 // solverScratch is the per-state arena; each dynamics allocates only its
 // own buffers. BRIM takes a coupling-current buffer, OIM a derivative
 // buffer and its phase system, on-grid Metropolis integer fields and a
@@ -157,15 +141,11 @@ func (s *Solver) AttachSolveState(st *engine.SolveState) {
 }
 
 // RunSolve implements engine.OptBackend: one restart of the selected
-// dynamics under a compiled schedule plan. The best state seen at any
+// dynamics under the schedule's ladder. The best state seen at any
 // checkpoint is kept, and its energy is recomputed from the spins at
 // readout, so Res.Energy == EnergyOf(Res.Spins) holds bit-exactly — the
 // identity the opt-best-energy-monotone invariant leans on.
-func (s *Solver) RunSolve(st *engine.SolveState, plan any) (*engine.OptResult, error) {
-	pl, ok := plan.(*solvePlan)
-	if !ok {
-		return nil, fmt.Errorf("%s: foreign plan type %T", s.Name(), plan)
-	}
+func (s *Solver) RunSolve(st *engine.SolveState, pl *engine.Ladder) (*engine.OptResult, error) {
 	switch s.dyn {
 	case MetropolisDynamics:
 		if s.grid != nil {
@@ -181,7 +161,7 @@ func (s *Solver) RunSolve(st *engine.SolveState, plan any) (*engine.OptResult, e
 		return nil, fmt.Errorf("ising: unknown dynamics %q", s.dyn)
 	}
 	st.Res.Energy = s.m.Energy(st.Res.Spins)
-	st.Res.Steps = pl.sched.Steps
+	st.Res.Steps = pl.Sched.Steps
 	return &st.Res, nil
 }
 
@@ -206,7 +186,7 @@ func randomSpins(st *engine.SolveState) {
 
 // runMetropolis: one sweep per schedule step at ladder temperature T(k),
 // for models off the grid.
-func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
+func (s *Solver) runMetropolis(st *engine.SolveState, pl *engine.Ladder) {
 	n := s.m.N
 	sc := st.Scratch.(*solverScratch)
 	randomSpins(st)
@@ -215,7 +195,7 @@ func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
 	bestE := curE
 	copy(st.Res.Spins, st.Spins)
 	st.Res.BestStep = 0
-	for sweep, temp := range pl.temps {
+	for sweep, temp := range pl.Temps {
 		for k := 0; k < n; k++ {
 			i := st.RNG.Intn(n)
 			dE := 2 * float64(st.Spins[i]) * (sc.local[i] + s.m.H[i])
@@ -243,7 +223,7 @@ func (s *Solver) runMetropolis(st *engine.SolveState, pl *solvePlan) {
 // Float64 would and accepts exactly when m < ⌈exp(−dE/T)·2⁵³⌉, which is
 // u < exp(−dE/T). e·2q is the float loop's exact dE, so every draw, flip,
 // energy and best state is the one runMetropolis makes.
-func (s *Solver) runMetropolisGrid(st *engine.SolveState, pl *solvePlan) {
+func (s *Solver) runMetropolisGrid(st *engine.SolveState, pl *engine.Ladder) {
 	n, g := s.m.N, s.grid
 	sc := st.Scratch.(*solverScratch)
 	spins, f, row := st.Spins, sc.field, sc.row
@@ -260,7 +240,7 @@ func (s *Solver) runMetropolisGrid(st *engine.SolveState, pl *solvePlan) {
 	bestE := curE
 	copy(st.Res.Spins, spins)
 	st.Res.BestStep = 0
-	for sweep, temp := range pl.temps {
+	for sweep, temp := range pl.Temps {
 		fillThresholds(row, g.twoQ, temp)
 		for k := 0; k < n; k++ {
 			i := int(st.RNG.Uint64() % uint64(n)) // Intn(n), inlined
@@ -370,7 +350,7 @@ func lowBitExp(v float64) int {
 // drives each capacitor with dσᵢ/dt = Σⱼ Wᵢⱼσⱼ + hᵢ (the linear
 // self-reaction), at a rail only inward current moves it, and the new
 // voltage is held to the rails.
-func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
+func (s *Solver) runBRIM(st *engine.SolveState, pl *engine.Ladder) {
 	sc := st.Scratch.(*solverScratch)
 	x := st.X
 	for i := range x {
@@ -382,7 +362,7 @@ func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
 	}
 	bestE := math.Inf(1)
 	t := 0.0
-	for e, temp := range pl.temps {
+	for e, temp := range pl.Temps {
 		for k := 0; k < brimSubsteps; k++ {
 			cur := s.m.W.MulVec(x, sc.deriv)
 			for i, xi := range x {
@@ -409,8 +389,8 @@ func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
 			st.Res.BestStep = e
 		}
 		observe(st, e, t)
-		if e < len(pl.temps)-1 {
-			frac := brimFlipFrac * temp / pl.sched.T0
+		if e < len(pl.Temps)-1 {
+			frac := brimFlipFrac * temp / pl.Sched.T0
 			for i := range x {
 				if st.RNG.Float64() < frac {
 					x[i] = -x[i]
@@ -423,7 +403,7 @@ func (s *Solver) runBRIM(st *engine.SolveState, pl *solvePlan) {
 // runOIM: blocks of Euler integration of the oscillator phase flow with the
 // SHIL strength ramped from 0 (full heat) toward oimShilK as the ladder
 // cools, a phase-quantized checkpoint after each block.
-func (s *Solver) runOIM(st *engine.SolveState, pl *solvePlan) {
+func (s *Solver) runOIM(st *engine.SolveState, pl *engine.Ladder) {
 	sc := st.Scratch.(*solverScratch)
 	phi := st.X
 	for i := range phi {
@@ -431,8 +411,8 @@ func (s *Solver) runOIM(st *engine.SolveState, pl *solvePlan) {
 	}
 	bestE := math.Inf(1)
 	t := 0.0
-	for e, temp := range pl.temps {
-		sc.ps.shilK = oimShilK * (1 - temp/pl.sched.T0)
+	for e, temp := range pl.Temps {
+		sc.ps.shilK = oimShilK * (1 - temp/pl.Sched.T0)
 		for k := 0; k < oimSubsteps; k++ {
 			sc.ps.Derivative(phi, sc.deriv)
 			for i := range phi {

@@ -299,18 +299,6 @@ func TestSolverPlanIsScheduleOnly(t *testing.T) {
 	}
 }
 
-func TestSolverForeignPlanRejected(t *testing.T) {
-	m := randomModel(t, 6, 0.5, 2)
-	s, err := NewSolver(m, BRIMDynamics, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := engine.NewOpt(s).NewSolveState()
-	if _, err := s.RunSolve(st, "not a plan"); err == nil {
-		t.Fatal("foreign plan type must error")
-	}
-}
-
 // gridModel builds a symmetric model over a ring of n spins with the given
 // coupling on every ring edge and field h on every spin.
 func gridModel(t *testing.T, n int, w, h float64) *Model {
@@ -454,6 +442,95 @@ func TestAcceptTableMatchesDirectExp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzGridModel decodes a symmetric model on the grid of step q = 2^(exp
+// mod 8) from data: data[0] picks N in [1, 24], the next N bytes the
+// fields, and each later byte triple (i, j, v) adds a coupling v between
+// spins i and j. Every decoded value is an integer in [-3, 3] times q, so
+// every entry, sums of duplicates included, is an exact multiple of q.
+func fuzzGridModel(t *testing.T, data []byte, exp int8) (*Model, float64) {
+	n := 1 + int(data[0])%24
+	data = data[1:]
+	q := math.Ldexp(1, int(exp)%8)
+	val := func(b byte) float64 { return float64(int(b)%7-3) * q }
+	h := make([]float64, n)
+	for i := 0; i < n && i < len(data); i++ {
+		h[i] = val(data[i])
+	}
+	data = data[min(n, len(data)):]
+	j := mat.NewDense(n, n)
+	for ; len(data) >= 3; data = data[3:] {
+		a, b := int(data[0])%n, int(data[1])%n
+		if a == b {
+			continue
+		}
+		v := j.At(a, b) + val(data[2])
+		j.Set(a, b, v)
+		j.Set(b, a, v)
+	}
+	m, err := NewModelCSR(mat.FromDense(j, 0), h)
+	if err != nil {
+		t.Fatalf("decoded model rejected: %v", err)
+	}
+	return m, q
+}
+
+// FuzzMetropolisGridMatchesFloat holds the on-grid Metropolis loop to the
+// float loop on decoded models, as TestAcceptTableMatchesDirectExp does on
+// its fixed ones: one restart of each, under a geometric and a linear
+// schedule scaled to the grid step, must flip the same spins in every
+// sweep, return the same result (energy bits included) and leave the RNG
+// in the same state. Models acceptGrid keeps off the grid are skipped.
+func FuzzMetropolisGridMatchesFloat(f *testing.F) {
+	ring := []byte{5, 3, 3, 3, 3, 3, 3, 0, 1, 2, 1, 2, 2, 2, 3, 2, 3, 4, 2, 4, 5, 2, 5, 0, 2}
+	f.Add(ring, int8(0), uint64(1))
+	f.Add(append([]byte{10, 0, 6, 1, 5, 2, 4, 3, 3, 0, 6}, 0, 9, 5, 1, 8, 1, 2, 7, 6, 3, 3, 0), int8(-2), uint64(7))
+	f.Add([]byte{23, 6, 6, 6, 0, 0, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 0, 5, 6, 7, 8, 1, 9, 10, 5}, int8(5), uint64(3))
+	f.Add([]byte{3, 4, 2, 3, 3, 0, 1, 5}, int8(-7), uint64(2))
+	f.Fuzz(func(t *testing.T, data []byte, exp int8, seed uint64) {
+		if len(data) == 0 {
+			return
+		}
+		m, q := fuzzGridModel(t, data, exp)
+		grid, err := NewSolver(m, MetropolisDynamics, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grid.grid == nil {
+			return
+		}
+		float := *grid
+		float.grid = nil
+		ge, fe := engine.NewOpt(grid), engine.NewOpt(&float)
+		gs, fs := ge.NewSolveState(), fe.NewSolveState()
+		var gTrace, fTrace []uint64
+		gs.SetObserver(spinTrace(&gTrace, gs))
+		fs.SetObserver(spinTrace(&fTrace, fs))
+		for _, sched := range []engine.Schedule{
+			engine.GeometricSchedule(16, 4*q, q/8),
+			engine.LinearSchedule(16, 4*q, q/8),
+		} {
+			gTrace, fTrace = gTrace[:0], fTrace[:0]
+			a, err := ge.SolveWith(gs, sched, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fe.SolveWith(fs, sched, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gTrace, fTrace) {
+				t.Fatalf("%s: spins after each sweep differ", sched.Kind)
+			}
+			if !reflect.DeepEqual(a, b) || math.Float64bits(a.Energy) != math.Float64bits(b.Energy) {
+				t.Fatalf("%s: integer loop %+v, float loop %+v", sched.Kind, a, b)
+			}
+			if gs.RNG != fs.RNG {
+				t.Fatalf("%s: the loops drew different numbers of values", sched.Kind)
+			}
+		}
+	})
 }
 
 // spinTrace returns an observer that appends an FNV-1a hash of st's spins

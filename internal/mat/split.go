@@ -8,10 +8,11 @@ import (
 // Couplings is an ordered list of square coupling matrices of one
 // dimension whose sum is the J a clamped system anneals: [J] for the
 // single-PE DSPU, [intra, slice 0, slice 1, ...] for the scalable mesh.
-// Both backends split it against a clamp mask (Split), patch that split
-// across a small mask change (ClampSplit.Patch), unfold it for the naive
-// reference (Unfold) and reduce it to energies and an effective J here, so
-// the folding rules live in one place.
+// The inference engine splits either backend's list against a clamp mask
+// (Split), patches that split across a small mask change
+// (ClampSplit.Patch), unfolds it for the naive reference (Unfold) and
+// reduces it to energies and an effective J here, so the folding rules
+// live in one place.
 type Couplings struct {
 	Mats []*CSR
 

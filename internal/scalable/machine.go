@@ -133,8 +133,9 @@ type Stats struct {
 
 // Machine is a compiled Scalable DSPU mapping ready for inference. It is
 // the scalable Backend of the shared inference engine (internal/engine):
-// the engine owns observation validation, the clamp-plan cache, seeding,
-// and batch fan-out; the Machine supplies the co-annealing dynamics.
+// the engine owns observation validation, the clamp plans, seeding, batch
+// fan-out and the energies; the Machine supplies the co-annealing
+// dynamics.
 type Machine struct {
 	N      int
 	cfg    Config
@@ -142,8 +143,9 @@ type Machine struct {
 	assign *community.Assignment
 	intra  *mat.CSR   // intra-PE couplings (always live, always fresh)
 	phases []*mat.CSR // inter-PE couplings per temporal slice
-	// cpl is the coupling list [intra, slice 0, slice 1, ...] the clamp
-	// plans split (plan.go) and the energies and EffectiveJ reduce.
+	// cpl is the coupling list [intra, slice 0, slice 1, ...] the engine
+	// splits into clamp plans (plan.go) and reduces to energies and the
+	// effective J.
 	cpl   *mat.Couplings
 	stats Stats
 
@@ -182,8 +184,6 @@ type scratch struct {
 	// currents of coupling-list matrix k for the current inference (one
 	// entry per row; only fully-clamped rows are non-zero).
 	bias [][]float64
-	// unfolded is the Naive path's plan, refilled per inference.
-	unfolded mat.ClampSplit
 }
 
 // AttachState allocates the machine's scratch arena onto an engine state.
@@ -215,105 +215,25 @@ func (m *Machine) AttachState(st *engine.InferState) {
 // Name prefixes error messages and names the backend in CLIs and reports.
 func (m *Machine) Name() string { return "scalable" }
 
-// Dim is the state dimension.
-func (m *Machine) Dim() int { return m.N }
-
 // Rails is the voltage rail bound observations must respect.
 func (m *Machine) Rails() float64 { return vRail }
 
 // BaseSeed is the configured seed; window i of a batch runs with BaseSeed+i.
 func (m *Machine) BaseSeed() uint64 { return m.cfg.Seed }
 
-// CompilePlan splits the coupling list against the clamp pattern (see
-// plan.go).
-func (m *Machine) CompilePlan(clamped []bool) any { return m.cpl.Split(clamped) }
+// Couplings is the coupling list [intra, slice 0, slice 1, ...] the
+// engine splits into clamp plans; its sum is the J the machine realizes,
+// the trained J whenever the compilation dropped no coupling.
+func (m *Machine) Couplings() *mat.Couplings { return m.cpl }
 
-// RunPlanned runs the clamp-plan hot loop on a prepared state.
-func (m *Machine) RunPlanned(st *engine.InferState, plan any) (*engine.Result, error) {
-	return m.inferPlanned(st, plan.(*mat.ClampSplit))
-}
-
-// RunNaive runs the planned loop under the state's unfolded plan
-// (mat.Couplings.Unfold): nothing folded, every coupling row re-accumulated
-// each step. It is the reference the plan-naive-identity invariant holds
-// RunPlanned to, and the baseline BenchmarkInferWith measures.
-func (m *Machine) RunNaive(st *engine.InferState) (*engine.Result, error) {
-	sc := st.Scratch.(*scratch)
-	m.cpl.Unfold(st.Clamped, &sc.unfolded)
-	return m.inferPlanned(st, &sc.unfolded)
-}
-
-// The Machine delta-compiles clamp plans for streaming inference.
-var _ engine.DeltaBackend = (*Machine)(nil)
-
-// fullResidual evaluates max |dσ/dt| with every coupling live and fresh —
-// the true equilibrium condition of the underlying dynamical system. buf is
-// caller-provided scratch of length m.N: residual checks sit inside the
-// anneal loop and must not allocate.
-func (m *Machine) fullResidual(x []float64, clamped []bool, buf []float64) float64 {
-	m.intra.MulVec(x, buf)
-	for _, ph := range m.phases {
-		// Accumulate directly into buf instead of via a temporary.
-		for i := 0; i < ph.Rows; i++ {
-			var sum float64
-			for p := ph.RowPtr[i]; p < ph.RowPtr[i+1]; p++ {
-				sum += ph.Val[p] * x[ph.ColIdx[p]]
-			}
-			buf[i] += sum
-		}
-	}
-	maxD := 0.0
-	for i := 0; i < m.N; i++ {
-		if clamped[i] {
-			continue
-		}
-		d := buf[i] + m.params.H[i]*x[i]
-		if x[i] >= vRail && d > 0 {
-			d = 0
-		} else if x[i] <= -vRail && d < 0 {
-			d = 0
-		}
-		if a := math.Abs(d); a > maxD {
-			maxD = a
-		}
-	}
-	return maxD
-}
-
-// ResidualAt evaluates the true equilibrium residual max |dσ/dt| at state x
-// with every coupling live and fresh, skipping nodes marked in clamped (nil
-// = no node clamped). It is the exported, allocating face of the in-loop
-// residual check: the invariant "Settled implies residual < 10*settleTol"
-// is verifiable from outside the anneal loop with exactly the quantity the
-// loop used.
-func (m *Machine) ResidualAt(x []float64, clamped []bool) (float64, error) {
-	if len(x) != m.N {
-		return 0, fmt.Errorf("scalable: state has %d entries, want %d", len(x), m.N)
-	}
-	if clamped == nil {
-		clamped = make([]bool, m.N)
-	} else if len(clamped) != m.N {
-		return 0, fmt.Errorf("scalable: clamp mask has %d entries, want %d", len(clamped), m.N)
-	}
-	return m.fullResidual(x, clamped, make([]float64, m.N)), nil
-}
+// SelfReaction is h, the trained self-reaction conductances.
+func (m *Machine) SelfReaction() []float64 { return m.params.H }
 
 // SettleResidualTol is the residual bound a Settled result guarantees:
-// whenever Result.Settled is true, ResidualAt at the settled state is below
-// settleTol * settleResidualFactor.
+// whenever Result.Settled is true, the engine's ResidualAt at the settled
+// state is below settleTol * settleResidualFactor.
 func (m *Machine) SettleResidualTol() float64 {
 	return settleTol * settleResidualFactor
-}
-
-// EnergyAt evaluates the real-valued Hamiltonian of the compiled system
-// (all couplings, intra and inter) at state x.
-func (m *Machine) EnergyAt(x []float64) float64 { return m.cpl.EnergyAt(x, m.params.H) }
-
-// ClampedEnergyAt evaluates the conditional Hamiltonian of the free
-// subsystem given the clamped nodes, the Lyapunov function of clamped
-// annealing (see mat.Couplings.ClampedEnergyAt).
-func (m *Machine) ClampedEnergyAt(x []float64, clamped []bool) float64 {
-	return m.cpl.ClampedEnergyAt(x, clamped, m.params.H)
 }
 
 // typicalCoupling estimates the nominal coupling-current magnitude for
@@ -337,9 +257,3 @@ func (m *Machine) typicalCoupling() float64 {
 	}
 	return sum / float64(cnt)
 }
-
-// EffectiveJ reconstructs the total coupling matrix the compiled machine
-// realizes (intra + all slices); for a lossless compilation this equals
-// the trained J. Used by tests and by the DS-GL-Spatial accuracy
-// accounting.
-func (m *Machine) EffectiveJ() *mat.Dense { return m.cpl.EffectiveJ() }

@@ -77,8 +77,8 @@ func TestObserverReceivesEveryStep(t *testing.T) {
 	if last.TimeNs != res.AnnealNs {
 		t.Fatalf("last observed time %g != anneal time %g", last.TimeNs, res.AnnealNs)
 	}
-	if got := lastEnergy; got != m.EnergyAt(res.Voltage) {
-		t.Fatalf("last observed energy %g != EnergyAt(final) %g", got, m.EnergyAt(res.Voltage))
+	if got := lastEnergy; got != m.Engine().EnergyAt(res.Voltage) {
+		t.Fatalf("last observed energy %g != EnergyAt(final) %g", got, m.Engine().EnergyAt(res.Voltage))
 	}
 	// Removing the observer stops the callbacks.
 	st.SetObserver(nil)
@@ -100,7 +100,7 @@ func TestObserverClampedEnergyDescends(t *testing.T) {
 	st := m.Engine().NewInferState()
 	var trace []float64
 	st.SetObserver(func(si engine.StepInfo) {
-		trace = append(trace, m.ClampedEnergyAt(si.X, clamped))
+		trace = append(trace, m.Engine().ClampedEnergyAt(si.X, clamped))
 	})
 	res, err := m.Engine().InferWith(st, obs, 7)
 	if err != nil {
@@ -129,7 +129,7 @@ func TestClampedEnergyGradientConsistency(t *testing.T) {
 	type sample struct{ e, maxD float64 }
 	var ss []sample
 	st.SetObserver(func(si engine.StepInfo) {
-		ss = append(ss, sample{m.ClampedEnergyAt(si.X, clamped), si.MaxDeriv})
+		ss = append(ss, sample{m.Engine().ClampedEnergyAt(si.X, clamped), si.MaxDeriv})
 	})
 	if _, err := m.Engine().InferWith(st, obs, 7); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestResidualAtSettledState(t *testing.T) {
 	if !res.Settled {
 		t.Fatal("expected settle")
 	}
-	r, err := m.ResidualAt(res.Voltage, clamped)
+	r, err := m.Engine().ResidualAt(res.Voltage, clamped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,13 @@ func TestResidualAtSettledState(t *testing.T) {
 	// At the regression equilibrium the residual definition itself must
 	// hold: σ_i ≈ -Σ J_ij σ_j / h_i for every free node.
 	// (ResidualAt is max |Σ J_ij σ_j + h_i σ_i| over free nodes.)
-	if _, err := m.ResidualAt(res.Voltage[:3], clamped); err == nil {
+	if _, err := m.Engine().ResidualAt(res.Voltage[:3], clamped); err == nil {
 		t.Fatal("expected length error for short state")
 	}
-	if _, err := m.ResidualAt(res.Voltage, clamped[:3]); err == nil {
+	if _, err := m.Engine().ResidualAt(res.Voltage, clamped[:3]); err == nil {
 		t.Fatal("expected length error for short clamp mask")
 	}
-	if _, err := m.ResidualAt(res.Voltage, nil); err != nil {
+	if _, err := m.Engine().ResidualAt(res.Voltage, nil); err != nil {
 		t.Fatalf("nil clamp mask must mean no clamps: %v", err)
 	}
 }

@@ -22,7 +22,7 @@
 // (internal/engine), which caches them by packed clamp-mask key in a
 // bounded LRU and patches them across small mask shifts for streams;
 // internal/mat does the splitting and this file supplies the one anneal
-// loop, inferPlanned, that both engine paths run. The Naive path runs it
+// loop, Anneal, that both engine paths run. The Naive path runs it
 // under the unfolded plan (mat.Couplings.Unfold): no static rows, every
 // coupling matrix whole in Dyn, so every row is re-accumulated from zero,
 // in stored order, every step.
@@ -56,18 +56,6 @@ import (
 	"dsgl/internal/mat"
 )
 
-// CompilePlanDelta implements engine.DeltaBackend by patching the previous
-// plan (mat.ClampSplit.Patch); nil declines and sends the engine to a full
-// compile.
-func (m *Machine) CompilePlanDelta(prev any, oldClamped, newClamped []bool) any {
-	if pl, ok := prev.(*mat.ClampSplit); ok {
-		if np := pl.Patch(m.cpl, oldClamped, newClamped); np != nil {
-			return np
-		}
-	}
-	return nil
-}
-
 // refreshPhase re-evaluates slice k's held contribution from the fresh
 // state: subtract the stale current, recompute, add the fresh one. Only the
 // dyn rows are re-accumulated — static rows re-emit their folded bias,
@@ -86,14 +74,14 @@ func refreshPhase(st *engine.InferState, sc *scratch, pl *mat.ClampSplit, k int)
 	}
 }
 
-// inferPlanned is the co-annealing loop, under a clamp plan: the constant
-// clamp currents of the plan's static rows folded out once, the dyn rows
+// Anneal is the co-annealing loop, under a clamp plan: the constant clamp
+// currents of the plan's static rows folded out once, the dyn rows
 // re-accumulated each step, and every per-node loop walking the free index
 // list. Under a Split plan and under the unfolded plan of the same mask it
 // performs the same floating-point operations on every free node, in the
 // same order — see the package comment for the discipline — so the two
 // Results are bit-identical. Clamped nodes are never written.
-func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
+func (m *Machine) Anneal(st *engine.InferState, pl *mat.ClampSplit) (*engine.Result, error) {
 	sc := st.Scratch.(*scratch)
 	x := st.X
 	steps := int(m.cfg.MaxTimeNs / Dt)
@@ -217,7 +205,7 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		// true (full-coupling) residual is checked once per slice cycle.
 		// Each full-residual evaluation is captured as lastResidual so the
 		// Result can report the equilibrium residual at convergence;
-		// planResidual equals fullResidual (ResidualAt) bit for bit.
+		// planResidual equals the engine's ResidualAt bit for bit.
 		if len(m.phases) == 1 {
 			if maxD < settleTol {
 				lastResidual = m.planResidual(pl, sc, x, sc.resBuf)
@@ -263,19 +251,18 @@ func (m *Machine) inferPlanned(st *engine.InferState, pl *mat.ClampSplit) (*engi
 		Settled:   settled,
 		Switches:  switches,
 		Steps:     taken,
-		Energy:    m.EnergyAt(x),
 		Residual:  lastResidual,
 	}
 	return &st.Res, nil
 }
 
-// planResidual is fullResidual on the plan path: the true max |dσ/dt| with
-// every coupling fresh, accumulated per free row with static rows re-emitted
-// from their folded bias. Mirrors fullResidual's order exactly — intra row
-// first, then each slice's row sum added in slice order, each slice's
-// contribution accumulated from zero (the bias for dyn rows) and added to
-// the buffer in one operation (empty rows included: fullResidual adds their
-// zero sum too, which rounds -0 to +0).
+// planResidual is the engine's ResidualAt on the plan path: the true max
+// |dσ/dt| with every coupling fresh, accumulated per free row with static
+// rows re-emitted from their folded bias. Mirrors ResidualAt's order
+// exactly — intra row first, then each slice's row sum added in slice
+// order, each slice's contribution accumulated from zero (the bias for dyn
+// rows) and added to the buffer in one operation (empty rows included:
+// ResidualAt adds their zero sum too, which rounds -0 to +0).
 func (m *Machine) planResidual(pl *mat.ClampSplit, sc *scratch, x, buf []float64) float64 {
 	pl.Dyn[0].MulVecAdd(x, sc.bias[0], buf)
 	for k := 1; k < len(pl.Dyn); k++ {

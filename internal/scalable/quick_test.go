@@ -56,7 +56,7 @@ func TestQuickEffectiveJAlwaysPreserved(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return m.EffectiveJ().Equal(p.J, 1e-12)
+		return m.Engine().EffectiveJ().Equal(p.J, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

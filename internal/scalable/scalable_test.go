@@ -94,7 +94,7 @@ func TestEffectiveJMatchesTrainedJ(t *testing.T) {
 	if m.Stats().Rounds <= 1 {
 		t.Skip("need temporal mode for this check to be interesting")
 	}
-	if !m.EffectiveJ().Equal(p.J, 1e-12) {
+	if !m.Engine().EffectiveJ().Equal(p.J, 1e-12) {
 		t.Fatal("temporal slicing must preserve every coupling")
 	}
 }
@@ -115,8 +115,8 @@ func TestSpatialDropsOverflow(t *testing.T) {
 	if dropped.Stats().DroppedCouplings == 0 {
 		t.Fatal("expected dropped couplings")
 	}
-	effFull := full.EffectiveJ().NNZ(0)
-	effDropped := dropped.EffectiveJ().NNZ(0)
+	effFull := full.Engine().EffectiveJ().NNZ(0)
+	effDropped := dropped.Engine().EffectiveJ().NNZ(0)
 	if effDropped >= effFull {
 		t.Fatalf("spatial variant should realize fewer couplings: %d vs %d", effDropped, effFull)
 	}
@@ -428,7 +428,7 @@ func TestEnergyDecreasesOverall(t *testing.T) {
 	// seed alone; replaying that draw gives the starting energy.
 	x0 := make([]float64, p.Dim())
 	rng.New(6).FillUniform(x0, -0.1, 0.1)
-	e0 := m.EnergyAt(x0)
+	e0 := m.Engine().EnergyAt(x0)
 	res, err := m.Engine().InferSeeded(nil, 6)
 	if err != nil {
 		t.Fatal(err)

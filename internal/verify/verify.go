@@ -157,26 +157,19 @@ func MonotoneDescent(energies []float64, tol DescentTol) []Violation {
 	return v
 }
 
-// ResidualChecker is the backend surface the settle-residual check needs:
-// the true equilibrium residual at a state and the bound a Settled result
-// guarantees. Both *scalable.Machine and *dspu.DSPU implement it.
-type ResidualChecker interface {
-	ResidualAt(x []float64, clamped []bool) (float64, error)
-	SettleResidualTol() float64
-}
-
-// SettledResidual checks invariant 2 on one inference outcome: a Settled
-// result must sit within the backend's full-residual settle bound. A
-// non-settled result makes no equilibrium claim and passes vacuously.
-func SettledResidual(m ResidualChecker, res *engine.Result, clamped []bool) []Violation {
+// SettledResidual checks invariant 2 on one inference outcome of e: a
+// Settled result must sit within the backend's full-residual settle bound,
+// measured by the engine's ResidualAt. A non-settled result makes no
+// equilibrium claim and passes vacuously.
+func SettledResidual(e *engine.Engine, res *engine.Result, clamped []bool) []Violation {
 	if !res.Settled {
 		return nil
 	}
-	r, err := m.ResidualAt(res.Voltage, clamped)
+	r, err := e.ResidualAt(res.Voltage, clamped)
 	if err != nil {
 		return []Violation{{Invariant: InvSettleResidual, Detail: err.Error()}}
 	}
-	if tol := m.SettleResidualTol(); r >= tol {
+	if tol := e.SettleResidualTol(); r >= tol {
 		return []Violation{{
 			Invariant: InvSettleResidual,
 			Detail:    fmt.Sprintf("Settled reported but equilibrium residual %.3g >= bound %.3g", r, tol),

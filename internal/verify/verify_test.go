@@ -167,7 +167,7 @@ func TestSettledResidualOnRealAnneal(t *testing.T) {
 	}
 	clamped := make([]bool, m.N)
 	clamped[0], clamped[5] = true, true
-	if v := SettledResidual(m, res, clamped); len(v) != 0 {
+	if v := SettledResidual(m.Engine(), res, clamped); len(v) != 0 {
 		t.Fatalf("settled anneal violates residual bound: %v", v)
 	}
 	// A corrupted "settled" state must be flagged.
@@ -179,7 +179,7 @@ func TestSettledResidualOnRealAnneal(t *testing.T) {
 		}
 	}
 	bad.Settled = true
-	if v := SettledResidual(m, &bad, clamped); len(v) == 0 {
+	if v := SettledResidual(m.Engine(), &bad, clamped); len(v) == 0 {
 		t.Fatal("corrupted settled state not flagged")
 	}
 }

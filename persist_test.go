@@ -330,7 +330,7 @@ func FuzzLoad(f *testing.F) {
 		if m.Machine != nil && m.Machine.Stats() != again.Machine.Stats() {
 			t.Fatalf("%s=%d/%v: Stats %+v became %+v across Save→Load", fld.name, i, v, m.Machine.Stats(), again.Machine.Stats())
 		}
-		a, b := m.backend().EffectiveJ(), again.backend().EffectiveJ()
+		a, b := m.Engine().EffectiveJ(), again.Engine().EffectiveJ()
 		if a.Rows != b.Rows || a.Cols != b.Cols {
 			t.Fatalf("%s=%d/%v: EffectiveJ %dx%d became %dx%d", fld.name, i, v, a.Rows, a.Cols, b.Rows, b.Cols)
 		}

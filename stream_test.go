@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dsgl/internal/engine"
 )
 
 func TestStreamSessionEndToEnd(t *testing.T) {
@@ -82,5 +84,53 @@ func TestStreamSessionValidationAndClose(t *testing.T) {
 	_, test := ds.Split()
 	if _, err := s.Next(test[0]); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("Next after Close: got %v", err)
+	}
+}
+
+// TestStreamRejectedTickLeavesNextTick: a tick rejected for its second
+// observation (past the rail) must not leave its first one in the warm
+// state. The first clamps a node that is free in the next window, so a
+// leaked value would change that window's warm start: the next tick must
+// match, bit for bit and step for step, the same stream without the
+// rejected tick.
+func TestStreamRejectedTickLeavesNextTick(t *testing.T) {
+	ds := GenerateDataset("traffic", DatasetConfig{N: 16, Seed: 7})
+	model, err := Train(ds, Options{Density: 0.15, PECapacity: 24, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := ds.UnknownIndices()[0]
+	next, err := model.WindowObservations(ds.Window(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(reject bool) *engine.Result {
+		s := model.OpenStream()
+		defer s.Close()
+		if _, err := s.Next(ds.Window(0)); err != nil {
+			t.Fatal(err)
+		}
+		if reject {
+			bad := []engine.Observation{{Index: free, Value: 0.5}, {Index: next[0].Index, Value: 5}}
+			if _, _, err := s.NextObservations(bad); err == nil || !strings.Contains(err.Error(), "exceeds rail") {
+				t.Fatalf("tick past the rail: got %v", err)
+			}
+		}
+		res, _, err := s.NextObservations(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Detach()
+	}
+	want, got := run(false), run(true)
+	diff := 0
+	for i := range want.Voltage {
+		if math.Float64bits(got.Voltage[i]) != math.Float64bits(want.Voltage[i]) {
+			diff++
+		}
+	}
+	if diff != 0 || got.Steps != want.Steps {
+		t.Fatalf("after a rejected tick %d of %d voltages differ and the tick took %d steps, want 0 and %d",
+			diff, len(want.Voltage), got.Steps, want.Steps)
 	}
 }

@@ -210,19 +210,19 @@ func (m *Model) checkEnergyDescent(p *probes, c *VerifyCheck) error {
 	// StepInfo.EnergyFn evaluates weights clamp couplings by 1/2 and is not
 	// a Lyapunov function of the clamped dynamics.
 	clamped := m.clampMask()
-	b := m.backend()
-	st := b.Engine().NewInferState()
+	eng := m.Engine()
+	st := eng.NewInferState()
 	var trace []float64
 	st.SetObserver(func(si engine.StepInfo) {
 		if si.Step%stride == 0 {
-			trace = append(trace, b.ClampedEnergyAt(si.X, clamped))
+			trace = append(trace, eng.ClampedEnergyAt(si.X, clamped))
 		}
 	})
 	reqs := p.requests(engine.Planned)[:p.opts.EnergyProbes]
 	steps := 0
 	for i, req := range reqs {
 		trace = trace[:0]
-		if _, err := b.Engine().Run(st, req); err != nil {
+		if _, err := eng.Run(st, req); err != nil {
 			c.Violations = append(c.Violations, VerifyViolation{
 				Invariant: c.Invariant,
 				Detail:    fmt.Sprintf("probe %d: %v", i, err),
@@ -244,14 +244,14 @@ func (m *Model) checkEnergyDescent(p *probes, c *VerifyCheck) error {
 // sits within the backend's full-residual settle bound.
 func (m *Model) checkSettleResidual(p *probes, c *VerifyCheck) error {
 	clamped := m.clampMask()
-	b := m.backend()
+	eng := m.Engine()
 	settled := 0
 	for i, res := range p.seq {
 		if !res.Settled {
 			continue
 		}
 		settled++
-		for _, v := range verify.SettledResidual(b, res, clamped) {
+		for _, v := range verify.SettledResidual(eng, res, clamped) {
 			v.Detail = fmt.Sprintf("probe %d: %s", i, v.Detail)
 			c.Violations = append(c.Violations, v)
 		}
@@ -261,7 +261,7 @@ func (m *Model) checkSettleResidual(p *probes, c *VerifyCheck) error {
 		c.Detail = fmt.Sprintf("none of the %d probes settled within MaxInferNs; no equilibrium claim made", len(p.seq))
 		return nil
 	}
-	c.Detail = fmt.Sprintf("%d/%d probes settled, residual bound %.2g", settled, len(p.seq), b.SettleResidualTol())
+	c.Detail = fmt.Sprintf("%d/%d probes settled, residual bound %.2g", settled, len(p.seq), eng.SettleResidualTol())
 	return nil
 }
 
@@ -293,7 +293,7 @@ func (m *Model) checkSnapshotRoundTrip(p *probes, c *VerifyCheck) error {
 		}
 	}
 	c.Violations = append(c.Violations, verify.DenseEqual(c.Invariant,
-		"EffectiveJ", m.backend().EffectiveJ(), loaded.backend().EffectiveJ())...)
+		"EffectiveJ", m.Engine().EffectiveJ(), loaded.Engine().EffectiveJ())...)
 	if m.mask != nil {
 		if loaded.mask == nil || loaded.mask.Rows != m.mask.Rows || loaded.mask.Cols != m.mask.Cols {
 			violate("coupling mask shape lost across Save/Load")
@@ -367,7 +367,7 @@ func (m *Model) checkLosslessCompile(_ *probes, c *VerifyCheck) error {
 	} else {
 		c.Detail = fmt.Sprintf("%d realized couplings compared (dense network realization)", m.Tuned.J.NNZ(0))
 	}
-	c.Violations = verify.DenseEqual(c.Invariant, "EffectiveJ vs Tuned.J", m.backend().EffectiveJ(), m.Tuned.J)
+	c.Violations = verify.DenseEqual(c.Invariant, "EffectiveJ vs Tuned.J", m.Engine().EffectiveJ(), m.Tuned.J)
 	return nil
 }
 
@@ -417,7 +417,7 @@ func (m *Model) checkWarmStartFixedPoint(p *probes, c *VerifyCheck) error {
 		c.Detail = "need at least two probe windows to take a warm-started tick"
 		return nil
 	}
-	tol := fixedPointTol(m.Tuned.H, m.backend().SettleResidualTol())
+	tol := fixedPointTol(m.Tuned.H, m.Engine().SettleResidualTol())
 	s := m.Engine().OpenStream()
 	defer s.Close()
 	settled := 0
