@@ -8,13 +8,15 @@
 // Beyond reformatting, benchfmt computes two scaling summaries. The
 // batch-scaling summary reports every BenchmarkInferBatch regime's
 // workers=4 vs workers=1 speedup; with -guard it becomes an anti-scaling
-// tripwire — the run (or a replayed BENCH_infer.json) fails when any
-// regime's speedup drops below the threshold, which is how CI catches a
-// worker pool that parallelizes into a slowdown. The threshold sits just
-// under parity because a single-core box (GOMAXPROCS=1, as the committed
-// artifacts are generated on) can at best break even, minus scheduling
-// noise; a true scaling collapse (the 0.7x regression this guard was built
-// against) lands far below it on any machine.
+// tripwire — the run (or a replayed BENCH_infer.json) fails when the
+// speedup of any regime measured on two or more Ps (a -N suffix) drops
+// below the threshold, which is how CI catches a worker pool that
+// parallelizes into a slowdown. A one-P group cannot speed up, and host
+// noise alone swings its ratio well below parity, so it is printed but
+// never guarded. The threshold sits just under parity so that a box whose
+// extra Ps are busy can break even, minus scheduling noise; a true scaling
+// collapse (the 0.7x regression this guard was built against) lands far
+// below it on any machine.
 //
 // The stream summary compares BenchmarkInferStream/cold against /warm:
 // with -guard a warm streaming tick must beat the cold planned path by at
@@ -38,9 +40,9 @@ import (
 	"strings"
 )
 
-// guardThreshold is the minimum acceptable workers=4 / workers=1 speedup.
-// See the package comment for why it sits just below parity rather than at
-// the >1.3x a multi-core box should deliver.
+// guardThreshold is the minimum acceptable workers=4 / workers=1 speedup
+// at two or more Ps. See the package comment for why it sits just below
+// parity rather than at the >1.3x a multi-core box should deliver.
 const guardThreshold = 0.93
 
 // streamGuardThreshold is the minimum BenchmarkInferStream cold/warm ns/op
@@ -59,7 +61,7 @@ type event struct {
 
 func main() {
 	guard := flag.Bool("guard", false,
-		"fail (exit 1) when any InferBatch regime's workers=4 vs workers=1 speedup falls below the anti-scaling threshold")
+		"fail (exit 1) when any InferBatch regime's workers=4 vs workers=1 speedup at two or more Ps falls below the anti-scaling threshold")
 	serveMode := flag.Bool("serve", false,
 		"render a serving-layer load report (the JSON array dsgld -loadtest emits, committed as BENCH_serve.json) instead of a go test event stream; fails when any QPS point completed zero requests")
 	flag.Parse()
@@ -109,13 +111,17 @@ func main() {
 		if keep {
 			fmt.Print(out)
 		}
+		r, ok := parseRow(out)
+		if !ok {
+			continue
+		}
 		// Record every custom b.ReportMetric value (plan-hit-rate,
 		// steps/tick, plan-delta-hit-rate, ...) so per-benchmark gauges are
 		// visible at a glance below the table.
-		customs = append(customs, parseCustomMetrics(out)...)
-		batch.add(out)
-		stream.add(out)
-		opt.add(out)
+		customs = append(customs, customMetrics(r)...)
+		batch.add(r)
+		stream.add(r)
+		opt.add(r)
 	}
 	for _, cm := range customs {
 		fmt.Printf("metric: %-44s %-20s %.4g\n", cm.bench, cm.unit, cm.value)
@@ -200,25 +206,45 @@ var standardUnits = map[string]bool{
 	"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true,
 }
 
-// parseCustomMetrics extracts every custom b.ReportMetric pair from a
-// benchmark result line. A result row is "BenchmarkName iterations
-// (value unit)..."; each pair whose unit is not one of go test's standard
-// columns is a custom metric. Earlier this extractor knew only the literal
-// "plan-hit-rate" key and silently dropped every other reported metric.
-func parseCustomMetrics(line string) []customMetric {
+// row is one benchmark result line, parsed once for every summary.
+type row struct {
+	name  string             // benchmark name without the -N suffix
+	cpu   string             // the -N suffix, "" at one P
+	units []string           // units in line order
+	val   map[string]float64 // value by unit
+}
+
+// parseRow parses a benchmark result line, "BenchmarkName-N iterations
+// (value unit)...". It reports false for any other line, and for a
+// "#NN" re-run of a configuration already measured.
+func parseRow(line string) (row, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") ||
-		strings.Contains(fields[0], "#") { // duplicate configuration re-run
-		return nil
+		strings.Contains(fields[0], "#") {
+		return row{}, false
 	}
-	var out []customMetric
+	r := row{val: make(map[string]float64)}
+	r.name, r.cpu = splitCPUSuffix(fields[0])
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return nil // not a result row after all
+			return row{}, false
 		}
-		if !standardUnits[fields[i+1]] {
-			out = append(out, customMetric{fields[0], fields[i+1], v})
+		if _, seen := r.val[fields[i+1]]; !seen {
+			r.val[fields[i+1]] = v
+			r.units = append(r.units, fields[i+1])
+		}
+	}
+	return r, true
+}
+
+// customMetrics returns the row's custom b.ReportMetric values: every
+// unit that is not one of go test's standard columns.
+func customMetrics(r row) []customMetric {
+	var out []customMetric
+	for _, u := range r.units {
+		if !standardUnits[u] {
+			out = append(out, customMetric{r.name + r.cpu, u, r.val[u]})
 		}
 	}
 	return out
@@ -229,49 +255,30 @@ func parseCustomMetrics(line string) []customMetric {
 // each name (repeat rows like workers=1#01 — GOMAXPROCS colliding with the
 // explicit workers=1 case — re-measure the identical configuration).
 type batchScaling struct {
-	ns    map[string]map[int]float64 // group key -> workers -> ns/op
-	order []string                   // group keys in first-seen order
+	ns    map[batchGroup]map[int]float64 // group -> workers -> ns/op
+	order []batchGroup                   // groups in first-seen order
 }
+
+// batchGroup is one InferBatch regime at one -cpu setting.
+type batchGroup struct{ regime, cpu string }
 
 func newBatchScaling() *batchScaling {
-	return &batchScaling{ns: make(map[string]map[int]float64)}
+	return &batchScaling{ns: make(map[batchGroup]map[int]float64)}
 }
 
-// add parses one reassembled console line and records it if it is an
-// InferBatch result row.
-func (b *batchScaling) add(line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "BenchmarkInferBatch/") {
-		return
-	}
-	ns := -1.0
-	for i, f := range fields {
-		if f == "ns/op" && i > 0 {
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return
-			}
-			ns = v
-			break
-		}
-	}
-	if ns < 0 {
-		return
-	}
-	name := fields[0]
-	if strings.Contains(name, "#") {
-		return // duplicate of an earlier configuration
-	}
-	name, cpu := splitCPUSuffix(name)
-	parts := strings.Split(name, "/") // BenchmarkInferBatch / regime / workers=N
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "workers=") {
+// add records the row if it is an InferBatch result row.
+func (b *batchScaling) add(r row) {
+	ns, hasNs := r.val["ns/op"]
+	parts := strings.Split(r.name, "/") // BenchmarkInferBatch / regime / workers=N
+	if !hasNs || len(parts) != 3 || parts[0] != "BenchmarkInferBatch" ||
+		!strings.HasPrefix(parts[2], "workers=") {
 		return
 	}
 	workers, err := strconv.Atoi(strings.TrimPrefix(parts[2], "workers="))
 	if err != nil {
 		return
 	}
-	key := parts[1] + cpu
+	key := batchGroup{parts[1], r.cpu}
 	g, ok := b.ns[key]
 	if !ok {
 		g = make(map[int]float64)
@@ -284,14 +291,16 @@ func (b *batchScaling) add(line string) {
 }
 
 // report prints the per-regime workers=4 vs workers=1 speedups and returns
-// whether every regime clears the anti-scaling threshold. guarding only
-// changes the messaging: measurement and verdict are identical either way.
-// A guarded run with no InferBatch rows at all fails loudly rather than
-// vacuously passing — unless required is false (the stream carried other
-// recognized rows, e.g. a BENCH_opt.json replay), in which case the absent
-// guard is reported as skipped and passes.
+// whether every regime that ran on two or more Ps clears the anti-scaling
+// threshold. A one-P group (no -N suffix) cannot speed up, so its ratio is
+// printed unguarded. guarding only changes the messaging: measurement and
+// verdict are identical either way. A guarded run with no two-or-more-P
+// pair fails loudly rather than vacuously passing — unless required is
+// false (the stream carried other recognized rows, e.g. a BENCH_opt.json
+// replay), in which case the absent guard is reported as skipped and
+// passes.
 func (b *batchScaling) report(w io.Writer, guarding, required bool) bool {
-	compared := 0
+	guarded := 0
 	ok := true
 	for _, key := range b.order {
 		g := b.ns[key]
@@ -300,21 +309,24 @@ func (b *batchScaling) report(w io.Writer, guarding, required bool) bool {
 		if !hasBase || !hasPar || par == 0 {
 			continue
 		}
-		compared++
 		speedup := base / par
-		verdict := ""
-		if speedup < guardThreshold {
-			ok = false
-			verdict = fmt.Sprintf("  ANTI-SCALING (threshold %.2fx)", guardThreshold)
+		verdict := "  (one P, unguarded)"
+		if key.cpu != "" {
+			guarded++
+			verdict = ""
+			if speedup < guardThreshold {
+				ok = false
+				verdict = fmt.Sprintf("  ANTI-SCALING (threshold %.2fx)", guardThreshold)
+			}
 		}
-		fmt.Fprintf(w, "batch scaling: %-28s workers=4 vs 1: %.2fx%s\n", key, speedup, verdict)
+		fmt.Fprintf(w, "batch scaling: %-28s workers=4 vs 1: %.2fx%s\n", key.regime+key.cpu, speedup, verdict)
 	}
-	if guarding && compared == 0 {
+	if guarding && guarded == 0 {
 		if !required {
 			fmt.Fprintln(w, "batch scaling: no BenchmarkInferBatch rows; optimization rows present, batch guard skipped")
 			return true
 		}
-		fmt.Fprintln(w, "batch scaling: no BenchmarkInferBatch workers=1/workers=4 pairs found; nothing to guard")
+		fmt.Fprintln(w, "batch scaling: no BenchmarkInferBatch workers=1/workers=4 pairs at two or more Ps found; nothing to guard")
 		return false
 	}
 	return ok
@@ -344,41 +356,18 @@ func newStreamScaling() *streamScaling {
 	return &streamScaling{ns: make(map[string]map[string]float64)}
 }
 
-// add parses one reassembled console line and records it if it is an
-// InferStream result row.
-func (s *streamScaling) add(line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "BenchmarkInferStream/") {
+// add records the row if it is an InferStream result row.
+func (s *streamScaling) add(r row) {
+	ns, hasNs := r.val["ns/op"]
+	mode, isStream := strings.CutPrefix(r.name, "BenchmarkInferStream/")
+	if !hasNs || !isStream || (mode != "cold" && mode != "warm") {
 		return
 	}
-	ns := -1.0
-	for i, f := range fields {
-		if f == "ns/op" && i > 0 {
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return
-			}
-			ns = v
-			break
-		}
-	}
-	if ns < 0 {
-		return
-	}
-	name := fields[0]
-	if strings.Contains(name, "#") {
-		return // duplicate of an earlier configuration
-	}
-	name, cpu := splitCPUSuffix(name)
-	mode := strings.TrimPrefix(name, "BenchmarkInferStream/")
-	if mode != "cold" && mode != "warm" {
-		return
-	}
-	g, ok := s.ns[cpu]
+	g, ok := s.ns[r.cpu]
 	if !ok {
 		g = make(map[string]float64)
-		s.ns[cpu] = g
-		s.order = append(s.order, cpu)
+		s.ns[r.cpu] = g
+		s.order = append(s.order, r.cpu)
 	}
 	if _, seen := g[mode]; !seen {
 		g[mode] = ns
@@ -399,38 +388,16 @@ func newOptSolve() *optSolve {
 	return &optSolve{rows: make(map[string]map[string]float64)}
 }
 
-// add parses one reassembled console line and records it if it is an
-// OptSolve result row.
-func (o *optSolve) add(line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || !strings.HasPrefix(fields[0], "BenchmarkOptSolve/") ||
-		strings.Contains(fields[0], "#") {
+// add records the row if it is an OptSolve result row; the first row of
+// each configuration wins.
+func (o *optSolve) add(r row) {
+	dynamics, isOpt := strings.CutPrefix(r.name, "BenchmarkOptSolve/")
+	key := dynamics + r.cpu
+	if _, seen := o.rows[key]; !isOpt || seen {
 		return
 	}
-	name, cpu := splitCPUSuffix(fields[0])
-	key := strings.TrimPrefix(name, "BenchmarkOptSolve/") + cpu
-	g, ok := o.rows[key]
-	if !ok {
-		g = make(map[string]float64)
-	}
-	parsed := false
-	for i := 2; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
-			return // not a result row after all
-		}
-		if _, seen := g[fields[i+1]]; !seen {
-			g[fields[i+1]] = v
-		}
-		parsed = true
-	}
-	if !parsed {
-		return
-	}
-	if !ok {
-		o.rows[key] = g
-		o.order = append(o.order, key)
-	}
+	o.rows[key] = r.val
+	o.order = append(o.order, key)
 }
 
 // count reports how many OptSolve configurations were recognized.

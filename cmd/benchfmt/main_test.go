@@ -9,8 +9,18 @@ import (
 // the three quality metrics the benchmark reports.
 const optRow = "BenchmarkOptSolve/metropolis-8 \t       5\t  21998640 ns/op\t        -611 best-energy\t         771.5 cut\t         2 restarts-to-best\t   41104 B/op\t      29 allocs/op\n"
 
+// mustRow parses a result row the test knows to be well-formed.
+func mustRow(t *testing.T, line string) row {
+	t.Helper()
+	r, ok := parseRow(line)
+	if !ok {
+		t.Fatalf("line %q is not a result row", line)
+	}
+	return r
+}
+
 func TestParseCustomMetricsOptUnits(t *testing.T) {
-	got := parseCustomMetrics(optRow)
+	got := customMetrics(mustRow(t, optRow))
 	want := map[string]float64{
 		"best-energy":      -611,
 		"cut":              771.5,
@@ -41,18 +51,18 @@ func TestParseCustomMetricsRejectsNonResultRows(t *testing.T) {
 		"=== RUN   TestSomething\n",
 		"ok  \tdsgl\t1.2s\n",
 	} {
-		if got := parseCustomMetrics(line); got != nil {
-			t.Errorf("line %q parsed to %+v, want nil", line, got)
+		if got, ok := parseRow(line); ok {
+			t.Errorf("line %q parsed to %+v, want no row", line, got)
 		}
 	}
 }
 
 func TestOptSolveSummary(t *testing.T) {
 	o := newOptSolve()
-	o.add(optRow)
-	o.add("BenchmarkOptSolve/brim-8 \t       3\t  9998640 ns/op\t        -580.25 best-energy\t         756 cut\t         1 restarts-to-best\n")
-	o.add("BenchmarkOptSolve/brim-8 \t       3\t  11111111 ns/op\t        -1 best-energy\t -1 cut\t -1 restarts-to-best\n") // repeat: first wins
-	o.add("BenchmarkInferBatch/spatial/workers=1-8 \t 10\t 100 ns/op\n")                                                    // not an opt row
+	o.add(mustRow(t, optRow))
+	o.add(mustRow(t, "BenchmarkOptSolve/brim-8 \t       3\t  9998640 ns/op\t        -580.25 best-energy\t         756 cut\t         1 restarts-to-best\n"))
+	o.add(mustRow(t, "BenchmarkOptSolve/brim-8 \t       3\t  11111111 ns/op\t        -1 best-energy\t -1 cut\t -1 restarts-to-best\n")) // repeat: first wins
+	o.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=1-8 \t 10\t 100 ns/op\n"))                                                    // not an opt row
 	if o.count() != 2 {
 		t.Fatalf("count = %d, want 2", o.count())
 	}
@@ -75,7 +85,7 @@ func TestOptSolveGuardFlagsMissingMetrics(t *testing.T) {
 	o := newOptSolve()
 	// An OptSolve row without the reported quality metrics: a benchmark that
 	// stopped calling ReportMetric.
-	o.add("BenchmarkOptSolve/oim-8 \t       3\t  9998640 ns/op\n")
+	o.add(mustRow(t, "BenchmarkOptSolve/oim-8 \t       3\t  9998640 ns/op\n"))
 	var sb strings.Builder
 	if o.report(&sb, true) {
 		t.Fatal("guarded report must fail on a metric-less OptSolve row")
@@ -108,13 +118,38 @@ func TestBatchGuardSkipsWhenOptRowsPresent(t *testing.T) {
 // not weaken the original tripwire.
 func TestBatchGuardStillTripsOnAntiScaling(t *testing.T) {
 	b := newBatchScaling()
-	b.add("BenchmarkInferBatch/spatial/workers=1-8 \t 10\t 1000 ns/op\n")
-	b.add("BenchmarkInferBatch/spatial/workers=4-8 \t 10\t 2000 ns/op\n") // 0.5x: anti-scaling
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=1-8 \t 10\t 1000 ns/op\n"))
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=4-8 \t 10\t 2000 ns/op\n")) // 0.5x: anti-scaling
 	var sb strings.Builder
 	if b.report(&sb, true, false) {
 		t.Fatal("anti-scaling regime must fail the guard even when pairs are optional")
 	}
 	if !strings.Contains(sb.String(), "ANTI-SCALING") {
 		t.Fatalf("verdict missing:\n%s", sb.String())
+	}
+}
+
+// TestBatchGuardSkipsOnePGroups: a group without a -N suffix ran on one
+// P, where no speedup is possible, so its ratio is printed but never
+// guarded; a guarded stream whose only pairs are one-P ones still fails.
+func TestBatchGuardSkipsOnePGroups(t *testing.T) {
+	b := newBatchScaling()
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=1 \t 10\t 1000 ns/op\n"))
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=4 \t 10\t 2000 ns/op\n")) // 0.5x at one P
+	var sb strings.Builder
+	if b.report(&sb, true, true) {
+		t.Fatalf("a guarded stream with no pair at two or more Ps must fail:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "0.50x  (one P, unguarded)") {
+		t.Fatalf("one-P ratio must be printed unguarded:\n%s", sb.String())
+	}
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=1-2 \t 10\t 1000 ns/op\n"))
+	b.add(mustRow(t, "BenchmarkInferBatch/spatial/workers=4-2 \t 10\t 600 ns/op\n"))
+	sb.Reset()
+	if !b.report(&sb, true, true) {
+		t.Fatalf("a one-P anti-scaling ratio must not fail the guard:\n%s", sb.String())
+	}
+	if strings.Contains(sb.String(), "ANTI-SCALING") || !strings.Contains(sb.String(), "spatial-2") {
+		t.Fatalf("only the two-P group is guarded:\n%s", sb.String())
 	}
 }

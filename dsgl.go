@@ -546,9 +546,7 @@ func (m *Model) Predict(w datasets.Window) (*Prediction, error) {
 	return m.predictSeeded(w, m.Engine().BaseSeed())
 }
 
-// predictSeeded is Predict with an explicit anneal seed. Evaluate and
-// EvaluateParallel both give window i the seed baseSeed + i, which is
-// what makes the parallel path bit-identical to the sequential one.
+// predictSeeded is Predict with an explicit anneal seed.
 func (m *Model) predictSeeded(w datasets.Window, seed uint64) (*Prediction, error) {
 	obs, err := m.windowObservations(w)
 	if err != nil {
@@ -615,33 +613,12 @@ type Report struct {
 	Stats         scalable.Stats
 }
 
-// Evaluate predicts every given window (nil = the dataset's test split)
-// sequentially and reports aggregate accuracy and latency. Window i is
+// Evaluate predicts every given window (nil = the dataset's test split) on
+// one worker and reports aggregate accuracy and latency. Window i is
 // annealed with seed machineSeed + i, so Evaluate is the bit-identical
 // sequential reference for EvaluateParallel.
 func (m *Model) Evaluate(windows []datasets.Window) (*Report, error) {
-	if windows == nil {
-		_, windows = m.Dataset.Split()
-	}
-	if len(windows) == 0 {
-		return nil, errors.New("dsgl: no windows to evaluate")
-	}
-	if err := m.ensurePlan(); err != nil {
-		return nil, err
-	}
-	seed := m.Engine().BaseSeed()
-	// One accumulator carries both the squared and absolute error sums.
-	var acc metrics.Accumulator
-	var lat float64
-	for i, w := range windows {
-		p, err := m.predictSeeded(w, seed+uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		acc.AddVec(p.Values, p.Truth)
-		lat += p.LatencyUs
-	}
-	return m.report(acc, lat, len(windows)), nil
+	return m.evaluate(windows, 1)
 }
 
 // EvaluateParallel is Evaluate fanned across the batch-inference engine's
@@ -651,14 +628,20 @@ func (m *Model) Evaluate(windows []datasets.Window) (*Report, error) {
 // completes, the report is bit-identical to Evaluate's for any worker
 // count — parallelism changes throughput, never results.
 func (m *Model) EvaluateParallel(windows []datasets.Window, workers int) (*Report, error) {
+	if workers <= 0 {
+		workers = m.Opts.Workers
+	}
+	return m.evaluate(windows, workers)
+}
+
+// evaluate is Evaluate and EvaluateParallel: one RunBatch over the
+// windows, window i seeded machineSeed + i.
+func (m *Model) evaluate(windows []datasets.Window, workers int) (*Report, error) {
 	if windows == nil {
 		_, windows = m.Dataset.Split()
 	}
 	if len(windows) == 0 {
 		return nil, errors.New("dsgl: no windows to evaluate")
-	}
-	if workers <= 0 {
-		workers = m.Opts.Workers
 	}
 	if err := m.ensurePlan(); err != nil {
 		return nil, err

@@ -111,6 +111,37 @@ func TestPlanCompileDifferentKeysOverlap(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitRefreshesRecencyWhenBusy: a hit that arrives while the
+// cache lock is held still makes its key the most recently used, so the
+// next eviction drops the next-oldest key instead.
+func TestPlanCacheHitRefreshesRecencyWhenBusy(t *testing.T) {
+	var c planCache[int]
+	compile := func(v int) func() int { return func() int { return v } }
+	for k := 0; k < PlanCacheCapacity; k++ {
+		c.resolve([]byte{byte(k)}, compile(k), &sharedObs{})
+	}
+	c.mu.Lock()
+	hit := make(chan int)
+	go func() { hit <- c.resolve([]byte{0}, compile(-1), &sharedObs{}) }()
+	// The hit must arrive while the lock is held, and nothing signals a
+	// goroutine that is waiting for a mutex, so give it time to get there.
+	time.Sleep(20 * time.Millisecond)
+	c.mu.Unlock()
+	if v := <-hit; v != 0 {
+		t.Fatalf("hit on key 0 returned plan %d, want 0", v)
+	}
+	c.resolve([]byte{PlanCacheCapacity}, compile(PlanCacheCapacity), &sharedObs{})
+	if _, ok := c.peek([]byte{0}); !ok {
+		t.Fatal("key 0 was evicted although it was hit after every other key")
+	}
+	if _, ok := c.peek([]byte{1}); ok {
+		t.Fatal("key 1, the least recently used, is still resident")
+	}
+	if _, misses := c.stats(); misses != PlanCacheCapacity+1 {
+		t.Fatalf("misses = %d, want %d", misses, PlanCacheCapacity+1)
+	}
+}
+
 // TestInferBatchAllocDelta pins the state-pooling contract: adding batch
 // workers must cost at most a few allocations each (the spawned goroutine
 // and its bookkeeping), NOT a fresh InferState per worker per call. Before
@@ -187,10 +218,10 @@ func TestStatePoolRecyclesAndCapped(t *testing.T) {
 
 // TestConcurrentEnsurePlanBatchAndEviction hammers one shared engine from
 // three directions at once — EnsurePlan over a rotating pattern set wide
-// enough to force LRU evictions, warm InferBatch fan-outs, and single
-// warm inferences — and then checks the batch output is still bit-exact
+// enough to force evictions, warm InferBatch fan-outs, and single warm
+// inferences — and then checks the batch output is still bit-exact
 // against a sequential reference. Run under -race this doubles as the
-// locking proof for the snapshot/singleflight/pool machinery.
+// locking proof for the cache, its singleflight and the state pool.
 func TestConcurrentEnsurePlanBatchAndEviction(t *testing.T) {
 	_, e := newStub(64)
 	batchObs := make([][]Observation, 8)
@@ -252,10 +283,10 @@ func TestConcurrentEnsurePlanBatchAndEviction(t *testing.T) {
 	}
 }
 
-// TestLRUEachSnapshotConsistency: the published lock-free snapshot always
-// reflects a complete resident set — every key the stats say was compiled
-// and not evicted resolves through the snapshot without a further miss.
-func TestLRUEachSnapshotConsistency(t *testing.T) {
+// TestResidentPatternsResolveWithoutCompiling: with the cache exactly
+// full, re-resolving every resident pattern is a hit that compiles
+// nothing.
+func TestResidentPatternsResolveWithoutCompiling(t *testing.T) {
 	_, e := newStub(32)
 	var patterns [][]Observation
 	for k := 0; k < PlanCacheCapacity; k++ {
@@ -268,7 +299,7 @@ func TestLRUEachSnapshotConsistency(t *testing.T) {
 	}
 	compiled := compiles(e)
 	// Every pattern is resident: re-resolving all of them must be pure
-	// snapshot hits with zero new compiles.
+	// hits with zero new compiles.
 	for i, p := range patterns {
 		if _, err := e.InferSeeded(p, uint64(i)); err != nil {
 			t.Fatal(err)

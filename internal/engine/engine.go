@@ -13,13 +13,13 @@
 //     rails, duplicate rejection — one validator shared by Run,
 //     Stream.Tick and EnsurePlan;
 //   - the clamp plans: the backend's mat.Couplings split against each
-//     clamp pattern, cached by the packed observation-index bitmask in a
-//     bounded LRU (internal/lru) behind a lock-free read snapshot;
-//     splitting happens OUTSIDE the cache lock with per-key singleflight,
-//     so concurrent batch workers neither serialize on a split nor
-//     duplicate one (hit/miss counters stay deterministic: a pattern's
-//     first resolution is the one miss, every other resolution — snapshot
-//     hit, LRU hit, or singleflight wait — is a hit);
+//     clamp pattern, cached by the packed observation-index bitmask in one
+//     list of at most PlanCacheCapacity plans, most recently used first,
+//     under one mutex; splitting happens OUTSIDE the lock with per-key
+//     singleflight, so concurrent batch workers neither serialize on a
+//     split nor duplicate one (hit/miss counters stay deterministic: a
+//     pattern's first resolution is the one miss, every other resolution —
+//     of a finished plan or one still compiling — is a hit);
 //   - the anneal path a Request selects: Planned (the backend's loop under
 //     a cached split, the default) or Naive (the same loop under the plan
 //     that folds nothing, which the plan-naive-identity invariant compares
@@ -65,10 +65,10 @@ import (
 	"dsgl/internal/pool"
 )
 
-// PlanCacheCapacity bounds the per-engine clamp-plan LRU cache. Eight
-// patterns cover the realistic mix (one pattern per dataset windowing, a
-// few for ad-hoc probes) while keeping the worst-case memory at eight
-// split copies of the coupling list.
+// PlanCacheCapacity bounds the per-engine plan cache. Eight patterns
+// cover the realistic mix (one pattern per dataset windowing, a few for
+// ad-hoc probes) while keeping the worst-case memory at eight split copies
+// of the coupling list.
 const PlanCacheCapacity = 8
 
 // Backend is the contract a dynamical-system simulator implements to be
@@ -118,10 +118,11 @@ type Engine struct {
 	cpl *mat.Couplings
 	h   []float64
 
-	// plans is the clamp-plan cache: a bounded LRU behind a lock-free read
-	// snapshot, per-key singleflight compilation, deterministic hit/miss
-	// counters. The machinery lives in plancache.go because the OptEngine
-	// resolves its schedule ladders through the identical cache.
+	// plans is the clamp-plan cache: at most PlanCacheCapacity splits,
+	// most recently used first, per-key singleflight compilation,
+	// deterministic hit/miss counters. The machinery lives in plancache.go
+	// because the OptEngine resolves its schedule ladders through the
+	// identical cache.
 	plans planCache[*mat.ClampSplit]
 
 	// Streaming plan-delta counters (stream.go): hits patched a
@@ -205,7 +206,6 @@ func (e *Engine) Run(st *InferState, req Request) (*Result, error) {
 func (e *Engine) RunBatch(reqs []Request, workers int) ([]*Result, error) {
 	n := len(reqs)
 	results := make([]*Result, n)
-	errs := make([]error, n)
 	w := pool.Clamp(workers, n)
 	states := make([]*InferState, w)
 	for i := range states {
@@ -216,16 +216,15 @@ func (e *Engine) RunBatch(reqs []Request, workers int) ([]*Result, error) {
 		m.batchWindows.Add(uint64(n))
 		m.batchWorkers.Set(float64(w))
 	}
-	pool.RunWorkers(w, n, func(worker, i int) {
-		results[i], errs[i] = detached(e.run(states[worker], reqs[i], nil))
+	err := pool.RunWorkersErr(w, n, func(worker, i int) (err error) {
+		results[i], err = detached(e.run(states[worker], reqs[i], nil))
+		return err
 	})
 	for _, st := range states {
 		e.putState(st)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -315,8 +314,8 @@ func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Re
 }
 
 // planFor resolves the state's clamp pattern to its split through the plan
-// cache (see plancache.go for the lock-free warm path, the per-key
-// singleflight compile, and the counter-determinism guarantee). On a
+// cache (see plancache.go for the recency order, the per-key singleflight
+// compile, and the counter-determinism guarantee). On a
 // stream tick whose pattern moved, a miss patches the predecessor's plan
 // instead of splitting from scratch.
 func (e *Engine) planFor(st *InferState, s *Stream, m *engineObs) *mat.ClampSplit {

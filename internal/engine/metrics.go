@@ -96,7 +96,7 @@ func newSharedObs(r *obs.Registry, l obs.Label) sharedObs {
 		planHits:              r.Counter("dsgl_plan_cache_hits_total", "plan cache hits (clamp plans or solver ladders)", l),
 		planMisses:            r.Counter("dsgl_plan_cache_misses_total", "plan cache misses (each compiles a plan)", l),
 		planEvictions:         r.Counter("dsgl_plan_cache_evictions_total", "plan cache evictions", l),
-		planResident:          r.Gauge("dsgl_plan_cache_resident", "compiled plans currently resident", l),
+		planResident:          r.Gauge("dsgl_plan_cache_resident", "plans currently resident, counted from the start of their compile", l),
 		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
 		statePoolHits:         r.Counter("dsgl_state_pool_hits_total", "batch scratch states served from the engine free-list", l),
 		statePoolMisses:       r.Counter("dsgl_state_pool_misses_total", "batch scratch states allocated because the free-list was dry", l),

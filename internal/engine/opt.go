@@ -371,7 +371,6 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 		return nil, fmt.Errorf("%s: %v", e.b.Name(), err)
 	}
 	results := make([]*OptResult, restarts)
-	errs := make([]error, restarts)
 	w := pool.Clamp(workers, restarts)
 	states := make([]*SolveState, w)
 	for i := range states {
@@ -382,21 +381,19 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 		m.restarts.Add(uint64(restarts))
 		m.batchWorkers.Set(float64(w))
 	}
-	pool.RunWorkers(w, restarts, func(worker, i int) {
+	err := pool.RunWorkersErr(w, restarts, func(worker, i int) error {
 		res, err := e.SolveWith(states[worker], sched.ForRestart(i), base+uint64(i))
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		results[i] = res.Detach()
+		return nil
 	})
 	for _, st := range states {
 		e.putState(st)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	run := &OptRun{
 		Energies:  make([]float64, restarts),

@@ -3,131 +3,108 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
-
-	"dsgl/internal/lru"
 )
 
 // This file holds the engine machinery that every dynamical-system driver
 // shares, regardless of what its "plan" is: the regression Engine splits
 // its coupling list against clamp bitmasks, the OptEngine evaluates
 // annealing schedules into ladders, and both resolve them through the same
-// bounded-LRU / lock-free-snapshot / per-key-singleflight cache and
+// bounded, most-recently-used-first cache with per-key singleflight and
 // recycle their per-worker scratch states through the same bounded
 // free-list. Extracting the cache and the free-list (rather than
 // mirroring them into opt.go the way PR 3 found them mirrored across
 // scalable and dspu) keeps the concurrency discipline — and its counters'
 // determinism guarantee — in exactly one place.
 
-// planCall is an in-flight plan compilation other resolvers of the same
-// key wait on instead of compiling again (per-key singleflight).
-type planCall[P any] struct {
-	done chan struct{} // closed once pl is published
+// planEntry is one cached plan. It joins the cache when its compile
+// starts; done is closed once pl is set, and resolvers of the same key
+// wait on it instead of compiling again (per-key singleflight).
+type planEntry[P any] struct {
+	key  string
 	pl   P
+	done chan struct{}
 }
 
 // planCache is the cache of compiled plans of type P that the inference
-// and optimization engines share: a bounded LRU behind a lock-free read
-// snapshot, with compilation running outside the lock under per-key
-// singleflight. The zero value is ready to use (the LRU is allocated
-// lazily at PlanCacheCapacity). Hit/miss counters stay deterministic for a fixed
-// call sequence: a key's first resolution is the one miss, every other
-// resolution — snapshot hit, LRU hit, or singleflight wait — is a hit,
-// regardless of worker interleaving.
+// and optimization engines share: at most PlanCacheCapacity entries in one
+// slice, most recently used first, with compilation running outside the
+// lock. The zero value is ready to use. Hit/miss counters stay
+// deterministic for a fixed call sequence: a key's first resolution is the
+// one miss, every other resolution — of a finished plan or one still
+// compiling — is a hit, regardless of worker interleaving.
 type planCache[P any] struct {
-	// mu guards the bounded LRU, the in-flight compile table, and snapshot
-	// publication — but never a compile: resolve registers an in-flight
-	// call, releases the lock, compiles, and re-locks only to insert and
-	// republish. Warm lookups bypass the lock entirely via snap, an
-	// immutable map snapshot of the resident entries rebuilt (O(capacity))
-	// on every insert or eviction.
-	mu       sync.Mutex
-	lru      *lru.Cache[P]
-	inflight map[string]*planCall[P]
-	snap     atomic.Pointer[map[string]P]
+	// mu guards entries but never a compile: a miss puts its entry at the
+	// front, releases the lock, then compiles.
+	mu      sync.Mutex
+	entries []*planEntry[P]
 
 	hits, misses atomic.Uint64
 }
 
 // resolve returns the plan for key, compiling it at most once per
 // residency, and records into the owning engine's plan-cache instruments
-// (nil instruments, observability disabled, are no-ops). compile runs
-// unlocked; concurrent resolvers of one missing key wait on the single
-// in-flight compile (counted as hits — the key is compiled once), while
-// compiles of different keys proceed concurrently.
+// (nil instruments, observability disabled, are no-ops). Every hit moves
+// its entry to the front. compile runs unlocked; concurrent resolvers of
+// one missing key wait on the single in-flight compile (counted as hits —
+// the key is compiled once), while compiles of different keys proceed
+// concurrently. A key evicted while it still compiles is compiled again by
+// the next resolver that misses it; resolvers already waiting on it get
+// the first plan.
 func (c *planCache[P]) resolve(key []byte, compile func() P, m *sharedObs) P {
-	if snap := c.snap.Load(); snap != nil {
-		if pl, ok := (*snap)[string(key)]; ok {
-			c.hits.Add(1)
-			m.planHits.Inc()
-			// Refresh recency when the lock is free; skipping under
-			// contention only costs eviction-order fidelity, never
-			// correctness.
-			if c.mu.TryLock() {
-				if c.lru != nil {
-					c.lru.Get(key)
-				}
-				c.mu.Unlock()
-			}
-			return pl
-		}
-	}
 	c.mu.Lock()
-	if c.lru == nil {
-		// Lazy: engines built as bare literals in tests never populate it.
-		c.lru = lru.New[P](PlanCacheCapacity)
-		c.inflight = make(map[string]*planCall[P])
-	}
-	if pl, ok := c.lru.Get(key); ok {
+	for i, e := range c.entries {
+		if e.key != string(key) {
+			continue
+		}
+		copy(c.entries[1:i+1], c.entries[:i])
+		c.entries[0] = e
 		c.mu.Unlock()
 		c.hits.Add(1)
 		m.planHits.Inc()
-		return pl
+		select {
+		case <-e.done:
+		default:
+			m.planSingleflightWaits.Inc()
+			<-e.done
+		}
+		return e.pl
 	}
-	if call, ok := c.inflight[string(key)]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		m.planHits.Inc()
-		m.planSingleflightWaits.Inc()
-		<-call.done
-		return call.pl
+	e := &planEntry[P]{key: string(key), done: make(chan struct{})}
+	if len(c.entries) < PlanCacheCapacity {
+		c.entries = append(c.entries, nil)
+	} else {
+		m.planEvictions.Inc()
 	}
-	call := &planCall[P]{done: make(chan struct{})}
-	ks := string(key)
-	c.inflight[ks] = call
+	copy(c.entries[1:], c.entries)
+	c.entries[0] = e
+	m.planResident.Set(float64(len(c.entries)))
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	m.planMisses.Inc()
-	call.pl = compile()
-
-	c.mu.Lock()
-	if c.lru.Add(key, call.pl) {
-		m.planEvictions.Inc()
-	}
-	delete(c.inflight, ks)
-	c.publishSnapshotLocked()
-	m.planResident.Set(float64(c.lru.Len()))
-	c.mu.Unlock()
-	close(call.done)
-	return call.pl
+	e.pl = compile()
+	close(e.done)
+	return e.pl
 }
 
-// peek returns the resident plan for key without compiling, without
-// counters, and without a recency bump — the streaming delta-compiler's
-// predecessor lookup.
+// peek returns the resident, finished plan for key without compiling,
+// without counters, and without a recency bump — the streaming
+// delta-compiler's predecessor lookup.
 func (c *planCache[P]) peek(key []byte) (pl P, ok bool) {
-	if snap := c.snap.Load(); snap != nil {
-		pl, ok = (*snap)[string(key)]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if e.key != string(key) {
+			continue
+		}
+		select {
+		case <-e.done:
+			return e.pl, true
+		default:
+			return pl, false
+		}
 	}
-	return pl, ok
-}
-
-// publishSnapshotLocked rebuilds the lock-free read snapshot from the LRU.
-// Caller holds mu.
-func (c *planCache[P]) publishSnapshotLocked() {
-	snap := make(map[string]P, c.lru.Len())
-	c.lru.Each(func(k string, v P) { snap[k] = v })
-	c.snap.Store(&snap)
+	return pl, false
 }
 
 // stats reports the cumulative hit and miss counts.
@@ -135,14 +112,12 @@ func (c *planCache[P]) stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// resident reports how many compiled plans are currently cached.
+// resident reports how many plans are currently cached, counting a plan
+// from the start of its compile.
 func (c *planCache[P]) resident() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lru == nil {
-		return 0
-	}
-	return c.lru.Len()
+	return len(c.entries)
 }
 
 // freeList is the bounded scratch-state free-list shared by the inference

@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -148,40 +150,127 @@ func sameCSR(a, b *CSR) bool {
 	return true
 }
 
+// builderValues are the triplet values the Builder differential tests draw
+// from: signed zeros, values whose sum depends on Add order, huge values
+// that cancel, and a subnormal.
+var builderValues = []float64{math.Copysign(0, -1), 0, 1, -1, 0.1, -0.1, 1e300, -1e300, 1e-310, 3}
+
+// builderStream is the random triplet stream TestBuilderMatchesMapReference
+// draws for seed: out-of-order adds, many duplicates, and only a random
+// band of rows and columns touched, so the rest stay empty. Its second
+// round of Adds starts at split.
+func builderStream(seed int64) (rows, cols int, trips []addCall, split int) {
+	r := newTestRand(seed)
+	rows, cols = 1+int(r.next()*9), 1+int(r.next()*9)
+	rowSpan, colSpan := 1+int(r.next()*float64(rows)), 1+int(r.next()*float64(cols))
+	for round := 0; round < 2; round++ {
+		split = len(trips)
+		for k := int(r.next() * 40); k > 0; k-- {
+			i, j := rows-1-int(r.next()*float64(rowSpan)), int(r.next()*float64(colSpan))
+			v := builderValues[int(r.next()*float64(len(builderValues)))]
+			if r.next() < 0.3 {
+				v = r.next()*2 - 1
+			}
+			trips = append(trips, addCall{i, j, v})
+		}
+	}
+	return rows, cols, trips, split
+}
+
+// builderMismatch adds trips to one Builder in two rounds, the second
+// starting at split, and reports where Build first differs from the map
+// reference: after each round it must match bit for bit, and again on a
+// repeated Build.
+func builderMismatch(rows, cols int, trips []addCall, split int) error {
+	b := NewBuilder(rows, cols)
+	start := 0
+	for round, end := range []int{split, len(trips)} {
+		for _, a := range trips[start:end] {
+			b.Add(a.i, a.j, a.v)
+		}
+		start = end
+		want := mapBuild(rows, cols, trips[:end])
+		for call := 0; call < 2; call++ {
+			if got := b.Build(); !sameCSR(got, want) {
+				return fmt.Errorf("round %d call %d: Build diverges from the map reference\n got  %+v\n want %+v",
+					round, call, got, want)
+			}
+		}
+	}
+	return nil
+}
+
 // TestBuilderMatchesMapReference drives random triplet streams through the
 // Builder and the map reference: out-of-order adds, many duplicates whose
 // sum depends on Add order, signed zeros, huge values that cancel, rows
 // and columns left empty, non-square shapes, and Build called twice with
 // more Adds in between. Every result must match bit for bit.
 func TestBuilderMatchesMapReference(t *testing.T) {
-	values := []float64{math.Copysign(0, -1), 0, 1, -1, 0.1, -0.1, 1e300, -1e300, 1e-310, 3}
 	for seed := int64(1); seed <= 300; seed++ {
-		r := newTestRand(seed)
-		rows, cols := 1+int(r.next()*9), 1+int(r.next()*9)
-		// Only a random band of rows and columns is ever touched, so the
-		// rest stay empty.
-		rowSpan, colSpan := 1+int(r.next()*float64(rows)), 1+int(r.next()*float64(cols))
-		b := NewBuilder(rows, cols)
-		var trips []addCall
-		for round := 0; round < 2; round++ {
-			for k := int(r.next() * 40); k > 0; k-- {
-				i, j := rows-1-int(r.next()*float64(rowSpan)), int(r.next()*float64(colSpan))
-				v := values[int(r.next()*float64(len(values)))]
-				if r.next() < 0.3 {
-					v = r.next()*2 - 1
-				}
-				b.Add(i, j, v)
-				trips = append(trips, addCall{i, j, v})
-			}
-			want := mapBuild(rows, cols, trips)
-			for call := 0; call < 2; call++ {
-				if got := b.Build(); !sameCSR(got, want) {
-					t.Fatalf("seed %d round %d call %d: Build diverges from the map reference\n got  %+v\n want %+v",
-						seed, round, call, got, want)
-				}
-			}
+		if err := builderMismatch(builderStream(seed)); err != nil {
+			t.Fatalf("seed %d %v", seed, err)
 		}
 	}
+}
+
+// FuzzBuilderMatchesMapReference is TestBuilderMatchesMapReference on
+// decoded streams. The input's first three bytes are the row count and the
+// column count (1 to 9 each) and the split point; each triplet after them
+// is a row byte, a column byte and a value byte that picks one of
+// builderValues or, past them, reads the next 8 bytes as the bits of an
+// arbitrary float (a non-finite one drops the triplet).
+func FuzzBuilderMatchesMapReference(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(encodeBuilderStream(builderStream(seed)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		rows, cols := 1+int(data[0])%9, 1+int(data[1])%9
+		var trips []addCall
+		for rest := data[3:]; len(rest) >= 3; {
+			a := addCall{i: int(rest[0]) % rows, j: int(rest[1]) % cols}
+			pick := int(rest[2]) % (len(builderValues) + 1)
+			rest = rest[3:]
+			if pick < len(builderValues) {
+				a.v = builderValues[pick]
+			} else {
+				if len(rest) < 8 {
+					break
+				}
+				a.v = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+				rest = rest[8:]
+				if math.IsNaN(a.v) || math.IsInf(a.v, 0) {
+					continue
+				}
+			}
+			trips = append(trips, a)
+		}
+		if err := builderMismatch(rows, cols, trips, int(data[2])%(len(trips)+1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// encodeBuilderStream is the FuzzBuilderMatchesMapReference input that
+// decodes to the given stream.
+func encodeBuilderStream(rows, cols int, trips []addCall, split int) []byte {
+	data := []byte{byte(rows - 1), byte(cols - 1), byte(split)}
+	for _, a := range trips {
+		pick := len(builderValues)
+		for k, v := range builderValues {
+			if math.Float64bits(v) == math.Float64bits(a.v) {
+				pick = k
+				break
+			}
+		}
+		data = append(data, byte(a.i), byte(a.j), byte(pick))
+		if pick == len(builderValues) {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(a.v))
+		}
+	}
+	return data
 }
 
 func TestBuilderOutOfRangePanics(t *testing.T) {

@@ -137,34 +137,25 @@ func (s *Server) flushAll() {
 	}
 }
 
-// execBatch runs one flushed batch through the engine and delivers each
-// member's result. A single request runs the solo seeded entry point; two
-// or more run RunBatch with each request's own seed, which the engine
-// guarantees bit-identical to the solo calls (the serving determinism
-// contract).
+// execBatch runs one flushed batch, a single request included, through
+// RunBatch with each request's own seed, which the engine guarantees
+// bit-identical to serving each request alone (the serving determinism
+// contract), and delivers each member's result.
 func (s *Server) execBatch(entry *ModelEntry, batch []*pendingReq) {
-	eng := entry.Model.Engine()
-	if len(batch) == 1 {
-		p := batch[0]
-		res, err := eng.InferSeeded(p.obs, p.seed)
-		if err != nil {
-			s.m.inferErrors.Inc()
-		}
-		s.m.solo.Inc()
-		s.m.batchSize.Observe(1)
-		p.done <- execResult{res: res, batchSize: 1, err: err}
-		return
-	}
 	reqs := make([]engine.Request, len(batch))
 	for i, p := range batch {
 		reqs[i] = engine.Request{Obs: p.obs, Seed: p.seed}
 	}
-	results, err := eng.RunBatch(reqs, s.cfg.Workers)
+	results, err := entry.Model.Engine().RunBatch(reqs, s.cfg.Workers)
 	if err != nil {
 		s.m.inferErrors.Add(uint64(len(batch)))
 	}
-	s.m.batches.Inc()
-	s.m.coalesced.Add(uint64(len(batch)))
+	if len(batch) == 1 {
+		s.m.solo.Inc()
+	} else {
+		s.m.batches.Inc()
+		s.m.coalesced.Add(uint64(len(batch)))
+	}
 	s.m.batchSize.Observe(float64(len(batch)))
 	for i, p := range batch {
 		out := execResult{batchSize: len(batch), err: err}

@@ -36,8 +36,6 @@ var reachAllowlist = map[string]string{
 	"dsgl/internal/engine.SolveState.SetObserver":   "test hook: the solver tests observe every sweep",
 	"dsgl/internal/engine.planCache.resident":       "backs the two PlanCacheLen hooks",
 	"dsgl/internal/ising.XYEnergy":                  "oracle: the OIM gradient test differentiates it",
-	"dsgl/internal/lru.Cache.Cap":                   "test hook: the LRU tests read capacity",
-	"dsgl/internal/lru.Cache.Contains":              "test hook: the LRU tests check eviction",
 	"dsgl/internal/mat.Bool.Count":                  "test hook: mask and snapshot tests count allowed couplings",
 	"dsgl/internal/mat.CSR.At":                      "oracle: the CSR builder tests read entries through it",
 	"dsgl/internal/mat.CSR.SplitCols":               "oracle: TestSplitRowPlanMatchesSplitCols compares the clamp split against it",
