@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./...
 
 # verify trains the standard pipeline on every built-in dataset and checks
-# the nine runtime invariants (listed in the internal/verify package doc).
+# the nine runtime invariants (listed in verify.go, beside Verify).
 # The second line runs the decomposed pipeline itself (K>1 classes on a
 # heterogeneous workload) through the same harness; the third runs every
 # dataset on the dense single-PE backend. Nonzero exit on any violation;

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dsgl/internal/engine"
-	"dsgl/internal/verify"
 )
 
 func denseOptions() Options {
@@ -190,9 +189,11 @@ func TestDenseBackendSaveRoundTrip(t *testing.T) {
 	if loaded.Opts.Backend != BackendDense {
 		t.Fatalf("loaded backend %q, want %q", loaded.Opts.Backend, BackendDense)
 	}
-	if vs := verify.DenseEqual("round-trip", "EffectiveJ",
-		model.Dspu.Engine().EffectiveJ(), loaded.Dspu.Engine().EffectiveJ()); len(vs) > 0 {
-		t.Fatalf("effective J diverges across Save/Load: %v", vs[0].Detail)
+	c := VerifyCheck{Invariant: invSnapshotRoundTrip}
+	effJ := model.Dspu.Engine().EffectiveJ()
+	sameFloats(&c, "EffectiveJ", effJ.Data, loaded.Dspu.Engine().EffectiveJ().Data, effJ.Cols)
+	if len(c.Violations) > 0 {
+		t.Fatalf("effective J diverges across Save/Load: %v", c.Violations[0].Detail)
 	}
 	_, test := ds.Split()
 	want, err := model.Evaluate(test[:6])

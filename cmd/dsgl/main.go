@@ -247,7 +247,7 @@ func formatMAPE(rep *dsgl.Report) string {
 // verify trains the standard pipeline on each named workload (default:
 // every built-in dataset) and runs the invariant-verification harness
 // (dsgl.Verify) against the trained model: the nine invariants listed in
-// the internal/verify package doc. Any violation makes the command exit
+// verify.go at the repository root. Any violation makes the command exit
 // nonzero.
 func verify(names []string, cfg experiments.Config, opts dsgl.Options) error {
 	if len(names) == 0 {

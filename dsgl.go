@@ -180,8 +180,8 @@ type Options struct {
 	ShardSyncNs float64
 	// Decompose turns on heterogeneous decomposition (ROADMAP item 5):
 	// nodes are partitioned into interaction classes (internal/hetero),
-	// phase 1 and the masked refit fit per-class-pair J blocks
-	// (train.BlockRidge / train.BlockMaskedRidge), and the Louvain
+	// phase 1 and the masked refit fit per-class-pair J blocks (the class
+	// vector of train.Moments.Ridge and MaskedRidge), and the Louvain
 	// partition is refined along class boundaries before placement so no
 	// PE mixes classes. With Classes == 1 the decomposed pipeline is
 	// bit-identical to the monolithic one (verify invariant 10).
@@ -404,12 +404,7 @@ func decompose(ds *Dataset, opts Options, dense *train.Params, mom *train.Moment
 	// (FineTuneEpochs > 0) can follow to grow unknown-to-unknown
 	// couplings, but the closed-form refit is the default: it restores
 	// the accuracy the sparsification lost without exposure-bias risk.
-	var tuned *train.Params
-	if opts.Decompose {
-		tuned, err = mom.BlockMaskedRidge(classVars, mask, opts.RidgeLambda, opts.Workers)
-	} else {
-		tuned, err = mom.MaskedRidge(mask, opts.RidgeLambda, opts.Workers)
-	}
+	tuned, err := mom.MaskedRidge(classVars, mask, opts.RidgeLambda, opts.Workers)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dsgl: fine-tune: %w", err)
 	}
@@ -837,18 +832,12 @@ func unknownRowWeight(ds *Dataset) []float64 {
 
 // trainDensePhase runs phase 1: ridge closed form from the all-sample
 // moments plus optional gradient refinement (skipped when
-// opts.TrainEpochs < 0). A non-nil classVars selects the block-structured
-// solve (per-class-pair ridge blocks); the optional gradient refinement
-// stays class-agnostic — the masked refit of phase 2 re-imposes the block
+// opts.TrainEpochs < 0). The ridge solve is blocked by classVars (nil for
+// monolithic training, one class); the optional gradient refinement stays
+// class-agnostic — the masked refit of phase 2 re-imposes the block
 // structure on everything the hardware runs.
 func trainDensePhase(ds *Dataset, mom *train.Moments, samples [][]float64, opts Options, classVars []int) (*train.Params, error) {
-	var init *train.Params
-	var err error
-	if classVars != nil {
-		init, err = mom.BlockRidge(classVars, opts.RidgeLambda, opts.Workers)
-	} else {
-		init, err = mom.Ridge(opts.RidgeLambda, opts.Workers)
-	}
+	init, err := mom.Ridge(classVars, opts.RidgeLambda, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("dsgl: ridge initialization: %w", err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"dsgl/internal/engine"
 	"dsgl/internal/metrics"
-	"dsgl/internal/verify"
 )
 
 // tinyDataset keeps integration tests fast: a short series on a small
@@ -468,10 +467,12 @@ func TestDeprecatedOptionsIgnored(t *testing.T) {
 	}
 	wantRes, wantRep := probes(ref), report(ref)
 	for name, m := range map[string]*Model{"trained": trained, "loaded": loaded} {
+		c := VerifyCheck{Invariant: "deprecated-options"}
 		for i, res := range probes(m) {
-			for _, v := range verify.ResultsEqual("deprecated-options", fmt.Sprintf("%s probe %d", name, i), wantRes[i], res) {
-				t.Error(v.Detail)
-			}
+			sameResult(&c, fmt.Sprintf("%s probe %d", name, i), wantRes[i], res)
+		}
+		for _, v := range c.Violations {
+			t.Error(v.Detail)
 		}
 		if got := report(m); got != wantRep {
 			t.Errorf("%s: EvaluateParallel report %s, want %s", name, got, wantRep)

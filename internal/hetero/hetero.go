@@ -3,7 +3,7 @@
 // line of work (Allier et al. 2024), a heterogeneous dynamical system is
 // decomposed by clustering nodes into K classes from their observable
 // behavior and fitting per-class-pair interaction models (see
-// train.BlockRidge). The class assignment here is unsupervised and fully
+// train.Moments.Ridge). The class assignment here is unsupervised and fully
 // deterministic under a seed: k-means++ over standardized per-node feature
 // statistics (mean, standard deviation, lag-1 autocorrelation per feature
 // channel), optionally augmented with graph-propagated statistics so

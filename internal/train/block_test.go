@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 
 	"dsgl/internal/mat"
@@ -47,30 +48,86 @@ func moments(t *testing.T, samples [][]float64, observed []bool) *Moments {
 	return m
 }
 
+// ridgeOracle is the monolithic dense fit the class-blocked solve
+// replaced: the full system's weights from Weights, installed as
+// J[u][obs_i] = W[i][u] with h = -1.
+func ridgeOracle(m *Moments, lambda float64) (*Params, error) {
+	w, err := m.Weights(lambda, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	p := m.newParams()
+	for u, uIdx := range m.unkIdx {
+		for i, oIdx := range m.obsIdx {
+			p.J.Set(uIdx, oIdx, w.At(i, u))
+		}
+	}
+	p.J.ZeroDiagonal()
+	return p, nil
+}
+
+// maskedRidgeOracle is the monolithic masked refit the class-blocked solve
+// replaced: one solve per unknown row over the observed columns the mask
+// allows it, with the row's cross moments as the right-hand side.
+func maskedRidgeOracle(m *Moments, mask *mat.Bool, lambda float64) (*Params, error) {
+	p := m.newParams()
+	for u, uIdx := range m.unkIdx {
+		var cols []int
+		for c := 0; c < m.n; c++ {
+			if c != uIdx && mask.At(uIdx, c) && m.obsPos[c] >= 0 {
+				cols = append(cols, m.obsPos[c])
+			}
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		s := len(cols)
+		sub, rhs := mat.NewDense(s, s), mat.NewDense(s, 1)
+		for a := 0; a < s; a++ {
+			for c := 0; c < s; c++ {
+				sub.Set(a, c, m.gram(cols[a], cols[c]))
+			}
+			sub.Add(a, a, lambda)
+			rhs.Set(a, 0, m.b.At(cols[a], u))
+		}
+		w, err := solveMulti(sub, rhs, 1)
+		if err != nil {
+			return nil, err
+		}
+		for a := 0; a < s; a++ {
+			p.J.Set(uIdx, m.obsIdx[cols[a]], w.At(a, 0))
+		}
+	}
+	p.J.ZeroDiagonal()
+	return p, nil
+}
+
+// sameParams fails t unless got's J and h match want's bit for bit.
+func sameParams(t *testing.T, name string, got, want *Params) {
+	t.Helper()
+	if !sameBits(got.J.Data, want.J.Data) || !sameBits(got.H, want.H) {
+		t.Fatalf("%s: parameters differ from the monolithic oracle (bit-identity broken)", name)
+	}
+}
+
 // TestBlockRidgeK1Identity is the training-layer half of verify invariant
-// 10: with every variable in class 0 the block-diagonal Gram IS the full
-// Gram, and BlockRidge must reproduce RidgeInit bit-for-bit.
+// 10: with one class, nil or all zero, the block-diagonal Gram IS the full
+// Gram, and Ridge must reproduce the full-system solve bit-for-bit.
 func TestBlockRidgeK1Identity(t *testing.T) {
 	const n, nu = 12, 3
 	samples, observed := blockTestSamples(n, nu, 40, 11)
-	classOf := make([]int, n)
-
-	mono, err := RidgeInit(samples, observed, 0.5)
+	m := moments(t, samples, observed)
+	want, err := ridgeOracle(m, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := moments(t, samples, observed).BlockRidge(classOf, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mono.J.Data {
-		if mono.J.Data[i] != block.J.Data[i] {
-			t.Fatalf("J[%d]: mono %v != block %v (bit-identity broken)", i, mono.J.Data[i], block.J.Data[i])
-		}
-	}
-	for i := range mono.H {
-		if mono.H[i] != block.H[i] {
-			t.Fatalf("H[%d] differs", i)
+	for name, classOf := range map[string][]int{"nil": nil, "zeros": make([]int, n)} {
+		for _, workers := range []int{1, 3} {
+			got, err := m.Ridge(classOf, 0.5, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameParams(t, fmt.Sprintf("%s classes, %d workers", name, workers), got, want)
 		}
 	}
 }
@@ -78,7 +135,6 @@ func TestBlockRidgeK1Identity(t *testing.T) {
 func TestBlockMaskedRidgeK1Identity(t *testing.T) {
 	const n, nu = 12, 3
 	samples, observed := blockTestSamples(n, nu, 40, 12)
-	classOf := make([]int, n)
 	mask := mat.NewBool(n, n)
 	r := rng.New(99)
 	for i := 0; i < n; i++ {
@@ -86,18 +142,18 @@ func TestBlockMaskedRidgeK1Identity(t *testing.T) {
 			mask.Set(i, j, r.Float64() < 0.6)
 		}
 	}
-
-	mono, err := MaskedRidge(samples, observed, mask, 0.5)
+	m := moments(t, samples, observed)
+	want, err := maskedRidgeOracle(m, mask, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := moments(t, samples, observed).BlockMaskedRidge(classOf, mask, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mono.J.Data {
-		if mono.J.Data[i] != block.J.Data[i] {
-			t.Fatalf("J[%d]: mono %v != block %v (bit-identity broken)", i, mono.J.Data[i], block.J.Data[i])
+	for name, classOf := range map[string][]int{"nil": nil, "zeros": make([]int, n)} {
+		for _, workers := range []int{1, 3} {
+			got, err := m.MaskedRidge(classOf, mask, 0.5, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameParams(t, fmt.Sprintf("%s classes, %d workers", name, workers), got, want)
 		}
 	}
 }
@@ -119,7 +175,7 @@ func TestBlockRidgeRespectsClasses(t *testing.T) {
 		classOf[i] = i % 2
 	}
 
-	block, err := moments(t, samples, observed).BlockRidge(classOf, lambda, 1)
+	block, err := moments(t, samples, observed).Ridge(classOf, lambda, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +253,14 @@ func TestBlockRidgeRespectsClasses(t *testing.T) {
 
 func TestBlockRidgeBadClasses(t *testing.T) {
 	samples, observed := blockTestSamples(6, 2, 10, 14)
-	if _, err := moments(t, samples, observed).BlockRidge([]int{0, 0, 0}, 0.5, 1); err == nil {
+	if _, err := moments(t, samples, observed).Ridge([]int{0, 0, 0}, 0.5, 1); err == nil {
 		t.Fatal("short class vector must error")
 	}
-	if _, err := moments(t, samples, observed).BlockRidge([]int{0, 0, -1, 0, 0, 0}, 0.5, 1); err == nil {
+	if _, err := moments(t, samples, observed).Ridge([]int{0, 0, -1, 0, 0, 0}, 0.5, 1); err == nil {
 		t.Fatal("negative class must error")
 	}
 	mask := mat.NewBool(6, 6)
-	if _, err := moments(t, samples, observed).BlockMaskedRidge([]int{0, 0, 0}, mask, 0.5, 1); err == nil {
+	if _, err := moments(t, samples, observed).MaskedRidge([]int{0, 0, 0}, mask, 0.5, 1); err == nil {
 		t.Fatal("short class vector must error (masked)")
 	}
 }

@@ -267,74 +267,6 @@ func (m *Moments) newParams() *Params {
 	return &Params{J: mat.NewDense(m.n, m.n), H: h}
 }
 
-// Ridge solves the full observed-to-unknown ridge fit and installs it as
-// couplings J[u][obs_i] = W[i][u] with h = -1; see RidgeInit. The solve
-// replays its elimination on up to workers column ranges of W at once.
-func (m *Moments) Ridge(lambda float64, workers int) (*Params, error) {
-	w, err := m.Weights(lambda, workers, nil)
-	if err != nil {
-		return nil, err
-	}
-	p := m.newParams()
-	for u, uIdx := range m.unkIdx {
-		for i, oIdx := range m.obsIdx {
-			p.J.Set(uIdx, oIdx, w.At(i, u))
-		}
-	}
-	p.J.ZeroDiagonal()
-	return p, nil
-}
-
-// MaskedRidge solves one ridge fit per unknown row over the observed
-// columns the mask allows it; see the package-level MaskedRidge. The rows
-// are independent and fan out over up to workers goroutines, each writing
-// only its own row of J.
-func (m *Moments) MaskedRidge(mask *mat.Bool, lambda float64, workers int) (*Params, error) {
-	if mask == nil || mask.Rows != m.n || mask.Cols != m.n {
-		return nil, fmt.Errorf("train: coupling mask missing or mis-shaped")
-	}
-	if err := m.ready(lambda); err != nil {
-		return nil, err
-	}
-	p := m.newParams()
-	err := eachRow(workers, len(m.unkIdx), func(sc *rowScratch, u int) error {
-		uIdx := m.unkIdx[u]
-		// Columns this row may couple with: masked AND observed.
-		cols := sc.cols[:0]
-		for c := 0; c < m.n; c++ {
-			if c != uIdx && mask.At(uIdx, c) && m.obsPos[c] >= 0 {
-				cols = append(cols, m.obsPos[c])
-			}
-		}
-		sc.cols = cols
-		if len(cols) == 0 {
-			return nil // isolated row predicts 0 (the normalized mean)
-		}
-		s := len(cols)
-		sub, rhs := sc.system(s)
-		for a := 0; a < s; a++ {
-			for c := 0; c < s; c++ {
-				sub.Set(a, c, m.gram(cols[a], cols[c]))
-			}
-			sub.Add(a, a, lambda)
-			rhs.Set(a, 0, m.b.At(cols[a], u))
-		}
-		wts, err := solveMulti(sub, rhs, 1)
-		if err != nil {
-			return fmt.Errorf("train: masked ridge row %d: %w", uIdx, err)
-		}
-		for a := 0; a < s; a++ {
-			p.J.Set(uIdx, m.obsIdx[cols[a]], wts.At(a, 0))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.J.ZeroDiagonal()
-	return p, nil
-}
-
 // rowScratch is one worker's storage for the per-row solves of the masked
 // refits, grown to the largest row it has solved so far.
 type rowScratch struct {

@@ -70,14 +70,14 @@ func TestMomentsPrefixSuffixAnyWorkers(t *testing.T) {
 		if err := m.Add(samples[53:], workers); err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.Ridge(lambda, workers)
+		got, err := m.Ridge(nil, lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameBits(got.J.Data, want.J.Data) || !sameBits(got.H, want.H) {
 			t.Errorf("workers=%d: Ridge differs from RidgeInit over all samples", workers)
 		}
-		gotMasked, err := m.MaskedRidge(mask, lambda, workers)
+		gotMasked, err := m.MaskedRidge(nil, mask, lambda, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestMomentsPredictMatchesRegress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := m.Ridge(lambda, 1)
+		p, err := m.Ridge(nil, lambda, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestMomentsErrors(t *testing.T) {
 	if err := m.Add([][]float64{{1, 2}}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Ridge(0, 1); err == nil {
+	if _, err := m.Ridge(nil, 0, 1); err == nil {
 		t.Error("zero lambda accepted")
 	}
 }

@@ -24,7 +24,7 @@ func RidgeInit(samples [][]float64, observed []bool, lambda float64) (*Params, e
 	if err != nil {
 		return nil, err
 	}
-	return m.Ridge(lambda, 1)
+	return m.Ridge(nil, lambda, 1)
 }
 
 // MaskedRidge re-solves the training objective in closed form with J's
@@ -40,5 +40,5 @@ func MaskedRidge(samples [][]float64, observed []bool, mask *mat.Bool, lambda fl
 	if err != nil {
 		return nil, err
 	}
-	return m.MaskedRidge(mask, lambda, 1)
+	return m.MaskedRidge(nil, mask, lambda, 1)
 }

@@ -54,8 +54,6 @@ var reachAllowlist = map[string]string{
 	"dsgl/internal/tensor.Tensor.At":                "test hook: tensor and GNN tests read elements",
 	"dsgl/internal/tensor.Tensor.RequiresGrad":      "test hook: the tensor tests check gradient tracking",
 	"dsgl/internal/train.Loss":                      "oracle: TestFitReducesLoss",
-	"dsgl/internal/verify.Check.Passed":             "test hook: the root verify tests read check results",
-	"dsgl/internal/verify.Report.Violations":        "test hook: the root verify tests list violations",
 }
 
 // modulePath is the root module's path; perfbench/ is a nested module whose
