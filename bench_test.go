@@ -822,8 +822,8 @@ func BenchmarkInferFresh(b *testing.B) {
 // interpolated observation values (sensors report faster than the training
 // window stride, so per-tick deltas are small), and a contiguous clamp
 // block that slides one index at each window advance (sensor coverage
-// rotates slowly). The sliding mask exercises plan delta-compilation —
-// the n distinct patterns overflow the plan LRU — while the small-delta
+// rotates slowly). The sliding mask exercises plan-cache churn — the n
+// distinct patterns overflow the plan cache — while the small-delta
 // sub-ticks are the regime warm-started anneals exploit: the previous
 // equilibrium plus fully seeded hold slices settles in tens of steps,
 // where a cold anneal pays the full multi-cycle transient every tick.
@@ -855,7 +855,7 @@ func benchStreamSetup(b testing.TB) (*dsgl.Model, [][]engine.Observation) {
 // the benchfmt stream guard: the same sliding-mask tick sequence served
 // cold (every tick a fresh plan resolution and a from-scratch anneal — the
 // stateless /v1/infer path) versus through a stream session (warm-started
-// anneal, plan delta-compilation — the /v1/stream path). The guard requires
+// anneal — the /v1/stream path). The guard requires
 // warm ticks to beat cold by >=1.5x; the warm win comes from starting at
 // the previous tick's equilibrium, which both skips the anneal transient
 // and lifts the one-settle-check-per-slice-cycle floor of temporal mode.
@@ -899,9 +899,6 @@ func BenchmarkInferStream(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(steps)/float64(b.N), "steps/tick")
-		if hits, fallbacks := eng.PlanDeltaStats(); hits+fallbacks > 0 {
-			b.ReportMetric(float64(hits)/float64(hits+fallbacks), "plan-delta-hit-rate")
-		}
 	})
 }
 

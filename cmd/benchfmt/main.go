@@ -21,8 +21,8 @@
 // The stream summary compares BenchmarkInferStream/cold against /warm:
 // with -guard a warm streaming tick must beat the cold planned path by at
 // least streamGuardThreshold, so a regression that silently disables the
-// warm-start (or the delta-compile) path fails the build instead of
-// quietly serving cold-anneal latencies. Each guard only engages when its
+// warm-start path fails the build instead of quietly serving cold-anneal
+// latencies. Each guard only engages when its
 // benchmark's rows are present — the CI batch smoke pipes only InferBatch
 // rows through -guard and must not trip the stream check vacuously — but a
 // guarded run with a *partial* stream pair (cold without warm, or vice
@@ -116,8 +116,8 @@ func main() {
 			continue
 		}
 		// Record every custom b.ReportMetric value (plan-hit-rate,
-		// steps/tick, plan-delta-hit-rate, ...) so per-benchmark gauges are
-		// visible at a glance below the table.
+		// steps/tick, ...) so per-benchmark gauges are visible at a glance
+		// below the table.
 		customs = append(customs, customMetrics(r)...)
 		batch.add(r)
 		stream.add(r)

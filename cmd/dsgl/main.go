@@ -112,7 +112,6 @@ func realMain(args []string) int {
 		EvalWindows: *evalWindows,
 		GNNEpochs:   *gnnEpochs,
 		Seed:        *seed,
-		Parallelism: *workers,
 		Workers:     *workers,
 	}
 	trainOpts := dsgl.Options{

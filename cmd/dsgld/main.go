@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,6 +72,16 @@ func realMain(args []string) int {
 	loadSeed := fs.Uint64("load-seed", 11, "loadtest: arrival-process seed")
 	loadModel := fs.String("load-model", "", "loadtest: model to drive (default: first registered)")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A request costs one token, so a bucket that holds less sheds every
+	// request, and a rate or burst that is not finite limits none.
+	if !(*rate >= 0 && *rate <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "dsgld: -rate %g must be a finite value >= 0\n", *rate)
+		return 2
+	}
+	if *burst != 0 && !(*burst >= 1 && *burst <= math.MaxFloat64) {
+		fmt.Fprintf(os.Stderr, "dsgld: -burst %g must be 0 or a finite value >= 1\n", *burst)
 		return 2
 	}
 

@@ -53,7 +53,7 @@ func TestPlanCompileCoalescesSameKey(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			got[g] = c.resolve(key, sc.compile(7), &sharedObs{})
+			got[g] = c.resolve(key, sc.compile(7), &engineObs{})
 		}(g)
 	}
 	close(start)
@@ -92,7 +92,7 @@ func TestPlanCompileDifferentKeysOverlap(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			if v := c.resolve([]byte{byte(g)}, sc.compile(g), &sharedObs{}); v != g {
+			if v := c.resolve([]byte{byte(g)}, sc.compile(g), &engineObs{}); v != g {
 				t.Errorf("key %d resolved to plan %d", g, v)
 			}
 		}(g)
@@ -118,11 +118,11 @@ func TestPlanCacheHitRefreshesRecencyWhenBusy(t *testing.T) {
 	var c planCache[int]
 	compile := func(v int) func() int { return func() int { return v } }
 	for k := 0; k < PlanCacheCapacity; k++ {
-		c.resolve([]byte{byte(k)}, compile(k), &sharedObs{})
+		c.resolve([]byte{byte(k)}, compile(k), &engineObs{})
 	}
 	c.mu.Lock()
 	hit := make(chan int)
-	go func() { hit <- c.resolve([]byte{0}, compile(-1), &sharedObs{}) }()
+	go func() { hit <- c.resolve([]byte{0}, compile(-1), &engineObs{}) }()
 	// The hit must arrive while the lock is held, and nothing signals a
 	// goroutine that is waiting for a mutex, so give it time to get there.
 	time.Sleep(20 * time.Millisecond)
@@ -130,11 +130,19 @@ func TestPlanCacheHitRefreshesRecencyWhenBusy(t *testing.T) {
 	if v := <-hit; v != 0 {
 		t.Fatalf("hit on key 0 returned plan %d, want 0", v)
 	}
-	c.resolve([]byte{PlanCacheCapacity}, compile(PlanCacheCapacity), &sharedObs{})
-	if _, ok := c.peek([]byte{0}); !ok {
+	c.resolve([]byte{PlanCacheCapacity}, compile(PlanCacheCapacity), &engineObs{})
+	resident := func(k byte) bool {
+		for _, e := range c.entries {
+			if e.key == string([]byte{k}) {
+				return true
+			}
+		}
+		return false
+	}
+	if !resident(0) {
 		t.Fatal("key 0 was evicted although it was hit after every other key")
 	}
-	if _, ok := c.peek([]byte{1}); ok {
+	if resident(1) {
 		t.Fatal("key 1, the least recently used, is still resident")
 	}
 	if _, misses := c.stats(); misses != PlanCacheCapacity+1 {

@@ -29,7 +29,7 @@
 //     Run calls for any worker count, and InferBatch gives window i the
 //     seed BaseSeed()+i;
 //   - streaming sessions (stream.go): ticks warm-started from the previous
-//     equilibrium, with plans patched from the previous pattern's;
+//     equilibrium, with plans resolved through the same cache;
 //   - the reductions of the coupling list every caller outside the anneal
 //     needs: Result.Energy and the lazy StepInfo.EnergyFn, the conditional
 //     energy, the effective J, and the one full-coupling residual
@@ -54,7 +54,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -120,16 +119,8 @@ type Engine struct {
 
 	// plans is the clamp-plan cache: at most PlanCacheCapacity splits,
 	// most recently used first, per-key singleflight compilation,
-	// deterministic hit/miss counters. The machinery lives in plancache.go
-	// because the OptEngine resolves its schedule ladders through the
-	// identical cache.
+	// deterministic hit/miss counters (plancache.go).
 	plans planCache[*mat.ClampSplit]
-
-	// Streaming plan-delta counters (stream.go): hits patched a
-	// predecessor plan on a shifted pattern's cache miss, fallbacks fully
-	// split one.
-	planDeltaHits      atomic.Uint64
-	planDeltaFallbacks atomic.Uint64
 
 	// states recycles InferStates across RunBatch calls so repeated
 	// batch windows stop re-allocating per-worker scratch arenas. Reuse is
@@ -191,7 +182,7 @@ func (e *Engine) Run(st *InferState, req Request) (*Result, error) {
 	if err := e.checkState(st); err != nil {
 		return nil, err
 	}
-	return e.run(st, req, nil)
+	return e.run(st, req, false)
 }
 
 // RunBatch runs every request across a pool of workers (workers <= 0
@@ -217,7 +208,7 @@ func (e *Engine) RunBatch(reqs []Request, workers int) ([]*Result, error) {
 		m.batchWorkers.Set(float64(w))
 	}
 	err := pool.RunWorkersErr(w, n, func(worker, i int) (err error) {
-		results[i], err = detached(e.run(states[worker], reqs[i], nil))
+		results[i], err = detached(e.run(states[worker], reqs[i], false))
 		return err
 	})
 	for _, st := range states {
@@ -261,17 +252,15 @@ func detached(res *Result, err error) (*Result, error) {
 
 // run is the one inference sequence behind Run, RunBatch and Stream.Tick:
 // seed the state, validate and clamp the observations, resolve the plan
-// the request's path needs, run the backend, record. A non-nil stream makes
-// it a streaming tick: after the stream's cold first tick the free nodes
-// keep the previous equilibrium as their init instead of a fresh random
-// fill, and the plan resolves by delta from the previous pattern.
-func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
+// the request's path needs, run the backend, record. A warm run, a stream
+// tick after the stream's cold first one, keeps the previous equilibrium
+// as the free nodes' init instead of a fresh random fill.
+func (e *Engine) run(st *InferState, req Request, warm bool) (*Result, error) {
 	m := e.metrics()
 	var start time.Time
 	if m.enabled() {
 		start = time.Now()
 	}
-	warm := s != nil && s.started
 	st.RNG.Reseed(req.Seed)
 	if !warm {
 		st.RNG.FillUniform(st.X, -0.1, 0.1)
@@ -281,7 +270,7 @@ func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
 	err := validateObservations(b.Name(), req.Obs, len(st.X), b.Rails(), st.X, st.Clamped)
 	var res *Result
 	if err == nil {
-		res, err = e.anneal(st, req.Path, s, m)
+		res, err = e.anneal(st, req.Path, m)
 	}
 	m.recordInfer(res, err, start)
 	if err != nil {
@@ -291,14 +280,17 @@ func (e *Engine) run(st *InferState, req Request, s *Stream) (*Result, error) {
 }
 
 // anneal resolves the plan for the path on a prepared state, runs the
-// backend's loop under it and fills the Result's energy. The Planned
-// result is bit-identical to Naive's — a split only reorganizes which
-// floating-point operations are hoisted, never their order.
-func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Result, error) {
+// backend's loop under it and fills the Result's energy. The Planned path
+// resolves the state's clamp pattern through the plan cache (plancache.go),
+// splitting it on a miss. Its result is bit-identical to Naive's — a split
+// only reorganizes which floating-point operations are hoisted, never
+// their order.
+func (e *Engine) anneal(st *InferState, path Path, m *engineObs) (*Result, error) {
 	var pl *mat.ClampSplit
 	switch path {
 	case Planned:
-		pl = e.planFor(st, s, m)
+		pl = e.plans.resolve(packMask(st.Clamped, st.KeyBuf),
+			func() *mat.ClampSplit { return e.cpl.Split(st.Clamped) }, m)
 	case Naive:
 		e.cpl.Unfold(st.Clamped, &st.unfolded)
 		pl = &st.unfolded
@@ -311,23 +303,6 @@ func (e *Engine) anneal(st *InferState, path Path, s *Stream, m *engineObs) (*Re
 	}
 	res.Energy = e.EnergyAt(res.Voltage)
 	return res, nil
-}
-
-// planFor resolves the state's clamp pattern to its split through the plan
-// cache (see plancache.go for the recency order, the per-key singleflight
-// compile, and the counter-determinism guarantee). On a
-// stream tick whose pattern moved, a miss patches the predecessor's plan
-// instead of splitting from scratch.
-func (e *Engine) planFor(st *InferState, s *Stream, m *engineObs) *mat.ClampSplit {
-	key := packMask(st.Clamped, st.KeyBuf)
-	if s != nil && s.started && !bytes.Equal(key, s.prevKey) {
-		// The closure only runs on a cache miss, so the delta counters
-		// move once per new pattern, not once per tick.
-		return e.plans.resolve(key, func() *mat.ClampSplit {
-			return e.compileDelta(s.prevKey, s.prevClamped, st.Clamped, m)
-		}, &m.sharedObs)
-	}
-	return e.plans.resolve(key, func() *mat.ClampSplit { return e.cpl.Split(st.Clamped) }, &m.sharedObs)
 }
 
 // getState draws a reusable InferState from the engine free-list,
@@ -365,7 +340,7 @@ func (e *Engine) EnsurePlan(obs []Observation) error {
 		return err
 	}
 	e.plans.resolve(packMask(e.ensureClamped, e.ensureKey),
-		func() *mat.ClampSplit { return e.cpl.Split(e.ensureClamped) }, &e.metrics().sharedObs)
+		func() *mat.ClampSplit { return e.cpl.Split(e.ensureClamped) }, e.metrics())
 	return nil
 }
 

@@ -63,8 +63,8 @@ func newStub(n int) (*stubBackend, *Engine) {
 	return b, New(b)
 }
 
-// compiles is how many plans e has compiled, in full or by patching: every
-// plan-cache miss compiles one.
+// compiles is how many plans e has split: every plan-cache miss splits
+// one.
 func compiles(e *Engine) uint64 {
 	_, misses := e.PlanCacheStats()
 	return misses

@@ -21,6 +21,13 @@ type engineObs struct {
 	reg *obs.Registry // registry the instruments belong to (nil = disabled)
 	sharedObs
 
+	// Plan-cache instruments, which planCache.resolve records into.
+	planHits              *obs.Counter // dsgl_plan_cache_hits_total
+	planMisses            *obs.Counter // dsgl_plan_cache_misses_total
+	planEvictions         *obs.Counter // dsgl_plan_cache_evictions_total
+	planResident          *obs.Gauge   // dsgl_plan_cache_resident
+	planSingleflightWaits *obs.Counter // dsgl_plan_singleflight_waits_total
+
 	infers         *obs.Counter   // dsgl_infer_total
 	inferErrors    *obs.Counter   // dsgl_infer_errors_total
 	inferSettled   *obs.Counter   // dsgl_infer_settled_total
@@ -32,14 +39,11 @@ type engineObs struct {
 	batchWindows   *obs.Counter   // dsgl_infer_batch_windows_total
 	batchWorkers   *obs.Gauge     // dsgl_infer_batch_workers
 
-	// Streaming-inference instruments (stream.go): delta-compile outcomes
-	// and the warm-vs-cold steps-to-settle comparison the warm-start path
-	// is judged by.
-	planDeltaHits      *obs.Counter // dsgl_plan_delta_hits_total
-	planDeltaFallbacks *obs.Counter // dsgl_plan_delta_fallbacks_total
-	streamTicks        *obs.Counter // dsgl_stream_ticks_total
-	streamColdSteps    *obs.Summary // dsgl_stream_cold_steps
-	streamWarmSteps    *obs.Summary // dsgl_stream_warm_steps
+	// Streaming-inference instruments (stream.go): the warm-vs-cold
+	// steps-to-settle comparison the warm-start path is judged by.
+	streamTicks     *obs.Counter // dsgl_stream_ticks_total
+	streamColdSteps *obs.Summary // dsgl_stream_cold_steps
+	streamWarmSteps *obs.Summary // dsgl_stream_warm_steps
 }
 
 // newEngineObs registers (or re-binds, registration being idempotent) the
@@ -51,8 +55,15 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 	}
 	l := obs.L("backend", backend)
 	return &engineObs{
-		reg:            r,
-		sharedObs:      newSharedObs(r, l),
+		reg:       r,
+		sharedObs: newSharedObs(r, l),
+
+		planHits:              r.Counter("dsgl_plan_cache_hits_total", "clamp-plan cache hits", l),
+		planMisses:            r.Counter("dsgl_plan_cache_misses_total", "clamp-plan cache misses (each splits a plan)", l),
+		planEvictions:         r.Counter("dsgl_plan_cache_evictions_total", "clamp-plan cache evictions", l),
+		planResident:          r.Gauge("dsgl_plan_cache_resident", "clamp plans currently resident, counted from the start of their compile", l),
+		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
+
 		infers:         r.Counter("dsgl_infer_total", "completed inferences", l),
 		inferErrors:    r.Counter("dsgl_infer_errors_total", "inferences rejected or failed", l),
 		inferSettled:   r.Counter("dsgl_infer_settled_total", "inferences that settled before the time budget", l),
@@ -60,46 +71,33 @@ func newEngineObs(r *obs.Registry, backend string) *engineObs {
 		simNs:          r.Histogram("dsgl_infer_sim_ns", "simulated anneal latency per inference (Result.LatencyNs)", l),
 		annealSteps:    r.Counter("dsgl_anneal_steps_total", "integration steps taken across all inferences", l),
 		settleResidual: r.Summary("dsgl_settle_residual", "equilibrium residual max |dsigma/dt| at convergence (settled inferences)", l),
-		batches:        r.Counter("dsgl_infer_batch_total", "InferBatch invocations", l),
+		batches:        r.Counter("dsgl_infer_batch_total", "RunBatch invocations (Evaluate, EvaluateParallel, InferBatch, serve batches of any size)", l),
 		batchWindows:   r.Counter("dsgl_infer_batch_windows_total", "windows fanned out across all batches", l),
 		batchWorkers:   r.Gauge("dsgl_infer_batch_workers", "worker count of the most recent batch", l),
 
-		planDeltaHits:      r.Counter("dsgl_plan_delta_hits_total", "clamp plans resolved by patching the predecessor pattern's plan", l),
-		planDeltaFallbacks: r.Counter("dsgl_plan_delta_fallbacks_total", "shifted-pattern plan misses that fell back to a full compile", l),
-		streamTicks:        r.Counter("dsgl_stream_ticks_total", "streaming inference ticks (cold first ticks included)", l),
-		streamColdSteps:    r.Summary("dsgl_stream_cold_steps", "integration steps to settle on a stream's cold first tick", l),
-		streamWarmSteps:    r.Summary("dsgl_stream_warm_steps", "integration steps to settle on warm-started stream ticks", l),
+		streamTicks:     r.Counter("dsgl_stream_ticks_total", "streaming inference ticks (cold first ticks included)", l),
+		streamColdSteps: r.Summary("dsgl_stream_cold_steps", "integration steps to settle on a stream's cold first tick", l),
+		streamWarmSteps: r.Summary("dsgl_stream_warm_steps", "integration steps to settle on warm-started stream ticks", l),
 	}
 }
 
 // enabled reports whether this binding records anywhere.
 func (m *engineObs) enabled() bool { return m.reg != nil }
 
-// sharedObs is the instrument set both engines register, labeled by their
-// backend: the plan cache's, which resolve records into, and the state
-// free-list's. Registering it in one place gives every family one help
-// string, whichever engine binds first.
+// sharedObs is the instrument pair both engines register, labeled by their
+// backend: the state free-list's. Registering it in one place gives each
+// family one help string, whichever engine binds first.
 type sharedObs struct {
-	planHits              *obs.Counter // dsgl_plan_cache_hits_total
-	planMisses            *obs.Counter // dsgl_plan_cache_misses_total
-	planEvictions         *obs.Counter // dsgl_plan_cache_evictions_total
-	planResident          *obs.Gauge   // dsgl_plan_cache_resident
-	planSingleflightWaits *obs.Counter // dsgl_plan_singleflight_waits_total
-	statePoolHits         *obs.Counter // dsgl_state_pool_hits_total
-	statePoolMisses       *obs.Counter // dsgl_state_pool_misses_total
+	statePoolHits   *obs.Counter // dsgl_state_pool_hits_total
+	statePoolMisses *obs.Counter // dsgl_state_pool_misses_total
 }
 
-// newSharedObs registers the shared instrument set on r (non-nil) under
+// newSharedObs registers the shared instrument pair on r (non-nil) under
 // label l.
 func newSharedObs(r *obs.Registry, l obs.Label) sharedObs {
 	return sharedObs{
-		planHits:              r.Counter("dsgl_plan_cache_hits_total", "plan cache hits (clamp plans or solver ladders)", l),
-		planMisses:            r.Counter("dsgl_plan_cache_misses_total", "plan cache misses (each compiles a plan)", l),
-		planEvictions:         r.Counter("dsgl_plan_cache_evictions_total", "plan cache evictions", l),
-		planResident:          r.Gauge("dsgl_plan_cache_resident", "plans currently resident, counted from the start of their compile", l),
-		planSingleflightWaits: r.Counter("dsgl_plan_singleflight_waits_total", "plan resolutions that waited on another worker's in-flight compile", l),
-		statePoolHits:         r.Counter("dsgl_state_pool_hits_total", "batch scratch states served from the engine free-list", l),
-		statePoolMisses:       r.Counter("dsgl_state_pool_misses_total", "batch scratch states allocated because the free-list was dry", l),
+		statePoolHits:   r.Counter("dsgl_state_pool_hits_total", "batch scratch states served from the engine free-list", l),
+		statePoolMisses: r.Counter("dsgl_state_pool_misses_total", "batch scratch states allocated because the free-list was dry", l),
 	}
 }
 
@@ -141,8 +139,8 @@ func (m *engineObs) recordInfer(res *Result, err error, start time.Time) {
 }
 
 // optObs is the OptEngine's instrument binding — same caching discipline as
-// engineObs, the same shared plan-cache and state-pool set (labeled by the
-// solver backend), plus the solve-specific set. Instruments record once
+// engineObs, the same shared state-pool pair (labeled by the solver
+// backend), plus the solve-specific set. Instruments record once
 // per restart or batch, never per sweep.
 type optObs struct {
 	reg *obs.Registry // registry the instruments belong to (nil = disabled)
@@ -172,7 +170,7 @@ func newOptObs(r *obs.Registry, backend string) *optObs {
 		solveErrors:  r.Counter("dsgl_opt_solve_errors_total", "solver restarts rejected or failed", l),
 		solveSteps:   r.Counter("dsgl_opt_steps_total", "sweeps or integration steps taken across all restarts", l),
 		restarts:     r.Counter("dsgl_opt_restarts_total", "restarts fanned out across all Solve batches", l),
-		batches:      r.Counter("dsgl_opt_batch_total", "multi-restart Solve invocations", l),
+		batches:      r.Counter("dsgl_opt_batch_total", "multi-restart SolveFrom invocations", l),
 		batchWorkers: r.Gauge("dsgl_opt_batch_workers", "worker count of the most recent Solve batch", l),
 		bestEnergy:   r.Gauge("dsgl_opt_best_energy", "best Hamiltonian energy of the most recent Solve batch", l),
 		wallSeconds:  r.Histogram("dsgl_opt_wall_seconds", "host wall time per solver restart", l),

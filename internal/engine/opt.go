@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -14,14 +13,13 @@ import (
 // This file is the optimization half of the engine: the regression Engine
 // drives clamp-observation inference (plan = the coupling list split
 // against a clamp bitmask), the OptEngine drives combinatorial solvers
-// (plan = the ladder of an annealing schedule). The
-// split keeps what every dynamical system shares — state lifecycle and
-// pooling, the BaseSeed()+i seeding convention, batch fan-out over
-// internal/pool, StepObserver dispatch with the lazy EnergyFn, plan caching
-// with deterministic counters, obs instrumentation — in one place, while
-// the contracts diverge where the problems genuinely differ: a solver has
-// no observations to validate, no rails, no window semantics; it has a
-// schedule to compile and restarts to fan out.
+// (plan = the ladder of an annealing schedule). The split keeps what every
+// dynamical system shares — state lifecycle and pooling, the BaseSeed()+i
+// seeding convention, batch fan-out over internal/pool, StepObserver
+// dispatch with the lazy EnergyFn, obs instrumentation — in one place,
+// while the contracts diverge where the problems genuinely differ: a
+// solver has no observations to validate, no rails, no window semantics;
+// it has a schedule to compile and restarts to fan out.
 //
 // Bit-exactness discipline carries over unchanged: the OptEngine never
 // touches a restart's floating-point path. It seeds the state RNG and hands
@@ -48,9 +46,8 @@ const (
 
 // Schedule is an annealing schedule: the optimization analogue of the
 // regression engine's clamp pattern. The engine compiles it into a Ladder
-// and caches ladders keyed by the packed schedule, so the Period distinct
-// variants of an adaptive multi-restart batch compile once each and hit
-// thereafter.
+// once per SolveFrom call for each distinct restart schedule: one ladder,
+// or one per reheat phase of the adaptive kind.
 //
 // The control value T is dimensionless; each dynamics interprets the ladder
 // in its own units (Metropolis: temperature; BRIM: flip fraction scale;
@@ -142,7 +139,7 @@ func (s Schedule) ForRestart(r int) Schedule {
 }
 
 // Ladder is a compiled schedule: the control value of every step, shared
-// read-only by every restart that anneals under it.
+// read-only by every restart of a SolveFrom call that anneals under it.
 type Ladder struct {
 	Sched Schedule
 	Temps []float64 // Temps[k] = Sched.At(k), for k in [0, Sched.Steps)
@@ -155,31 +152,6 @@ func compileLadder(s Schedule) *Ladder {
 		temps[k] = s.At(k)
 	}
 	return &Ladder{Sched: s, Temps: temps}
-}
-
-// scheduleKeyLen is the packed-schedule plan-cache key length: kind byte,
-// steps, T0, T1, period, reheat.
-const scheduleKeyLen = 1 + 8 + 8 + 8 + 8 + 8
-
-// packSchedule packs the schedule into buf as the plan-cache key. buf must
-// have at least scheduleKeyLen bytes.
-func packSchedule(s Schedule, buf []byte) []byte {
-	var kind byte
-	switch s.Kind {
-	case ScheduleLinear:
-		kind = 1
-	case ScheduleGeometric:
-		kind = 2
-	case ScheduleAdaptive:
-		kind = 3
-	}
-	buf[0] = kind
-	binary.LittleEndian.PutUint64(buf[1:], uint64(s.Steps))
-	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(s.T0))
-	binary.LittleEndian.PutUint64(buf[17:], math.Float64bits(s.T1))
-	binary.LittleEndian.PutUint64(buf[25:], uint64(s.Period))
-	binary.LittleEndian.PutUint64(buf[33:], math.Float64bits(s.Reheat))
-	return buf[:scheduleKeyLen]
 }
 
 // OptBackend is the contract a combinatorial solver implements to be driven
@@ -262,8 +234,6 @@ type SolveState struct {
 	// X is the continuous carrier state (node voltages for BRIM, oscillator
 	// phases for OIM); purely discrete dynamics ignore it.
 	X []float64
-	// KeyBuf is the packed-schedule plan-cache key scratch.
-	KeyBuf []byte
 	// RNG is the per-state stream, reseeded per restart.
 	RNG rng.RNG
 	// Res is the in-place result of the last restart on this state.
@@ -284,15 +254,10 @@ type SolveState struct {
 func (st *SolveState) SetObserver(fn StepObserver) { st.Observer = fn }
 
 // OptEngine drives multi-restart solving for one OptBackend: schedule
-// validation, plan caching, seeding, and restart fan-out. Safe for
+// validation, ladder compilation, seeding, and restart fan-out. Safe for
 // concurrent use.
 type OptEngine struct {
 	b OptBackend
-
-	// plans caches compiled ladders keyed by packed schedule — the same
-	// cache type, capacity, and counter discipline as the regression
-	// engine's clamp-plan cache.
-	plans planCache[*Ladder]
 
 	// states recycles SolveStates across SolveFrom calls.
 	states freeList[*SolveState]
@@ -312,10 +277,9 @@ func (e *OptEngine) BaseSeed() uint64 { return e.b.BaseSeed() }
 func (e *OptEngine) NewSolveState() *SolveState {
 	n := e.b.Dim()
 	st := &SolveState{
-		eng:    e,
-		Spins:  make([]int8, n),
-		X:      make([]float64, n),
-		KeyBuf: make([]byte, scheduleKeyLen),
+		eng:   e,
+		Spins: make([]int8, n),
+		X:     make([]float64, n),
 	}
 	st.Res.Spins = make([]int8, n)
 	st.EnergyFn = func() float64 { return e.b.EnergyOf(st.Spins) }
@@ -324,10 +288,10 @@ func (e *OptEngine) NewSolveState() *SolveState {
 }
 
 // SolveWith runs one restart on a reusable scratch state with an explicit
-// seed under the given concrete schedule. After the state's first use the
-// call performs no per-restart heap allocations beyond what the ladder
-// compile needed (cache hit in the steady state). The returned result
-// aliases the state's buffers; Detach it if it must outlive the state.
+// seed under the given concrete schedule, whose ladder it compiles. After
+// the state's first use the only heap allocations are the ladder's. The
+// returned result aliases the state's buffers; Detach it if it must
+// outlive the state.
 func (e *OptEngine) SolveWith(st *SolveState, sched Schedule, seed uint64) (*OptResult, error) {
 	if st == nil || st.eng != e {
 		return nil, fmt.Errorf("%s: SolveState belongs to a different engine", e.b.Name())
@@ -335,14 +299,18 @@ func (e *OptEngine) SolveWith(st *SolveState, sched Schedule, seed uint64) (*Opt
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %v", e.b.Name(), err)
 	}
+	return e.solve(st, compileLadder(sched), seed)
+}
+
+// solve is the one restart sequence behind SolveWith and SolveFrom: seed
+// the state, run the backend under the compiled ladder, record.
+func (e *OptEngine) solve(st *SolveState, l *Ladder, seed uint64) (*OptResult, error) {
 	m := e.metrics()
 	var start time.Time
 	if m.enabled() {
 		start = time.Now()
 	}
 	st.RNG.Reseed(seed)
-	l := e.plans.resolve(packSchedule(sched, st.KeyBuf),
-		func() *Ladder { return compileLadder(sched) }, &m.sharedObs)
 	res, err := e.b.RunSolve(st, l)
 	m.recordSolve(res, err, start)
 	return res, err
@@ -362,13 +330,23 @@ func (e *OptEngine) SolveSeeded(sched Schedule, seed uint64) (*OptResult, error)
 // selects runtime.GOMAXPROCS(0)): restart i anneals under
 // sched.ForRestart(i) with seed base+i, making the run bit-identical to a
 // sequential loop over the restarts — regardless of worker count or
-// scheduling.
+// scheduling. Each distinct restart schedule's ladder compiles once per
+// call: ForRestart depends on i only through i mod Period, so the adaptive
+// kind needs min(Period, restarts) ladders and the other kinds one.
 func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int) (*OptRun, error) {
 	if restarts < 1 {
 		restarts = 1
 	}
 	if err := sched.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %v", e.b.Name(), err)
+	}
+	count := 1
+	if sched.Kind == ScheduleAdaptive {
+		count = min(sched.Period, restarts)
+	}
+	ladders := make([]*Ladder, count)
+	for i := range ladders {
+		ladders[i] = compileLadder(sched.ForRestart(i))
 	}
 	results := make([]*OptResult, restarts)
 	w := pool.Clamp(workers, restarts)
@@ -382,7 +360,7 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 		m.batchWorkers.Set(float64(w))
 	}
 	err := pool.RunWorkersErr(w, restarts, func(worker, i int) error {
-		res, err := e.SolveWith(states[worker], sched.ForRestart(i), base+uint64(i))
+		res, err := e.solve(states[worker], ladders[i%count], base+uint64(i))
 		if err != nil {
 			return err
 		}
@@ -424,11 +402,12 @@ func (e *OptEngine) SolveFrom(sched Schedule, base uint64, restarts, workers int
 	return run, nil
 }
 
-// PlanCacheStats reports the cumulative ladder cache hit and miss counts.
-func (e *OptEngine) PlanCacheStats() (hits, misses uint64) { return e.plans.stats() }
-
-// PlanCacheLen reports how many compiled ladders are resident.
-func (e *OptEngine) PlanCacheLen() int { return e.plans.resident() }
+// PlanCacheStats reports 0, 0: SolveFrom compiles its ladders per call and
+// caches none.
+//
+// Deprecated: the ladder cache it counted was removed. The method remains
+// only while the repo benchmark calls it (ROADMAP item 1).
+func (e *OptEngine) PlanCacheStats() (hits, misses uint64) { return 0, 0 }
 
 // getState draws a reusable SolveState from the free-list, allocating a
 // fresh one only when the pool is dry.

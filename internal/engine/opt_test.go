@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dsgl/internal/obs"
@@ -13,13 +14,17 @@ import (
 // stubOptBackend is a deterministic toy solver: each "step" draws a random
 // spin vector and keeps the best under a diagonal objective. Good enough to
 // pin the engine-side contract — seeding, fan-out identity, ladder
-// caching, pooling, observer dispatch — without any real dynamics.
+// sharing, pooling, observer dispatch — without any real dynamics.
 type stubOptBackend struct {
 	n    int
 	seed uint64
 	fail bool // when set, every RunSolve errors
 	// energy, when non-nil, replaces every restart's reported energy.
 	energy func() float64
+
+	// ladders holds every distinct ladder RunSolve was handed.
+	mu      sync.Mutex
+	ladders map[*Ladder]bool
 }
 
 func (b *stubOptBackend) Name() string     { return "stub-opt" }
@@ -42,6 +47,12 @@ func (b *stubOptBackend) RunSolve(st *SolveState, l *Ladder) (*OptResult, error)
 	if b.fail {
 		return nil, errors.New("stub-opt: injected failure")
 	}
+	b.mu.Lock()
+	if b.ladders == nil {
+		b.ladders = map[*Ladder]bool{}
+	}
+	b.ladders[l] = true
+	b.mu.Unlock()
 	cand := st.Scratch.([]int8)
 	best := math.Inf(1)
 	for k := range l.Temps {
@@ -175,27 +186,6 @@ func TestScheduleForRestart(t *testing.T) {
 	}
 }
 
-func TestPackScheduleDistinguishes(t *testing.T) {
-	buf := make([]byte, scheduleKeyLen)
-	base := GeometricSchedule(10, 2, 0.1)
-	key := string(packSchedule(base, buf))
-	variants := []Schedule{
-		LinearSchedule(10, 2, 0.1),
-		GeometricSchedule(11, 2, 0.1),
-		GeometricSchedule(10, 2.5, 0.1),
-		GeometricSchedule(10, 2, 0.2),
-		AdaptiveSchedule(10, 2, 0.1, 3, 0.5),
-	}
-	for _, v := range variants {
-		if string(packSchedule(v, buf)) == key {
-			t.Errorf("schedule %+v packs to the same key as %+v", v, base)
-		}
-	}
-	if string(packSchedule(base, buf)) != key {
-		t.Error("packSchedule is not deterministic")
-	}
-}
-
 // TestOptSoloVsFanoutBitIdentity pins the seeding convention: a parallel
 // multi-restart Solve must be bit-identical to sequential SolveSeeded calls
 // at BaseSeed()+i, for every worker count.
@@ -264,27 +254,39 @@ func TestOptRunBestTraceMonotone(t *testing.T) {
 	}
 }
 
-// TestOptPlanCacheAcrossRestarts: a non-adaptive batch compiles one
-// ladder; an adaptive batch compiles one per distinct reheat phase.
+// TestOptPlanCacheAcrossRestarts: SolveFrom compiles each distinct
+// restart schedule's ladder once and shares it across the restarts that
+// anneal under it: one ladder for a non-adaptive batch, one per reheat
+// phase for an adaptive one, and no more than there are restarts.
 func TestOptPlanCacheAcrossRestarts(t *testing.T) {
-	e := NewOpt(&stubOptBackend{n: 8, seed: 1})
-	if _, err := e.SolveFrom(GeometricSchedule(5, 2, 0.1), e.BaseSeed(), 8, 4); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		sched    Schedule
+		restarts int
+		want     int
+	}{
+		{"geometric", GeometricSchedule(5, 2, 0.1), 8, 1},
+		{"adaptive period 3", AdaptiveSchedule(5, 2, 0.1, 3, 0.5), 9, 3},
+		{"adaptive period 3, 2 restarts", AdaptiveSchedule(5, 2, 0.1, 3, 0.5), 2, 2},
 	}
-	hits, misses := e.PlanCacheStats()
-	if misses != 1 || hits != 7 {
-		t.Errorf("cache stats hits=%d misses=%d, want 7/1", hits, misses)
-	}
-	if e.PlanCacheLen() != 1 {
-		t.Errorf("resident plans = %d, want 1", e.PlanCacheLen())
-	}
-
-	e2 := NewOpt(&stubOptBackend{n: 8, seed: 1})
-	if _, err := e2.SolveFrom(AdaptiveSchedule(5, 2, 0.1, 3, 0.5), e2.BaseSeed(), 9, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := e2.PlanCacheStats(); misses != 3 {
-		t.Errorf("adaptive batch (period 3) compiled %d ladders, want 3", misses)
+	for _, c := range cases {
+		b := &stubOptBackend{n: 8, seed: 1}
+		e := NewOpt(b)
+		if _, err := e.SolveFrom(c.sched, e.BaseSeed(), c.restarts, 4); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(b.ladders); got != c.want {
+			t.Errorf("%s: %d restarts ran under %d distinct ladders, want %d", c.name, c.restarts, got, c.want)
+		}
+		want := map[Schedule]bool{}
+		for i := 0; i < c.restarts; i++ {
+			want[c.sched.ForRestart(i)] = true
+		}
+		for l := range b.ladders {
+			if !want[l.Sched] {
+				t.Errorf("%s: ladder for %+v matches no restart's schedule", c.name, l.Sched)
+			}
+		}
 	}
 }
 

@@ -5,16 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the engine machinery that every dynamical-system driver
-// shares, regardless of what its "plan" is: the regression Engine splits
-// its coupling list against clamp bitmasks, the OptEngine evaluates
-// annealing schedules into ladders, and both resolve them through the same
-// bounded, most-recently-used-first cache with per-key singleflight and
-// recycle their per-worker scratch states through the same bounded
-// free-list. Extracting the cache and the free-list (rather than
-// mirroring them into opt.go the way PR 3 found them mirrored across
-// scalable and dspu) keeps the concurrency discipline — and its counters'
-// determinism guarantee — in exactly one place.
+// This file holds the regression Engine's clamp-plan cache — a bounded,
+// most-recently-used-first list with per-key singleflight — and the
+// bounded free-list through which both engines recycle their per-worker
+// scratch states, so the concurrency discipline, and the determinism of
+// the cache's counters, live in one place.
 
 // planEntry is one cached plan. It joins the cache when its compile
 // starts; done is closed once pl is set, and resolvers of the same key
@@ -25,13 +20,13 @@ type planEntry[P any] struct {
 	done chan struct{}
 }
 
-// planCache is the cache of compiled plans of type P that the inference
-// and optimization engines share: at most PlanCacheCapacity entries in one
-// slice, most recently used first, with compilation running outside the
-// lock. The zero value is ready to use. Hit/miss counters stay
-// deterministic for a fixed call sequence: a key's first resolution is the
-// one miss, every other resolution — of a finished plan or one still
-// compiling — is a hit, regardless of worker interleaving.
+// planCache is the cache of compiled plans of type P: at most
+// PlanCacheCapacity entries in one slice, most recently used first, with
+// compilation running outside the lock. The zero value is ready to use.
+// Hit/miss counters stay deterministic for a fixed call sequence: a key's
+// first resolution is the one miss, every other resolution — of a finished
+// plan or one still compiling — is a hit, regardless of worker
+// interleaving.
 type planCache[P any] struct {
 	// mu guards entries but never a compile: a miss puts its entry at the
 	// front, releases the lock, then compiles.
@@ -42,15 +37,15 @@ type planCache[P any] struct {
 }
 
 // resolve returns the plan for key, compiling it at most once per
-// residency, and records into the owning engine's plan-cache instruments
-// (nil instruments, observability disabled, are no-ops). Every hit moves
+// residency, and records into the engine's plan-cache instruments (nil
+// instruments, observability disabled, are no-ops). Every hit moves
 // its entry to the front. compile runs unlocked; concurrent resolvers of
 // one missing key wait on the single in-flight compile (counted as hits —
 // the key is compiled once), while compiles of different keys proceed
 // concurrently. A key evicted while it still compiles is compiled again by
 // the next resolver that misses it; resolvers already waiting on it get
 // the first plan.
-func (c *planCache[P]) resolve(key []byte, compile func() P, m *sharedObs) P {
+func (c *planCache[P]) resolve(key []byte, compile func() P, m *engineObs) P {
 	c.mu.Lock()
 	for i, e := range c.entries {
 		if e.key != string(key) {
@@ -85,26 +80,6 @@ func (c *planCache[P]) resolve(key []byte, compile func() P, m *sharedObs) P {
 	e.pl = compile()
 	close(e.done)
 	return e.pl
-}
-
-// peek returns the resident, finished plan for key without compiling,
-// without counters, and without a recency bump — the streaming
-// delta-compiler's predecessor lookup.
-func (c *planCache[P]) peek(key []byte) (pl P, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.key != string(key) {
-			continue
-		}
-		select {
-		case <-e.done:
-			return e.pl, true
-		default:
-			return pl, false
-		}
-	}
-	return pl, false
 }
 
 // stats reports the cumulative hit and miss counts.

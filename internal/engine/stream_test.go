@@ -69,84 +69,50 @@ func TestStreamWarmStartKeepsSettledState(t *testing.T) {
 	}
 }
 
-func TestStreamDeltaHitOnShiftedPattern(t *testing.T) {
-	_, e := newStub(8)
-	s := e.OpenStream()
-	defer s.Close()
-	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits+fallbacks != 0 {
-		t.Fatalf("cold tick counted %d delta hits, %d fallbacks, want none", hits, fallbacks)
-	}
-	// Slide the window: one leaves, one enters. The new pattern misses the
-	// cache and resolves by patching the predecessor plan.
-	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.1}}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 1 || fallbacks != 0 {
-		t.Fatalf("hits=%d fallbacks=%d after shift, want 1/0", hits, fallbacks)
-	}
-	if got := compiles(e); got != 2 {
-		t.Fatalf("compiled %d plans, want 2 (cold split, one patch)", got)
-	}
-	// Repeating the pattern is a plain cache hit: no delta, no compile.
-	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.2}}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 1 || fallbacks != 0 {
-		t.Fatalf("cache hit moved delta counters: hits=%d fallbacks=%d", hits, fallbacks)
-	}
-	// Sliding back to the first pattern also hits the cache.
-	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.3}}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 1 || fallbacks != 0 || compiles(e) != 2 {
-		t.Fatalf("return to a resident pattern compiled: hits=%d fallbacks=%d compiles=%d", hits, fallbacks, compiles(e))
-	}
-}
-
-// TestStreamDeltaDeclineFallsBack: a shift of more than mat.MaxPatchBits
-// mask bits is declined by Patch and split in full.
-func TestStreamDeltaDeclineFallsBack(t *testing.T) {
-	_, e := newStub(8)
-	s := e.OpenStream()
-	defer s.Close()
-	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}, {Index: 1, Value: 0.1}, {Index: 2, Value: 0.1}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Tick([]Observation{{Index: 5, Value: 0.1}, {Index: 6, Value: 0.1}, {Index: 7, Value: 0.1}}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 0 || fallbacks != 1 {
-		t.Fatalf("hits=%d fallbacks=%d after declined delta, want 0/1", hits, fallbacks)
-	}
-	if got := compiles(e); got != 2 {
-		t.Fatalf("compiled %d plans, want 2 (cold + fallback)", got)
-	}
-}
-
-func TestStreamEvictedPredecessorFallsBack(t *testing.T) {
+// TestStreamShiftedPatternCompilesOnce: a tick whose clamp pattern moved
+// splits exactly one plan — whether one bit or many moved, and whether or
+// not the previous pattern is still resident — and a repeated or resident
+// pattern is a cache hit that splits nothing.
+func TestStreamShiftedPatternCompilesOnce(t *testing.T) {
 	_, e := newStub(64)
 	s := e.OpenStream()
 	defer s.Close()
-	if _, err := s.Tick([]Observation{{Index: 0, Value: 0.1}}, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Churn the predecessor pattern out of the LRU with unrelated patterns.
-	for p := 0; p < PlanCacheCapacity+1; p++ {
-		if _, err := e.InferSeeded([]Observation{{Index: 10 + p, Value: 0.1}}, 0); err != nil {
+	tick := func(seed uint64, idx ...int) {
+		t.Helper()
+		obs := make([]Observation, len(idx))
+		for k, i := range idx {
+			obs[k] = Observation{Index: i, Value: 0.1}
+		}
+		if _, err := s.Tick(obs, seed); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A two-bit shift Patch would accept: only the missing predecessor
-	// sends it to the fallback.
-	if _, err := s.Tick([]Observation{{Index: 1, Value: 0.1}}, 2); err != nil {
-		t.Fatal(err)
+	want := func(n uint64, what string) {
+		t.Helper()
+		if got := compiles(e); got != n {
+			t.Fatalf("%s: %d plans split, want %d", what, got, n)
+		}
 	}
-	if hits, fallbacks := e.PlanDeltaStats(); hits != 0 || fallbacks != 1 {
-		t.Fatalf("hits=%d fallbacks=%d with evicted predecessor, want 0/1", hits, fallbacks)
+	tick(1, 0)
+	want(1, "cold tick")
+	// Slide the window: one index leaves, one enters.
+	tick(2, 1)
+	want(2, "one-bit shift")
+	tick(3, 1)
+	want(2, "repeated pattern")
+	tick(4, 0)
+	want(2, "return to a resident pattern")
+	tick(5, 5, 6, 7, 8, 9)
+	want(3, "six-bit shift")
+	// Churn the previous pattern out of the cache with unrelated ones.
+	for p := 0; p < PlanCacheCapacity; p++ {
+		if _, err := e.InferSeeded([]Observation{{Index: 20 + p, Value: 0.1}}, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
+	want(3+PlanCacheCapacity, "churn")
+	tick(6, 6, 7, 8, 9, 10)
+	want(4+PlanCacheCapacity, "shift from an evicted pattern")
 }
 
 // TestStreamRejectedTickKeepsWarmState: a tick whose later observation is
@@ -241,19 +207,10 @@ func TestStreamHotPlanSurvivesSlidingMaskChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Full splits: the hot plan once, the stream's cold first tick once.
-	// Every later tick resolved its fresh pattern by delta, and the hot
-	// pattern never recompiled despite W distinct patterns flowing through
-	// an 8-slot cache.
-	hits, fallbacks := e.PlanDeltaStats()
-	if got := compiles(e) - hits; got != 2 {
-		t.Fatalf("sliding-mask churn forced %d full splits, want 2 (hot plan evicted?)", got)
-	}
-	if fallbacks != 0 {
-		t.Fatalf("%d delta fallbacks during churn, want 0", fallbacks)
-	}
-	if hits != W-1 {
-		t.Fatalf("delta hits %d, want %d", hits, W-1)
+	// The hot plan split once and every tick's pattern once: W distinct
+	// patterns flowed through an 8-slot cache without evicting the hot one.
+	if got := compiles(e); got != W+1 {
+		t.Fatalf("sliding-mask churn split %d plans, want %d (hot plan evicted?)", got, W+1)
 	}
 	if n := e.PlanCacheLen(); n != PlanCacheCapacity {
 		t.Fatalf("cache holds %d plans, cap %d", n, PlanCacheCapacity)

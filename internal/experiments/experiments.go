@@ -12,11 +12,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"dsgl"
 	"dsgl/internal/datasets"
-	"dsgl/internal/pool"
 )
 
 // Config sizes the experiment suite.
@@ -34,13 +32,12 @@ type Config struct {
 	Datasets []string
 	// Seed drives the whole suite.
 	Seed uint64
-	// Parallelism bounds the worker pool the sweep harnesses (Fig. 10-13)
-	// fan their grid cells across (default NumCPU). Cells are seeded per
-	// configuration, so results are identical for any parallelism.
-	Parallelism int
-	// Workers sets dsgl.Options.Workers — the per-model worker pool used
-	// by EvaluateParallel and lambda selection — for the models the
-	// harnesses train (0 = runtime.GOMAXPROCS(0)).
+	// Workers bounds the worker pool the sweep harnesses (Fig. 10-13) fan
+	// their grid cells across, and sets dsgl.Options.Workers — the
+	// per-model pool used by EvaluateParallel and lambda selection — for
+	// the models the harnesses train (0 = runtime.GOMAXPROCS(0)). Cells
+	// are seeded per configuration, so results are identical for any
+	// worker count.
 	Workers int
 }
 
@@ -53,9 +50,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GNNEpochs == 0 {
 		c.GNNEpochs = 12
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.NumCPU()
 	}
 }
 
@@ -111,15 +105,6 @@ func (c Config) dsglModel(ds *datasets.Dataset, opts dsgl.Options) (*dsgl.Model,
 		opts.Workers = c.Workers
 	}
 	return dsgl.Train(ds, opts)
-}
-
-// parallelForEach fans fn over items [0, n) across the shared worker-pool
-// primitive with bounded parallelism, returning the first error in item
-// order. The sweep harnesses use it to evaluate independent grid cells
-// concurrently; each cell writes only its own slot, so output assembly
-// stays deterministic.
-func parallelForEach(par int, n int, fn func(i int) error) error {
-	return pool.RunErr(par, n, fn)
 }
 
 // Runner dispatches an experiment by its paper identifier.

@@ -149,31 +149,10 @@ func TestTable4RunsTiny(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.N == 0 || c.EvalWindows == 0 || c.GNNEpochs == 0 || c.Parallelism == 0 {
+	if c.N == 0 || c.EvalWindows == 0 || c.GNNEpochs == 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 }
-
-func TestParallelForEachPropagatesError(t *testing.T) {
-	err := parallelForEach(2, 5, func(i int) error {
-		if i == 3 {
-			return errTest
-		}
-		return nil
-	})
-	if err != errTest {
-		t.Fatalf("got %v", err)
-	}
-	if err := parallelForEach(2, 5, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }
 
 func TestPaperScaleFLOPModels(t *testing.T) {
 	small := gnnFLOPsGWN(gnnGeom(100), 32, 8)

@@ -6,6 +6,7 @@ import (
 
 	"dsgl"
 	"dsgl/internal/gnn"
+	"dsgl/internal/pool"
 )
 
 // Fig10 reproduces the accuracy-vs-density study: DS-GL RMSE as a function
@@ -64,7 +65,7 @@ func Fig10(cfg Config, w io.Writer) error {
 		// model. Fan the cells across the worker pool, then print in
 		// grid order.
 		rmse := make([]float64, len(densities)*len(patterns))
-		err = parallelForEach(cfg.Parallelism, len(rmse), func(cell int) error {
+		err = pool.RunErr(cfg.Workers, len(rmse), func(cell int) error {
 			di, pi := cell/len(patterns), cell%len(patterns)
 			model, err := cfg.dsglModel(ds, dsgl.Options{
 				Pattern:   patterns[pi].kind,

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dsgl"
+	"dsgl/internal/pool"
 )
 
 // Fig11 reproduces the accuracy-vs-latency study: the best RMSE obtainable
@@ -48,7 +49,7 @@ func Fig11(cfg Config, w io.Writer) error {
 			rmse, latencyUs float64
 		}
 		results := make([]meas, len(points)*len(budgets)) // pi*len(budgets)+bi
-		err = parallelForEach(cfg.Parallelism, len(results), func(cell int) error {
+		err = pool.RunErr(cfg.Workers, len(results), func(cell int) error {
 			p := points[cell/len(budgets)]
 			budget := budgets[cell%len(budgets)]
 			model, err := cfg.dsglModel(ds, dsgl.Options{

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dsgl"
+	"dsgl/internal/pool"
 )
 
 // Fig12 reproduces the synchronization study: RMSE as a function of the
@@ -30,7 +31,7 @@ func Fig12(cfg Config, w io.Writer) error {
 			rmse, latencyUs float64
 		}
 		results := make([]meas, len(intervals))
-		err = parallelForEach(cfg.Parallelism, len(intervals), func(i int) error {
+		err = pool.RunErr(cfg.Workers, len(intervals), func(i int) error {
 			// Few lanes force temporal+spatial mode so held slices exist
 			// and synchronization matters.
 			model, err := cfg.dsglModel(ds, dsgl.Options{

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"dsgl"
+	"dsgl/internal/pool"
 )
 
 // Fig13 reproduces the robustness study: RMSE versus coupling-matrix
@@ -30,7 +31,7 @@ func Fig13(cfg Config, w io.Writer) error {
 		// decomposes and evaluates independently from the shared dense
 		// model, so results land in fixed slots regardless of scheduling.
 		rmse := make([]float64, len(densities)*len(noises))
-		err = parallelForEach(cfg.Parallelism, len(rmse), func(cell int) error {
+		err = pool.RunErr(cfg.Workers, len(rmse), func(cell int) error {
 			d := densities[cell/len(noises)]
 			n := noises[cell%len(noises)]
 			model, err := cfg.dsglModel(ds, dsgl.Options{

@@ -20,10 +20,9 @@
 //
 // Plans are compiled on demand by the shared inference engine
 // (internal/engine), which caches them by packed clamp-mask key in a
-// bounded LRU and patches them across small mask shifts for streams;
-// internal/mat does the splitting and this file supplies the one anneal
-// loop, Anneal, that both engine paths run. The Naive path runs it
-// under the unfolded plan (mat.Couplings.Unfold): no static rows, every
+// bounded LRU; internal/mat does the splitting and this file supplies the
+// one anneal loop, Anneal, that both engine paths run. The Naive path runs
+// it under the unfolded plan (mat.Couplings.Unfold): no static rows, every
 // coupling matrix whole in Dyn, so every row is re-accumulated from zero,
 // in stored order, every step.
 //

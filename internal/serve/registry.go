@@ -86,7 +86,7 @@ func (r *Registry) Register(name string, m *dsgl.Model) (*ModelEntry, error) {
 	return e, nil
 }
 
-// LoadSnapshot reads a model snapshot (format v1-v3) from path and
+// LoadSnapshot reads a model snapshot (format v1-v4) from path and
 // registers it under name. ds must be the dataset the snapshot was trained
 // on — the same contract as dsgl.Load.
 func (r *Registry) LoadSnapshot(name, path string, ds *dsgl.Dataset) (*ModelEntry, error) {

@@ -391,12 +391,11 @@ func buildObservations(entry *ModelEntry, req *InferRequest) ([]engine.Observati
 
 // modelInfo is one entry of the GET /v1/models listing.
 type modelInfo struct {
-	Name      string `json:"name"`
-	Backend   string `json:"backend"`
-	Dim       int    `json:"dim"`
-	PlanHits  uint64 `json:"plan_cache_hits"`
-	PlanMiss  uint64 `json:"plan_cache_misses"`
-	QueueOnly bool   `json:"-"`
+	Name     string `json:"name"`
+	Backend  string `json:"backend"`
+	Dim      int    `json:"dim"`
+	PlanHits uint64 `json:"plan_cache_hits"`
+	PlanMiss uint64 `json:"plan_cache_misses"`
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

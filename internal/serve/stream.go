@@ -15,8 +15,8 @@ import (
 // session opens, warm ticks, and closes through one endpoint. The first
 // request (no session id) opens a session on a model and serves its cold
 // first tick; the returned session id keys every later tick, each of which
-// warm-starts from the previous tick's settled state and resolves shifted
-// clamp patterns by plan delta-compilation (see dsgl.StreamSession).
+// warm-starts from the previous tick's settled state (see
+// dsgl.StreamSession).
 //
 // Sessions are server-side state, so they are bounded two ways: a hard cap
 // (Config.MaxStreams, refused with 503 when full) and an idle TTL

@@ -74,20 +74,19 @@ func (p *Params) Regress(sigma, out []float64) []float64 {
 	return out
 }
 
+// Fit's ridge penalty on J, and the ceiling its projection keeps every
+// h_i under.
+const (
+	l2   = 1e-3
+	hMax = -0.5
+)
+
 // Config controls Fit.
 type Config struct {
 	// Epochs of full-batch Adam. Default 60.
 	Epochs int
 	// LR is the Adam learning rate. Default 0.02.
 	LR float64
-	// L2 is the ridge penalty on J. Default 1e-3.
-	L2 float64
-	// L1 is the lasso penalty on J encouraging sparsity ahead of
-	// decomposition. Default 0.
-	L1 float64
-	// HMax is the ceiling for h entries (must be negative): projection
-	// keeps h_i <= HMax. Default -0.5.
-	HMax float64
 	// Mask, when non-nil, confines J's support: entries where the mask is
 	// false stay zero. This is the fine-tuning constraint of Sec. IV.B.
 	Mask *mat.Bool
@@ -95,19 +94,10 @@ type Config struct {
 	// loss. Graph-learning training sets observed (always-clamped) rows to
 	// zero so the entire coupling budget serves the predicted variables.
 	RowWeight []float64
-	// L2Extra adds this much ridge penalty to J entries where L2ExtraMask
-	// is true. The pipeline uses it on unknown-to-unknown couplings: they
-	// enable joint co-annealing but also amplify errors through the
-	// equilibrium solve, so their magnitude is kept in check.
-	L2Extra     float64
-	L2ExtraMask *mat.Bool
 	// Init, when non-nil, provides starting parameters (fine-tuning).
 	Init *Params
 	// Seed randomizes J initialization.
 	Seed uint64
-	// TrainH enables learning h; otherwise h stays at its initial value.
-	// Default true (disabled only in ablations).
-	TrainHOff bool
 }
 
 func (c *Config) fillDefaults() {
@@ -116,12 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.LR == 0 {
 		c.LR = 0.02
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-3
-	}
-	if c.HMax == 0 {
-		c.HMax = -0.5
 	}
 }
 
@@ -138,17 +122,11 @@ func Fit(samples [][]float64, cfg Config) (*Params, error) {
 			return nil, fmt.Errorf("train: sample %d has length %d, want %d", i, len(s), n)
 		}
 	}
-	if cfg.HMax >= 0 {
-		return nil, fmt.Errorf("train: HMax must be negative, got %g", cfg.HMax)
-	}
 	if cfg.Mask != nil && (cfg.Mask.Rows != n || cfg.Mask.Cols != n) {
 		return nil, fmt.Errorf("train: mask is %dx%d, want %dx%d", cfg.Mask.Rows, cfg.Mask.Cols, n, n)
 	}
 	if cfg.RowWeight != nil && len(cfg.RowWeight) != n {
 		return nil, fmt.Errorf("train: RowWeight has %d entries, want %d", len(cfg.RowWeight), n)
-	}
-	if cfg.L2ExtraMask != nil && (cfg.L2ExtraMask.Rows != n || cfg.L2ExtraMask.Cols != n) {
-		return nil, fmt.Errorf("train: L2ExtraMask is %dx%d, want %dx%d", cfg.L2ExtraMask.Rows, cfg.L2ExtraMask.Cols, n, n)
 	}
 
 	m := len(samples)
@@ -240,24 +218,17 @@ func Fit(samples [][]float64, cfg Config) (*Params, error) {
 				}
 			}
 		}
-		for i := range gradJ.Data {
-			v := params.J.Data[i]
-			l2 := cfg.L2
-			if cfg.L2ExtraMask != nil && cfg.L2ExtraMask.Data[i] {
-				l2 += cfg.L2Extra
-			}
-			gradJ.Data[i] += 2*l2*v + cfg.L1*sign(v)
+		for i, v := range params.J.Data {
+			gradJ.Data[i] += 2 * l2 * v
 		}
 		// gradH_i = -(2/m) Σ_s R[s][i] P[s][i] / h_i².
 		for i := range gradH {
 			gradH[i] = 0
 		}
-		if !cfg.TrainHOff {
-			for smp := 0; smp < m; smp++ {
-				prow, rrow := p.Row(smp), res.Row(smp)
-				for a, i := range active {
-					gradH[i] -= 2 * rrow[a] * prow[a] / (params.H[i] * params.H[i] * float64(m))
-				}
+		for smp := 0; smp < m; smp++ {
+			prow, rrow := p.Row(smp), res.Row(smp)
+			for a, i := range active {
+				gradH[i] -= 2 * rrow[a] * prow[a] / (params.H[i] * params.H[i] * float64(m))
 			}
 		}
 		opt.step(params.J.Data, gradJ.Data, 0)
@@ -305,27 +276,16 @@ func Loss(p *Params, samples [][]float64) float64 {
 	return total / float64(len(samples)*n)
 }
 
-// applyConstraints enforces diag(J)=0, the support mask, and h <= HMax.
+// applyConstraints enforces diag(J)=0, the support mask, and h <= hMax.
 func applyConstraints(p *Params, cfg Config) {
 	p.J.ZeroDiagonal()
 	if cfg.Mask != nil {
 		p.J.ApplyMask(cfg.Mask)
 	}
 	for i, v := range p.H {
-		if v > cfg.HMax {
-			p.H[i] = cfg.HMax
+		if v > hMax {
+			p.H[i] = hMax
 		}
-	}
-}
-
-func sign(v float64) float64 {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	default:
-		return 0
 	}
 }
 

@@ -32,9 +32,8 @@ var reachAllowlist = map[string]string{
 	"dsgl/internal/engine.BestEnergyTrace.Observer": "test hook: the opt tests record best energies per step",
 	"dsgl/internal/engine.Engine.PlanCacheLen":      "test hook: the plan-cache tests read residency",
 	"dsgl/internal/engine.InferState.Result":        "test hook: the batch tests check arena reuse",
-	"dsgl/internal/engine.OptEngine.PlanCacheLen":   "test hook: the opt plan-cache tests read residency",
 	"dsgl/internal/engine.SolveState.SetObserver":   "test hook: the solver tests observe every sweep",
-	"dsgl/internal/engine.planCache.resident":       "backs the two PlanCacheLen hooks",
+	"dsgl/internal/engine.planCache.resident":       "backs the PlanCacheLen hook",
 	"dsgl/internal/ising.XYEnergy":                  "oracle: the OIM gradient test differentiates it",
 	"dsgl/internal/mat.Bool.Count":                  "test hook: mask and snapshot tests count allowed couplings",
 	"dsgl/internal/mat.CSR.At":                      "oracle: the CSR builder tests read entries through it",

@@ -9,9 +9,9 @@ import (
 
 // StreamSession is streaming temporal inference over a model: a sequence of
 // observation windows predicted as consecutive ticks, each warm-started
-// from the previous tick's settled node state and, when the clamp pattern
-// slides, resolved by plan delta-compilation instead of a full recompile
-// (see engine.Stream). A warm-started tick settles to the same fixed point
+// from the previous tick's settled node state (see engine.Stream), with
+// its clamp plan resolved through the model engine's plan cache like any
+// other inference. A warm-started tick settles to the same fixed point
 // a cold inference would — the warm-start-fixed-point verify invariant — it
 // just starts closer to it, so consecutive ticks of a slowly varying series
 // settle in fewer steps.
