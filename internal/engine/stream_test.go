@@ -69,50 +69,79 @@ func TestStreamWarmStartKeepsSettledState(t *testing.T) {
 	}
 }
 
-// TestStreamShiftedPatternCompilesOnce: a tick whose clamp pattern moved
-// splits exactly one plan — whether one bit or many moved, and whether or
-// not the previous pattern is still resident — and a repeated or resident
-// pattern is a cache hit that splits nothing.
-func TestStreamShiftedPatternCompilesOnce(t *testing.T) {
+// tickAt runs one stream tick that clamps each index in idx to 0.1.
+func tickAt(t *testing.T, s *Stream, seed uint64, idx ...int) {
+	t.Helper()
+	obs := make([]Observation, len(idx))
+	for k, i := range idx {
+		obs[k] = Observation{Index: i, Value: 0.1}
+	}
+	if _, err := s.Tick(obs, seed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantPlans checks how many plans e has split and how many ticks or
+// inferences found theirs in the cache.
+func wantPlans(t *testing.T, e *Engine, splits, hits uint64, what string) {
+	t.Helper()
+	if h, m := e.PlanCacheStats(); m != splits || h != hits {
+		t.Fatalf("%s: %d plans split, %d cache hits; want %d, %d", what, m, h, splits, hits)
+	}
+	if dh, df := e.PlanDeltaStats(); dh != 0 || df != 0 {
+		t.Fatalf("%s: deprecated delta counters read %d/%d, want 0/0", what, dh, df)
+	}
+}
+
+// TestStreamDeltaHitOnShiftedPattern: a tick whose clamp pattern slid by
+// one index splits exactly one new plan, and a repeated or resident pattern
+// is a cache hit that splits nothing. (Shifted patterns were once patched
+// from the predecessor's plan; every plan is now a full split.)
+func TestStreamDeltaHitOnShiftedPattern(t *testing.T) {
+	_, e := newStub(8)
+	s := e.OpenStream()
+	defer s.Close()
+	tickAt(t, s, 1, 0)
+	wantPlans(t, e, 1, 0, "cold tick")
+	// Slide the window: one index leaves, one enters.
+	tickAt(t, s, 2, 1)
+	wantPlans(t, e, 2, 0, "one-bit shift")
+	tickAt(t, s, 3, 1)
+	wantPlans(t, e, 2, 1, "repeated pattern")
+	tickAt(t, s, 4, 0)
+	wantPlans(t, e, 2, 2, "return to a resident pattern")
+}
+
+// TestStreamDeltaDeclineFallsBack: a shift that moves many mask bits at once
+// costs one split, the same as a one-bit shift.
+func TestStreamDeltaDeclineFallsBack(t *testing.T) {
+	_, e := newStub(8)
+	s := e.OpenStream()
+	defer s.Close()
+	tickAt(t, s, 1, 0, 1, 2)
+	tickAt(t, s, 2, 5, 6, 7)
+	wantPlans(t, e, 2, 0, "six-bit shift")
+}
+
+// TestStreamEvictedPredecessorFallsBack: a shifted tick whose previous
+// pattern was churned out of the cache still splits exactly one plan.
+func TestStreamEvictedPredecessorFallsBack(t *testing.T) {
 	_, e := newStub(64)
 	s := e.OpenStream()
 	defer s.Close()
-	tick := func(seed uint64, idx ...int) {
-		t.Helper()
-		obs := make([]Observation, len(idx))
-		for k, i := range idx {
-			obs[k] = Observation{Index: i, Value: 0.1}
-		}
-		if _, err := s.Tick(obs, seed); err != nil {
+	tickAt(t, s, 1, 0)
+	// Churn the predecessor pattern out of the cache with unrelated patterns.
+	for p := 0; p < PlanCacheCapacity+1; p++ {
+		if _, err := e.InferSeeded([]Observation{{Index: 10 + p, Value: 0.1}}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := func(n uint64, what string) {
-		t.Helper()
-		if got := compiles(e); got != n {
-			t.Fatalf("%s: %d plans split, want %d", what, got, n)
-		}
-	}
-	tick(1, 0)
-	want(1, "cold tick")
-	// Slide the window: one index leaves, one enters.
-	tick(2, 1)
-	want(2, "one-bit shift")
-	tick(3, 1)
-	want(2, "repeated pattern")
-	tick(4, 0)
-	want(2, "return to a resident pattern")
-	tick(5, 5, 6, 7, 8, 9)
-	want(3, "six-bit shift")
-	// Churn the previous pattern out of the cache with unrelated ones.
-	for p := 0; p < PlanCacheCapacity; p++ {
-		if _, err := e.InferSeeded([]Observation{{Index: 20 + p, Value: 0.1}}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want(3+PlanCacheCapacity, "churn")
-	tick(6, 6, 7, 8, 9, 10)
-	want(4+PlanCacheCapacity, "shift from an evicted pattern")
+	wantPlans(t, e, PlanCacheCapacity+2, 0, "churn")
+	tickAt(t, s, 2, 1)
+	wantPlans(t, e, PlanCacheCapacity+3, 0, "shift from an evicted pattern")
+	// The churned-out pattern is split again when it returns.
+	tickAt(t, s, 3, 0)
+	wantPlans(t, e, PlanCacheCapacity+4, 0, "return to an evicted pattern")
 }
 
 // TestStreamRejectedTickKeepsWarmState: a tick whose later observation is
