@@ -23,3 +23,19 @@ func TestOptPrintsScheduleRun(t *testing.T) {
 		}
 	}
 }
+
+// TestOptRejectsInfiniteTemperatures: a schedule that would anneal on an
+// infinite temperature fails the solve with exit 1 instead of printing a
+// cut found on a ladder of +Inf and NaN.
+func TestOptRejectsInfiniteTemperatures(t *testing.T) {
+	for _, args := range [][]string{
+		{"-gen", "gset", "-nodes", "32", "-degree", "4", "-restarts", "2", "-t0", "+Inf", "-steps", "20", "-seed", "1", "-workers", "1"},
+		{"-gen", "gset", "-nodes", "32", "-degree", "4", "-restarts", "4", "-schedule", "adaptive", "-t0", "1e300",
+			"-reheat", "1e10", "-period", "4", "-steps", "20", "-seed", "1", "-workers", "1"},
+	} {
+		var out bytes.Buffer
+		if code := optCmd(args, &out); code != 1 {
+			t.Errorf("%v: exit %d, want 1:\n%s", args, code, out.String())
+		}
+	}
+}

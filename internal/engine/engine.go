@@ -56,7 +56,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -122,18 +121,12 @@ type Engine struct {
 	// deterministic hit/miss counters (plancache.go).
 	plans planCache[*mat.ClampSplit]
 
-	// states recycles InferStates across RunBatch calls so repeated
-	// batch windows stop re-allocating per-worker scratch arenas. Reuse is
-	// safe because every inference fully re-seeds the state (voltages,
-	// clamp mask, RNG, backend scratch).
+	// states recycles InferStates across RunBatch calls, stream sessions
+	// and EnsurePlan checks, so repeated batch windows stop re-allocating
+	// per-worker scratch arenas. Reuse is safe because every inference
+	// fully re-seeds the state (voltages, clamp mask, RNG, backend
+	// scratch).
 	states freeList[*InferState]
-
-	// EnsurePlan scratch: validating a probe pattern must not allocate a
-	// fresh mask and key per call (EnsurePlan runs once per evaluation,
-	// but sweeps call it per configuration).
-	ensureMu      sync.Mutex
-	ensureClamped []bool
-	ensureKey     []byte
 
 	// obsBind caches the instrument binding against the current default
 	// obs registry; see metrics.go. Nil until the first inference.
@@ -328,19 +321,17 @@ func (e *Engine) putState(st *InferState) {
 // clamp plan for its index pattern, so that a subsequent batch over
 // windows sharing the pattern starts with a cache hit on every worker.
 // Values are validated but never stored — plans depend on indices only.
+// The check runs on a state drawn from the engine free-list, so concurrent
+// callers share no lock but the plan cache's, and a warm pool allocates
+// nothing.
 func (e *Engine) EnsurePlan(obs []Observation) error {
-	e.ensureMu.Lock()
-	defer e.ensureMu.Unlock()
-	n := e.cpl.Dim()
-	if e.ensureClamped == nil {
-		e.ensureClamped = make([]bool, n)
-		e.ensureKey = make([]byte, maskBytes(n))
-	}
-	if err := validateObservations(e.b.Name(), obs, n, e.b.Rails(), nil, e.ensureClamped); err != nil {
+	st := e.getState()
+	defer e.putState(st)
+	if err := validateObservations(e.b.Name(), obs, len(st.X), e.b.Rails(), nil, st.Clamped); err != nil {
 		return err
 	}
-	e.plans.resolve(packMask(e.ensureClamped, e.ensureKey),
-		func() *mat.ClampSplit { return e.cpl.Split(e.ensureClamped) }, e.metrics())
+	e.plans.resolve(packMask(st.Clamped, st.KeyBuf),
+		func() *mat.ClampSplit { return e.cpl.Split(st.Clamped) }, e.metrics())
 	return nil
 }
 

@@ -96,8 +96,8 @@ type sharedObs struct {
 // label l.
 func newSharedObs(r *obs.Registry, l obs.Label) sharedObs {
 	return sharedObs{
-		statePoolHits:   r.Counter("dsgl_state_pool_hits_total", "batch scratch states served from the engine free-list", l),
-		statePoolMisses: r.Counter("dsgl_state_pool_misses_total", "batch scratch states allocated because the free-list was dry", l),
+		statePoolHits:   r.Counter("dsgl_state_pool_hits_total", "scratch states (batch and restart workers, stream sessions, EnsurePlan checks) served from the engine free-list", l),
+		statePoolMisses: r.Counter("dsgl_state_pool_misses_total", "scratch states allocated because the engine free-list was dry", l),
 	}
 }
 

@@ -90,8 +90,8 @@ func (s Schedule) Validate() error {
 	if s.Steps < 1 {
 		return fmt.Errorf("schedule needs Steps >= 1, got %d", s.Steps)
 	}
-	if !(s.T0 > 0) || !(s.T1 > 0) {
-		return fmt.Errorf("schedule endpoints must be positive, got T0=%g T1=%g", s.T0, s.T1)
+	if !(s.T0 > 0) || !(s.T1 > 0) || math.IsInf(s.T0, 1) || math.IsInf(s.T1, 1) {
+		return fmt.Errorf("schedule endpoints must be positive and finite, got T0=%g T1=%g", s.T0, s.T1)
 	}
 	if s.T1 > s.T0 {
 		return fmt.Errorf("schedule must cool: T1=%g > T0=%g", s.T1, s.T0)
@@ -102,6 +102,12 @@ func (s Schedule) Validate() error {
 		}
 		if !(s.Reheat > 0) {
 			return fmt.Errorf("adaptive schedule needs Reheat > 0, got %g", s.Reheat)
+		}
+		// A reheat above 1 starts the last restart of each cycle hottest,
+		// at T0·Reheat^(Period-1) as ForRestart computes it; a start that
+		// overflows would anneal on +Inf, then NaN.
+		if s.Reheat > 1 && math.IsInf(s.T0*math.Pow(s.Reheat, float64(s.Period-1)), 1) {
+			return fmt.Errorf("adaptive schedule's hottest start T0·Reheat^(Period-1) is not finite (T0=%g Reheat=%g Period=%d)", s.T0, s.Reheat, s.Period)
 		}
 	}
 	return nil

@@ -144,6 +144,33 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// TestScheduleValidateRejectsInfiniteTemperatures: a schedule that would
+// anneal some restart on an infinite temperature (its ladder reads +Inf,
+// then NaN) is refused, while the defaults and a reheat that stays finite
+// are not.
+func TestScheduleValidateRejectsInfiniteTemperatures(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		s    Schedule
+		ok   bool
+	}{
+		{"geometric T0 +Inf (dsgl opt -t0 +Inf)", GeometricSchedule(20, inf, 0.05), false},
+		{"adaptive start overflows (dsgl opt -t0 1e300 -reheat 1e10)", AdaptiveSchedule(20, 1e300, 0.05, 4, 1e10), false},
+		{"linear T0 = T1 = +Inf", LinearSchedule(20, inf, inf), false},
+		{"geometric T1 +Inf", GeometricSchedule(20, inf, inf), false},
+		{"adaptive Reheat +Inf, Period 2", AdaptiveSchedule(20, 2, 0.05, 2, inf), false},
+		{"defaults", GeometricSchedule(200, 2, 0.05), true},
+		{"adaptive defaults", AdaptiveSchedule(200, 2, 0.05, 4, 0.5), true},
+		{"adaptive Reheat 2, Period 4", AdaptiveSchedule(20, 2, 0.05, 4, 2), true},
+	}
+	for _, c := range cases {
+		if err := c.s.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestScheduleLadderEndpoints(t *testing.T) {
 	for _, s := range []Schedule{LinearSchedule(17, 3, 0.2), GeometricSchedule(17, 3, 0.2)} {
 		if got := s.At(0); got != s.T0 {

@@ -15,6 +15,8 @@ import (
 
 	"dsgl"
 	"dsgl/internal/datasets"
+	"dsgl/internal/gnn"
+	"dsgl/internal/pool"
 )
 
 // Config sizes the experiment suite.
@@ -96,40 +98,93 @@ func (c Config) testWindows(ds *datasets.Dataset) []datasets.Window {
 	return test
 }
 
-// dsglModel trains the full pipeline with suite-standard options.
-func (c Config) dsglModel(ds *datasets.Dataset, opts dsgl.Options) (*dsgl.Model, error) {
-	if opts.Seed == 0 {
-		opts.Seed = c.Seed + 11
+// evaluate trains one model per cell on ds, with the suite's seed and
+// worker count where a cell leaves them zero, and evaluates each on test.
+// The cells fan across the worker pool; models and reports come back in
+// cell order. Every cell is seeded by its own options, so the output is the
+// same for any worker count.
+func (c Config) evaluate(ds *datasets.Dataset, test []datasets.Window, cells []dsgl.Options) ([]*dsgl.Model, []*dsgl.Report, error) {
+	models := make([]*dsgl.Model, len(cells))
+	reps := make([]*dsgl.Report, len(cells))
+	err := pool.RunErr(c.Workers, len(cells), func(i int) error {
+		opts := cells[i]
+		if opts.Seed == 0 {
+			opts.Seed = c.Seed + 11
+		}
+		if opts.Workers == 0 {
+			opts.Workers = c.Workers
+		}
+		m, err := dsgl.Train(ds, opts)
+		if err != nil {
+			return err
+		}
+		models[i] = m
+		reps[i], err = m.Evaluate(test)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = c.Workers
+	return models, reps, nil
+}
+
+// gnnBaselines trains the GNN baselines, in gnn.BaselineNames order, on
+// ds's training split and returns them with their test RMSEs.
+func (c Config) gnnBaselines(ds *datasets.Dataset, test []datasets.Window) ([]gnn.Model, []float64, error) {
+	trainW, _ := ds.Split()
+	names := gnn.BaselineNames()
+	models := make([]gnn.Model, len(names))
+	rmse := make([]float64, len(names))
+	for i, bn := range names {
+		m, err := gnn.NewBaseline(bn, ds, c.Seed+2)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := gnn.Train(m, ds, trainW, gnn.TrainConfig{Epochs: c.GNNEpochs, Seed: c.Seed + 3}); err != nil {
+			return nil, nil, err
+		}
+		models[i], rmse[i] = m, gnn.Evaluate(m, ds, test)
 	}
-	return dsgl.Train(ds, opts)
+	return models, rmse, nil
 }
 
 // Runner dispatches an experiment by its paper identifier.
 type Runner func(cfg Config, w io.Writer) error
 
-// Registry maps experiment ids ("fig4", "table2", ...) to their harnesses.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig4":   func(c Config, w io.Writer) error { return Fig4(c, w) },
-		"fig10":  func(c Config, w io.Writer) error { return Fig10(c, w) },
-		"fig11":  func(c Config, w io.Writer) error { return Fig11(c, w) },
-		"fig12":  func(c Config, w io.Writer) error { return Fig12(c, w) },
-		"fig13":  func(c Config, w io.Writer) error { return Fig13(c, w) },
-		"table1": func(c Config, w io.Writer) error { return Table1(c, w) },
-		"table2": func(c Config, w io.Writer) error { return Table2(c, w) },
-		"table3": func(c Config, w io.Writer) error { return Table3(c, w) },
-		"table4": func(c Config, w io.Writer) error { return Table4(c, w) },
-		"hetero": func(c Config, w io.Writer) error { return Hetero(c, w) },
-	}
+// harnesses lists every harness under its paper identifier, in paper order
+// (the hetero comparison extends Table IV, so it follows it).
+var harnesses = []struct {
+	id  string
+	run Runner
+}{
+	{"fig4", Fig4},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"table1", Table1},
+	{"table2", Table2},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"hetero", Hetero},
 }
 
-// IDs lists the experiment identifiers in paper order (the hetero
-// comparison extends Table IV, so it follows it).
+// Registry maps experiment ids ("fig4", "table2", ...) to their harnesses.
+func Registry() map[string]Runner {
+	reg := make(map[string]Runner, len(harnesses))
+	for _, e := range harnesses {
+		reg[e.id] = e.run
+	}
+	return reg
+}
+
+// IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"fig4", "fig10", "fig11", "fig12", "fig13", "table1", "table2", "table3", "table4", "hetero"}
+	ids := make([]string, len(harnesses))
+	for i, e := range harnesses {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // header prints a section banner.

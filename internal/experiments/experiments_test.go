@@ -2,17 +2,70 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"dsgl/internal/gnn"
 )
 
+// The tiny-config runs of the training harnesses are pinned byte for byte
+// against testdata/<name>.txt. Regenerate only when an output change is
+// intended:
+//
+//	go test -run 'Tiny$' -update-golden ./internal/experiments
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.txt from the current code")
+
 // tinyConfig keeps experiment smoke tests fast: minimal graphs, short
 // series, few windows, few GNN epochs.
 func tinyConfig() Config {
 	return Config{N: 12, T: 300, EvalWindows: 4, GNNEpochs: 2, Seed: 3}
+}
+
+// checkTiny runs one harness on tinyConfig restricted to datasets (nil
+// keeps the harness's own list) and compares its output with
+// testdata/<golden>.txt, or rewrites the file under -update-golden.
+func checkTiny(t *testing.T, golden string, run func(Config, io.Writer) error, datasets ...string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := tinyConfig()
+	cfg.Datasets = datasets
+	var buf bytes.Buffer
+	if err := run(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", golden+".txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden output (regenerate with -update-golden): %v", err)
+	}
+	sameLines(t, path, buf.String(), string(want))
+}
+
+// sameLines fails at the first line where got differs from want, the
+// output pinned in file.
+func sameLines(t *testing.T, file, got, want string) {
+	t.Helper()
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < min(len(g), len(w)); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s line %d: got %q, pinned %q", file, i+1, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("%s: got %d lines, pinned %d", file, len(g), len(w))
+	}
 }
 
 func TestRegistryCoversAllIDs(t *testing.T) {
@@ -56,16 +109,7 @@ func TestFig4MatchesCommittedOutput(t *testing.T) {
 	if err := Fig4(Config{Seed: 7}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Split(string(committed[:end]), "\n")
-	got := strings.Split(buf.String(), "\n")
-	for i := 0; i < min(len(got), len(want)); i++ {
-		if got[i] != want[i] {
-			t.Fatalf("line %d: got %q, committed %q", i+1, got[i], want[i])
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d lines, committed %d", len(got), len(want))
-	}
+	sameLines(t, "experiments_output.txt", buf.String(), string(committed[:end]))
 }
 
 func TestTable1Runs(t *testing.T) {
@@ -95,55 +139,19 @@ func TestTable3Runs(t *testing.T) {
 }
 
 func TestFig12RunsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"no2"}
-	var buf bytes.Buffer
-	if err := Fig12(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"no2", "sync(ns)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig12 output missing %q", want)
-		}
-	}
+	checkTiny(t, "fig12", Fig12, "no2")
 }
 
 func TestFig13RunsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"no2"}
-	var buf bytes.Buffer
-	if err := Fig13(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"n=0%", "n=15%", "density"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig13 output missing %q", want)
-		}
-	}
+	checkTiny(t, "fig13", Fig13, "no2")
 }
 
 func TestTable4RunsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	var buf bytes.Buffer
-	if err := Table4(tinyConfig(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"housing", "climate", "DS-GL"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table4 output missing %q", want)
-		}
-	}
+	checkTiny(t, "table4", Table4)
+}
+
+func TestHeteroRunsTiny(t *testing.T) {
+	checkTiny(t, "hetero", Hetero)
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -171,57 +179,15 @@ func gnnGeom(n int) gnn.Geometry {
 }
 
 func TestFig10SingleDatasetTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"no2"}
-	var buf bytes.Buffer
-	if err := Fig10(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"no2", "best GNN RMSE", "Chain", "Mesh", "DMesh", "density"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig10 output missing %q", want)
-		}
-	}
+	checkTiny(t, "fig10", Fig10, "no2")
 }
 
 func TestFig11SingleDatasetTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"stock"}
-	var buf bytes.Buffer
-	if err := Fig11(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"stock", "latency(us)", "best RMSE"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig11 output missing %q", want)
-		}
-	}
+	checkTiny(t, "fig11", Fig11, "stock")
 }
 
 func TestTable2SingleDatasetTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"o3"}
-	var buf bytes.Buffer
-	if err := Table2(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"GWN", "MTGNN", "DDGCRN", "DS-GL-Spatial", "DS-GL-DMesh", "o3"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table2 output missing %q", want)
-		}
-	}
+	checkTiny(t, "table2", Table2, "o3")
 }
 
 func TestIntersectNames(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"dsgl"
-	"dsgl/internal/gnn"
-	"dsgl/internal/pool"
 )
 
 // Fig10 reproduces the accuracy-vs-density study: DS-GL RMSE as a function
@@ -35,53 +33,33 @@ func Fig10(cfg Config, w io.Writer) error {
 	for _, name := range cfg.datasetNames() {
 		ds := cfg.dataset(name)
 		test := cfg.testWindows(ds)
-		trainW, _ := ds.Split()
 
-		// Best-GNN reference line.
+		// Best-GNN reference line: the loop's first strict minimum skips a
+		// NaN RMSE after the first baseline, where slices.Min returns it.
+		_, gnnRMSE, err := cfg.gnnBaselines(ds, test)
+		if err != nil {
+			return err
+		}
 		bestGNN := 0.0
-		for _, bn := range gnn.BaselineNames() {
-			m, err := gnn.NewBaseline(bn, ds, cfg.Seed+2)
-			if err != nil {
-				return err
-			}
-			if _, err := gnn.Train(m, ds, trainW, gnn.TrainConfig{Epochs: cfg.GNNEpochs, Seed: cfg.Seed + 3}); err != nil {
-				return err
-			}
-			rmse := gnn.Evaluate(m, ds, test)
+		for _, rmse := range gnnRMSE {
 			if bestGNN == 0 || rmse < bestGNN {
 				bestGNN = rmse
 			}
 		}
 
 		// The dense phase is density/pattern independent — train it once
-		// and sweep the decomposition.
+		// and sweep the decomposition over the density x pattern grid.
 		dense, err := dsgl.TrainDense(ds, dsgl.Options{Seed: cfg.Seed + 11})
 		if err != nil {
 			return err
 		}
-
-		// The density x pattern grid is embarrassingly parallel: every
-		// cell trains an independent decomposition from the shared dense
-		// model. Fan the cells across the worker pool, then print in
-		// grid order.
-		rmse := make([]float64, len(densities)*len(patterns))
-		err = pool.RunErr(cfg.Workers, len(rmse), func(cell int) error {
-			di, pi := cell/len(patterns), cell%len(patterns)
-			model, err := cfg.dsglModel(ds, dsgl.Options{
-				Pattern:   patterns[pi].kind,
-				Density:   densities[di],
-				DenseInit: dense,
-			})
-			if err != nil {
-				return err
+		var cells []dsgl.Options
+		for _, d := range densities {
+			for _, p := range patterns {
+				cells = append(cells, dsgl.Options{Pattern: p.kind, Density: d, DenseInit: dense})
 			}
-			rep, err := model.Evaluate(test)
-			if err != nil {
-				return err
-			}
-			rmse[cell] = rep.RMSE
-			return nil
-		})
+		}
+		_, reps, err := cfg.evaluate(ds, test, cells)
 		if err != nil {
 			return err
 		}
@@ -95,7 +73,7 @@ func Fig10(cfg Config, w io.Writer) error {
 		for di, d := range densities {
 			fmt.Fprintf(w, "%9.2f", d)
 			for pi := range patterns {
-				fmt.Fprintf(w, "%10.4g", rmse[di*len(patterns)+pi])
+				fmt.Fprintf(w, "%10.4g", reps[di*len(patterns)+pi].RMSE)
 			}
 			fmt.Fprintln(w)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dsgl"
-	"dsgl/internal/pool"
 )
 
 // Fig11 reproduces the accuracy-vs-latency study: the best RMSE obtainable
@@ -42,34 +41,22 @@ func Fig11(cfg Config, w io.Writer) error {
 		}
 
 		// Evaluate every operating point per budget; report the best RMSE
-		// achieved within each latency budget. The point x budget grid
-		// fans across the worker pool — every cell trains and evaluates
-		// an independent model.
-		type meas struct {
-			rmse, latencyUs float64
+		// achieved within each latency budget. Cell pi*len(budgets)+bi is
+		// point pi truncated at budget bi.
+		var cells []dsgl.Options
+		for _, p := range points {
+			for _, budget := range budgets {
+				cells = append(cells, dsgl.Options{
+					Pattern:          dsgl.DMesh,
+					Density:          p.density,
+					Lanes:            p.lanes,
+					TemporalDisabled: p.temporalDisabled,
+					MaxInferNs:       budget,
+					DenseInit:        dense,
+				})
+			}
 		}
-		results := make([]meas, len(points)*len(budgets)) // pi*len(budgets)+bi
-		err = pool.RunErr(cfg.Workers, len(results), func(cell int) error {
-			p := points[cell/len(budgets)]
-			budget := budgets[cell%len(budgets)]
-			model, err := cfg.dsglModel(ds, dsgl.Options{
-				Pattern:          dsgl.DMesh,
-				Density:          p.density,
-				Lanes:            p.lanes,
-				TemporalDisabled: p.temporalDisabled,
-				MaxInferNs:       budget,
-				DenseInit:        dense,
-			})
-			if err != nil {
-				return err
-			}
-			rep, err := model.Evaluate(test)
-			if err != nil {
-				return err
-			}
-			results[cell] = meas{rep.RMSE, rep.MeanLatencyUs}
-			return nil
-		})
+		_, reps, err := cfg.evaluate(ds, test, cells)
 		if err != nil {
 			return err
 		}
@@ -78,9 +65,9 @@ func Fig11(cfg Config, w io.Writer) error {
 		for bi, budget := range budgets {
 			best := 0.0
 			for pi := range points {
-				m := results[pi*len(budgets)+bi]
-				if m.latencyUs*1000 <= budget+1 && (best == 0 || m.rmse < best) {
-					best = m.rmse
+				r := reps[pi*len(budgets)+bi]
+				if r.MeanLatencyUs*1000 <= budget+1 && (best == 0 || r.RMSE < best) {
+					best = r.RMSE
 				}
 			}
 			if best == 0 {

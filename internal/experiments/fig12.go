@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dsgl"
-	"dsgl/internal/pool"
 )
 
 // Fig12 reproduces the synchronization study: RMSE as a function of the
@@ -25,40 +24,27 @@ func Fig12(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Each synchronization interval is an independent compile+evaluate
-		// job — fan them across the worker pool and print in sweep order.
-		type meas struct {
-			rmse, latencyUs float64
-		}
-		results := make([]meas, len(intervals))
-		err = pool.RunErr(cfg.Workers, len(intervals), func(i int) error {
-			// Few lanes force temporal+spatial mode so held slices exist
-			// and synchronization matters.
-			model, err := cfg.dsglModel(ds, dsgl.Options{
+		// Few lanes force temporal+spatial mode so held slices exist and
+		// synchronization matters.
+		cells := make([]dsgl.Options, len(intervals))
+		for i, sync := range intervals {
+			cells[i] = dsgl.Options{
 				Pattern:        dsgl.DMesh,
 				Density:        0.10,
 				Lanes:          6,
-				SyncIntervalNs: intervals[i],
+				SyncIntervalNs: sync,
 				MaxInferNs:     5000,
 				DenseInit:      dense,
-			})
-			if err != nil {
-				return err
 			}
-			rep, err := model.Evaluate(test)
-			if err != nil {
-				return err
-			}
-			results[i] = meas{rep.RMSE, rep.MeanLatencyUs}
-			return nil
-		})
+		}
+		_, reps, err := cfg.evaluate(ds, test, cells)
 		if err != nil {
 			return err
 		}
 
 		fmt.Fprintf(w, "\n%s:\n%14s %10s %12s\n", name, "sync(ns)", "RMSE", "latency(us)")
 		for i, sync := range intervals {
-			fmt.Fprintf(w, "%14.0f %10.4g %12.3g\n", sync, results[i].rmse, results[i].latencyUs)
+			fmt.Fprintf(w, "%14.0f %10.4g %12.3g\n", sync, reps[i].RMSE, reps[i].MeanLatencyUs)
 		}
 	}
 	return nil

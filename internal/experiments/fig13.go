@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dsgl"
-	"dsgl/internal/pool"
 )
 
 // Fig13 reproduces the robustness study: RMSE versus coupling-matrix
@@ -27,31 +26,20 @@ func Fig13(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The density x noise grid fans across the worker pool; every cell
-		// decomposes and evaluates independently from the shared dense
-		// model, so results land in fixed slots regardless of scheduling.
-		rmse := make([]float64, len(densities)*len(noises))
-		err = pool.RunErr(cfg.Workers, len(rmse), func(cell int) error {
-			d := densities[cell/len(noises)]
-			n := noises[cell%len(noises)]
-			model, err := cfg.dsglModel(ds, dsgl.Options{
-				Pattern:      dsgl.DMesh,
-				Density:      d,
-				NodeNoise:    n,
-				CouplerNoise: n,
-				MaxInferNs:   8000,
-				DenseInit:    dense,
-			})
-			if err != nil {
-				return err
+		var cells []dsgl.Options
+		for _, d := range densities {
+			for _, n := range noises {
+				cells = append(cells, dsgl.Options{
+					Pattern:      dsgl.DMesh,
+					Density:      d,
+					NodeNoise:    n,
+					CouplerNoise: n,
+					MaxInferNs:   8000,
+					DenseInit:    dense,
+				})
 			}
-			rep, err := model.Evaluate(test)
-			if err != nil {
-				return err
-			}
-			rmse[cell] = rep.RMSE
-			return nil
-		})
+		}
+		_, reps, err := cfg.evaluate(ds, test, cells)
 		if err != nil {
 			return err
 		}
@@ -64,7 +52,7 @@ func Fig13(cfg Config, w io.Writer) error {
 		for di, d := range densities {
 			fmt.Fprintf(w, "%9.2f", d)
 			for ni := range noises {
-				fmt.Fprintf(w, "%10.4g", rmse[di*len(noises)+ni])
+				fmt.Fprintf(w, "%10.4g", reps[di*len(noises)+ni].RMSE)
 			}
 			fmt.Fprintln(w)
 		}

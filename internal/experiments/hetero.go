@@ -31,32 +31,17 @@ func Hetero(cfg Config, w io.Writer) error {
 		"dataset", "pipeline", "classes", "RMSE", "latency(us)", "class sizes")
 	for _, name := range datasets.MultiNames() {
 		ds := cfg.dataset(name)
-		test := cfg.testWindows(ds)
-
-		mono, err := cfg.dsglModel(ds, dsgl.Options{Pattern: dsgl.DMesh, Density: 0.10})
-		if err != nil {
-			return err
-		}
-		monoRep, err := mono.Evaluate(test)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-15s %-11s %8s %12.3e %14.3g   %s\n",
-			name, "monolithic", "-", monoRep.RMSE, monoRep.MeanLatencyUs, "-")
-
-		dec, err := cfg.dsglModel(ds, dsgl.Options{
-			Pattern: dsgl.DMesh, Density: 0.10,
-			Decompose: true, Classes: heteroClasses,
+		models, reps, err := cfg.evaluate(ds, cfg.testWindows(ds), []dsgl.Options{
+			{Pattern: dsgl.DMesh, Density: 0.10},
+			{Pattern: dsgl.DMesh, Density: 0.10, Decompose: true, Classes: heteroClasses},
 		})
 		if err != nil {
 			return err
 		}
-		decRep, err := dec.Evaluate(test)
-		if err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%-15s %-11s %8s %12.3e %14.3g   %s\n",
+			name, "monolithic", "-", reps[0].RMSE, reps[0].MeanLatencyUs, "-")
 		fmt.Fprintf(w, "%-15s %-11s %8d %12.3e %14.3g   %s\n",
-			name, "decomposed", heteroClasses, decRep.RMSE, decRep.MeanLatencyUs, classSizes(dec.Classes, heteroClasses))
+			name, "decomposed", heteroClasses, reps[1].RMSE, reps[1].MeanLatencyUs, classSizes(models[1].Classes, heteroClasses))
 	}
 	return nil
 }

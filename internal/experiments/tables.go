@@ -42,67 +42,54 @@ func Table2(cfg Config, w io.Writer) error {
 	cfg.fillDefaults()
 	header(w, "Table II — RMSE comparison with SOTA GNNs")
 
+	// The Spatial variant trades accuracy for latency with a small lane
+	// budget that forces coupling drops; the full variants use the
+	// standard configuration.
 	variants := []struct {
-		name             string
-		pattern          dsgl.Pattern
-		temporalDisabled bool
+		name string
+		opts dsgl.Options
 	}{
-		{"DS-GL-Spatial", dsgl.DMesh, true},
-		{"DS-GL-Chain", dsgl.Chain, false},
-		{"DS-GL-Mesh", dsgl.Mesh, false},
-		{"DS-GL-DMesh", dsgl.DMesh, false},
+		{"DS-GL-Spatial", dsgl.Options{Pattern: dsgl.DMesh, TemporalDisabled: true, Lanes: 8}},
+		{"DS-GL-Chain", dsgl.Options{Pattern: dsgl.Chain}},
+		{"DS-GL-Mesh", dsgl.Options{Pattern: dsgl.Mesh}},
+		{"DS-GL-DMesh", dsgl.Options{Pattern: dsgl.DMesh}},
+	}
+	models := gnn.BaselineNames()
+	for _, v := range variants {
+		models = append(models, v.name)
 	}
 	names := cfg.datasetNames()
-	rows := map[string][]float64{}
-	var rowOrder []string
-	addRow := func(model string, col int, v float64) {
-		if _, ok := rows[model]; !ok {
-			rows[model] = make([]float64, len(names))
-			rowOrder = append(rowOrder, model)
-		}
-		rows[model][col] = v
+	rows := make([][]float64, len(models)) // rows[model][dataset column]
+	for i := range rows {
+		rows[i] = make([]float64, len(names))
 	}
 
 	for col, name := range names {
 		ds := cfg.dataset(name)
 		test := cfg.testWindows(ds)
-		trainW, _ := ds.Split()
-		for _, bn := range gnn.BaselineNames() {
-			m, err := gnn.NewBaseline(bn, ds, cfg.Seed+2)
-			if err != nil {
-				return err
-			}
-			if _, err := gnn.Train(m, ds, trainW, gnn.TrainConfig{Epochs: cfg.GNNEpochs, Seed: cfg.Seed + 3}); err != nil {
-				return err
-			}
-			addRow(bn, col, gnn.Evaluate(m, ds, test))
+		_, gnnRMSE, err := cfg.gnnBaselines(ds, test)
+		if err != nil {
+			return err
 		}
 		dense, err := dsgl.TrainDense(ds, dsgl.Options{Seed: cfg.Seed + 11})
 		if err != nil {
 			return err
 		}
-		for _, v := range variants {
-			// The Spatial variant trades accuracy for latency with a small
-			// lane budget that forces coupling drops; the full variants
-			// use the standard configuration.
-			opts := dsgl.Options{
-				Pattern:          v.pattern,
-				Density:          0.10,
-				TemporalDisabled: v.temporalDisabled,
-				DenseInit:        dense,
-			}
-			if v.temporalDisabled {
-				opts.Lanes = 8
-			}
-			model, err := cfg.dsglModel(ds, opts)
-			if err != nil {
-				return err
-			}
-			rep, err := model.Evaluate(test)
-			if err != nil {
-				return err
-			}
-			addRow(v.name, col, rep.RMSE)
+		cells := make([]dsgl.Options, len(variants))
+		for i, v := range variants {
+			cells[i] = v.opts
+			cells[i].Density = 0.10
+			cells[i].DenseInit = dense
+		}
+		_, reps, err := cfg.evaluate(ds, test, cells)
+		if err != nil {
+			return err
+		}
+		for i, rmse := range gnnRMSE {
+			rows[i][col] = rmse
+		}
+		for i, rep := range reps {
+			rows[len(gnnRMSE)+i][col] = rep.RMSE
 		}
 	}
 
@@ -111,9 +98,9 @@ func Table2(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%10s", n)
 	}
 	fmt.Fprintln(w)
-	for _, model := range rowOrder {
+	for i, model := range models {
 		fmt.Fprintf(w, "%-14s", model)
-		for _, v := range rows[model] {
+		for _, v := range rows[i] {
 			fmt.Fprintf(w, "%10.2e", v)
 		}
 		fmt.Fprintln(w)
@@ -216,28 +203,18 @@ func Table4(cfg Config, w io.Writer) error {
 	for _, name := range datasets.MultiNames() {
 		ds := cfg.dataset(name)
 		test := cfg.testWindows(ds)
-		trainW, _ := ds.Split()
-		for _, bn := range gnn.BaselineNames() {
-			m, err := gnn.NewBaseline(bn, ds, cfg.Seed+2)
-			if err != nil {
-				return err
-			}
-			if _, err := gnn.Train(m, ds, trainW, gnn.TrainConfig{Epochs: cfg.GNNEpochs, Seed: cfg.Seed + 3}); err != nil {
-				return err
-			}
-			rmse := gnn.Evaluate(m, ds, test)
-			lat := gpu.LatencyUs(m.FLOPs())
-			fmt.Fprintf(w, "%-10s %12s %12.3e %14.3g\n", name, bn, rmse, lat)
-		}
-		model, err := cfg.dsglModel(ds, dsgl.Options{Pattern: dsgl.DMesh, Density: 0.10})
+		baselines, gnnRMSE, err := cfg.gnnBaselines(ds, test)
 		if err != nil {
 			return err
 		}
-		rep, err := model.Evaluate(test)
+		for i, m := range baselines {
+			fmt.Fprintf(w, "%-10s %12s %12.3e %14.3g\n", name, m.Name(), gnnRMSE[i], gpu.LatencyUs(m.FLOPs()))
+		}
+		_, reps, err := cfg.evaluate(ds, test, []dsgl.Options{{Pattern: dsgl.DMesh, Density: 0.10}})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10s %12s %12.3e %14.3g\n", name, "DS-GL", rep.RMSE, rep.MeanLatencyUs)
+		fmt.Fprintf(w, "%-10s %12s %12.3e %14.3g\n", name, "DS-GL", reps[0].RMSE, reps[0].MeanLatencyUs)
 	}
 	return nil
 }

@@ -381,7 +381,10 @@ func TestAcceptGrid(t *testing.T) {
 // same RNG state (so the same number of draws). It covers MaxCut's unit
 // step and a quarter-step QUBO with fields, every schedule kind plus a
 // linear one from T0 = +Inf whose ladder is NaN after its first step, and
-// the largest K the grid admits, N-1, on a ring of 4,097 spins.
+// the largest K the grid admits, N-1, on a ring of 4,097 spins. Each
+// restart runs the backend's RunSolve on the ladder directly, as the
+// engine would: the engine's schedule gate refuses the +Inf schedule, and
+// the two loops must still agree on its ladder.
 func TestAcceptTableMatchesDirectExp(t *testing.T) {
 	r := rng.New(5)
 	n := 40
@@ -422,8 +425,7 @@ func TestAcceptTableMatchesDirectExp(t *testing.T) {
 		}
 		float := *grid
 		float.grid = nil
-		ge, fe := engine.NewOpt(grid), engine.NewOpt(&float)
-		gs, fs := ge.NewSolveState(), fe.NewSolveState()
+		gs, fs := engine.NewOpt(grid).NewSolveState(), engine.NewOpt(&float).NewSolveState()
 		var gTrace, fTrace []uint64
 		gs.SetObserver(spinTrace(&gTrace, gs))
 		fs.SetObserver(spinTrace(&fTrace, fs))
@@ -438,11 +440,11 @@ func TestAcceptTableMatchesDirectExp(t *testing.T) {
 				s := sched.ForRestart(restart)
 				seed := uint64(11 + restart)
 				gTrace, fTrace = gTrace[:0], fTrace[:0]
-				a, err := ge.SolveWith(gs, s, seed)
+				a, err := runLadder(grid, gs, s, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := fe.SolveWith(fs, s, seed)
+				b, err := runLadder(&float, fs, s, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -459,6 +461,17 @@ func TestAcceptTableMatchesDirectExp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runLadder is one restart as the engine runs it, without the engine's
+// schedule gate: compile s's ladder, reseed the state, run the backend.
+func runLadder(sv *Solver, st *engine.SolveState, s engine.Schedule, seed uint64) (*engine.OptResult, error) {
+	l := &engine.Ladder{Sched: s, Temps: make([]float64, s.Steps)}
+	for k := range l.Temps {
+		l.Temps[k] = s.At(k)
+	}
+	st.RNG.Reseed(seed)
+	return sv.RunSolve(st, l)
 }
 
 // fuzzGridModel decodes a symmetric model on the grid of step q = 2^(exp

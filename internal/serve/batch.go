@@ -27,37 +27,24 @@ type execResult struct {
 	err       error
 }
 
-// batchGroup accumulates requests that share one (model, clamp-bitmask)
-// key. The first pending request arms the flush timer; reaching MaxBatch
-// flushes immediately on the arriving request's goroutine. Requests whose
-// clamp masks differ never share a group — they run in distinct engine
-// calls (possibly concurrently), so a coalesced batch always shares one
-// compiled clamp plan.
+// batchGroup holds the pending requests of one registered model entry,
+// whatever they clamp: RunBatch resolves each member's own clamp plan,
+// which EnsurePlan warmed at admission. The group's first request creates
+// it and arms the flush timer; whoever flushes it — the timer, the request
+// that fills MaxBatch, a request with batching off, or Drain — removes it
+// from Server.groups. So a group exists only while it has pending
+// requests, and every member runs on the entry it was validated against:
+// a request for a model swapped or evicted since then starts a new group.
 type batchGroup struct {
-	s       *Server
 	entry   *ModelEntry
 	pending []*pendingReq
 	timer   *time.Timer
 }
 
-// groupKey identifies a batch group: model name plus the packed clamp
-// bitmask of the request's observation indices (the same key shape the
-// engine's plan cache uses, so group-mates are plan-mates by construction).
-func groupKey(model string, obs []engine.Observation, dim int) string {
-	buf := make([]byte, len(model)+1+(dim+7)/8)
-	n := copy(buf, model)
-	buf[n] = 0 // model names never contain NUL; Registry.Register rejects them
-	mask := buf[n+1:]
-	for _, o := range obs {
-		mask[o.Index>>3] |= 1 << (o.Index & 7)
-	}
-	return string(buf)
-}
-
-// enqueue admits one validated request into its batch group and blocks
-// until the group flushes and the anneal completes. It returns errQueueFull
-// (never blocking) when the pending bound is hit.
-func (s *Server) enqueue(key string, entry *ModelEntry, obs []engine.Observation, seed uint64) execResult {
+// enqueue admits one validated request into its model's batch group and
+// blocks until the group flushes and the anneal completes. It returns
+// errQueueFull (never blocking) when the pending bound is hit.
+func (s *Server) enqueue(entry *ModelEntry, obs []engine.Observation, seed uint64) execResult {
 	p := &pendingReq{obs: obs, seed: seed, done: make(chan execResult, 1)}
 
 	s.groupMu.Lock()
@@ -67,52 +54,53 @@ func (s *Server) enqueue(key string, entry *ModelEntry, obs []engine.Observation
 	}
 	s.queued++
 	s.m.queueDepth.Set(float64(s.queued))
-	g, ok := s.groups[key]
-	if !ok {
-		g = &batchGroup{s: s, entry: entry}
-		s.groups[key] = g
+	g := s.groups[entry]
+	if g == nil {
+		g = &batchGroup{entry: entry}
+		s.groups[entry] = g
 	}
 	g.pending = append(g.pending, p)
-	var flush []*pendingReq
+	flush := len(g.pending) >= s.cfg.MaxBatch || s.cfg.BatchWindow <= 0 || s.draining.Load()
 	switch {
-	case len(g.pending) >= s.cfg.MaxBatch || s.cfg.BatchWindow <= 0 || s.draining.Load():
+	case flush:
 		// Full batch, batching disabled, or draining: flush now, on this
 		// request's goroutine.
-		flush = g.takeLocked()
+		s.detachLocked(g)
 	case len(g.pending) == 1:
-		// First pending request arms the group's flush timer.
 		g.timer = time.AfterFunc(s.cfg.BatchWindow, func() { s.flushGroup(g) })
 	}
 	s.groupMu.Unlock()
 
-	if flush != nil {
-		s.execBatch(entry, flush)
+	if flush {
+		s.execBatch(g)
 	}
 	return <-p.done
 }
 
-// takeLocked detaches the group's pending requests and disarms its timer.
-// Caller holds s.groupMu.
-func (g *batchGroup) takeLocked() []*pendingReq {
+// detachLocked ends g's life as a batch group: it leaves Server.groups,
+// its timer is disarmed and its requests leave the queue count. The caller
+// holds s.groupMu and then owns g.pending.
+func (s *Server) detachLocked(g *batchGroup) {
 	if g.timer != nil {
 		g.timer.Stop()
-		g.timer = nil
 	}
-	batch := g.pending
-	g.pending = nil
-	g.s.queued -= len(batch)
-	g.s.m.queueDepth.Set(float64(g.s.queued))
-	return batch
+	delete(s.groups, g.entry)
+	s.queued -= len(g.pending)
+	s.m.queueDepth.Set(float64(s.queued))
 }
 
-// flushGroup flushes whatever the group has pending (timer path).
+// flushGroup is the timer path. A timer that fired while another path was
+// flushing its group finds the group gone (or a newer one in its place)
+// and does nothing.
 func (s *Server) flushGroup(g *batchGroup) {
 	s.groupMu.Lock()
-	batch := g.takeLocked()
-	entry := g.entry
+	live := s.groups[g.entry] == g
+	if live {
+		s.detachLocked(g)
+	}
 	s.groupMu.Unlock()
-	if len(batch) > 0 {
-		s.execBatch(entry, batch)
+	if live {
+		s.execBatch(g)
 	}
 }
 
@@ -121,32 +109,28 @@ func (s *Server) flushGroup(g *batchGroup) {
 // was queued at drain start has its result delivered.
 func (s *Server) flushAll() {
 	s.groupMu.Lock()
-	type work struct {
-		entry *ModelEntry
-		batch []*pendingReq
-	}
-	var pending []work
+	groups := make([]*batchGroup, 0, len(s.groups))
 	for _, g := range s.groups {
-		if b := g.takeLocked(); len(b) > 0 {
-			pending = append(pending, work{g.entry, b})
-		}
+		s.detachLocked(g)
+		groups = append(groups, g)
 	}
 	s.groupMu.Unlock()
-	for _, w := range pending {
-		s.execBatch(w.entry, w.batch)
+	for _, g := range groups {
+		s.execBatch(g)
 	}
 }
 
-// execBatch runs one flushed batch, a single request included, through
+// execBatch runs one detached group, a single request included, through
 // RunBatch with each request's own seed, which the engine guarantees
 // bit-identical to serving each request alone (the serving determinism
 // contract), and delivers each member's result.
-func (s *Server) execBatch(entry *ModelEntry, batch []*pendingReq) {
+func (s *Server) execBatch(g *batchGroup) {
+	batch := g.pending
 	reqs := make([]engine.Request, len(batch))
 	for i, p := range batch {
 		reqs[i] = engine.Request{Obs: p.obs, Seed: p.seed}
 	}
-	results, err := entry.Model.Engine().RunBatch(reqs, s.cfg.Workers)
+	results, err := g.entry.Model.Engine().RunBatch(reqs, s.cfg.Workers)
 	if err != nil {
 		s.m.inferErrors.Add(uint64(len(batch)))
 	}

@@ -193,7 +193,7 @@ func (s *Server) do(entry *ModelEntry, obsList []engine.Observation, seed uint64
 		s.m.rateLimited.Inc()
 		return loadResult{shed: true, err: errRateLimited}
 	}
-	out := s.enqueue(groupKey(entry.Name, obsList, entry.Dim), entry, obsList, seed)
+	out := s.enqueue(entry, obsList, seed)
 	if out.err != nil {
 		if out.err == errQueueFull {
 			s.m.queueFull.Inc()

@@ -8,10 +8,11 @@
 //
 // Determinism contract: a request annealed inside a coalesced batch is
 // bit-identical to the same request served solo. The batcher groups
-// requests by (model, clamp bitmask) and hands the engine one seed per
-// request (Engine.RunBatch), and the engine contributes nothing
-// per-window beyond that seed — so batching is purely a throughput
-// decision, never a results decision (pinned by TestBatchingDeterminism).
+// requests by registered model entry, whatever they clamp, and hands the
+// engine one seed per request (Engine.RunBatch), which resolves each
+// request's own clamp plan and contributes nothing per-window beyond that
+// seed — so batching is purely a throughput decision, never a results
+// decision (pinned by TestBatchingDeterminism).
 package serve
 
 import (
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 
 	"dsgl"
@@ -59,11 +59,6 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(name string, m *dsgl.Model) (*ModelEntry, error) {
 	if name == "" {
 		return nil, errors.New("serve: model name must be non-empty")
-	}
-	// NUL is the separator batch-group keys use between model name and
-	// clamp bitmask; a name containing it could alias another group.
-	if strings.ContainsRune(name, 0) {
-		return nil, fmt.Errorf("serve: model name %q contains NUL", name)
 	}
 	if m == nil {
 		return nil, fmt.Errorf("serve: model %q is nil", name)

@@ -22,9 +22,10 @@ import (
 // every field.
 type Config struct {
 	// BatchWindow is the coalescing window: the first request of a batch
-	// group waits at most this long for clamp-mask-compatible company
-	// before annealing. 0 selects 2ms; negative disables batching (every
-	// request runs solo, still through admission and the queue bound).
+	// group waits at most this long for other requests to the same model,
+	// whatever they clamp, before annealing. 0 selects 2ms; negative
+	// disables batching (every request runs solo, still through admission
+	// and the queue bound).
 	BatchWindow time.Duration
 	// MaxBatch flushes a group as soon as it holds this many requests.
 	// 0 selects 32.
@@ -95,10 +96,11 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
-	// Batch groups. queued is the total pending across groups, bounded by
+	// Batch groups (batch.go), one per registered model entry with pending
+	// requests. queued is the total pending across groups, bounded by
 	// cfg.MaxQueue (guarded by groupMu).
 	groupMu sync.Mutex
-	groups  map[string]*batchGroup
+	groups  map[*ModelEntry]*batchGroup
 	queued  int
 
 	// Streaming sessions (stream.go), keyed by session id; streamSeq mints
@@ -108,7 +110,6 @@ type Server struct {
 	streamSeq uint64
 
 	httpSrv *http.Server
-	ln      net.Listener
 }
 
 // New builds a Server over the registry's models. Observability binds to
@@ -120,7 +121,7 @@ func New(models *Registry, cfg Config) *Server {
 		cfg:     cfg,
 		m:       newServeObs(obs.Default()),
 		limiter: newTenantLimiter(cfg.RatePerSec, cfg.Burst),
-		groups:  make(map[string]*batchGroup),
+		groups:  make(map[*ModelEntry]*batchGroup),
 		streams: make(map[string]*streamSession),
 	}
 	mux := http.NewServeMux()
@@ -161,7 +162,6 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	s.ln = ln
 	s.httpSrv = &http.Server{Handler: s.mux}
 	go func() { _ = s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
@@ -184,9 +184,9 @@ func (s *Server) Drain() error {
 	s.flushAll()
 
 	// Close every streaming session: the drain gate already refuses new
-	// stream ticks, and closeAllStreams serializes on each session's mutex,
-	// so in-flight ticks finish before their state returns to the pool.
-	s.closeAllStreams()
+	// stream ticks, and endStreams serializes on each session's mutex, so
+	// in-flight ticks finish before their state returns to the pool.
+	s.endStreams(func(*streamSession) bool { return true })
 
 	done := make(chan struct{})
 	go func() {
@@ -240,7 +240,7 @@ type InferRequest struct {
 	// entries the dataset marks observed are clamped, the rest predicted.
 	Window []float64 `json:"window,omitempty"`
 	// Observations is the explicit clamp list (arbitrary patterns; requests
-	// sharing a pattern coalesce into one batch).
+	// to one model coalesce into one batch whatever they clamp).
 	Observations []Observation `json:"observations,omitempty"`
 	// Seed is the anneal seed; omitted selects the model's base seed.
 	// Identical (model, clamps, seed) requests produce bit-identical
@@ -273,48 +273,25 @@ type InferResponse struct {
 const maxRequestBody = 64 << 20
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.beginRequest() {
-		s.m.draining.Inc()
-		httpError(w, http.StatusServiceUnavailable, "draining")
+	start := time.Now()
+	var req InferRequest
+	if !s.admit(w, r, &req) {
 		return
 	}
 	defer s.endRequest()
-	start := time.Now()
-
-	var req InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		s.m.badRequest.Inc()
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	entry, ok := s.models.Get(req.Model)
-	if !ok {
-		s.m.badRequest.Inc()
-		httpError(w, http.StatusNotFound, "unknown model %q (loaded: %s)", req.Model, strings.Join(s.models.Names(), ", "))
-		return
-	}
-	if !s.limiter.allow(req.Tenant, time.Now()) {
-		s.m.rateLimited.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "tenant %q over rate limit", req.Tenant)
-		return
-	}
-	obsList, indices, err := buildObservations(entry, &req)
-	if err != nil {
-		s.m.badRequest.Inc()
-		httpError(w, http.StatusBadRequest, "%v", err)
+	entry, ok := s.lookupModel(w, req.Model)
+	if !ok || !s.allow(w, req.Tenant, start) {
 		return
 	}
 	eng := entry.Model.Engine()
-	// Full observation validation (range, rails, duplicates) up front, so a
-	// bad request can never poison the batch it would have ridden in; this
-	// also warms the clamp plan for the request's group.
-	if err := eng.EnsurePlan(obsList); err != nil {
+	obsList, err := clamps(entry, req.Window, req.Observations)
+	if err == nil {
+		// The engine validator (range, rails, duplicates) runs up front,
+		// so a bad request can never poison the batch it would have
+		// ridden in; this also warms the request's clamp plan.
+		err = eng.EnsurePlan(obsList)
+	}
+	if err != nil {
 		s.m.badRequest.Inc()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -324,7 +301,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		seed = *req.Seed
 	}
 
-	out := s.enqueue(groupKey(entry.Name, obsList, entry.Dim), entry, obsList, seed)
+	out := s.enqueue(entry, obsList, seed)
 	if out.err != nil {
 		if errors.Is(out.err, errQueueFull) {
 			s.m.queueFull.Inc()
@@ -338,55 +315,99 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	resp := &InferResponse{
 		Model:     entry.Name,
-		Indices:   indices,
-		Values:    make([]float64, len(indices)),
 		LatencyUs: out.res.LatencyNs / 1000,
 		Settled:   out.res.Settled,
 		Seed:      seed,
 		BatchSize: out.batchSize,
 	}
-	for k, idx := range indices {
-		resp.Values[k] = out.res.Voltage[idx]
-	}
+	resp.Indices, resp.Values = freeValues(obsList, out.res.Voltage)
 	s.m.admitted.Inc()
 	s.m.requestLatency(entry.Name).Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// buildObservations turns a request into the engine clamp list plus the
-// free (predicted) indices the response reports.
-func buildObservations(entry *ModelEntry, req *InferRequest) ([]engine.Observation, []int, error) {
-	hasWindow := len(req.Window) > 0
-	hasObs := len(req.Observations) > 0
-	if hasWindow == hasObs {
-		return nil, nil, errors.New("serve: exactly one of window and observations must be set")
+// admit is the POST gate of both inference handlers: it refuses other
+// methods (405) and a draining server (503), registers the request in
+// flight and decodes the JSON body into req (400). It reports whether the
+// request was admitted; if so the caller must endRequest, and if not the
+// reply is written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, req any) bool {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
 	}
-	if hasWindow {
-		obsList, err := entry.Model.WindowObservations(dsgl.Window{Full: req.Window})
-		if err != nil {
-			return nil, nil, err
-		}
-		return obsList, entry.Model.Dataset.UnknownIndices(), nil
+	if !s.beginRequest() {
+		s.m.draining.Inc()
+		httpError(w, http.StatusServiceUnavailable, "draining")
+		return false
 	}
-	obsList := make([]engine.Observation, len(req.Observations))
-	seen := make([]bool, entry.Dim)
-	for i, o := range req.Observations {
-		if o.Index < 0 || o.Index >= entry.Dim {
-			return nil, nil, fmt.Errorf("serve: observation index %d out of range [0,%d)", o.Index, entry.Dim)
-		}
-		if seen[o.Index] {
-			return nil, nil, fmt.Errorf("serve: duplicate observation for node %d", o.Index)
-		}
-		seen[o.Index] = true
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err := dec.Decode(req); err != nil {
+		s.endRequest()
+		s.m.badRequest.Inc()
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// lookupModel resolves a request's model, writing the 404 when the
+// registry does not hold it.
+func (s *Server) lookupModel(w http.ResponseWriter, name string) (*ModelEntry, bool) {
+	entry, ok := s.models.Get(name)
+	if !ok {
+		s.m.badRequest.Inc()
+		httpError(w, http.StatusNotFound, "unknown model %q (loaded: %s)", name, strings.Join(s.models.Names(), ", "))
+	}
+	return entry, ok
+}
+
+// allow charges the tenant's token bucket, writing the 429 when the
+// request is over the rate limit.
+func (s *Server) allow(w http.ResponseWriter, tenant string, now time.Time) bool {
+	if s.limiter.allow(tenant, now) {
+		return true
+	}
+	s.m.rateLimited.Inc()
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusTooManyRequests, "tenant %q over rate limit", tenant)
+	return false
+}
+
+// clamps turns a request's window or explicit observation list, exactly
+// one of which must be set, into the engine clamp list. The engine
+// validates the list: EnsurePlan on /v1/infer, the tick on /v1/stream.
+func clamps(entry *ModelEntry, window []float64, explicit []Observation) ([]engine.Observation, error) {
+	if (len(window) > 0) == (len(explicit) > 0) {
+		return nil, errors.New("serve: exactly one of window and observations must be set")
+	}
+	if len(window) > 0 {
+		return entry.Model.WindowObservations(dsgl.Window{Full: window})
+	}
+	obsList := make([]engine.Observation, len(explicit))
+	for i, o := range explicit {
 		obsList[i] = engine.Observation{Index: o.Index, Value: o.Value}
 	}
-	indices := make([]int, 0, entry.Dim-len(obsList))
-	for i, s := range seen {
-		if !s {
+	return obsList, nil
+}
+
+// freeValues lists the nodes a validated clamp list leaves free, in
+// ascending order, with their annealed voltages: a reply's aligned Indices
+// and Values.
+func freeValues(obsList []engine.Observation, voltage []float64) ([]int, []float64) {
+	clamped := make([]bool, len(voltage))
+	for _, o := range obsList {
+		clamped[o.Index] = true
+	}
+	free := len(voltage) - len(obsList)
+	indices, values := make([]int, 0, free), make([]float64, 0, free)
+	for i, c := range clamped {
+		if !c {
 			indices = append(indices, i)
+			values = append(values, voltage[i])
 		}
 	}
-	return obsList, indices, nil
+	return indices, values
 }
 
 // modelInfo is one entry of the GET /v1/models listing.

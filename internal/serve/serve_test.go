@@ -75,7 +75,7 @@ func TestBatchingDeterminism(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			seed := uint64(9000 - 31*i)
-			outs[i] = s.enqueue(groupKey("traffic", obsList, entry.Dim), entry, obsList, seed)
+			outs[i] = s.enqueue(entry, obsList, seed)
 		}(i)
 	}
 	wg.Wait()
@@ -315,12 +315,8 @@ func TestRegistryLoadEvict(t *testing.T) {
 		t.Fatalf("registry length %d after evict", reg.Len())
 	}
 
-	// Invalid names.
 	if _, err := reg.Register("", entry.Model); err == nil {
 		t.Fatal("empty name accepted")
-	}
-	if _, err := reg.Register("bad\x00name", entry.Model); err == nil {
-		t.Fatal("NUL name accepted")
 	}
 }
 
@@ -453,9 +449,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 // FuzzServeRequests posts each body to /v1/infer and to /v1/stream, on a
-// fresh Server with batching off. No body may panic a handler, and every
-// reply must be a 200 or a 4xx: a body that fails to decode or validate
-// never gets a 5xx.
+// fresh Server with batching off. No body may panic a handler, every reply
+// must be a 200 or a 4xx (a body that fails to decode or validate never
+// gets a 5xx), and no batch group may outlive the answered requests.
 func FuzzServeRequests(f *testing.F) {
 	reg := testRegistry(f)
 	_, test := testModel(f).Dataset.Split()
@@ -484,6 +480,9 @@ func FuzzServeRequests(f *testing.F) {
 			if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code > 499) {
 				t.Fatalf("%s: status %d for body %q: %s", path, rec.Code, body, rec.Body)
 			}
+		}
+		if n := groupCount(s); n != 0 {
+			t.Fatalf("%d batch groups left after answering body %q", n, body)
 		}
 	})
 }
@@ -550,17 +549,123 @@ func TestRunLoad(t *testing.T) {
 	}
 }
 
-// TestGroupKey checks that distinct clamp masks and models never collide.
-func TestGroupKey(t *testing.T) {
-	a := []engine.Observation{{Index: 0}, {Index: 5}}
-	b := []engine.Observation{{Index: 0}, {Index: 6}}
-	if groupKey("m", a, 16) == groupKey("m", b, 16) {
-		t.Fatal("different masks share a key")
+// groupCount reads how many batch groups the server holds.
+func groupCount(s *Server) int {
+	s.groupMu.Lock()
+	defer s.groupMu.Unlock()
+	return len(s.groups)
+}
+
+// postInfer serves one /v1/infer body through the handler and decodes the
+// 200 reply.
+func postInfer(t *testing.T, s *Server, req InferRequest) InferResponse {
+	t.Helper()
+	b, _ := json.Marshal(req)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("infer status %d: %s", rec.Code, rec.Body)
 	}
-	if groupKey("m1", a, 16) == groupKey("m2", a, 16) {
-		t.Fatal("different models share a key")
+	var out InferResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
 	}
-	if groupKey("m", a, 16) != groupKey("m", []engine.Observation{{Index: 5}, {Index: 0}}, 16) {
-		t.Fatal("observation order changed the key")
+	return out
+}
+
+// TestSwapServesNewModel pins load-then-swap: once Register replaces a
+// name, requests for it anneal on the new model, bit for bit its solo
+// InferSeeded, though the old model's batch group (same name, same clamp
+// pattern) flushed on its timer a moment before. The second model changes
+// the decomposition; one that differs only in Seed would have the same J
+// and h and could not tell the two apart.
+func TestSwapServesNewModel(t *testing.T) {
+	m1 := testModel(t)
+	m2, err := dsgl.Train(m1.Dataset, dsgl.Options{Density: 0.30, Pattern: dsgl.DMesh, PECapacity: 24, MaxInferNs: 3000, Seed: 5})
+	if err != nil {
+		t.Fatalf("train second model: %v", err)
+	}
+	reg := testRegistry(t)
+	s := New(reg, Config{})
+	_, test := m1.Dataset.Split()
+	obsList := testObs(t, m1)
+	seed := uint64(77)
+	req := InferRequest{Model: "traffic", Window: test[0].Full, Seed: &seed}
+
+	postInfer(t, s, req)
+	if _, err := reg.Register("traffic", m2); err != nil {
+		t.Fatalf("swap: %v", err)
+	}
+	out := postInfer(t, s, req)
+
+	old, err := m1.Engine().InferSeeded(obsList, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m2.Engine().InferSeeded(obsList, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := false
+	for k, idx := range out.Indices {
+		if math.Float64bits(out.Values[k]) != math.Float64bits(want.Voltage[idx]) {
+			t.Fatalf("node %d after the swap: served %g, new model's solo %g (old model's %g)",
+				idx, out.Values[k], want.Voltage[idx], old.Voltage[idx])
+		}
+		differ = differ || want.Voltage[idx] != old.Voltage[idx]
+	}
+	if !differ {
+		t.Fatal("the two models agree on every free node; the test cannot tell them apart")
+	}
+}
+
+// TestGroupsEndAtFlush pins the batch-group lifecycle: a group lives only
+// while it has pending requests, so 100 answered requests with 100
+// distinct clamp patterns, sent by four clients at once so that timer and
+// MaxBatch flushes interleave, leave no group behind, and an evicted
+// model's entry is held by no group.
+func TestGroupsEndAtFlush(t *testing.T) {
+	reg := testRegistry(t)
+	s := New(reg, Config{MaxBatch: 3})
+	entry, _ := reg.Get("traffic")
+	var bodies [][]byte
+	for i := 0; i < entry.Dim && len(bodies) < 100; i++ {
+		for j := i + 1; j < entry.Dim && len(bodies) < 100; j++ {
+			b, _ := json.Marshal(InferRequest{Model: "traffic", Observations: []Observation{{Index: i, Value: 0.1}, {Index: j, Value: -0.1}}})
+			bodies = append(bodies, b)
+		}
+	}
+	if len(bodies) != 100 {
+		t.Fatalf("model of %d nodes has only %d two-node patterns", entry.Dim, len(bodies))
+	}
+	const clients = 4
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := c; k < len(bodies); k += clients {
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(bodies[k])))
+				if rec.Code != http.StatusOK {
+					t.Errorf("request %d: status %d: %s", k, rec.Code, rec.Body)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n, depth := groupCount(s), s.QueueDepth(); n != 0 || depth != 0 {
+		t.Fatalf("%d batch groups left at queue depth %d after 100 answered requests", n, depth)
+	}
+
+	if !reg.Evict("traffic") {
+		t.Fatal("evict failed")
+	}
+	s.groupMu.Lock()
+	defer s.groupMu.Unlock()
+	for _, g := range s.groups {
+		if g.entry == entry {
+			t.Fatal("a batch group still holds the evicted model")
+		}
 	}
 }

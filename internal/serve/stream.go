@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -85,37 +83,22 @@ type StreamResponse struct {
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.beginRequest() {
-		s.m.draining.Inc()
-		httpError(w, http.StatusServiceUnavailable, "draining")
+	start := time.Now()
+	var req StreamRequest
+	if !s.admit(w, r, &req) {
 		return
 	}
 	defer s.endRequest()
-	start := time.Now()
-
-	var req StreamRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		s.m.badRequest.Inc()
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
 
 	// Lazy TTL sweep: stream traffic itself retires idle sessions.
-	s.expireStreams(start)
+	idle := s.endStreams(func(ss *streamSession) bool { return start.Sub(ss.lastUsed) > s.cfg.StreamTTL })
+	s.m.streamEvicted.Add(uint64(len(idle)))
 
 	if req.Close {
 		s.closeStream(w, &req)
 		return
 	}
-	if !s.limiter.allow(req.Tenant, start) {
-		s.m.rateLimited.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "tenant %q over rate limit", req.Tenant)
+	if !s.allow(w, req.Tenant, start) {
 		return
 	}
 
@@ -128,63 +111,58 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if ss == nil {
 		return // openStream/lookupStream already wrote the error
 	}
-	entry := ss.entry
-	obsList, indices, err := buildObservations(entry, &InferRequest{Window: req.Window, Observations: req.Observations})
+	resp, err := ss.tick(&req)
 	if err != nil {
-		s.m.badRequest.Inc()
 		if req.Session == "" {
 			// The client never learned the id, so a failed open must not
 			// leak a session that only the TTL would reap.
-			s.dropStream(ss)
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	ss.mu.Lock()
-	tick := ss.sess.Ticks()
-	res, seed, err := ss.sess.NextObservations(obsList)
-	if err != nil {
-		ss.mu.Unlock()
-		if req.Session == "" {
-			s.dropStream(ss)
+			s.endStreams(func(x *streamSession) bool { return x == ss })
 		}
 		s.m.badRequest.Inc()
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The result aliases session state (the next tick overwrites it), so
-	// the response values are copied out under the session mutex.
+	s.m.streamTicks.Inc()
+	s.m.admitted.Inc()
+	s.m.requestLatency(ss.entry.Name).Observe(time.Since(start).Seconds())
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// tick runs the request's clamps as the session's next tick, under the
+// session mutex, and builds the reply. The tick validates the clamps; its
+// result aliases session state that the next tick overwrites, so the
+// reply's values are copied out before the mutex is released.
+func (ss *streamSession) tick(req *StreamRequest) (*StreamResponse, error) {
+	obsList, err := clamps(ss.entry, req.Window, req.Observations)
+	if err != nil {
+		return nil, err
+	}
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	tick := ss.sess.Ticks()
+	res, seed, err := ss.sess.NextObservations(obsList)
+	if err != nil {
+		return nil, err
+	}
 	resp := &StreamResponse{
 		Session:   ss.id,
-		Model:     entry.Name,
+		Model:     ss.entry.Name,
 		Tick:      tick,
-		Indices:   indices,
-		Values:    make([]float64, len(indices)),
 		LatencyUs: res.LatencyNs / 1000,
 		Steps:     res.Steps,
 		Settled:   res.Settled,
 		Warm:      tick > 0,
 		Seed:      seed,
 	}
-	for k, idx := range indices {
-		resp.Values[k] = res.Voltage[idx]
-	}
-	ss.mu.Unlock()
-
-	s.m.streamTicks.Inc()
-	s.m.admitted.Inc()
-	s.m.requestLatency(entry.Name).Observe(time.Since(start).Seconds())
-	writeJSON(w, http.StatusOK, resp)
+	resp.Indices, resp.Values = freeValues(obsList, res.Voltage)
+	return resp, nil
 }
 
 // openStream admits and registers a new session, writing the HTTP error
 // (and returning nil) when the model is unknown or the session cap is hit.
 func (s *Server) openStream(w http.ResponseWriter, req *StreamRequest, now time.Time) *streamSession {
-	entry, ok := s.models.Get(req.Model)
+	entry, ok := s.lookupModel(w, req.Model)
 	if !ok {
-		s.m.badRequest.Inc()
-		httpError(w, http.StatusNotFound, "unknown model %q (loaded: %s)", req.Model, strings.Join(s.models.Names(), ", "))
 		return nil
 	}
 	s.streamMu.Lock()
@@ -240,76 +218,39 @@ func (s *Server) closeStream(w http.ResponseWriter, req *StreamRequest) {
 		httpError(w, http.StatusBadRequest, "close requires a session id")
 		return
 	}
-	s.streamMu.Lock()
-	ss, ok := s.streams[req.Session]
-	if ok {
-		delete(s.streams, req.Session)
-	}
-	s.streamMu.Unlock()
-	if !ok {
+	ended := s.endStreams(func(ss *streamSession) bool { return ss.id == req.Session })
+	if len(ended) == 0 {
 		s.m.badRequest.Inc()
 		httpError(w, http.StatusNotFound, "unknown or expired stream session %q", req.Session)
 		return
 	}
-	ss.mu.Lock()
-	ticks := ss.sess.Ticks()
-	ss.sess.Close()
-	ss.mu.Unlock()
-	s.m.streamSessions.Add(-1)
-	writeJSON(w, http.StatusOK, &StreamResponse{Session: ss.id, Model: ss.entry.Name, Tick: ticks, Closed: true})
+	ss := ended[0]
+	writeJSON(w, http.StatusOK, &StreamResponse{Session: ss.id, Model: ss.entry.Name, Tick: ss.sess.Ticks(), Closed: true})
 }
 
-// dropStream unregisters and closes a session whose open never completed.
-func (s *Server) dropStream(ss *streamSession) {
+// endStreams is the one teardown of stream sessions, shared by Close
+// requests, failed opens, the TTL sweep and Drain: it unregisters every
+// session end selects under streamMu, then closes each under its own
+// mutex, so a tick that resolved the session before it was unregistered
+// finishes before the state returns to the engine pool. It returns the
+// sessions it ended.
+func (s *Server) endStreams(end func(*streamSession) bool) []*streamSession {
 	s.streamMu.Lock()
-	delete(s.streams, ss.id)
-	s.streamMu.Unlock()
-	ss.mu.Lock()
-	ss.sess.Close()
-	ss.mu.Unlock()
-	s.m.streamSessions.Add(-1)
-}
-
-// expireStreams retires sessions idle past the TTL. Unregistration happens
-// under streamMu; the Close of each victim then serializes on the session
-// mutex, so a tick that resolved the session just before eviction finishes
-// cleanly (its own lookup refreshed lastUsed, making this window rare).
-func (s *Server) expireStreams(now time.Time) {
-	s.streamMu.Lock()
-	var expired []*streamSession
+	var ended []*streamSession
 	for id, ss := range s.streams {
-		if now.Sub(ss.lastUsed) > s.cfg.StreamTTL {
+		if end(ss) {
 			delete(s.streams, id)
-			expired = append(expired, ss)
+			ended = append(ended, ss)
 		}
 	}
 	s.streamMu.Unlock()
-	for _, ss := range expired {
-		ss.mu.Lock()
-		ss.sess.Close()
-		ss.mu.Unlock()
-		s.m.streamEvicted.Inc()
-		s.m.streamSessions.Add(-1)
-	}
-}
-
-// closeAllStreams empties the session map on drain. Returns how many
-// sessions it closed.
-func (s *Server) closeAllStreams() int {
-	s.streamMu.Lock()
-	all := make([]*streamSession, 0, len(s.streams))
-	for id, ss := range s.streams {
-		delete(s.streams, id)
-		all = append(all, ss)
-	}
-	s.streamMu.Unlock()
-	for _, ss := range all {
+	for _, ss := range ended {
 		ss.mu.Lock()
 		ss.sess.Close()
 		ss.mu.Unlock()
 		s.m.streamSessions.Add(-1)
 	}
-	return len(all)
+	return ended
 }
 
 // StreamCount reports the streaming sessions currently open.
